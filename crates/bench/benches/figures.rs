@@ -1,11 +1,13 @@
-//! Criterion benchmarks wrapping each table/figure regeneration at
+//! Benchmarks wrapping each table/figure regeneration at
 //! micro campaign sizes — one bench target per experiment, as the
 //! per-experiment index in DESIGN.md requires. (The `repro` binary runs
 //! the full-size versions; these measure the harness cost itself.)
 
+mod common;
+
 use beam::Beam;
 use campaign::{Budget, Campaign};
-use criterion::{criterion_group, criterion_main, Criterion};
+use common::bench;
 use gpu_arch::{CodeGen, DeviceModel, Precision};
 use injector::{Avf, Injector};
 use prediction::{
@@ -14,72 +16,52 @@ use prediction::{
 use profiler::profile;
 use workloads::{build, Benchmark, Scale};
 
-fn table1_profiles(c: &mut Criterion) {
+fn table1_profiles() {
     let device = DeviceModel::named("k40c-sim");
     let w = build(Benchmark::Gemm, Precision::Single, CodeGen::Cuda10, Scale::Small);
-    c.bench_function("table1_profile_one_code", |b| b.iter(|| profile(&w, &device)));
+    bench("table1_profile_one_code", 10, || profile(&w, &device));
 }
 
-fn fig1_mix(c: &mut Criterion) {
+fn fig1_mix() {
     let device = DeviceModel::named("k40c-sim");
     let w = build(Benchmark::Lava, Precision::Single, CodeGen::Cuda7, Scale::Small);
-    c.bench_function("fig1_mix_one_code", |b| {
-        b.iter(|| {
-            let p = profile(&w, &device);
-            p.mix_fractions
-        })
-    });
+    bench("fig1_mix_one_code", 10, || profile(&w, &device).mix_fractions);
 }
 
-fn fig3_microbench(c: &mut Criterion) {
+fn fig3_microbench() {
     let device = DeviceModel::named("k40c-sim");
     let mb = microbench::arith(gpu_arch::FunctionalUnit::Fadd);
-    let mut group = c.benchmark_group("fig3");
-    group.sample_size(10);
-    group.bench_function("beam_one_microbench_500_runs", |b| {
-        b.iter(|| {
-            Campaign::new(Beam::auto(true), &mb, &device)
-                .budget(Budget::fixed(500).seed(1))
-                .run()
-                .unwrap()
-        })
+    bench("fig3/beam_one_microbench_500_runs", 10, || {
+        Campaign::new(Beam::auto(true), &mb, &device)
+            .budget(Budget::fixed(500).seed(1))
+            .run()
+            .unwrap()
     });
-    group.finish();
 }
 
-fn fig4_avf(c: &mut Criterion) {
+fn fig4_avf() {
     let device = DeviceModel::named("k40c-sim");
     let w = build(Benchmark::Hotspot, Precision::Single, CodeGen::Cuda7, Scale::Tiny);
-    let mut group = c.benchmark_group("fig4");
-    group.sample_size(10);
-    group.bench_function("avf_campaign_100_injections", |b| {
-        b.iter(|| {
-            Campaign::new(Avf::new(Injector::Sassifi), &w, &device)
-                .budget(Budget::fixed(100).seed(1))
-                .run()
-                .unwrap()
-        })
+    bench("fig4/avf_campaign_100_injections", 10, || {
+        Campaign::new(Avf::new(Injector::Sassifi), &w, &device)
+            .budget(Budget::fixed(100).seed(1))
+            .run()
+            .unwrap()
     });
-    group.finish();
 }
 
-fn fig5_beam(c: &mut Criterion) {
+fn fig5_beam() {
     let device = DeviceModel::named("k40c-sim");
     let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10, Scale::Tiny);
-    let mut group = c.benchmark_group("fig5");
-    group.sample_size(10);
-    group.bench_function("beam_campaign_500_runs", |b| {
-        b.iter(|| {
-            Campaign::new(Beam::auto(false), &w, &device)
-                .budget(Budget::fixed(500).seed(1))
-                .run()
-                .unwrap()
-        })
+    bench("fig5/beam_campaign_500_runs", 10, || {
+        Campaign::new(Beam::auto(false), &w, &device)
+            .budget(Budget::fixed(500).seed(1))
+            .run()
+            .unwrap()
     });
-    group.finish();
 }
 
-fn fig6_prediction(c: &mut Criterion) {
+fn fig6_prediction() {
     // The prediction step itself (unit characterization amortized out).
     let device = DeviceModel::named("k40c-sim");
     let units = characterize_units(
@@ -97,12 +79,12 @@ fn fig6_prediction(c: &mut Criterion) {
         .run()
         .unwrap();
     let feet = memory_footprint(&w, &device, &prof);
-    c.bench_function("fig6_predict_one_code", |b| {
-        b.iter(|| predict(&prof, &avf, &units, &feet, &PredictOptions::default()))
+    bench("fig6_predict_one_code", 10, || {
+        predict(&prof, &avf, &units, &feet, &PredictOptions::default())
     });
 }
 
-fn ablate_phi(c: &mut Criterion) {
+fn ablate_phi() {
     // The phi ablation: predictions with and without Equation 4's factor
     // (accuracy consequences are reported by `repro ablate`; this measures
     // that toggling phi is free).
@@ -122,25 +104,19 @@ fn ablate_phi(c: &mut Criterion) {
         .run()
         .unwrap();
     let feet = memory_footprint(&w, &device, &prof);
-    c.bench_function("ablate_phi_toggle", |b| {
-        b.iter(|| {
-            let a =
-                predict(&prof, &avf, &units, &feet, &PredictOptions { ecc: true, use_phi: true });
-            let b2 =
-                predict(&prof, &avf, &units, &feet, &PredictOptions { ecc: true, use_phi: false });
-            (a.sdc_fit, b2.sdc_fit)
-        })
+    bench("ablate_phi_toggle", 10, || {
+        let a = predict(&prof, &avf, &units, &feet, &PredictOptions { ecc: true, use_phi: true });
+        let b = predict(&prof, &avf, &units, &feet, &PredictOptions { ecc: true, use_phi: false });
+        (a.sdc_fit, b.sdc_fit)
     });
 }
 
-criterion_group!(
-    benches,
-    table1_profiles,
-    fig1_mix,
-    fig3_microbench,
-    fig4_avf,
-    fig5_beam,
-    fig6_prediction,
-    ablate_phi
-);
-criterion_main!(benches);
+fn main() {
+    table1_profiles();
+    fig1_mix();
+    fig3_microbench();
+    fig4_avf();
+    fig5_beam();
+    fig6_prediction();
+    ablate_phi();
+}

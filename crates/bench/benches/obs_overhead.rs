@@ -1,48 +1,34 @@
-//! Cost of the engine's trace hook points.
+//! Cost of the engine's trace hook points, on the same golden workload:
 //!
-//! Three configurations over the same golden workload:
-//!
-//! * `no_sink` — `run` (no sink parameter at all), the pre-hook baseline;
-//! * `none_sink` — `run_with_sink(.., None)`: the disabled path, one
-//!   `Option` check per hook point. Must be indistinguishable from
-//!   `no_sink` (the "zero-cost when disabled" claim).
+//! * `no_sink` — `run`, which is `run_with_sink(.., None)`: the disabled
+//!   path, one `Option` check per hook point;
 //! * `counting_sink` — the cheapest enabled sink, measuring the floor
 //!   cost of actually constructing and delivering every event.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+mod common;
+
+use common::bench;
 use gpu_arch::{CodeGen, DeviceModel, Precision};
 use gpu_sim::{run_with_sink, RunOptions, Target};
-use obs::{CountingSink, TraceSink};
+use obs::CountingSink;
 use workloads::{build, Benchmark, Scale};
 
-fn overhead(c: &mut Criterion) {
+fn main() {
     let device = DeviceModel::named("k40c-sim");
     let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10, Scale::Small);
     let opts = RunOptions::default();
 
-    let mut group = c.benchmark_group("obs_overhead");
-    group.sample_size(30);
-
-    group.bench_function("no_sink", |b| b.iter(|| w.execute_golden(&device)));
-    group.bench_function("none_sink", |b| {
-        b.iter(|| run_with_sink(&device, w.kernel(), w.launch(), w.fresh_memory(), &opts, None))
+    bench("obs_overhead/no_sink", 30, || w.execute_golden(&device));
+    bench("obs_overhead/counting_sink", 30, || {
+        let mut sink = CountingSink::default();
+        let out = run_with_sink(
+            &device,
+            w.kernel(),
+            w.launch(),
+            w.fresh_memory(),
+            &opts,
+            Some(&mut sink),
+        );
+        (out, sink.events)
     });
-    group.bench_function("counting_sink", |b| {
-        b.iter(|| {
-            let mut sink = CountingSink::default();
-            let out = run_with_sink(
-                &device,
-                w.kernel(),
-                w.launch(),
-                w.fresh_memory(),
-                &opts,
-                Some(&mut sink as &mut dyn TraceSink),
-            );
-            (out, sink.events)
-        })
-    });
-    group.finish();
 }
-
-criterion_group!(benches, overhead);
-criterion_main!(benches);

@@ -185,37 +185,6 @@ pub fn fetch<T: Target + ?Sized>(
     Ok((golden, false))
 }
 
-/// Deprecated plain-golden forwarder; use [`fetch`] with a
-/// [`GoldenRequest`].
-///
-/// # Errors
-/// Same contract as [`fetch`].
-#[deprecated(since = "0.8.0", note = "use golden::fetch(target, device, GoldenRequest::new(ecc))")]
-pub fn fetch_plain<T: Target + ?Sized>(
-    target: &T,
-    device: &DeviceModel,
-    ecc: bool,
-) -> Result<(Arc<Executed>, bool), String> {
-    fetch(target, device, GoldenRequest::new(ecc))
-}
-
-/// Deprecated recorded-golden forwarder; use [`fetch`] with
-/// [`GoldenRequest::record_sites`].
-///
-/// # Errors
-/// Same contract as [`fetch`].
-#[deprecated(
-    since = "0.8.0",
-    note = "use golden::fetch(target, device, GoldenRequest::new(ecc).record_sites(true))"
-)]
-pub fn fetch_recorded<T: Target + ?Sized>(
-    target: &T,
-    device: &DeviceModel,
-    ecc: bool,
-) -> Result<(Arc<Executed>, bool), String> {
-    fetch(target, device, GoldenRequest::new(ecc).record_sites(true))
-}
-
 /// One line per cached golden run: target, device, extras, and the size
 /// of any snapshot set — the CI snapshot-cache size report.
 pub fn cache_report() -> String {
@@ -274,11 +243,6 @@ mod tests {
         let (plain, hit_plain) = fetch(&target, &device, GoldenRequest::new(false)).unwrap();
         assert!(hit_plain);
         assert!(Arc::ptr_eq(&rec, &plain));
-        // The deprecated forwarders stay routed through the same cache.
-        #[allow(deprecated)]
-        let (fwd, hit_fwd) = fetch_recorded(&target, &device, false).unwrap();
-        assert!(hit_fwd);
-        assert!(Arc::ptr_eq(&rec, &fwd));
     }
 
     #[test]

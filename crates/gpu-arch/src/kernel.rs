@@ -94,6 +94,10 @@ pub enum KernelError {
     MissingPredSrc(u32),
     /// The kernel is empty.
     Empty,
+    /// An MMA's A, B or C operand is not a register fragment that fits
+    /// below `RZ` (A and B span 4 registers, C spans 4 for `HMMA` and 8
+    /// for `FMMA`).
+    MalformedMma(u32),
 }
 
 impl fmt::Display for KernelError {
@@ -114,6 +118,9 @@ impl fmt::Display for KernelError {
                 write!(f, "instruction {at}: SEL without predicate source")
             }
             KernelError::Empty => write!(f, "kernel is empty"),
+            KernelError::MalformedMma(at) => {
+                write!(f, "instruction {at}: MMA operands must be register fragments below RZ")
+            }
         }
     }
 }
@@ -179,6 +186,16 @@ impl Kernel {
             }
             if ins.op == Op::Sel && ins.psrc.is_none() {
                 return Err(KernelError::MissingPredSrc(at));
+            }
+            if ins.op.is_mma() {
+                let c_len = if ins.op == Op::Hmma { 4 } else { 8 };
+                // `r + len` overflows exactly when the fragment reaches RZ.
+                let fits =
+                    |o: Operand, len: u8| o.reg().is_some_and(|r| r.0.checked_add(len).is_some());
+                let [a, b, c] = ins.srcs;
+                if !(fits(a, 4) && fits(b, 4) && fits(c, c_len)) {
+                    return Err(KernelError::MalformedMma(at));
+                }
             }
         }
         if !has_exit {
@@ -706,6 +723,24 @@ mod tests {
         b.dadd(r(1), r(2).into(), r(4).into()); // dst R1 is odd
         b.exit();
         assert!(matches!(b.build().unwrap_err(), KernelError::MisalignedPair { reg: Reg(1), .. }));
+    }
+
+    #[test]
+    fn mma_without_three_register_fragments_is_rejected() {
+        let mut k = Kernel {
+            name: "x".into(),
+            instrs: vec![Instr::new(Op::Fmma), Instr::new(Op::Exit)],
+            regs_per_thread: 0,
+            shared_bytes: 0,
+            proprietary: false,
+        };
+        k.instrs[0].srcs = [r(0).into(), r(4).into(), Operand::None];
+        assert_eq!(k.validate(), Err(KernelError::MalformedMma(0)));
+        // The FMMA accumulator spans R248..=R255, reaching into RZ.
+        k.instrs[0].srcs[2] = r(248).into();
+        assert_eq!(k.validate(), Err(KernelError::MalformedMma(0)));
+        k.instrs[0].srcs[2] = r(247).into();
+        assert!(k.validate().is_ok());
     }
 
     #[test]

@@ -25,8 +25,8 @@ use std::sync::Arc;
 
 /// Forward an event to the installed sink, if any. Event construction
 /// happens inside the branch, so with no sink each hook point costs one
-/// `Option` check and nothing else — the zero-cost-when-disabled contract
-/// the overhead benchmark (`bench/benches/obs_overhead.rs`) verifies.
+/// `Option` check and nothing else; `bench/benches/obs_overhead.rs` times
+/// that disabled path against an enabled counting sink.
 macro_rules! emit {
     ($ctx:expr, $ev:expr) => {
         if let Some(sink) = $ctx.sink.as_deref_mut() {
@@ -47,10 +47,6 @@ pub struct RunOptions {
     /// instructions have executed. Injectors derive this from the golden
     /// run; `u64::MAX` disables the watchdog.
     pub watchdog_limit: u64,
-    /// Record the first N executed instructions (disassembly with block/
-    /// thread coordinates) into [`Executed::trace`]. Zero disables
-    /// tracing; campaigns leave it off.
-    pub trace_limit: usize,
     /// Record the static pc of every dynamic injectable GPR-writer site
     /// (and per-block dynamic-count windows) into
     /// [`Executed::sites_record`]. Golden runs backing statically-pruned
@@ -105,13 +101,6 @@ impl RunOptions {
         self
     }
 
-    /// Record the first `limit` executed instructions (see
-    /// [`RunOptions::trace_limit`]).
-    pub fn trace(mut self, limit: usize) -> Self {
-        self.trace_limit = limit;
-        self
-    }
-
     /// Toggle site-provenance recording (see [`RunOptions::record_sites`]).
     pub fn record_sites(mut self, on: bool) -> Self {
         self.record_sites = on;
@@ -152,7 +141,6 @@ impl Default for RunOptions {
             ecc: true,
             fault: FaultPlan::None,
             watchdog_limit: u64::MAX,
-            trace_limit: 0,
             record_sites: false,
             cancel: None,
             snapshot_stride: 0,
@@ -278,9 +266,6 @@ pub struct Executed {
     pub timing: TimingReport,
     /// Whether the fault plan's trigger point was actually reached.
     pub fault_triggered: bool,
-    /// Execution trace (first `trace_limit` instructions), empty unless
-    /// requested.
-    pub trace: Vec<String>,
     /// Site provenance, present iff [`RunOptions::record_sites`] was set.
     pub sites_record: Option<SitesRecord>,
     /// Engine snapshots captured at [`RunOptions::snapshot_stride`]
@@ -428,7 +413,6 @@ struct Ctx<'a> {
     /// stuck-at plans emit a single trace event.
     hidden_fired: bool,
     current_block: u32,
-    trace: Vec<String>,
     record: Option<SitesRecord>,
     cap: Option<Capture>,
     sink: Option<&'a mut (dyn TraceSink + 'a)>,
@@ -438,8 +422,9 @@ struct Ctx<'a> {
 /// options.
 ///
 /// # Panics
-/// Panics if the launch has zero threads or the kernel fails validation
-/// (callers construct kernels through the validating builder).
+/// Panics on every setup failure [`try_run_with_sink`] reports as a
+/// [`SimError`] (callers construct kernels through the validating
+/// builder).
 pub fn run(
     device: &DeviceModel,
     kernel: &Kernel,
@@ -478,7 +463,8 @@ pub fn run_with_sink<'a>(
 /// than abort.
 ///
 /// # Errors
-/// [`SimError::EmptyLaunch`] or [`SimError::InvalidKernel`]; device
+/// [`SimError::EmptyLaunch`], [`SimError::InvalidKernel`],
+/// [`SimError::PartialWarpMma`] or [`SimError::ResumeConflict`]; device
 /// failures during execution are outcomes ([`ExecStatus::Due`]), never
 /// errors.
 pub fn try_run_with_sink<'a>(
@@ -493,6 +479,12 @@ pub fn try_run_with_sink<'a>(
         return Err(SimError::EmptyLaunch);
     }
     kernel.validate().map_err(SimError::InvalidKernel)?;
+    let block_threads = launch.block.count();
+    if !block_threads.is_multiple_of(WARP_SIZE as u64)
+        && kernel.instrs.iter().any(|i| i.op.is_mma())
+    {
+        return Err(SimError::PartialWarpMma { block_threads });
+    }
     if let Some(snap) = opts.resume_from.as_deref() {
         if opts.record_sites {
             return Err(SimError::ResumeConflict(
@@ -551,7 +543,6 @@ pub fn try_run_with_sink<'a>(
         fault_triggered: false,
         hidden_fired: false,
         current_block: 0,
-        trace: Vec::new(),
         record: opts.record_sites.then(SitesRecord::default),
         cap: (opts.snapshot_stride > 0).then(|| Capture {
             stride: opts.snapshot_stride,
@@ -629,7 +620,6 @@ pub fn try_run_with_sink<'a>(
         counts: ctx.counts,
         timing,
         fault_triggered: ctx.fault_triggered,
-        trace: ctx.trace,
         sites_record: ctx.record,
         snapshots: ctx.cap.map(|c| c.snapshots).unwrap_or_default(),
     })
@@ -836,35 +826,10 @@ fn run_block(
             if barrier_fault == Some(false) {
                 // Lost arrival: the counter is short one and never
                 // reaches zero — the barrier hangs.
-                ctx.hidden_fired = true;
-                ctx.fault_triggered = true;
-                emit!(
-                    ctx,
-                    TraceEvent::FaultInjected {
-                        idx: ctx.dyn_count,
-                        site: ctx.opts.fault.site_label(),
-                        detail: 0,
-                    }
-                );
+                hidden_fault_fired(ctx, ctx.dyn_count, 0);
                 return Err(DueKind::BarrierDeadlock);
             }
-            let mut released: u32 = 0;
-            for t in threads.iter_mut() {
-                if t.state == TState::AtBarrier {
-                    t.state = TState::Running;
-                    released += 1;
-                }
-            }
-            if released > 0 {
-                emit!(
-                    ctx,
-                    TraceEvent::BarrierRelease {
-                        idx: ctx.dyn_count,
-                        block: block_linear,
-                        lanes: released,
-                    }
-                );
-            }
+            release_barrier(ctx, &mut threads, block_linear);
             progress = true;
         } else if barrier_fault == Some(true)
             && threads.iter().any(|t| t.state == TState::AtBarrier)
@@ -873,31 +838,8 @@ fn run_block(
             // the lanes already waiting while stragglers are still on
             // their way (they will gather at the barrier again and the
             // regular release picks them up — skewed, not hung).
-            ctx.hidden_fired = true;
-            ctx.fault_triggered = true;
-            emit!(
-                ctx,
-                TraceEvent::FaultInjected {
-                    idx: ctx.dyn_count,
-                    site: ctx.opts.fault.site_label(),
-                    detail: 1,
-                }
-            );
-            let mut released: u32 = 0;
-            for t in threads.iter_mut() {
-                if t.state == TState::AtBarrier {
-                    t.state = TState::Running;
-                    released += 1;
-                }
-            }
-            emit!(
-                ctx,
-                TraceEvent::BarrierRelease {
-                    idx: ctx.dyn_count,
-                    block: block_linear,
-                    lanes: released,
-                }
-            );
+            hidden_fault_fired(ctx, ctx.dyn_count, 1);
+            release_barrier(ctx, &mut threads, block_linear);
             progress = true;
         }
 
@@ -905,6 +847,48 @@ fn run_block(
             return Err(if starved { DueKind::SchedulerStall } else { DueKind::BarrierDeadlock });
         }
     }
+}
+
+/// Release every lane waiting at the block barrier, reporting the release
+/// when any lane was waiting.
+fn release_barrier(ctx: &mut Ctx<'_>, threads: &mut [Thread], block_linear: u32) {
+    let mut released: u32 = 0;
+    for t in threads.iter_mut() {
+        if t.state == TState::AtBarrier {
+            t.state = TState::Running;
+            released += 1;
+        }
+    }
+    if released > 0 {
+        emit!(
+            ctx,
+            TraceEvent::BarrierRelease { idx: ctx.dyn_count, block: block_linear, lanes: released }
+        );
+    }
+}
+
+/// Mark the fault plan as triggered and report it to the sink; every
+/// fault hook goes through here, so the fault event has one shape. `idx`
+/// is the dynamic instruction the corruption lands on. Cold, so the
+/// per-instruction fault hooks that call it stay small enough to inline.
+#[cold]
+fn fault_fired(ctx: &mut Ctx<'_>, idx: u64, detail: u64) {
+    ctx.fault_triggered = true;
+    emit!(ctx, TraceEvent::FaultInjected { idx, site: ctx.opts.fault.site_label(), detail });
+}
+
+/// [`fault_fired`] for hidden-resource plans, latched by
+/// `Ctx::hidden_fired`: only the first firing is reported, so a stuck-at
+/// plan that re-applies its corruption every round or barrier episode
+/// still emits one event. Returns whether this was the first firing.
+#[cold]
+fn hidden_fault_fired(ctx: &mut Ctx<'_>, idx: u64, detail: u64) -> bool {
+    let first = !ctx.hidden_fired;
+    if first {
+        ctx.hidden_fired = true;
+        fault_fired(ctx, idx, detail);
+    }
+    first
 }
 
 /// Per-round effect of a hidden scheduler-priority fault, computed by
@@ -934,19 +918,7 @@ fn hidden_round_tick(ctx: &mut Ctx<'_>, threads: &mut [Thread], nwarps: usize) -
     };
     match ctx.opts.fault {
         FaultPlan::SchedulerNextPc { at, warp, flip, persist } if ctx.dyn_count >= at => {
-            let first = !ctx.hidden_fired;
-            ctx.hidden_fired = true;
-            if first {
-                ctx.fault_triggered = true;
-                emit!(
-                    ctx,
-                    TraceEvent::FaultInjected {
-                        idx: ctx.dyn_count,
-                        site: ctx.opts.fault.site_label(),
-                        detail: flip.mask,
-                    }
-                );
-            }
+            let first = hidden_fault_fired(ctx, ctx.dyn_count, flip.mask);
             let (_, lo, hi) = warp_span(warp);
             match persist {
                 // The scheduler entry's next-pc field takes one upset.
@@ -970,19 +942,7 @@ fn hidden_round_tick(ctx: &mut Ctx<'_>, threads: &mut [Thread], nwarps: usize) -
             RoundHidden::default()
         }
         FaultPlan::SchedulerPriority { at, warp, persist } if ctx.dyn_count >= at => {
-            let first = !ctx.hidden_fired;
-            ctx.hidden_fired = true;
-            if first {
-                ctx.fault_triggered = true;
-                emit!(
-                    ctx,
-                    TraceEvent::FaultInjected {
-                        idx: ctx.dyn_count,
-                        site: ctx.opts.fault.site_label(),
-                        detail: warp as u64,
-                    }
-                );
-            }
+            let first = hidden_fault_fired(ctx, ctx.dyn_count, warp as u64);
             let (w, _, _) = warp_span(warp);
             match persist {
                 Persistence::Transient if first => RoundHidden { skip: Some(w), stuck: false },
@@ -991,19 +951,7 @@ fn hidden_round_tick(ctx: &mut Ctx<'_>, threads: &mut [Thread], nwarps: usize) -
             }
         }
         FaultPlan::ActiveMask { at, warp, flip, persist } if ctx.dyn_count >= at => {
-            let first = !ctx.hidden_fired;
-            ctx.hidden_fired = true;
-            if first {
-                ctx.fault_triggered = true;
-                emit!(
-                    ctx,
-                    TraceEvent::FaultInjected {
-                        idx: ctx.dyn_count,
-                        site: ctx.opts.fault.site_label(),
-                        detail: flip.mask,
-                    }
-                );
-            }
+            let first = hidden_fault_fired(ctx, ctx.dyn_count, flip.mask);
             let (_, lo, hi) = warp_span(warp);
             let apply = match persist {
                 Persistence::Transient => first,
@@ -1050,22 +998,11 @@ fn hidden_fetch_fault(
     if !fire {
         return Ok(());
     }
-    let first = !ctx.hidden_fired;
-    ctx.hidden_fired = true;
-    ctx.fault_triggered = true;
-    if first {
-        emit!(
-            ctx,
-            TraceEvent::FaultInjected {
-                idx: ctx.dyn_count,
-                site: ctx.opts.fault.site_label(),
-                detail: match effect {
-                    FetchEffect::StaleReplay => 0,
-                    FetchEffect::OpcodeFlip(flip) => flip.mask,
-                },
-            }
-        );
-    }
+    let detail = match effect {
+        FetchEffect::StaleReplay => 0,
+        FetchEffect::OpcodeFlip(flip) => flip.mask,
+    };
+    hidden_fault_fired(ctx, ctx.dyn_count, detail);
     let pc = threads[lane].pc;
     match effect {
         FetchEffect::StaleReplay => threads[lane].pc = pc.saturating_sub(1),
@@ -1080,9 +1017,18 @@ fn hidden_fetch_fault(
     Ok(())
 }
 
-/// Account one executed instruction and return the global dynamic index it
-/// received.
-fn account(ctx: &mut Ctx<'_>, meta: &InstrMeta, global_warp: usize) -> Result<u64, DueKind> {
+/// Account one retired instruction of `global_warp` at `pc` and report it
+/// to the sink; `lane` is the thread index within the block, or `u32::MAX`
+/// for a warp-wide instruction. Returns the global dynamic index the
+/// instruction received.
+#[inline]
+fn retire(
+    ctx: &mut Ctx<'_>,
+    meta: &InstrMeta,
+    global_warp: usize,
+    lane: u32,
+    pc: u32,
+) -> Result<u64, DueKind> {
     let idx = ctx.dyn_count;
     ctx.dyn_count += 1;
     ctx.counts.total += 1;
@@ -1107,7 +1053,35 @@ fn account(ctx: &mut Ctx<'_>, meta: &InstrMeta, global_warp: usize) -> Result<u6
             }
         }
     }
+    emit!(
+        ctx,
+        TraceEvent::InstrRetired {
+            idx,
+            block: ctx.current_block,
+            warp: global_warp as u32,
+            lane,
+            pc,
+            op: meta.op.base_name(),
+        }
+    );
     Ok(idx)
+}
+
+/// Note one dynamic GPR-writer site at `pc`: its population tick, its
+/// provenance record and its snapshot class tallies. Warp-wide MMA/SHFL
+/// sites count here too but do not tick `gpr_writers_no_half` (see
+/// [`ClassTallies`]); `step` ticks that population itself. Forced inline,
+/// like [`output_fault`]: both run on most instructions, and as
+/// out-of-line calls they cost about a tenth of campaign trials/s.
+#[inline(always)]
+fn note_gpr_site(ctx: &mut Ctx<'_>, meta: &InstrMeta, pc: u32) {
+    ctx.counts.sites.gpr_writers += 1;
+    if let Some(rec) = ctx.record.as_mut() {
+        rec.site_pcs.push(pc);
+    }
+    if let Some(cap) = ctx.cap.as_mut() {
+        cap.tallies.note(meta);
+    }
 }
 
 /// Apply time-triggered fault plans (register-file / memory bit strikes,
@@ -1123,15 +1097,7 @@ fn apply_timed_faults(
 ) -> Result<(), DueKind> {
     match ctx.opts.fault {
         FaultPlan::RegisterBit { block, thread, reg, flip, at } if at == executed_idx => {
-            ctx.fault_triggered = true;
-            emit!(
-                ctx,
-                TraceEvent::FaultInjected {
-                    idx: executed_idx,
-                    site: ctx.opts.fault.site_label(),
-                    detail: flip.mask,
-                }
-            );
+            fault_fired(ctx, executed_idx, flip.mask);
             let tgt_block = if block == u32::MAX { block_linear } else { block };
             if tgt_block != block_linear {
                 return Ok(()); // target block not resident: masked
@@ -1158,30 +1124,14 @@ fn apply_timed_faults(
             }
         }
         FaultPlan::GlobalMemBit { byte, bit, at, mbu } if at == executed_idx => {
-            ctx.fault_triggered = true;
-            emit!(
-                ctx,
-                TraceEvent::FaultInjected {
-                    idx: executed_idx,
-                    site: ctx.opts.fault.site_label(),
-                    detail: byte as u64,
-                }
-            );
+            fault_fired(ctx, executed_idx, byte as u64);
             ctx.global.strike_bit(byte, bit);
             if mbu {
                 ctx.global.strike_bit(byte, (bit + 1) % 32);
             }
         }
         FaultPlan::SharedMemBit { block, byte, bit, at, mbu } if at == executed_idx => {
-            ctx.fault_triggered = true;
-            emit!(
-                ctx,
-                TraceEvent::FaultInjected {
-                    idx: executed_idx,
-                    site: ctx.opts.fault.site_label(),
-                    detail: byte as u64,
-                }
-            );
+            fault_fired(ctx, executed_idx, byte as u64);
             let tgt_block = if block == u32::MAX { block_linear } else { block };
             if tgt_block == block_linear {
                 shared.strike_bit(byte, bit);
@@ -1191,15 +1141,7 @@ fn apply_timed_faults(
             }
         }
         FaultPlan::Pc { at, flip } if at == executed_idx => {
-            ctx.fault_triggered = true;
-            emit!(
-                ctx,
-                TraceEvent::FaultInjected {
-                    idx: executed_idx,
-                    site: ctx.opts.fault.site_label(),
-                    detail: flip.mask,
-                }
-            );
+            fault_fired(ctx, executed_idx, flip.mask);
             let th = &mut threads[lane];
             th.pc ^= flip.mask as u32;
             // Validity is checked at the next fetch.
@@ -1234,6 +1176,7 @@ impl OutputCorruption {
 
 /// Should an `InstructionOutput`/`InstructionOutputSet` fault fire for
 /// this instruction? Returns the corruption if so.
+#[inline(always)]
 fn output_fault(ctx: &mut Ctx<'_>, meta: &InstrMeta) -> Option<OutputCorruption> {
     let (nth, site, corruption) = match ctx.opts.fault {
         FaultPlan::InstructionOutput { nth, site, flip } => {
@@ -1248,18 +1191,11 @@ fn output_fault(ctx: &mut Ctx<'_>, meta: &InstrMeta) -> Option<OutputCorruption>
         let my = ctx.site_matches;
         ctx.site_matches += 1;
         if my == nth {
-            ctx.fault_triggered = true;
-            emit!(
-                ctx,
-                TraceEvent::FaultInjected {
-                    idx: ctx.dyn_count - 1,
-                    site: ctx.opts.fault.site_label(),
-                    detail: match corruption {
-                        OutputCorruption::Flip(f) => f.mask,
-                        OutputCorruption::Set(v) => v,
-                    },
-                }
-            );
+            let detail = match corruption {
+                OutputCorruption::Flip(f) => f.mask,
+                OutputCorruption::Set(v) => v,
+            };
+            fault_fired(ctx, ctx.dyn_count - 1, detail);
             return Some(corruption);
         }
     }
@@ -1272,15 +1208,7 @@ fn addr_fault(ctx: &mut Ctx<'_>) -> Option<BitFlip> {
         let my = ctx.mem_ops;
         ctx.mem_ops += 1;
         if my == nth {
-            ctx.fault_triggered = true;
-            emit!(
-                ctx,
-                TraceEvent::FaultInjected {
-                    idx: ctx.dyn_count - 1,
-                    site: ctx.opts.fault.site_label(),
-                    detail: flip.mask,
-                }
-            );
+            fault_fired(ctx, ctx.dyn_count - 1, flip.mask);
             return Some(flip);
         }
     }
@@ -1304,19 +1232,7 @@ fn memq_fault(ctx: &mut Ctx<'_>) -> Option<MemQueueEffect> {
     if !fire {
         return None;
     }
-    let first = !ctx.hidden_fired;
-    ctx.hidden_fired = true;
-    ctx.fault_triggered = true;
-    if first {
-        emit!(
-            ctx,
-            TraceEvent::FaultInjected {
-                idx: ctx.dyn_count - 1,
-                site: ctx.opts.fault.site_label(),
-                detail: my,
-            }
-        );
-    }
+    hidden_fault_fired(ctx, ctx.dyn_count - 1, my);
     Some(effect)
 }
 
@@ -1326,15 +1242,7 @@ fn pred_fault(ctx: &mut Ctx<'_>) -> bool {
         let my = ctx.setp_ops;
         ctx.setp_ops += 1;
         if my == nth {
-            ctx.fault_triggered = true;
-            emit!(
-                ctx,
-                TraceEvent::FaultInjected {
-                    idx: ctx.dyn_count - 1,
-                    site: ctx.opts.fault.site_label(),
-                    detail: 1,
-                }
-            );
+            fault_fired(ctx, ctx.dyn_count - 1, 1);
             return true;
         }
     }
@@ -1362,21 +1270,7 @@ fn step(
     let global_warp =
         block_linear as usize * ctx.launch.warps_per_block() as usize + warp_in_block as usize;
 
-    let executed_idx = account(ctx, meta, global_warp)?;
-    if ctx.trace.len() < ctx.opts.trace_limit {
-        ctx.trace.push(format!("[{executed_idx:>6}] b{block_linear} t{lane:<3} /*{pc:04}*/ {ins}"));
-    }
-    emit!(
-        ctx,
-        TraceEvent::InstrRetired {
-            idx: executed_idx,
-            block: block_linear,
-            warp: global_warp as u32,
-            lane: lane as u32,
-            pc,
-            op: ins.op.base_name(),
-        }
-    );
+    let executed_idx = retire(ctx, meta, global_warp, lane as u32, pc)?;
 
     // Guard check: a predicated-off instruction issues (and is counted)
     // but has no architectural effect.
@@ -1410,15 +1304,9 @@ fn step(
     // decode tests pin the class/unit correspondence exhaustively — the
     // populations cannot silently drift apart.
     if meta.writes_gpr() {
-        ctx.counts.sites.gpr_writers += 1;
+        note_gpr_site(ctx, meta, pc);
         if meta.in_class(SiteClass::GprWriterNoHalf) {
             ctx.counts.sites.gpr_writers_no_half += 1;
-        }
-        if let Some(rec) = ctx.record.as_mut() {
-            rec.site_pcs.push(pc);
-        }
-        if let Some(cap) = ctx.cap.as_mut() {
-            cap.tallies.note(meta);
         }
     }
     if meta.is_load() {
@@ -1783,7 +1671,7 @@ fn exec_mma(
     hi: usize,
     ins: &Instr,
 ) -> Result<(), DueKind> {
-    assert_eq!(hi - lo, WARP_SIZE as usize, "MMA requires a full warp");
+    debug_assert_eq!(hi - lo, WARP_SIZE as usize, "setup rejects MMA on partial warps");
     let (Some(a), Some(b), Some(c)) = (ins.srcs[0].reg(), ins.srcs[1].reg(), ins.srcs[2].reg())
     else {
         unreachable!("validated MMA has register fragments")
@@ -1795,28 +1683,8 @@ fn exec_mma(
     let warp_in_block = lo / WARP_SIZE as usize;
     let global_warp =
         ctx.current_block as usize * ctx.launch.warps_per_block() as usize + warp_in_block;
-    let executed_idx = account(ctx, meta, global_warp)?;
-    if ctx.trace.len() < ctx.opts.trace_limit {
-        ctx.trace.push(format!("[{executed_idx:>6}] warp{global_warp:<3} {ins}"));
-    }
-    emit!(
-        ctx,
-        TraceEvent::InstrRetired {
-            idx: executed_idx,
-            block: ctx.current_block,
-            warp: global_warp as u32,
-            lane: u32::MAX,
-            pc: threads[lo].pc,
-            op: ins.op.base_name(),
-        }
-    );
-    ctx.counts.sites.gpr_writers += 1; // the D-fragment write
-    if let Some(rec) = ctx.record.as_mut() {
-        rec.site_pcs.push(threads[lo].pc);
-    }
-    if let Some(cap) = ctx.cap.as_mut() {
-        cap.tallies.note(meta);
-    }
+    retire(ctx, meta, global_warp, u32::MAX, threads[lo].pc)?;
+    note_gpr_site(ctx, meta, threads[lo].pc); // the D-fragment write
 
     let mut a_m = [[0f32; 16]; 16];
     let mut b_m = [[0f32; 16]; 16];
@@ -1891,7 +1759,6 @@ fn exec_mma(
 
     // Timed faults (RF/memory strikes) landing exactly on an MMA instant
     // are not applied mid-MMA; the next scalar instruction applies them.
-    let _ = executed_idx;
     Ok(())
 }
 
@@ -1909,28 +1776,8 @@ fn exec_shfl(
     let warp_in_block = lo / WARP_SIZE as usize;
     let global_warp =
         ctx.current_block as usize * ctx.launch.warps_per_block() as usize + warp_in_block;
-    let _idx = account(ctx, meta, global_warp)?;
-    if ctx.trace.len() < ctx.opts.trace_limit {
-        ctx.trace.push(format!("[{_idx:>6}] warp{global_warp:<3} {ins}"));
-    }
-    emit!(
-        ctx,
-        TraceEvent::InstrRetired {
-            idx: _idx,
-            block: ctx.current_block,
-            warp: global_warp as u32,
-            lane: u32::MAX,
-            pc: threads[lo].pc,
-            op: ins.op.base_name(),
-        }
-    );
-    ctx.counts.sites.gpr_writers += 1;
-    if let Some(rec) = ctx.record.as_mut() {
-        rec.site_pcs.push(threads[lo].pc);
-    }
-    if let Some(cap) = ctx.cap.as_mut() {
-        cap.tallies.note(meta);
-    }
+    retire(ctx, meta, global_warp, u32::MAX, threads[lo].pc)?;
+    note_gpr_site(ctx, meta, threads[lo].pc);
 
     let width = hi - lo;
     // Gather every lane's source value and selector first (simultaneous

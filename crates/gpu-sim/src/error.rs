@@ -27,6 +27,13 @@ pub enum SimError {
     /// recording, or the fault plan's site precedes the snapshot (the
     /// fault would have fired inside the skipped prefix).
     ResumeConflict(String),
+    /// The kernel contains a warp-wide MMA but the block's thread count
+    /// is not a whole number of warps, so its last warp cannot hold the
+    /// full matrix fragments.
+    PartialWarpMma {
+        /// Threads per block in the rejected launch.
+        block_threads: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -36,6 +43,12 @@ impl fmt::Display for SimError {
             SimError::InvalidKernel(why) => write!(f, "kernel failed validation: {why}"),
             SimError::HostAccess(e) => write!(f, "host access: {e}"),
             SimError::ResumeConflict(why) => write!(f, "snapshot resume conflict: {why}"),
+            SimError::PartialWarpMma { block_threads } => write!(
+                f,
+                "MMA needs whole warps, but the block has {block_threads} threads \
+                 (not a multiple of {})",
+                gpu_arch::WARP_SIZE
+            ),
         }
     }
 }
@@ -45,7 +58,9 @@ impl std::error::Error for SimError {
         match self {
             SimError::HostAccess(e) => Some(e),
             SimError::InvalidKernel(e) => Some(e),
-            SimError::EmptyLaunch | SimError::ResumeConflict(_) => None,
+            SimError::EmptyLaunch
+            | SimError::ResumeConflict(_)
+            | SimError::PartialWarpMma { .. } => None,
         }
     }
 }

@@ -7,7 +7,8 @@ use gpu_arch::{
     CmpOp, DeviceModel, KernelBuilder, LaunchConfig, MemWidth, Operand, Pred, Reg, SpecialReg,
 };
 use gpu_sim::{
-    run, run_golden, BitFlip, DueKind, ExecStatus, FaultPlan, GlobalMemory, RunOptions, SiteClass,
+    run, run_golden, try_run_with_sink, BitFlip, DueKind, ExecStatus, FaultPlan, GlobalMemory,
+    RunOptions, SimError, SiteClass,
 };
 
 fn r(i: u8) -> Reg {
@@ -272,6 +273,34 @@ fn mma_matches_reference() {
             assert_eq!(got, expect, "element {idx}");
         }
     }
+}
+
+#[test]
+fn mma_on_a_block_of_partial_warps_is_a_setup_error() {
+    // A 16x16x16 MMA reads fragments from all 32 lanes of its warp, so a
+    // block that is not a whole number of warps is rejected before the
+    // first instruction instead of panicking mid-run.
+    let mut b = KernelBuilder::new("mma_partial");
+    b.hmma(r(0), r(4), r(8));
+    b.exit();
+    let kernel = b.build().unwrap();
+    let device = DeviceModel::named("v100");
+    let try_block = |threads: u32| {
+        let launch = LaunchConfig::new(1, threads, vec![]);
+        try_run_with_sink(
+            &device,
+            &kernel,
+            &launch,
+            GlobalMemory::new(4),
+            &RunOptions::golden(),
+            None,
+        )
+    };
+    for threads in [16u32, 48] {
+        let err = try_block(threads).unwrap_err();
+        assert_eq!(err, SimError::PartialWarpMma { block_threads: threads as u64 });
+    }
+    assert!(try_block(64).unwrap().status.completed());
 }
 
 // ---------------- fault hooks ----------------

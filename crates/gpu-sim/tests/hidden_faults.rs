@@ -10,9 +10,10 @@ use gpu_arch::{
     CmpOp, DeviceModel, KernelBuilder, LaunchConfig, MemWidth, Operand, Pred, Reg, SpecialReg,
 };
 use gpu_sim::{
-    run, BitFlip, DueKind, ExecStatus, Executed, FaultPlan, FetchEffect, GlobalMemory,
-    MemQueueEffect, Persistence, RunOptions,
+    run, run_with_sink, BitFlip, DueKind, ExecStatus, Executed, FaultPlan, FetchEffect,
+    GlobalMemory, MemQueueEffect, Persistence, RunOptions,
 };
+use obs::{RecordingSink, TraceEvent};
 
 fn r(i: u8) -> Reg {
     Reg(i)
@@ -329,5 +330,45 @@ fn hidden_faults_after_the_run_never_fire() {
         assert!(out.status.completed(), "{plan:?}");
         assert!(!out.fault_triggered, "{plan:?}");
         assert_eq!(out.memory.raw(), g.memory.raw());
+    }
+}
+
+#[test]
+fn every_hidden_plan_reports_exactly_one_fault_event() {
+    // Stuck-at plans re-apply their corruption every round, fetch, queue
+    // entry or barrier episode, but the trace reports the fault once, at
+    // the instant it first fires — the same contract transient plans keep.
+    let store = store_fixture();
+    let barrier = barrier_fixture();
+    let at = golden(&store).counts.total / 4;
+    for persist in [Persistence::Transient, Persistence::StuckAt] {
+        let cases = [
+            (&store, FaultPlan::SchedulerNextPc { at, warp: 0, flip: BitFlip::single(1), persist }),
+            (&store, FaultPlan::SchedulerPriority { at, warp: 1, persist }),
+            (&store, FaultPlan::ActiveMask { at, warp: 1, flip: BitFlip { mask: 0xF }, persist }),
+            (&store, FaultPlan::MemQueue { nth: 0, effect: MemQueueEffect::Drop, persist }),
+            (&store, FaultPlan::Fetch { at, effect: FetchEffect::StaleReplay, persist }),
+            (&barrier, FaultPlan::BarrierCounter { at: 1, phantom: true, persist }),
+            (&barrier, FaultPlan::BarrierCounter { at: 1, phantom: false, persist }),
+        ];
+        for (fx, plan) in cases {
+            let opts = RunOptions::trial(plan).watchdog(golden(fx).counts.total * 4 + 1000);
+            let mut sink = RecordingSink::new();
+            let out = run_with_sink(
+                &DeviceModel::named("v100"),
+                &fx.0,
+                &fx.1,
+                fx.2.clone(),
+                &opts,
+                Some(&mut sink),
+            );
+            assert!(out.fault_triggered, "{plan:?}");
+            let events = sink
+                .events
+                .iter()
+                .filter(|ev| matches!(ev, TraceEvent::FaultInjected { .. }))
+                .count();
+            assert_eq!(events, 1, "{plan:?}");
+        }
     }
 }

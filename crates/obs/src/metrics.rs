@@ -2,7 +2,7 @@
 //! snapshotable to JSONL and CSV.
 //!
 //! All instruments are lock-free on the update path (`AtomicU64`) so the
-//! rayon-parallel campaign loops can tally outcomes without contention;
+//! parallel campaign workers can tally outcomes without contention;
 //! the registry itself takes a mutex only on instrument *creation* and
 //! snapshot. Campaign code therefore resolves its instruments once, before
 //! the hot loop.
@@ -87,7 +87,7 @@ impl Default for HistogramStripe {
 }
 
 /// Stripe this thread updates. Threads are assigned round-robin on first
-/// touch, which spreads a rayon pool evenly across stripes.
+/// touch, which spreads a pool of campaign workers evenly across stripes.
 fn stripe_index() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {
