@@ -25,7 +25,7 @@ use campaign::{golden, Budget, Campaign, SnapshotPolicy};
 use gpu_arch::{CodeGen, DeviceModel, Precision};
 use gpu_sim::Target;
 use injector::{Avf, Injector};
-use std::fmt::Write as _;
+use obs::json::{object, Json};
 use std::hint::black_box;
 use std::time::Instant;
 use workloads::{build, Benchmark, Scale, Workload};
@@ -208,40 +208,39 @@ fn main() {
 
     let path = std::env::var("BENCH_JSON_PATH")
         .unwrap_or_else(|_| "BENCH_sim_throughput.json".to_string());
-    let mut json = String::from("{\n  \"bench\": \"sim_throughput\",\n  \"unit\": \"dyn_instrs_per_sec\",\n  \"cases\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        let sep = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"dyn_instrs\": {}, \"best_secs\": {:.9}, \"mean_secs\": {:.9}, \"instrs_per_sec\": {:.1}}}{}",
-            m.name,
-            m.dyn_instrs,
-            m.best_secs,
-            m.mean_secs,
-            m.instrs_per_sec(),
-            sep
-        );
-    }
-    json.push_str("  ],\n  \"campaigns\": [\n");
-    for (i, m) in campaign_results.iter().enumerate() {
-        let sep = if i + 1 < campaign_results.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"trials\": {}, \"best_secs\": {:.9}, \"mean_secs\": {:.9}, \"trials_per_sec\": {:.1}}}{}",
-            m.name,
-            m.trials,
-            m.best_secs,
-            m.mean_secs,
-            m.trials_per_sec(),
-            sep
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"snapshots\": {{\"case\": \"avf_nvbitfi_mxm_f32_tiny\", \"trials_per_sec_snapshots\": {snap_rate:.1}, \"trials_per_sec_nosnap\": {nosnap_rate:.1}, \"speedup\": {speedup:.3}}}"
-    );
-    json.push_str("}\n");
+    let cases = results.iter().map(|m| {
+        object([
+            ("name", Json::Str(m.name.to_string())),
+            ("dyn_instrs", Json::Num(m.dyn_instrs as f64)),
+            ("best_secs", Json::Num(m.best_secs)),
+            ("mean_secs", Json::Num(m.mean_secs)),
+            ("instrs_per_sec", Json::Num(m.instrs_per_sec())),
+        ])
+    });
+    let campaigns = campaign_results.iter().map(|m| {
+        object([
+            ("name", Json::Str(m.name.to_string())),
+            ("trials", Json::Num(m.trials as f64)),
+            ("best_secs", Json::Num(m.best_secs)),
+            ("mean_secs", Json::Num(m.mean_secs)),
+            ("trials_per_sec", Json::Num(m.trials_per_sec())),
+        ])
+    });
+    let snapshots = object([
+        ("case", Json::Str("avf_nvbitfi_mxm_f32_tiny".to_string())),
+        ("trials_per_sec_snapshots", Json::Num(snap_rate)),
+        ("trials_per_sec_nosnap", Json::Num(nosnap_rate)),
+        ("speedup", Json::Num(speedup)),
+    ]);
+    let json = object([
+        ("bench", Json::Str("sim_throughput".to_string())),
+        ("unit", Json::Str("dyn_instrs_per_sec".to_string())),
+        ("cases", Json::Arr(cases.collect())),
+        ("campaigns", Json::Arr(campaigns.collect())),
+        ("snapshots", snapshots),
+    ])
+    .to_string()
+        + "\n";
     if let Err(e) = std::fs::write(&path, &json) {
         eprintln!("sim_throughput: could not write {path}: {e}");
     } else {

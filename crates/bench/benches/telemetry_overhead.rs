@@ -16,8 +16,8 @@
 use campaign::{Budget, Campaign};
 use gpu_arch::{CodeGen, DeviceModel, Precision};
 use injector::{Avf, Injector};
+use obs::json::{object, Json};
 use obs::{CampaignObserver, MetricsRegistry, SpanBus};
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 use workloads::{build, Benchmark, Scale, Workload};
@@ -92,12 +92,15 @@ fn main() {
 
     let path = std::env::var("BENCH_JSON_PATH")
         .unwrap_or_else(|_| "BENCH_telemetry_overhead.json".to_string());
-    let mut json = String::from("{\n  \"bench\": \"telemetry_overhead\",\n");
-    let _ = writeln!(json, "  \"trials\": {TRIALS},");
-    let _ = writeln!(json, "  \"bare_best_secs\": {bare:.9},");
-    let _ = writeln!(json, "  \"telemetry_best_secs\": {telemetry:.9},");
-    let _ = writeln!(json, "  \"overhead\": {overhead:.6}");
-    json.push_str("}\n");
+    let json = object([
+        ("bench", Json::Str("telemetry_overhead".to_string())),
+        ("trials", Json::Num(TRIALS.into())),
+        ("bare_best_secs", Json::Num(bare)),
+        ("telemetry_best_secs", Json::Num(telemetry)),
+        ("overhead", Json::Num(overhead)),
+    ])
+    .to_string()
+        + "\n";
     if let Err(e) = std::fs::write(&path, json) {
         eprintln!("telemetry_overhead: could not write {path}: {e}");
     } else {

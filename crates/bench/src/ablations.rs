@@ -9,9 +9,8 @@
 //! 3. **MBU rate**: how the multiple-bit-upset probability moves the
 //!    ECC-on DUE rate (SECDED detects exactly the double-bit events).
 
-use crate::experiments::{devices, HarnessConfig};
+use crate::experiments::{devices, HarnessConfig, ObserveCtx};
 use beam::{Beam, CrossSections};
-use campaign::Campaign;
 use gpu_arch::{CodeGen, Precision};
 use gpu_sim::SiteClass;
 use injector::{Avf, ClassAvf, Injector};
@@ -34,7 +33,7 @@ pub struct PhiRow {
 }
 
 /// φ ablation over a few Kepler codes (ECC on).
-pub fn ablate_phi(cfg: &HarnessConfig) -> Vec<PhiRow> {
+pub fn ablate_phi(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<PhiRow> {
     let (kepler, _) = devices();
     let char_cfg =
         CharacterizeConfig { beam: cfg.bench_beam.clone(), injection: cfg.bench_injection.clone() };
@@ -45,15 +44,11 @@ pub fn ablate_phi(cfg: &HarnessConfig) -> Vec<PhiRow> {
         let precision = if bench.is_integer() { Precision::Int32 } else { Precision::Single };
         let w = build(bench, precision, CodeGen::Cuda10, cfg.scale);
         let prof = profile(&w, &kepler);
-        let avf = Campaign::new(Avf::new(Injector::NvBitFi), &w, &kepler)
-            .budget(cfg.injection.clone())
-            .run()
-            .expect("injection campaign failed");
+        let label = format!("ablate/phi/NVBitFI/{}", w.name);
+        let avf = ctx.run(&label, Avf::new(Injector::NvBitFi), &w, &kepler, &cfg.injection);
         let feet = memory_footprint(&w, &kepler, &prof);
-        let measured = Campaign::new(Beam::auto(true), &w, &kepler)
-            .budget(cfg.beam.clone())
-            .run()
-            .expect("beam campaign failed");
+        let label = format!("ablate/phi/ecc-on/{}", w.name);
+        let measured = ctx.run(&label, Beam::auto(true), &w, &kepler, &cfg.beam);
         let with_phi =
             predict(&prof, &avf, &units, &feet, &PredictOptions { ecc: true, use_phi: true });
         let without =
@@ -83,7 +78,10 @@ pub struct HalfCapabilityResult {
 }
 
 /// What NVBitFI's half-precision gap costs on HHotspot (Section VII-A).
-pub fn ablate_half_capability(cfg: &HarnessConfig) -> HalfCapabilityResult {
+pub fn ablate_half_capability(
+    cfg: &HarnessConfig,
+    ctx: &mut ObserveCtx<'_>,
+) -> HalfCapabilityResult {
     let (_, volta) = devices();
     let char_cfg =
         CharacterizeConfig { beam: cfg.bench_beam.clone(), injection: cfg.bench_injection.clone() };
@@ -96,20 +94,14 @@ pub fn ablate_half_capability(cfg: &HarnessConfig) -> HalfCapabilityResult {
 
     // Real NVBitFI: cannot touch half ops; the paper substitutes the
     // float variant's AVF.
-    let avf_f = Campaign::new(Avf::new(Injector::NvBitFi), &f, &volta)
-        .budget(cfg.injection.clone())
-        .run()
-        .expect("injection campaign failed");
+    let label = format!("ablate/half/NVBitFI/{}", f.name);
+    let avf_f = ctx.run(&label, Avf::new(Injector::NvBitFi), &f, &volta, &cfg.injection);
     // Hypothetical injector with half support: all GPR writers.
-    let avf_h = Campaign::new(ClassAvf::new(SiteClass::GprWriter), &h, &volta)
-        .budget(cfg.injection.clone())
-        .run()
-        .expect("injection campaign failed");
+    let label = format!("ablate/half/gpr-writer/{}", h.name);
+    let avf_h = ctx.run(&label, ClassAvf::new(SiteClass::GprWriter), &h, &volta, &cfg.injection);
 
-    let measured = Campaign::new(Beam::auto(true), &h, &volta)
-        .budget(cfg.beam.clone())
-        .run()
-        .expect("beam campaign failed");
+    let label = format!("ablate/half/ecc-on/{}", h.name);
+    let measured = ctx.run(&label, Beam::auto(true), &h, &volta, &cfg.beam);
     let p_without =
         predict(&prof, &avf_f, &units, &feet, &PredictOptions { ecc: true, use_phi: true });
     let p_with =
@@ -137,31 +129,29 @@ pub struct MbuRow {
 
 /// Sweep the multiple-bit-upset probability and measure the ECC-on rates:
 /// SECDED converts exactly the MBU fraction into detections.
-pub fn ablate_mbu(cfg: &HarnessConfig) -> Vec<MbuRow> {
+pub fn ablate_mbu(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<MbuRow> {
     let (kepler, _) = devices();
     let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10, cfg.scale);
     let mut rows = Vec::new();
     for mbu in [0.0, 0.02, 0.10, 0.30] {
         let mut xsec = CrossSections::ground_truth(&kepler);
         xsec.mbu_probability = mbu;
-        let r = Campaign::new(Beam::auto(true).with_xsec(xsec), &w, &kepler)
-            .budget(cfg.beam.clone())
-            .run()
-            .expect("beam campaign failed");
+        let label = format!("ablate/mbu/{mbu}/{}", w.name);
+        let r = ctx.run(&label, Beam::auto(true).with_xsec(xsec), &w, &kepler, &cfg.beam);
         rows.push(MbuRow { mbu, sdc_fit: r.sdc_fit.fit, due_fit: r.due_fit.fit });
     }
     rows
 }
 
 /// Render all three ablations.
-pub fn render(cfg: &HarnessConfig) -> String {
+pub fn render(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> String {
     use std::fmt::Write;
     let mut out = String::new();
 
     let _ = writeln!(out, "Ablation 1: phi = occupancy x IPC (Equation 4)");
     let _ = writeln!(out, "{:-<56}", "");
     let _ = writeln!(out, "{:<12} {:>14} {:>14}", "code", "|ratio| w/ phi", "w/o phi");
-    let rows = ablate_phi(cfg);
+    let rows = ablate_phi(cfg, ctx);
     for r in &rows {
         let _ = writeln!(out, "{:<12} {:>14.1} {:>14.1}", r.name, r.with_phi, r.without_phi);
     }
@@ -175,7 +165,7 @@ pub fn render(cfg: &HarnessConfig) -> String {
 
     let _ = writeln!(out, "\nAblation 2: NVBitFI half-precision capability (HHOTSPOT)");
     let _ = writeln!(out, "{:-<56}", "");
-    let h = ablate_half_capability(cfg);
+    let h = ablate_half_capability(cfg, ctx);
     let _ = writeln!(out, "  AVF, float-sibling substitution : {:.3}", h.avf_without_half);
     let _ = writeln!(out, "  AVF, half-capable injector      : {:.3}", h.avf_with_half);
     let _ = writeln!(out, "  beam SDC FIT                    : {:.3e}", h.beam_fit);
@@ -195,7 +185,7 @@ pub fn render(cfg: &HarnessConfig) -> String {
     let _ = writeln!(out, "\nAblation 3: MBU probability vs ECC-on rates (FMXM, Kepler)");
     let _ = writeln!(out, "{:-<56}", "");
     let _ = writeln!(out, "{:>6} {:>14} {:>14}", "MBU", "SDC FIT", "DUE FIT");
-    for r in ablate_mbu(cfg) {
+    for r in ablate_mbu(cfg, ctx) {
         let _ = writeln!(out, "{:>5.0}% {:>14.3e} {:>14.3e}", r.mbu * 100.0, r.sdc_fit, r.due_fit);
     }
     out

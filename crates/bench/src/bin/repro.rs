@@ -40,11 +40,15 @@
 //! --progress           render a stderr progress meter per campaign
 //! --progress-interval MS  minimum milliseconds between progress renders
 //!                      (default 200; implies --progress)
-//! --checkpoint-dir DIR durable checkpoint store: campaigns save
-//!                      shard-boundary checkpoints under DIR and a
+//! --checkpoint-dir DIR durable checkpoints: every campaign the command
+//!                      starts keeps its own store in DIR/<campaign
+//!                      label>/ (e.g. DIR/fig4/Kepler/SASSIFI/FMXM/),
+//!                      saves shard-boundary checkpoints there, and a
 //!                      re-run resumes each campaign from its last
-//!                      checkpoint (kill-safe; applies to the observed
-//!                      commands table1/fig3/fig4/fig5/all)
+//!                      checkpoint (kill-safe). Campaigns inside library
+//!                      helpers (unit characterization, per-class
+//!                      breakdowns, hidden-rate calibration) are not
+//!                      checkpointed
 //! --spans-out FILE     write campaign → shard → trial → engine-phase
 //!                      spans as Chrome Trace Event Format JSON (load in
 //!                      chrome://tracing or Perfetto)
@@ -60,9 +64,9 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 
 use bench::{
-    avf_breakdown, codegen_comparison, convergence, device_pipeline_observed, due_analysis, fig1,
-    fig3_observed, fig4_observed, fig5_observed, fig6, hidden_gap_closure, render, table1_observed,
-    CampaignObservation, DeviceReport, GapClosure, HarnessConfig, ObserveCtx,
+    avf_breakdown, codegen_comparison, convergence, device_pipeline, due_analysis, fig1, fig3,
+    fig4, fig5, fig6, hidden_gap_closure, render, table1, CampaignObservation, DeviceReport,
+    GapClosure, HarnessConfig, ObserveCtx,
 };
 use gpu_arch::{DeviceRegistry, DeviceSpec};
 use obs::RunReport;
@@ -216,14 +220,6 @@ fn main() {
         None => Box::new(std::io::stdout()),
     };
     let mut campaigns = 0u64;
-    let mut store =
-        flags.checkpoint_dir.as_ref().map(|dir| match campaign::CheckpointStore::open(dir) {
-            Ok(store) => store,
-            Err(e) => {
-                eprintln!("cannot open checkpoint store {dir}: {e}");
-                std::process::exit(1);
-            }
-        });
     let mut gap_set: Option<GapClosure> = None;
     let mut device_set: Option<DeviceReport> = None;
     let spans = flags.spans_out.as_ref().map(|_| obs::SpanBus::new());
@@ -236,45 +232,45 @@ fn main() {
             }
         }
     });
-    {
+    let stores = {
         let mut observe = |o: CampaignObservation| {
             campaigns += 1;
             sink.write_all(o.to_json_line().as_bytes()).expect("write campaign metrics");
             sink.write_all(b"\n").expect("write campaign metrics");
         };
-        let mut ctx = ObserveCtx {
-            progress: flags.progress,
-            progress_interval: flags.progress_interval,
-            observe: &mut observe,
-            store: store.as_mut(),
-            spans: spans.as_ref(),
-            publisher: publisher.as_ref(),
-        };
+        let mut ctx = ObserveCtx::default();
+        ctx.progress = flags.progress;
+        ctx.progress_interval = flags.progress_interval;
+        ctx.observe = Some(&mut observe);
+        ctx.checkpoint_root = flags.checkpoint_dir.as_ref().map(Into::into);
+        ctx.spans = spans.as_ref();
+        ctx.publisher = publisher.as_ref();
 
         match what.as_str() {
-            "table1" => print!("{}", render::table1(&table1_observed(&cfg, &mut ctx))),
+            "table1" => print!("{}", render::table1(&table1(&cfg, &mut ctx))),
             "fig1" => print!("{}", render::fig1(&fig1(&cfg))),
-            "fig3" => print!("{}", render::fig3(&fig3_observed(&cfg, &mut ctx))),
-            "fig4" => print!("{}", render::fig4(&fig4_observed(&cfg, &mut ctx))),
-            "fig5" => print!("{}", render::fig5(&fig5_observed(&cfg, &mut ctx))),
+            "fig3" => print!("{}", render::fig3(&fig3(&cfg, &mut ctx))),
+            "fig4" => print!("{}", render::fig4(&fig4(&cfg, &mut ctx))),
+            "fig5" => print!("{}", render::fig5(&fig5(&cfg, &mut ctx))),
             "fig6" => {
-                let set = fig6(&cfg);
+                let set = fig6(&cfg, &mut ctx);
                 print!("{}", render::fig6(&set));
                 println!();
                 print!("{}", render::due(&due_analysis(&set)));
             }
-            "ablate" => print!("{}", bench::ablations::render(&cfg)),
-            "codegen" => print!("{}", render::codegen(&codegen_comparison(&cfg))),
+            "ablate" => print!("{}", bench::ablations::render(&cfg, &mut ctx)),
+            "codegen" => print!("{}", render::codegen(&codegen_comparison(&cfg, &mut ctx))),
             "breakdown" => print!("{}", render::breakdown(&avf_breakdown(&cfg))),
             "convergence" => {
-                print!("{}", render::convergence(&convergence(&cfg, workloads::Benchmark::Hotspot)))
+                let rows = convergence(&cfg, &mut ctx, workloads::Benchmark::Hotspot);
+                print!("{}", render::convergence(&rows))
             }
             "due" => {
-                let set = fig6(&cfg);
+                let set = fig6(&cfg, &mut ctx);
                 print!("{}", render::due(&due_analysis(&set)));
             }
             "gap" => {
-                let set = hidden_gap_closure(&cfg);
+                let set = hidden_gap_closure(&cfg, &mut ctx);
                 print!("{}", render::gap(&set));
                 gap_set = Some(set);
             }
@@ -286,27 +282,27 @@ fn main() {
                     );
                     std::process::exit(2);
                 };
-                let report = device_pipeline_observed(spec, &cfg, Some(&mut ctx));
+                let report = device_pipeline(&cfg, &mut ctx, spec);
                 print!("{}", render::device_report(&report));
                 device_set = Some(report);
             }
             "all" => {
-                print!("{}", render::table1(&table1_observed(&cfg, &mut ctx)));
+                print!("{}", render::table1(&table1(&cfg, &mut ctx)));
                 println!();
                 print!("{}", render::fig1(&fig1(&cfg)));
                 println!();
-                print!("{}", render::fig3(&fig3_observed(&cfg, &mut ctx)));
+                print!("{}", render::fig3(&fig3(&cfg, &mut ctx)));
                 println!();
-                print!("{}", render::fig4(&fig4_observed(&cfg, &mut ctx)));
+                print!("{}", render::fig4(&fig4(&cfg, &mut ctx)));
                 println!();
-                print!("{}", render::fig5(&fig5_observed(&cfg, &mut ctx)));
+                print!("{}", render::fig5(&fig5(&cfg, &mut ctx)));
                 println!();
-                let set = fig6(&cfg);
+                let set = fig6(&cfg, &mut ctx);
                 print!("{}", render::fig6(&set));
                 println!();
                 print!("{}", render::due(&due_analysis(&set)));
                 println!();
-                let gaps = hidden_gap_closure(&cfg);
+                let gaps = hidden_gap_closure(&cfg, &mut ctx);
                 print!("{}", render::gap(&gaps));
                 gap_set = Some(gaps);
             }
@@ -322,7 +318,8 @@ fn main() {
                 std::process::exit(2);
             }
         }
-    }
+        ctx.store_log().clone()
+    };
     // Gap-closure rows join the campaign observations in the metrics
     // stream, one `{"report":"hidden_gap",...}` line per ladder rung.
     if let Some(set) = &gap_set {
@@ -334,10 +331,11 @@ fn main() {
         sink.write_all(set.to_json_lines().as_bytes()).expect("write device metrics");
     }
     sink.flush().expect("flush metrics");
-    if let Some(store) = &store {
-        for warning in store.warnings() {
-            eprintln!("checkpoint-store: {warning}");
-        }
+    for error in &stores.errors {
+        eprintln!("checkpoint-store: error: {error}");
+    }
+    for warning in &stores.warnings {
+        eprintln!("checkpoint-store: {warning}");
     }
     if let (Some(bus), Some(path)) = (&spans, &flags.spans_out) {
         bus.write_chrome_trace(std::path::Path::new(path)).unwrap_or_else(|e| {
@@ -373,10 +371,17 @@ fn main() {
     if let Some(dir) = &flags.status_dir {
         report.push_str("status_dir", dir);
     }
-    if let Some(store) = &store {
+    if let Some(dir) = &flags.checkpoint_dir {
         report
-            .push_uint("store_damage_events", store.damage_events())
-            .push_uint("store_lock_breaks", store.lock_breaks());
+            .push_str("checkpoint_dir", dir)
+            .push_uint("store_errors", stores.errors.len() as u64)
+            .push_uint("store_damage_events", stores.damage_events)
+            .push_uint("store_lock_breaks", stores.lock_breaks);
     }
     println!("{}", report.to_json_line());
+    // The tables are complete, but a campaign that could not open its
+    // checkpoint store ran without kill-safety: fail the run.
+    if !stores.errors.is_empty() {
+        std::process::exit(1);
+    }
 }

@@ -4,12 +4,15 @@
 //! textual tables the `repro` binary prints. The per-experiment index in
 //! DESIGN.md maps each function to its paper counterpart.
 
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
 use beam::{Beam, BeamResult};
-use campaign::{Budget, Campaign};
+use campaign::{Budget, Campaign, CheckpointStore, Kind};
 use gpu_arch::{CodeGen, DeviceModel, DeviceSpec, MixCategory, Precision};
 use gpu_sim::Target;
 use injector::{Avf, AvfResult, HiddenClass, HiddenCoverage, Injector};
-use obs::{CampaignObserver, MetricsRegistry, MetricsSnapshot, Progress};
+use obs::{CampaignObserver, MetricsRegistry, MetricsSnapshot, Progress, RunReport};
 use prediction::{
     characterize_units, compare, memory_footprint, predict, predict_hidden, CharacterizeConfig,
     ComparisonRow, PredictOptions, UnitFits,
@@ -110,8 +113,34 @@ impl CampaignObservation {
     }
 }
 
-/// Observation hooks threaded through the `*_observed` experiment
-/// variants.
+/// What the per-campaign checkpoint stores reported over a run, for the
+/// run report.
+#[derive(Clone, Debug, Default)]
+pub struct StoreLog {
+    /// Stores that could not be opened (the campaign then ran without
+    /// checkpointing), one message per campaign.
+    pub errors: Vec<String>,
+    /// Recovery diagnostics: damaged lines skipped, stale locks broken.
+    pub warnings: Vec<String>,
+    /// Damage events summed over every store.
+    pub damage_events: u64,
+    /// Stale locks broken, summed over every store.
+    pub lock_breaks: u64,
+}
+
+/// The observation hooks every campaign-running experiment takes.
+///
+/// [`ObserveCtx::default`] is quiet: no observer, no progress, no
+/// checkpoints. Each campaign an experiment starts goes through one
+/// runner that attaches metrics, progress, spans and the status
+/// publisher only when something consumes them, checkpoints under
+/// `checkpoint_root`, and hands one [`CampaignObservation`] to
+/// `observe`. Tallies are identical with any combination of hooks.
+/// Campaigns started inside library helpers
+/// ([`characterize_units`], [`injector::measure_hidden_breakdown`],
+/// [`injector::measure_avf_breakdown`], [`beam::characterize_hidden`])
+/// are not observed.
+#[derive(Default)]
 pub struct ObserveCtx<'a> {
     /// Render stderr progress meters while campaigns run.
     pub progress: bool,
@@ -119,12 +148,13 @@ pub struct ObserveCtx<'a> {
     /// `None` keeps the 200ms default).
     pub progress_interval: Option<std::time::Duration>,
     /// Receives one observation per campaign, in execution order.
-    pub observe: &'a mut dyn FnMut(CampaignObservation),
-    /// Durable checkpoint store shared by every campaign in the run:
-    /// each campaign saves shard-boundary checkpoints to it and resumes
-    /// automatically from its own last checkpoint (`repro
-    /// --checkpoint-dir`).
-    pub store: Option<&'a mut campaign::CheckpointStore>,
+    pub observe: Option<&'a mut dyn FnMut(CampaignObservation)>,
+    /// Durable checkpoint root (`repro --checkpoint-dir`): each campaign
+    /// keeps its own [`CheckpointStore`] in `<root>/<campaign label>/`,
+    /// saves shard-boundary checkpoints there and resumes from its last
+    /// one. Per-label directories keep campaigns the engine would label
+    /// alike (same kind, device and target name) apart.
+    pub checkpoint_root: Option<PathBuf>,
     /// Span bus collecting campaign → shard → trial → engine-phase spans
     /// across every campaign in the run (`repro --spans-out`).
     pub spans: Option<&'a obs::SpanBus>,
@@ -132,107 +162,98 @@ pub struct ObserveCtx<'a> {
     /// campaign's registry as it starts, so `campaign-top` always shows
     /// the campaign currently running.
     pub publisher: Option<&'a obs::SnapshotPublisher>,
+    stores: StoreLog,
 }
 
-impl<'a> ObserveCtx<'a> {
-    /// Shared per-campaign telemetry setup: a fresh registry (Arc so the
-    /// background publisher can snapshot it concurrently), a progress
-    /// meter honoring `--progress-interval`, and an observer carrying the
-    /// run-wide span bus.
-    fn begin_campaign(
-        &self,
-        label: &str,
-        device: &DeviceModel,
-        ceiling: u64,
-    ) -> (std::sync::Arc<MetricsRegistry>, Progress) {
-        let metrics = std::sync::Arc::new(MetricsRegistry::new());
-        let mut meter = Progress::new(label, ceiling, self.progress);
-        if let Some(interval) = self.progress_interval {
-            meter = meter.with_interval(interval);
-        }
-        if let Some(publisher) = self.publisher {
-            publisher.set_campaign(label, device.name.clone(), std::sync::Arc::clone(&metrics));
-        }
-        (metrics, meter)
+impl ObserveCtx<'_> {
+    /// Checkpoint-store errors, warnings and counters gathered so far.
+    pub fn store_log(&self) -> &StoreLog {
+        &self.stores
     }
 
-    /// Shared per-campaign teardown: finish the meter, append profile
-    /// gauges, force one status publish and hand off the observation.
-    fn end_campaign<T: Target + Sync + ?Sized>(
+    fn emit(&mut self, label: &str, device: &DeviceModel, metrics: &MetricsRegistry) {
+        if let Some(observe) = self.observe.as_mut() {
+            observe(CampaignObservation {
+                campaign: label.to_string(),
+                device: device.name.clone(),
+                snapshot: metrics.snapshot(),
+            });
+        }
+    }
+
+    /// Run one campaign of any [`Kind`] under the harness label `label`.
+    pub(crate) fn run<T: Target + Sync + ?Sized, K: Kind<T>>(
         &mut self,
         label: &str,
-        metrics: &MetricsRegistry,
-        meter: &Progress,
+        kind: K,
         target: &T,
         device: &DeviceModel,
-    ) {
-        meter.finish();
-        profile(target, device).export_metrics(metrics);
-        if let Some(publisher) = self.publisher {
-            let _ = publisher.publish_now();
-        }
-        (self.observe)(CampaignObservation {
-            campaign: label.to_string(),
-            device: device.name.clone(),
-            snapshot: metrics.snapshot(),
+        budget: &Budget,
+    ) -> K::Output {
+        let mut store = self.checkpoint_root.as_deref().and_then(|root| {
+            CheckpointStore::open(checkpoint_dir(root, label))
+                .map_err(|e| self.stores.errors.push(format!("{label}: {e}")))
+                .ok()
         });
+        let metrics = (self.observe.is_some() || self.publisher.is_some())
+            .then(|| Arc::new(MetricsRegistry::new()));
+        // The meter also feeds the `trials_per_sec` gauge, so observed
+        // campaigns carry one even when nothing is rendered.
+        let meter = (self.progress || metrics.is_some()).then(|| {
+            let meter = Progress::new(label, budget.ceiling as u64, self.progress);
+            match self.progress_interval {
+                Some(interval) => meter.with_interval(interval),
+                None => meter,
+            }
+        });
+        if let (Some(publisher), Some(metrics)) = (self.publisher, &metrics) {
+            publisher.set_campaign(label, device.name.clone(), Arc::clone(metrics));
+        }
+        let observer = CampaignObserver {
+            metrics: metrics.as_deref(),
+            progress: meter.as_ref(),
+            spans: self.spans,
+        };
+        let mut campaign =
+            Campaign::new(kind, target, device).budget(budget.clone()).observer(observer);
+        if let Some(store) = store.as_mut() {
+            campaign = campaign.store(store);
+        }
+        let output = campaign.run().unwrap_or_else(|e| panic!("campaign {label} failed: {e}"));
+        if let Some(meter) = &meter {
+            meter.finish();
+        }
+        if let Some(store) = &store {
+            let log = &mut self.stores;
+            log.warnings.extend(store.warnings().iter().map(|w| format!("{label}: {w}")));
+            log.damage_events += store.damage_events();
+            log.lock_breaks += store.lock_breaks();
+        }
+        if let Some(metrics) = metrics {
+            profile(target, device).export_metrics(&metrics);
+            if let Some(publisher) = self.publisher {
+                let _ = publisher.publish_now();
+            }
+            self.emit(label, device, &metrics);
+        }
+        output
     }
 }
 
-/// Run one AVF campaign on the shared engine; when observed, tally
-/// per-trial metrics, tick a progress meter (total = budget ceiling;
-/// adaptive campaigns may finish early), append the workload's profile
-/// gauges, and emit one [`CampaignObservation`].
-fn observed_avf<T: Target + Sync + ?Sized>(
-    label: &str,
-    injector_kind: Injector,
-    target: &T,
-    device: &DeviceModel,
-    budget: &Budget,
-    ctx: Option<&mut ObserveCtx<'_>>,
-) -> Result<AvfResult, injector::Unsupported> {
-    injector_kind.supports(target, device)?;
-    let campaign = Campaign::new(Avf::new(injector_kind), target, device).budget(budget.clone());
-    let Some(ctx) = ctx else {
-        return Ok(campaign.run().expect("injection campaign failed"));
-    };
-    let (metrics, meter) = ctx.begin_campaign(label, device, budget.ceiling as u64);
-    let mut observer = CampaignObserver::with_metrics(&metrics);
-    observer.progress = Some(&meter);
-    observer.spans = ctx.spans;
-    let campaign = match ctx.store.as_deref_mut() {
-        Some(store) => campaign.store(store),
-        None => campaign,
-    };
-    let result = campaign.observer(observer).run().expect("injection campaign failed");
-    ctx.end_campaign(label, &metrics, &meter, target, device);
-    Ok(result)
-}
-
-/// [`observed_avf`]'s beam counterpart.
-fn observed_beam<T: Target + Sync + ?Sized>(
-    label: &str,
-    target: &T,
-    device: &DeviceModel,
-    ecc: bool,
-    budget: &Budget,
-    ctx: Option<&mut ObserveCtx<'_>>,
-) -> BeamResult {
-    let campaign = Campaign::new(Beam::auto(ecc), target, device).budget(budget.clone());
-    let Some(ctx) = ctx else {
-        return campaign.run().expect("beam campaign failed");
-    };
-    let (metrics, meter) = ctx.begin_campaign(label, device, budget.ceiling as u64);
-    let mut observer = CampaignObserver::with_metrics(&metrics);
-    observer.progress = Some(&meter);
-    observer.spans = ctx.spans;
-    let campaign = match ctx.store.as_deref_mut() {
-        Some(store) => campaign.store(store),
-        None => campaign,
-    };
-    let result = campaign.observer(observer).run().expect("beam campaign failed");
-    ctx.end_campaign(label, &metrics, &meter, target, device);
-    result
+/// `<root>/<label>`, one directory level per `/`-separated label part,
+/// with anything outside `[A-Za-z0-9._=-]` replaced by `_` so a label
+/// can never climb out of the root.
+fn checkpoint_dir(root: &Path, label: &str) -> PathBuf {
+    label.split('/').fold(root.to_path_buf(), |dir, part| {
+        let part: String = part
+            .chars()
+            .map(|c| if c.is_ascii_alphanumeric() || "._=-".contains(c) { c } else { '_' })
+            .collect();
+        dir.join(match part.as_str() {
+            "" | "." | ".." => "_".to_string(),
+            _ => part,
+        })
+    })
 }
 
 // ------------------------------------------------------------- Table I --
@@ -255,16 +276,9 @@ pub struct ProfileRow {
 }
 
 /// Regenerate Table I: per-code shared memory, registers, IPC, occupancy.
-pub fn table1(cfg: &HarnessConfig) -> Vec<ProfileRow> {
-    table1_impl(cfg, None)
-}
-
-/// [`table1`] emitting one observation (φ/IPC/occupancy gauges) per code.
-pub fn table1_observed(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<ProfileRow> {
-    table1_impl(cfg, Some(ctx))
-}
-
-fn table1_impl(cfg: &HarnessConfig, mut ctx: Option<&mut ObserveCtx<'_>>) -> Vec<ProfileRow> {
+/// Runs no campaign; each code's profile (φ/IPC/occupancy gauges) goes
+/// to `ctx`'s observer as one observation.
+pub fn table1(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<ProfileRow> {
     let (kepler, volta) = devices();
     let mut rows = Vec::new();
     let sets = [
@@ -274,14 +288,10 @@ fn table1_impl(cfg: &HarnessConfig, mut ctx: Option<&mut ObserveCtx<'_>>) -> Vec
     for (device_label, dm, suite) in sets {
         for w in suite {
             let p = profile(&w, dm);
-            if let Some(c) = ctx.as_deref_mut() {
+            if ctx.observe.is_some() {
                 let metrics = MetricsRegistry::new();
                 p.export_metrics(&metrics);
-                (c.observe)(CampaignObservation {
-                    campaign: format!("table1/{device_label}/{}", w.name),
-                    device: dm.name.clone(),
-                    snapshot: metrics.snapshot(),
-                });
+                ctx.emit(&format!("table1/{device_label}/{}", w.name), dm, &metrics);
             }
             rows.push(ProfileRow {
                 device: device_label,
@@ -347,7 +357,7 @@ pub struct Fig3Row {
 fn fig3_device(
     device: &DeviceModel,
     cfg: &HarnessConfig,
-    mut ctx: Option<&mut ObserveCtx<'_>>,
+    ctx: &mut ObserveCtx<'_>,
 ) -> Vec<Fig3Row> {
     let label = device.arch.name();
     let benches = microbench::suite(device);
@@ -355,8 +365,7 @@ fn fig3_device(
     for mb in &benches {
         let is_rf = mb.name == "RF";
         let obs_label = format!("fig3/{label}/{}", mb.name);
-        let res =
-            observed_beam(&obs_label, mb, device, !is_rf, &cfg.bench_beam, ctx.as_deref_mut());
+        let res = ctx.run(&obs_label, Beam::auto(!is_rf), mb, device, &cfg.bench_beam);
         let per_mb = if is_rf {
             // Report the register file per megabyte, as the figure does.
             let golden = mb.execute_golden(device);
@@ -394,18 +403,9 @@ fn fig3_device(
 }
 
 /// Regenerate Figure 3: micro-benchmark FIT rates, both devices.
-pub fn fig3(cfg: &HarnessConfig) -> Vec<Fig3Row> {
-    fig3_impl(cfg, None)
-}
-
-/// [`fig3`] with per-campaign observation (metrics snapshots, progress).
-pub fn fig3_observed(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<Fig3Row> {
-    fig3_impl(cfg, Some(ctx))
-}
-
-fn fig3_impl(cfg: &HarnessConfig, mut ctx: Option<&mut ObserveCtx<'_>>) -> Vec<Fig3Row> {
+pub fn fig3(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<Fig3Row> {
     let (kepler, volta) = devices();
-    let mut rows = fig3_device(&kepler, cfg, ctx.as_deref_mut());
+    let mut rows = fig3_device(&kepler, cfg, ctx);
     rows.extend(fig3_device(&volta, cfg, ctx));
     rows
 }
@@ -466,38 +466,26 @@ fn volta_fig4_set(scale: Scale) -> Vec<Workload> {
 /// Regenerate Figure 4: per-code AVF. On Kepler both injectors run (each
 /// on the codegen it supports); on Volta only NVBitFI. SASSIFI rows are
 /// absent for proprietary-library codes, as on real hardware.
-pub fn fig4(cfg: &HarnessConfig) -> Vec<AvfRow> {
-    fig4_impl(cfg, None)
-}
-
-/// [`fig4`] with per-campaign observation (metrics snapshots, progress).
-pub fn fig4_observed(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<AvfRow> {
-    fig4_impl(cfg, Some(ctx))
-}
-
-fn fig4_impl(cfg: &HarnessConfig, mut ctx: Option<&mut ObserveCtx<'_>>) -> Vec<AvfRow> {
+pub fn fig4(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<AvfRow> {
     let (kepler, volta) = devices();
     let mut rows = Vec::new();
     let budget = &cfg.injection;
 
     for w in kepler_suite(CodeGen::Cuda7, cfg.scale) {
-        let label = format!("fig4/Kepler/SASSIFI/{}", w.name);
-        if let Ok(r) =
-            observed_avf(&label, Injector::Sassifi, &w, &kepler, budget, ctx.as_deref_mut())
-        {
+        if Injector::Sassifi.supports(&w, &kepler).is_ok() {
+            let label = format!("fig4/Kepler/SASSIFI/{}", w.name);
+            let r = ctx.run(&label, Avf::new(Injector::Sassifi), &w, &kepler, budget);
             rows.push(AvfRow::from("Kepler", &r));
         }
     }
     for w in kepler_suite(CodeGen::Cuda10, cfg.scale) {
         let label = format!("fig4/Kepler/NVBitFI/{}", w.name);
-        let r = observed_avf(&label, Injector::NvBitFi, &w, &kepler, budget, ctx.as_deref_mut())
-            .expect("NVBitFI supports Kepler");
+        let r = ctx.run(&label, Avf::new(Injector::NvBitFi), &w, &kepler, budget);
         rows.push(AvfRow::from("Kepler", &r));
     }
     for w in volta_fig4_set(cfg.scale) {
         let label = format!("fig4/Volta/NVBitFI/{}", w.name);
-        let r = observed_avf(&label, Injector::NvBitFi, &w, &volta, budget, ctx.as_deref_mut())
-            .expect("NVBitFI supports Volta");
+        let r = ctx.run(&label, Avf::new(Injector::NvBitFi), &w, &volta, budget);
         rows.push(AvfRow::from("Volta", &r));
     }
     rows
@@ -564,16 +552,25 @@ fn volta_fig5_sets(scale: Scale) -> (Vec<Workload>, Vec<Workload>) {
     (off, on)
 }
 
+/// The `ecc-on`/`ecc-off` part of a beam campaign label.
+fn ecc_label(ecc: bool) -> &'static str {
+    if ecc {
+        "ecc-on"
+    } else {
+        "ecc-off"
+    }
+}
+
 fn beam_row(
     device: &'static str,
     w: &Workload,
     dm: &DeviceModel,
     ecc: bool,
     cfg: &HarnessConfig,
-    ctx: Option<&mut ObserveCtx<'_>>,
+    ctx: &mut ObserveCtx<'_>,
 ) -> BeamRow {
-    let label = format!("fig5/{device}/ecc-{}/{}", if ecc { "on" } else { "off" }, w.name);
-    let res = observed_beam(&label, w, dm, ecc, &cfg.beam, ctx);
+    let label = format!("fig5/{device}/{}/{}", ecc_label(ecc), w.name);
+    let res = ctx.run(&label, Beam::auto(ecc), w, dm, &cfg.beam);
     BeamRow {
         device,
         name: w.name.clone(),
@@ -586,30 +583,21 @@ fn beam_row(
 }
 
 /// Regenerate Figure 5: workload beam FIT rates, ECC off and on.
-pub fn fig5(cfg: &HarnessConfig) -> Vec<BeamRow> {
-    fig5_impl(cfg, None)
-}
-
-/// [`fig5`] with per-campaign observation (metrics snapshots, progress).
-pub fn fig5_observed(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<BeamRow> {
-    fig5_impl(cfg, Some(ctx))
-}
-
-fn fig5_impl(cfg: &HarnessConfig, mut ctx: Option<&mut ObserveCtx<'_>>) -> Vec<BeamRow> {
+pub fn fig5(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<BeamRow> {
     let (kepler, volta) = devices();
     let mut rows = Vec::new();
     for w in kepler_ecc_off_set(cfg.scale) {
-        rows.push(beam_row("Kepler", &w, &kepler, false, cfg, ctx.as_deref_mut()));
+        rows.push(beam_row("Kepler", &w, &kepler, false, cfg, ctx));
     }
     for w in kepler_suite(CodeGen::Cuda10, cfg.scale) {
-        rows.push(beam_row("Kepler", &w, &kepler, true, cfg, ctx.as_deref_mut()));
+        rows.push(beam_row("Kepler", &w, &kepler, true, cfg, ctx));
     }
     let (off, on) = volta_fig5_sets(cfg.scale);
     for w in off {
-        rows.push(beam_row("Volta", &w, &volta, false, cfg, ctx.as_deref_mut()));
+        rows.push(beam_row("Volta", &w, &volta, false, cfg, ctx));
     }
     for w in on {
-        rows.push(beam_row("Volta", &w, &volta, true, cfg, ctx.as_deref_mut()));
+        rows.push(beam_row("Volta", &w, &volta, true, cfg, ctx));
     }
     rows
 }
@@ -720,23 +708,8 @@ impl AvfBank {
 
 /// Regenerate Figure 6 (and the Section VII-B DUE analysis): beam-measured
 /// vs predicted SDC FIT for every code, ECC off and on, both devices.
-pub fn fig6(cfg: &HarnessConfig) -> ComparisonSet {
+pub fn fig6(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> ComparisonSet {
     let (kepler, volta) = devices();
-    let measure_avf = |injector: Injector, w: &Workload, dm: &DeviceModel| {
-        injector.supports(w, dm)?;
-        Ok::<AvfResult, injector::Unsupported>(
-            Campaign::new(Avf::new(injector), w, dm)
-                .budget(cfg.injection.clone())
-                .run()
-                .expect("injection campaign failed"),
-        )
-    };
-    let expose = |w: &Workload, dm: &DeviceModel, ecc: bool| {
-        Campaign::new(Beam::auto(ecc), w, dm)
-            .budget(cfg.beam.clone())
-            .run()
-            .expect("beam campaign failed")
-    };
     let char_cfg =
         CharacterizeConfig { beam: cfg.bench_beam.clone(), injection: cfg.bench_injection.clone() };
 
@@ -752,14 +725,16 @@ pub fn fig6(cfg: &HarnessConfig) -> ComparisonSet {
         volta_nvbitfi: Vec::new(),
     };
     for w in kepler_suite(CodeGen::Cuda7, cfg.scale) {
-        if let Ok(r) = measure_avf(Injector::Sassifi, &w, &kepler) {
+        if Injector::Sassifi.supports(&w, &kepler).is_ok() {
+            let label = format!("fig6/Kepler/SASSIFI/{}", w.name);
+            let r = ctx.run(&label, Avf::new(Injector::Sassifi), &w, &kepler, &cfg.injection);
             bank.kepler_sassifi.push(r);
         }
     }
     for w in kepler_suite(CodeGen::Cuda10, cfg.scale) {
-        if let Ok(r) = measure_avf(Injector::NvBitFi, &w, &kepler) {
-            bank.kepler_nvbitfi.push(r);
-        }
+        let label = format!("fig6/Kepler/NVBitFI/{}", w.name);
+        let r = ctx.run(&label, Avf::new(Injector::NvBitFi), &w, &kepler, &cfg.injection);
+        bank.kepler_nvbitfi.push(r);
     }
     // Volta AVFs: every (benchmark, precision) the Volta comparisons need,
     // plus single-precision variants of the Kepler proprietary codes.
@@ -769,9 +744,9 @@ pub fn fig6(cfg: &HarnessConfig) -> ComparisonSet {
         if w.precision == Precision::Half {
             continue; // predictions use the float sibling
         }
-        if let Ok(r) = measure_avf(Injector::NvBitFi, w, &volta) {
-            bank.volta_nvbitfi.push(r);
-        }
+        let label = format!("fig6/Volta/NVBitFI/{}", w.name);
+        let r = ctx.run(&label, Avf::new(Injector::NvBitFi), w, &volta, &cfg.injection);
+        bank.volta_nvbitfi.push(r);
     }
 
     // 3. Per-code comparisons.
@@ -784,7 +759,8 @@ pub fn fig6(cfg: &HarnessConfig) -> ComparisonSet {
         for w in &set {
             let prof = profile(w, &kepler);
             let feet = memory_footprint(w, &kepler, &prof);
-            let measured = expose(w, &kepler, ecc);
+            let label = format!("fig6/Kepler/{}/{}", ecc_label(ecc), w.name);
+            let measured = ctx.run(&label, Beam::auto(ecc), w, &kepler, &cfg.beam);
             for injector in [Injector::Sassifi, Injector::NvBitFi] {
                 let Some(avf) = bank.kepler(&w.name, injector) else { continue };
                 let pred = predict(
@@ -811,7 +787,8 @@ pub fn fig6(cfg: &HarnessConfig) -> ComparisonSet {
         for w in &set {
             let prof = profile(w, &volta);
             let feet = memory_footprint(w, &volta, &prof);
-            let measured = expose(w, &volta, ecc);
+            let label = format!("fig6/Volta/{}/{}", ecc_label(ecc), w.name);
+            let measured = ctx.run(&label, Beam::auto(ecc), w, &volta, &cfg.beam);
             let Some(avf) = bank.volta(w) else { continue };
             let pred =
                 predict(&prof, avf, &volta_units, &feet, &PredictOptions { ecc, use_phi: true });
@@ -909,29 +886,23 @@ impl GapClosure {
     }
 
     /// One JSON line per rung (`{"report":"hidden_gap",...}`), for the CI
-    /// gap-closure artifact.
+    /// gap-closure artifact. Non-finite values (an infinite gap when
+    /// nothing is predicted) are written as `null`.
     pub fn to_json_lines(&self) -> String {
         let mut out = String::with_capacity(self.rows.len() * 160);
         for r in &self.rows {
-            out.push_str("{\"report\":\"hidden_gap\",\"device\":");
-            obs::json::escape_str(&mut out, r.device);
-            out.push_str(",\"code\":");
-            obs::json::escape_str(&mut out, &r.name);
-            out.push_str(",\"coverage\":");
-            obs::json::escape_str(&mut out, &r.coverage);
-            let _ = std::fmt::Write::write_fmt(
-                &mut out,
-                format_args!(
-                    ",\"covered\":{},\"rate_coverage\":{},\"measured_due\":{},\
-                     \"predicted_due\":{},\"predicted_hidden_due\":{},\"gap\":{}}}\n",
-                    r.covered,
-                    r.rate_coverage,
-                    r.measured_due,
-                    r.predicted_due,
-                    r.predicted_hidden_due,
-                    r.gap
-                ),
-            );
+            let mut line = RunReport::new("hidden_gap");
+            line.push_str("device", r.device)
+                .push_str("code", &r.name)
+                .push_str("coverage", &r.coverage)
+                .push_uint("covered", r.covered as u64)
+                .push_float("rate_coverage", r.rate_coverage)
+                .push_float("measured_due", r.measured_due)
+                .push_float("predicted_due", r.predicted_due)
+                .push_float("predicted_hidden_due", r.predicted_hidden_due)
+                .push_float("gap", r.gap);
+            out.push_str(&line.to_json_line());
+            out.push('\n');
         }
         out
     }
@@ -958,7 +929,7 @@ fn coverage_ladder() -> [HiddenCoverage; 4] {
 /// rates come from [`beam::characterize_hidden`] (a simulated calibration
 /// experiment, not the ground-truth cross-sections) and the per-class
 /// P(DUE | strike) from [`injector::measure_hidden_breakdown`] campaigns.
-pub fn hidden_gap_closure(cfg: &HarnessConfig) -> GapClosure {
+pub fn hidden_gap_closure(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> GapClosure {
     let (_, volta) = devices();
     let char_cfg =
         CharacterizeConfig { beam: cfg.bench_beam.clone(), injection: cfg.bench_injection.clone() };
@@ -971,14 +942,10 @@ pub fn hidden_gap_closure(cfg: &HarnessConfig) -> GapClosure {
         let w = build(bench, Precision::Single, CodeGen::Cuda10, cfg.scale);
         let prof = profile(&w, &volta);
         let feet = memory_footprint(&w, &volta, &prof);
-        let avf = Campaign::new(Avf::new(Injector::NvBitFi), &w, &volta)
-            .budget(cfg.injection.clone())
-            .run()
-            .expect("injection campaign failed");
-        let measured = Campaign::new(Beam::auto(true), &w, &volta)
-            .budget(cfg.beam.clone())
-            .run()
-            .expect("beam campaign failed");
+        let label = format!("gap/Volta/NVBitFI/{}", w.name);
+        let avf = ctx.run(&label, Avf::new(Injector::NvBitFi), &w, &volta, &cfg.injection);
+        let label = format!("gap/Volta/ecc-on/{}", w.name);
+        let measured = ctx.run(&label, Beam::auto(true), &w, &volta, &cfg.beam);
         let breakdown = injector::measure_hidden_breakdown(&w, &volta, &cfg.injection);
         let base =
             predict(&prof, &avf, &units, &feet, &PredictOptions { ecc: true, use_phi: true });
@@ -1037,34 +1004,26 @@ pub struct DeviceReport {
 
 impl DeviceReport {
     /// One JSON line per comparison (`{"report":"device_row",...}`), for
-    /// the metrics stream / CI device artifact.
+    /// the metrics stream / CI device artifact. Non-finite values (a NaN
+    /// `sdc_ratio` when no SDC was measured) are written as `null`.
     pub fn to_json_lines(&self) -> String {
         let mut out = String::with_capacity(self.rows.len() * 200);
         for r in &self.rows {
-            out.push_str("{\"report\":\"device_row\",\"id\":");
-            obs::json::escape_str(&mut out, &self.id);
-            out.push_str(",\"device\":");
-            obs::json::escape_str(&mut out, &self.device);
-            out.push_str(",\"arch\":");
-            obs::json::escape_str(&mut out, &self.arch);
-            out.push_str(",\"code\":");
-            obs::json::escape_str(&mut out, &r.name);
-            let _ = std::fmt::Write::write_fmt(
-                &mut out,
-                format_args!(
-                    ",\"ecc\":{},\"injector\":\"{}\",\"measured_sdc\":{},\
-                     \"predicted_sdc\":{},\"sdc_ratio\":{},\"measured_due\":{},\
-                     \"predicted_due\":{},\"predicted_hidden_due\":{}}}\n",
-                    r.ecc,
-                    r.injector,
-                    r.row.measured_sdc,
-                    r.row.predicted_sdc,
-                    r.row.sdc_ratio,
-                    r.row.measured_due,
-                    r.row.predicted_due,
-                    r.row.predicted_hidden_due
-                ),
-            );
+            let mut line = RunReport::new("device_row");
+            line.push_str("id", &self.id)
+                .push_str("device", &self.device)
+                .push_str("arch", &self.arch)
+                .push_str("code", &r.name)
+                .push_bool("ecc", r.ecc)
+                .push_str("injector", &r.injector.to_string())
+                .push_float("measured_sdc", r.row.measured_sdc)
+                .push_float("predicted_sdc", r.row.predicted_sdc)
+                .push_float("sdc_ratio", r.row.sdc_ratio)
+                .push_float("measured_due", r.row.measured_due)
+                .push_float("predicted_due", r.row.predicted_due)
+                .push_float("predicted_hidden_due", r.row.predicted_hidden_due);
+            out.push_str(&line.to_json_line());
+            out.push('\n');
         }
         out
     }
@@ -1084,16 +1043,10 @@ fn device_suite() -> [Benchmark; 3] {
 /// follows the spec's tooling capability (SASSIFI where supported,
 /// NVBitFI otherwise), and beam campaigns run only the ECC states the
 /// board can actually be put in.
-pub fn device_pipeline(spec: &DeviceSpec, cfg: &HarnessConfig) -> DeviceReport {
-    device_pipeline_observed(spec, cfg, None)
-}
-
-/// [`device_pipeline`] with the observation hooks of the other
-/// `*_observed` experiments.
-pub fn device_pipeline_observed(
-    spec: &DeviceSpec,
+pub fn device_pipeline(
     cfg: &HarnessConfig,
-    mut ctx: Option<&mut ObserveCtx<'_>>,
+    ctx: &mut ObserveCtx<'_>,
+    spec: &DeviceSpec,
 ) -> DeviceReport {
     // Campaigns run the derived single-SM variant (see DESIGN.md on
     // SM-count scaling); the report carries the full board's identity.
@@ -1111,26 +1064,13 @@ pub fn device_pipeline_observed(
         let w = build_with(bench, Precision::Single, &codegen, cfg.scale);
         let prof = profile(&w, &device);
         let feet = memory_footprint(&w, &device, &prof);
-        let avf = observed_avf(
-            &format!("device/{}/{}", spec.id, w.name),
-            injector_kind,
-            &w,
-            &device,
-            &cfg.injection,
-            ctx.as_deref_mut(),
-        )
-        .expect("spec-selected injector rejected its own device");
+        let label = format!("device/{}/{injector_kind}/{}", spec.id, w.name);
+        let avf = ctx.run(&label, Avf::new(injector_kind), &w, &device, &cfg.injection);
         let breakdown = injector::measure_hidden_breakdown(&w, &device, &cfg.injection);
         let term = predict_hidden(&prof, &rates, &breakdown, HiddenCoverage::full());
         for &ecc in ecc_states {
-            let measured = observed_beam(
-                &format!("device/{}/{}/ecc-{}", spec.id, w.name, if ecc { "on" } else { "off" }),
-                &w,
-                &device,
-                ecc,
-                &cfg.beam,
-                ctx.as_deref_mut(),
-            );
+            let label = format!("device/{}/{}/{}", spec.id, ecc_label(ecc), w.name);
+            let measured = ctx.run(&label, Beam::auto(ecc), &w, &device, &cfg.beam);
             let pred = predict(&prof, &avf, &units, &feet, &PredictOptions { ecc, use_phi: true })
                 .with_hidden(&term);
             rows.push(DeviceRow {
@@ -1174,13 +1114,11 @@ pub struct CodegenRow {
 /// same codes with the *same* injector (NVBitFI) on both codegen levels.
 /// Optimized code executes fewer, more "useful" instructions, raising
 /// the probability that a corrupted value reaches the output.
-pub fn codegen_comparison(cfg: &HarnessConfig) -> Vec<CodegenRow> {
+pub fn codegen_comparison(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<CodegenRow> {
     let (kepler, _) = devices();
-    let avf = |w: &Workload| {
-        Campaign::new(Avf::new(Injector::NvBitFi), w, &kepler)
-            .budget(cfg.injection.clone())
-            .run()
-            .expect("injection campaign failed")
+    let mut avf = |codegen: &str, w: &Workload| {
+        let label = format!("codegen/{codegen}/{}", w.name);
+        ctx.run(&label, Avf::new(Injector::NvBitFi), w, &kepler, &cfg.injection)
     };
     let mut rows = Vec::new();
     for bench in [
@@ -1196,8 +1134,8 @@ pub fn codegen_comparison(cfg: &HarnessConfig) -> Vec<CodegenRow> {
         let precision = if bench.is_integer() { Precision::Int32 } else { Precision::Single };
         let w7 = build(bench, precision, CodeGen::Cuda7, cfg.scale);
         let w10 = build(bench, precision, CodeGen::Cuda10, cfg.scale);
-        let a7 = avf(&w7);
-        let a10 = avf(&w10);
+        let a7 = avf("cuda7", &w7);
+        let a10 = avf("cuda10", &w10);
         let g7 = w7.execute_golden(&kepler);
         let g10 = w10.execute_golden(&kepler);
         rows.push(CodegenRow {
@@ -1227,16 +1165,19 @@ pub struct ConvergenceRow {
 /// How the AVF estimate converges with campaign size — the paper sizes
 /// campaigns so that "95% confidence intervals \[are\] lower than 5%"
 /// (Section III-D).
-pub fn convergence(cfg: &HarnessConfig, benchmark: Benchmark) -> Vec<ConvergenceRow> {
+pub fn convergence(
+    cfg: &HarnessConfig,
+    ctx: &mut ObserveCtx<'_>,
+    benchmark: Benchmark,
+) -> Vec<ConvergenceRow> {
     let (kepler, _) = devices();
     let precision = if benchmark.is_integer() { Precision::Int32 } else { Precision::Single };
     let w = build(benchmark, precision, CodeGen::Cuda10, cfg.scale);
     let mut rows = Vec::new();
     for n in [100u32, 250, 500, 1000, 2000, 4000] {
-        let r = Campaign::new(Avf::new(Injector::NvBitFi), &w, &kepler)
-            .budget(Budget::fixed(n).seed(cfg.injection.seed))
-            .run()
-            .expect("injection campaign failed");
+        let label = format!("convergence/{}/{n}", w.name);
+        let budget = Budget::fixed(n).seed(cfg.injection.seed);
+        let r = ctx.run(&label, Avf::new(Injector::NvBitFi), &w, &kepler, &budget);
         rows.push(ConvergenceRow {
             injections: n,
             sdc_avf: r.sdc_avf(),
@@ -1290,4 +1231,85 @@ pub fn avf_breakdown(cfg: &HarnessConfig) -> Vec<BreakdownRow> {
         }
     }
     rows
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+
+    fn row(sdc_ratio: f64) -> ComparisonRow {
+        ComparisonRow {
+            name: "FMXM".to_string(),
+            measured_sdc: 0.0,
+            predicted_sdc: 1.5,
+            sdc_ratio,
+            measured_due: 2.0,
+            predicted_due: 0.0,
+            due_underestimation: f64::INFINITY,
+            static_ace: 0.5,
+            static_sdc_upper: 1.0,
+            static_due_upper: 1.0,
+            predicted_hidden_due: 0.0,
+        }
+    }
+
+    /// Parse every line and return the named field of each.
+    fn field(lines: &str, key: &str) -> Vec<obs::json::Json> {
+        lines
+            .lines()
+            .map(|line| {
+                let doc = obs::json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+                doc.as_obj().expect("object")[key].clone()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn artifact_lines_stay_valid_json_with_non_finite_values() {
+        use obs::json::Json;
+        // No measured SDC makes the signed ratio NaN; no predicted DUE
+        // makes the gap infinite.
+        let gap = GapClosure {
+            rows: vec![GapRow {
+                device: "Volta",
+                name: "FMXM".to_string(),
+                coverage: "none".to_string(),
+                covered: 0,
+                rate_coverage: 0.0,
+                measured_due: 2.0,
+                predicted_due: 0.0,
+                predicted_hidden_due: 0.0,
+                gap: f64::INFINITY,
+            }],
+            levels: 1,
+        };
+        assert_eq!(field(&gap.to_json_lines(), "gap"), [Json::Null]);
+        assert_eq!(field(&gap.to_json_lines(), "covered"), [Json::Num(0.0)]);
+
+        let report = DeviceReport {
+            id: "a100".to_string(),
+            device: "A100".to_string(),
+            arch: "Ampere".to_string(),
+            sms: 108,
+            units: UnitFits::default(),
+            rows: vec![
+                DeviceRow {
+                    name: "FMXM".into(),
+                    ecc: true,
+                    injector: Injector::NvBitFi,
+                    row: row(f64::NAN),
+                },
+                DeviceRow {
+                    name: "FMXM".into(),
+                    ecc: false,
+                    injector: Injector::NvBitFi,
+                    row: row(-2.0),
+                },
+            ],
+        };
+        let lines = report.to_json_lines();
+        assert_eq!(field(&lines, "sdc_ratio"), [Json::Null, Json::Num(-2.0)]);
+        assert_eq!(field(&lines, "injector")[0], Json::Str("NVBitFI".into()));
+    }
 }

@@ -8,7 +8,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use bench::{hidden_gap_closure, Budget, GapClosure, HarnessConfig};
+use bench::{hidden_gap_closure, Budget, GapClosure, HarnessConfig, ObserveCtx};
 use workloads::Scale;
 
 fn micro() -> HarnessConfig {
@@ -31,7 +31,7 @@ fn write_artifact(set: &GapClosure) {
 
 #[test]
 fn due_gap_closes_monotonically_with_hidden_coverage() {
-    let set = hidden_gap_closure(&micro());
+    let set = hidden_gap_closure(&micro(), &mut ObserveCtx::default());
     write_artifact(&set);
 
     let codes = set.codes();

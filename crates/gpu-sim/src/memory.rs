@@ -246,24 +246,6 @@ impl GlobalMemory {
         Ok(())
     }
 
-    /// Decompose into raw parts for snapshot serialization: the backing
-    /// bytes plus the latent-corruption entries `(word, mask, strikes)` in
-    /// ascending word order (the `HashMap` itself has no stable order).
-    pub(crate) fn snapshot_parts(&self) -> (&[u8], Vec<(u32, u32, u8)>) {
-        let mut corr: Vec<(u32, u32, u8)> =
-            self.corruption.iter().map(|(&w, &(mask, strikes))| (w, mask, strikes)).collect();
-        corr.sort_unstable_by_key(|&(w, _, _)| w);
-        (&self.data, corr)
-    }
-
-    /// Rebuild from parts produced by [`GlobalMemory::snapshot_parts`].
-    pub(crate) fn from_snapshot_parts(data: Vec<u8>, corr: &[(u32, u32, u8)]) -> Self {
-        GlobalMemory {
-            data,
-            corruption: corr.iter().map(|&(w, mask, strikes)| (w, (mask, strikes))).collect(),
-        }
-    }
-
     /// Sweep all remaining latent corruption through the ECC policy, as a
     /// background scrubber / end-of-kernel ECC check would. Returns `true`
     /// if any word held a double-bit error (DUE with ECC on).
@@ -332,16 +314,6 @@ impl SharedMemory {
     /// Record a strike (see [`GlobalMemory::strike_bit`]).
     pub fn strike_bit(&mut self, byte_addr: u32, bit: u32) {
         self.inner.strike_bit(byte_addr, bit);
-    }
-
-    /// The backing store, for snapshot serialization.
-    pub(crate) fn inner(&self) -> &GlobalMemory {
-        &self.inner
-    }
-
-    /// Rebuild around a deserialized backing store.
-    pub(crate) fn from_inner(inner: GlobalMemory) -> Self {
-        SharedMemory { inner }
     }
 }
 

@@ -200,152 +200,6 @@ impl EngineSnapshot {
         }
         Ok(())
     }
-
-    /// Serialize to a self-describing little-endian byte image.
-    ///
-    /// The format is versioned (`GSNP` magic + version 1) and covers every
-    /// field, so a round-trip through [`EngineSnapshot::from_bytes`]
-    /// reproduces the snapshot exactly — the property the engine tests
-    /// pin. Corruption entries serialize in word order, making the byte
-    /// image deterministic despite the hash-map backing.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.approx_bytes() as usize + 64);
-        out.extend_from_slice(b"GSNP");
-        put_u32(&mut out, 1); // version
-        put_u64(&mut out, self.dyn_count);
-        put_u32(&mut out, self.block);
-        put_u32(&mut out, self.kernel_len);
-        put_u32(&mut out, self.grid.0);
-        put_u32(&mut out, self.grid.1);
-        put_u32(&mut out, self.block_dim.0);
-        put_u32(&mut out, self.block_dim.1);
-        // Counts.
-        put_u64(&mut out, self.counts.total);
-        for v in self.counts.per_unit {
-            put_u64(&mut out, v);
-        }
-        for v in self.counts.per_mix {
-            put_u64(&mut out, v);
-        }
-        put_u32(&mut out, self.counts.warp_latency.len() as u32);
-        for &v in &self.counts.warp_latency {
-            put_u64(&mut out, v);
-        }
-        put_u32(&mut out, self.counts.warp_instrs.len() as u32);
-        for &v in &self.counts.warp_instrs {
-            put_u64(&mut out, v);
-        }
-        for v in [
-            self.counts.sites.gpr_writers,
-            self.counts.sites.gpr_writers_no_half,
-            self.counts.sites.loads,
-            self.counts.sites.mem_ops,
-            self.counts.sites.setp,
-        ] {
-            put_u64(&mut out, v);
-        }
-        // Tallies.
-        for v in self.tallies.base {
-            put_u64(&mut out, v);
-        }
-        for v in self.tallies.unit_writers {
-            put_u64(&mut out, v);
-        }
-        put_memory(&mut out, &self.global);
-        put_memory(&mut out, self.shared.inner());
-        // Threads.
-        put_u32(&mut out, self.threads.len() as u32);
-        for t in &self.threads {
-            put_u32(&mut out, t.regs.len() as u32);
-            for &r in &t.regs {
-                put_u32(&mut out, r);
-            }
-            out.push(t.preds);
-            put_u32(&mut out, t.pc);
-            out.push(t.state);
-        }
-        out
-    }
-
-    /// Deserialize a byte image produced by [`EngineSnapshot::to_bytes`].
-    ///
-    /// # Errors
-    /// A human-readable description when the image is truncated, carries
-    /// the wrong magic/version, or fails an internal length check.
-    pub fn from_bytes(bytes: &[u8]) -> Result<EngineSnapshot, String> {
-        let mut cur = Cursor { bytes, pos: 0 };
-        if cur.take(4)? != b"GSNP" {
-            return Err("bad snapshot magic".to_string());
-        }
-        let version = cur.u32()?;
-        if version != 1 {
-            return Err(format!("unsupported snapshot version {version}"));
-        }
-        let dyn_count = cur.u64()?;
-        let block = cur.u32()?;
-        let kernel_len = cur.u32()?;
-        let grid = (cur.u32()?, cur.u32()?);
-        let block_dim = (cur.u32()?, cur.u32()?);
-        let total = cur.u64()?;
-        let mut per_unit = [0u64; FunctionalUnit::COUNT];
-        for v in per_unit.iter_mut() {
-            *v = cur.u64()?;
-        }
-        let mut per_mix = [0u64; gpu_arch::MixCategory::COUNT];
-        for v in per_mix.iter_mut() {
-            *v = cur.u64()?;
-        }
-        let n = cur.u32()? as usize;
-        cur.check_remaining(n.saturating_mul(8))?;
-        let warp_latency: Vec<u64> = (0..n).map(|_| cur.u64()).collect::<Result<_, _>>()?;
-        let n = cur.u32()? as usize;
-        cur.check_remaining(n.saturating_mul(8))?;
-        let warp_instrs: Vec<u64> = (0..n).map(|_| cur.u64()).collect::<Result<_, _>>()?;
-        let sites = crate::engine::SiteCounts {
-            gpr_writers: cur.u64()?,
-            gpr_writers_no_half: cur.u64()?,
-            loads: cur.u64()?,
-            mem_ops: cur.u64()?,
-            setp: cur.u64()?,
-        };
-        let mut tallies = ClassTallies::default();
-        for v in tallies.base.iter_mut() {
-            *v = cur.u64()?;
-        }
-        for v in tallies.unit_writers.iter_mut() {
-            *v = cur.u64()?;
-        }
-        let global = take_memory(&mut cur)?;
-        let shared = SharedMemory::from_inner(take_memory(&mut cur)?);
-        let nthreads = cur.u32()? as usize;
-        let mut threads = Vec::with_capacity(nthreads.min(4096));
-        for _ in 0..nthreads {
-            let nregs = cur.u32()? as usize;
-            if nregs > 256 {
-                return Err(format!("snapshot thread has {nregs} registers (max 256)"));
-            }
-            let regs: Vec<u32> = (0..nregs).map(|_| cur.u32()).collect::<Result<_, _>>()?;
-            let preds = cur.u8()?;
-            let pc = cur.u32()?;
-            let state = cur.u8()?;
-            if state > 2 {
-                return Err(format!("snapshot thread has invalid state {state}"));
-            }
-            threads.push(ThreadState { regs, preds, pc, state });
-        }
-        Ok(EngineSnapshot {
-            dyn_count,
-            counts: Counts { total, per_unit, per_mix, warp_latency, warp_instrs, sites },
-            tallies,
-            global,
-            block,
-            threads,
-            shared,
-            kernel_len,
-            grid,
-            block_dim,
-        })
-    }
 }
 
 /// The latest snapshot whose capture point lies at or before `plan`'s
@@ -360,83 +214,4 @@ pub fn nearest_snapshot<'a>(
     // nondecreasing along the run, so the latest qualifying snapshot is
     // the first match scanning backwards.
     snapshots.iter().rev().find(|s| s.precedes(plan))
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_memory(out: &mut Vec<u8>, mem: &GlobalMemory) {
-    let (data, corr) = mem.snapshot_parts();
-    put_u32(out, data.len() as u32);
-    out.extend_from_slice(data);
-    put_u32(out, corr.len() as u32);
-    for (word, mask, strikes) in corr {
-        put_u32(out, word);
-        put_u32(out, mask);
-        out.push(strikes);
-    }
-}
-
-fn take_memory(cur: &mut Cursor<'_>) -> Result<GlobalMemory, String> {
-    let len = cur.u32()? as usize;
-    let data = cur.take(len)?.to_vec();
-    let ncorr = cur.u32()? as usize;
-    cur.check_remaining(ncorr.saturating_mul(9))?;
-    let mut corr = Vec::with_capacity(ncorr);
-    for _ in 0..ncorr {
-        let word = cur.u32()?;
-        let mask = cur.u32()?;
-        let strikes = cur.u8()?;
-        corr.push((word, mask, strikes));
-    }
-    Ok(GlobalMemory::from_snapshot_parts(data, &corr))
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).ok_or("snapshot length overflow")?;
-        if end > self.bytes.len() {
-            return Err(format!(
-                "snapshot truncated: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.bytes.len() - self.pos
-            ));
-        }
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn check_remaining(&self, n: usize) -> Result<(), String> {
-        if self.pos.saturating_add(n) > self.bytes.len() {
-            return Err("snapshot truncated: declared length exceeds image".to_string());
-        }
-        Ok(())
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
 }

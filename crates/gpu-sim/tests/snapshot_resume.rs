@@ -230,6 +230,7 @@ fn every_snapshot_of_every_stride_resumes_exactly() {
         let (snapshots, _) = golden_with_snapshots(stride);
         assert!(!snapshots.is_empty(), "stride {stride} captured nothing");
         for snap in &snapshots {
+            assert!(snap.approx_bytes() > 0);
             let resumed = try_run_with_sink(
                 &device,
                 &kernel,
@@ -299,46 +300,6 @@ fn resume_conflicts_are_rejected() {
         ),
         Err(SimError::ResumeConflict(_))
     ));
-}
-
-#[test]
-fn snapshot_serialization_round_trips() {
-    let (snapshots, _) = golden_with_snapshots(150);
-    for snap in &snapshots {
-        let bytes = snap.to_bytes();
-        let back = EngineSnapshot::from_bytes(&bytes).expect("round trip");
-        assert_eq!(back.to_bytes(), bytes);
-        assert_eq!(back.dyn_count(), snap.dyn_count());
-        assert!(snap.approx_bytes() > 0);
-        // A deserialized snapshot resumes identically to the original.
-        let device = DeviceModel::named("v100");
-        let (kernel, launch, mem) = fixture();
-        let plan = FaultPlan::Pc { at: u64::MAX, flip: BitFlip::single(2) };
-        let a = try_run_with_sink(
-            &device,
-            &kernel,
-            &launch,
-            mem.clone(),
-            &RunOptions::trial(plan).resume(Some(Arc::clone(snap))),
-            None,
-        )
-        .unwrap();
-        let b = try_run_with_sink(
-            &device,
-            &kernel,
-            &launch,
-            mem,
-            &RunOptions::trial(plan).resume(Some(Arc::new(back))),
-            None,
-        )
-        .unwrap();
-        assert_bit_identical(&a, &b);
-    }
-    // Corrupt images are errors, not panics.
-    assert!(EngineSnapshot::from_bytes(b"nope").is_err());
-    let mut truncated = snapshots[0].to_bytes();
-    truncated.truncate(truncated.len() / 2);
-    assert!(EngineSnapshot::from_bytes(&truncated).is_err());
 }
 
 #[test]

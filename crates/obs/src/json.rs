@@ -8,7 +8,7 @@
 //! round-trip tests).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -49,6 +49,55 @@ impl Json {
         match self {
             Json::Arr(v) => Some(v),
             _ => None,
+        }
+    }
+}
+
+/// An object from `(key, value)` pairs (a later duplicate key wins).
+pub fn object<'k>(fields: impl IntoIterator<Item = (&'k str, Json)>) -> Json {
+    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// Compact JSON text: object keys in sorted order, integral numbers below
+/// 2^53 without a fraction, non-finite numbers as `null`.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(x) if x.fract() == 0.0 && x.abs() < 9_007_199_254_740_992.0 => {
+                write!(f, "{}", *x as i64)
+            }
+            Json::Num(x) => {
+                let mut out = String::new();
+                emit_f64(&mut out, *x);
+                f.write_str(&out)
+            }
+            Json::Str(s) => {
+                let mut out = String::new();
+                escape_str(&mut out, s);
+                f.write_str(&out)
+            }
+            Json::Arr(items) => {
+                f.write_str("[")?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    write!(f, "{item}")?;
+                }
+                f.write_str("]")
+            }
+            Json::Obj(map) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in map.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    write!(f, "{}:{v}", Json::Str(k.clone()))?;
+                }
+                f.write_str("}")
+            }
         }
     }
 }
@@ -305,5 +354,15 @@ mod tests {
         let mut out = String::new();
         emit_f64(&mut out, f64::INFINITY);
         assert_eq!(out, "null");
+    }
+
+    #[test]
+    fn display_round_trips_through_parse() {
+        let doc = r#"{"n": 42, "x": 0.25, "b": [true, null, "q\"s"], "o": {"k": -3}}"#;
+        let v = parse(doc).unwrap();
+        let text = v.to_string();
+        assert_eq!(text, r#"{"b":[true,null,"q\"s"],"n":42,"o":{"k":-3},"x":0.25}"#);
+        assert_eq!(parse(&text).unwrap(), v);
+        assert_eq!(Json::Arr(vec![Json::Num(f64::NAN)]).to_string(), "[null]");
     }
 }

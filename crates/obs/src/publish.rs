@@ -59,47 +59,8 @@ impl StatusSnapshot {
         let metrics = obj.get("metrics").ok_or("missing metrics")?;
         // Re-serialize the sub-object through the snapshot parser. The
         // metrics object is small; simplicity beats zero-copy here.
-        let snapshot = MetricsSnapshot::from_json_line(&reemit(metrics))?;
+        let snapshot = MetricsSnapshot::from_json_line(&metrics.to_string())?;
         Ok(StatusSnapshot { campaign, device, snapshot })
-    }
-}
-
-/// Minimal re-emitter for a parsed JSON value (keys sorted, matching
-/// `MetricsSnapshot::from_json_line`'s expectations).
-fn reemit(v: &Json) -> String {
-    let mut out = String::new();
-    emit(&mut out, v);
-    out
-}
-
-fn emit(out: &mut String, v: &Json) {
-    match v {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Num(x) => json::emit_f64(out, *x),
-        Json::Str(s) => escape_str(out, s),
-        Json::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                emit(out, item);
-            }
-            out.push(']');
-        }
-        Json::Obj(map) => {
-            out.push('{');
-            for (i, (k, val)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                escape_str(out, k);
-                out.push(':');
-                emit(out, val);
-            }
-            out.push('}');
-        }
     }
 }
 
@@ -118,16 +79,18 @@ struct PublisherShared {
 
 impl PublisherShared {
     fn publish(&self) -> io::Result<()> {
-        let Some((campaign, device, registry)) = self
-            .current
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map(|(label, device, reg)| (label.clone(), device.clone(), Arc::clone(reg)))
-        else {
+        // The guard is held across both writes: the interval thread and
+        // `publish_now` share one tmp-file name per status file, and two
+        // unserialized publishers could rename a half-written tmp file.
+        let current = self.current.lock().unwrap_or_else(|e| e.into_inner());
+        let Some((campaign, device, registry)) = current.as_ref() else {
             return Ok(());
         };
-        let status = StatusSnapshot { campaign, device, snapshot: registry.snapshot() };
+        let status = StatusSnapshot {
+            campaign: campaign.clone(),
+            device: device.clone(),
+            snapshot: registry.snapshot(),
+        };
         write_atomic(&self.dir, "status.json", &(status.to_json_line() + "\n"))?;
         write_atomic(&self.dir, "status.prom", &status.snapshot.to_prometheus_text())
     }
