@@ -24,8 +24,17 @@ fn run_campaign(
     workers: usize,
     observer: CampaignObserver<'_>,
 ) -> (AvfResult, CampaignRun) {
+    run_avf(Avf::new(Injector::NvBitFi), trials, workers, observer)
+}
+
+fn run_avf(
+    avf: Avf,
+    trials: u32,
+    workers: usize,
+    observer: CampaignObserver<'_>,
+) -> (AvfResult, CampaignRun) {
     let (w, device) = hhotspot();
-    Campaign::new(Avf::new(Injector::NvBitFi), &w, &device)
+    Campaign::new(avf, &w, &device)
         .budget(Budget::fixed(trials).seed(2021))
         .workers(workers)
         .observer(observer)
@@ -143,29 +152,51 @@ fn hidden_campaign_emits_per_class_counters() {
     }
 }
 
+/// Tallies are bit-identical with telemetry on or off, for the plain and
+/// the pruned campaign. With telemetry on, every counter the shard fold
+/// exports (`trials`, `outcome.*`, `site.*`, `due.*`, `direct.*`,
+/// `campaign.pruned.*`, `campaign.verdict.*`, ...) and both verdict
+/// strata maps are identical at 1 and 4 workers. Only the golden-cache
+/// hit/miss counters may differ: the first campaign fills the cache.
 #[test]
 fn tallies_are_bit_identical_with_telemetry_on_or_off() {
-    let (bare_result, bare) = run_campaign(64, 1, CampaignObserver::none());
+    for avf in [Avf::new(Injector::NvBitFi), Avf::new_pruned(Injector::NvBitFi)] {
+        let (bare_result, bare) = run_avf(avf, 64, 1, CampaignObserver::none());
+        let observe = |workers| {
+            let metrics = MetricsRegistry::new();
+            let spans = SpanBus::new();
+            let observer = CampaignObserver::with_metrics(&metrics).with_spans(&spans);
+            let (result, run) = run_avf(avf, 64, workers, observer);
+            let mut counters = metrics.snapshot().counters;
+            counters.retain(|name, _| !name.starts_with("campaign.golden."));
+            (result, run, counters)
+        };
 
-    let metrics = MetricsRegistry::new();
-    let spans = SpanBus::new();
-    let observer = CampaignObserver::with_metrics(&metrics).with_spans(&spans);
-    let (observed_result, observed) = run_campaign(64, 1, observer);
+        let (observed_result, observed, serial) = observe(1);
+        assert_eq!(bare_result.counts, observed_result.counts);
+        assert_eq!(bare.counts, observed.counts);
+        assert_eq!(bare.executed, observed.executed);
+        assert_eq!(bare.direct, observed.direct);
+        assert_eq!(bare.strata_pruned, observed.strata_pruned);
+        assert_eq!(bare.strata_sim, observed.strata_sim);
+        assert_eq!(bare.trials, observed.trials);
+        assert_eq!(bare.stop, observed.stop);
 
-    assert_eq!(bare_result.counts, observed_result.counts);
-    assert_eq!(bare.counts, observed.counts);
-    assert_eq!(bare.executed, observed.executed);
-    assert_eq!(bare.direct, observed.direct);
-    assert_eq!(bare.trials, observed.trials);
-    assert_eq!(bare.stop, observed.stop);
-
-    // ... and at any worker count, with telemetry still attached.
-    let metrics = MetricsRegistry::new();
-    let spans = SpanBus::new();
-    let observer = CampaignObserver::with_metrics(&metrics).with_spans(&spans);
-    let (wide_result, wide) = run_campaign(64, 4, observer);
-    assert_eq!(bare_result.counts, wide_result.counts);
-    assert_eq!(bare.counts, wide.counts);
-    assert_eq!(bare.direct, wide.direct);
-    assert_eq!(bare.trials, wide.trials);
+        // ... and at any worker count, with telemetry still attached.
+        let (wide_result, wide, parallel) = observe(4);
+        assert_eq!(bare_result.counts, wide_result.counts);
+        assert_eq!(bare.counts, wide.counts);
+        assert_eq!(bare.direct, wide.direct);
+        assert_eq!(bare.strata_pruned, wide.strata_pruned);
+        assert_eq!(bare.strata_sim, wide.strata_sim);
+        assert_eq!(bare.trials, wide.trials);
+        assert_eq!(serial, parallel, "fold-exported counters differ between 1 and 4 workers");
+        assert_eq!(serial.get("trials"), Some(&64));
+        assert!(serial.keys().any(|k| k.starts_with("site.")), "{serial:?}");
+        if avf.pruned {
+            for prefix in ["campaign.pruned.", "campaign.verdict.", "direct."] {
+                assert!(serial.keys().any(|k| k.starts_with(prefix)), "no {prefix}* in {serial:?}");
+            }
+        }
+    }
 }

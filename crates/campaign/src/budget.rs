@@ -43,12 +43,6 @@ impl Watchdog {
     pub fn dyn_limit(&self, golden_total: u64) -> u64 {
         self.dyn_factor.saturating_mul(golden_total).saturating_add(self.dyn_slack)
     }
-
-    /// Replace the wall-clock budget.
-    pub fn wall(mut self, budget: Duration) -> Self {
-        self.wall_budget = Some(budget);
-        self
-    }
 }
 
 impl Default for Watchdog {

@@ -120,16 +120,6 @@ impl Checkpoint {
         Ok(cp)
     }
 
-    /// Scan a JSONL stream (e.g. a checkpoint file) and return the last
-    /// checkpoint for `label`, ignoring non-checkpoint lines.
-    ///
-    /// This keeps only the answer; corrupt lines are indistinguishable
-    /// from absent ones. Recovery paths that need to warn (instead of
-    /// silently restarting from zero) should use [`Checkpoint::scan_stream`].
-    pub fn last_in_stream(text: &str, label: &str) -> Option<Checkpoint> {
-        Checkpoint::scan_stream(text, label).checkpoint
-    }
-
     /// Scan a JSONL stream for the last checkpoint for `label`, reporting
     /// what was seen along the way.
     ///
@@ -245,7 +235,7 @@ mod tests {
     }
 
     #[test]
-    fn last_in_stream_picks_matching_label() {
+    fn scan_stream_picks_last_checkpoint_for_label() {
         let mut early = sample();
         early.shards_done = 2;
         early.trials = 64;
@@ -260,8 +250,8 @@ mod tests {
             late.to_json_line(),
             other.to_json_line()
         );
-        assert_eq!(Checkpoint::last_in_stream(&stream, &late.label), Some(late));
-        assert_eq!(Checkpoint::last_in_stream(&stream, "missing"), None);
+        assert_eq!(Checkpoint::scan_stream(&stream, &late.label).checkpoint, Some(late));
+        assert_eq!(Checkpoint::scan_stream(&stream, "missing").checkpoint, None);
     }
 
     #[test]

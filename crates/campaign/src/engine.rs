@@ -23,7 +23,9 @@
 //! [`StopReason::CiTarget`]; at the ceiling it stops with
 //! [`StopReason::Ceiling`]. Shards speculatively executed past a stop
 //! boundary are discarded, which keeps the decision independent of the
-//! worker count.
+//! worker count. Workers return one record per trial and the fold is the
+//! only reader of those records: it tallies them and emits their
+//! telemetry, so a discarded shard leaves neither behind.
 
 use crate::budget::Budget;
 use crate::checkpoint::Checkpoint;
@@ -35,12 +37,13 @@ use gpu_sim::{
     nearest_snapshot, DueKind, EngineSnapshot, ExecStatus, Executed, FaultPlan, RunOptions, Target,
 };
 use obs::span::SpanBus;
-use obs::{CampaignObserver, MetricsRegistry};
+use obs::{CampaignObserver, MetricsRegistry, SpanRecord};
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use stats::{wilson_half_width, Outcome, OutcomeCounts};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::{AddAssign, Range};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -203,7 +206,8 @@ pub struct CampaignRun {
     pub golden: Arc<Executed>,
     /// Terminal checkpoint (resuming from it is a no-op).
     pub checkpoint: Checkpoint,
-    /// Trials that panicked once and succeeded on replay.
+    /// Trials whose first attempt panicked and were replayed (including
+    /// those that panicked again and were quarantined).
     pub retries: u64,
     /// Trials that panicked twice and were quarantined (also tallied as
     /// DUEs under `direct.engine.quarantined`).
@@ -230,7 +234,6 @@ pub struct Campaign<'a, T: Target + Sync + ?Sized, K: Kind<T>> {
     budget: Budget,
     observer: CampaignObserver<'a>,
     workers: usize,
-    checkpoint_every: u32,
     sink: Option<CheckpointSink<'a>>,
     resume: Option<Checkpoint>,
     store: Option<&'a mut CheckpointStore>,
@@ -247,7 +250,6 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
             budget: Budget::default(),
             observer: CampaignObserver::none(),
             workers: 1,
-            checkpoint_every: 1,
             sink: None,
             resume: None,
             store: None,
@@ -273,26 +275,18 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
         self
     }
 
-    /// Emit a checkpoint to the sink every `shards` folded shards
-    /// (default 1; the terminal checkpoint is always emitted).
-    pub fn checkpoint_every(mut self, shards: u32) -> Self {
-        self.checkpoint_every = shards.max(1);
-        self
-    }
-
-    /// Receive checkpoints as they are emitted (write them to a JSONL
-    /// stream with [`Checkpoint::to_json_line`]).
+    /// Receive a checkpoint after every folded shard (write them to a
+    /// JSONL stream with [`Checkpoint::to_json_line`]).
     pub fn on_checkpoint(mut self, sink: impl FnMut(&Checkpoint) + 'a) -> Self {
         self.sink = Some(Box::new(sink));
         self
     }
 
-    /// Attach a durable [`CheckpointStore`]: checkpoints are saved to it
-    /// at the [`Campaign::checkpoint_every`] cadence, quarantined trials
-    /// are appended to its quarantine journal, and — unless
-    /// [`Campaign::resume_from`] was given explicitly — the campaign
-    /// automatically resumes from the store's last checkpoint for this
-    /// label.
+    /// Attach a durable [`CheckpointStore`]: a checkpoint is saved to it
+    /// after every folded shard, quarantined trials are appended to its
+    /// quarantine journal, and — unless [`Campaign::resume_from`] was
+    /// given explicitly — the campaign automatically resumes from the
+    /// store's last checkpoint for this label.
     pub fn store(mut self, store: &'a mut CheckpointStore) -> Self {
         self.store = Some(store);
         self
@@ -343,8 +337,6 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
         let floor = self.budget.effective_floor() as u64;
         let ci = self.budget.ci_half_width;
         let total_shards = ceiling.div_ceil(shard_size) as u32;
-        let watchdog = self.budget.watchdog.dyn_limit(golden.counts.total);
-        let base_seed = self.budget.seed ^ fnv1a(self.target.name());
         // Trial span IDs are keyed off the campaign label + trial index,
         // so a trial's span ID is stable across runs and worker counts
         // (the same function of the FaultPlan draw).
@@ -355,7 +347,14 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
             span.arg("shard_size", shard_size.to_string());
             span
         });
-        let campaign_span_id = campaign_span.as_ref().map_or(obs::ROOT_SPAN, |s| s.id());
+        let telemetry = Telemetry {
+            observer: self.observer,
+            campaign_span: campaign_span.as_ref().map_or(obs::ROOT_SPAN, |s| s.id()),
+            key_base,
+            ff: ff.is_some(),
+            epoch: Instant::now(),
+            epoch_us: self.observer.spans.map_or(0, SpanBus::now_us),
+        };
         if let Some(m) = self.observer.metrics {
             m.gauge("campaign.trial_ceiling").set(ceiling as f64);
             m.gauge("campaign.shards_total").set(total_shards as f64);
@@ -371,12 +370,7 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
             }
         }
 
-        let mut counts = OutcomeCounts::default();
-        let mut executed = OutcomeCounts::default();
-        let mut direct: BTreeMap<String, OutcomeCounts> = BTreeMap::new();
-        let mut strata_pruned: BTreeMap<String, OutcomeCounts> = BTreeMap::new();
-        let mut strata_sim: BTreeMap<String, OutcomeCounts> = BTreeMap::new();
-        let mut trials = 0u64;
+        let mut total = Tally::default();
         let mut next_shard = 0u32;
         let mut resumed_trials = 0u64;
         if let Some(cp) = self.resume.take() {
@@ -401,13 +395,9 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
                     cp.trials, shard_size
                 )));
             }
-            counts = cp.counts;
-            executed =
-                subtract(cp.counts, cp.direct.values().fold(OutcomeCounts::new(), |a, &b| a + b));
-            direct = cp.direct;
-            trials = cp.trials;
             resumed_trials = cp.trials;
             next_shard = cp.shards_done.min(total_shards);
+            total = Tally::resumed(cp);
         }
 
         let workers = if self.workers == 0 {
@@ -417,61 +407,39 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
         };
         let monitor =
             self.budget.watchdog.wall_budget.map(|wall| DeadlineMonitor::new(wall, workers));
-        let mut retries = 0u64;
+        let ctx = ShardCtx {
+            target: self.target,
+            device: self.device,
+            golden: &golden,
+            sampler: &sampler,
+            ecc,
+            watchdog: self.budget.watchdog.dyn_limit(golden.counts.total),
+            ff,
+            base_seed: self.budget.seed ^ fnv1a(self.target.name()),
+            shard_size,
+            ceiling,
+            spans: self.observer.spans,
+            key_base,
+            monitor: monitor.as_ref(),
+        };
         let mut quarantine: Vec<QuarantineRecord> = Vec::new();
 
-        let mut stop = eval_stop(&counts, trials, floor, ceiling, ci);
-        let mut since_checkpoint = 0u32;
+        let mut stop = eval_stop(&total.counts, total.trials, floor, ceiling, ci);
         'campaign: while stop.is_none() && next_shard < total_shards {
-            let wave_start = next_shard;
-            let wave_end = (wave_start + workers as u32).min(total_shards);
-            let outs = run_wave(
-                self.target,
-                self.device,
-                &golden,
-                &sampler,
-                ecc,
-                watchdog,
-                ff,
-                wave_start..wave_end,
-                base_seed,
-                shard_size,
-                ceiling,
-                self.observer,
-                campaign_span_id,
-                key_base,
-                monitor.as_ref(),
-            )?;
-            for mut out in outs {
-                counts += out.counts;
-                executed += out.executed;
-                for (dlabel, c) in &out.direct {
-                    *direct.entry((*dlabel).to_string()).or_default() += *c;
-                }
-                for (s, c) in &out.strata_pruned {
-                    *strata_pruned.entry((*s).to_string()).or_default() += *c;
-                }
-                for (s, c) in &out.strata_sim {
-                    *strata_sim.entry((*s).to_string()).or_default() += *c;
-                }
-                trials += out.trials;
-                next_shard += 1;
-                since_checkpoint += 1;
-                retries += out.retries;
-                for mut rec in std::mem::take(&mut out.quarantined) {
-                    rec.label.clone_from(&label);
-                    if let Some(store) = self.store.as_mut() {
-                        store.quarantine(&rec).map_err(|e| CampaignError::Store(e.to_string()))?;
+            let wave_end = (next_shard + workers as u32).min(total_shards);
+            for shard in ctx.run_wave(next_shard..wave_end)? {
+                let journaled = quarantine.len();
+                total += telemetry.fold(shard, &label, &mut quarantine);
+                if let Some(store) = self.store.as_mut() {
+                    for rec in &quarantine[journaled..] {
+                        store.quarantine(rec).map_err(|e| CampaignError::Store(e.to_string()))?;
                     }
-                    quarantine.push(rec);
                 }
-                if let Some(m) = self.observer.metrics {
-                    export_shard_metrics(m, &out);
-                }
-                stop = eval_stop(&counts, trials, floor, ceiling, ci);
+                next_shard += 1;
+                stop = eval_stop(&total.counts, total.trials, floor, ceiling, ci);
                 // Convergence telemetry at every fold: the live console and
                 // progress line both show the current Wilson half-width.
-                let half_width = max_half_width(&counts, trials);
+                let half_width = max_half_width(&total.counts, total.trials);
                 if let Some(m) = self.observer.metrics {
                     m.gauge("campaign.shards_done").set(next_shard as f64);
                     m.gauge("campaign.ci_half_width").set(half_width);
@@ -485,19 +453,16 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
                 if let Some(bus) = self.observer.spans {
                     bus.instant(
                         "ci-update",
-                        campaign_span_id,
+                        telemetry.campaign_span,
                         0,
                         vec![
-                            ("trials", trials.to_string()),
+                            ("trials", total.trials.to_string()),
                             ("half_width", format!("{half_width:.6}")),
                         ],
                     );
                 }
-                let boundary = stop.is_some() || next_shard == total_shards;
-                if (boundary || since_checkpoint >= self.checkpoint_every)
-                    && (self.sink.is_some() || self.store.is_some())
-                {
-                    let cp = snapshot(&label, &self.budget, next_shard, trials, counts, &direct);
+                if self.sink.is_some() || self.store.is_some() {
+                    let cp = snapshot(&label, &self.budget, next_shard, &total);
                     if let Some(sink) = self.sink.as_mut() {
                         sink(&cp);
                     }
@@ -508,7 +473,6 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
                             save_timer.observe(&m.histogram("campaign.store.save_micros"));
                         }
                     }
-                    since_checkpoint = 0;
                 }
                 if stop.is_some() {
                     // Discard any shards speculatively run past the stop
@@ -520,19 +484,19 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
         let stop = stop.unwrap_or(StopReason::Ceiling);
 
         let run = CampaignRun {
-            checkpoint: snapshot(&label, &self.budget, next_shard, trials, counts, &direct),
+            checkpoint: snapshot(&label, &self.budget, next_shard, &total),
             label,
-            counts,
-            executed,
-            direct,
-            strata_pruned,
-            strata_sim,
-            trials,
+            counts: total.counts,
+            executed: total.executed,
+            direct: total.direct,
+            strata_pruned: total.strata_pruned,
+            strata_sim: total.strata_sim,
+            trials: total.trials,
             shards: next_shard,
             resumed_trials,
             stop,
             golden,
-            retries,
+            retries: total.retries,
             quarantine,
         };
         if let Some(mut span) = campaign_span {
@@ -574,534 +538,569 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
     }
 }
 
-/// Per-shard tallies produced by a worker, folded in shard order.
-#[derive(Default)]
-struct ShardOut {
-    trials: u64,
-    counts: OutcomeCounts,
-    executed: OutcomeCounts,
-    direct: BTreeMap<&'static str, OutcomeCounts>,
-    sites: BTreeMap<&'static str, OutcomeCounts>,
-    strata_pruned: BTreeMap<&'static str, OutcomeCounts>,
-    strata_sim: BTreeMap<&'static str, OutcomeCounts>,
-    dues: BTreeMap<&'static str, u64>,
+/// Everything one trial resolved to. Shard workers produce these; the
+/// in-order shard fold ([`Telemetry::fold`]) is their only reader, so a
+/// shard discarded past a stop boundary leaves no tally and no telemetry.
+struct TrialRecord {
+    trial: u64,
+    /// The fault plan executed, or in flight when the trial was
+    /// quarantined; `None` for direct trials.
+    plan: Option<FaultPlan>,
+    outcome: Outcome,
+    due: Option<DueKind>,
+    /// Tally label: the fault site, the direct label, or
+    /// [`QUARANTINE_LABEL`].
+    label: &'static str,
+    stratum: Option<&'static str>,
+    /// Dynamic instructions the faulty run retired (0 when not executed).
+    dyn_instrs: u64,
+    /// Dynamic instructions skipped by resuming from a golden snapshot;
+    /// `None` when the trial replayed from zero.
+    fast_forwarded: Option<u64>,
+    start: Instant,
     micros: u64,
-    retries: u64,
-    quarantined: Vec<QuarantineRecord>,
+    /// The first attempt panicked.
+    retried: bool,
+    /// The panic text of a trial that panicked twice and was quarantined.
+    panic: Option<String>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_wave<T: Target + Sync + ?Sized, S: Sampler>(
-    target: &T,
-    device: &DeviceModel,
-    golden: &Executed,
-    sampler: &S,
-    ecc: bool,
-    watchdog: u64,
-    ff: Option<&[Arc<EngineSnapshot>]>,
-    shards: std::ops::Range<u32>,
-    base_seed: u64,
-    shard_size: u64,
-    ceiling: u64,
-    observer: CampaignObserver<'_>,
-    campaign_span: u64,
-    key_base: u64,
-    monitor: Option<&DeadlineMonitor>,
-) -> Result<Vec<ShardOut>, CampaignError> {
-    let wave_start = shards.start;
-    let run_one = |s: u32| {
-        let start = s as u64 * shard_size;
-        let end = ((s as u64 + 1) * shard_size).min(ceiling);
-        let slot = (s - wave_start) as usize;
-        run_shard(
-            target,
-            device,
-            golden,
-            sampler,
-            ecc,
-            watchdog,
-            ff,
-            s,
-            start..end,
-            shard_seed(base_seed, s),
-            observer,
-            campaign_span,
-            key_base,
-            monitor.map(|m| (m, slot)),
-        )
-    };
-    if shards.len() == 1 {
-        return Ok(vec![run_one(shards.start)]);
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shards.map(|s| scope.spawn(move || run_one(s))).collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                // Per-trial panics are caught inside `run_shard`; a panic
-                // that reaches the join is an engine bug, reported as a
-                // typed error instead of poisoning the caller.
-                h.join().map_err(|payload| {
-                    CampaignError::ShardPanicked(panic_message(payload.as_ref()))
-                })
-            })
-            .collect()
-    })
-}
-
-/// What one trial resolved to, produced by [`run_trial`] so the
-/// supervision wrapper can apply it (or discard it on a retry) as a
-/// unit.
-enum TrialTally {
-    Direct {
+impl TrialRecord {
+    /// A trial resolved as `outcome` under `label`, before execution and
+    /// supervision fill in what they add.
+    fn new(
+        trial: u64,
+        start: Instant,
         outcome: Outcome,
         due: Option<DueKind>,
         label: &'static str,
         stratum: Option<&'static str>,
-    },
-    Fault {
-        plan: FaultPlan,
-        outcome: Outcome,
-        due: Option<DueKind>,
-        stratum: Option<&'static str>,
-        dyn_instrs: u64,
-        /// Dynamic instructions skipped by resuming from a golden
-        /// snapshot; `None` when the trial replayed from zero.
-        fast_forwarded: Option<u64>,
-    },
-}
-
-impl TrialTally {
-    /// `(outcome, due kind, tally label)` for span args.
-    fn meta(&self) -> (Outcome, Option<DueKind>, &'static str) {
-        match self {
-            TrialTally::Direct { outcome, due, label, .. } => (*outcome, *due, label),
-            TrialTally::Fault { plan, outcome, due, .. } => (*outcome, *due, plan.site_label()),
+    ) -> TrialRecord {
+        TrialRecord {
+            trial,
+            plan: None,
+            outcome,
+            due,
+            label,
+            stratum,
+            dyn_instrs: 0,
+            fast_forwarded: None,
+            start,
+            micros: 0,
+            retried: false,
+            panic: None,
         }
+    }
+
+    /// The trial ran the target and was classified against the golden
+    /// run (it was neither resolved directly nor quarantined).
+    fn executed(&self) -> bool {
+        self.plan.is_some() && self.panic.is_none()
     }
 }
 
-/// Sample and (when planned) execute one trial. Pure with respect to the
-/// shard state: everything it decides comes back in the [`TrialTally`],
-/// so a panic anywhere inside leaves `out` untouched and the supervision
-/// wrapper can replay from an RNG snapshot.
-#[allow(clippy::too_many_arguments)]
-fn run_trial<T: Target + Sync + ?Sized, S: Sampler>(
-    target: &T,
-    device: &DeviceModel,
-    golden: &Executed,
-    sampler: &S,
-    ecc: bool,
-    watchdog: u64,
-    trial: u64,
-    rng: &mut ChaCha12Rng,
-    monitor: Option<(&DeadlineMonitor, usize)>,
-    phase_trace: Option<(&SpanBus, u64, u64)>,
-    ff: Option<&[Arc<EngineSnapshot>]>,
-) -> TrialTally {
-    let planned = sampler.sample(trial, rng);
-    let stratum = sampler.stratum(trial, &planned);
-    match planned {
-        TrialPlan::Direct { outcome, due, label } => {
-            TrialTally::Direct { outcome, due, label, stratum }
+/// Outcome tallies over folded trials: one shard's, exported as metrics
+/// when it folds, or the campaign's running total, which drives the stop
+/// rule, the checkpoints and [`CampaignRun`].
+#[derive(Default)]
+struct Tally {
+    trials: u64,
+    counts: OutcomeCounts,
+    executed: OutcomeCounts,
+    direct: BTreeMap<String, OutcomeCounts>,
+    sites: BTreeMap<String, OutcomeCounts>,
+    strata_pruned: BTreeMap<String, OutcomeCounts>,
+    strata_sim: BTreeMap<String, OutcomeCounts>,
+    dues: BTreeMap<String, u64>,
+    retries: u64,
+    quarantined: u64,
+}
+
+impl Tally {
+    /// The running total a checkpoint resumes from. Sites, strata, DUE
+    /// kinds and retries are not checkpointed; they cover only the trials
+    /// run in this process.
+    fn resumed(cp: Checkpoint) -> Tally {
+        let direct = cp.direct.values().fold(OutcomeCounts::new(), |a, &b| a + b);
+        Tally {
+            trials: cp.trials,
+            counts: cp.counts,
+            executed: subtract(cp.counts, direct),
+            direct: cp.direct,
+            ..Tally::default()
         }
-        TrialPlan::Fault(plan) => {
-            let cancel = monitor.map(|(m, slot)| m.arm(slot));
-            // Fast-forward: resume from the latest golden snapshot at or
-            // before the fault site. The skipped prefix is fault-free and
-            // bit-identical to the golden run, so the tally is the same
-            // either way — only the wall clock changes.
-            let resume = ff.and_then(|snaps| nearest_snapshot(snaps, &plan)).cloned();
-            let fast_forwarded = resume.as_ref().map(|s| s.dyn_count());
-            let opts = RunOptions::trial(plan)
-                .ecc(ecc)
-                .watchdog(watchdog)
-                .cancel_flag(cancel)
-                .resume(resume);
-            // Sampled trials run with the engine-phase sink attached; the
-            // sink only timestamps phase events, so architectural results
-            // (and therefore tallies) are identical either way.
-            let faulty = match phase_trace {
-                Some((bus, span, tid)) => {
-                    let mut sink = obs::SpanSink::new(bus, span, tid);
-                    target.execute_traced(device, &opts, &mut sink)
-                }
-                None => target.execute(device, &opts),
-            };
-            if let Some((m, slot)) = monitor {
-                m.disarm(slot);
-            }
-            let (outcome, due) = match faulty.status {
-                ExecStatus::Due(kind) => (Outcome::Due, Some(kind)),
-                ExecStatus::Completed => {
-                    if target.output_matches(golden, &faulty) {
-                        (Outcome::Masked, None)
-                    } else {
-                        (Outcome::Sdc, None)
-                    }
-                }
-            };
-            TrialTally::Fault {
-                plan,
-                outcome,
-                due,
-                stratum,
-                dyn_instrs: faulty.counts.total,
-                fast_forwarded,
-            }
+    }
+
+    /// Count one trial. This is the only place a trial becomes tally
+    /// entries.
+    fn record(&mut self, rec: &TrialRecord) {
+        let outcome = rec.outcome;
+        self.trials += 1;
+        self.counts.record(outcome);
+        let (by_label, strata) = if rec.executed() {
+            self.executed.record(outcome);
+            (&mut self.sites, &mut self.strata_sim)
+        } else {
+            (&mut self.direct, &mut self.strata_pruned)
+        };
+        bump(by_label, rec.label, |c| c.record(outcome));
+        if let Some(s) = rec.stratum {
+            bump(strata, s, |c| c.record(outcome));
         }
+        if let Some(kind) = rec.due {
+            bump(&mut self.dues, kind.name(), |n| *n += 1);
+        }
+        self.retries += u64::from(rec.retried);
+        self.quarantined += u64::from(rec.panic.is_some());
     }
 }
 
-fn apply_tally(out: &mut ShardOut, tally: TrialTally) {
-    match tally {
-        TrialTally::Direct { outcome, due, label, stratum } => {
-            out.counts.record(outcome);
-            out.direct.entry(label).or_default().record(outcome);
-            if let Some(s) = stratum {
-                out.strata_pruned.entry(s).or_default().record(outcome);
-            }
-            if let Some(kind) = due {
-                *out.dues.entry(kind.name()).or_default() += 1;
+impl AddAssign for Tally {
+    fn add_assign(&mut self, shard: Tally) {
+        fn merge<V: AddAssign + Default>(
+            into: &mut BTreeMap<String, V>,
+            from: BTreeMap<String, V>,
+        ) {
+            for (key, v) in from {
+                *into.entry(key).or_default() += v;
             }
         }
-        TrialTally::Fault { plan, outcome, due, stratum, .. } => {
-            out.counts.record(outcome);
-            out.executed.record(outcome);
-            out.sites.entry(plan.site_label()).or_default().record(outcome);
-            if let Some(s) = stratum {
-                out.strata_sim.entry(s).or_default().record(outcome);
-            }
-            if let Some(kind) = due {
-                *out.dues.entry(kind.name()).or_default() += 1;
-            }
-        }
+        self.trials += shard.trials;
+        self.counts += shard.counts;
+        self.executed += shard.executed;
+        merge(&mut self.direct, shard.direct);
+        merge(&mut self.sites, shard.sites);
+        merge(&mut self.strata_pruned, shard.strata_pruned);
+        merge(&mut self.strata_sim, shard.strata_sim);
+        merge(&mut self.dues, shard.dues);
+        self.retries += shard.retries;
+        self.quarantined += shard.quarantined;
     }
 }
 
-/// Run one shard under supervision: every trial executes inside
-/// `catch_unwind` on a clone of the shard RNG, so a panicking trial can
-/// be retried once from an identical stream and, on a second panic,
-/// quarantined — tallied as a DUE under [`QUARANTINE_LABEL`] with its
-/// fault plan recovered for the quarantine journal. The shard's RNG
-/// state after any trial is the state after its sampler draws, whether
-/// the trial completed, retried, or was quarantined — which is what
-/// keeps tallies bit-identical at any worker count.
-#[allow(clippy::too_many_arguments)]
-fn run_shard<T: Target + Sync + ?Sized, S: Sampler>(
-    target: &T,
-    device: &DeviceModel,
-    golden: &Executed,
-    sampler: &S,
-    ecc: bool,
-    watchdog: u64,
-    ff: Option<&[Arc<EngineSnapshot>]>,
-    shard: u32,
-    range: std::ops::Range<u64>,
-    seed: u64,
-    observer: CampaignObserver<'_>,
+/// Apply `add` to the entry for `key`, allocating the key only on its
+/// first occurrence.
+fn bump<V: Default>(map: &mut BTreeMap<String, V>, key: &str, add: impl FnOnce(&mut V)) {
+    if let Some(v) = map.get_mut(key) {
+        return add(v);
+    }
+    let mut v = V::default();
+    add(&mut v);
+    map.insert(key.to_owned(), v);
+}
+
+/// One executed shard: its trial records in trial order, and its timing.
+struct ShardRun {
+    index: u32,
+    range: Range<u64>,
+    start: Instant,
+    micros: u64,
+    records: Vec<TrialRecord>,
+}
+
+/// What the fold reports trials to: the campaign's observer and span
+/// identity.
+struct Telemetry<'a> {
+    observer: CampaignObserver<'a>,
     campaign_span: u64,
     key_base: u64,
-    monitor: Option<(&DeadlineMonitor, usize)>,
-) -> ShardOut {
-    let started = Instant::now();
-    let mut rng = ChaCha12Rng::seed_from_u64(seed);
-    let mut out = ShardOut::default();
-    let progress = observer.progress;
-    // Resolve hot-loop instruments once per shard, outside the trial loop.
-    let trial_hists = observer
-        .metrics
-        .map(|m| (m.histogram("campaign.trial_micros"), m.histogram("campaign.trial_dyn_instrs")));
-    // Snapshot fast-forward instruments, resolved once per shard and only
-    // when the policy armed fast-forward for this campaign.
-    let snap_instr = ff.and(observer.metrics).map(|m| {
-        (
-            m.counter("campaign.snapshot.hit"),
-            m.counter("campaign.snapshot.miss"),
-            m.histogram("campaign.snapshot.fastforward_instrs"),
-        )
-    });
-    let span_tid = shard as u64 + 1;
-    let mut shard_span = observer.spans.map(|bus| {
-        let mut span = bus.begin(format!("shard-{shard}"), "shard", campaign_span, span_tid);
-        span.arg("range", format!("{}..{}", range.start, range.end));
-        span
-    });
-    let shard_span_id = shard_span.as_ref().map_or(obs::ROOT_SPAN, |s| s.id());
-    for trial in range {
-        let snap = rng.clone();
-        let trial_t0 = observer.spans.map(|bus| bus.now_us());
-        let timer = trial_hists.is_some().then(obs::Timer::start);
-        // Engine-phase tracing is sampled: one trial in `phase_every`
-        // executes through the traced path, parented under its trial span.
-        let phase_trace = observer.spans.and_then(|bus| {
-            bus.sample_phases(trial).then(|| (bus, obs::keyed_id(key_base, trial), span_tid))
+    /// Fast-forward is armed: executed trials count snapshot hits and
+    /// misses.
+    ff: bool,
+    /// `epoch` on the span bus clock. Trial and shard spans are pushed at
+    /// fold time from the `Instant`s the records carry.
+    epoch: Instant,
+    epoch_us: u64,
+}
+
+impl Telemetry<'_> {
+    /// Fold one shard in trial order: tally every record once, emit its
+    /// telemetry (histograms, snapshot counters, spans, progress ticks),
+    /// and append its quarantined trials to `quarantine`. Returns the
+    /// shard's tally after exporting it as metrics; the records are
+    /// dropped here.
+    fn fold(&self, shard: ShardRun, label: &str, quarantine: &mut Vec<QuarantineRecord>) -> Tally {
+        let CampaignObserver { metrics, progress, spans } = self.observer;
+        let hists = metrics.map(|m| {
+            (m.histogram("campaign.trial_micros"), m.histogram("campaign.trial_dyn_instrs"))
         });
-        let attempt = || {
-            let mut r = snap.clone();
-            let tally = run_trial(
-                target,
-                device,
-                golden,
-                sampler,
-                ecc,
-                watchdog,
-                trial,
-                &mut r,
-                monitor,
-                phase_trace,
-                ff,
-            );
-            (tally, r)
-        };
-        let result = match catch_unwind(AssertUnwindSafe(&attempt)) {
-            Ok(ok) => Ok(ok),
-            Err(_first) => {
-                // First panic: deterministic retry on a fresh replay of
-                // the same stream (the clone in `attempt`).
-                out.retries += 1;
-                if let Some((m, slot)) = monitor {
-                    m.disarm(slot);
+        let snap = metrics.filter(|_| self.ff).map(|m| {
+            (
+                m.counter("campaign.snapshot.hit"),
+                m.counter("campaign.snapshot.miss"),
+                m.histogram("campaign.snapshot.fastforward_instrs"),
+            )
+        });
+        let tid = shard.index as u64 + 1;
+        let shard_span = spans.map(|bus| (bus, bus.alloc_id()));
+        let mut tally = Tally::default();
+        for rec in shard.records {
+            tally.record(&rec);
+            if let Some((micros, dyn_instrs)) = &hists {
+                micros.observe(rec.micros);
+                if rec.executed() {
+                    dyn_instrs.observe(rec.dyn_instrs);
                 }
-                if let Some(bus) = observer.spans {
-                    bus.instant(
-                        "retry",
-                        shard_span_id,
-                        span_tid,
-                        vec![("trial", trial.to_string())],
-                    );
-                }
-                catch_unwind(AssertUnwindSafe(&attempt))
             }
-        };
-        let trial_micros = timer.as_ref().map(|t| t.elapsed_micros());
-        match result {
-            Ok((tally, r)) => {
-                rng = r;
-                if let Some((hist_us, hist_dyn)) = &trial_hists {
-                    if let Some(us) = trial_micros {
-                        hist_us.observe(us);
+            if let Some((hit, miss, skipped)) = snap.as_ref().filter(|_| rec.executed()) {
+                match rec.fast_forwarded {
+                    Some(n) => {
+                        hit.inc();
+                        skipped.observe(n);
                     }
-                    if let TrialTally::Fault { dyn_instrs, .. } = tally {
-                        hist_dyn.observe(dyn_instrs);
-                    }
+                    None => miss.inc(),
                 }
-                if let TrialTally::Fault { fast_forwarded, .. } = tally {
-                    if let Some((hit, miss, hist)) = &snap_instr {
-                        match fast_forwarded {
-                            Some(skipped) => {
-                                hit.inc();
-                                hist.observe(skipped);
-                            }
-                            None => miss.inc(),
-                        }
-                    }
-                }
-                if let Some(bus) = observer.spans {
-                    let (outcome, due, site) = tally.meta();
-                    let mut args = vec![
-                        ("trial", trial.to_string()),
-                        ("outcome", outcome.to_string()),
-                        ("site", site.to_string()),
-                    ];
-                    if let Some(kind) = due {
-                        args.push(("due", kind.name().to_string()));
-                        if matches!(kind, DueKind::Watchdog | DueKind::HostWatchdog) {
-                            bus.instant(
-                                "watchdog",
-                                shard_span_id,
-                                span_tid,
-                                vec![
-                                    ("trial", trial.to_string()),
-                                    ("kind", kind.name().to_string()),
-                                ],
-                            );
-                        }
-                    }
-                    push_trial_span(bus, key_base, trial, shard_span_id, span_tid, trial_t0, args);
-                }
-                apply_tally(&mut out, tally);
             }
-            Err(payload) => {
-                // Second panic: quarantine. Recover the fault plan by
-                // replaying the sampler alone on another snapshot clone
-                // (execution never consumes RNG, so this also yields the
-                // canonical post-trial stream state).
-                if let Some((m, slot)) = monitor {
-                    m.disarm(slot);
-                }
-                let replay = catch_unwind(AssertUnwindSafe(|| {
-                    let mut r = snap.clone();
-                    let plan = match sampler.sample(trial, &mut r) {
-                        TrialPlan::Fault(plan) => Some(plan),
-                        TrialPlan::Direct { .. } => None,
-                    };
-                    (plan, r)
-                }));
-                let (plan, after) = match replay {
-                    Ok((plan, r)) => (plan, r),
-                    // The sampler itself panics: the stream state after
-                    // its draws is unknowable, but it is unknowable the
-                    // same way in every configuration — fall back to the
-                    // pre-trial snapshot.
-                    Err(_) => (None, snap),
-                };
-                rng = after;
-                out.counts.record(Outcome::Due);
-                out.direct.entry(QUARANTINE_LABEL).or_default().record(Outcome::Due);
-                if let Some((hist_us, _)) = &trial_hists {
-                    if let Some(us) = trial_micros {
-                        hist_us.observe(us);
-                    }
-                }
-                if let Some(bus) = observer.spans {
-                    bus.instant(
-                        "quarantine",
-                        shard_span_id,
-                        span_tid,
-                        vec![("trial", trial.to_string())],
-                    );
-                    let args = vec![
-                        ("trial", trial.to_string()),
-                        ("outcome", Outcome::Due.to_string()),
-                        ("site", QUARANTINE_LABEL.to_string()),
-                    ];
-                    push_trial_span(bus, key_base, trial, shard_span_id, span_tid, trial_t0, args);
-                }
-                out.quarantined.push(QuarantineRecord {
-                    label: String::new(), // filled at fold time
-                    trial,
-                    shard,
-                    plan,
-                    panic: panic_message(payload.as_ref()),
+            if let Some((bus, parent)) = shard_span {
+                self.push_trial_spans(bus, parent, tid, &rec);
+            }
+            if let Some(p) = progress {
+                p.inc();
+            }
+            if let Some(panic) = rec.panic {
+                quarantine.push(QuarantineRecord {
+                    label: label.to_string(),
+                    trial: rec.trial,
+                    shard: shard.index,
+                    plan: rec.plan,
+                    panic,
                 });
             }
         }
-        out.trials += 1;
-        if let Some(p) = progress {
-            p.inc();
+        if let Some((bus, id)) = shard_span {
+            bus.push(SpanRecord {
+                id,
+                parent: self.campaign_span,
+                name: format!("shard-{}", shard.index),
+                cat: "shard",
+                tid,
+                ts_us: self.bus_us(shard.start),
+                dur_us: Some(shard.micros),
+                args: vec![
+                    ("range", format!("{}..{}", shard.range.start, shard.range.end)),
+                    ("trials", tally.trials.to_string()),
+                ],
+            });
         }
-    }
-    if let Some(span) = shard_span.as_mut() {
-        span.arg("trials", out.trials.to_string());
-    }
-    drop(shard_span);
-    out.micros = started.elapsed().as_micros() as u64;
-    out
-}
-
-/// Record a completed trial as a span with its FaultPlan-keyed ID. Spans
-/// are recorded post-hoc (begin time captured before the run), so a
-/// panicking or quarantined trial still produces a closed span.
-fn push_trial_span(
-    bus: &SpanBus,
-    key_base: u64,
-    trial: u64,
-    parent: u64,
-    tid: u64,
-    t0_us: Option<u64>,
-    args: Vec<(&'static str, String)>,
-) {
-    let t0 = t0_us.unwrap_or(0);
-    bus.push(obs::SpanRecord {
-        id: obs::keyed_id(key_base, trial),
-        parent,
-        name: "trial".to_string(),
-        cat: "trial",
-        tid,
-        ts_us: t0,
-        dur_us: Some(bus.now_us().saturating_sub(t0)),
-        args,
-    });
-}
-
-fn export_shard_metrics(m: &MetricsRegistry, out: &ShardOut) {
-    m.counter("trials").add(out.trials);
-    for (name, n) in [
-        ("outcome.sdc", out.counts.sdc),
-        ("outcome.due", out.counts.due),
-        ("outcome.masked", out.counts.masked),
-    ] {
-        if n > 0 {
-            m.counter(name).add(n);
+        if let Some(m) = metrics {
+            export_shard_metrics(m, &tally, shard.micros);
         }
+        tally
     }
-    for (site, c) in &out.sites {
-        for (suffix, n) in [("sdc", c.sdc), ("due", c.due), ("masked", c.masked)] {
-            if n > 0 {
-                m.counter(&format!("site.{site}.{suffix}")).add(n);
+
+    /// `at` on the span bus clock.
+    fn bus_us(&self, at: Instant) -> u64 {
+        self.epoch_us + at.saturating_duration_since(self.epoch).as_micros() as u64
+    }
+
+    /// Push one trial's span, with its FaultPlan-keyed ID, and its retry,
+    /// quarantine and watchdog events, stamped at the trial's end.
+    fn push_trial_spans(&self, bus: &SpanBus, shard_span: u64, tid: u64, rec: &TrialRecord) {
+        let ts_us = self.bus_us(rec.start);
+        let event = |name: &str, args| {
+            bus.push(SpanRecord {
+                id: bus.alloc_id(),
+                parent: shard_span,
+                name: name.to_string(),
+                cat: "event",
+                tid,
+                ts_us: ts_us + rec.micros,
+                dur_us: None,
+                args,
+            });
+        };
+        let trial = rec.trial.to_string();
+        if rec.retried {
+            event("retry", vec![("trial", trial.clone())]);
+        }
+        if rec.panic.is_some() {
+            event("quarantine", vec![("trial", trial.clone())]);
+        }
+        let mut args = vec![
+            ("trial", trial.clone()),
+            ("outcome", rec.outcome.to_string()),
+            ("site", rec.label.to_string()),
+        ];
+        if let Some(kind) = rec.due {
+            args.push(("due", kind.name().to_string()));
+            if matches!(kind, DueKind::Watchdog | DueKind::HostWatchdog) {
+                event("watchdog", vec![("trial", trial), ("kind", kind.name().to_string())]);
             }
         }
+        bus.push(SpanRecord {
+            id: obs::keyed_id(self.key_base, rec.trial),
+            parent: shard_span,
+            name: "trial".to_string(),
+            cat: "trial",
+            tid,
+            ts_us,
+            dur_us: Some(rec.micros),
+            args,
+        });
+    }
+}
+
+/// What every shard and trial of one campaign reads, borrowed by the
+/// wave, each shard worker and each trial.
+struct ShardCtx<'a, T: ?Sized, S> {
+    target: &'a T,
+    device: &'a DeviceModel,
+    golden: &'a Executed,
+    sampler: &'a S,
+    ecc: bool,
+    watchdog: u64,
+    ff: Option<&'a [Arc<EngineSnapshot>]>,
+    base_seed: u64,
+    shard_size: u64,
+    ceiling: u64,
+    /// For the sampled engine-phase sink only; the fold pushes every
+    /// other span.
+    spans: Option<&'a SpanBus>,
+    key_base: u64,
+    monitor: Option<&'a DeadlineMonitor>,
+}
+
+impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
+    /// Execute `shards` concurrently, one thread each, and return their
+    /// runs in shard order.
+    fn run_wave(&self, shards: Range<u32>) -> Result<Vec<ShardRun>, CampaignError> {
+        let first = shards.start;
+        if shards.len() == 1 {
+            return Ok(vec![self.run_shard(first, 0)]);
+        }
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = shards
+                .map(|s| scope.spawn(move || self.run_shard(s, (s - first) as usize)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    // Per-trial panics are caught inside `run_shard`; a
+                    // panic that reaches the join is an engine bug,
+                    // reported as a typed error instead of poisoning the
+                    // caller.
+                    h.join().map_err(|payload| {
+                        CampaignError::ShardPanicked(panic_message(payload.as_ref()))
+                    })
+                })
+                .collect()
+        })
+    }
+
+    /// Run one shard on worker `slot` under supervision: every trial
+    /// executes inside `catch_unwind` on a clone of the shard RNG, so a
+    /// panicking trial can be retried once from an identical stream and,
+    /// on a second panic, quarantined — recorded as a DUE under
+    /// [`QUARANTINE_LABEL`] with its fault plan recovered for the
+    /// quarantine journal. The shard's RNG state after any trial is the
+    /// state after its sampler draws, whether the trial completed,
+    /// retried, or was quarantined — which is what keeps tallies
+    /// bit-identical at any worker count.
+    fn run_shard(&self, shard: u32, slot: usize) -> ShardRun {
+        let start = Instant::now();
+        let first = shard as u64 * self.shard_size;
+        let range = first..(first + self.shard_size).min(self.ceiling);
+        let mut rng = ChaCha12Rng::seed_from_u64(shard_seed(self.base_seed, shard));
+        let mut records = Vec::with_capacity((range.end - range.start) as usize);
+        for trial in range.clone() {
+            let snap = rng.clone();
+            let started = Instant::now();
+            let attempt = || {
+                let mut r = snap.clone();
+                (self.run_trial(trial, started, &mut r, slot), r)
+            };
+            let mut retried = false;
+            let result = catch_unwind(AssertUnwindSafe(&attempt)).or_else(|_first| {
+                // First panic: deterministic retry on a fresh replay of
+                // the same stream (the clone in `attempt`).
+                retried = true;
+                if let Some(m) = self.monitor {
+                    m.disarm(slot);
+                }
+                catch_unwind(AssertUnwindSafe(&attempt))
+            });
+            let mut rec = match result {
+                Ok((rec, r)) => {
+                    rng = r;
+                    rec
+                }
+                Err(payload) => {
+                    // Second panic: quarantine. Recover the fault plan by
+                    // replaying the sampler alone on another snapshot
+                    // clone (execution never consumes RNG, so this also
+                    // yields the canonical post-trial stream state).
+                    if let Some(m) = self.monitor {
+                        m.disarm(slot);
+                    }
+                    let replay = catch_unwind(AssertUnwindSafe(|| {
+                        let mut r = snap.clone();
+                        let plan = match self.sampler.sample(trial, &mut r) {
+                            TrialPlan::Fault(plan) => Some(plan),
+                            TrialPlan::Direct { .. } => None,
+                        };
+                        (plan, r)
+                    }));
+                    let (plan, after) = match replay {
+                        Ok((plan, r)) => (plan, r),
+                        // The sampler itself panics: the stream state
+                        // after its draws is unknowable, but it is
+                        // unknowable the same way in every configuration
+                        // — fall back to the pre-trial snapshot.
+                        Err(_) => (None, snap),
+                    };
+                    rng = after;
+                    TrialRecord {
+                        plan,
+                        panic: Some(panic_message(payload.as_ref())),
+                        ..TrialRecord::new(
+                            trial,
+                            started,
+                            Outcome::Due,
+                            None,
+                            QUARANTINE_LABEL,
+                            None,
+                        )
+                    }
+                }
+            };
+            rec.micros = started.elapsed().as_micros() as u64;
+            rec.retried = retried;
+            records.push(rec);
+        }
+        ShardRun { index: shard, range, start, micros: start.elapsed().as_micros() as u64, records }
+    }
+
+    /// Sample and (when planned) execute one trial on worker `slot`. Pure
+    /// with respect to the shard state: everything it decides comes back
+    /// in the record, so a panic anywhere inside loses nothing and the
+    /// supervision in [`ShardCtx::run_shard`] can replay from an RNG
+    /// snapshot.
+    fn run_trial(
+        &self,
+        trial: u64,
+        start: Instant,
+        rng: &mut ChaCha12Rng,
+        slot: usize,
+    ) -> TrialRecord {
+        let planned = self.sampler.sample(trial, rng);
+        let stratum = self.sampler.stratum(trial, &planned);
+        let plan = match planned {
+            TrialPlan::Direct { outcome, due, label } => {
+                return TrialRecord::new(trial, start, outcome, due, label, stratum);
+            }
+            TrialPlan::Fault(plan) => plan,
+        };
+        let cancel = self.monitor.map(|m| m.arm(slot));
+        // Fast-forward: resume from the latest golden snapshot at or
+        // before the fault site. The skipped prefix is fault-free and
+        // bit-identical to the golden run, so the tally is the same
+        // either way — only the wall clock changes.
+        let resume = self.ff.and_then(|snaps| nearest_snapshot(snaps, &plan)).cloned();
+        let fast_forwarded = resume.as_ref().map(|s| s.dyn_count());
+        let opts = RunOptions::trial(plan)
+            .ecc(self.ecc)
+            .watchdog(self.watchdog)
+            .cancel_flag(cancel)
+            .resume(resume);
+        // Sampled trials run with the engine-phase sink attached, parented
+        // under the trial span the fold pushes, on the shard's track. The
+        // sink only timestamps phase events, so architectural results
+        // (and therefore tallies) are identical either way.
+        let faulty = match self.spans.filter(|bus| bus.sample_phases(trial)) {
+            Some(bus) => {
+                let tid = trial / self.shard_size + 1;
+                let mut sink = obs::SpanSink::new(bus, obs::keyed_id(self.key_base, trial), tid);
+                self.target.execute_traced(self.device, &opts, &mut sink)
+            }
+            None => self.target.execute(self.device, &opts),
+        };
+        if let Some(m) = self.monitor {
+            m.disarm(slot);
+        }
+        let (outcome, due) = match faulty.status {
+            ExecStatus::Due(kind) => (Outcome::Due, Some(kind)),
+            ExecStatus::Completed => {
+                if self.target.output_matches(self.golden, &faulty) {
+                    (Outcome::Masked, None)
+                } else {
+                    (Outcome::Sdc, None)
+                }
+            }
+        };
+        TrialRecord {
+            plan: Some(plan),
+            dyn_instrs: faulty.counts.total,
+            fast_forwarded,
+            ..TrialRecord::new(trial, start, outcome, due, plan.site_label(), stratum)
+        }
+    }
+}
+
+fn export_shard_metrics(m: &MetricsRegistry, tally: &Tally, micros: u64) {
+    m.counter("trials").add(tally.trials);
+    add_outcomes(m, "outcome", &tally.counts);
+    for (site, c) in &tally.sites {
+        add_outcomes(m, &format!("site.{site}"), c);
         // Hidden-resource sites additionally roll up under the
         // `campaign.hidden.*` namespace the coverage dashboards read
         // (`campaign.hidden.scheduler.due`, `campaign.hidden.memq.sdc`,
         // ...), so hidden-site campaigns are distinguishable from
         // architectural ones at a glance.
         if let Some(class) = site.strip_prefix("hidden-") {
-            for (suffix, n) in [("sdc", c.sdc), ("due", c.due), ("masked", c.masked)] {
-                if n > 0 {
-                    m.counter(&format!("campaign.hidden.{class}.{suffix}")).add(n);
-                }
-            }
+            add_outcomes(m, &format!("campaign.hidden.{class}"), c);
         }
     }
-    for (kind, n) in &out.dues {
+    for (kind, n) in &tally.dues {
         m.counter(&format!("due.{kind}")).add(*n);
     }
-    if let Some(n) = out.dues.get(DueKind::Watchdog.name()) {
+    if let Some(n) = tally.dues.get(DueKind::Watchdog.name()) {
         m.counter("campaign.watchdog.dyn_trips").add(*n);
     }
-    if let Some(n) = out.dues.get(DueKind::HostWatchdog.name()) {
+    if let Some(n) = tally.dues.get(DueKind::HostWatchdog.name()) {
         m.counter("campaign.watchdog.wall_trips").add(*n);
     }
-    if out.retries > 0 {
-        m.counter("campaign.trial_retries").add(out.retries);
+    if tally.retries > 0 {
+        m.counter("campaign.trial_retries").add(tally.retries);
     }
-    if !out.quarantined.is_empty() {
-        m.counter("campaign.quarantined").add(out.quarantined.len() as u64);
+    if tally.quarantined > 0 {
+        m.counter("campaign.quarantined").add(tally.quarantined);
     }
-    for (dlabel, c) in &out.direct {
-        for (suffix, n) in [("sdc", c.sdc), ("due", c.due), ("masked", c.masked)] {
-            if n > 0 {
-                m.counter(&format!("direct.{dlabel}.{suffix}")).add(n);
-            }
-        }
+    for (dlabel, c) in &tally.direct {
+        add_outcomes(m, &format!("direct.{dlabel}"), c);
     }
     // Verdict strata: pruned totals per stratum, and simulated trials per
     // stratum broken down by outcome (a soundness dashboard — e.g. a
     // nonzero `campaign.verdict.store.due` would falsify the lattice).
-    for (s, c) in &out.strata_pruned {
+    for (s, c) in &tally.strata_pruned {
         m.counter(&format!("campaign.pruned.{s}")).add(c.total());
     }
-    for (s, c) in &out.strata_sim {
-        for (suffix, n) in [("sdc", c.sdc), ("due", c.due), ("masked", c.masked)] {
-            if n > 0 {
-                m.counter(&format!("campaign.verdict.{s}.{suffix}")).add(n);
-            }
-        }
+    for (s, c) in &tally.strata_sim {
+        add_outcomes(m, &format!("campaign.verdict.{s}"), c);
     }
     m.counter("campaign.shards").inc();
-    m.histogram("campaign.shard_micros").observe(out.micros);
-    let per_sec = out.trials.saturating_mul(1_000_000) / out.micros.max(1);
+    m.histogram("campaign.shard_micros").observe(micros);
+    let per_sec = tally.trials.saturating_mul(1_000_000) / micros.max(1);
     m.histogram("campaign.shard_trials_per_sec").observe(per_sec);
 }
 
-fn snapshot(
-    label: &str,
-    budget: &Budget,
-    shards_done: u32,
-    trials: u64,
-    counts: OutcomeCounts,
-    direct: &BTreeMap<String, OutcomeCounts>,
-) -> Checkpoint {
+/// Add `c` to the `{prefix}.{sdc,due,masked}` counters, skipping zeros.
+fn add_outcomes(m: &MetricsRegistry, prefix: &str, c: &OutcomeCounts) {
+    for (suffix, n) in [("sdc", c.sdc), ("due", c.due), ("masked", c.masked)] {
+        if n > 0 {
+            m.counter(&format!("{prefix}.{suffix}")).add(n);
+        }
+    }
+}
+
+fn snapshot(label: &str, budget: &Budget, shards_done: u32, tally: &Tally) -> Checkpoint {
     Checkpoint {
         label: label.to_string(),
         seed: budget.seed,
         shard_size: budget.shard_size,
         shards_done,
-        trials,
-        counts,
-        direct: direct.clone(),
+        trials: tally.trials,
+        counts: tally.counts,
+        direct: tally.direct.clone(),
     }
 }
 

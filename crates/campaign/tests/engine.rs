@@ -7,6 +7,7 @@
 use campaign::{Budget, Campaign, CampaignRun, Kind, Sampler, StopReason, TrialPlan};
 use gpu_arch::{DeviceModel, FunctionalUnit};
 use gpu_sim::{Executed, Target};
+use obs::{CampaignObserver, MetricsRegistry, Progress, SpanBus};
 use proptest::prelude::*;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
@@ -145,4 +146,40 @@ fn different_seeds_draw_different_streams() {
     let b = run(Bernoulli { sdc: 0.3, due: 0.2 }, Budget::fixed(512).seed(2), 1);
     assert_eq!(a.trials, b.trials);
     assert_ne!(a.counts, b.counts, "independent seeds produced identical tallies");
+}
+
+/// Per-trial telemetry comes from the in-order fold, so shards executed
+/// speculatively past the stop boundary and then discarded leave no
+/// trace: every per-trial signal agrees with the folded trial count.
+#[test]
+fn discarded_shards_leave_no_trial_telemetry() {
+    let device = DeviceModel::named("k40c-sim");
+    let target = microbench::arith(FunctionalUnit::Iadd);
+    let metrics = MetricsRegistry::new();
+    let progress = Progress::new("bernoulli", 4096, false);
+    let spans = SpanBus::new();
+    let observer = CampaignObserver {
+        metrics: Some(&metrics),
+        progress: Some(&progress),
+        spans: Some(&spans),
+    };
+    let (_, run) = Campaign::new(Bernoulli { sdc: 0.02, due: 0.0 }, &target, &device)
+        .budget(Budget::adaptive(64, 4096, 0.05).seed(9))
+        .workers(4)
+        .observer(observer)
+        .run_full()
+        .expect("bernoulli campaign cannot fail");
+    assert!(run.stop.stopped_early(), "the stop must discard speculative shards");
+
+    let snap = metrics.snapshot();
+    let trial_spans = spans.records().iter().filter(|r| r.cat == "trial").count() as u64;
+    let signals = [
+        ("trials counter", snap.counters.get("trials").copied().unwrap_or(0)),
+        ("campaign.trial_micros count", snap.histograms["campaign.trial_micros"].count),
+        ("Progress::done", progress.done()),
+        ("trial spans", trial_spans),
+    ];
+    for (what, n) in signals {
+        assert_eq!(n, run.trials, "{what} disagrees with run.trials");
+    }
 }
