@@ -14,8 +14,12 @@
 
 use campaign::{Budget, Campaign, SnapshotPolicy};
 use gpu_arch::{CodeGen, DeviceModel, Precision};
-use gpu_sim::{RunOptions, Target};
+use gpu_sim::{
+    BitFlip, Executed, FaultPlan, FetchEffect, MemQueueEffect, Persistence, RunOptions, SiteClass,
+    Target,
+};
 use injector::{Avf, HiddenAvf, Injector};
+use obs::{RecordingSink, TraceEvent};
 use workloads::{build, Benchmark, Scale};
 
 /// FNV-1a over a byte stream: a stable, dependency-free digest for
@@ -227,5 +231,295 @@ fn golden_counts_and_sites_record_pinned() {
             (total, counts_digest, sites_len, sites_digest),
             "golden counts / SitesRecord drifted for {name}"
         );
+    }
+}
+
+/// One lane a lane-boundary row aims its fault at, in each coordinate the
+/// trigger-carrying plan families count.
+struct Trigger {
+    /// What the lane is: its place in a converged warp instruction or
+    /// inside a partial run of same-pc lanes.
+    name: &'static str,
+    /// Thread index within the block of the lane the fault fires on.
+    lane: u32,
+    /// Linear block the lane belongs to.
+    block: u32,
+    /// GPR-writer site number of the lane's integer op.
+    gpr_nth: u64,
+    /// Dynamic index of that integer op (`Pc` and `Fetch` instants).
+    issue_at: u64,
+    /// Memory-op site number of the lane's global load.
+    mem_nth: u64,
+    /// Dynamic index of that load (register and global-memory strikes).
+    load_at: u64,
+    /// The load's address register, struck in the next lane.
+    load_reg: u8,
+    /// Byte the next lane's load reads.
+    next_load_addr: u32,
+    /// SETP site number of the lane's predicate write.
+    setp_nth: u64,
+    /// Dynamic index of the lane's shared load, and the byte the next
+    /// lane's shared load reads (no shared memory in FMXM: the strike
+    /// lands outside the allocation).
+    lds_at: u64,
+    next_lds_addr: u32,
+    /// Outcome digests, one per plan of [`lane_boundary_plans`].
+    digests: [u64; 11],
+}
+
+/// One plan of every trigger-carrying `FaultPlan` family, each aimed at
+/// `t`'s lane. Register and memory strikes land between the lane and the
+/// next one, on state the next lane reads at the same instruction.
+fn lane_boundary_plans(t: &Trigger) -> [(&'static str, FaultPlan); 11] {
+    let next = t.lane + 1;
+    [
+        (
+            "output",
+            FaultPlan::InstructionOutput {
+                nth: t.gpr_nth,
+                site: SiteClass::GprWriter,
+                flip: BitFlip::single(9),
+            },
+        ),
+        (
+            "output-set",
+            FaultPlan::InstructionOutputSet {
+                nth: t.gpr_nth,
+                site: SiteClass::GprWriter,
+                value: 0xdead_beef,
+            },
+        ),
+        ("mem-address", FaultPlan::MemAddress { nth: t.mem_nth, flip: BitFlip::single(4) }),
+        ("predicate", FaultPlan::PredicateOutput { nth: t.setp_nth }),
+        ("pc", FaultPlan::Pc { at: t.issue_at, flip: BitFlip::single(1) }),
+        (
+            "register-bit",
+            FaultPlan::RegisterBit {
+                block: t.block,
+                thread: next,
+                reg: t.load_reg,
+                flip: BitFlip::single(20),
+                at: t.load_at,
+            },
+        ),
+        (
+            "global-mem-bit",
+            FaultPlan::GlobalMemBit { byte: t.next_load_addr, bit: 30, at: t.load_at, mbu: false },
+        ),
+        (
+            "shared-mem-bit",
+            FaultPlan::SharedMemBit {
+                block: t.block,
+                byte: t.next_lds_addr,
+                bit: 3,
+                at: t.lds_at,
+                mbu: false,
+            },
+        ),
+        (
+            "memq-transient",
+            FaultPlan::MemQueue {
+                nth: t.mem_nth,
+                effect: MemQueueEffect::Replay,
+                persist: Persistence::Transient,
+            },
+        ),
+        (
+            "memq-stuck",
+            FaultPlan::MemQueue {
+                nth: t.mem_nth,
+                effect: MemQueueEffect::Drop,
+                persist: Persistence::StuckAt,
+            },
+        ),
+        (
+            "fetch",
+            FaultPlan::Fetch {
+                at: t.issue_at,
+                effect: FetchEffect::StaleReplay,
+                persist: Persistence::Transient,
+            },
+        ),
+    ]
+}
+
+/// FNV digest of everything a trial's outcome is made of: status, memory
+/// bytes, every `Counts` field and whether the plan triggered.
+fn outcome_digest(run: &Executed) -> u64 {
+    let c = &run.counts;
+    let counts = digest_u64s(
+        [c.total]
+            .iter()
+            .chain(c.per_unit.iter())
+            .chain(c.per_mix.iter())
+            .chain(c.warp_latency.iter())
+            .chain(c.warp_instrs.iter())
+            .copied()
+            .chain([
+                c.sites.gpr_writers,
+                c.sites.gpr_writers_no_half,
+                c.sites.loads,
+                c.sites.mem_ops,
+                c.sites.setp,
+            ]),
+    );
+    fnv1a(
+        format!("{:?}", run.status)
+            .into_bytes()
+            .into_iter()
+            .chain(run.memory.raw().iter().copied())
+            .chain(counts.to_le_bytes())
+            .chain([run.fault_triggered as u8]),
+    )
+}
+
+/// Faults that fire at the first, a middle and the last lane of a
+/// converged FMXM warp instruction, and at a lane inside a partial run of
+/// NW's divergent wavefront, give pinned outcomes for every
+/// trigger-carrying plan family. Issuing an instruction once per run of
+/// same-pc lanes must keep each hook on its lane. Each row also checks,
+/// from a traced run, that the fault fired on the lane it aims at.
+/// Digests were captured on the lane-at-a-time engine.
+#[test]
+fn lane_boundary_outcomes_pinned() {
+    let mxm = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda7, Scale::Tiny);
+    let nw = build(Benchmark::Nw, Precision::Int32, CodeGen::Cuda7, Scale::Tiny);
+    // FMXM: block 1, warp 0 (global warp 2) runs IMAD at idx 19200, LDG
+    // at 19392 and ISETP at 19904 as converged 32-lane instructions.
+    let converged = |name, lane: u32, next_load_addr, digests| Trigger {
+        name,
+        lane,
+        block: 1,
+        gpr_nth: 16384 + lane as u64,
+        issue_at: 19200 + lane as u64,
+        mem_nth: 2752 + lane as u64,
+        load_at: 19392 + lane as u64,
+        load_reg: 8,
+        next_load_addr,
+        setp_nth: 1344 + lane as u64,
+        lds_at: 19392 + lane as u64,
+        next_lds_addr: 0,
+        digests,
+    };
+    let cases = [
+        (
+            &mxm,
+            converged(
+                "FMXM first lane",
+                0,
+                20,
+                [
+                    13013771464315852174,
+                    7657369248533707699,
+                    7988498804485300974,
+                    13004380178626444543,
+                    10780924105836251027,
+                    13490922538361083051,
+                    14564673696871187266,
+                    6888000114122540466,
+                    16142665647704523613,
+                    6471316670812431697,
+                    462634776330234208,
+                ],
+            ),
+        ),
+        (
+            &mxm,
+            converged(
+                "FMXM middle lane",
+                16,
+                148,
+                [
+                    15962419814062240649,
+                    3247497996934429846,
+                    12279004124243259080,
+                    9112981702817368664,
+                    4773448181989418615,
+                    1365556119726808708,
+                    8800470532756009509,
+                    6888000114122540466,
+                    16142665647704523613,
+                    6471316670812431697,
+                    197409286511564635,
+                ],
+            ),
+        ),
+        (
+            &mxm,
+            converged(
+                "FMXM last lane",
+                31,
+                276,
+                [
+                    9740017349357769233,
+                    7948940990773854156,
+                    13485557284349019066,
+                    14750173354255333339,
+                    13919190832654277167,
+                    13767675934363822703,
+                    10524176511339249115,
+                    6888000114122540466,
+                    16142665647704523613,
+                    6471316670812431697,
+                    1365176180991583427,
+                ],
+            ),
+        ),
+        (
+            // NW's 16-lane warp: lane 6 of 12-lane runs at IADD (idx
+            // 4728) and LDG (4764), and of 13-lane runs at LDS (5094)
+            // and ISETP (5146).
+            &nw,
+            Trigger {
+                name: "NW partial run",
+                lane: 6,
+                block: 0,
+                gpr_nth: 3308,
+                issue_at: 4734,
+                mem_nth: 562,
+                load_at: 4770,
+                load_reg: 15,
+                next_load_addr: 688,
+                setp_nth: 692,
+                lds_at: 5100,
+                next_lds_addr: 28,
+                digests: [
+                    4890617365007089323,
+                    4890617365007089323,
+                    10174392976230468391,
+                    10174392976230468391,
+                    15414518331820228584,
+                    17268595681072214366,
+                    2412599640625327374,
+                    11995488060262732595,
+                    6752292809623589270,
+                    15731033695766552031,
+                    809224809930066064,
+                ],
+            },
+        ),
+    ];
+    let device = DeviceModel::named("k40c-sim");
+    for (w, t) in &cases {
+        let watchdog = 4 * w.execute(&device, &RunOptions::golden()).counts.total;
+        let mut got = [0u64; 11];
+        for (i, (family, plan)) in lane_boundary_plans(t).into_iter().enumerate() {
+            let opts = RunOptions::trial(plan).ecc(false).watchdog(watchdog);
+            let run = w.execute(&device, &opts);
+            got[i] = outcome_digest(&run);
+            let mut sink = RecordingSink::new();
+            let traced = w.execute_traced(&device, &opts, &mut sink);
+            assert_eq!(outcome_digest(&traced), got[i], "{}/{family}: sink perturbed", t.name);
+            let fired = sink.events.iter().find_map(|e| match *e {
+                TraceEvent::FaultInjected { idx, .. } => Some(idx),
+                _ => None,
+            });
+            let lane = sink.events.iter().find_map(|e| match *e {
+                TraceEvent::InstrRetired { idx, lane, .. } if Some(idx) == fired => Some(lane),
+                _ => None,
+            });
+            assert_eq!(lane, Some(t.lane), "{}/{family} fired off its lane", t.name);
+        }
+        assert_eq!(got, t.digests, "{} lane-boundary outcomes drifted", t.name);
     }
 }

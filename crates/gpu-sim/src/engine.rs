@@ -3,9 +3,11 @@
 //!
 //! Blocks execute sequentially (the paper's workloads have no inter-block
 //! synchronization); threads within a block execute in a fixed round-robin
-//! order, one instruction per turn, warp by warp. This makes the global
-//! dynamic-instruction counter — the coordinate system every [`FaultPlan`]
-//! uses — fully deterministic.
+//! order, warp by warp, each lane one instruction per turn. A warp's lanes
+//! that sit at the same pc form a run: the instruction is fetched and
+//! decoded once per run, then executed lane by lane in lane order. This
+//! makes the global dynamic-instruction counter — the coordinate system
+//! every [`FaultPlan`] uses — fully deterministic.
 
 use crate::error::SimError;
 use crate::fault::{
@@ -15,8 +17,8 @@ use crate::memory::{GlobalMemory, SharedMemory};
 use crate::snapshot::{ClassTallies, EngineSnapshot, SNAPSHOT_CAP};
 use crate::timing::{self, TimingReport};
 use gpu_arch::{
-    CmpOp, DecodedKernel, DeviceModel, FunctionalUnit, Instr, InstrMeta, Kernel, LaunchConfig,
-    MemWidth, MixCategory, Op, Operand, Reg, SpecialReg, WARP_SIZE,
+    CmpOp, DeviceModel, FunctionalUnit, Instr, InstrMeta, Kernel, LaunchConfig, MemWidth,
+    MixCategory, Op, Operand, Reg, SpecialReg, WARP_SIZE,
 };
 use obs::{MemSpace, TraceEvent, TraceSink};
 use softfloat::F16;
@@ -519,7 +521,7 @@ pub fn try_run_with_sink<'a>(
     if let Some(s) = sink.as_deref_mut() {
         s.event(&TraceEvent::PhaseBegin { idx: 0, phase: "decode" });
     }
-    let decoded = DecodedKernel::new(kernel);
+    let metas: Vec<InstrMeta> = kernel.instrs.iter().map(InstrMeta::new).collect();
     if let Some(s) = sink.as_deref_mut() {
         s.event(&TraceEvent::PhaseEnd { idx: 0, phase: "decode" });
     }
@@ -585,7 +587,7 @@ pub fn try_run_with_sink<'a>(
             ctx.current_block = block_linear;
             let window_start = ctx.dyn_count;
             emit!(ctx, TraceEvent::PhaseBegin { idx: window_start, phase: "block" });
-            let result = run_block(&mut ctx, &decoded, bx, by, block_linear, init);
+            let result = run_block(&mut ctx, &metas, bx, by, block_linear, init);
             emit!(ctx, TraceEvent::PhaseEnd { idx: ctx.dyn_count, phase: "block" });
             if let Some(rec) = ctx.record.as_mut() {
                 rec.block_windows.push((window_start, ctx.dyn_count));
@@ -663,7 +665,7 @@ fn capture_snapshot(
 
 fn run_block(
     ctx: &mut Ctx<'_>,
-    decoded: &DecodedKernel,
+    metas: &[InstrMeta],
     bx: u32,
     by: u32,
     block_linear: u32,
@@ -702,6 +704,10 @@ fn run_block(
     };
 
     let nwarps = nthreads.div_ceil(WARP_SIZE as usize);
+    let warps_per_block = ctx.launch.warps_per_block() as usize;
+    // A fetch fault rewrites one lane's pc just before that lane fetches,
+    // so under a fetch plan every lane issues on its own.
+    let lane_fetch = matches!(ctx.opts.fault, FaultPlan::Fetch { .. });
 
     loop {
         if let Some(cap) = &ctx.cap {
@@ -720,62 +726,79 @@ fn run_block(
         for w in 0..nwarps {
             let lo = w * WARP_SIZE as usize;
             let hi = (lo + WARP_SIZE as usize).min(nthreads);
+            // Bit `i` stands for lane `lo + i`. Only a lane's own step
+            // changes its pc or state during the warp's turn, so the lanes
+            // still pending keep the pc they had when the turn began.
+            let mut pending = threads[lo..hi]
+                .iter()
+                .enumerate()
+                .fold(0u32, |m, (i, t)| m | ((t.state == TState::Running) as u32) << i);
+            if pending == 0 {
+                continue;
+            }
+            all_done = false;
             if round.skip == Some(w) {
                 // The scheduler passes this warp over. A transient
                 // priority glitch still counts as scheduler progress (the
                 // warp runs next round); a stuck entry starves the warp —
                 // if nothing else can proceed, that is a scheduler stall,
                 // not a barrier deadlock.
-                if threads[lo..hi].iter().any(|t| t.state == TState::Running) {
-                    all_done = false;
-                    if round.stuck {
-                        starved = true;
-                    } else {
-                        progress = true;
-                    }
+                if round.stuck {
+                    starved = true;
+                } else {
+                    progress = true;
                 }
                 continue;
             }
-            let mut lane = lo;
-            while lane < hi {
-                if threads[lane].state != TState::Running {
-                    lane += 1;
-                    continue;
+            let at = WarpPos {
+                bx,
+                by,
+                block: block_linear,
+                in_block: w as u32,
+                global: block_linear as usize * warps_per_block + w,
+            };
+            while pending != 0 {
+                let first = lo + pending.trailing_zeros() as usize;
+                if lane_fetch {
+                    hidden_fetch_fault(ctx, &mut threads, first)?;
                 }
-                all_done = false;
-                hidden_fetch_fault(ctx, &mut threads, lane)?;
-                let pc = threads[lane].pc;
+                let pc = threads[first].pc;
+                // The run: the pending lanes from `first` on, up to the
+                // first one at another pc.
+                let mut run = 0u32;
+                while pending != 0 && threads[lo + pending.trailing_zeros() as usize].pc == pc {
+                    run |= pending & pending.wrapping_neg();
+                    pending &= pending - 1;
+                    if lane_fetch {
+                        break;
+                    }
+                }
                 if pc as usize >= kernel.instrs.len() {
                     return Err(DueKind::IllegalPc);
                 }
                 let ins = &kernel.instrs[pc as usize];
-                let meta = decoded.meta(pc);
+                let meta = &metas[pc as usize];
 
                 if meta.is_warp_sync {
-                    // Warp-synchronous: every non-exited lane must sit at
-                    // this pc. Stall this lane until they do.
-                    let mut aligned = true;
-                    for t in &threads[lo..hi] {
-                        match t.state {
-                            TState::Running => {
-                                if t.pc != pc {
-                                    aligned = false;
-                                }
-                            }
-                            TState::AtBarrier => aligned = false,
-                            TState::Exited => return Err(DueKind::BarrierDeadlock),
-                        }
+                    // Warp-synchronous: issues once every lane of the warp
+                    // is running at this pc. A run over the whole warp is
+                    // that; otherwise lanes that stepped earlier in this
+                    // turn may just have arrived, so look at the warp.
+                    let whole_warp = run == u32::MAX >> (WARP_SIZE as usize - (hi - lo));
+                    if !whole_warp && !warp_converged_at(&threads[lo..hi], pc)? {
+                        continue; // the other lanes will catch up
                     }
-                    if !aligned {
-                        lane += 1;
-                        continue; // other lanes will catch up
-                    }
+                    // One warp instruction: account it once, on the owning
+                    // warp's slot; its destination write is one site.
+                    retire::<false>(ctx, meta, at.global, u32::MAX, pc)?;
+                    note_gpr_site(ctx, meta, pc);
+                    let warp = &mut threads[lo..hi];
                     if meta.is_mma {
-                        exec_mma(ctx, meta, &mut threads, lo, hi, ins)?;
+                        exec_mma(ctx, meta, warp, ins);
                     } else {
-                        exec_shfl(ctx, meta, &mut threads, lo, hi, ins)?;
+                        exec_shfl(ctx, meta, warp, ins);
                     }
-                    for t in threads[lo..hi].iter_mut() {
+                    for t in warp.iter_mut() {
                         t.pc = pc + 1;
                     }
                     progress = true;
@@ -783,20 +806,30 @@ fn run_block(
                     break;
                 }
 
-                step(
-                    ctx,
-                    ins,
-                    meta,
-                    &mut threads,
-                    lane,
-                    bx,
-                    by,
-                    block_linear,
-                    w as u32,
-                    &mut shared,
-                )?;
+                // Execute the run in lane order. A bulk run skips each
+                // lane's retire bookkeeping and timed-fault hook, and adds
+                // its counts once for the lanes that ran, counting one
+                // that raised a DUE.
+                let bulk = run & (run - 1) != 0 && quiet(ctx, run.count_ones() as u64);
+                let mut lanes = run;
+                let stepped = loop {
+                    let lane = lo + lanes.trailing_zeros() as usize;
+                    lanes &= lanes - 1;
+                    let stepped = if bulk {
+                        step::<true>(ctx, ins, meta, &mut threads, lane, at, &mut shared)
+                    } else {
+                        step::<false>(ctx, ins, meta, &mut threads, lane, at, &mut shared)
+                    };
+                    if stepped.is_err() || lanes == 0 {
+                        break stepped;
+                    }
+                };
+                if bulk {
+                    let ran = run.count_ones() - lanes.count_ones();
+                    account(ctx, meta, at.global, ran as u64);
+                }
+                stepped?;
                 progress = true;
-                lane += 1;
             }
         }
 
@@ -864,6 +897,64 @@ fn release_barrier(ctx: &mut Ctx<'_>, threads: &mut [Thread], block_linear: u32)
             ctx,
             TraceEvent::BarrierRelease { idx: ctx.dyn_count, block: block_linear, lanes: released }
         );
+    }
+}
+
+/// Whether every lane of `warp` is running at `pc`, so a warp-synchronous
+/// op there can issue. An exited lane never arrives: the warp deadlocks.
+#[cold]
+fn warp_converged_at(warp: &[Thread], pc: u32) -> Result<bool, DueKind> {
+    if warp.iter().any(|t| t.state == TState::Exited) {
+        return Err(DueKind::BarrierDeadlock);
+    }
+    Ok(warp.iter().all(|t| t.state == TState::Running && t.pc == pc))
+}
+
+/// Where an issuing warp sits: its block's grid coordinates and linear
+/// index, its index within the block and its global warp index.
+#[derive(Clone, Copy)]
+struct WarpPos {
+    bx: u32,
+    by: u32,
+    block: u32,
+    in_block: u32,
+    global: usize,
+}
+
+/// Whether the next `n` lanes to retire can do so in bulk: no fault hook
+/// can fire at any of them, the watchdog cannot trip and no cancel poll
+/// falls among them. They take the dynamic indices `[start, start + n)`
+/// and tick each fault-hook counter at most once apiece.
+fn quiet(ctx: &Ctx<'_>, n: u64) -> bool {
+    let start = ctx.dyn_count;
+    let end = start + n;
+    if end > ctx.opts.watchdog_limit
+        || (ctx.opts.cancel.is_some() && start / CANCEL_POLL_INTERVAL != end / CANCEL_POLL_INTERVAL)
+    {
+        return false;
+    }
+    let outside = |target: u64, counter: u64| target < counter || target >= counter + n;
+    match ctx.opts.fault {
+        // Hidden scheduler, mask and barrier faults fire between rounds.
+        FaultPlan::None
+        | FaultPlan::SchedulerNextPc { .. }
+        | FaultPlan::SchedulerPriority { .. }
+        | FaultPlan::ActiveMask { .. }
+        | FaultPlan::BarrierCounter { .. } => true,
+        FaultPlan::InstructionOutput { nth, .. } | FaultPlan::InstructionOutputSet { nth, .. } => {
+            outside(nth, ctx.site_matches)
+        }
+        FaultPlan::MemAddress { nth, .. }
+        | FaultPlan::MemQueue { nth, persist: Persistence::Transient, .. } => {
+            outside(nth, ctx.mem_ops)
+        }
+        FaultPlan::MemQueue { nth, persist: Persistence::StuckAt, .. } => ctx.mem_ops + n <= nth,
+        FaultPlan::PredicateOutput { nth } => outside(nth, ctx.setp_ops),
+        FaultPlan::Pc { at, .. }
+        | FaultPlan::RegisterBit { at, .. }
+        | FaultPlan::GlobalMemBit { at, .. }
+        | FaultPlan::SharedMemBit { at, .. } => outside(at, start),
+        FaultPlan::Fetch { .. } => false,
     }
 }
 
@@ -1017,12 +1108,13 @@ fn hidden_fetch_fault(
     Ok(())
 }
 
-/// Account one retired instruction of `global_warp` at `pc` and report it
+/// Number one retired instruction of `global_warp` at `pc` and report it
 /// to the sink; `lane` is the thread index within the block, or `u32::MAX`
-/// for a warp-wide instruction. Returns the global dynamic index the
+/// for a warp-wide instruction. Unless `BULK`, also account it and run the
+/// watchdog and cancel checks. Returns the global dynamic index the
 /// instruction received.
 #[inline]
-fn retire(
+fn retire<const BULK: bool>(
     ctx: &mut Ctx<'_>,
     meta: &InstrMeta,
     global_warp: usize,
@@ -1031,25 +1123,16 @@ fn retire(
 ) -> Result<u64, DueKind> {
     let idx = ctx.dyn_count;
     ctx.dyn_count += 1;
-    ctx.counts.total += 1;
-    ctx.counts.per_unit[meta.unit_index as usize] += 1;
-    ctx.counts.per_mix[meta.mix_index as usize] += 1;
-    if let Some(slot) = ctx.counts.warp_latency.get_mut(global_warp) {
-        // The slot accumulates *lane*-granularity latency; the timing
-        // model divides by the warp width to recover the warp's serial
-        // chain. Warp-wide MMA's addend is pre-scaled by the warp width.
-        *slot += meta.warp_latency_add;
-    }
-    if let Some(slot) = ctx.counts.warp_instrs.get_mut(global_warp) {
-        *slot += 1;
-    }
-    if ctx.dyn_count > ctx.opts.watchdog_limit {
-        return Err(DueKind::Watchdog);
-    }
-    if ctx.dyn_count.is_multiple_of(CANCEL_POLL_INTERVAL) {
-        if let Some(cancel) = &ctx.opts.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                return Err(DueKind::HostWatchdog);
+    if !BULK {
+        account(ctx, meta, global_warp, 1);
+        if ctx.dyn_count > ctx.opts.watchdog_limit {
+            return Err(DueKind::Watchdog);
+        }
+        if ctx.dyn_count.is_multiple_of(CANCEL_POLL_INTERVAL) {
+            if let Some(cancel) = &ctx.opts.cancel {
+                if cancel.load(Ordering::Relaxed) {
+                    return Err(DueKind::HostWatchdog);
+                }
             }
         }
     }
@@ -1065,6 +1148,23 @@ fn retire(
         }
     );
     Ok(idx)
+}
+
+/// Add `n` retired instructions of `global_warp` at one pc to the counts.
+#[inline]
+fn account(ctx: &mut Ctx<'_>, meta: &InstrMeta, global_warp: usize, n: u64) {
+    ctx.counts.total += n;
+    ctx.counts.per_unit[meta.unit_index as usize] += n;
+    ctx.counts.per_mix[meta.mix_index as usize] += n;
+    if let Some(slot) = ctx.counts.warp_latency.get_mut(global_warp) {
+        // The slot accumulates *lane*-granularity latency; the timing
+        // model divides by the warp width to recover the warp's serial
+        // chain. Warp-wide MMA's addend is pre-scaled by the warp width.
+        *slot += meta.warp_latency_add * n;
+    }
+    if let Some(slot) = ctx.counts.warp_instrs.get_mut(global_warp) {
+        *slot += n;
+    }
 }
 
 /// Note one dynamic GPR-writer site at `pc`: its population tick, its
@@ -1253,24 +1353,23 @@ fn f16_of(bits: u32) -> F16 {
     F16::from_bits(bits as u16)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn step(
+/// Execute one lane's instruction: the one body every scalar op runs
+/// through, whether its run retires in bulk or not. A `BULK` lane skips
+/// its retire bookkeeping and timed-fault hook; only a run [`quiet`]
+/// admits may run in bulk.
+fn step<const BULK: bool>(
     ctx: &mut Ctx<'_>,
     ins: &Instr,
     meta: &InstrMeta,
     threads: &mut [Thread],
     lane: usize,
-    bx: u32,
-    by: u32,
-    block_linear: u32,
-    warp_in_block: u32,
+    at: WarpPos,
     shared: &mut SharedMemory,
 ) -> Result<(), DueKind> {
     let pc = threads[lane].pc;
-    let global_warp =
-        block_linear as usize * ctx.launch.warps_per_block() as usize + warp_in_block as usize;
+    let WarpPos { bx, by, block: block_linear, in_block: warp_in_block, global: global_warp } = at;
 
-    let executed_idx = retire(ctx, meta, global_warp, lane as u32, pc)?;
+    let executed_idx = retire::<BULK>(ctx, meta, global_warp, lane as u32, pc)?;
 
     // Guard check: a predicated-off instruction issues (and is counted)
     // but has no architectural effect.
@@ -1295,6 +1394,9 @@ fn step(
             );
         }
         threads[lane].pc = pc + 1;
+        if BULK {
+            return Ok(());
+        }
         return apply_timed_faults(ctx, threads, lane, block_linear, shared, executed_idx);
     }
 
@@ -1653,6 +1755,9 @@ fn step(
     }
 
     threads[lane].pc = next_pc;
+    if BULK {
+        return Ok(());
+    }
     apply_timed_faults(ctx, threads, lane, block_linear, shared, executed_idx)
 }
 
@@ -1663,15 +1768,8 @@ fn step(
 /// register starting at the named base register. The C/D fragment is
 /// binary16-packed for `HMMA` and one binary32 per register for `FMMA`.
 /// Products accumulate in binary32 and round once at the end (HMMA).
-fn exec_mma(
-    ctx: &mut Ctx<'_>,
-    meta: &InstrMeta,
-    threads: &mut [Thread],
-    lo: usize,
-    hi: usize,
-    ins: &Instr,
-) -> Result<(), DueKind> {
-    debug_assert_eq!(hi - lo, WARP_SIZE as usize, "setup rejects MMA on partial warps");
+fn exec_mma(ctx: &mut Ctx<'_>, meta: &InstrMeta, warp: &mut [Thread], ins: &Instr) {
+    debug_assert_eq!(warp.len(), WARP_SIZE as usize, "setup rejects MMA on partial warps");
     let (Some(a), Some(b), Some(c)) = (ins.srcs[0].reg(), ins.srcs[1].reg(), ins.srcs[2].reg())
     else {
         unreachable!("validated MMA has register fragments")
@@ -1679,18 +1777,10 @@ fn exec_mma(
     let (a_base, b_base, c_base) = (a.0 as usize, b.0 as usize, c.0 as usize);
     let is_hmma = ins.op == Op::Hmma;
 
-    // One warp instruction: account it once, on the owning warp's slot.
-    let warp_in_block = lo / WARP_SIZE as usize;
-    let global_warp =
-        ctx.current_block as usize * ctx.launch.warps_per_block() as usize + warp_in_block;
-    retire(ctx, meta, global_warp, u32::MAX, threads[lo].pc)?;
-    note_gpr_site(ctx, meta, threads[lo].pc); // the D-fragment write
-
     let mut a_m = [[0f32; 16]; 16];
     let mut b_m = [[0f32; 16]; 16];
     let mut c_m = [[0f32; 16]; 16];
-    for l in 0..32 {
-        let th = &threads[lo + l];
+    for (l, th) in warp.iter().enumerate() {
         for j in 0..8 {
             let idx = l * 8 + j;
             let (row, col) = (idx / 16, idx % 16);
@@ -1738,8 +1828,7 @@ fn exec_mma(
         }
     }
 
-    for l in 0..32 {
-        let th = &mut threads[lo + l];
+    for (l, th) in warp.iter_mut().enumerate() {
         for j in 0..8 {
             let idx = l * 8 + j;
             let (row, col) = (idx / 16, idx % 16);
@@ -1757,58 +1846,39 @@ fn exec_mma(
         }
     }
 
-    // Timed faults (RF/memory strikes) landing exactly on an MMA instant
-    // are not applied mid-MMA; the next scalar instruction applies them.
-    Ok(())
+    // Timed faults (register/memory strikes, PC corruption) are matched
+    // only against scalar instructions' indices (`at == executed_idx` in
+    // `apply_timed_faults`), so one whose instant is this MMA's index is
+    // never applied: the strike is lost. Warp-wide SHFL loses them alike.
 }
 
 /// Execute a warp-synchronous shuffle: every lane reads `srcs[0]` from
 /// the lane selected by the mode and `srcs[1]`, simultaneously.
-fn exec_shfl(
-    ctx: &mut Ctx<'_>,
-    meta: &InstrMeta,
-    threads: &mut [Thread],
-    lo: usize,
-    hi: usize,
-    ins: &Instr,
-) -> Result<(), DueKind> {
+fn exec_shfl(ctx: &mut Ctx<'_>, meta: &InstrMeta, warp: &mut [Thread], ins: &Instr) {
     let Op::Shfl(mode) = ins.op else { unreachable!("exec_shfl on non-SHFL") };
-    let warp_in_block = lo / WARP_SIZE as usize;
-    let global_warp =
-        ctx.current_block as usize * ctx.launch.warps_per_block() as usize + warp_in_block;
-    retire(ctx, meta, global_warp, u32::MAX, threads[lo].pc)?;
-    note_gpr_site(ctx, meta, threads[lo].pc);
-
-    let width = hi - lo;
-    // Gather every lane's source value and selector first (simultaneous
-    // exchange semantics).
-    let mut values = Vec::with_capacity(width);
-    let mut sels = Vec::with_capacity(width);
-    for l in 0..width {
-        let th = &threads[lo + l];
-        let v = match ins.srcs[0] {
-            Operand::Reg(r) => th.reg(r),
-            Operand::Imm(i) => i,
-            Operand::None => 0,
-        };
-        let sel = match ins.srcs[1] {
-            Operand::Reg(r) => th.reg(r),
-            Operand::Imm(i) => i,
-            Operand::None => 0,
-        };
-        values.push(v);
-        sels.push(sel);
-    }
-    let mut results = Vec::with_capacity(width);
-    for (l, &sel) in sels.iter().enumerate() {
-        let src_lane = match mode {
-            gpu_arch::ShflMode::Idx => (sel as usize) % width.max(1),
-            gpu_arch::ShflMode::Up => l.saturating_sub(sel as usize),
-            gpu_arch::ShflMode::Down => (l + sel as usize).min(width - 1),
-            gpu_arch::ShflMode::Bfly => (l ^ (sel as usize)) % width.max(1),
-        };
-        results.push(values[src_lane]);
-    }
+    let width = warp.len();
+    let operand = |th: &Thread, o: Operand| match o {
+        Operand::Reg(r) => th.reg(r),
+        Operand::Imm(i) => i,
+        Operand::None => 0,
+    };
+    // Every lane reads the pre-exchange values (simultaneous exchange
+    // semantics).
+    let values: Vec<u32> = warp.iter().map(|th| operand(th, ins.srcs[0])).collect();
+    let mut results: Vec<u32> = warp
+        .iter()
+        .enumerate()
+        .map(|(l, th)| {
+            let sel = operand(th, ins.srcs[1]) as usize;
+            let src_lane = match mode {
+                gpu_arch::ShflMode::Idx => sel % width.max(1),
+                gpu_arch::ShflMode::Up => l.saturating_sub(sel),
+                gpu_arch::ShflMode::Down => (l + sel).min(width - 1),
+                gpu_arch::ShflMode::Bfly => (l ^ sel) % width.max(1),
+            };
+            values[src_lane]
+        })
+        .collect();
     // One output fault can land on one lane's result.
     if let Some(c) = output_fault(ctx, meta) {
         let nth = match ctx.opts.fault {
@@ -1819,8 +1889,7 @@ fn exec_shfl(
         let lane = (nth as usize) % width.max(1);
         results[lane] = c.apply32(results[lane]);
     }
-    for (l, v) in results.into_iter().enumerate() {
-        threads[lo + l].set_reg(ins.dst, v);
+    for (th, v) in warp.iter_mut().zip(results) {
+        th.set_reg(ins.dst, v);
     }
-    Ok(())
 }

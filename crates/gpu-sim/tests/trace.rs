@@ -217,3 +217,58 @@ fn due_run_ends_with_due_event() {
     // The DUE event is the last thing the engine emits.
     assert!(matches!(sink.events.last(), Some(TraceEvent::DueRaised { .. })));
 }
+
+/// FNV-1a over a byte stream: a stable, dependency-free digest for
+/// pinning a whole event stream without pasting it.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The full event stream is pinned, not just its determinism: issuing an
+/// instruction once for a run of same-pc lanes must not reorder any
+/// `InstrRetired`/`MemAccess`/`Branch`/barrier event, nor change an
+/// `idx`. These digests were captured on the lane-at-a-time engine.
+#[test]
+fn event_streams_pinned() {
+    let device = DeviceModel::named("k40c");
+    let (kernel, launch, mem) = saxpy_setup(64, 2.0);
+    let faulty = RunOptions::trial(FaultPlan::InstructionOutput {
+        nth: 37,
+        site: SiteClass::FloatArith,
+        flip: BitFlip::single(7),
+    });
+    let barrier = barrier_kernel(64);
+    let cases = [
+        (
+            "saxpy golden",
+            &kernel,
+            &launch,
+            mem.clone(),
+            RunOptions::golden(),
+            (2400740797243009824u64, 1288usize),
+        ),
+        ("saxpy faulty", &kernel, &launch, mem, faulty, (9904125528927538005, 1289)),
+        (
+            "barrier golden",
+            &barrier,
+            &LaunchConfig::new(1, 64, vec![0]),
+            GlobalMemory::new(4),
+            RunOptions::golden(),
+            (16051410711945721197, 1164),
+        ),
+    ];
+    for (name, kernel, launch, mem, opts, (digest, len)) in cases {
+        let (_, sink) = record(&device, kernel, launch, mem, &opts);
+        let jsonl = sink.to_jsonl();
+        assert_eq!(
+            (fnv1a(&jsonl), sink.events.len()),
+            (digest, len),
+            "{name} event stream drifted"
+        );
+    }
+}
