@@ -10,8 +10,9 @@
 //! trajectory per commit.
 //!
 //! The campaign section measures trials/second twice — with the golden
-//! snapshot fast-forward (DESIGN.md §16) enabled and disabled — and
-//! reports the speedup, plus a snapshot-cache size report
+//! snapshot fast-forward and block-boundary exit (DESIGN.md §16) enabled
+//! and disabled — and reports the speedup and the share of executed
+//! trials that exited early, plus a snapshot-cache size report
 //! (`BENCH_sim_throughput_snapshot_cache.txt`, override with
 //! `BENCH_SNAPSHOT_CACHE_PATH`) for the CI artifact.
 //!
@@ -26,6 +27,7 @@ use gpu_arch::{CodeGen, DeviceModel, Precision};
 use gpu_sim::Target;
 use injector::{Avf, Injector};
 use obs::json::{object, Json};
+use obs::{CampaignObserver, MetricsRegistry};
 use std::hint::black_box;
 use std::time::Instant;
 use workloads::{build, Benchmark, Scale, Workload};
@@ -85,6 +87,9 @@ struct CampaignMeasurement {
     best_secs: f64,
     mean_secs: f64,
     samples: usize,
+    /// Share of executed trials that ended at a block boundary; `NaN`
+    /// when the exit was not armed.
+    exit_share: f64,
 }
 
 impl CampaignMeasurement {
@@ -102,18 +107,23 @@ fn measure_campaign(
     budget_secs: f64,
     min_samples: usize,
 ) -> CampaignMeasurement {
-    let run_once = || {
+    let run_once = |observer| {
         Campaign::new(Avf::new(Injector::NvBitFi), workload, device)
             .budget(Budget::fixed(trials).seed(2021).snapshots(snapshots))
+            .observer(observer)
             .run()
             .expect("throughput campaign failed")
     };
-    black_box(run_once()); // warm the golden cache
+    // Warm the golden cache, counting where trials ended.
+    let metrics = MetricsRegistry::new();
+    black_box(run_once(CampaignObserver::with_metrics(&metrics)));
+    let exited = metrics.counter("campaign.exit.block").get() as f64;
+    let exit_share = exited / (exited + metrics.counter("campaign.exit.none").get() as f64);
     let mut samples = Vec::new();
     let start = Instant::now();
     while samples.len() < min_samples || start.elapsed().as_secs_f64() < budget_secs {
         let t = Instant::now();
-        black_box(run_once());
+        black_box(run_once(CampaignObserver::none()));
         samples.push(t.elapsed().as_secs_f64());
     }
     let best = samples.iter().copied().fold(f64::INFINITY, f64::min);
@@ -124,6 +134,7 @@ fn measure_campaign(
         best_secs: best,
         mean_secs: mean,
         samples: samples.len(),
+        exit_share,
     }
 }
 
@@ -166,7 +177,7 @@ fn main() {
 
     // Campaign trials/sec, snapshots on vs off: the same workload, seed
     // and trial count, differing only in the fast-forward policy — so the
-    // ratio is the speedup the snapshot layer buys.
+    // ratio is the speedup the snapshot layer, block exit included, buys.
     let campaign_trials = if smoke { 50 } else { 200 };
     let mxm_tiny = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10, Scale::Tiny);
     let kepler = DeviceModel::named("k40c-sim");
@@ -192,9 +203,10 @@ fn main() {
     ];
     for m in &campaign_results {
         println!(
-            "sim_throughput/{:<32} {:>8.1} trials/s  (best {:.3} ms, mean {:.3} ms, {} trials, {} samples)",
+            "sim_throughput/{:<32} {:>8.1} trials/s  exit share {:.2}  (best {:.3} ms, mean {:.3} ms, {} trials, {} samples)",
             m.name,
             m.trials_per_sec(),
+            m.exit_share,
             m.best_secs * 1e3,
             m.mean_secs * 1e3,
             m.trials,
@@ -204,7 +216,7 @@ fn main() {
     let snap_rate = campaign_results[0].trials_per_sec();
     let nosnap_rate = campaign_results[1].trials_per_sec();
     let speedup = snap_rate / nosnap_rate;
-    println!("sim_throughput/snapshot_fastforward_speedup {speedup:>8.2}x (snapshots {snap_rate:.1} vs from-zero {nosnap_rate:.1} trials/s)");
+    println!("sim_throughput/snapshot_fastforward_speedup {speedup:>8.2}x (snapshots and block exit {snap_rate:.1} vs from-zero {nosnap_rate:.1} trials/s)");
 
     let path = std::env::var("BENCH_JSON_PATH")
         .unwrap_or_else(|_| "BENCH_sim_throughput.json".to_string());
@@ -224,6 +236,7 @@ fn main() {
             ("best_secs", Json::Num(m.best_secs)),
             ("mean_secs", Json::Num(m.mean_secs)),
             ("trials_per_sec", Json::Num(m.trials_per_sec())),
+            ("exit_share", Json::Num(m.exit_share)),
         ])
     });
     let snapshots = object([

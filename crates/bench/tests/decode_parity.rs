@@ -20,7 +20,8 @@ use gpu_sim::{
 };
 use injector::{Avf, HiddenAvf, Injector};
 use obs::{RecordingSink, TraceEvent};
-use workloads::{build, Benchmark, Scale};
+use std::sync::Arc;
+use workloads::{build, Benchmark, Scale, Workload};
 
 /// FNV-1a over a byte stream: a stable, dependency-free digest for
 /// pinning vectors of counters without pasting thousands of values.
@@ -373,17 +374,9 @@ fn outcome_digest(run: &Executed) -> u64 {
     )
 }
 
-/// Faults that fire at the first, a middle and the last lane of a
-/// converged FMXM warp instruction, and at a lane inside a partial run of
-/// NW's divergent wavefront, give pinned outcomes for every
-/// trigger-carrying plan family. Issuing an instruction once per run of
-/// same-pc lanes must keep each hook on its lane. Each row also checks,
-/// from a traced run, that the fault fired on the lane it aims at.
-/// Digests were captured on the lane-at-a-time engine.
-#[test]
-fn lane_boundary_outcomes_pinned() {
-    let mxm = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda7, Scale::Tiny);
-    let nw = build(Benchmark::Nw, Precision::Int32, CodeGen::Cuda7, Scale::Tiny);
+/// The cases of [`lane_boundary_outcomes_pinned`]: lanes of FMXM's
+/// converged warp instructions and of NW's partial runs.
+fn lane_boundary_cases<'w>(mxm: &'w Workload, nw: &'w Workload) -> [(&'w Workload, Trigger); 4] {
     // FMXM: block 1, warp 0 (global warp 2) runs IMAD at idx 19200, LDG
     // at 19392 and ISETP at 19904 as converged 32-lane instructions.
     let converged = |name, lane: u32, next_load_addr, digests| Trigger {
@@ -401,9 +394,9 @@ fn lane_boundary_outcomes_pinned() {
         next_lds_addr: 0,
         digests,
     };
-    let cases = [
+    [
         (
-            &mxm,
+            mxm,
             converged(
                 "FMXM first lane",
                 0,
@@ -424,7 +417,7 @@ fn lane_boundary_outcomes_pinned() {
             ),
         ),
         (
-            &mxm,
+            mxm,
             converged(
                 "FMXM middle lane",
                 16,
@@ -445,7 +438,7 @@ fn lane_boundary_outcomes_pinned() {
             ),
         ),
         (
-            &mxm,
+            mxm,
             converged(
                 "FMXM last lane",
                 31,
@@ -469,7 +462,7 @@ fn lane_boundary_outcomes_pinned() {
             // NW's 16-lane warp: lane 6 of 12-lane runs at IADD (idx
             // 4728) and LDG (4764), and of 13-lane runs at LDS (5094)
             // and ISETP (5146).
-            &nw,
+            nw,
             Trigger {
                 name: "NW partial run",
                 lane: 6,
@@ -498,7 +491,21 @@ fn lane_boundary_outcomes_pinned() {
                 ],
             },
         ),
-    ];
+    ]
+}
+
+/// Faults that fire at the first, a middle and the last lane of a
+/// converged FMXM warp instruction, and at a lane inside a partial run of
+/// NW's divergent wavefront, give pinned outcomes for every
+/// trigger-carrying plan family. Issuing an instruction once per run of
+/// same-pc lanes must keep each hook on its lane. Each row also checks,
+/// from a traced run, that the fault fired on the lane it aims at.
+/// Digests were captured on the lane-at-a-time engine.
+#[test]
+fn lane_boundary_outcomes_pinned() {
+    let mxm = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda7, Scale::Tiny);
+    let nw = build(Benchmark::Nw, Precision::Int32, CodeGen::Cuda7, Scale::Tiny);
+    let cases = lane_boundary_cases(&mxm, &nw);
     let device = DeviceModel::named("k40c-sim");
     for (w, t) in &cases {
         let watchdog = 4 * w.execute(&device, &RunOptions::golden()).counts.total;
@@ -522,4 +529,36 @@ fn lane_boundary_outcomes_pinned() {
         }
         assert_eq!(got, t.digests, "{} lane-boundary outcomes drifted", t.name);
     }
+}
+
+/// The block-boundary exit is invisible in outcomes: every plan of
+/// [`lane_boundary_outcomes_pinned`] gives the same `Executed` with the
+/// golden run's exit table and without it, and some of them do end at a
+/// block boundary (FMXM's; NW runs one block and never can).
+#[test]
+fn lane_boundary_outcomes_identical_with_exit_table() {
+    let mxm = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda7, Scale::Tiny);
+    let nw = build(Benchmark::Nw, Precision::Int32, CodeGen::Cuda7, Scale::Tiny);
+    let device = DeviceModel::named("k40c-sim");
+    let mut exits = 0;
+    for (w, t) in &lane_boundary_cases(&mxm, &nw) {
+        let golden = w.execute(&device, &RunOptions::golden().ecc(false).snapshot_every(4096));
+        let golden = Arc::new(golden);
+        let watchdog = 4 * golden.counts.total;
+        for (family, plan) in lane_boundary_plans(t) {
+            let opts = RunOptions::trial(plan).ecc(false).watchdog(watchdog);
+            let full = w.execute(&device, &opts);
+            let ended = w.execute(&device, &opts.clone().exit_through(Some(Arc::clone(&golden))));
+            assert_eq!(full.exit, None);
+            assert_eq!(
+                outcome_digest(&ended),
+                outcome_digest(&full),
+                "{}/{family}: the exit table changed the outcome (exit {:?})",
+                t.name,
+                ended.exit
+            );
+            exits += u32::from(ended.exit.is_some());
+        }
+    }
+    assert!(exits > 0, "no lane-boundary plan ended at a block boundary");
 }

@@ -200,3 +200,33 @@ fn tallies_are_bit_identical_with_telemetry_on_or_off() {
         }
     }
 }
+
+/// The block-boundary exit's telemetry is a pure function of the trials:
+/// `campaign.exit.block`/`.none` and the skipped-instruction histogram
+/// are identical at 1 and 4 workers, cover every executed trial, and
+/// show most FMXM trials ending early.
+#[test]
+fn exit_telemetry_identical_at_any_worker_count() {
+    let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda7, Scale::Small);
+    let device = DeviceModel::named("k40c-sim");
+    let observe = |workers| {
+        let metrics = MetricsRegistry::new();
+        let (_, run) = Campaign::new(Avf::new(Injector::NvBitFi), &w, &device)
+            .budget(Budget::fixed(96).seed(2021))
+            .workers(workers)
+            .observer(CampaignObserver::with_metrics(&metrics))
+            .run_full()
+            .expect("exit campaign failed");
+        let snap = metrics.snapshot();
+        let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        let skipped = snap.histograms.get("campaign.exit.skipped_instrs").cloned();
+        (run.executed.total(), count("campaign.exit.block"), count("campaign.exit.none"), skipped)
+    };
+    let serial = observe(1);
+    assert_eq!(serial, observe(4), "exit telemetry differs between 1 and 4 workers");
+    let (executed, block, none, skipped) = serial;
+    assert_eq!(block + none, executed, "every executed trial counts as exited or not");
+    assert!(2 * block > executed, "only {block} of {executed} FMXM trials exited");
+    let skipped = skipped.expect("exited trials fill the skipped-instruction histogram");
+    assert_eq!(skipped.count, block);
+}

@@ -42,8 +42,10 @@ impl Checkpoint {
     /// Serialize as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
         let mut r = RunReport::new(CHECKPOINT_REPORT_KIND);
+        // The seed is a string: JSON numbers parse as f64, which rounds
+        // seeds past 2^53.
         r.push_str("label", &self.label)
-            .push_uint("seed", self.seed)
+            .push_str("seed", &self.seed.to_string())
             .push_uint("shard_size", self.shard_size as u64)
             .push_uint("shards_done", self.shards_done as u64)
             .push_uint("trials", self.trials)
@@ -78,6 +80,13 @@ impl Checkpoint {
                 .map(|v| v as u64)
                 .ok_or_else(|| format!("checkpoint missing numeric field {k:?}"))
         };
+        // Lines written before the seed became a string carry a number.
+        let seed = match obj.get("seed") {
+            Some(Json::Str(digits)) => digits.parse().ok(),
+            Some(other) => other.as_num().filter(|v| v.is_finite() && *v >= 0.0).map(|v| v as u64),
+            None => None,
+        }
+        .ok_or("checkpoint missing or malformed field \"seed\"")?;
         let mut direct: BTreeMap<String, OutcomeCounts> = BTreeMap::new();
         for (key, value) in obj {
             let Some(rest) = key.strip_prefix("direct.") else { continue };
@@ -99,7 +108,7 @@ impl Checkpoint {
         }
         let cp = Checkpoint {
             label: str_field("label")?,
-            seed: uint_field("seed")?,
+            seed,
             shard_size: uint_field("shard_size")? as u32,
             shards_done: uint_field("shards_done")? as u32,
             trials: uint_field("trials")?,
@@ -223,6 +232,15 @@ mod tests {
         let line = cp.to_json_line();
         assert!(line.contains("\"report\":\"campaign.checkpoint\""));
         assert_eq!(Checkpoint::parse(&line).unwrap(), cp);
+    }
+
+    #[test]
+    fn seeds_past_2_pow_53_round_trip_and_numeric_seeds_still_parse() {
+        let cp = Checkpoint { seed: u64::MAX - 1, ..sample() };
+        assert_eq!(Checkpoint::parse(&cp.to_json_line()).unwrap(), cp);
+        let legacy = sample().to_json_line().replace("\"seed\":\"2021\"", "\"seed\":2021");
+        assert_ne!(legacy, sample().to_json_line());
+        assert_eq!(Checkpoint::parse(&legacy).unwrap(), sample());
     }
 
     #[test]

@@ -34,7 +34,8 @@ use crate::store::CheckpointStore;
 use crate::supervise::{panic_message, DeadlineMonitor, QuarantineRecord};
 use gpu_arch::DeviceModel;
 use gpu_sim::{
-    nearest_snapshot, DueKind, EngineSnapshot, ExecStatus, Executed, FaultPlan, RunOptions, Target,
+    nearest_snapshot, BlockExit, DueKind, EngineSnapshot, ExecStatus, Executed, FaultPlan,
+    RunOptions, Target,
 };
 use obs::span::SpanBus;
 use obs::{CampaignObserver, MetricsRegistry, SpanRecord};
@@ -323,12 +324,16 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
         // replay from instruction zero even when snapshots are available.
         let ff: Option<&[Arc<EngineSnapshot>]> =
             (stride > 0 && !golden.snapshots.is_empty()).then(|| golden.snapshots.as_slice());
+        // The block-boundary exit rides the same policy: with fast-forward
+        // armed, trials may end through the golden's exit table.
+        let exit = ff.and(golden.exit_table.as_ref()).map(|_| &golden);
         if let Some(m) = self.observer.metrics {
             m.counter(if cache_hit { "campaign.golden.hit" } else { "campaign.golden.miss" }).inc();
             golden_timer.observe(&m.histogram("campaign.golden.fetch_micros"));
             m.gauge("campaign.snapshot.cached").set(golden.snapshots.len() as f64);
-            m.gauge("campaign.snapshot.bytes")
-                .set(golden.snapshots.iter().map(|s| s.approx_bytes()).sum::<u64>() as f64);
+            let snapshots: u64 = golden.snapshots.iter().map(|s| s.approx_bytes()).sum();
+            let exit_table = golden.exit_table.as_ref().map_or(0, |t| t.approx_bytes());
+            m.gauge("campaign.snapshot.bytes").set((snapshots + exit_table) as f64);
         }
         let sampler = self.kind.prepare(self.target, self.device, &golden);
         let label = format!("{}/{}/{}", self.kind.label(), self.device.name, self.target.name());
@@ -352,6 +357,7 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
             campaign_span: campaign_span.as_ref().map_or(obs::ROOT_SPAN, |s| s.id()),
             key_base,
             ff: ff.is_some(),
+            exit: exit.is_some(),
             epoch: Instant::now(),
             epoch_us: self.observer.spans.map_or(0, SpanBus::now_us),
         };
@@ -415,6 +421,7 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
             ecc,
             watchdog: self.budget.watchdog.dyn_limit(golden.counts.total),
             ff,
+            exit,
             base_seed: self.budget.seed ^ fnv1a(self.target.name()),
             shard_size,
             ceiling,
@@ -552,11 +559,15 @@ struct TrialRecord {
     /// [`QUARANTINE_LABEL`].
     label: &'static str,
     stratum: Option<&'static str>,
-    /// Dynamic instructions the faulty run retired (0 when not executed).
+    /// The faulty run's `counts.total`, fast-forwarded prefix and
+    /// exit-skipped blocks included (0 when not executed).
     dyn_instrs: u64,
     /// Dynamic instructions skipped by resuming from a golden snapshot;
     /// `None` when the trial replayed from zero.
     fast_forwarded: Option<u64>,
+    /// Where the trial ended early through the golden's exit table, and
+    /// the instructions that skipped; `None` when every block ran.
+    exit: Option<BlockExit>,
     start: Instant,
     micros: u64,
     /// The first attempt panicked.
@@ -585,6 +596,7 @@ impl TrialRecord {
             stratum,
             dyn_instrs: 0,
             fast_forwarded: None,
+            exit: None,
             start,
             micros: 0,
             retried: false,
@@ -707,6 +719,8 @@ struct Telemetry<'a> {
     /// Fast-forward is armed: executed trials count snapshot hits and
     /// misses.
     ff: bool,
+    /// The block-boundary exit is armed: executed trials count exits.
+    exit: bool,
     /// `epoch` on the span bus clock. Trial and shard spans are pushed at
     /// fold time from the `Instant`s the records carry.
     epoch: Instant,
@@ -731,6 +745,13 @@ impl Telemetry<'_> {
                 m.histogram("campaign.snapshot.fastforward_instrs"),
             )
         });
+        let exits = metrics.filter(|_| self.exit).map(|m| {
+            (
+                m.counter("campaign.exit.block"),
+                m.counter("campaign.exit.none"),
+                m.histogram("campaign.exit.skipped_instrs"),
+            )
+        });
         let tid = shard.index as u64 + 1;
         let shard_span = spans.map(|bus| (bus, bus.alloc_id()));
         let mut tally = Tally::default();
@@ -749,6 +770,15 @@ impl Telemetry<'_> {
                         skipped.observe(n);
                     }
                     None => miss.inc(),
+                }
+            }
+            if let Some((block, none, skipped)) = exits.as_ref().filter(|_| rec.executed()) {
+                match rec.exit {
+                    Some(exit) => {
+                        block.inc();
+                        skipped.observe(exit.skipped_instrs);
+                    }
+                    None => none.inc(),
                 }
             }
             if let Some((bus, parent)) = shard_span {
@@ -850,6 +880,8 @@ struct ShardCtx<'a, T: ?Sized, S> {
     ecc: bool,
     watchdog: u64,
     ff: Option<&'a [Arc<EngineSnapshot>]>,
+    /// The golden run trials exit through, when the exit is armed.
+    exit: Option<&'a Arc<Executed>>,
     base_seed: u64,
     shard_size: u64,
     ceiling: u64,
@@ -992,16 +1024,18 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
         };
         let cancel = self.monitor.map(|m| m.arm(slot));
         // Fast-forward: resume from the latest golden snapshot at or
-        // before the fault site. The skipped prefix is fault-free and
-        // bit-identical to the golden run, so the tally is the same
-        // either way — only the wall clock changes.
+        // before the fault site, and end at the first block boundary
+        // after which the run is provably golden. The skipped prefix and
+        // suffix are bit-identical to the golden run, so the tally is the
+        // same either way — only the wall clock changes.
         let resume = self.ff.and_then(|snaps| nearest_snapshot(snaps, &plan)).cloned();
         let fast_forwarded = resume.as_ref().map(|s| s.dyn_count());
         let opts = RunOptions::trial(plan)
             .ecc(self.ecc)
             .watchdog(self.watchdog)
             .cancel_flag(cancel)
-            .resume(resume);
+            .resume(resume)
+            .exit_through(self.exit.cloned());
         // Sampled trials run with the engine-phase sink attached, parented
         // under the trial span the fold pushes, on the shard's track. The
         // sink only timestamps phase events, so architectural results
@@ -1031,6 +1065,7 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
             plan: Some(plan),
             dyn_instrs: faulty.counts.total,
             fast_forwarded,
+            exit: faulty.exit,
             ..TrialRecord::new(trial, start, outcome, due, plan.site_label(), stratum)
         }
     }

@@ -186,7 +186,8 @@ pub fn fetch<T: Target + ?Sized>(
 }
 
 /// One line per cached golden run: target, device, extras, and the size
-/// of any snapshot set — the CI snapshot-cache size report.
+/// of any snapshot set and exit table — the CI snapshot-cache size
+/// report.
 pub fn cache_report() -> String {
     let cache = cache().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let mut out = String::new();
@@ -194,9 +195,10 @@ pub fn cache_report() -> String {
     for k in &cache.order {
         let Some(run) = cache.map.get(k) else { continue };
         let snap_bytes: u64 = run.snapshots.iter().map(|s| s.approx_bytes()).sum();
+        let exit_bytes = run.exit_table.as_ref().map_or(0, |t| t.approx_bytes());
         let _ = writeln!(
             out,
-            "  {} on {} ecc={} recorded={} stride={} snapshots={} ({} KiB)",
+            "  {} on {} ecc={} recorded={} stride={} snapshots={} ({} KiB) exit table {:.1} KiB",
             k.target,
             k.device,
             k.ecc,
@@ -204,6 +206,7 @@ pub fn cache_report() -> String {
             k.snapshot_stride,
             run.snapshots.len(),
             snap_bytes / 1024,
+            exit_bytes as f64 / 1024.0,
         );
     }
     out
@@ -261,8 +264,10 @@ mod tests {
             fetch(&target, &device, GoldenRequest::new(false).snapshots(128)).unwrap();
         assert!(!hit_other);
         assert!(!Arc::ptr_eq(&snap, &other));
-        // The report names the cached snapshot sets.
+        // The report names the cached snapshot sets and exit tables.
+        assert!(snap.exit_table.is_some(), "a capturing golden carries an exit table");
         let report = cache_report();
         assert!(report.contains("stride=64"), "report was:\n{report}");
+        assert!(report.contains("exit table"), "report was:\n{report}");
     }
 }

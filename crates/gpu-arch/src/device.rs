@@ -3,9 +3,8 @@
 //!
 //! Models are **data**: the built-in boards (Tesla K40c, Tesla V100,
 //! Titan V, NVIDIA A100) are declarative spec files under
-//! `specs/devices/` compiled through [`crate::spec::DeviceSpec`]; the
-//! deprecated hand-coded constructors remain only as the parity oracle
-//! the spec layer is tested against.
+//! `specs/devices/` compiled through [`crate::spec::DeviceSpec`], and
+//! looked up with [`DeviceModel::named`] or [`crate::spec::DeviceRegistry`].
 
 use std::fmt;
 
@@ -230,28 +229,6 @@ pub struct DeviceModel {
     pub caps: DeviceCaps,
 }
 
-fn kepler_caps() -> DeviceCaps {
-    use FunctionalUnit::*;
-    DeviceCaps {
-        sassifi: true,
-        default_codegen: CodeGen::Cuda7,
-        fig3_reference: "FADD".to_string(),
-        bench_units: vec![Fadd, Fmul, Ffma, Iadd, Imul, Imad],
-    }
-}
-
-fn volta_caps() -> DeviceCaps {
-    use FunctionalUnit::*;
-    DeviceCaps {
-        sassifi: false,
-        default_codegen: CodeGen::Cuda10,
-        fig3_reference: "HFMA".to_string(),
-        bench_units: vec![
-            Hadd, Hmul, Hfma, Fadd, Fmul, Ffma, Dadd, Dmul, Dfma, Iadd, Imul, Imad, Hmma, Fmma,
-        ],
-    }
-}
-
 impl DeviceModel {
     /// Look a device model up by registry id: the built-in ids are
     /// `k40c`, `v100`, `titan-v`, `a100` plus their single-SM campaign
@@ -278,89 +255,6 @@ impl DeviceModel {
     /// scaling cancels (see DESIGN.md).
     pub fn sim_variant(&self) -> DeviceModel {
         DeviceModel { name: format!("{} (1-SM sim)", self.name), sms: 1, ..self.clone() }
-    }
-
-    /// The Tesla K40c used in the paper: 15 SMs x 192 CUDA cores = 2 880.
-    #[deprecated(note = "device models are spec data now; use \
-                         DeviceModel::named(\"k40c\") or spec::DeviceRegistry")]
-    pub fn k40c() -> DeviceModel {
-        DeviceModel {
-            name: "Tesla K40c".to_string(),
-            arch: Architecture::Kepler,
-            sms: 15,
-            schedulers_per_sm: 4,
-            issue_per_scheduler: 2,
-            fp32_lanes: 192,
-            fp64_lanes: 64,
-            int32_lanes: 0, // INT executes on the FP32 pipes
-            fp16_lanes: 0,
-            tensor_cores: 0,
-            tensor_core_width: 32,
-            ldst_units: 32,
-            rf_bytes_per_sm: 256 * 1024,
-            shared_bytes_per_sm: 48 * 1024,
-            max_threads_per_sm: 2048,
-            max_warps_per_sm: 64,
-            clock_hz: 745e6,
-            sram_bit_sensitivity: 10.0,
-            ecc_capable: true,
-            caps: kepler_caps(),
-        }
-    }
-
-    /// The Tesla V100 used in the paper: 80 SMs, 64 FP32 + 64 INT32 +
-    /// 32 FP64 cores and 8 tensor cores each.
-    #[deprecated(note = "device models are spec data now; use \
-                         DeviceModel::named(\"v100\") or spec::DeviceRegistry")]
-    pub fn v100() -> DeviceModel {
-        DeviceModel {
-            name: "Tesla V100".to_string(),
-            arch: Architecture::Volta,
-            sms: 80,
-            schedulers_per_sm: 4,
-            issue_per_scheduler: 1,
-            fp32_lanes: 64,
-            fp64_lanes: 32,
-            int32_lanes: 64,
-            fp16_lanes: 128, // FP16 runs at 2x the FP32 rate
-            tensor_cores: 8,
-            tensor_core_width: 32,
-            ldst_units: 32,
-            rf_bytes_per_sm: 256 * 1024,
-            shared_bytes_per_sm: 96 * 1024,
-            max_threads_per_sm: 2048,
-            max_warps_per_sm: 64,
-            clock_hz: 1380e6,
-            sram_bit_sensitivity: 1.0,
-            ecc_capable: true,
-            caps: volta_caps(),
-        }
-    }
-
-    /// The Titan V (also Volta, GV100 with 80 SMs and no ECC on DRAM;
-    /// on-chip behaviour matches the V100 for our purposes).
-    #[deprecated(note = "device models are spec data now; use \
-                         DeviceModel::named(\"titan-v\") or spec::DeviceRegistry")]
-    #[allow(deprecated)]
-    pub fn titan_v() -> DeviceModel {
-        DeviceModel { name: "Titan V".to_string(), ecc_capable: false, ..DeviceModel::v100() }
-    }
-
-    /// Single-SM Kepler used for simulation campaigns (see
-    /// [`DeviceModel::sim_variant`]).
-    #[deprecated(note = "device models are spec data now; use \
-                         DeviceModel::named(\"k40c-sim\") or spec::DeviceRegistry")]
-    #[allow(deprecated)]
-    pub fn k40c_sim() -> DeviceModel {
-        DeviceModel { name: "Tesla K40c (1-SM sim)".to_string(), sms: 1, ..DeviceModel::k40c() }
-    }
-
-    /// Single-SM Volta campaign device (see [`DeviceModel::sim_variant`]).
-    #[deprecated(note = "device models are spec data now; use \
-                         DeviceModel::named(\"v100-sim\") or spec::DeviceRegistry")]
-    #[allow(deprecated)]
-    pub fn v100_sim() -> DeviceModel {
-        DeviceModel { name: "Tesla V100 (1-SM sim)".to_string(), sms: 1, ..DeviceModel::v100() }
     }
 
     /// Execution lanes per SM available to a functional-unit kind.

@@ -1,27 +1,96 @@
 //! The spec layer's equivalence and robustness contracts.
 //!
 //! 1. **Parity:** every built-in spec compiles field-for-field equal to
-//!    the deprecated hand-coded constructor it replaced (the
-//!    constructors stay in-tree as the oracle precisely for this test).
+//!    the hand-coded model it replaced, frozen here as literal fixtures.
 //! 2. **Robustness:** the parser/validator never panics on malformed
 //!    input — random mutations of valid specs and arbitrary junk either
 //!    validate or produce field-path `ValidationError`s.
 
-#![allow(deprecated)]
+#[path = "support/fuzz.rs"]
+mod fuzz;
 
+use fuzz::{junk_strategy, structured_junk_strategy};
 use gpu_arch::spec::{DeviceRegistry, DeviceSpec, RawSpec, BUILTIN_SPECS};
-use gpu_arch::DeviceModel;
+use gpu_arch::{Architecture, CodeGen, DeviceCaps, DeviceModel, FunctionalUnit};
 use proptest::prelude::*;
+
+/// The Tesla K40c of the paper, as it was hand-coded before device specs:
+/// 15 SMs x 192 CUDA cores, integer work on the FP32 pipes.
+fn k40c() -> DeviceModel {
+    use FunctionalUnit::*;
+    DeviceModel {
+        name: "Tesla K40c".to_string(),
+        arch: Architecture::Kepler,
+        sms: 15,
+        schedulers_per_sm: 4,
+        issue_per_scheduler: 2,
+        fp32_lanes: 192,
+        fp64_lanes: 64,
+        int32_lanes: 0,
+        fp16_lanes: 0,
+        tensor_cores: 0,
+        tensor_core_width: 32,
+        ldst_units: 32,
+        rf_bytes_per_sm: 256 * 1024,
+        shared_bytes_per_sm: 48 * 1024,
+        max_threads_per_sm: 2048,
+        max_warps_per_sm: 64,
+        clock_hz: 745e6,
+        sram_bit_sensitivity: 10.0,
+        ecc_capable: true,
+        caps: DeviceCaps {
+            sassifi: true,
+            default_codegen: CodeGen::Cuda7,
+            fig3_reference: "FADD".to_string(),
+            bench_units: vec![Fadd, Fmul, Ffma, Iadd, Imul, Imad],
+        },
+    }
+}
+
+/// The Tesla V100 of the paper, as it was hand-coded: 80 SMs of 64 FP32,
+/// 64 INT32, 32 FP64 lanes and 8 tensor cores.
+fn v100() -> DeviceModel {
+    use FunctionalUnit::*;
+    DeviceModel {
+        name: "Tesla V100".to_string(),
+        arch: Architecture::Volta,
+        sms: 80,
+        schedulers_per_sm: 4,
+        issue_per_scheduler: 1,
+        fp32_lanes: 64,
+        fp64_lanes: 32,
+        int32_lanes: 64,
+        fp16_lanes: 128,
+        tensor_cores: 8,
+        tensor_core_width: 32,
+        ldst_units: 32,
+        rf_bytes_per_sm: 256 * 1024,
+        shared_bytes_per_sm: 96 * 1024,
+        max_threads_per_sm: 2048,
+        max_warps_per_sm: 64,
+        clock_hz: 1380e6,
+        sram_bit_sensitivity: 1.0,
+        ecc_capable: true,
+        caps: DeviceCaps {
+            sassifi: false,
+            default_codegen: CodeGen::Cuda10,
+            fig3_reference: "HFMA".to_string(),
+            bench_units: vec![
+                Hadd, Hmul, Hfma, Fadd, Fmul, Ffma, Dadd, Dmul, Dfma, Iadd, Imul, Imad, Hmma, Fmma,
+            ],
+        },
+    }
+}
 
 #[test]
 fn builtin_specs_match_hand_coded_models() {
     let reg = DeviceRegistry::builtin();
     let cases: &[(&str, DeviceModel)] = &[
-        ("k40c", DeviceModel::k40c()),
-        ("v100", DeviceModel::v100()),
-        ("titan-v", DeviceModel::titan_v()),
-        ("k40c-sim", DeviceModel::k40c_sim()),
-        ("v100-sim", DeviceModel::v100_sim()),
+        ("k40c", k40c()),
+        ("v100", v100()),
+        ("titan-v", DeviceModel { name: "Titan V".to_string(), ecc_capable: false, ..v100() }),
+        ("k40c-sim", DeviceModel { name: "Tesla K40c (1-SM sim)".to_string(), sms: 1, ..k40c() }),
+        ("v100-sim", DeviceModel { name: "Tesla V100 (1-SM sim)".to_string(), sms: 1, ..v100() }),
     ];
     for (id, oracle) in cases {
         let compiled = reg.model(id).unwrap_or_else(|| panic!("{id} not in registry"));
@@ -36,48 +105,9 @@ fn named_lookup_agrees_with_registry() {
     }
 }
 
-/// Inputs a device-spec author plausibly produces: a built-in spec with
-/// one line dropped, duplicated, or its value scrambled.
+/// A built-in spec with one line mutated (see [`fuzz::mutated`]).
 fn mutated_builtin(spec_idx: usize, line_idx: usize, mutation: u8, junk: &str) -> String {
-    let text = BUILTIN_SPECS[spec_idx % BUILTIN_SPECS.len()].1;
-    let lines: Vec<&str> = text.lines().collect();
-    let target = line_idx % lines.len();
-    let mut out = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        if i == target {
-            match mutation % 4 {
-                0 => continue, // drop the line
-                1 => {
-                    out.push(line.to_string());
-                    out.push(line.to_string()); // duplicate it
-                }
-                2 => match line.split_once('=') {
-                    // scramble the value
-                    Some((k, _)) => out.push(format!("{k}= {junk}")),
-                    None => out.push(junk.to_string()),
-                },
-                _ => out.push(junk.to_string()), // replace wholesale
-            }
-        } else {
-            out.push(line.to_string());
-        }
-    }
-    out.join("\n")
-}
-
-/// Printable-ASCII strings (the vendored proptest has no regex-string
-/// strategies).
-fn junk_strategy(max_len: usize) -> impl Strategy<Value = String> {
-    prop::collection::vec(0x20u8..0x7f, 0..max_len)
-        .prop_map(|bytes| String::from_utf8(bytes).expect("printable ascii"))
-}
-
-/// Junk with structural characters mixed in, so section headers, `=`
-/// signs, and comments appear often enough to exercise every parse arm.
-fn structured_junk_strategy() -> impl Strategy<Value = String> {
-    const CHARSET: &[u8] = b" abc=[]#\n_0.-";
-    prop::collection::vec(0usize..CHARSET.len(), 0..400)
-        .prop_map(|idx| idx.into_iter().map(|i| CHARSET[i] as char).collect())
+    fuzz::mutated(BUILTIN_SPECS[spec_idx % BUILTIN_SPECS.len()].1, line_idx, mutation, junk)
 }
 
 proptest! {

@@ -14,7 +14,9 @@ use crate::fault::{
     BitFlip, DueKind, FaultPlan, FetchEffect, MemQueueEffect, Persistence, SiteClass,
 };
 use crate::memory::{GlobalMemory, SharedMemory};
-use crate::snapshot::{ClassTallies, EngineSnapshot, SNAPSHOT_CAP};
+use crate::snapshot::{
+    ClassTallies, EngineSnapshot, ExitRecorder, ExitTable, Geometry, SNAPSHOT_CAP,
+};
 use crate::timing::{self, TimingReport};
 use gpu_arch::{
     CmpOp, DeviceModel, FunctionalUnit, Instr, InstrMeta, Kernel, LaunchConfig, MemWidth,
@@ -77,6 +79,16 @@ pub struct RunOptions {
     /// [`SimError::ResumeConflict`]s. Incompatible with
     /// [`RunOptions::record_sites`] and [`RunOptions::snapshot_stride`].
     pub resume_from: Option<Arc<EngineSnapshot>>,
+    /// The golden run whose [`Executed::exit_table`] may end this trial
+    /// early: at the first block boundary where the fault plan is spent
+    /// and the rest of the run is provably golden, the engine builds the
+    /// final state from the table instead of running the later blocks
+    /// (see [`Executed::exit`]). The result is bit-identical either way.
+    /// A golden of another geometry, or one without a table, is a
+    /// [`SimError::ResumeConflict`]. The engine never exits with a sink
+    /// attached, while recording sites or capturing snapshots, under a
+    /// stuck-at or fetch plan, or when the watchdog would trip later on.
+    pub exit_from: Option<Arc<Executed>>,
 }
 
 impl RunOptions {
@@ -129,6 +141,13 @@ impl RunOptions {
         self.resume_from = snapshot;
         self
     }
+
+    /// End the trial early through `golden`'s exit table, or run every
+    /// block when `None` (see [`RunOptions::exit_from`]).
+    pub fn exit_through(mut self, golden: Option<Arc<Executed>>) -> Self {
+        self.exit_from = golden;
+        self
+    }
 }
 
 /// How many dynamic instructions pass between polls of
@@ -147,6 +166,7 @@ impl Default for RunOptions {
             cancel: None,
             snapshot_stride: 0,
             resume_from: None,
+            exit_from: None,
         }
     }
 }
@@ -204,6 +224,23 @@ pub struct SiteCounts {
 }
 
 impl Counts {
+    /// Add the scalar counts golden run `fin` retired after `at`.
+    fn add_suffix(&mut self, fin: &Counts, at: &Counts) {
+        self.total += fin.total - at.total;
+        for (c, (f, a)) in self.per_unit.iter_mut().zip(fin.per_unit.iter().zip(&at.per_unit)) {
+            *c += f - a;
+        }
+        for (c, (f, a)) in self.per_mix.iter_mut().zip(fin.per_mix.iter().zip(&at.per_mix)) {
+            *c += f - a;
+        }
+        let (s, f, a) = (&mut self.sites, &fin.sites, &at.sites);
+        s.gpr_writers += f.gpr_writers - a.gpr_writers;
+        s.gpr_writers_no_half += f.gpr_writers_no_half - a.gpr_writers_no_half;
+        s.loads += f.loads - a.loads;
+        s.mem_ops += f.mem_ops - a.mem_ops;
+        s.setp += f.setp - a.setp;
+    }
+
     /// Dynamic count for one unit kind.
     pub fn unit(&self, u: FunctionalUnit) -> u64 {
         self.per_unit[u.index()]
@@ -274,6 +311,23 @@ pub struct Executed {
     /// intervals, empty unless capture was enabled. Trials fast-forward by
     /// resuming from the [`crate::nearest_snapshot`] of their fault plan.
     pub snapshots: Vec<Arc<EngineSnapshot>>,
+    /// The exit table of a completed run that captured snapshots; trials
+    /// end early through it (see [`RunOptions::exit_from`]).
+    pub exit_table: Option<Arc<ExitTable>>,
+    /// Where a trial ended early through [`RunOptions::exit_from`];
+    /// `None` when every block ran.
+    pub exit: Option<BlockExit>,
+}
+
+/// Where a trial ended early: the blocks after `block` were not run, and
+/// their `skipped_instrs` dynamic instructions came from the golden run's
+/// exit table. [`Executed::counts`] includes them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BlockExit {
+    /// Linear index of the last block that ran.
+    pub block: u32,
+    /// Dynamic instructions of the blocks that did not run.
+    pub skipped_instrs: u64,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -397,6 +451,9 @@ struct Capture {
     snapshots: Vec<Arc<EngineSnapshot>>,
     /// Fault-hook match tallies mirrored per class (see [`ClassTallies`]).
     tallies: ClassTallies,
+    /// The exit table under construction; `None` for grids too large
+    /// for its block tags.
+    exit: Option<ExitRecorder>,
 }
 
 struct Ctx<'a> {
@@ -487,6 +544,7 @@ pub fn try_run_with_sink<'a>(
     {
         return Err(SimError::PartialWarpMma { block_threads });
     }
+    let geometry = Geometry::of(kernel, launch, memory.len());
     if let Some(snap) = opts.resume_from.as_deref() {
         if opts.record_sites {
             return Err(SimError::ResumeConflict(
@@ -500,19 +558,29 @@ pub fn try_run_with_sink<'a>(
                 "cannot capture snapshots during a resumed run".to_string(),
             ));
         }
-        snap.check_geometry(
-            kernel.instrs.len(),
-            (launch.grid.x, launch.grid.y),
-            (launch.block.x, launch.block.y),
-            memory.len(),
-        )
-        .map_err(SimError::ResumeConflict)?;
+        snap.geometry.check("snapshot", &geometry).map_err(SimError::ResumeConflict)?;
         if !snap.precedes(&opts.fault) {
             return Err(SimError::ResumeConflict(
                 "fault plan's trigger precedes the snapshot capture point".to_string(),
             ));
         }
     }
+
+    // The golden data a trial may exit through, when it is allowed to.
+    let exit = match opts.exit_from.as_deref() {
+        None => None,
+        Some(golden) => {
+            let table = golden.exit_table.as_deref().ok_or_else(|| {
+                SimError::ResumeConflict("exit golden run carries no exit table".to_string())
+            })?;
+            table.check_geometry(&geometry).map_err(SimError::ResumeConflict)?;
+            let allowed = sink.is_none()
+                && !opts.record_sites
+                && opts.snapshot_stride == 0
+                && opts.fault.fires_once();
+            allowed.then_some((golden, table))
+        }
+    };
 
     // Decode once per launch: the hot loop below only does table lookups
     // over the per-pc `InstrMeta`, never re-classifying opcodes. Phase
@@ -528,6 +596,11 @@ pub fn try_run_with_sink<'a>(
 
     let warps_per_block = launch.warps_per_block() as usize;
     let total_warps = warps_per_block * launch.grid.count() as usize;
+    let recorder = if opts.snapshot_stride > 0 {
+        ExitRecorder::new(&memory, launch.grid.count())
+    } else {
+        None
+    };
     let mut ctx = Ctx {
         kernel,
         launch,
@@ -551,10 +624,14 @@ pub fn try_run_with_sink<'a>(
             next_due: opts.snapshot_stride,
             snapshots: Vec::new(),
             tallies: ClassTallies::default(),
+            exit: recorder,
         }),
         sink,
     };
 
+    // A trial that may exit keeps the image it started from: the exit
+    // reads golden values of words before their first write from it.
+    let mut input = None;
     let resume = opts.resume_from.as_deref();
     if let Some(snap) = resume {
         // Seed the context with the golden run's state at the capture
@@ -566,7 +643,8 @@ pub fn try_run_with_sink<'a>(
         // offset).
         ctx.dyn_count = snap.dyn_count;
         ctx.counts = snap.counts.clone();
-        ctx.global = snap.global.clone();
+        let image = std::mem::replace(&mut ctx.global, snap.global.clone());
+        input = exit.map(|_| image);
         ctx.site_matches = match opts.fault {
             FaultPlan::InstructionOutput { site, .. }
             | FaultPlan::InstructionOutputSet { site, .. } => snap.tallies.class_matches(site),
@@ -574,9 +652,12 @@ pub fn try_run_with_sink<'a>(
         };
         ctx.mem_ops = snap.counts.sites.mem_ops;
         ctx.setp_ops = snap.counts.sites.setp;
+    } else if exit.is_some() {
+        input = Some(ctx.global.clone());
     }
 
     let mut status = ExecStatus::Completed;
+    let mut exited = None;
     'blocks: for by in 0..launch.grid.y {
         for bx in 0..launch.grid.x {
             let block_linear = by * launch.grid.x + bx;
@@ -592,11 +673,20 @@ pub fn try_run_with_sink<'a>(
             if let Some(rec) = ctx.record.as_mut() {
                 rec.block_windows.push((window_start, ctx.dyn_count));
             }
-            match result {
-                Ok(()) => {}
-                Err(due) => {
-                    status = ExecStatus::Due(due);
-                    break 'blocks;
+            if let Err(due) = result {
+                status = ExecStatus::Due(due);
+                break 'blocks;
+            }
+            if let Some(rec) = ctx.cap.as_mut().and_then(|c| c.exit.as_mut()) {
+                rec.end_block(&ctx.counts);
+            }
+            // A spent plan: try to end the run here.
+            if let (Some((golden, table)), Some(input)) = (exit, &input) {
+                if ctx.fault_triggered && u64::from(block_linear) + 1 < launch.grid.count() {
+                    exited = exit_after(&mut ctx, golden, table, input, block_linear);
+                    if exited.is_some() {
+                        break 'blocks;
+                    }
                 }
             }
         }
@@ -616,6 +706,13 @@ pub fn try_run_with_sink<'a>(
     }
 
     let timing = timing::analyze(device, kernel, launch, &ctx.counts);
+    let (snapshots, exit_table) = match ctx.cap {
+        Some(cap) => {
+            let table = cap.exit.filter(|_| status.completed()).map(|r| r.finish(geometry));
+            (cap.snapshots, table.map(Arc::new))
+        }
+        None => (Vec::new(), None),
+    };
     Ok(Executed {
         status,
         memory: ctx.global,
@@ -623,8 +720,38 @@ pub fn try_run_with_sink<'a>(
         timing,
         fault_triggered: ctx.fault_triggered,
         sites_record: ctx.record,
-        snapshots: ctx.cap.map(|c| c.snapshots).unwrap_or_default(),
+        snapshots,
+        exit_table,
+        exit: exited,
     })
+}
+
+/// End a spent trial after block `block` if the rest of its run is
+/// provably golden (see [`ExitTable`]): the watchdog would not trip in
+/// the skipped blocks and none of them reads a word where the trial
+/// differs from golden. Then memory and counts become what running those
+/// blocks would have left.
+fn exit_after(
+    ctx: &mut Ctx<'_>,
+    golden: &Executed,
+    table: &ExitTable,
+    input: &GlobalMemory,
+    block: u32,
+) -> Option<BlockExit> {
+    let at = table.boundary(block);
+    let skipped = golden.counts.total - at.total;
+    if ctx.dyn_count.saturating_add(skipped) > ctx.opts.watchdog_limit
+        || !table.exit_memory(block, &mut ctx.global, &golden.memory, input)
+    {
+        return None;
+    }
+    ctx.dyn_count += skipped;
+    ctx.counts.add_suffix(&golden.counts, at);
+    // Later blocks own the warps after this block's.
+    let from = (block as usize + 1) * ctx.launch.warps_per_block() as usize;
+    ctx.counts.warp_latency[from..].copy_from_slice(&golden.counts.warp_latency[from..]);
+    ctx.counts.warp_instrs[from..].copy_from_slice(&golden.counts.warp_instrs[from..]);
+    Some(BlockExit { block, skipped_instrs: skipped })
 }
 
 /// Capture an [`EngineSnapshot`] of the current state (called at a
@@ -647,9 +774,7 @@ fn capture_snapshot(
         block: block_linear,
         threads: threads.iter().map(Thread::to_state).collect(),
         shared: shared.clone(),
-        kernel_len: ctx.kernel.instrs.len() as u32,
-        grid: (ctx.launch.grid.x, ctx.launch.grid.y),
-        block_dim: (ctx.launch.block.x, ctx.launch.block.y),
+        geometry: Geometry::of(ctx.kernel, ctx.launch, ctx.global.len()),
     };
     cap.snapshots.push(Arc::new(snap));
     if cap.snapshots.len() > SNAPSHOT_CAP {
@@ -1184,6 +1309,19 @@ fn note_gpr_site(ctx: &mut Ctx<'_>, meta: &InstrMeta, pc: u32) {
     }
 }
 
+/// Report a global-memory read that happened, or a write about to land,
+/// to the exit table under construction, if this run builds one.
+#[inline]
+fn note_global(ctx: &mut Ctx<'_>, addr: u32, bytes: u32, write: bool) {
+    if let Some(rec) = ctx.cap.as_mut().and_then(|c| c.exit.as_mut()) {
+        if write {
+            rec.write(addr, bytes, ctx.current_block, &ctx.global);
+        } else {
+            rec.read(addr, bytes, ctx.current_block);
+        }
+    }
+}
+
 /// Apply time-triggered fault plans (register-file / memory bit strikes,
 /// PC corruption) that fire at global instant `at`.
 #[allow(clippy::too_many_arguments)]
@@ -1591,6 +1729,9 @@ fn step<const BULK: bool>(
             if ecc_due {
                 return Err(DueKind::EccDoubleBit);
             }
+            if matches!(ins.op, Op::Ldg(_)) {
+                note_global(ctx, addr, bytes, false);
+            }
             match w {
                 MemWidth::W64 => Write::W64(value),
                 _ => Write::W32(value as u32),
@@ -1635,12 +1776,14 @@ fn step<const BULK: bool>(
                 (MemWidth::W16, o) => (src(threads, o) & 0xFFFF) as u64,
                 (_, o) => src(threads, o) as u64,
             };
-            let res = if matches!(ins.op, Op::Stg(_)) {
-                ctx.global.device_write(addr, bytes, value).map_err(|_| DueKind::MemoryViolation)
+            if matches!(ins.op, Op::Stg(_)) {
+                note_global(ctx, addr, bytes, true);
+                ctx.global
+                    .device_write(addr, bytes, value)
+                    .map_err(|_| DueKind::MemoryViolation)?;
             } else {
-                shared.device_write(addr, bytes, value).map_err(|_| DueKind::SharedViolation)
-            };
-            res?;
+                shared.device_write(addr, bytes, value).map_err(|_| DueKind::SharedViolation)?;
+            }
             Write::None
         }
         Op::AtomGAdd | Op::AtomSAdd => 'mem: {
@@ -1684,12 +1827,13 @@ fn step<const BULK: bool>(
                 return Err(DueKind::EccDoubleBit);
             }
             let new = (old as u32).wrapping_add(val) as u64;
-            let wres = if ins.op == Op::AtomGAdd {
-                ctx.global.device_write(addr, 4, new).map_err(|_| DueKind::MemoryViolation)
+            if ins.op == Op::AtomGAdd {
+                note_global(ctx, addr, 4, false);
+                note_global(ctx, addr, 4, true);
+                ctx.global.device_write(addr, 4, new).map_err(|_| DueKind::MemoryViolation)?;
             } else {
-                shared.device_write(addr, 4, new).map_err(|_| DueKind::SharedViolation)
-            };
-            wres?;
+                shared.device_write(addr, 4, new).map_err(|_| DueKind::SharedViolation)?;
+            }
             Write::W32(old as u32)
         }
         Op::Shfl(_) => unreachable!("SHFL handled at warp level"),

@@ -289,6 +289,29 @@ impl FaultPlan {
         }
     }
 
+    /// True for plans whose corruption acts at most once, so the plan is
+    /// spent once it has fired: every plan but the golden one, fetch
+    /// plans and stuck-at plans. A spent plan no longer affects the run
+    /// after the block it fired in.
+    pub(crate) fn fires_once(&self) -> bool {
+        match self {
+            FaultPlan::None | FaultPlan::Fetch { .. } => false,
+            FaultPlan::SchedulerNextPc { persist, .. }
+            | FaultPlan::SchedulerPriority { persist, .. }
+            | FaultPlan::ActiveMask { persist, .. }
+            | FaultPlan::BarrierCounter { persist, .. }
+            | FaultPlan::MemQueue { persist, .. } => *persist == Persistence::Transient,
+            FaultPlan::InstructionOutput { .. }
+            | FaultPlan::InstructionOutputSet { .. }
+            | FaultPlan::MemAddress { .. }
+            | FaultPlan::PredicateOutput { .. }
+            | FaultPlan::Pc { .. }
+            | FaultPlan::RegisterBit { .. }
+            | FaultPlan::GlobalMemBit { .. }
+            | FaultPlan::SharedMemBit { .. } => true,
+        }
+    }
+
     /// True for the hidden-resource plans (scheduler, active mask,
     /// barrier counter, memory queue, fetch/decode) — the
     /// micro-architectural sites architecture-level injectors cannot

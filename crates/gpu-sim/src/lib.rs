@@ -31,13 +31,13 @@ mod snapshot;
 pub mod timing;
 
 pub use engine::{
-    run, run_with_sink, try_run_with_sink, Counts, ExecStatus, Executed, RunOptions, SiteCounts,
-    SitesRecord, CANCEL_POLL_INTERVAL,
+    run, run_with_sink, try_run_with_sink, BlockExit, Counts, ExecStatus, Executed, RunOptions,
+    SiteCounts, SitesRecord, CANCEL_POLL_INTERVAL,
 };
 pub use error::SimError;
 pub use fault::{BitFlip, DueKind, FaultPlan, FetchEffect, MemQueueEffect, Persistence, SiteClass};
 pub use memory::{GlobalMemory, MemoryError, SharedMemory};
-pub use snapshot::{nearest_snapshot, EngineSnapshot, SNAPSHOT_CAP};
+pub use snapshot::{nearest_snapshot, EngineSnapshot, ExitTable, SNAPSHOT_CAP};
 
 /// Anything the fault-injection and beam engines can exercise: a kernel
 /// with a launch configuration, a reproducible input image, and an

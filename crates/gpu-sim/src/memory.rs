@@ -246,6 +246,35 @@ impl GlobalMemory {
         Ok(())
     }
 
+    /// Aligned 32-bit words in the space (a trailing partial word counts).
+    pub(crate) fn words(&self) -> usize {
+        self.data.len().div_ceil(4)
+    }
+
+    /// The data of word `w`, little-endian, zero-padded past the end of
+    /// the space; latent corruption is not applied.
+    pub(crate) fn word(&self, w: usize) -> u32 {
+        let base = w * 4;
+        let end = (base + 4).min(self.data.len());
+        let mut bytes = [0u8; 4];
+        bytes[..end - base].copy_from_slice(&self.data[base..end]);
+        u32::from_le_bytes(bytes)
+    }
+
+    /// Words carrying latent corruption, in no particular order.
+    pub(crate) fn corrupted(&self) -> impl Iterator<Item = usize> + '_ {
+        self.corruption.keys().map(|&w| w as usize)
+    }
+
+    /// Take word `w`'s bytes from `from` and drop its latent corruption,
+    /// as a device write covering the word would.
+    pub(crate) fn adopt_word(&mut self, w: usize, from: &GlobalMemory) {
+        let base = w * 4;
+        let end = (base + 4).min(self.data.len());
+        self.data[base..end].copy_from_slice(&from.data[base..end]);
+        self.corruption.remove(&(w as u32));
+    }
+
     /// Sweep all remaining latent corruption through the ECC policy, as a
     /// background scrubber / end-of-kernel ECC check would. Returns `true`
     /// if any word held a double-bit error (DUE with ECC on).

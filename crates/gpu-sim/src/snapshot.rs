@@ -17,11 +17,16 @@
 //! exactly the golden instruction stream (a single [`FaultPlan`] has no
 //! architectural effect until its trigger), so the golden run's state at
 //! any earlier round boundary *is* the trial's state at that boundary.
+//!
+//! A capturing golden run also builds an [`ExitTable`], which lets a
+//! trial skip the other end of its run: the blocks after its fault is
+//! spent, once they provably run as in golden.
 
 use crate::engine::{Counts, ThreadState};
 use crate::fault::FaultPlan;
 use crate::memory::{GlobalMemory, SharedMemory};
-use gpu_arch::{FunctionalUnit, InstrMeta, SiteClass};
+use gpu_arch::{FunctionalUnit, InstrMeta, Kernel, LaunchConfig, SiteClass};
+use std::fmt;
 use std::sync::Arc;
 
 /// Maximum snapshots captured per run. When a capture would exceed the
@@ -108,11 +113,8 @@ pub struct EngineSnapshot {
     pub(crate) threads: Vec<ThreadState>,
     /// The resident block's shared memory.
     pub(crate) shared: SharedMemory,
-    /// Geometry fingerprint: kernel length, grid and block dimensions.
     /// Resume refuses a snapshot whose fingerprint does not match.
-    pub(crate) kernel_len: u32,
-    pub(crate) grid: (u32, u32),
-    pub(crate) block_dim: (u32, u32),
+    pub(crate) geometry: Geometry,
 }
 
 impl EngineSnapshot {
@@ -170,36 +172,6 @@ impl EngineSnapshot {
         let threads: u64 = self.threads.iter().map(|t| t.regs.len() as u64 * 4 + 8).sum();
         fixed + counts + global + shared + threads
     }
-
-    /// Check that this snapshot was captured under the same geometry the
-    /// caller is about to run.
-    pub(crate) fn check_geometry(
-        &self,
-        kernel_len: usize,
-        grid: (u32, u32),
-        block_dim: (u32, u32),
-        memory_len: u32,
-    ) -> Result<(), String> {
-        if self.kernel_len as usize != kernel_len {
-            return Err(format!(
-                "snapshot kernel length {} != launch kernel length {kernel_len}",
-                self.kernel_len
-            ));
-        }
-        if self.grid != grid || self.block_dim != block_dim {
-            return Err(format!(
-                "snapshot geometry grid {:?} block {:?} != launch grid {grid:?} block {block_dim:?}",
-                self.grid, self.block_dim
-            ));
-        }
-        if self.global.len() != memory_len {
-            return Err(format!(
-                "snapshot memory size {} != launch memory size {memory_len}",
-                self.global.len()
-            ));
-        }
-        Ok(())
-    }
 }
 
 /// The latest snapshot whose capture point lies at or before `plan`'s
@@ -214,4 +186,270 @@ pub fn nearest_snapshot<'a>(
     // nondecreasing along the run, so the latest qualifying snapshot is
     // the first match scanning backwards.
     snapshots.iter().rev().find(|s| s.precedes(plan))
+}
+
+/// The shape a run's golden data is only valid for: kernel length, grid
+/// and block dimensions, and memory size. Snapshots and exit tables carry
+/// the fingerprint of the golden run that made them; a run that resumes
+/// from or exits through them must match it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Geometry {
+    pub(crate) kernel_len: usize,
+    pub(crate) grid: (u32, u32),
+    pub(crate) block_dim: (u32, u32),
+    pub(crate) memory_len: u32,
+}
+
+impl Geometry {
+    /// The geometry of launching `kernel` over `launch` on `memory_len`
+    /// bytes of global memory.
+    pub(crate) fn of(kernel: &Kernel, launch: &LaunchConfig, memory_len: u32) -> Geometry {
+        Geometry {
+            kernel_len: kernel.instrs.len(),
+            grid: (launch.grid.x, launch.grid.y),
+            block_dim: (launch.block.x, launch.block.y),
+            memory_len,
+        }
+    }
+
+    /// Check that golden data of this geometry (`what` names it in the
+    /// error) fits a run of geometry `run`.
+    pub(crate) fn check(&self, what: &str, run: &Geometry) -> Result<(), String> {
+        if self.kernel_len != run.kernel_len {
+            return Err(format!(
+                "{what} kernel length {} != launch kernel length {}",
+                self.kernel_len, run.kernel_len
+            ));
+        }
+        if self.grid != run.grid || self.block_dim != run.block_dim {
+            return Err(format!(
+                "{what} geometry grid {:?} block {:?} != launch grid {:?} block {:?}",
+                self.grid, self.block_dim, run.grid, run.block_dim
+            ));
+        }
+        if self.memory_len != run.memory_len {
+            return Err(format!(
+                "{what} memory size {} != launch memory size {}",
+                self.memory_len, run.memory_len
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Flag bit of [`ExitTable`]'s per-word last-writer tags: the bytes of
+/// the word do not all share its last-writing block.
+const MIXED: u16 = 0x8000;
+
+/// A golden value of a word that a later block overwrites: its value from
+/// the end of block `since - 1` until that write.
+struct HistoryEntry {
+    word: u32,
+    since: u16,
+    value: u32,
+}
+
+/// What a golden run records so that a spent trial can end at a block
+/// boundary (DESIGN.md §16, "Exit").
+///
+/// Blocks share nothing but global memory: a block starts with fresh
+/// registers and shared memory. So once a trial's fault can no longer act
+/// and no later block reads a word where the trial differs from golden,
+/// every later block runs exactly as it does in golden, and the trial's
+/// end state follows from the table and the golden run's final state:
+///
+/// * the golden [`Counts`] at each block boundary (the scalar fields;
+///   `total` is the dynamic-instruction index). The per-warp vectors of
+///   later blocks come from golden final counts: their warps are disjoint;
+/// * per word, the last block that reads it and the last block that
+///   writes it, flagged when its bytes have different last writers
+///   (two-byte stores);
+/// * the golden value of a word between two writes, where a block after
+///   the first write reads it. Every other golden value at a boundary is
+///   the golden final one, or the input image's before the first write.
+///
+/// Block tags are `block + 1`, with 0 for "never". Built whenever a run
+/// captures snapshots; consumed through [`crate::RunOptions::exit_from`].
+pub struct ExitTable {
+    geometry: Geometry,
+    bounds: Vec<Counts>,
+    last_read: Vec<u16>,
+    last_write: Vec<u16>,
+    /// Sorted by word, then by `since`.
+    history: Vec<HistoryEntry>,
+}
+
+impl fmt::Debug for ExitTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ExitTable")
+            .field("blocks", &self.bounds.len())
+            .field("words", &self.last_read.len())
+            .field("history", &self.history.len())
+            .finish()
+    }
+}
+
+impl ExitTable {
+    /// Approximate in-memory footprint in bytes, for cache size reporting.
+    pub fn approx_bytes(&self) -> u64 {
+        let fixed = std::mem::size_of::<Self>();
+        let bounds = self.bounds.len() * std::mem::size_of::<Counts>();
+        let words = (self.last_read.len() + self.last_write.len()) * 2;
+        let history = self.history.len() * std::mem::size_of::<HistoryEntry>();
+        (fixed + bounds + words + history) as u64
+    }
+
+    /// Check that this table was recorded under geometry `run`.
+    pub(crate) fn check_geometry(&self, run: &Geometry) -> Result<(), String> {
+        self.geometry.check("exit table", run)
+    }
+
+    /// Golden counts at the end of block `block`.
+    pub(crate) fn boundary(&self, block: u32) -> &Counts {
+        &self.bounds[block as usize]
+    }
+
+    /// The golden value at the end of the block tagged `k` of word `w`,
+    /// which a later block writes and reads: the latest value recorded
+    /// since `k` or before, else the input image's.
+    fn value_at(&self, w: usize, k: u16, input: &GlobalMemory) -> u32 {
+        let after = self.history.partition_point(|e| (e.word, e.since) <= (w as u32, k));
+        match self.history[..after].last() {
+            Some(e) if e.word == w as u32 => e.value,
+            _ => input.word(w),
+        }
+    }
+
+    /// Decide whether blocks after `block` can be skipped for a trial
+    /// whose global memory is `trial`, and if so make `trial` what it
+    /// would be after them: golden final memory where a later block
+    /// writes, the trial's own bytes and latent corruption elsewhere.
+    /// Declines when a later block reads a word that differs from golden
+    /// or carries latent corruption, and when a later block writes part
+    /// of a word that differs from golden final. `golden` is the golden
+    /// run's final memory and `input` the image both runs started from.
+    pub(crate) fn exit_memory(
+        &self,
+        block: u32,
+        trial: &mut GlobalMemory,
+        golden: &GlobalMemory,
+        input: &GlobalMemory,
+    ) -> bool {
+        let k = block as u16 + 1;
+        if trial.corrupted().any(|w| self.last_read[w] > k) {
+            return false;
+        }
+        let tags = self.last_read.iter().zip(&self.last_write);
+        for (w, (&read, &write)) in tags.clone().enumerate() {
+            let read_later = read > k;
+            let written_later = write & !MIXED > k;
+            if !read_later && !written_later {
+                continue;
+            }
+            let t = trial.word(w);
+            let ok = if read_later {
+                t == if written_later { self.value_at(w, k, input) } else { golden.word(w) }
+            } else {
+                write & MIXED == 0 || t == golden.word(w)
+            };
+            if !ok {
+                return false;
+            }
+        }
+        for (w, (_, &write)) in tags.enumerate() {
+            if write & !MIXED > k {
+                trial.adopt_word(w, golden);
+            }
+        }
+        true
+    }
+}
+
+/// Builds an [`ExitTable`] during a capturing run; the engine reports
+/// every global read, every global write (before it lands) and every
+/// block end to it.
+pub(crate) struct ExitRecorder {
+    memory_len: usize,
+    last_read: Vec<u16>,
+    last_write: Vec<u16>,
+    /// Per word: the bytes its last-writing block wrote.
+    written: Vec<u8>,
+    /// The value each overwritten word held since its previous writer.
+    history: Vec<HistoryEntry>,
+    bounds: Vec<Counts>,
+}
+
+impl ExitRecorder {
+    /// A recorder for a run over `memory`, or `None` when the grid has
+    /// too many blocks for the table's tags.
+    pub(crate) fn new(memory: &GlobalMemory, blocks: u64) -> Option<ExitRecorder> {
+        if blocks >= u64::from(MIXED) {
+            return None;
+        }
+        let words = memory.words();
+        Some(ExitRecorder {
+            memory_len: memory.len() as usize,
+            last_read: vec![0; words],
+            last_write: vec![0; words],
+            written: vec![0; words],
+            history: Vec::new(),
+            bounds: Vec::with_capacity(blocks as usize),
+        })
+    }
+
+    /// Block `block` read `bytes` bytes at `addr`.
+    #[inline]
+    pub(crate) fn read(&mut self, addr: u32, bytes: u32, block: u32) {
+        let tag = block as u16 + 1;
+        for w in addr / 4..=(addr + bytes - 1) / 4 {
+            self.last_read[w as usize] = tag;
+        }
+    }
+
+    /// Block `block` is about to write `bytes` bytes at `addr` of
+    /// `memory`. A write out of bounds faults instead, and a run that
+    /// faults leaves no table.
+    #[inline]
+    pub(crate) fn write(&mut self, addr: u32, bytes: u32, block: u32, memory: &GlobalMemory) {
+        if u64::from(addr) + u64::from(bytes) > u64::from(memory.len()) {
+            return;
+        }
+        let tag = block as u16 + 1;
+        for w in addr / 4..=(addr + bytes - 1) / 4 {
+            let i = w as usize;
+            let since = self.last_write[i];
+            if since != tag {
+                if since != 0 {
+                    self.history.push(HistoryEntry { word: w, since, value: memory.word(i) });
+                }
+                self.last_write[i] = tag;
+                self.written[i] = 0;
+            }
+            let lo = addr.max(w * 4) - w * 4;
+            let hi = (addr + bytes).min(w * 4 + 4) - w * 4;
+            self.written[i] |= ((1u8 << hi) - 1) & !((1u8 << lo) - 1);
+        }
+    }
+
+    /// The next block in launch order has finished with `counts`.
+    pub(crate) fn end_block(&mut self, counts: &Counts) {
+        self.bounds.push(Counts { warp_latency: Vec::new(), warp_instrs: Vec::new(), ..*counts });
+    }
+
+    /// The table of a completed run of geometry `geometry`.
+    pub(crate) fn finish(self, geometry: Geometry) -> ExitTable {
+        let ExitRecorder { memory_len, last_read, mut last_write, written, mut history, bounds } =
+            self;
+        for (w, (tag, &bytes)) in last_write.iter_mut().zip(&written).enumerate() {
+            let full = (1u8 << (memory_len - w * 4).min(4)) - 1;
+            if *tag != 0 && bytes != full {
+                *tag |= MIXED;
+            }
+        }
+        // A value matters only if a block after its writer reads it.
+        history.retain(|e| last_read[e.word as usize] > e.since);
+        history.sort_unstable_by_key(|e| (e.word, e.since));
+        history.shrink_to_fit();
+        ExitTable { geometry, bounds, last_read, last_write, history }
+    }
 }

@@ -453,3 +453,124 @@ fn capture_count_stays_bounded_by_doubling() {
     assert!(snapshots.len() >= SNAPSHOT_CAP / 4, "compaction dropped too much");
     assert!(golden.status.completed());
 }
+
+/// A trial of `plan` on the fixture through `golden`'s exit table, with
+/// `opts` shaping the rest; the full run must agree bit-for-bit.
+fn exit_run(golden: &Arc<Executed>, opts: RunOptions) -> Executed {
+    let device = DeviceModel::named("v100");
+    let (kernel, launch, mem) = fixture();
+    let full = run(&device, &kernel, &launch, mem.clone(), &opts);
+    let opts = opts.exit_through(Some(Arc::clone(golden)));
+    let ended = try_run_with_sink(&device, &kernel, &launch, mem, &opts, None).expect("accepted");
+    assert_bit_identical(&full, &ended);
+    ended
+}
+
+#[test]
+fn exit_ends_spent_trials_and_declines_the_rest() {
+    let (_, golden) = golden_with_snapshots(150);
+    let golden = Arc::new(golden);
+    // The fixture's four blocks each read and write only their own slice,
+    // so flipping thread 0's first loop test (an extra iteration, a wrong
+    // sum) ends the run after block 0.
+    let flip = FaultPlan::PredicateOutput { nth: 0 };
+    let ended = exit_run(&golden, RunOptions::trial(flip));
+    let exit = ended.exit.expect("a spent flip in block 0 exits");
+    assert_eq!(exit.block, 0);
+    assert!(exit.skipped_instrs > 0);
+    // Declines: a plan that never fires, stuck-at and fetch plans, site
+    // recording, and a watchdog the skipped blocks would trip.
+    let never = FaultPlan::InstructionOutput {
+        nth: u64::MAX,
+        site: SiteClass::GprWriter,
+        flip: BitFlip::single(0),
+    };
+    let stuck =
+        FaultPlan::MemQueue { nth: 3, effect: MemQueueEffect::Drop, persist: Persistence::StuckAt };
+    let fetch = FaultPlan::Fetch {
+        at: 10,
+        effect: FetchEffect::StaleReplay,
+        persist: Persistence::Transient,
+    };
+    for opts in [
+        RunOptions::trial(never),
+        RunOptions::trial(stuck).watchdog(100_000),
+        RunOptions::trial(fetch).watchdog(100_000),
+        RunOptions::trial(flip).record_sites(true),
+        RunOptions::trial(flip).watchdog(golden.counts.total - 1),
+    ] {
+        assert_eq!(exit_run(&golden, opts.clone()).exit, None, "{:?} exited", opts.fault);
+    }
+}
+
+#[test]
+fn exit_conflicts_are_rejected() {
+    let device = DeviceModel::named("v100");
+    let (kernel, launch, mem) = fixture();
+    let plan = FaultPlan::Pc { at: 5, flip: BitFlip::single(0) };
+    let conflict = |golden: Executed, mem: GlobalMemory| {
+        let opts = RunOptions::trial(plan).exit_through(Some(Arc::new(golden)));
+        matches!(
+            try_run_with_sink(&device, &kernel, &launch, mem, &opts, None),
+            Err(SimError::ResumeConflict(_))
+        )
+    };
+    // A golden run without an exit table (it captured no snapshots).
+    let plain = run(&device, &kernel, &launch, mem.clone(), &RunOptions::golden());
+    assert!(plain.exit_table.is_none());
+    assert!(conflict(plain, mem));
+    // A table of another geometry (different memory size).
+    let (_, golden) = golden_with_snapshots(150);
+    assert!(conflict(golden, GlobalMemory::new(16)));
+}
+
+#[test]
+fn capture_survives_a_store_out_of_bounds() {
+    let device = DeviceModel::named("v100");
+    let (kernel, launch, mem) = fixture();
+    // Memory op 40 is a store of block 0; bit 20 sends it far past the end.
+    let plan = FaultPlan::MemAddress { nth: 40, flip: BitFlip::single(20) };
+    let opts = RunOptions::trial(plan).snapshot_every(150);
+    let out = run(&device, &kernel, &launch, mem, &opts);
+    assert_eq!(out.status, gpu_sim::ExecStatus::Due(gpu_sim::DueKind::MemoryViolation));
+    assert!(out.exit_table.is_none(), "a run that faults leaves no exit table");
+}
+
+/// Two blocks store the two halves of each word: thread `t` of block `b`
+/// writes `t + 100` to half `b` of word `t`.
+fn split_word_fixture() -> (gpu_arch::Kernel, LaunchConfig, GlobalMemory) {
+    let mut b = KernelBuilder::new("halves");
+    b.s2r(r(0), SpecialReg::TidX);
+    b.s2r(r(1), SpecialReg::CtaidX);
+    b.shl(r(2), r(0).into(), imm(2));
+    b.shl(r(3), r(1).into(), imm(1));
+    b.iadd(r(2), r(2).into(), r(3).into());
+    b.ldp(r(4), 0);
+    b.iadd(r(2), r(2).into(), r(4).into());
+    b.iadd(r(5), r(0).into(), imm(100));
+    b.stg(MemWidth::W16, r(2), 0, r(5));
+    b.exit();
+    (b.build().unwrap(), LaunchConfig::new(2, 32, vec![0]), GlobalMemory::new(128))
+}
+
+#[test]
+fn exit_keeps_a_diverged_half_of_a_word_a_later_block_half_writes() {
+    let device = DeviceModel::named("v100");
+    let (kernel, launch, mem) = split_word_fixture();
+    let golden =
+        run(&device, &kernel, &launch, mem.clone(), &RunOptions::golden().snapshot_every(64));
+    let golden = Arc::new(golden);
+    // Site 224 is block 0 thread 0's `t + 100`: its half of word 0
+    // diverges, and block 1 writes the other half.
+    let plan = FaultPlan::InstructionOutput {
+        nth: 224,
+        site: SiteClass::GprWriter,
+        flip: BitFlip::single(3),
+    };
+    let opts = RunOptions::trial(plan).exit_through(Some(Arc::clone(&golden)));
+    let ended = run(&device, &kernel, &launch, mem.clone(), &opts);
+    let full = run(&device, &kernel, &launch, mem, &RunOptions::trial(plan));
+    assert_bit_identical(&full, &ended);
+    assert_ne!(ended.memory.raw(), golden.memory.raw(), "the flip reached word 0");
+    assert_eq!(ended.exit, None, "block 1 half-writes the diverged word");
+}
