@@ -10,9 +10,9 @@
 //! trajectory per commit.
 //!
 //! The campaign section measures trials/second twice — with the golden
-//! snapshot fast-forward and block-boundary exit (DESIGN.md §16) enabled
-//! and disabled — and reports the speedup and the share of executed
-//! trials that exited early, plus a snapshot-cache size report
+//! snapshot fast-forward and the early exits (DESIGN.md §16) enabled and
+//! disabled — and reports the speedup and the shares of executed trials
+//! that exited at a block boundary and that rejoined golden, plus a snapshot-cache size report
 //! (`BENCH_sim_throughput_snapshot_cache.txt`, override with
 //! `BENCH_SNAPSHOT_CACHE_PATH`) for the CI artifact.
 //!
@@ -88,8 +88,11 @@ struct CampaignMeasurement {
     mean_secs: f64,
     samples: usize,
     /// Share of executed trials that ended at a block boundary; `NaN`
-    /// when the exit was not armed.
+    /// when the exits were not armed.
     exit_share: f64,
+    /// Share of executed trials that rejoined golden inside a block;
+    /// `NaN` when the exits were not armed.
+    rejoin_share: f64,
 }
 
 impl CampaignMeasurement {
@@ -117,8 +120,10 @@ fn measure_campaign(
     // Warm the golden cache, counting where trials ended.
     let metrics = MetricsRegistry::new();
     black_box(run_once(CampaignObserver::with_metrics(&metrics)));
-    let exited = metrics.counter("campaign.exit.block").get() as f64;
-    let exit_share = exited / (exited + metrics.counter("campaign.exit.none").get() as f64);
+    let count = |kind: &str| metrics.counter(&format!("campaign.exit.{kind}")).get() as f64;
+    let (exited, rejoined) = (count("block"), count("rejoin"));
+    let executed = exited + rejoined + count("none");
+    let (exit_share, rejoin_share) = (exited / executed, rejoined / executed);
     let mut samples = Vec::new();
     let start = Instant::now();
     while samples.len() < min_samples || start.elapsed().as_secs_f64() < budget_secs {
@@ -135,6 +140,7 @@ fn measure_campaign(
         mean_secs: mean,
         samples: samples.len(),
         exit_share,
+        rejoin_share,
     }
 }
 
@@ -177,7 +183,7 @@ fn main() {
 
     // Campaign trials/sec, snapshots on vs off: the same workload, seed
     // and trial count, differing only in the fast-forward policy — so the
-    // ratio is the speedup the snapshot layer, block exit included, buys.
+    // ratio is the speedup the snapshot layer, early exits included, buys.
     let campaign_trials = if smoke { 50 } else { 200 };
     let mxm_tiny = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10, Scale::Tiny);
     let kepler = DeviceModel::named("k40c-sim");
@@ -203,10 +209,11 @@ fn main() {
     ];
     for m in &campaign_results {
         println!(
-            "sim_throughput/{:<32} {:>8.1} trials/s  exit share {:.2}  (best {:.3} ms, mean {:.3} ms, {} trials, {} samples)",
+            "sim_throughput/{:<32} {:>8.1} trials/s  exit share {:.2}  rejoin share {:.2}  (best {:.3} ms, mean {:.3} ms, {} trials, {} samples)",
             m.name,
             m.trials_per_sec(),
             m.exit_share,
+            m.rejoin_share,
             m.best_secs * 1e3,
             m.mean_secs * 1e3,
             m.trials,
@@ -216,7 +223,7 @@ fn main() {
     let snap_rate = campaign_results[0].trials_per_sec();
     let nosnap_rate = campaign_results[1].trials_per_sec();
     let speedup = snap_rate / nosnap_rate;
-    println!("sim_throughput/snapshot_fastforward_speedup {speedup:>8.2}x (snapshots and block exit {snap_rate:.1} vs from-zero {nosnap_rate:.1} trials/s)");
+    println!("sim_throughput/snapshot_fastforward_speedup {speedup:>8.2}x (snapshots and early exits {snap_rate:.1} vs from-zero {nosnap_rate:.1} trials/s)");
 
     let path = std::env::var("BENCH_JSON_PATH")
         .unwrap_or_else(|_| "BENCH_sim_throughput.json".to_string());
@@ -237,6 +244,7 @@ fn main() {
             ("mean_secs", Json::Num(m.mean_secs)),
             ("trials_per_sec", Json::Num(m.trials_per_sec())),
             ("exit_share", Json::Num(m.exit_share)),
+            ("rejoin_share", Json::Num(m.rejoin_share)),
         ])
     });
     let snapshots = object([

@@ -1,14 +1,16 @@
-//! Block-boundary exit parity (DESIGN.md §16, "Exit"): a trial that ends
-//! early through the golden run's exit table must give the same
-//! `Executed` as one that runs every block — status, memory bytes, every
-//! `Counts` field and whether the plan fired — on kernels that reach each
-//! edge of the exit rule.
+//! Early-exit parity (DESIGN.md §16, "Exit" and "Rejoin"): a trial that
+//! ends early through its golden run — at a block boundary through the
+//! exit table, or inside a block at a snapshot its state rejoins — must
+//! give the same `Executed` as one that runs to the end: status, memory
+//! bytes, every `Counts` field and whether the plan fired, on kernels
+//! that reach each edge of both rules.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 
-use gpu_arch::{CodeGen, DeviceModel, Precision};
+use gpu_arch::decode::RegLiveness;
+use gpu_arch::{CodeGen, DecodedKernel, DeviceModel, Precision};
 use gpu_sim::{
-    nearest_snapshot, BitFlip, DueKind, ExecStatus, Executed, FaultPlan, MemQueueEffect,
+    nearest_snapshot, BitFlip, DueKind, ExecStatus, Executed, ExitKind, FaultPlan, MemQueueEffect,
     Persistence, RunOptions, SiteClass, Target,
 };
 use obs::{MemSpace, RecordingSink, TraceEvent};
@@ -86,8 +88,9 @@ fn differs(a: &Executed, b: &Executed) -> Option<&'static str> {
 
 /// The kernels of the property test: FMXM's 16 blocks, HHOTSPOT's
 /// two-byte stores, BFS and MERGESORT's cross-block reads of written
-/// words, and FLAVA with ECC off for latent corruption kept past the
-/// exit.
+/// words, FLAVA with ECC off for latent corruption kept past the exit,
+/// and for the rejoin NW's single block, QUICKSORT's and CCL's
+/// data-dependent loops and HGEMM-MMA's warp-synchronous MMA and SHFL.
 fn cases() -> &'static [Case] {
     static CASES: OnceLock<Vec<Case>> = OnceLock::new();
     CASES.get_or_init(|| {
@@ -97,6 +100,10 @@ fn cases() -> &'static [Case] {
             Case::new(Benchmark::Bfs, Precision::Int32, "k40c-sim", false),
             Case::new(Benchmark::Mergesort, Precision::Int32, "k40c-sim", false),
             Case::new(Benchmark::Lava, Precision::Single, "k40c-sim", false),
+            Case::new(Benchmark::Nw, Precision::Int32, "k40c-sim", false),
+            Case::new(Benchmark::Quicksort, Precision::Int32, "k40c-sim", false),
+            Case::new(Benchmark::Ccl, Precision::Int32, "k40c-sim", false),
+            Case::new(Benchmark::GemmMma, Precision::Half, "v100-sim", false),
         ]
     })
 }
@@ -144,13 +151,13 @@ fn plan_for(case: &Case, family: u8, pick: u64, bit: u32) -> FaultPlan {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(180))]
 
     /// Random plans of every family that can exit, on every kernel: the
     /// trial's `Executed` is the same with the exit table and without.
     #[test]
     fn exit_table_is_bit_exact_on_random_plans(
-        kernel in 0usize..5,
+        kernel in 0usize..9,
         family in 0u8..10,
         pick in any::<u64>(),
         bit in 0u32..32,
@@ -275,4 +282,113 @@ fn exit_declines_when_the_watchdog_would_trip() {
     // With room for the replay the same trial exits after block 0.
     let roomy = case.parity(plan, case.golden.counts.total + 1).unwrap();
     assert_eq!(roomy.exit.map(|e| e.block), Some(0));
+}
+
+/// The golden event stream of `case`.
+fn golden_events(case: &Case) -> Vec<TraceEvent> {
+    let mut sink = RecordingSink::new();
+    case.workload.execute_traced(&case.device, &RunOptions::golden().ecc(case.ecc), &mut sink);
+    sink.events
+}
+
+/// Register-file strikes on NW's thread 5 while it waits at a pc past
+/// the middle of the run, each on a register dead (`live` false) or live
+/// (`live` true) there, in the order found.
+fn nw_strikes(case: &Case, live: bool) -> Vec<FaultPlan> {
+    let kernel = case.workload.kernel();
+    let sets = RegLiveness::new(kernel, &DecodedKernel::new(kernel)).live_regs();
+    let events = golden_events(case);
+    let retired: Vec<(u64, u32, u32)> = events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::InstrRetired { idx, lane, pc, .. } => Some((idx, lane, pc)),
+            _ => None,
+        })
+        .collect();
+    let half = case.golden.counts.total / 2;
+    let mut plans = Vec::new();
+    for (k, &(idx, lane, pc)) in retired.iter().enumerate() {
+        // The strike lands after instruction `idx - 1`, a scalar one
+        // (warp-wide instructions lose timed strikes), while thread 5
+        // sits at `pc`.
+        if lane != 5 || idx < half || k == 0 || retired[k - 1].1 == u32::MAX {
+            continue;
+        }
+        for r in 0..kernel.regs_per_thread.min(32) as u8 {
+            if (sets[pc as usize][0] >> r & 1 == 1) == live {
+                plans.push(FaultPlan::RegisterBit {
+                    block: 0,
+                    thread: 5,
+                    reg: r,
+                    flip: BitFlip::single(7),
+                    at: idx - 1,
+                });
+            }
+        }
+        if plans.len() >= 8 {
+            break;
+        }
+    }
+    plans
+}
+
+/// A flipped register that thread 5 overwrites before reading: at the
+/// next golden snapshot the trial's state equals golden's on every live
+/// register, so it rejoins there and reports it. NW runs one block, so
+/// only a rejoin can end it early.
+#[test]
+fn dead_register_flip_rejoins_at_the_next_snapshot() {
+    let case = &cases()[5];
+    assert_eq!(case.workload.launch().grid.count(), 1, "NW runs a 1x1 grid");
+    let plan = nw_strikes(case, false)[0];
+    let FaultPlan::RegisterBit { at, .. } = plan else { unreachable!() };
+    let ended = case.parity(plan, u64::MAX).unwrap();
+    let next = case.golden.snapshots.iter().find(|s| s.dyn_count() > at).expect("a later snapshot");
+    let exit = ended.exit.expect("the dead flip rejoins");
+    assert_eq!(exit.kind, ExitKind::Rejoin);
+    assert_eq!(exit.block, 0);
+    assert_eq!(exit.skipped_instrs, case.golden.counts.total - next.dyn_count());
+    assert!(ended.fault_triggered);
+    // The same trial with a watchdog below the golden total declines, and
+    // trips the watchdog as the full run does.
+    let tight = case.parity(plan, case.golden.counts.total - 1).unwrap();
+    assert_eq!(tight.status, ExecStatus::Due(DueKind::Watchdog));
+    assert_eq!(tight.exit, None);
+}
+
+/// A flipped register that thread 5 may read: a flip that reaches NW's
+/// output never rejoins.
+#[test]
+fn live_register_flip_does_not_rejoin() {
+    let case = &cases()[5];
+    let sdc = nw_strikes(case, true)
+        .into_iter()
+        .map(|plan| case.parity(plan, 4 * case.golden.counts.total).unwrap())
+        .find(|out| out.status.completed() && out.memory.raw() != case.golden.memory.raw())
+        .expect("a live flip reaches the output");
+    assert_eq!(sdc.exit, None);
+}
+
+/// ECC on, a double-bit strike on a word NW never touches again: the
+/// latent corruption differs from every golden snapshot's, so the trial
+/// never rejoins, and the end-of-kernel scrub raises the DUE.
+#[test]
+fn latent_double_bit_never_rejoins() {
+    let case = Case::new(Benchmark::Nw, Precision::Int32, "k40c-sim", true);
+    let events = golden_events(&case);
+    let words = case.golden.memory.len() / 4;
+    let mut last_touch = vec![0u64; words as usize];
+    for e in &events {
+        if let TraceEvent::MemAccess { idx, space: MemSpace::Global, addr, .. } = *e {
+            last_touch[(addr / 4) as usize] = idx + 1;
+        }
+    }
+    let (word, &touched) =
+        last_touch.iter().enumerate().min_by_key(|&(_, &t)| t).expect("NW has memory");
+    let at = touched.max(case.golden.snapshots[0].dyn_count() + 1);
+    assert!(at < case.golden.counts.total / 2, "word {word} is left alone early");
+    let plan = FaultPlan::GlobalMemBit { byte: word as u32 * 4, bit: 3, at, mbu: true };
+    let ended = case.parity(plan, u64::MAX).unwrap();
+    assert_eq!(ended.status, ExecStatus::Due(DueKind::EccDoubleBit));
+    assert_eq!(ended.exit, None);
 }

@@ -201,10 +201,10 @@ fn tallies_are_bit_identical_with_telemetry_on_or_off() {
     }
 }
 
-/// The block-boundary exit's telemetry is a pure function of the trials:
-/// `campaign.exit.block`/`.none` and the skipped-instruction histogram
-/// are identical at 1 and 4 workers, cover every executed trial, and
-/// show most FMXM trials ending early.
+/// The early exits' telemetry is a pure function of the trials:
+/// `campaign.exit.block`/`.rejoin`/`.none` and the skipped-instruction
+/// histogram are identical at 1 and 4 workers, cover every executed
+/// trial, and show most FMXM trials ending early.
 #[test]
 fn exit_telemetry_identical_at_any_worker_count() {
     let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda7, Scale::Small);
@@ -220,13 +220,15 @@ fn exit_telemetry_identical_at_any_worker_count() {
         let snap = metrics.snapshot();
         let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
         let skipped = snap.histograms.get("campaign.exit.skipped_instrs").cloned();
-        (run.executed.total(), count("campaign.exit.block"), count("campaign.exit.none"), skipped)
+        let exits = ["block", "rejoin", "none"].map(|k| count(&format!("campaign.exit.{k}")));
+        (run.executed.total(), exits, skipped)
     };
     let serial = observe(1);
     assert_eq!(serial, observe(4), "exit telemetry differs between 1 and 4 workers");
-    let (executed, block, none, skipped) = serial;
-    assert_eq!(block + none, executed, "every executed trial counts as exited or not");
-    assert!(2 * block > executed, "only {block} of {executed} FMXM trials exited");
+    let (executed, [block, rejoin, none], skipped) = serial;
+    assert_eq!(block + rejoin + none, executed, "every executed trial counts once");
+    assert!(2 * block > executed, "only {block} of {executed} FMXM trials exited at a block");
+    assert!(rejoin > 0, "no FMXM trial rejoined");
     let skipped = skipped.expect("exited trials fill the skipped-instruction histogram");
-    assert_eq!(skipped.count, block);
+    assert_eq!(skipped.count, block + rejoin);
 }

@@ -34,8 +34,8 @@ use crate::store::CheckpointStore;
 use crate::supervise::{panic_message, DeadlineMonitor, QuarantineRecord};
 use gpu_arch::DeviceModel;
 use gpu_sim::{
-    nearest_snapshot, BlockExit, DueKind, EngineSnapshot, ExecStatus, Executed, FaultPlan,
-    RunOptions, Target,
+    nearest_snapshot, BlockExit, DueKind, EngineSnapshot, ExecStatus, Executed, ExitKind,
+    FaultPlan, RunOptions, Target,
 };
 use obs::span::SpanBus;
 use obs::{CampaignObserver, MetricsRegistry, SpanRecord};
@@ -324,8 +324,9 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
         // replay from instruction zero even when snapshots are available.
         let ff: Option<&[Arc<EngineSnapshot>]> =
             (stride > 0 && !golden.snapshots.is_empty()).then(|| golden.snapshots.as_slice());
-        // The block-boundary exit rides the same policy: with fast-forward
-        // armed, trials may end through the golden's exit table.
+        // The early exits ride the same policy: with fast-forward armed,
+        // trials may end through the golden's exit table or rejoin it at a
+        // snapshot.
         let exit = ff.and(golden.exit_table.as_ref()).map(|_| &golden);
         if let Some(m) = self.observer.metrics {
             m.counter(if cache_hit { "campaign.golden.hit" } else { "campaign.golden.miss" }).inc();
@@ -560,13 +561,13 @@ struct TrialRecord {
     label: &'static str,
     stratum: Option<&'static str>,
     /// The faulty run's `counts.total`, fast-forwarded prefix and
-    /// exit-skipped blocks included (0 when not executed).
+    /// exit-skipped instructions included (0 when not executed).
     dyn_instrs: u64,
     /// Dynamic instructions skipped by resuming from a golden snapshot;
     /// `None` when the trial replayed from zero.
     fast_forwarded: Option<u64>,
-    /// Where the trial ended early through the golden's exit table, and
-    /// the instructions that skipped; `None` when every block ran.
+    /// Where and how the trial ended early through its golden run, and
+    /// the instructions that skipped; `None` when it ran to the end.
     exit: Option<BlockExit>,
     start: Instant,
     micros: u64,
@@ -719,7 +720,8 @@ struct Telemetry<'a> {
     /// Fast-forward is armed: executed trials count snapshot hits and
     /// misses.
     ff: bool,
-    /// The block-boundary exit is armed: executed trials count exits.
+    /// The early exits are armed: executed trials count block exits,
+    /// rejoins and neither.
     exit: bool,
     /// `epoch` on the span bus clock. Trial and shard spans are pushed at
     /// fold time from the `Instant`s the records carry.
@@ -748,6 +750,7 @@ impl Telemetry<'_> {
         let exits = metrics.filter(|_| self.exit).map(|m| {
             (
                 m.counter("campaign.exit.block"),
+                m.counter("campaign.exit.rejoin"),
                 m.counter("campaign.exit.none"),
                 m.histogram("campaign.exit.skipped_instrs"),
             )
@@ -772,10 +775,14 @@ impl Telemetry<'_> {
                     None => miss.inc(),
                 }
             }
-            if let Some((block, none, skipped)) = exits.as_ref().filter(|_| rec.executed()) {
+            if let Some((block, rejoin, none, skipped)) = exits.as_ref().filter(|_| rec.executed())
+            {
                 match rec.exit {
                     Some(exit) => {
-                        block.inc();
+                        match exit.kind {
+                            ExitKind::Block => block.inc(),
+                            ExitKind::Rejoin => rejoin.inc(),
+                        }
                         skipped.observe(exit.skipped_instrs);
                     }
                     None => none.inc(),
@@ -1024,10 +1031,11 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
         };
         let cancel = self.monitor.map(|m| m.arm(slot));
         // Fast-forward: resume from the latest golden snapshot at or
-        // before the fault site, and end at the first block boundary
-        // after which the run is provably golden. The skipped prefix and
-        // suffix are bit-identical to the golden run, so the tally is the
-        // same either way — only the wall clock changes.
+        // before the fault site, and end at the first snapshot point or
+        // block boundary after which the run is provably golden. The
+        // skipped prefix and suffix are bit-identical to the golden run,
+        // so the tally is the same either way — only the wall clock
+        // changes.
         let resume = self.ff.and_then(|snaps| nearest_snapshot(snaps, &plan)).cloned();
         let fast_forwarded = resume.as_ref().map(|s| s.dyn_count());
         let opts = RunOptions::trial(plan)

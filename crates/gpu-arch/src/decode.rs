@@ -476,6 +476,156 @@ pub fn written_regs_of(i: &Instr) -> RegList {
     }
 }
 
+/// Number of real (non-`RZ`) general-purpose registers.
+pub const TRACKED_REGS: usize = 255;
+
+/// No [`RegLiveness`] slot: no branch jumps to the instruction.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Bit-level register liveness: which bits of which registers a thread
+/// may still observe, around each instruction.
+///
+/// A backward fixpoint over the read/write model of [`DecodedKernel`],
+/// at instruction granularity:
+///
+/// * a read makes its observed bits live ([`DecodedKernel::observed_reads`]:
+///   half-precision reads see the low 16 bits, shift counts the low 5,
+///   MMA fragments and the SHFL source are read in full);
+/// * only a write that overwrites its destination on every executing
+///   thread kills ([`InstrMeta::def_kills`]): guarded writes and the
+///   warp-level MMA/SHFL writes leave the old value live;
+/// * control flows to the next instruction, to a branch target, or
+///   nowhere after an unguarded `EXIT`.
+///
+/// A register with no live bit at a thread's pc is overwritten before
+/// any later read on every path, or never read again. `sass-analysis`
+/// proves injection sites masked with this, and the simulator ignores
+/// such registers when it compares a trial with a golden snapshot.
+///
+/// Only the entry masks of branch targets are kept; [`RegLiveness::sweep`]
+/// rebuilds every instruction's masks in one backward pass.
+#[derive(Clone, Debug)]
+pub struct RegLiveness<'k> {
+    kernel: &'k Kernel,
+    decoded: &'k DecodedKernel,
+    /// Registers tracked: `R0` up to the highest the kernel names.
+    width: usize,
+    /// Per pc: its index among branch targets, or [`NO_SLOT`].
+    slot: Vec<u32>,
+    /// Per branch target: some branch at or after it jumps back to it.
+    back: Vec<bool>,
+    /// Per branch target: the observed-bit masks on entry, `width` each.
+    entry: Vec<u32>,
+}
+
+impl<'k> RegLiveness<'k> {
+    /// Run the fixpoint over `kernel`, decoded as `decoded`.
+    pub fn new(kernel: &'k Kernel, decoded: &'k DecodedKernel) -> RegLiveness<'k> {
+        let n = kernel.instrs.len();
+        let named = (0..n).flat_map(|pc| {
+            let reads = decoded.observed_reads(pc).iter().map(|&(r, _)| r);
+            reads.chain(decoded.written_regs(pc).iter().copied())
+        });
+        let width = named.map(|r| r.0 as usize + 1).max().unwrap_or(0);
+        let mut slot = vec![NO_SLOT; n];
+        let mut back = Vec::new();
+        for (pc, i) in kernel.instrs.iter().enumerate() {
+            let Some(t) = i.target.filter(|_| i.op == Op::Bra) else { continue };
+            let t = t as usize;
+            if slot[t] == NO_SLOT {
+                slot[t] = back.len() as u32;
+                back.push(false);
+            }
+            back[slot[t] as usize] |= t <= pc;
+        }
+        let mut live = RegLiveness { kernel, decoded, width, slot, back, entry: Vec::new() };
+        let mut entry = vec![0u32; live.back.len() * width];
+        while live.pass::<false>(&mut entry, |_, _, _| {}) {}
+        live.entry = entry;
+        live
+    }
+
+    /// Visit every instruction, last to first, with the observed-bit
+    /// masks of the registers after it executes and on entry to it,
+    /// indexed by register number; registers past the slices are never
+    /// observed.
+    pub fn sweep(&self, visit: impl FnMut(usize, &[u32], &[u32])) {
+        let mut entry = self.entry.clone();
+        self.pass::<true>(&mut entry, visit);
+    }
+
+    /// The registers with any live bit on entry to each pc, as bitsets:
+    /// register `r` is bit `r % 32` of word `r / 32`.
+    pub fn live_regs(&self) -> Vec<[u32; 8]> {
+        let mut sets = vec![[0u32; 8]; self.kernel.instrs.len()];
+        self.sweep(|pc, _, before| {
+            for (r, &m) in before.iter().enumerate() {
+                if m != 0 {
+                    sets[pc][r / 32] |= 1 << (r % 32);
+                }
+            }
+        });
+        sets
+    }
+
+    /// One backward pass over the kernel that updates the branch
+    /// targets' `entry` masks, visiting each instruction when `VISIT`. A
+    /// pass reads a stale entry only across a backward branch, so it
+    /// returns whether the entry of a backward branch's target changed:
+    /// then another pass is due.
+    fn pass<const VISIT: bool>(
+        &self,
+        entry: &mut [u32],
+        mut visit: impl FnMut(usize, &[u32], &[u32]),
+    ) -> bool {
+        let (n, w) = (self.kernel.instrs.len(), self.width);
+        // `live` carries the masks on entry to `pc + 1` into `pc`.
+        let mut live = vec![0u32; w];
+        let mut after = vec![0u32; if VISIT { w } else { 0 }];
+        let mut changed = false;
+        for pc in (0..n).rev() {
+            let i = &self.kernel.instrs[pc];
+            let (jump, falls) = match i.op {
+                Op::Bra => (i.target, i.guard.is_some()),
+                Op::Exit => (None, i.guard.is_some()),
+                _ => (None, true),
+            };
+            if !falls || pc + 1 == n {
+                live.fill(0);
+            }
+            if let Some(t) = jump {
+                let s = self.slot[t as usize] as usize * w;
+                for (l, e) in live.iter_mut().zip(&entry[s..s + w]) {
+                    *l |= e;
+                }
+            }
+            if VISIT {
+                after.copy_from_slice(&live);
+            }
+            if self.decoded.meta(pc as u32).def_kills {
+                for &r in self.decoded.written_regs(pc) {
+                    live[r.0 as usize] = 0;
+                }
+            }
+            for &(r, m) in self.decoded.observed_reads(pc) {
+                live[r.0 as usize] |= m;
+            }
+            if VISIT {
+                visit(pc, &after, &live);
+            }
+            let s = self.slot[pc];
+            if s != NO_SLOT {
+                let e = &mut entry[s as usize * w..(s as usize + 1) * w];
+                if *e != *live {
+                    e.copy_from_slice(&live);
+                    changed |= self.back[s as usize];
+                }
+            }
+        }
+        changed
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -617,5 +767,130 @@ mod tests {
         assert!(d.observed_reads(0).is_empty()); // RZ and an immediate
         assert_eq!(d.meta(1).op, Op::Exit);
         assert!(d.meta(1).has_no_dst);
+    }
+
+    /// A kernel's liveness, per pc: the masks on entry to it and after
+    /// it, and the live-register sets.
+    struct Masks {
+        before: Vec<Vec<u32>>,
+        after: Vec<Vec<u32>>,
+        sets: Vec<[u32; 8]>,
+    }
+
+    impl Masks {
+        fn live_in(&self, pc: usize, r: Reg) -> u32 {
+            self.before[pc].get(r.0 as usize).copied().unwrap_or(0)
+        }
+
+        fn live_out(&self, pc: usize, r: Reg) -> u32 {
+            self.after[pc].get(r.0 as usize).copied().unwrap_or(0)
+        }
+
+        fn live_regs(&self, pc: usize) -> [u32; 8] {
+            self.sets[pc]
+        }
+    }
+
+    fn liveness_of(f: impl FnOnce(&mut crate::KernelBuilder)) -> Masks {
+        let mut b = crate::KernelBuilder::new("live");
+        f(&mut b);
+        let k = b.build().expect("valid kernel");
+        let decoded = DecodedKernel::new(&k);
+        let lv = RegLiveness::new(&k, &decoded);
+        let n = k.instrs.len();
+        let mut m =
+            Masks { before: vec![Vec::new(); n], after: vec![Vec::new(); n], sets: lv.live_regs() };
+        lv.sweep(|pc, after, before| {
+            m.after[pc] = after.to_vec();
+            m.before[pc] = before.to_vec();
+        });
+        m
+    }
+
+    fn reg(r: u8) -> crate::Operand {
+        crate::Operand::Reg(Reg(r))
+    }
+
+    #[test]
+    fn unguarded_overwrite_kills() {
+        let lv = liveness_of(|b| {
+            b.iadd(Reg(1), reg(0), reg(0)); // 0: reads R0
+            b.mov(Reg(0), crate::Operand::Imm(5)); // 1: unguarded overwrite
+            b.stg(MemWidth::W32, Reg(2), 0, Reg(0)); // 2
+            b.exit();
+        });
+        assert_eq!(lv.live_in(0, Reg(0)), OBS_FULL);
+        assert_eq!(lv.live_in(1, Reg(0)), 0, "the MOV overwrites R0 before any read");
+        assert_eq!(lv.live_out(0, Reg(0)), 0);
+        assert_eq!(lv.live_in(2, Reg(0)), OBS_FULL);
+        assert_eq!(lv.live_in(0, Reg(1)), 0, "R1 is never read");
+        assert_eq!(lv.live_regs(1), [0b100, 0, 0, 0, 0, 0, 0, 0], "only R2 is live at 1");
+    }
+
+    #[test]
+    fn guarded_mma_and_shfl_writes_do_not_kill() {
+        let lv = liveness_of(|b| {
+            b.if_p(crate::Pred(0));
+            b.mov(Reg(0), crate::Operand::Imm(5)); // 0: guarded
+            b.shfl(crate::ShflMode::Idx, Reg(0), Reg(1), crate::Operand::Imm(0)); // 1
+            b.stg(MemWidth::W32, Reg(2), 0, Reg(0)); // 2
+            b.exit();
+        });
+        assert_eq!(lv.live_in(0, Reg(0)), OBS_FULL, "a guarded write may leave R0");
+        assert_eq!(lv.live_in(1, Reg(0)), OBS_FULL, "a SHFL write does not kill");
+        // An MMA writes the accumulator fragment it reads, so its not
+        // killing shows only in the metadata the fixpoint consults.
+        for op in [Op::Hmma, Op::Fmma] {
+            assert!(!InstrMeta::new(&Instr::new(op)).def_kills, "{op:?} kills");
+        }
+    }
+
+    #[test]
+    fn mma_fragments_and_shfl_source_are_live() {
+        let lv = liveness_of(|b| {
+            b.shfl(crate::ShflMode::Bfly, Reg(20), Reg(21), reg(22)); // 0
+            b.fmma(Reg(0), Reg(4), Reg(8)); // 1: A R0..3, B R4..7, C R8..15
+            b.exit();
+        });
+        for r in [21, 22] {
+            assert_eq!(lv.live_in(0, Reg(r)), OBS_FULL, "SHFL reads R{r}");
+        }
+        for r in 0..16 {
+            assert_eq!(lv.live_in(1, Reg(r)), OBS_FULL, "FMMA reads R{r}");
+        }
+        assert_eq!(lv.live_in(1, Reg(16)), 0);
+        assert_eq!(lv.live_in(0, Reg(20)), 0, "the SHFL result is never read");
+    }
+
+    #[test]
+    fn nothing_is_live_after_an_unguarded_exit() {
+        let lv = liveness_of(|b| {
+            b.isetp(crate::Pred(0), CmpOp::Lt, reg(0), crate::Operand::Imm(4)); // 0
+            b.if_p(crate::Pred(0));
+            b.exit(); // 1: guarded, falls through
+            b.exit(); // 2
+            b.stg(MemWidth::W32, Reg(2), 0, Reg(3)); // 3: unreachable
+            b.exit();
+        });
+        assert_eq!(lv.live_regs(2), [0; 8]);
+        assert_eq!(lv.live_regs(1), [0; 8], "the guarded EXIT falls through to the EXIT");
+        assert_eq!(lv.live_in(0, Reg(0)), OBS_FULL);
+        assert_eq!(lv.live_in(3, Reg(3)), OBS_FULL, "the store itself reads R3");
+    }
+
+    #[test]
+    fn branches_carry_liveness_from_both_successors() {
+        let lv = liveness_of(|b| {
+            b.label("top");
+            b.hadd(Reg(1), reg(5), reg(5)); // 0: half read of R5
+            b.if_p(crate::Pred(0));
+            b.bra("top"); // 1: guarded back edge
+            b.shl(Reg(3), reg(6), reg(7)); // 2: shift count R7
+            b.stg(MemWidth::W32, Reg(2), 0, Reg(3)); // 3
+            b.exit();
+        });
+        assert_eq!(lv.live_out(1, Reg(5)), OBS_HALF, "the back edge reaches the HADD");
+        assert_eq!(lv.live_out(1, Reg(7)), OBS_SHIFT_COUNT, "the fall-through reaches the SHL");
+        assert_eq!(lv.live_in(0, Reg(7)), OBS_SHIFT_COUNT, "around the loop");
     }
 }

@@ -79,15 +79,26 @@ pub struct RunOptions {
     /// [`SimError::ResumeConflict`]s. Incompatible with
     /// [`RunOptions::record_sites`] and [`RunOptions::snapshot_stride`].
     pub resume_from: Option<Arc<EngineSnapshot>>,
-    /// The golden run whose [`Executed::exit_table`] may end this trial
-    /// early: at the first block boundary where the fault plan is spent
-    /// and the rest of the run is provably golden, the engine builds the
-    /// final state from the table instead of running the later blocks
-    /// (see [`Executed::exit`]). The result is bit-identical either way.
-    /// A golden of another geometry, or one without a table, is a
-    /// [`SimError::ResumeConflict`]. The engine never exits with a sink
-    /// attached, while recording sites or capturing snapshots, under a
-    /// stuck-at or fetch plan, or when the watchdog would trip later on.
+    /// The golden run that may end this trial early once its fault plan
+    /// is spent, in one of two ways (see [`Executed::exit`]):
+    ///
+    /// * a block exit: at a block boundary after which no later block
+    ///   reads a word where the trial differs from golden, the engine
+    ///   builds the final state from the golden's [`Executed::exit_table`]
+    ///   instead of running the later blocks;
+    /// * a rejoin: at a scheduler round top where golden captured one of
+    ///   its [`Executed::snapshots`], if the trial's state equals the
+    ///   snapshot's on everything the rest of the run can read (memories
+    ///   with their latent corruption, thread states, pcs, predicates and
+    ///   the registers live at each thread's pc), the rest of the run is
+    ///   golden's and the trial ends there with golden's final memory.
+    ///
+    /// The result is bit-identical either way. A golden of another
+    /// geometry, or one without a table, is a
+    /// [`SimError::ResumeConflict`]. The engine never ends a trial early
+    /// with a sink attached, while recording sites or capturing
+    /// snapshots, under a stuck-at or fetch plan, or when the watchdog
+    /// would trip in the part it skips.
     pub exit_from: Option<Arc<Executed>>,
 }
 
@@ -224,8 +235,10 @@ pub struct SiteCounts {
 }
 
 impl Counts {
-    /// Add the scalar counts golden run `fin` retired after `at`.
-    fn add_suffix(&mut self, fin: &Counts, at: &Counts) {
+    /// Add what golden run `fin` retired after `at`: the scalar counts,
+    /// and the per-warp counts of warps `from` on (`at`'s per-warp
+    /// counts read as zero where it has none).
+    fn add_suffix(&mut self, fin: &Counts, at: &Counts, from: usize) {
         self.total += fin.total - at.total;
         for (c, (f, a)) in self.per_unit.iter_mut().zip(fin.per_unit.iter().zip(&at.per_unit)) {
             *c += f - a;
@@ -239,6 +252,14 @@ impl Counts {
         s.loads += f.loads - a.loads;
         s.mem_ops += f.mem_ops - a.mem_ops;
         s.setp += f.setp - a.setp;
+        for (mine, fin, at) in [
+            (&mut self.warp_latency, &fin.warp_latency, &at.warp_latency),
+            (&mut self.warp_instrs, &fin.warp_instrs, &at.warp_instrs),
+        ] {
+            for (w, c) in mine.iter_mut().enumerate().skip(from) {
+                *c += fin[w] - at.get(w).copied().unwrap_or(0);
+            }
+        }
     }
 
     /// Dynamic count for one unit kind.
@@ -314,20 +335,33 @@ pub struct Executed {
     /// The exit table of a completed run that captured snapshots; trials
     /// end early through it (see [`RunOptions::exit_from`]).
     pub exit_table: Option<Arc<ExitTable>>,
-    /// Where a trial ended early through [`RunOptions::exit_from`];
-    /// `None` when every block ran.
+    /// Where and how a trial ended early through
+    /// [`RunOptions::exit_from`]; `None` when it ran to the end.
     pub exit: Option<BlockExit>,
 }
 
-/// Where a trial ended early: the blocks after `block` were not run, and
-/// their `skipped_instrs` dynamic instructions came from the golden run's
-/// exit table. [`Executed::counts`] includes them.
+/// Where a trial ended early: the rest of its run after block `block`
+/// (a block exit) or from a point inside it (a rejoin) was not run, and
+/// its `skipped_instrs` dynamic instructions came from the golden run.
+/// [`Executed::counts`] includes them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockExit {
-    /// Linear index of the last block that ran.
+    /// Linear index of the last block that ran, in part for a rejoin.
     pub block: u32,
-    /// Dynamic instructions of the blocks that did not run.
+    /// Dynamic instructions of the part of the run that did not run.
     pub skipped_instrs: u64,
+    /// How the trial ended.
+    pub kind: ExitKind,
+}
+
+/// The two ways a trial ends early through [`RunOptions::exit_from`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ExitKind {
+    /// At a block boundary, through the golden run's exit table.
+    Block,
+    /// Inside a block, at a golden snapshot whose state the trial's
+    /// equals on everything the rest of the run can read.
+    Rejoin,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -361,6 +395,17 @@ struct Thread {
     tid_y: u32,
 }
 
+impl TState {
+    /// The [`ThreadState::state`] code.
+    fn code(self) -> u8 {
+        match self {
+            TState::Running => 0,
+            TState::AtBarrier => 1,
+            TState::Exited => 2,
+        }
+    }
+}
+
 impl Thread {
     fn to_state(&self) -> ThreadState {
         let live = self.regs.iter().rposition(|&r| r != 0).map_or(0, |i| i + 1);
@@ -368,12 +413,33 @@ impl Thread {
             regs: self.regs[..live].to_vec(),
             preds: self.preds,
             pc: self.pc,
-            state: match self.state {
-                TState::Running => 0,
-                TState::AtBarrier => 1,
-                TState::Exited => 2,
-            },
+            state: self.state.code(),
         }
+    }
+
+    /// Whether the rest of the run reads the same from this thread as
+    /// from `st`: the same scheduler state, pc and predicates, and, unless
+    /// the thread has exited, the same value in every register in `live`
+    /// (`None`: a pc past the kernel's end, which never matches).
+    fn same_as(&self, st: &ThreadState, live: Option<&[u32; 8]>) -> bool {
+        if self.pc != st.pc || self.preds != st.preds || self.state.code() != st.state {
+            return false;
+        }
+        if self.state == TState::Exited {
+            return true;
+        }
+        let Some(live) = live else { return false };
+        live.iter().enumerate().all(|(w, &bits)| {
+            let mut bits = bits;
+            while bits != 0 {
+                let r = w * 32 + bits.trailing_zeros() as usize;
+                if self.regs[r] != st.regs.get(r).copied().unwrap_or(0) {
+                    return false;
+                }
+                bits &= bits - 1;
+            }
+            true
+        })
     }
 
     fn from_state(st: &ThreadState, t: u32, block_x: u32) -> Thread {
@@ -474,7 +540,20 @@ struct Ctx<'a> {
     current_block: u32,
     record: Option<SitesRecord>,
     cap: Option<Capture>,
+    /// Armed when a spent trial may rejoin its golden run.
+    rejoin: Option<Rejoin<'a>>,
     sink: Option<&'a mut (dyn TraceSink + 'a)>,
+}
+
+/// Where a trial stands against its golden run's snapshots, for the
+/// round-top rejoin check (see [`rejoin_here`]).
+struct Rejoin<'a> {
+    golden: &'a Executed,
+    table: &'a ExitTable,
+    /// Index of the first golden snapshot not yet behind the trial.
+    next: usize,
+    /// The thread that differed at the last comparison, tried first.
+    last_diff: usize,
 }
 
 /// Execute `kernel` on `device` with the given launch, memory image and
@@ -597,7 +676,7 @@ pub fn try_run_with_sink<'a>(
     let warps_per_block = launch.warps_per_block() as usize;
     let total_warps = warps_per_block * launch.grid.count() as usize;
     let recorder = if opts.snapshot_stride > 0 {
-        ExitRecorder::new(&memory, launch.grid.count())
+        ExitRecorder::new(kernel, &memory, launch.grid.count())
     } else {
         None
     };
@@ -619,6 +698,10 @@ pub fn try_run_with_sink<'a>(
         hidden_fired: false,
         current_block: 0,
         record: opts.record_sites.then(SitesRecord::default),
+        // A rejoin ends the run at the golden total, so it needs room.
+        rejoin: exit
+            .filter(|(golden, _)| golden.counts.total <= opts.watchdog_limit)
+            .map(|(golden, table)| Rejoin { golden, table, next: 0, last_diff: 0 }),
         cap: (opts.snapshot_stride > 0).then(|| Capture {
             stride: opts.snapshot_stride,
             next_due: opts.snapshot_stride,
@@ -673,9 +756,16 @@ pub fn try_run_with_sink<'a>(
             if let Some(rec) = ctx.record.as_mut() {
                 rec.block_windows.push((window_start, ctx.dyn_count));
             }
-            if let Err(due) = result {
-                status = ExecStatus::Due(due);
-                break 'blocks;
+            match result {
+                Err(due) => {
+                    status = ExecStatus::Due(due);
+                    break 'blocks;
+                }
+                Ok(Some(rejoined)) => {
+                    exited = Some(rejoined);
+                    break 'blocks;
+                }
+                Ok(None) => {}
             }
             if let Some(rec) = ctx.cap.as_mut().and_then(|c| c.exit.as_mut()) {
                 rec.end_block(&ctx.counts);
@@ -745,13 +835,72 @@ fn exit_after(
     {
         return None;
     }
+    Some(finish_from(ctx, golden, at, block, ExitKind::Block))
+}
+
+/// End the trial in block `block` as if it ran on from a point where
+/// golden had counts `at`: add what golden retired from there to the end,
+/// for the scalar counts and for the warps that can still change. Those
+/// are the later blocks' after a block exit, and also this block's after
+/// a rejoin; per-warp counts missing from `at` read as zero.
+fn finish_from(
+    ctx: &mut Ctx<'_>,
+    golden: &Executed,
+    at: &Counts,
+    block: u32,
+    kind: ExitKind,
+) -> BlockExit {
+    let skipped = golden.counts.total - at.total;
     ctx.dyn_count += skipped;
-    ctx.counts.add_suffix(&golden.counts, at);
-    // Later blocks own the warps after this block's.
-    let from = (block as usize + 1) * ctx.launch.warps_per_block() as usize;
-    ctx.counts.warp_latency[from..].copy_from_slice(&golden.counts.warp_latency[from..]);
-    ctx.counts.warp_instrs[from..].copy_from_slice(&golden.counts.warp_instrs[from..]);
-    Some(BlockExit { block, skipped_instrs: skipped })
+    let first_block = match kind {
+        ExitKind::Block => block + 1,
+        ExitKind::Rejoin => block,
+    };
+    let from = first_block as usize * ctx.launch.warps_per_block() as usize;
+    ctx.counts.add_suffix(&golden.counts, at, from);
+    BlockExit { block, skipped_instrs: skipped, kind }
+}
+
+/// At a scheduler round top of block `block`: if the spent trial's state
+/// equals that of the golden snapshot taken at this same point (block and
+/// dynamic count) on everything the rest of the run can read, the rest of
+/// the run is golden's, so end the trial here with golden final memory.
+///
+/// Compared: shared and global memory with their latent corruption, then
+/// per thread the scheduler state, pc, predicates and, unless the thread
+/// has exited, the registers live at its pc (see [`ExitTable`]). The
+/// snapshots are walked with a cursor, and the thread that differed last
+/// time is tried first, so trials that never rejoin pay little. Kept out
+/// of line: inlined into `run_block`, the interpreter loop read 1-3%
+/// slower on perfbench's avf_mxm and avf_hotspot_pruned (2-vCPU x86-64
+/// VM).
+#[inline(never)]
+fn rejoin_here(
+    ctx: &mut Ctx<'_>,
+    block: u32,
+    threads: &[Thread],
+    shared: &SharedMemory,
+) -> Option<BlockExit> {
+    let here = (block, ctx.dyn_count);
+    let rj = ctx.rejoin.as_mut()?;
+    let (golden, table) = (rj.golden, rj.table);
+    while golden.snapshots.get(rj.next).is_some_and(|s| (s.block, s.dyn_count) < here) {
+        rj.next += 1;
+    }
+    let snap = golden.snapshots.get(rj.next).filter(|s| (s.block, s.dyn_count) == here)?;
+    if !shared.same_as(&snap.shared) || !ctx.global.same_as(&snap.global) {
+        return None;
+    }
+    let same = |t: usize| threads[t].same_as(&snap.threads[t], table.live_regs(threads[t].pc));
+    let first = rj.last_diff;
+    if let Some(t) =
+        std::iter::once(first).chain((0..threads.len()).filter(|&t| t != first)).find(|&t| !same(t))
+    {
+        rj.last_diff = t;
+        return None;
+    }
+    ctx.global.adopt(&golden.memory);
+    Some(finish_from(ctx, golden, &snap.counts, block, ExitKind::Rejoin))
 }
 
 /// Capture an [`EngineSnapshot`] of the current state (called at a
@@ -795,7 +944,7 @@ fn run_block(
     by: u32,
     block_linear: u32,
     init: Option<&EngineSnapshot>,
-) -> Result<(), DueKind> {
+) -> Result<Option<BlockExit>, DueKind> {
     // Copy the kernel reference out of `ctx` so instruction borrows are
     // independent of the `&mut ctx` passed to the executors.
     let kernel = ctx.kernel;
@@ -838,6 +987,11 @@ fn run_block(
         if let Some(cap) = &ctx.cap {
             if ctx.dyn_count >= cap.next_due {
                 capture_snapshot(ctx, block_linear, &threads, &shared);
+            }
+        }
+        if ctx.fault_triggered {
+            if let Some(rejoined) = rejoin_here(ctx, block_linear, &threads, &shared) {
+                return Ok(Some(rejoined));
             }
         }
         // Hidden scheduler/mask faults fire at round boundaries — which
@@ -959,7 +1113,7 @@ fn run_block(
         }
 
         if all_done {
-            return Ok(());
+            return Ok(None);
         }
 
         // Barrier-counter corruption: armed from the trigger instant on;

@@ -31,8 +31,8 @@ mod snapshot;
 pub mod timing;
 
 pub use engine::{
-    run, run_with_sink, try_run_with_sink, BlockExit, Counts, ExecStatus, Executed, RunOptions,
-    SiteCounts, SitesRecord, CANCEL_POLL_INTERVAL,
+    run, run_with_sink, try_run_with_sink, BlockExit, Counts, ExecStatus, Executed, ExitKind,
+    RunOptions, SiteCounts, SitesRecord, CANCEL_POLL_INTERVAL,
 };
 pub use error::SimError;
 pub use fault::{BitFlip, DueKind, FaultPlan, FetchEffect, MemQueueEffect, Persistence, SiteClass};

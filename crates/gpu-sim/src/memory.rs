@@ -275,6 +275,17 @@ impl GlobalMemory {
         self.corruption.remove(&(w as u32));
     }
 
+    /// Take all of `from`'s bytes and latent corruption, in place.
+    pub(crate) fn adopt(&mut self, from: &GlobalMemory) {
+        self.data.copy_from_slice(&from.data);
+        self.corruption.clone_from(&from.corruption);
+    }
+
+    /// Same bytes and same latent corruption as `other`.
+    pub(crate) fn same_as(&self, other: &GlobalMemory) -> bool {
+        self.corruption == other.corruption && self.data == other.data
+    }
+
     /// Sweep all remaining latent corruption through the ECC policy, as a
     /// background scrubber / end-of-kernel ECC check would. Returns `true`
     /// if any word held a double-bit error (DUE with ECC on).
@@ -343,6 +354,11 @@ impl SharedMemory {
     /// Record a strike (see [`GlobalMemory::strike_bit`]).
     pub fn strike_bit(&mut self, byte_addr: u32, bit: u32) {
         self.inner.strike_bit(byte_addr, bit);
+    }
+
+    /// Same bytes and same latent corruption as `other`.
+    pub(crate) fn same_as(&self, other: &SharedMemory) -> bool {
+        self.inner.same_as(&other.inner)
     }
 }
 

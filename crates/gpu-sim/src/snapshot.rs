@@ -19,13 +19,15 @@
 //! any earlier round boundary *is* the trial's state at that boundary.
 //!
 //! A capturing golden run also builds an [`ExitTable`], which lets a
-//! trial skip the other end of its run: the blocks after its fault is
-//! spent, once they provably run as in golden.
+//! trial skip the other end of its run once its fault is spent: the
+//! blocks after one it ends in, once they provably run as in golden, or
+//! the rest of the run from a snapshot whose state it rejoins.
 
 use crate::engine::{Counts, ThreadState};
 use crate::fault::FaultPlan;
 use crate::memory::{GlobalMemory, SharedMemory};
-use gpu_arch::{FunctionalUnit, InstrMeta, Kernel, LaunchConfig, SiteClass};
+use gpu_arch::decode::RegLiveness;
+use gpu_arch::{DecodedKernel, FunctionalUnit, InstrMeta, Kernel, LaunchConfig, SiteClass};
 use std::fmt;
 use std::sync::Arc;
 
@@ -270,6 +272,11 @@ struct HistoryEntry {
 ///
 /// Block tags are `block + 1`, with 0 for "never". Built whenever a run
 /// captures snapshots; consumed through [`crate::RunOptions::exit_from`].
+///
+/// The table also carries, per pc, the registers live on entry to it
+/// ([`RegLiveness::live_regs`]), so a trial can rejoin golden at one of
+/// its snapshots while dead registers still differ (DESIGN.md §16,
+/// "Rejoin").
 pub struct ExitTable {
     geometry: Geometry,
     bounds: Vec<Counts>,
@@ -277,6 +284,9 @@ pub struct ExitTable {
     last_write: Vec<u16>,
     /// Sorted by word, then by `since`.
     history: Vec<HistoryEntry>,
+    /// Per pc: bit `r % 32` of word `r / 32` is set when register `r`
+    /// may be read before it is overwritten.
+    live: Vec<[u32; 8]>,
 }
 
 impl fmt::Debug for ExitTable {
@@ -296,7 +306,13 @@ impl ExitTable {
         let bounds = self.bounds.len() * std::mem::size_of::<Counts>();
         let words = (self.last_read.len() + self.last_write.len()) * 2;
         let history = self.history.len() * std::mem::size_of::<HistoryEntry>();
-        (fixed + bounds + words + history) as u64
+        let live = self.live.len() * std::mem::size_of::<[u32; 8]>();
+        (fixed + bounds + words + history + live) as u64
+    }
+
+    /// The registers live on entry to `pc`; `None` past the kernel's end.
+    pub(crate) fn live_regs(&self, pc: u32) -> Option<&[u32; 8]> {
+        self.live.get(pc as usize)
     }
 
     /// Check that this table was recorded under geometry `run`.
@@ -377,15 +393,20 @@ pub(crate) struct ExitRecorder {
     /// The value each overwritten word held since its previous writer.
     history: Vec<HistoryEntry>,
     bounds: Vec<Counts>,
+    live: Vec<[u32; 8]>,
 }
 
 impl ExitRecorder {
-    /// A recorder for a run over `memory`, or `None` when the grid has
-    /// too many blocks for the table's tags.
-    pub(crate) fn new(memory: &GlobalMemory, blocks: u64) -> Option<ExitRecorder> {
+    /// A recorder for a run of `kernel` over `memory`, or `None` when the
+    /// grid has too many blocks for the table's tags. The live-register
+    /// sets are worked out here, before the run allocates its snapshots,
+    /// so the analysis' scratch memory is reused rather than added to the
+    /// run's peak.
+    pub(crate) fn new(kernel: &Kernel, memory: &GlobalMemory, blocks: u64) -> Option<ExitRecorder> {
         if blocks >= u64::from(MIXED) {
             return None;
         }
+        let decoded = DecodedKernel::new(kernel);
         let words = memory.words();
         Some(ExitRecorder {
             memory_len: memory.len() as usize,
@@ -394,6 +415,7 @@ impl ExitRecorder {
             written: vec![0; words],
             history: Vec::new(),
             bounds: Vec::with_capacity(blocks as usize),
+            live: RegLiveness::new(kernel, &decoded).live_regs(),
         })
     }
 
@@ -438,8 +460,15 @@ impl ExitRecorder {
 
     /// The table of a completed run of geometry `geometry`.
     pub(crate) fn finish(self, geometry: Geometry) -> ExitTable {
-        let ExitRecorder { memory_len, last_read, mut last_write, written, mut history, bounds } =
-            self;
+        let ExitRecorder {
+            memory_len,
+            last_read,
+            mut last_write,
+            written,
+            mut history,
+            bounds,
+            live,
+        } = self;
         for (w, (tag, &bytes)) in last_write.iter_mut().zip(&written).enumerate() {
             let full = (1u8 << (memory_len - w * 4).min(4)) - 1;
             if *tag != 0 && bytes != full {
@@ -450,6 +479,6 @@ impl ExitRecorder {
         history.retain(|e| last_read[e.word as usize] > e.since);
         history.sort_unstable_by_key(|e| (e.word, e.since));
         history.shrink_to_fit();
-        ExitTable { geometry, bounds, last_read, last_write, history }
+        ExitTable { geometry, bounds, last_read, last_write, history, live }
     }
 }

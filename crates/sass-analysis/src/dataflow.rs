@@ -22,6 +22,11 @@
 //! index precomputed read/write tables instead of re-deriving them per
 //! (block, instruction) visit.
 //!
+//! The bit-level liveness fixpoint itself is
+//! [`gpu_arch::decode::RegLiveness`], which the simulator also uses to
+//! ignore dead registers when a trial rejoins its golden run; this module
+//! maps it onto the CFG's reachable code.
+//!
 //! The bit-level liveness result is what proves injection sites masked
 //! (see [`crate::StaticMasks`]): a flipped destination bit that no path
 //! ever observes cannot change memory, control flow, or addresses, so the
@@ -29,10 +34,11 @@
 //! run's.
 
 use crate::cfg::Cfg;
+use gpu_arch::decode::RegLiveness;
 use gpu_arch::{DecodedKernel, Instr, InstrMeta, Kernel, Op, Pred, Reg, SpecialReg};
 
 /// Number of real (non-`RZ`) general-purpose registers.
-pub const TRACKED_REGS: usize = 255;
+pub use gpu_arch::decode::TRACKED_REGS;
 
 /// A bitset over the 255 real registers.
 #[derive(Clone, Copy, PartialEq, Eq, Default)]
@@ -119,95 +125,29 @@ pub struct Liveness {
     pub read_union: [u32; TRACKED_REGS],
 }
 
-/// Per-block live-bit state: one 32-bit mask per register.
-type LiveState = Box<[u32; TRACKED_REGS]>;
-
-fn zero_state() -> LiveState {
-    Box::new([0u32; TRACKED_REGS])
-}
-
-/// Run bit-level liveness to fixpoint over `cfg`.
+/// Bit-level liveness over `cfg`'s reachable code: the fixpoint is
+/// [`RegLiveness`], shared with the simulator's golden rejoin.
 pub fn liveness(kernel: &Kernel, cfg: &Cfg) -> Liveness {
-    let instrs = &kernel.instrs;
     let decoded = DecodedKernel::new(kernel);
-    let nb = cfg.blocks.len();
-    let mut live_in: Vec<LiveState> = (0..nb).map(|_| zero_state()).collect();
-
-    let transfer = |block: usize, live: &mut LiveState, dst_observed: Option<&mut Vec<u64>>| {
-        let mut dst_obs = dst_observed;
-        for pc in cfg.blocks[block].range().rev() {
-            let i = &instrs[pc];
-            let meta = decoded.meta(pc as u32);
-            if let Some(obs) = dst_obs.as_deref_mut() {
-                let mut o = 0u64;
-                if !meta.has_no_dst && !i.dst.is_rz() {
-                    o = u64::from(live[i.dst.0 as usize]);
-                    if meta.writes_pair && !i.dst.pair_hi().is_rz() {
-                        o |= u64::from(live[i.dst.pair_hi().0 as usize]) << 32;
-                    }
-                }
-                obs[pc] = o;
+    let reachable = |pc: usize| cfg.reachable[cfg.block_of[pc] as usize];
+    let mut dst_observed = vec![0u64; kernel.instrs.len()];
+    RegLiveness::new(kernel, &decoded).sweep(|pc, after, _| {
+        let (i, meta) = (&kernel.instrs[pc], decoded.meta(pc as u32));
+        if reachable(pc) && !meta.has_no_dst && !i.dst.is_rz() {
+            let observed = |r: Reg| u64::from(after.get(r.0 as usize).copied().unwrap_or(0));
+            let mut o = observed(i.dst);
+            if meta.writes_pair && !i.dst.pair_hi().is_rz() {
+                o |= observed(i.dst.pair_hi()) << 32;
             }
-            if meta.def_kills {
-                for &r in decoded.written_regs(pc) {
-                    live[r.0 as usize] = 0;
-                }
-            }
-            for &(r, m) in decoded.observed_reads(pc) {
-                live[r.0 as usize] |= m;
-            }
+            dst_observed[pc] = o;
         }
-    };
-
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in (0..nb).rev() {
-            if !cfg.reachable[b] {
-                continue;
-            }
-            let mut live = zero_state();
-            for &s in &cfg.blocks[b].succs {
-                for (l, i) in live.iter_mut().zip(live_in[s as usize].iter()) {
-                    *l |= i;
-                }
-            }
-            transfer(b, &mut live, None);
-            if *live != *live_in[b] {
-                live_in[b] = live;
-                changed = true;
-            }
-        }
-    }
-
-    // Final stable sweep for the per-instruction masks.
-    let mut dst_observed = vec![0u64; instrs.len()];
-    for b in 0..nb {
-        if !cfg.reachable[b] {
-            continue;
-        }
-        let mut live = zero_state();
-        for &s in &cfg.blocks[b].succs {
-            for (l, i) in live.iter_mut().zip(live_in[s as usize].iter()) {
-                *l |= i;
-            }
-        }
-        transfer(b, &mut live, Some(&mut dst_observed));
-    }
-
-    // Timing-independent read-mask union over reachable code.
+    });
     let mut read_union = [0u32; TRACKED_REGS];
-    for b in 0..nb {
-        if !cfg.reachable[b] {
-            continue;
-        }
-        for pc in cfg.blocks[b].range() {
-            for &(r, m) in decoded.observed_reads(pc) {
-                read_union[r.0 as usize] |= m;
-            }
+    for pc in (0..kernel.instrs.len()).filter(|&pc| reachable(pc)) {
+        for &(r, m) in decoded.observed_reads(pc) {
+            read_union[r.0 as usize] |= m;
         }
     }
-
     Liveness { dst_observed, read_union }
 }
 
