@@ -12,7 +12,8 @@
 //! The campaign section measures trials/second twice — with the golden
 //! snapshot fast-forward and the early exits (DESIGN.md §16) enabled and
 //! disabled — and reports the speedup and the shares of executed trials
-//! that exited at a block boundary and that rejoined golden, plus a snapshot-cache size report
+//! that exited at a block boundary, that rejoined golden and that resumed
+//! from a relayed state, plus a snapshot-cache size report
 //! (`BENCH_sim_throughput_snapshot_cache.txt`, override with
 //! `BENCH_SNAPSHOT_CACHE_PATH`) for the CI artifact.
 //!
@@ -93,6 +94,9 @@ struct CampaignMeasurement {
     /// Share of executed trials that rejoined golden inside a block;
     /// `NaN` when the exits were not armed.
     rejoin_share: f64,
+    /// Share of executed trials that resumed from the state the trial
+    /// before them handed off; `NaN` when fast-forward was off.
+    relay_share: f64,
 }
 
 impl CampaignMeasurement {
@@ -124,6 +128,8 @@ fn measure_campaign(
     let (exited, rejoined) = (count("block"), count("rejoin"));
     let executed = exited + rejoined + count("none");
     let (exit_share, rejoin_share) = (exited / executed, rejoined / executed);
+    let snapshot = |kind: &str| metrics.counter(&format!("campaign.snapshot.{kind}")).get() as f64;
+    let relay_share = snapshot("relay") / (snapshot("hit") + snapshot("miss"));
     let mut samples = Vec::new();
     let start = Instant::now();
     while samples.len() < min_samples || start.elapsed().as_secs_f64() < budget_secs {
@@ -141,6 +147,7 @@ fn measure_campaign(
         samples: samples.len(),
         exit_share,
         rejoin_share,
+        relay_share,
     }
 }
 
@@ -209,11 +216,12 @@ fn main() {
     ];
     for m in &campaign_results {
         println!(
-            "sim_throughput/{:<32} {:>8.1} trials/s  exit share {:.2}  rejoin share {:.2}  (best {:.3} ms, mean {:.3} ms, {} trials, {} samples)",
+            "sim_throughput/{:<32} {:>8.1} trials/s  exit share {:.2}  rejoin share {:.2}  relay share {:.2}  (best {:.3} ms, mean {:.3} ms, {} trials, {} samples)",
             m.name,
             m.trials_per_sec(),
             m.exit_share,
             m.rejoin_share,
+            m.relay_share,
             m.best_secs * 1e3,
             m.mean_secs * 1e3,
             m.trials,
@@ -245,6 +253,7 @@ fn main() {
             ("trials_per_sec", Json::Num(m.trials_per_sec())),
             ("exit_share", Json::Num(m.exit_share)),
             ("rejoin_share", Json::Num(m.rejoin_share)),
+            ("relay_share", Json::Num(m.relay_share)),
         ])
     });
     let snapshots = object([

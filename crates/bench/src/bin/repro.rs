@@ -232,7 +232,7 @@ fn main() {
             }
         }
     });
-    let stores = {
+    let (stores, digest) = {
         let mut observe = |o: CampaignObservation| {
             campaigns += 1;
             sink.write_all(o.to_json_line().as_bytes()).expect("write campaign metrics");
@@ -318,7 +318,7 @@ fn main() {
                 std::process::exit(2);
             }
         }
-        ctx.store_log().clone()
+        (ctx.store_log().clone(), ctx.digest())
     };
     // Gap-closure rows join the campaign observations in the metrics
     // stream, one `{"report":"hidden_gap",...}` line per ladder rung.
@@ -354,6 +354,11 @@ fn main() {
             &std::env::var("REPRO_PROFILE").unwrap_or_else(|_| "quick".to_string()),
         )
         .push_uint("campaigns", campaigns);
+    // One digest over every campaign's trials: two runs of a command
+    // agree on every trial iff they print the same one.
+    if let Some(digest) = digest {
+        report.push_str("digest", &format!("{digest:016x}"));
+    }
     // Identify the target silicon in the archived run artifact.
     if let Some(spec) = &device_spec {
         report

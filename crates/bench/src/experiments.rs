@@ -95,17 +95,23 @@ pub struct CampaignObservation {
     pub device: String,
     /// Final metrics: outcome tallies, trials/sec, profile gauges.
     pub snapshot: MetricsSnapshot,
+    /// The campaign's digest over its trials ([`campaign::CampaignRun::digest`]).
+    pub digest: Option<u64>,
 }
 
 impl CampaignObservation {
     /// One JSON line:
-    /// `{"report":"campaign","campaign":...,"device":...,"metrics":{...}}`.
+    /// `{"report":"campaign","campaign":...,"device":...,"metrics":{...}}`,
+    /// with `"digest":"<16 hex digits>"` after the device when known.
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push_str("{\"report\":\"campaign\",\"campaign\":");
         obs::json::escape_str(&mut out, &self.campaign);
         out.push_str(",\"device\":");
         obs::json::escape_str(&mut out, &self.device);
+        if let Some(digest) = self.digest {
+            out.push_str(&format!(",\"digest\":\"{digest:016x}\""));
+        }
         out.push_str(",\"metrics\":");
         out.push_str(&self.snapshot.to_json_line());
         out.push('}');
@@ -163,6 +169,8 @@ pub struct ObserveCtx<'a> {
     /// the campaign currently running.
     pub publisher: Option<&'a obs::SnapshotPublisher>,
     stores: StoreLog,
+    /// Every campaign's digest so far, in the order they ran.
+    digests: Vec<Option<u64>>,
 }
 
 impl ObserveCtx<'_> {
@@ -171,12 +179,32 @@ impl ObserveCtx<'_> {
         &self.stores
     }
 
-    fn emit(&mut self, label: &str, device: &DeviceModel, metrics: &MetricsRegistry) {
+    /// FNV-1a over the digests of every campaign run so far, in order:
+    /// one number for a whole `repro` command. `None` before the first
+    /// campaign, or when a campaign had no digest.
+    pub fn digest(&self) -> Option<u64> {
+        if self.digests.is_empty() {
+            return None;
+        }
+        self.digests.iter().try_fold(0xcbf2_9ce4_8422_2325u64, |h, d| {
+            let bytes = (*d)?.to_le_bytes();
+            Some(bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)))
+        })
+    }
+
+    fn emit(
+        &mut self,
+        label: &str,
+        device: &DeviceModel,
+        metrics: &MetricsRegistry,
+        digest: Option<u64>,
+    ) {
         if let Some(observe) = self.observe.as_mut() {
             observe(CampaignObservation {
                 campaign: label.to_string(),
                 device: device.name.clone(),
                 snapshot: metrics.snapshot(),
+                digest,
             });
         }
     }
@@ -219,7 +247,9 @@ impl ObserveCtx<'_> {
         if let Some(store) = store.as_mut() {
             campaign = campaign.store(store);
         }
-        let output = campaign.run().unwrap_or_else(|e| panic!("campaign {label} failed: {e}"));
+        let (output, run) =
+            campaign.run_full().unwrap_or_else(|e| panic!("campaign {label} failed: {e}"));
+        self.digests.push(run.digest);
         if let Some(meter) = &meter {
             meter.finish();
         }
@@ -232,9 +262,10 @@ impl ObserveCtx<'_> {
         if let Some(metrics) = metrics {
             profile(target, device).export_metrics(&metrics);
             if let Some(publisher) = self.publisher {
+                publisher.set_digest(run.digest);
                 let _ = publisher.publish_now();
             }
-            self.emit(label, device, &metrics);
+            self.emit(label, device, &metrics, run.digest);
         }
         output
     }
@@ -291,7 +322,7 @@ pub fn table1(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<ProfileRow> 
             if ctx.observe.is_some() {
                 let metrics = MetricsRegistry::new();
                 p.export_metrics(&metrics);
-                ctx.emit(&format!("table1/{device_label}/{}", w.name), dm, &metrics);
+                ctx.emit(&format!("table1/{device_label}/{}", w.name), dm, &metrics, None);
             }
             rows.push(ProfileRow {
                 device: device_label,

@@ -3,17 +3,19 @@
 //! exit table, or inside a block at a snapshot its state rejoins — must
 //! give the same `Executed` as one that runs to the end: status, memory
 //! bytes, every `Counts` field and whether the plan fired, on kernels
-//! that reach each edge of both rules.
+//! that reach each edge of both rules. Relay parity ("Relay"): a trial
+//! resumed from the state the trial before it handed off gives the same
+//! `Executed` as one run from instruction zero.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 
 use gpu_arch::decode::RegLiveness;
 use gpu_arch::{CodeGen, DecodedKernel, DeviceModel, Precision};
 use gpu_sim::{
-    nearest_snapshot, BitFlip, DueKind, ExecStatus, Executed, ExitKind, FaultPlan, MemQueueEffect,
-    Persistence, RunOptions, SiteClass, Target,
+    nearest_snapshot, BitFlip, DueKind, EngineSnapshot, ExecStatus, Executed, ExitKind, FaultPlan,
+    MemQueueEffect, Persistence, RunOptions, SiteClass, Target,
 };
-use obs::{MemSpace, RecordingSink, TraceEvent};
+use obs::{MemSpace, RecordingSink, TraceEvent, TraceSink};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 use workloads::{build, Benchmark, Scale, Workload};
@@ -169,6 +171,121 @@ proptest! {
             prop_assert!(false, "{}", why);
         }
     }
+}
+
+/// The dynamic instruction `plan`'s fault fires at in `case`'s golden
+/// run, for timed plans their `at` (a strike on a warp-wide instruction
+/// never fires); `None` for a positional plan that never fires.
+fn trigger_index(case: &Case, plan: FaultPlan) -> Option<u64> {
+    struct FirstFault(Option<u64>);
+    impl TraceSink for FirstFault {
+        fn event(&mut self, ev: &TraceEvent) {
+            if let TraceEvent::FaultInjected { idx, .. } = *ev {
+                self.0.get_or_insert(idx);
+            }
+        }
+    }
+    match plan {
+        FaultPlan::Pc { at, .. }
+        | FaultPlan::RegisterBit { at, .. }
+        | FaultPlan::GlobalMemBit { at, .. }
+        | FaultPlan::SharedMemBit { at, .. }
+        | FaultPlan::ActiveMask { at, .. } => Some(at),
+        _ => {
+            let mut sink = FirstFault(None);
+            let resume = nearest_snapshot(&case.golden.snapshots, &plan).cloned();
+            let opts = RunOptions::trial(plan).ecc(case.ecc).resume(resume);
+            case.workload.execute_traced(&case.device, &opts, &mut sink);
+            sink.0
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Chains of random plans of positional and timed families, in the
+    /// order their faults fire, each run from the state the one before
+    /// handed off: every run is bit-identical to the same plan from
+    /// instruction zero (status, memory with its latent corruption,
+    /// counts, whether it fired, how it exited), and every hand-off
+    /// precedes both its own plan and the next.
+    #[test]
+    fn relayed_chains_match_runs_from_zero(
+        kernel in 0usize..9,
+        draws in prop::collection::vec((0u8..10, any::<u64>(), 0u32..32), 2..6),
+    ) {
+        let case = &cases()[kernel];
+        let watchdog = 4 * case.golden.counts.total;
+        let mut chain: Vec<(u64, FaultPlan)> = draws
+            .into_iter()
+            .map(|(family, pick, bit)| plan_for(case, family, pick, bit))
+            .filter_map(|plan| trigger_index(case, plan).map(|at| (at, plan)))
+            .collect();
+        chain.sort_by_key(|&(at, _)| at);
+        let mut relay: Option<Arc<EngineSnapshot>> = None;
+        for (i, &(_, plan)) in chain.iter().enumerate() {
+            if let Some(handoff) = &relay {
+                prop_assert!(handoff.precedes(&plan), "{}: a hand-off passes {plan:?}", case.workload.name);
+            }
+            let run = |resume, hand_off| {
+                let opts = RunOptions::trial(plan)
+                    .ecc(case.ecc)
+                    .watchdog(watchdog)
+                    .resume(resume)
+                    .exit_through(Some(Arc::clone(&case.golden)))
+                    .hand_off(hand_off);
+                case.workload.execute(&case.device, &opts)
+            };
+            let zero = run(None, false);
+            let relayed = run(relay.take(), i + 1 < chain.len());
+            let diff = differs(&zero, &relayed).or_else(|| {
+                [("memory corruption", zero.memory != relayed.memory), ("exit", zero.exit != relayed.exit)]
+                    .into_iter()
+                    .find_map(|(name, bad)| bad.then_some(name))
+            });
+            prop_assert!(diff.is_none(), "{}: {plan:?} {:?} differs when relayed", case.workload.name, diff);
+            if let Some(handoff) = &relayed.handoff {
+                prop_assert!(handoff.precedes(&plan), "{}: hand-off of {plan:?} passes it", case.workload.name);
+            }
+            relay = relayed.handoff;
+        }
+    }
+}
+
+/// A hand-off lands past the snapshot the trial resumed from, before its
+/// fault: for a timed plan, within one scheduler round of FMXM's 64
+/// threads. A trial not asked for one, and a run that captures
+/// snapshots, hand nothing off.
+#[test]
+fn hand_off_lands_within_a_round_of_the_trigger() {
+    let case = &cases()[0];
+    let at = case.golden.counts.total / 2;
+    let timed =
+        FaultPlan::RegisterBit { block: u32::MAX, thread: 3, reg: 2, flip: BitFlip::single(1), at };
+    let output = plan_for(case, 0, at, 5);
+    for plan in [timed, output] {
+        let resume = nearest_snapshot(&case.golden.snapshots, &plan).cloned().expect("a snapshot");
+        let opts = RunOptions::trial(plan).ecc(case.ecc).resume(Some(Arc::clone(&resume)));
+        let out = case.workload.execute(&case.device, &opts.clone().hand_off(true));
+        let handoff = out.handoff.expect("the trial hands off");
+        assert!(handoff.dyn_count() > resume.dyn_count());
+        assert!(handoff.precedes(&plan));
+        assert!(case.workload.execute(&case.device, &opts).handoff.is_none(), "not asked");
+        if plan == timed {
+            assert!(handoff.dyn_count() <= at && at - handoff.dyn_count() < 64);
+        }
+    }
+    let capturing = RunOptions::trial(timed).snapshot_every(4096).hand_off(true);
+    let conflict = gpu_sim::try_run_with_sink(
+        &case.device,
+        case.workload.kernel(),
+        case.workload.launch(),
+        case.workload.fresh_memory(),
+        &capturing,
+        None,
+    );
+    assert!(matches!(conflict, Err(gpu_sim::SimError::ResumeConflict(_))));
 }
 
 /// Every kernel of the property test reaches the exit, and most FMXM

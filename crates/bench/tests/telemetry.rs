@@ -7,10 +7,12 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use campaign::{Budget, Campaign, CampaignRun};
+use beam::Beam;
+use campaign::{Budget, Campaign, CampaignRun, Checkpoint, Kind, SnapshotPolicy};
 use gpu_arch::{CodeGen, DeviceModel, Precision};
 use injector::{Avf, AvfResult, HiddenAvf, Injector};
 use obs::{json, CampaignObserver, MetricsRegistry, SpanBus};
+use std::cell::RefCell;
 use workloads::{build, Benchmark, Scale, Workload};
 
 fn hhotspot() -> (Workload, DeviceModel) {
@@ -231,4 +233,104 @@ fn exit_telemetry_identical_at_any_worker_count() {
     assert!(rejoin > 0, "no FMXM trial rejoined");
     let skipped = skipped.expect("exited trials fill the skipped-instruction histogram");
     assert_eq!(skipped.count, block + rejoin);
+}
+
+/// The fast-forward telemetry is a pure function of the trials and the
+/// budget: batches never depend on the worker count, so the relay
+/// counter, the snapshot hits and misses and the fast-forwarded
+/// instruction histogram are identical at 1 and 4 workers, and FMXM
+/// trials relay.
+#[test]
+fn relay_telemetry_identical_at_any_worker_count() {
+    let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10, Scale::Small);
+    let device = DeviceModel::named("k40c-sim");
+    let observe = |workers| {
+        let metrics = MetricsRegistry::new();
+        let (_, run) = Campaign::new(Avf::new(Injector::NvBitFi), &w, &device)
+            .budget(Budget::fixed(256).seed(2021))
+            .workers(workers)
+            .observer(CampaignObserver::with_metrics(&metrics))
+            .run_full()
+            .expect("relay campaign failed");
+        let snap = metrics.snapshot();
+        let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        let counts = ["hit", "miss", "relay"].map(|k| count(&format!("campaign.snapshot.{k}")));
+        let skipped = snap.histograms.get("campaign.snapshot.fastforward_instrs").cloned();
+        (run.executed.total(), counts, skipped, run.digest)
+    };
+    let serial = observe(1);
+    assert_eq!(serial, observe(4), "fast-forward telemetry differs between 1 and 4 workers");
+    let (executed, [hit, miss, relay], _, digest) = serial;
+    assert_eq!(hit + miss, executed, "every executed trial counts once");
+    assert!(relay > 0 && relay <= hit, "{relay} of {hit} fast-forwarded FMXM trials relayed");
+    assert!(digest.is_some());
+}
+
+/// One kind of campaign of the digest matrix.
+fn matrix_run<K: Kind<Workload>>(
+    kind: K,
+    w: &Workload,
+    device: &DeviceModel,
+    workers: usize,
+    snapshots: SnapshotPolicy,
+    resume: Option<Checkpoint>,
+) -> (CampaignRun, Vec<Checkpoint>) {
+    // Eight shards reach the floor, so the first ones run in batches and
+    // the rest one shard at a time.
+    let budget = Budget::adaptive(64, 128, 0.08).shard_size(8).seed(2021).snapshots(snapshots);
+    let checkpoints = RefCell::new(Vec::new());
+    let mut campaign = Campaign::new(kind, w, device)
+        .budget(budget)
+        .workers(workers)
+        .on_checkpoint(|cp| checkpoints.borrow_mut().push(cp.clone()));
+    if let Some(cp) = resume {
+        campaign = campaign.resume_from(cp);
+    }
+    let (_, run) = campaign.run_full().expect("matrix campaign failed");
+    (run, checkpoints.into_inner())
+}
+
+/// The determinism contract as one matrix: four kinds of campaign, each
+/// at 1 and 4 workers, with snapshots off and on, run uninterrupted and
+/// killed mid-batch then resumed from its last checkpoint. Every cell
+/// gives the same digest and the same tallies.
+#[test]
+fn digest_matrix_is_one_invariant() {
+    fn cells<K: Kind<Workload> + Clone>(kind: K, w: &Workload, device: &str) {
+        let device = DeviceModel::named(device);
+        let mut seen: Option<CampaignRun> = None;
+        for workers in [1, 4] {
+            for snapshots in [SnapshotPolicy::Off, SnapshotPolicy::Auto] {
+                let campaign =
+                    |resume| matrix_run(kind.clone(), w, &device, workers, snapshots, resume);
+                let (whole, checkpoints) = campaign(None);
+                // Killed after shard 6 of 8, inside the second batch.
+                let killed = checkpoints.into_iter().find(|cp| cp.shards_done == 6);
+                let killed = killed.expect("a checkpoint inside the second batch");
+                let (resumed, _) = campaign(Some(killed));
+                for run in [whole, resumed] {
+                    let cell = format!("{} workers {workers} {snapshots:?}", run.label);
+                    assert!(run.digest.is_some(), "{cell}: no digest");
+                    if let Some(first) = &seen {
+                        assert_eq!(run.digest, first.digest, "{cell}: digest");
+                        assert_eq!(run.counts, first.counts, "{cell}: counts");
+                        assert_eq!(run.executed, first.executed, "{cell}: executed");
+                        assert_eq!(run.direct, first.direct, "{cell}: direct");
+                        assert_eq!(run.trials, first.trials, "{cell}: trials");
+                        assert_eq!(run.stop, first.stop, "{cell}: stop");
+                    }
+                    seen.get_or_insert(run);
+                }
+            }
+        }
+    }
+    let scale = Scale::Small;
+    let mxm = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10, scale);
+    cells(Avf::new(Injector::NvBitFi), &mxm, "k40c-sim");
+    let hhotspot = build(Benchmark::Hotspot, Precision::Half, CodeGen::Cuda10, scale);
+    cells(Avf::new_pruned(Injector::NvBitFi), &hhotspot, "v100-sim");
+    let fhotspot = build(Benchmark::Hotspot, Precision::Single, CodeGen::Cuda10, scale);
+    cells(HiddenAvf::full(), &fhotspot, "v100-sim");
+    let flava = build(Benchmark::Lava, Precision::Single, CodeGen::Cuda10, scale);
+    cells(Beam::auto(false), &flava, "k40c-sim");
 }

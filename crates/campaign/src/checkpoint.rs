@@ -36,6 +36,10 @@ pub struct Checkpoint {
     /// Tallies of trials resolved without execution, keyed by the
     /// sampler's direct label (e.g. `beam.unstruck`).
     pub direct: BTreeMap<String, OutcomeCounts>,
+    /// The campaign digest over the trials folded so far (see
+    /// [`crate::CampaignRun::digest`]); `None` in lines written before
+    /// checkpoints carried it.
+    pub digest: Option<u64>,
 }
 
 impl Checkpoint {
@@ -52,6 +56,9 @@ impl Checkpoint {
             .push_uint("sdc", self.counts.sdc)
             .push_uint("due", self.counts.due)
             .push_uint("masked", self.counts.masked);
+        if let Some(digest) = self.digest {
+            r.push_str("digest", &format!("{digest:016x}"));
+        }
         for (label, c) in &self.direct {
             r.push_uint(&format!("direct.{label}.sdc"), c.sdc)
                 .push_uint(&format!("direct.{label}.due"), c.due)
@@ -87,6 +94,15 @@ impl Checkpoint {
             None => None,
         }
         .ok_or("checkpoint missing or malformed field \"seed\"")?;
+        let digest = match obj.get("digest") {
+            None => None,
+            Some(value) => Some(
+                value
+                    .as_str()
+                    .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+                    .ok_or("checkpoint field \"digest\" is not a hex string")?,
+            ),
+        };
         let mut direct: BTreeMap<String, OutcomeCounts> = BTreeMap::new();
         for (key, value) in obj {
             let Some(rest) = key.strip_prefix("direct.") else { continue };
@@ -118,6 +134,7 @@ impl Checkpoint {
                 masked: uint_field("masked")?,
             },
             direct,
+            digest,
         };
         if cp.counts.total() != cp.trials {
             return Err(format!(
@@ -223,6 +240,7 @@ mod tests {
             trials: 128,
             counts: OutcomeCounts { sdc: 11, due: 13, masked: 104 },
             direct,
+            digest: Some(0x0123_4567_89ab_cdef),
         }
     }
 
@@ -241,6 +259,16 @@ mod tests {
         let legacy = sample().to_json_line().replace("\"seed\":\"2021\"", "\"seed\":2021");
         assert_ne!(legacy, sample().to_json_line());
         assert_eq!(Checkpoint::parse(&legacy).unwrap(), sample());
+    }
+
+    #[test]
+    fn lines_without_a_digest_still_parse() {
+        let legacy = Checkpoint { digest: None, ..sample() };
+        let line = legacy.to_json_line();
+        assert!(!line.contains("digest"));
+        assert_eq!(Checkpoint::parse(&line).unwrap(), legacy);
+        let bad = sample().to_json_line().replace("0123456789abcdef", "not hex");
+        assert!(Checkpoint::parse(&bad).is_err());
     }
 
     #[test]

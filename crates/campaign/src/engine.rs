@@ -11,21 +11,38 @@
 //! a shard boundary, the outcome of every trial is a pure function of
 //! `(budget.seed, shard_size, target, device, kind)` — running with 1
 //! worker, N workers, or resuming from any checkpoint produces
-//! bit-identical tallies.
+//! bit-identical tallies, and the same [`CampaignRun::digest`].
+//!
+//! # Batches
+//!
+//! Shards run in batches. While every shard is sure to be folded (all of
+//! them under a fixed budget, else those up to the one that reaches the
+//! floor) a batch is up to [`BATCH_SHARDS`] consecutive shards, aligned
+//! to multiples of it; after that a batch is one shard. A batch samples
+//! every trial in trial order, each shard on its own stream, then
+//! executes the planned trials in the order their faults fire in the
+//! golden run, each from the latest state that precedes its fault: the
+//! nearest golden snapshot, or the fault-free state the trial before it
+//! handed off (DESIGN.md §16, "Relay"). Where a trial starts never
+//! changes what it computes, so batches move only the wall clock and
+//! the fast-forward telemetry. Batches depend on shard indices and the
+//! budget alone, never on the worker count, so that telemetry is
+//! worker-invariant too.
 //!
 //! # Stop rule
 //!
-//! Shards are *executed* in waves of up to `workers` at a time but
-//! *folded* strictly in shard order. After each fold (and before starting
-//! any new wave) the engine evaluates the budget: past the floor, if the
-//! Wilson 95% CI half-widths of both the SDC and DUE fractions are at or
-//! below [`Budget::ci_half_width`], it stops with
+//! Batches are *executed* in waves of up to `workers` at a time but
+//! their shards are *folded* strictly in shard order. After each fold
+//! (and before starting any new wave) the engine evaluates the budget:
+//! past the floor, if the Wilson 95% CI half-widths of both the SDC and
+//! DUE fractions are at or below [`Budget::ci_half_width`], it stops with
 //! [`StopReason::CiTarget`]; at the ceiling it stops with
 //! [`StopReason::Ceiling`]. Shards speculatively executed past a stop
 //! boundary are discarded, which keeps the decision independent of the
-//! worker count. Workers return one record per trial and the fold is the
-//! only reader of those records: it tallies them and emits their
-//! telemetry, so a discarded shard leaves neither behind.
+//! worker count. Batches return one record per trial and the fold is the
+//! only reader of those records: it tallies them, extends the digest and
+//! emits their telemetry, so a discarded shard leaves none of them
+//! behind.
 
 use crate::budget::Budget;
 use crate::checkpoint::Checkpoint;
@@ -34,7 +51,7 @@ use crate::store::CheckpointStore;
 use crate::supervise::{panic_message, DeadlineMonitor, QuarantineRecord};
 use gpu_arch::DeviceModel;
 use gpu_sim::{
-    nearest_snapshot, BlockExit, DueKind, EngineSnapshot, ExecStatus, Executed, ExitKind,
+    trigger_position, BlockExit, DueKind, EngineSnapshot, ExecStatus, Executed, ExitKind,
     FaultPlan, RunOptions, Target,
 };
 use obs::span::SpanBus;
@@ -44,10 +61,19 @@ use rand_chacha::ChaCha12Rng;
 use stats::{wilson_half_width, Outcome, OutcomeCounts};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::num::NonZeroU64;
 use std::ops::{AddAssign, Range};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Shards in one batch while every shard is sure to be folded: 128
+/// trials at the default shard size (DESIGN.md §16, "Relay"). A batch
+/// samples all its trials, then executes them in the order their faults
+/// fire, so each trial can hand its fault-free state to the next. Eight
+/// shards relayed more, but held enough records to raise a pruned
+/// HHOTSPOT campaign's peak resident memory by 8%.
+pub const BATCH_SHARDS: u32 = 4;
 
 /// Direct-tally label for trials that panicked twice and were
 /// quarantined. They count as DUEs: like the paper's beam-room crashes,
@@ -213,6 +239,13 @@ pub struct CampaignRun {
     /// Trials that panicked twice and were quarantined (also tallied as
     /// DUEs under `direct.engine.quarantined`).
     pub quarantine: Vec<QuarantineRecord>,
+    /// FNV-1a over every trial's (index, outcome, DUE kind, tally label,
+    /// stratum) in trial order, resumed trials included: one number that
+    /// any change to any trial's result moves. The same at any worker
+    /// count, snapshot policy and across a kill and resume; `None` when
+    /// the run resumed from a checkpoint written before checkpoints
+    /// carried it.
+    pub digest: Option<u64>,
 }
 
 impl CampaignRun {
@@ -378,6 +411,7 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
         }
 
         let mut total = Tally::default();
+        let mut digest = Some(FNV_OFFSET);
         let mut next_shard = 0u32;
         let mut resumed_trials = 0u64;
         if let Some(cp) = self.resume.take() {
@@ -404,6 +438,7 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
             }
             resumed_trials = cp.trials;
             next_shard = cp.shards_done.min(total_shards);
+            digest = cp.digest;
             total = Tally::resumed(cp);
         }
 
@@ -431,13 +466,19 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
             monitor: monitor.as_ref(),
         };
         let mut quarantine: Vec<QuarantineRecord> = Vec::new();
+        // The shards folded whatever the tallies say: every one under a
+        // fixed budget, else those up to the one that reaches the floor.
+        let certain = match ci {
+            None => total_shards,
+            Some(_) => (floor.div_ceil(shard_size) as u32).min(total_shards),
+        };
 
         let mut stop = eval_stop(&total.counts, total.trials, floor, ceiling, ci);
         'campaign: while stop.is_none() && next_shard < total_shards {
-            let wave_end = (next_shard + workers as u32).min(total_shards);
-            for shard in ctx.run_wave(next_shard..wave_end)? {
+            let wave = wave_batches(next_shard, certain, total_shards, workers);
+            for shard in ctx.run_wave(wave)? {
                 let journaled = quarantine.len();
-                total += telemetry.fold(shard, &label, &mut quarantine);
+                total += telemetry.fold(shard, &label, &mut quarantine, &mut digest);
                 if let Some(store) = self.store.as_mut() {
                     for rec in &quarantine[journaled..] {
                         store.quarantine(rec).map_err(|e| CampaignError::Store(e.to_string()))?;
@@ -470,7 +511,7 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
                     );
                 }
                 if self.sink.is_some() || self.store.is_some() {
-                    let cp = snapshot(&label, &self.budget, next_shard, &total);
+                    let cp = snapshot(&label, &self.budget, next_shard, &total, digest);
                     if let Some(sink) = self.sink.as_mut() {
                         sink(&cp);
                     }
@@ -492,7 +533,7 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
         let stop = stop.unwrap_or(StopReason::Ceiling);
 
         let run = CampaignRun {
-            checkpoint: snapshot(&label, &self.budget, next_shard, &total),
+            checkpoint: snapshot(&label, &self.budget, next_shard, &total, digest),
             label,
             counts: total.counts,
             executed: total.executed,
@@ -506,6 +547,7 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
             golden,
             retries: total.retries,
             quarantine,
+            digest,
         };
         if let Some(mut span) = campaign_span {
             span.arg("trials", run.trials.to_string());
@@ -546,43 +588,51 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
     }
 }
 
-/// Everything one trial resolved to. Shard workers produce these; the
-/// in-order shard fold ([`Telemetry::fold`]) is their only reader, so a
-/// shard discarded past a stop boundary leaves no tally and no telemetry.
+/// Everything one trial resolved to. Batches produce these; the in-order
+/// shard fold ([`Telemetry::fold`]) is their only reader, so a shard
+/// discarded past a stop boundary leaves no tally and no telemetry. A
+/// batch holds one per trial until it folds, so they are kept small.
 struct TrialRecord {
     trial: u64,
-    /// The fault plan executed, or in flight when the trial was
-    /// quarantined; `None` for direct trials.
-    plan: Option<FaultPlan>,
     outcome: Outcome,
     due: Option<DueKind>,
     /// Tally label: the fault site, the direct label, or
     /// [`QUARANTINE_LABEL`].
     label: &'static str,
     stratum: Option<&'static str>,
+    /// The trial ran the target and was classified against the golden
+    /// run (it was neither resolved directly nor quarantined).
+    executed: bool,
+    /// The first attempt panicked.
+    retried: bool,
+    /// The trial resumed from the state an earlier trial of its batch
+    /// handed off.
+    relayed: bool,
     /// The faulty run's `counts.total`, fast-forwarded prefix and
     /// exit-skipped instructions included (0 when not executed).
     dyn_instrs: u64,
-    /// Dynamic instructions skipped by resuming from a golden snapshot;
-    /// `None` when the trial replayed from zero.
-    fast_forwarded: Option<u64>,
+    /// Dynamic instructions skipped by resuming from a golden snapshot
+    /// or a relayed state (never at instruction zero); `None` when the
+    /// trial replayed from zero.
+    fast_forwarded: Option<NonZeroU64>,
     /// Where and how the trial ended early through its golden run, and
     /// the instructions that skipped; `None` when it ran to the end.
     exit: Option<BlockExit>,
-    start: Instant,
-    micros: u64,
-    /// The first attempt panicked.
-    retried: bool,
-    /// The panic text of a trial that panicked twice and was quarantined.
-    panic: Option<String>,
+    /// When the trial started (its execution, for an executed trial), in
+    /// microseconds after its shard run's start, and how long its
+    /// sampling and execution took.
+    start_us: u32,
+    micros: u32,
+    /// A trial that panicked twice: the fault plan in flight, if its
+    /// sampling got that far, and the panic text.
+    quarantined: Option<Box<(Option<FaultPlan>, String)>>,
 }
 
 impl TrialRecord {
-    /// A trial resolved as `outcome` under `label`, before execution and
-    /// supervision fill in what they add.
+    /// Trial `trial` resolved as `outcome` under `label`, before
+    /// execution and supervision fill in what they add.
     fn new(
         trial: u64,
-        start: Instant,
         outcome: Outcome,
         due: Option<DueKind>,
         label: &'static str,
@@ -590,25 +640,32 @@ impl TrialRecord {
     ) -> TrialRecord {
         TrialRecord {
             trial,
-            plan: None,
             outcome,
             due,
             label,
             stratum,
+            executed: false,
+            retried: false,
+            relayed: false,
             dyn_instrs: 0,
             fast_forwarded: None,
             exit: None,
-            start,
+            start_us: 0,
             micros: 0,
-            retried: false,
-            panic: None,
+            quarantined: None,
         }
     }
 
-    /// The trial ran the target and was classified against the golden
-    /// run (it was neither resolved directly nor quarantined).
-    fn executed(&self) -> bool {
-        self.plan.is_some() && self.panic.is_none()
+    /// A trial quarantined with `plan` in flight after panicking with
+    /// `payload`.
+    fn quarantine(&mut self, plan: Option<FaultPlan>, payload: &(dyn std::any::Any + Send)) {
+        *self = TrialRecord {
+            retried: self.retried,
+            start_us: self.start_us,
+            micros: self.micros,
+            quarantined: Some(Box::new((plan, panic_message(payload)))),
+            ..TrialRecord::new(self.trial, Outcome::Due, None, QUARANTINE_LABEL, None)
+        };
     }
 }
 
@@ -650,7 +707,7 @@ impl Tally {
         let outcome = rec.outcome;
         self.trials += 1;
         self.counts.record(outcome);
-        let (by_label, strata) = if rec.executed() {
+        let (by_label, strata) = if rec.executed {
             self.executed.record(outcome);
             (&mut self.sites, &mut self.strata_sim)
         } else {
@@ -664,7 +721,7 @@ impl Tally {
             bump(&mut self.dues, kind.name(), |n| *n += 1);
         }
         self.retries += u64::from(rec.retried);
-        self.quarantined += u64::from(rec.panic.is_some());
+        self.quarantined += u64::from(rec.quarantined.is_some());
     }
 }
 
@@ -706,7 +763,10 @@ fn bump<V: Default>(map: &mut BTreeMap<String, V>, key: &str, add: impl FnOnce(&
 struct ShardRun {
     index: u32,
     range: Range<u64>,
+    /// When the shard's sampling began; trial start offsets count from
+    /// here.
     start: Instant,
+    /// Its trials' sampling and execution time, summed.
     micros: u64,
     records: Vec<TrialRecord>,
 }
@@ -717,8 +777,8 @@ struct Telemetry<'a> {
     observer: CampaignObserver<'a>,
     campaign_span: u64,
     key_base: u64,
-    /// Fast-forward is armed: executed trials count snapshot hits and
-    /// misses.
+    /// Fast-forward is armed: executed trials count snapshot hits,
+    /// misses and relays.
     ff: bool,
     /// The early exits are armed: executed trials count block exits,
     /// rejoins and neither.
@@ -735,7 +795,13 @@ impl Telemetry<'_> {
     /// and append its quarantined trials to `quarantine`. Returns the
     /// shard's tally after exporting it as metrics; the records are
     /// dropped here.
-    fn fold(&self, shard: ShardRun, label: &str, quarantine: &mut Vec<QuarantineRecord>) -> Tally {
+    fn fold(
+        &self,
+        shard: ShardRun,
+        label: &str,
+        quarantine: &mut Vec<QuarantineRecord>,
+        digest: &mut Option<u64>,
+    ) -> Tally {
         let CampaignObserver { metrics, progress, spans } = self.observer;
         let hists = metrics.map(|m| {
             (m.histogram("campaign.trial_micros"), m.histogram("campaign.trial_dyn_instrs"))
@@ -744,6 +810,7 @@ impl Telemetry<'_> {
             (
                 m.counter("campaign.snapshot.hit"),
                 m.counter("campaign.snapshot.miss"),
+                m.counter("campaign.snapshot.relay"),
                 m.histogram("campaign.snapshot.fastforward_instrs"),
             )
         });
@@ -760,23 +827,28 @@ impl Telemetry<'_> {
         let mut tally = Tally::default();
         for rec in shard.records {
             tally.record(&rec);
+            if let Some(h) = digest.as_mut() {
+                *h = digest_record(*h, &rec);
+            }
             if let Some((micros, dyn_instrs)) = &hists {
-                micros.observe(rec.micros);
-                if rec.executed() {
+                micros.observe(u64::from(rec.micros));
+                if rec.executed {
                     dyn_instrs.observe(rec.dyn_instrs);
                 }
             }
-            if let Some((hit, miss, skipped)) = snap.as_ref().filter(|_| rec.executed()) {
+            if let Some((hit, miss, relay, skipped)) = snap.as_ref().filter(|_| rec.executed) {
                 match rec.fast_forwarded {
                     Some(n) => {
                         hit.inc();
-                        skipped.observe(n);
+                        skipped.observe(n.get());
                     }
                     None => miss.inc(),
                 }
+                if rec.relayed {
+                    relay.inc();
+                }
             }
-            if let Some((block, rejoin, none, skipped)) = exits.as_ref().filter(|_| rec.executed())
-            {
+            if let Some((block, rejoin, none, skipped)) = exits.as_ref().filter(|_| rec.executed) {
                 match rec.exit {
                     Some(exit) => {
                         match exit.kind {
@@ -789,17 +861,19 @@ impl Telemetry<'_> {
                 }
             }
             if let Some((bus, parent)) = shard_span {
-                self.push_trial_spans(bus, parent, tid, &rec);
+                let ts_us = self.bus_us(shard.start) + u64::from(rec.start_us);
+                self.push_trial_spans(bus, parent, tid, ts_us, &rec);
             }
             if let Some(p) = progress {
                 p.inc();
             }
-            if let Some(panic) = rec.panic {
+            if let Some(quarantined) = rec.quarantined {
+                let (plan, panic) = *quarantined;
                 quarantine.push(QuarantineRecord {
                     label: label.to_string(),
                     trial: rec.trial,
                     shard: shard.index,
-                    plan: rec.plan,
+                    plan,
                     panic,
                 });
             }
@@ -830,10 +904,18 @@ impl Telemetry<'_> {
         self.epoch_us + at.saturating_duration_since(self.epoch).as_micros() as u64
     }
 
-    /// Push one trial's span, with its FaultPlan-keyed ID, and its retry,
-    /// quarantine and watchdog events, stamped at the trial's end.
-    fn push_trial_spans(&self, bus: &SpanBus, shard_span: u64, tid: u64, rec: &TrialRecord) {
-        let ts_us = self.bus_us(rec.start);
+    /// Push one trial's span, started at `ts_us`, with its FaultPlan-keyed
+    /// ID, and its retry, quarantine and watchdog events, stamped at the
+    /// trial's end.
+    fn push_trial_spans(
+        &self,
+        bus: &SpanBus,
+        shard_span: u64,
+        tid: u64,
+        ts_us: u64,
+        rec: &TrialRecord,
+    ) {
+        let micros = u64::from(rec.micros);
         let event = |name: &str, args| {
             bus.push(SpanRecord {
                 id: bus.alloc_id(),
@@ -841,7 +923,7 @@ impl Telemetry<'_> {
                 name: name.to_string(),
                 cat: "event",
                 tid,
-                ts_us: ts_us + rec.micros,
+                ts_us: ts_us + micros,
                 dur_us: None,
                 args,
             });
@@ -850,7 +932,7 @@ impl Telemetry<'_> {
         if rec.retried {
             event("retry", vec![("trial", trial.clone())]);
         }
-        if rec.panic.is_some() {
+        if rec.quarantined.is_some() {
             event("quarantine", vec![("trial", trial.clone())]);
         }
         let mut args = vec![
@@ -871,7 +953,7 @@ impl Telemetry<'_> {
             cat: "trial",
             tid,
             ts_us,
-            dur_us: Some(rec.micros),
+            dur_us: Some(micros),
             args,
         });
     }
@@ -899,43 +981,102 @@ struct ShardCtx<'a, T: ?Sized, S> {
     monitor: Option<&'a DeadlineMonitor>,
 }
 
+/// A planned trial waiting in its batch, with its place in trigger
+/// order: `(k, position)` from [`trigger_position`], where
+/// `snapshots[k - 1]` is its nearest golden snapshot.
+struct Pending {
+    key: (u32, u64),
+    /// Index of its shard within the batch, and of its record there:
+    /// trial order, which breaks ties in `key`.
+    run: u32,
+    rec: u32,
+    plan: FaultPlan,
+}
+
+/// What executing one plan gave.
+struct Ran {
+    outcome: Outcome,
+    due: Option<DueKind>,
+    dyn_instrs: u64,
+    exit: Option<BlockExit>,
+    handoff: Option<Arc<EngineSnapshot>>,
+}
+
 impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
-    /// Execute `shards` concurrently, one thread each, and return their
-    /// runs in shard order.
-    fn run_wave(&self, shards: Range<u32>) -> Result<Vec<ShardRun>, CampaignError> {
-        let first = shards.start;
-        if shards.len() == 1 {
-            return Ok(vec![self.run_shard(first, 0)]);
+    /// Execute `batches` concurrently, one thread each, and return their
+    /// shard runs in shard order.
+    fn run_wave(&self, batches: Vec<Range<u32>>) -> Result<Vec<ShardRun>, CampaignError> {
+        if batches.len() == 1 {
+            return Ok(self.run_batch(batches[0].clone(), 0));
         }
         std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .map(|s| scope.spawn(move || self.run_shard(s, (s - first) as usize)))
-                .collect();
-            handles
+            let handles: Vec<_> = batches
                 .into_iter()
-                .map(|h| {
-                    // Per-trial panics are caught inside `run_shard`; a
-                    // panic that reaches the join is an engine bug,
-                    // reported as a typed error instead of poisoning the
-                    // caller.
-                    h.join().map_err(|payload| {
-                        CampaignError::ShardPanicked(panic_message(payload.as_ref()))
-                    })
-                })
-                .collect()
+                .enumerate()
+                .map(|(slot, batch)| scope.spawn(move || self.run_batch(batch, slot)))
+                .collect();
+            let mut runs = Vec::new();
+            for h in handles {
+                // Per-trial panics are caught inside the batch; a panic
+                // that reaches the join is an engine bug, reported as a
+                // typed error instead of poisoning the caller.
+                let batch = h.join().map_err(|payload| {
+                    CampaignError::ShardPanicked(panic_message(payload.as_ref()))
+                })?;
+                runs.extend(batch);
+            }
+            Ok(runs)
         })
     }
 
-    /// Run one shard on worker `slot` under supervision: every trial
-    /// executes inside `catch_unwind` on a clone of the shard RNG, so a
-    /// panicking trial can be retried once from an identical stream and,
-    /// on a second panic, quarantined — recorded as a DUE under
-    /// [`QUARANTINE_LABEL`] with its fault plan recovered for the
-    /// quarantine journal. The shard's RNG state after any trial is the
-    /// state after its sampler draws, whether the trial completed,
-    /// retried, or was quarantined — which is what keeps tallies
-    /// bit-identical at any worker count.
-    fn run_shard(&self, shard: u32, slot: usize) -> ShardRun {
+    /// Run one batch of shards on worker `slot`: sample every trial in
+    /// trial order, execute the planned ones in trigger order, relaying
+    /// each trial's fault-free state to the next where that skips more
+    /// prefix than a golden snapshot, and return the shards' records in
+    /// trial order.
+    fn run_batch(&self, shards: Range<u32>, slot: usize) -> Vec<ShardRun> {
+        let mut pending = Vec::new();
+        let mut runs: Vec<ShardRun> = shards
+            .enumerate()
+            .map(|(run, shard)| self.sample_shard(shard, run as u32, &mut pending))
+            .collect();
+        pending.sort_unstable_by_key(|p| (p.key, p.run, p.rec));
+        let mut relay: Option<Arc<EngineSnapshot>> = None;
+        for (j, p) in pending.iter().enumerate() {
+            let run = &mut runs[p.run as usize];
+            let golden =
+                self.ff.and_then(|snaps| (p.key.0 as usize).checked_sub(1).map(|i| &snaps[i]));
+            let skip = golden.map_or(0, |g| g.dyn_count());
+            let relayed = relay.take().filter(|r| r.dyn_count() > skip && r.precedes(&p.plan));
+            // Only the next trial can use a hand-off, and only when its
+            // nearest golden snapshot is this trial's: one further on lies
+            // past this trial's trigger.
+            let hand_off =
+                self.ff.is_some() && pending.get(j + 1).is_some_and(|n| n.key.0 == p.key.0);
+            let rec = &mut run.records[p.rec as usize];
+            rec.relayed = relayed.is_some();
+            let resume = relayed.or_else(|| golden.cloned());
+            let start_us = micros(run.start.elapsed());
+            if let Some(next) = self.execute_supervised(rec, p.plan, resume, hand_off, slot) {
+                relay = Some(next);
+            }
+            rec.start_us = start_us;
+        }
+        for run in &mut runs {
+            run.micros = run.records.iter().map(|r| u64::from(r.micros)).sum();
+        }
+        runs
+    }
+
+    /// Sample every trial of `shard` in trial order on the shard's own
+    /// stream, under supervision: a sampler that panics is retried once
+    /// from an identical stream and, on a second panic, quarantined —
+    /// recorded as a DUE under [`QUARANTINE_LABEL`]. Direct trials are
+    /// resolved here; planned ones are appended to `pending` as shard
+    /// `run` of the batch. The stream state after any trial is the state
+    /// after its sampler draws, which is what keeps tallies bit-identical
+    /// at any worker count.
+    fn sample_shard(&self, shard: u32, run: u32, pending: &mut Vec<Pending>) -> ShardRun {
         let start = Instant::now();
         let first = shard as u64 * self.shard_size;
         let range = first..(first + self.shard_size).min(self.ceiling);
@@ -946,104 +1087,119 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
             let started = Instant::now();
             let attempt = || {
                 let mut r = snap.clone();
-                (self.run_trial(trial, started, &mut r, slot), r)
+                let planned = self.sampler.sample(trial, &mut r);
+                let stratum = self.sampler.stratum(trial, &planned);
+                (planned, stratum, r)
             };
             let mut retried = false;
             let result = catch_unwind(AssertUnwindSafe(&attempt)).or_else(|_first| {
-                // First panic: deterministic retry on a fresh replay of
-                // the same stream (the clone in `attempt`).
                 retried = true;
-                if let Some(m) = self.monitor {
-                    m.disarm(slot);
-                }
                 catch_unwind(AssertUnwindSafe(&attempt))
             });
             let mut rec = match result {
-                Ok((rec, r)) => {
-                    rng = r;
+                Ok((TrialPlan::Direct { outcome, due, label }, stratum, after)) => {
+                    rng = after;
+                    TrialRecord::new(trial, outcome, due, label, stratum)
+                }
+                Ok((TrialPlan::Fault(plan), stratum, after)) => {
+                    rng = after;
+                    let (k, pos) = match self.ff {
+                        Some(snaps) => trigger_position(snaps, &self.golden.counts, &plan),
+                        None => (0, 0),
+                    };
+                    let rec = records.len() as u32;
+                    pending.push(Pending { key: (k as u32, pos), run, rec, plan });
+                    TrialRecord::new(trial, Outcome::Due, None, plan.site_label(), stratum)
+                }
+                // The sampler panicked twice: the stream state after its
+                // draws is unknowable, but unknowable the same way in
+                // every configuration — fall back to the pre-trial state.
+                Err(payload) => {
+                    rng = snap.clone();
+                    let mut rec = TrialRecord::new(trial, Outcome::Due, None, "", None);
+                    rec.quarantine(None, payload.as_ref());
                     rec
                 }
-                Err(payload) => {
-                    // Second panic: quarantine. Recover the fault plan by
-                    // replaying the sampler alone on another snapshot
-                    // clone (execution never consumes RNG, so this also
-                    // yields the canonical post-trial stream state).
-                    if let Some(m) = self.monitor {
-                        m.disarm(slot);
-                    }
-                    let replay = catch_unwind(AssertUnwindSafe(|| {
-                        let mut r = snap.clone();
-                        let plan = match self.sampler.sample(trial, &mut r) {
-                            TrialPlan::Fault(plan) => Some(plan),
-                            TrialPlan::Direct { .. } => None,
-                        };
-                        (plan, r)
-                    }));
-                    let (plan, after) = match replay {
-                        Ok((plan, r)) => (plan, r),
-                        // The sampler itself panics: the stream state
-                        // after its draws is unknowable, but it is
-                        // unknowable the same way in every configuration
-                        // — fall back to the pre-trial snapshot.
-                        Err(_) => (None, snap),
-                    };
-                    rng = after;
-                    TrialRecord {
-                        plan,
-                        panic: Some(panic_message(payload.as_ref())),
-                        ..TrialRecord::new(
-                            trial,
-                            started,
-                            Outcome::Due,
-                            None,
-                            QUARANTINE_LABEL,
-                            None,
-                        )
-                    }
-                }
             };
-            rec.micros = started.elapsed().as_micros() as u64;
+            rec.start_us = micros(started.duration_since(start));
+            rec.micros = micros(started.elapsed());
             rec.retried = retried;
             records.push(rec);
         }
-        ShardRun { index: shard, range, start, micros: start.elapsed().as_micros() as u64, records }
+        ShardRun { index: shard, range, start, micros: 0, records }
     }
 
-    /// Sample and (when planned) execute one trial on worker `slot`. Pure
-    /// with respect to the shard state: everything it decides comes back
-    /// in the record, so a panic anywhere inside loses nothing and the
-    /// supervision in [`ShardCtx::run_shard`] can replay from an RNG
-    /// snapshot.
-    fn run_trial(
+    /// Execute `plan` for `rec` on worker `slot` from `resume`, under
+    /// supervision: a panicking run is retried once, unless its sampling
+    /// already was, and on a second panic the trial is quarantined with
+    /// its plan. Returns the run's hand-off, if it made one.
+    fn execute_supervised(
+        &self,
+        rec: &mut TrialRecord,
+        plan: FaultPlan,
+        resume: Option<Arc<EngineSnapshot>>,
+        hand_off: bool,
+        slot: usize,
+    ) -> Option<Arc<EngineSnapshot>> {
+        let started = Instant::now();
+        let fast_forwarded = resume.as_ref().and_then(|s| NonZeroU64::new(s.dyn_count()));
+        let trial = rec.trial;
+        let attempt = || self.execute(trial, plan, resume.clone(), hand_off, slot);
+        let mut result = catch_unwind(AssertUnwindSafe(&attempt));
+        if result.is_err() && !rec.retried {
+            // First panic: deterministic retry from the same state.
+            rec.retried = true;
+            if let Some(m) = self.monitor {
+                m.disarm(slot);
+            }
+            result = catch_unwind(AssertUnwindSafe(&attempt));
+        }
+        rec.micros = rec.micros.saturating_add(micros(started.elapsed()));
+        match result {
+            Ok(ran) => {
+                rec.executed = true;
+                rec.outcome = ran.outcome;
+                rec.due = ran.due;
+                rec.dyn_instrs = ran.dyn_instrs;
+                rec.fast_forwarded = fast_forwarded;
+                rec.exit = ran.exit;
+                ran.handoff
+            }
+            Err(payload) => {
+                if let Some(m) = self.monitor {
+                    m.disarm(slot);
+                }
+                rec.quarantine(Some(plan), payload.as_ref());
+                None
+            }
+        }
+    }
+
+    /// Execute `plan` on worker `slot` and classify the run against the
+    /// golden run. Pure with respect to the batch state, so a panic
+    /// anywhere inside loses nothing and the trial can be replayed.
+    fn execute(
         &self,
         trial: u64,
-        start: Instant,
-        rng: &mut ChaCha12Rng,
+        plan: FaultPlan,
+        resume: Option<Arc<EngineSnapshot>>,
+        hand_off: bool,
         slot: usize,
-    ) -> TrialRecord {
-        let planned = self.sampler.sample(trial, rng);
-        let stratum = self.sampler.stratum(trial, &planned);
-        let plan = match planned {
-            TrialPlan::Direct { outcome, due, label } => {
-                return TrialRecord::new(trial, start, outcome, due, label, stratum);
-            }
-            TrialPlan::Fault(plan) => plan,
-        };
+    ) -> Ran {
         let cancel = self.monitor.map(|m| m.arm(slot));
-        // Fast-forward: resume from the latest golden snapshot at or
-        // before the fault site, and end at the first snapshot point or
-        // block boundary after which the run is provably golden. The
-        // skipped prefix and suffix are bit-identical to the golden run,
-        // so the tally is the same either way — only the wall clock
+        // Fast-forward: resume from a golden snapshot or a relayed state
+        // at or before the fault site, and end at the first snapshot
+        // point or block boundary after which the run is provably golden.
+        // The skipped prefix and suffix are bit-identical to the golden
+        // run, so the tally is the same either way — only the wall clock
         // changes.
-        let resume = self.ff.and_then(|snaps| nearest_snapshot(snaps, &plan)).cloned();
-        let fast_forwarded = resume.as_ref().map(|s| s.dyn_count());
         let opts = RunOptions::trial(plan)
             .ecc(self.ecc)
             .watchdog(self.watchdog)
             .cancel_flag(cancel)
             .resume(resume)
-            .exit_through(self.exit.cloned());
+            .exit_through(self.exit.cloned())
+            .hand_off(hand_off);
         // Sampled trials run with the engine-phase sink attached, parented
         // under the trial span the fold pushes, on the shard's track. The
         // sink only timestamps phase events, so architectural results
@@ -1069,14 +1225,19 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
                 }
             }
         };
-        TrialRecord {
-            plan: Some(plan),
+        Ran {
+            outcome,
+            due,
             dyn_instrs: faulty.counts.total,
-            fast_forwarded,
             exit: faulty.exit,
-            ..TrialRecord::new(trial, start, outcome, due, plan.site_label(), stratum)
+            handoff: faulty.handoff,
         }
     }
+}
+
+/// `d` in whole microseconds, saturating.
+fn micros(d: std::time::Duration) -> u32 {
+    d.as_micros().try_into().unwrap_or(u32::MAX)
 }
 
 fn export_shard_metrics(m: &MetricsRegistry, tally: &Tally, micros: u64) {
@@ -1135,7 +1296,13 @@ fn add_outcomes(m: &MetricsRegistry, prefix: &str, c: &OutcomeCounts) {
     }
 }
 
-fn snapshot(label: &str, budget: &Budget, shards_done: u32, tally: &Tally) -> Checkpoint {
+fn snapshot(
+    label: &str,
+    budget: &Budget,
+    shards_done: u32,
+    tally: &Tally,
+    digest: Option<u64>,
+) -> Checkpoint {
     Checkpoint {
         label: label.to_string(),
         seed: budget.seed,
@@ -1144,7 +1311,29 @@ fn snapshot(label: &str, budget: &Budget, shards_done: u32, tally: &Tally) -> Ch
         trials: tally.trials,
         counts: tally.counts,
         direct: tally.direct.clone(),
+        digest,
     }
+}
+
+/// The batches of the wave that starts at shard `first`: up to `workers`
+/// of them. Among the first `certain` shards a batch runs to the next
+/// multiple of [`BATCH_SHARDS`], never past `certain`; after them it is
+/// one shard, so a stop boundary discards at most a wave of shards.
+/// Batches depend on the shard index and the budget, never on `workers`
+/// (a resumed run's first batch starts at its checkpoint).
+fn wave_batches(first: u32, certain: u32, total: u32, workers: usize) -> Vec<Range<u32>> {
+    let mut batches = Vec::with_capacity(workers.min(total.saturating_sub(first) as usize));
+    let mut start = first;
+    while batches.len() < workers && start < total {
+        let end = if start < certain {
+            ((start / BATCH_SHARDS + 1) * BATCH_SHARDS).min(certain)
+        } else {
+            start + 1
+        };
+        batches.push(start..end);
+        start = end;
+    }
+    batches
 }
 
 fn eval_stop(
@@ -1182,10 +1371,38 @@ fn subtract(a: OutcomeCounts, b: OutcomeCounts) -> OutcomeCounts {
 /// FNV-1a over the target name — same mix the legacy entry points used,
 /// so different targets at one budget seed get uncorrelated streams.
 pub(crate) fn fnv1a(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in name.bytes() {
+    fnv1a_extend(FNV_OFFSET, name.as_bytes())
+}
+
+/// The FNV-1a offset basis: the hash of nothing.
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// FNV-1a state `h` continued over `bytes`.
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
+/// The campaign digest `h` continued over one trial record: its index,
+/// outcome, DUE kind, tally label and stratum (see
+/// [`CampaignRun::digest`]). Strings end in a zero byte; an absent one
+/// is a lone `0xff`.
+fn digest_record(h: u64, rec: &TrialRecord) -> u64 {
+    let outcome = match rec.outcome {
+        Outcome::Sdc => 0u8,
+        Outcome::Due => 1,
+        Outcome::Masked => 2,
+    };
+    let mut h = fnv1a_extend(h, &rec.trial.to_le_bytes());
+    h = fnv1a_extend(h, &[outcome]);
+    for field in [rec.due.map(DueKind::name), Some(rec.label), rec.stratum] {
+        h = match field {
+            Some(text) => fnv1a_extend(fnv1a_extend(h, text.as_bytes()), &[0]),
+            None => fnv1a_extend(h, &[0xff]),
+        };
     }
     h
 }
@@ -1213,6 +1430,19 @@ mod tests {
         assert_eq!(unique.len(), seeds.len());
         // And sensitive to the base seed.
         assert_ne!(shard_seed(base, 0), shard_seed(base + 1, 0));
+    }
+
+    #[test]
+    fn batches_span_certain_shards_then_one_shard_each() {
+        let b = BATCH_SHARDS;
+        // A fixed budget: every shard is certain, batches are aligned.
+        assert_eq!(wave_batches(0, 3 * b, 3 * b, 2), [0..b, b..2 * b]);
+        // Resumed mid-batch: the first batch ends at the alignment.
+        assert_eq!(wave_batches(1, 3 * b, 3 * b, 2), [1..b, b..2 * b]);
+        // Past the floor's shard a batch is one shard.
+        assert_eq!(wave_batches(0, b + 1, 3 * b, 4), [0..b, b..b + 1, b + 1..b + 2, b + 2..b + 3]);
+        let last = wave_batches(3 * b - 1, b, 3 * b, 4);
+        assert_eq!((last.len(), last[0].clone()), (1, 3 * b - 1..3 * b));
     }
 
     #[test]

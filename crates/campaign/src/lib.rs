@@ -67,7 +67,8 @@ mod supervise;
 pub use budget::{Budget, SnapshotPolicy, Watchdog};
 pub use checkpoint::{Checkpoint, StreamScan, CHECKPOINT_REPORT_KIND};
 pub use engine::{
-    Campaign, CampaignError, CampaignRun, Kind, Sampler, StopReason, TrialPlan, QUARANTINE_LABEL,
+    Campaign, CampaignError, CampaignRun, Kind, Sampler, StopReason, TrialPlan, BATCH_SHARDS,
+    QUARANTINE_LABEL,
 };
 pub use golden::GoldenRequest;
 pub use store::{CheckpointStore, StoreError};

@@ -37,8 +37,9 @@ fn counts() -> impl Strategy<Value = OutcomeCounts> {
 fn checkpoint() -> impl Strategy<Value = Checkpoint> {
     let identity = (ascii(24), any::<u64>(), any::<u32>(), any::<u32>());
     let direct = prop::collection::vec((ascii(12), counts()), 0..4);
-    (identity, counts(), direct).prop_map(|((label, seed, shard_size, shards_done), c, d)| {
-        Checkpoint {
+    let digest = (any::<bool>(), any::<u64>()).prop_map(|(some, d)| some.then_some(d));
+    (identity, counts(), direct, digest).prop_map(
+        |((label, seed, shard_size, shards_done), c, d, digest)| Checkpoint {
             label,
             seed,
             shard_size,
@@ -46,8 +47,9 @@ fn checkpoint() -> impl Strategy<Value = Checkpoint> {
             trials: c.total(),
             counts: c,
             direct: d.into_iter().collect::<BTreeMap<_, _>>(),
-        }
-    })
+            digest,
+        },
+    )
 }
 
 /// `line` damaged at `at` (wrapping) by `how`: torn there, a character

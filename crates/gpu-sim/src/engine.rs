@@ -15,9 +15,10 @@ use crate::fault::{
 };
 use crate::memory::{GlobalMemory, SharedMemory};
 use crate::snapshot::{
-    ClassTallies, EngineSnapshot, ExitRecorder, ExitTable, Geometry, SNAPSHOT_CAP,
+    trigger_counter, ClassTallies, EngineSnapshot, ExitRecorder, ExitTable, Geometry, SNAPSHOT_CAP,
 };
 use crate::timing::{self, TimingReport};
+use gpu_arch::decode::{FP32_ARITH_UNITS, FP64_ARITH_UNITS, HALF_ARITH_UNITS, INT_ARITH_UNITS};
 use gpu_arch::{
     CmpOp, DeviceModel, FunctionalUnit, Instr, InstrMeta, Kernel, LaunchConfig, MemWidth,
     MixCategory, Op, Operand, Reg, SpecialReg, WARP_SIZE,
@@ -100,6 +101,17 @@ pub struct RunOptions {
     /// snapshots, under a stuck-at or fetch plan, or when the watchdog
     /// would trip in the part it skips.
     pub exit_from: Option<Arc<Executed>>,
+    /// Hand the trial's fault-free state on to a later trial: at the
+    /// first scheduler round top where the plan's trigger is within one
+    /// round (its counter plus the running lanes passes the trigger) and
+    /// the plan has not fired, capture an [`EngineSnapshot`] into
+    /// [`Executed::handoff`]. Before its trigger a trial's state is the
+    /// golden run's, so the snapshot serves [`EngineSnapshot::precedes`]
+    /// and [`RunOptions::resume_from`] exactly as a golden one captured
+    /// there would (DESIGN.md §16, "Relay"). Nothing is captured at the
+    /// point the run started from. Incompatible with
+    /// [`RunOptions::snapshot_stride`].
+    pub hand_off: bool,
 }
 
 impl RunOptions {
@@ -159,6 +171,12 @@ impl RunOptions {
         self.exit_from = golden;
         self
     }
+
+    /// Ask for a hand-off snapshot (see [`RunOptions::hand_off`]).
+    pub fn hand_off(mut self, on: bool) -> Self {
+        self.hand_off = on;
+        self
+    }
 }
 
 /// How many dynamic instructions pass between polls of
@@ -178,6 +196,7 @@ impl Default for RunOptions {
             snapshot_stride: 0,
             resume_from: None,
             exit_from: None,
+            hand_off: false,
         }
     }
 }
@@ -262,6 +281,23 @@ impl Counts {
         }
     }
 
+    /// How many sites of `class` the run offers a fault plan: the
+    /// population an injector samples `nth` from. For the arithmetic
+    /// classes and [`SiteClass::Unit`] it counts every instruction of
+    /// their units.
+    pub fn population(&self, class: SiteClass) -> u64 {
+        let units = |us: &[FunctionalUnit]| us.iter().map(|&u| self.unit(u)).sum();
+        match class {
+            SiteClass::GprWriter => self.sites.gpr_writers,
+            SiteClass::GprWriterNoHalf => self.sites.gpr_writers_no_half,
+            SiteClass::FloatArith => units(&FP32_ARITH_UNITS) + units(&FP64_ARITH_UNITS),
+            SiteClass::HalfArith => units(&HALF_ARITH_UNITS),
+            SiteClass::IntArith => units(&INT_ARITH_UNITS),
+            SiteClass::Load => self.sites.loads,
+            SiteClass::Unit(u) => self.unit(u),
+        }
+    }
+
     /// Dynamic count for one unit kind.
     pub fn unit(&self, u: FunctionalUnit) -> u64 {
         self.per_unit[u.index()]
@@ -338,6 +374,9 @@ pub struct Executed {
     /// Where and how a trial ended early through
     /// [`RunOptions::exit_from`]; `None` when it ran to the end.
     pub exit: Option<BlockExit>,
+    /// The state a later trial may resume from, when
+    /// [`RunOptions::hand_off`] asked for one and the run reached it.
+    pub handoff: Option<Arc<EngineSnapshot>>,
 }
 
 /// Where a trial ended early: the rest of its run after block `block`
@@ -371,13 +410,11 @@ enum TState {
     Exited,
 }
 
-/// A thread's architectural state as stored inside an [`EngineSnapshot`]:
-/// registers trimmed at the last nonzero word (fresh registers are zero,
-/// so the trim is lossless), scheduler state as a small integer.
+/// A thread's architectural state as stored inside an [`EngineSnapshot`],
+/// apart from its registers, which the snapshot keeps in one vector:
+/// predicates, pc and scheduler state as a small integer.
 #[derive(Clone, Debug)]
 pub(crate) struct ThreadState {
-    /// Register file, trimmed at the last nonzero register.
-    pub(crate) regs: Vec<u32>,
     /// Predicate register bits.
     pub(crate) preds: u8,
     /// Program counter.
@@ -387,7 +424,8 @@ pub(crate) struct ThreadState {
 }
 
 struct Thread {
-    regs: Box<[u32; 256]>,
+    /// The register file, [`Ctx::reg_file`] registers long.
+    regs: Box<[u32]>,
     preds: u8,
     pc: u32,
     state: TState,
@@ -407,21 +445,18 @@ impl TState {
 }
 
 impl Thread {
-    fn to_state(&self) -> ThreadState {
-        let live = self.regs.iter().rposition(|&r| r != 0).map_or(0, |i| i + 1);
-        ThreadState {
-            regs: self.regs[..live].to_vec(),
-            preds: self.preds,
-            pc: self.pc,
-            state: self.state.code(),
-        }
+    /// This thread's state, its registers appended to `regs`.
+    fn to_state(&self, regs: &mut Vec<u32>) -> ThreadState {
+        regs.extend_from_slice(&self.regs);
+        ThreadState { preds: self.preds, pc: self.pc, state: self.state.code() }
     }
 
     /// Whether the rest of the run reads the same from this thread as
-    /// from `st`: the same scheduler state, pc and predicates, and, unless
-    /// the thread has exited, the same value in every register in `live`
-    /// (`None`: a pc past the kernel's end, which never matches).
-    fn same_as(&self, st: &ThreadState, live: Option<&[u32; 8]>) -> bool {
+    /// from `st`, whose registers are `regs`: the same scheduler state, pc
+    /// and predicates, and, unless the thread has exited, the same value
+    /// in every register in `live` (`None`: a pc past the kernel's end,
+    /// which never matches).
+    fn same_as(&self, st: &ThreadState, regs: &[u32], live: Option<&[u32; 8]>) -> bool {
         if self.pc != st.pc || self.preds != st.preds || self.state.code() != st.state {
             return false;
         }
@@ -433,7 +468,8 @@ impl Thread {
             let mut bits = bits;
             while bits != 0 {
                 let r = w * 32 + bits.trailing_zeros() as usize;
-                if self.regs[r] != st.regs.get(r).copied().unwrap_or(0) {
+                let reg = |regs: &[u32]| regs.get(r).copied().unwrap_or(0);
+                if reg(&self.regs) != reg(regs) {
                     return false;
                 }
                 bits &= bits - 1;
@@ -442,11 +478,10 @@ impl Thread {
         })
     }
 
-    fn from_state(st: &ThreadState, t: u32, block_x: u32) -> Thread {
-        let mut regs = Box::new([0u32; 256]);
-        regs[..st.regs.len()].copy_from_slice(&st.regs);
+    /// Thread `t` restored from `st`, whose registers are `regs`.
+    fn from_state(st: &ThreadState, regs: &[u32], t: u32, block_x: u32) -> Thread {
         Thread {
-            regs,
+            regs: regs.into(),
             preds: st.preds,
             pc: st.pc,
             state: match st.state {
@@ -524,6 +559,8 @@ struct Capture {
 
 struct Ctx<'a> {
     kernel: &'a Kernel,
+    /// Registers in each thread's file (see [`reg_file_len`]).
+    reg_file: usize,
     launch: &'a LaunchConfig,
     opts: &'a RunOptions,
     global: GlobalMemory,
@@ -540,6 +577,10 @@ struct Ctx<'a> {
     current_block: u32,
     record: Option<SitesRecord>,
     cap: Option<Capture>,
+    /// The dynamic count the run started from while a hand-off is still
+    /// to come (see [`hand_off`]).
+    handoff_from: Option<u64>,
+    handoff: Option<Arc<EngineSnapshot>>,
     /// Armed when a spent trial may rejoin its golden run.
     rejoin: Option<Rejoin<'a>>,
     sink: Option<&'a mut (dyn TraceSink + 'a)>,
@@ -624,6 +665,11 @@ pub fn try_run_with_sink<'a>(
         return Err(SimError::PartialWarpMma { block_threads });
     }
     let geometry = Geometry::of(kernel, launch, memory.len());
+    if opts.hand_off && opts.snapshot_stride != 0 {
+        return Err(SimError::ResumeConflict(
+            "cannot hand off state during a capturing run".to_string(),
+        ));
+    }
     if let Some(snap) = opts.resume_from.as_deref() {
         if opts.record_sites {
             return Err(SimError::ResumeConflict(
@@ -680,8 +726,10 @@ pub fn try_run_with_sink<'a>(
     } else {
         None
     };
+    let reg_file = reg_file_len(kernel);
     let mut ctx = Ctx {
         kernel,
+        reg_file,
         launch,
         opts,
         global: memory,
@@ -702,13 +750,20 @@ pub fn try_run_with_sink<'a>(
         rejoin: exit
             .filter(|(golden, _)| golden.counts.total <= opts.watchdog_limit)
             .map(|(golden, table)| Rejoin { golden, table, next: 0, last_diff: 0 }),
-        cap: (opts.snapshot_stride > 0).then(|| Capture {
+        // A hand-off keeps the class tallies a snapshot carries, from
+        // where the run starts until it captures, and nothing periodic.
+        cap: (opts.snapshot_stride > 0 || opts.hand_off).then(|| Capture {
             stride: opts.snapshot_stride,
-            next_due: opts.snapshot_stride,
+            next_due: if opts.hand_off { u64::MAX } else { opts.snapshot_stride },
             snapshots: Vec::new(),
-            tallies: ClassTallies::default(),
+            tallies: opts
+                .resume_from
+                .as_ref()
+                .map_or_else(ClassTallies::default, |s| s.tallies.clone()),
             exit: recorder,
         }),
+        handoff_from: opts.hand_off.then(|| opts.resume_from.as_ref().map_or(0, |s| s.dyn_count)),
+        handoff: None,
         sink,
     };
 
@@ -813,7 +868,22 @@ pub fn try_run_with_sink<'a>(
         snapshots,
         exit_table,
         exit: exited,
+        handoff: ctx.handoff,
     })
+}
+
+/// How many registers each thread's file holds: one past the highest
+/// register an instruction of `kernel` reads or writes, the high halves
+/// of pairs and MMA fragments included. No instruction touches a register
+/// past it, so one that a strike flips there is masked.
+fn reg_file_len(kernel: &Kernel) -> usize {
+    let fragments = kernel.instrs.iter().filter(|i| i.op.is_mma()).flat_map(|i| {
+        let c = if i.op == Op::Hmma { 4 } else { 8 };
+        [(i.srcs[0], 4), (i.srcs[1], 4), (i.srcs[2], c)]
+            .into_iter()
+            .filter_map(|(src, n)| src.reg().map(|r| usize::from(r.0) + n))
+    });
+    fragments.fold(usize::from(kernel.max_reg_used()), usize::max).clamp(1, 256)
 }
 
 /// End a spent trial after block `block` if the rest of its run is
@@ -891,7 +961,9 @@ fn rejoin_here(
     if !shared.same_as(&snap.shared) || !ctx.global.same_as(&snap.global) {
         return None;
     }
-    let same = |t: usize| threads[t].same_as(&snap.threads[t], table.live_regs(threads[t].pc));
+    let same = |t: usize| {
+        threads[t].same_as(&snap.threads[t], snap.thread_regs(t), table.live_regs(threads[t].pc))
+    };
     let first = rj.last_diff;
     if let Some(t) =
         std::iter::once(first).chain((0..threads.len()).filter(|&t| t != first)).find(|&t| !same(t))
@@ -914,17 +986,8 @@ fn capture_snapshot(
     shared: &SharedMemory,
 ) {
     let dyn_count = ctx.dyn_count;
+    let Some(snap) = snapshot_here(ctx, block_linear, threads, shared) else { return };
     let Some(cap) = ctx.cap.as_mut() else { return };
-    let snap = EngineSnapshot {
-        dyn_count,
-        counts: ctx.counts.clone(),
-        tallies: cap.tallies.clone(),
-        global: ctx.global.clone(),
-        block: block_linear,
-        threads: threads.iter().map(Thread::to_state).collect(),
-        shared: shared.clone(),
-        geometry: Geometry::of(ctx.kernel, ctx.launch, ctx.global.len()),
-    };
     cap.snapshots.push(Arc::new(snap));
     if cap.snapshots.len() > SNAPSHOT_CAP {
         let mut idx = 0usize;
@@ -935,6 +998,62 @@ fn capture_snapshot(
         cap.stride = cap.stride.saturating_mul(2);
     }
     cap.next_due = dyn_count.saturating_add(cap.stride);
+}
+
+/// The current state as an [`EngineSnapshot`], with the capture's class
+/// tallies; `None` when the run captures nothing.
+fn snapshot_here(
+    ctx: &Ctx<'_>,
+    block_linear: u32,
+    threads: &[Thread],
+    shared: &SharedMemory,
+) -> Option<EngineSnapshot> {
+    let cap = ctx.cap.as_ref()?;
+    let mut regs = Vec::with_capacity(threads.len() * ctx.reg_file);
+    let threads = threads.iter().map(|t| t.to_state(&mut regs)).collect();
+    Some(EngineSnapshot {
+        dyn_count: ctx.dyn_count,
+        counts: ctx.counts.clone(),
+        tallies: cap.tallies.clone(),
+        global: ctx.global.clone(),
+        block: block_linear,
+        threads,
+        regs,
+        shared: shared.clone(),
+        geometry: Geometry::of(ctx.kernel, ctx.launch, ctx.global.len()),
+    })
+}
+
+/// At a scheduler round top of a trial asked for a hand-off: once the
+/// plan's trigger is within this round, capture the state into
+/// [`Executed::handoff`] and stop keeping class tallies.
+///
+/// Within a round every running lane retires at most one instruction,
+/// and each instruction ticks a trigger counter at most once. So while
+/// the counter plus the running lanes stays at or below the trigger, the
+/// plan cannot fire before the next round top, and the first round top
+/// past that is the last one known to precede the fault. The snapshot is
+/// taken there, before the hidden round tick, like a golden capture; a
+/// state no further on than where the run started is not handed off.
+#[inline(never)]
+fn hand_off(ctx: &mut Ctx<'_>, block_linear: u32, threads: &[Thread], shared: &SharedMemory) {
+    let Some(cap) = ctx.cap.as_ref() else { return };
+    // How many more ticks the trigger counter needs; `None` when the plan
+    // has no trigger or is already past it, and nothing is handed off.
+    let gap = trigger_counter(&ctx.opts.fault, &cap.tallies, &ctx.counts.sites, ctx.dyn_count)
+        .and_then(|(counter, trigger)| trigger.checked_sub(counter));
+    if let Some(gap) = gap {
+        if gap >= threads.len() as u64
+            || gap >= threads.iter().filter(|t| t.state == TState::Running).count() as u64
+        {
+            return;
+        }
+    }
+    let started = ctx.handoff_from.take().unwrap_or(u64::MAX);
+    if gap.is_some() && ctx.dyn_count > started && !ctx.fault_triggered {
+        ctx.handoff = snapshot_here(ctx, block_linear, threads, shared).map(Arc::new);
+    }
+    ctx.cap = None;
 }
 
 fn run_block(
@@ -959,14 +1078,14 @@ fn run_block(
             snap.threads
                 .iter()
                 .enumerate()
-                .map(|(t, st)| Thread::from_state(st, t as u32, block.x))
+                .map(|(t, st)| Thread::from_state(st, snap.thread_regs(t), t as u32, block.x))
                 .collect(),
         ),
         None => (
             SharedMemory::new(ctx.kernel.shared_bytes),
             (0..nthreads)
                 .map(|t| Thread {
-                    regs: Box::new([0; 256]),
+                    regs: vec![0; ctx.reg_file].into_boxed_slice(),
                     preds: 0,
                     pc: 0,
                     state: TState::Running,
@@ -987,6 +1106,8 @@ fn run_block(
         if let Some(cap) = &ctx.cap {
             if ctx.dyn_count >= cap.next_due {
                 capture_snapshot(ctx, block_linear, &threads, &shared);
+            } else if ctx.handoff_from.is_some() {
+                hand_off(ctx, block_linear, &threads, &shared);
             }
         }
         if ctx.fault_triggered {
@@ -1510,7 +1631,9 @@ fn apply_timed_faults(
                     } else {
                         let r =
                             (reg as usize).min(254) % ctx.kernel.regs_per_thread.max(1) as usize;
-                        th.regs[r] ^= flip.mask as u32;
+                        if let Some(reg) = th.regs.get_mut(r) {
+                            *reg ^= flip.mask as u32;
+                        }
                     }
                 }
             }

@@ -42,7 +42,7 @@ impl std::error::Error for MemoryError {}
 /// more distinct flipped bits raises a double-bit detection (DUE). With
 /// ECC disabled, flips are applied to the data on read. This mirrors
 /// SECDED DRAM/SRAM behaviour (Section III-A).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct GlobalMemory {
     data: Vec<u8>,
     /// XOR masks of struck bits, per aligned 32-bit word index, plus the

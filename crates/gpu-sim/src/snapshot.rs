@@ -17,13 +17,16 @@
 //! exactly the golden instruction stream (a single [`FaultPlan`] has no
 //! architectural effect until its trigger), so the golden run's state at
 //! any earlier round boundary *is* the trial's state at that boundary.
+//! The same argument lets a trial hand its own state at a round top just
+//! before its trigger to a later trial ([`crate::RunOptions::hand_off`]):
+//! that snapshot is as good as one golden would have captured there.
 //!
 //! A capturing golden run also builds an [`ExitTable`], which lets a
 //! trial skip the other end of its run once its fault is spent: the
 //! blocks after one it ends in, once they provably run as in golden, or
 //! the rest of the run from a snapshot whose state it rejoins.
 
-use crate::engine::{Counts, ThreadState};
+use crate::engine::{Counts, SiteCounts, ThreadState};
 use crate::fault::FaultPlan;
 use crate::memory::{GlobalMemory, SharedMemory};
 use gpu_arch::decode::RegLiveness;
@@ -80,6 +83,15 @@ impl ClassTallies {
         self.unit_writers[meta.unit_index as usize] += 1;
     }
 
+    /// The tallies a run with final counts `fin` ends with, estimated
+    /// from its site populations ([`Counts::population`]).
+    fn estimated(fin: &Counts) -> ClassTallies {
+        ClassTallies {
+            base: BASE_CLASSES.map(|class| fin.population(class)),
+            unit_writers: fin.per_unit,
+        }
+    }
+
     /// Matches of `site` consumed so far.
     pub(crate) fn class_matches(&self, site: SiteClass) -> u64 {
         match site {
@@ -110,9 +122,12 @@ pub struct EngineSnapshot {
     pub(crate) global: GlobalMemory,
     /// Linear index of the block that was executing.
     pub(crate) block: u32,
-    /// Per-thread register files, predicates, pcs and scheduler states of
-    /// the resident block.
+    /// Per-thread predicates, pcs and scheduler states of the resident
+    /// block.
     pub(crate) threads: Vec<ThreadState>,
+    /// Every thread's register file, one after another, all of one
+    /// length (see [`EngineSnapshot::thread_regs`]).
+    pub(crate) regs: Vec<u32>,
     /// The resident block's shared memory.
     pub(crate) shared: SharedMemory,
     /// Resume refuses a snapshot whose fingerprint does not match.
@@ -142,26 +157,12 @@ impl EngineSnapshot {
     /// (the engine hard-errors that resume as a
     /// [`crate::SimError::ResumeConflict`]).
     pub fn precedes(&self, plan: &FaultPlan) -> bool {
-        match *plan {
-            FaultPlan::None => false,
-            FaultPlan::InstructionOutput { nth, site, .. }
-            | FaultPlan::InstructionOutputSet { nth, site, .. } => {
-                self.tallies.class_matches(site) <= nth
-            }
-            FaultPlan::MemAddress { nth, .. } | FaultPlan::MemQueue { nth, .. } => {
-                self.counts.sites.mem_ops <= nth
-            }
-            FaultPlan::PredicateOutput { nth } => self.counts.sites.setp <= nth,
-            FaultPlan::Pc { at, .. }
-            | FaultPlan::RegisterBit { at, .. }
-            | FaultPlan::GlobalMemBit { at, .. }
-            | FaultPlan::SharedMemBit { at, .. }
-            | FaultPlan::SchedulerNextPc { at, .. }
-            | FaultPlan::SchedulerPriority { at, .. }
-            | FaultPlan::ActiveMask { at, .. }
-            | FaultPlan::BarrierCounter { at, .. }
-            | FaultPlan::Fetch { at, .. } => self.dyn_count <= at,
-        }
+        self.trigger_counter(plan).is_some_and(|(counter, trigger)| counter <= trigger)
+    }
+
+    /// [`trigger_counter`] read off this snapshot.
+    fn trigger_counter(&self, plan: &FaultPlan) -> Option<(u64, u64)> {
+        trigger_counter(plan, &self.tallies, &self.counts.sites, self.dyn_count)
     }
 
     /// Approximate in-memory footprint in bytes (dominated by the memory
@@ -171,9 +172,78 @@ impl EngineSnapshot {
         let counts = (self.counts.warp_latency.len() + self.counts.warp_instrs.len()) as u64 * 8;
         let global = self.global.len() as u64;
         let shared = self.shared.len() as u64;
-        let threads: u64 = self.threads.iter().map(|t| t.regs.len() as u64 * 4 + 8).sum();
-        fixed + counts + global + shared + threads
+        let threads = (self.threads.len() * std::mem::size_of::<ThreadState>()) as u64;
+        fixed + counts + global + shared + threads + self.regs.len() as u64 * 4
     }
+
+    /// Thread `t`'s registers.
+    pub(crate) fn thread_regs(&self, t: usize) -> &[u32] {
+        let file = self.regs.len() / self.threads.len().max(1);
+        &self.regs[t * file..(t + 1) * file]
+    }
+}
+
+/// The counter `plan`'s trigger is numbered in, read off a state with
+/// class tallies `tallies`, site counts `sites` and dynamic count
+/// `dyn_count`, and the trigger's value in it: positional plans
+/// (`nth`-indexed) count class matches, memory ops or `SETP`s, timed
+/// plans (`at`-indexed) the dynamic counter. `None` for
+/// [`FaultPlan::None`], which has no trigger.
+pub(crate) fn trigger_counter(
+    plan: &FaultPlan,
+    tallies: &ClassTallies,
+    sites: &SiteCounts,
+    dyn_count: u64,
+) -> Option<(u64, u64)> {
+    Some(match *plan {
+        FaultPlan::None => return None,
+        FaultPlan::InstructionOutput { nth, site, .. }
+        | FaultPlan::InstructionOutputSet { nth, site, .. } => (tallies.class_matches(site), nth),
+        FaultPlan::MemAddress { nth, .. } | FaultPlan::MemQueue { nth, .. } => (sites.mem_ops, nth),
+        FaultPlan::PredicateOutput { nth } => (sites.setp, nth),
+        FaultPlan::Pc { at, .. }
+        | FaultPlan::RegisterBit { at, .. }
+        | FaultPlan::GlobalMemBit { at, .. }
+        | FaultPlan::SharedMemBit { at, .. }
+        | FaultPlan::SchedulerNextPc { at, .. }
+        | FaultPlan::SchedulerPriority { at, .. }
+        | FaultPlan::ActiveMask { at, .. }
+        | FaultPlan::BarrierCounter { at, .. }
+        | FaultPlan::Fetch { at, .. } => (dyn_count, at),
+    })
+}
+
+/// Where `plan`'s trigger falls in a golden run that captured
+/// `snapshots` and ended with counts `fin`: how many of the snapshots
+/// precede it (so `snapshots[k - 1]` is its [`nearest_snapshot`]), and
+/// an estimate of the golden dynamic-instruction index it fires at. The
+/// estimate interpolates the plan's trigger counter between the counters
+/// of the states around it: the run's start, the snapshots, and `fin`
+/// (whose class tallies are estimated from [`Counts::population`]).
+/// Sorting plans by it puts plans of every family in the order a run
+/// reaches them, up to that estimate. `(0, 0)` for [`FaultPlan::None`].
+pub fn trigger_position(
+    snapshots: &[Arc<EngineSnapshot>],
+    fin: &Counts,
+    plan: &FaultPlan,
+) -> (usize, u64) {
+    let k = snapshots.iter().rposition(|s| s.precedes(plan)).map_or(0, |i| i + 1);
+    let zero = ClassTallies::default();
+    let start = match k {
+        0 => trigger_counter(plan, &zero, &SiteCounts::default(), 0).map(|c| (c, 0)),
+        _ => snapshots[k - 1].trigger_counter(plan).map(|c| (c, snapshots[k - 1].dyn_count)),
+    };
+    let end = match snapshots.get(k) {
+        Some(s) => s.trigger_counter(plan).map(|c| (c, s.dyn_count)),
+        None => trigger_counter(plan, &ClassTallies::estimated(fin), &fin.sites, fin.total)
+            .map(|c| (c, fin.total)),
+    };
+    let (Some(((c0, trigger), d0)), Some(((c1, _), d1))) = (start, end) else { return (0, 0) };
+    if c1 <= c0 || d1 <= d0 {
+        return (k, d0);
+    }
+    let frac = u128::from(trigger.clamp(c0, c1) - c0);
+    (k, d0 + (frac * u128::from(d1 - d0) / u128::from(c1 - c0)) as u64)
 }
 
 /// The latest snapshot whose capture point lies at or before `plan`'s

@@ -39,7 +39,6 @@
 //! notes.)
 
 use campaign::{Budget, Campaign, CampaignRun, Kind, Sampler, TrialPlan};
-use gpu_arch::decode::{FP32_ARITH_UNITS, FP64_ARITH_UNITS, HALF_ARITH_UNITS, INT_ARITH_UNITS};
 use gpu_arch::{DeviceModel, FunctionalUnit, LaunchConfig, Op};
 use gpu_sim::{
     BitFlip, ExecStatus, Executed, FaultPlan, FetchEffect, MemQueueEffect, Persistence, SiteClass,
@@ -191,12 +190,8 @@ impl AvfResult {
 
 /// The modes an injector cycles through, given the target's dynamic site
 /// populations (modes with an empty population are dropped).
-fn available_modes(
-    injector: Injector,
-    sites: &gpu_sim::SiteCounts,
-    unit_counts: &[u64; FunctionalUnit::COUNT],
-) -> Vec<Mode> {
-    let unit = |u: FunctionalUnit| unit_counts[u.index()];
+fn available_modes(injector: Injector, counts: &gpu_sim::Counts) -> Vec<Mode> {
+    let sites = &counts.sites;
     match injector {
         Injector::Sassifi => {
             // One mode per instruction group ("1,000 for each instruction
@@ -205,15 +200,12 @@ fn available_modes(
             // shared predecode unit groups; `gpu_arch::decode` tests pin
             // these groups equal to the engine's site-class tallies.
             let mut modes = Vec::new();
-            let float: u64 = FP32_ARITH_UNITS.iter().map(|&u| unit(u)).sum();
-            let double: u64 = FP64_ARITH_UNITS.iter().map(|&u| unit(u)).sum();
-            let int: u64 = INT_ARITH_UNITS.iter().map(|&u| unit(u)).sum();
-            if float + double > 0 {
+            if counts.population(SiteClass::FloatArith) > 0 {
                 modes.push(Mode::Output(SiteClass::FloatArith));
                 modes.push(Mode::OutputRandom(SiteClass::FloatArith));
                 modes.push(Mode::OutputZero(SiteClass::FloatArith));
             }
-            if int > 0 {
+            if counts.population(SiteClass::IntArith) > 0 {
                 modes.push(Mode::Output(SiteClass::IntArith));
                 modes.push(Mode::OutputRandom(SiteClass::IntArith));
             }
@@ -238,26 +230,6 @@ fn available_modes(
                 Vec::new()
             }
         }
-    }
-}
-
-/// Population size of a site class (for uniform `nth` sampling).
-fn class_population(
-    class: SiteClass,
-    sites: &gpu_sim::SiteCounts,
-    unit_counts: &[u64; FunctionalUnit::COUNT],
-) -> u64 {
-    let unit = |u: FunctionalUnit| unit_counts[u.index()];
-    match class {
-        SiteClass::GprWriter => sites.gpr_writers,
-        SiteClass::GprWriterNoHalf => sites.gpr_writers_no_half,
-        SiteClass::FloatArith => {
-            FP32_ARITH_UNITS.iter().chain(FP64_ARITH_UNITS.iter()).map(|&u| unit(u)).sum()
-        }
-        SiteClass::HalfArith => HALF_ARITH_UNITS.iter().map(|&u| unit(u)).sum(),
-        SiteClass::IntArith => INT_ARITH_UNITS.iter().map(|&u| unit(u)).sum(),
-        SiteClass::Load => sites.loads,
-        SiteClass::Unit(u) => unit(u),
     }
 }
 
@@ -291,7 +263,7 @@ fn sample_plan<R: Rng>(
     let sites = &golden.counts.sites;
     match mode {
         Mode::Output(class) => {
-            let pop = class_population(class, sites, &golden.counts.per_unit);
+            let pop = golden.counts.population(class);
             if pop == 0 {
                 return None;
             }
@@ -300,7 +272,7 @@ fn sample_plan<R: Rng>(
             Some(FaultPlan::InstructionOutput { nth, site: class, flip: BitFlip::single(bit) })
         }
         Mode::OutputRandom(class) => {
-            let pop = class_population(class, sites, &golden.counts.per_unit);
+            let pop = golden.counts.population(class);
             if pop == 0 {
                 return None;
             }
@@ -311,7 +283,7 @@ fn sample_plan<R: Rng>(
             })
         }
         Mode::OutputZero(class) => {
-            let pop = class_population(class, sites, &golden.counts.per_unit);
+            let pop = golden.counts.population(class);
             if pop == 0 {
                 return None;
             }
@@ -697,7 +669,7 @@ impl<T: Target + Sync + ?Sized> Kind<T> for Avf {
         if let Err(why) = self.injector.supports(target, device) {
             panic!("{} cannot instrument {}: {why}", self.injector, target.name());
         }
-        let modes = available_modes(self.injector, &golden.counts.sites, &golden.counts.per_unit);
+        let modes = available_modes(self.injector, &golden.counts);
         assert!(!modes.is_empty(), "no injectable sites in {}", target.name());
         let prune = self.pruned.then(|| {
             let record = golden
@@ -792,7 +764,7 @@ impl<T: Target + Sync + ?Sized> Kind<T> for ClassAvf {
     ) -> ClassAvfSampler {
         ClassAvfSampler {
             class: self.class,
-            population: class_population(self.class, &golden.counts.sites, &golden.counts.per_unit),
+            population: golden.counts.population(self.class),
             bits: class_bits(self.class),
         }
     }
@@ -828,7 +800,7 @@ pub fn measure_avf_breakdown<T: Target + Sync + ?Sized>(
         [SiteClass::FloatArith, SiteClass::HalfArith, SiteClass::IntArith, SiteClass::Load];
     let mut per_class = Vec::new();
     for class in classes {
-        let pop = class_population(class, &golden.counts.sites, &golden.counts.per_unit);
+        let pop = golden.counts.population(class);
         if pop == 0 {
             continue;
         }

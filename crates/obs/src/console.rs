@@ -99,6 +99,8 @@ pub fn render_status(status: &StatusSnapshot) -> String {
     let snap_miss = counter("campaign.snapshot.miss");
     if snap_hit + snap_miss > 0 {
         let _ = write!(out, "snapshots  fast-forwarded {}", pct(snap_hit, snap_hit + snap_miss));
+        let relay = counter("campaign.snapshot.relay");
+        let _ = write!(out, " · relayed {}", pct(relay, snap_hit + snap_miss));
         if let Some(h) = m.histograms.get("campaign.snapshot.fastforward_instrs") {
             let _ = write!(out, " · skipped p50 {} instrs", h.quantile(0.5));
         }
@@ -137,6 +139,10 @@ pub fn render_status(status: &StatusSnapshot) -> String {
     }
     if hidden_total > 0 {
         let _ = writeln!(out, "hidden     {} of trials{hidden_parts}", pct(hidden_total, trials));
+    }
+
+    if let Some(digest) = status.digest {
+        let _ = writeln!(out, "digest     {digest:016x}");
     }
 
     let damage = counter("campaign.store.damage");
@@ -179,6 +185,7 @@ mod tests {
         reg.counter("campaign.hidden.memq.due").add(5);
         reg.counter("campaign.snapshot.hit").add(750);
         reg.counter("campaign.snapshot.miss").add(250);
+        reg.counter("campaign.snapshot.relay").add(300);
         reg.gauge("campaign.snapshot.cached").set(7.0);
         reg.gauge("campaign.snapshot.bytes").set(58368.0);
         let ff = reg.histogram("campaign.snapshot.fastforward_instrs");
@@ -189,6 +196,7 @@ mod tests {
             campaign: "avf/Volta/HHOTSPOT".into(),
             device: "Tesla V100 (1-SM sim)".into(),
             snapshot: reg.snapshot(),
+            digest: Some(0x0123_4567_89ab_cdef),
         };
         let text = render_status(&status);
         assert!(text.contains("campaign   avf/Volta/HHOTSPOT"));
@@ -199,7 +207,8 @@ mod tests {
         assert!(text.contains("ci         half-width 0.0610 (target 0.0500)"));
         assert!(text.contains("latency    trial p50"));
         assert!(text.contains("retries 1"));
-        assert!(text.contains("snapshots  fast-forwarded 75.00%"));
+        assert!(text.contains("snapshots  fast-forwarded 75.00% · relayed 30.00%"), "{text}");
+        assert!(text.contains("digest     0123456789abcdef"));
         assert!(text.contains("cached 7 (57 KiB)"));
         assert!(text.contains("store      damage 2"));
         assert!(text
@@ -223,5 +232,6 @@ mod tests {
         assert!(!text.contains("store"));
         assert!(!text.contains("pruned"));
         assert!(!text.contains("hidden"));
+        assert!(!text.contains("digest"));
     }
 }

@@ -32,17 +32,24 @@ pub struct StatusSnapshot {
     /// publisher predates device attribution or none applies).
     pub device: String,
     pub snapshot: MetricsSnapshot,
+    /// The finished campaign's digest over its trials, once known (see
+    /// `campaign::CampaignRun::digest`).
+    pub digest: Option<u64>,
 }
 
 impl StatusSnapshot {
     /// `{"report":"status","campaign":...,"device":...,"metrics":{...}}`,
-    /// no newline.
+    /// with `"digest":"<16 hex digits>"` after the device once known, no
+    /// newline.
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push_str("{\"report\":\"status\",\"campaign\":");
         escape_str(&mut out, &self.campaign);
         out.push_str(",\"device\":");
         escape_str(&mut out, &self.device);
+        if let Some(digest) = self.digest {
+            out.push_str(&format!(",\"digest\":\"{digest:016x}\""));
+        }
         out.push_str(",\"metrics\":");
         out.push_str(&self.snapshot.to_json_line());
         out.push('}');
@@ -56,11 +63,19 @@ impl StatusSnapshot {
             obj.get("campaign").and_then(Json::as_str).ok_or("missing campaign")?.to_string();
         // Absent in files written before device attribution existed.
         let device = obj.get("device").and_then(Json::as_str).unwrap_or("").to_string();
+        let digest = match obj.get("digest") {
+            None => None,
+            Some(hex) => Some(
+                hex.as_str()
+                    .and_then(|h| u64::from_str_radix(h, 16).ok())
+                    .ok_or("digest is not a hex string")?,
+            ),
+        };
         let metrics = obj.get("metrics").ok_or("missing metrics")?;
         // Re-serialize the sub-object through the snapshot parser. The
         // metrics object is small; simplicity beats zero-copy here.
         let snapshot = MetricsSnapshot::from_json_line(&metrics.to_string())?;
-        Ok(StatusSnapshot { campaign, device, snapshot })
+        Ok(StatusSnapshot { campaign, device, snapshot, digest })
     }
 }
 
@@ -71,9 +86,12 @@ pub fn write_atomic(dir: &Path, name: &str, contents: &str) -> io::Result<()> {
     std::fs::rename(&tmp, dir.join(name))
 }
 
+/// The campaign being published: label, device, registry and digest.
+type Current = (String, String, Arc<MetricsRegistry>, Option<u64>);
+
 struct PublisherShared {
     dir: PathBuf,
-    current: Mutex<Option<(String, String, Arc<MetricsRegistry>)>>,
+    current: Mutex<Option<Current>>,
     stop: AtomicBool,
 }
 
@@ -83,13 +101,14 @@ impl PublisherShared {
         // `publish_now` share one tmp-file name per status file, and two
         // unserialized publishers could rename a half-written tmp file.
         let current = self.current.lock().unwrap_or_else(|e| e.into_inner());
-        let Some((campaign, device, registry)) = current.as_ref() else {
+        let Some((campaign, device, registry, digest)) = current.as_ref() else {
             return Ok(());
         };
         let status = StatusSnapshot {
             campaign: campaign.clone(),
             device: device.clone(),
             snapshot: registry.snapshot(),
+            digest: *digest,
         };
         write_atomic(&self.dir, "status.json", &(status.to_json_line() + "\n"))?;
         write_atomic(&self.dir, "status.prom", &status.snapshot.to_prometheus_text())
@@ -139,7 +158,16 @@ impl SnapshotPublisher {
         metrics: Arc<MetricsRegistry>,
     ) {
         *self.shared.current.lock().unwrap_or_else(|e| e.into_inner()) =
-            Some((label.into(), device.into(), metrics));
+            Some((label.into(), device.into(), metrics, None));
+    }
+
+    /// Record the attached campaign's digest once it has finished.
+    pub fn set_digest(&self, digest: Option<u64>) {
+        if let Some(current) =
+            self.shared.current.lock().unwrap_or_else(|e| e.into_inner()).as_mut()
+        {
+            current.3 = digest;
+        }
     }
 
     /// Synchronously publish the current snapshot now.
@@ -183,10 +211,15 @@ mod tests {
             campaign: "avf/Volta/HHOTSPOT".into(),
             device: "Tesla V100".into(),
             snapshot: reg.snapshot(),
+            digest: None,
         };
         let line = status.to_json_line();
         let back = StatusSnapshot::from_json_line(&line).unwrap();
         assert_eq!(back, status);
+        let digested = StatusSnapshot { digest: Some(u64::MAX - 7), ..status };
+        let line = digested.to_json_line();
+        assert!(line.contains("\"digest\":\"fffffffffffffff8\""), "{line}");
+        assert_eq!(StatusSnapshot::from_json_line(&line).unwrap(), digested);
     }
 
     #[test]
@@ -204,6 +237,11 @@ mod tests {
         assert_eq!(status.campaign, "test/campaign");
         assert_eq!(status.device, "Tesla K40c");
         assert_eq!(status.snapshot.counters["trials"], 7);
+        assert_eq!(status.digest, None);
+        publisher.set_digest(Some(0xabc));
+        publisher.publish_now().expect("publish");
+        let json = std::fs::read_to_string(dir.join("status.json")).expect("status.json");
+        assert_eq!(StatusSnapshot::from_json_line(&json).expect("parse").digest, Some(0xabc));
 
         let prom = std::fs::read_to_string(dir.join("status.prom")).expect("status.prom");
         assert!(prom.contains("trials_total 7"));
