@@ -13,13 +13,13 @@
 #![allow(clippy::unwrap_used)]
 
 use campaign::{Budget, Campaign, SnapshotPolicy};
-use gpu_arch::{CodeGen, DeviceModel, Precision};
+use gpu_arch::{CodeGen, DeviceModel, Op, Precision};
 use gpu_sim::{
-    BitFlip, Executed, FaultPlan, FetchEffect, MemQueueEffect, Persistence, RunOptions, SiteClass,
-    Target,
+    BitFlip, DueKind, ExecStatus, Executed, FaultPlan, FetchEffect, MemQueueEffect, Persistence,
+    RunOptions, SiteClass, SiteCounts, Target,
 };
 use injector::{Avf, HiddenAvf, Injector};
-use obs::{RecordingSink, TraceEvent};
+use obs::{CountingSink, RecordingSink, TraceEvent};
 use std::sync::Arc;
 use workloads::{build, Benchmark, Scale, Workload};
 
@@ -561,4 +561,246 @@ fn lane_boundary_outcomes_identical_with_exit_table() {
         }
     }
     assert!(exits > 0, "no lane-boundary plan ended at a block boundary");
+}
+
+/// Every workload kernel of Table I, each with the device it runs on:
+/// the Kepler set at CUDA 7 and the Volta set at CUDA 10, which between
+/// them cover every benchmark and precision.
+fn every_kernel() -> Vec<(Workload, DeviceModel)> {
+    let kepler = workloads::kepler_suite(CodeGen::Cuda7, Scale::Tiny);
+    let volta = workloads::volta_suite(Scale::Tiny);
+    let on = |ws: Vec<Workload>, device: &str| {
+        let device = DeviceModel::named(device);
+        ws.into_iter().map(move |w| (w, device.clone()))
+    };
+    on(kepler, "k40c-sim").chain(on(volta, "v100-sim")).collect()
+}
+
+/// One plan of every trigger-carrying `FaultPlan` family, aimed inside
+/// the golden run `golden`.
+fn family_plans(golden: &Executed) -> Vec<(&'static str, FaultPlan)> {
+    let (total, s) = (golden.counts.total, golden.counts.sites);
+    let flip = BitFlip::single;
+    vec![
+        (
+            "output",
+            FaultPlan::InstructionOutput {
+                nth: s.gpr_writers / 2,
+                site: SiteClass::GprWriter,
+                flip: flip(9),
+            },
+        ),
+        (
+            "output-set",
+            FaultPlan::InstructionOutputSet {
+                nth: s.gpr_writers_no_half / 3,
+                site: SiteClass::GprWriterNoHalf,
+                value: 0xdead_beef,
+            },
+        ),
+        ("mem-address", FaultPlan::MemAddress { nth: s.mem_ops / 2, flip: flip(2) }),
+        ("predicate", FaultPlan::PredicateOutput { nth: s.setp / 2 }),
+        ("pc", FaultPlan::Pc { at: total / 2, flip: flip(1) }),
+        (
+            "register-bit",
+            FaultPlan::RegisterBit {
+                block: u32::MAX,
+                thread: u32::MAX,
+                reg: 2,
+                flip: flip(3),
+                at: total / 3,
+            },
+        ),
+        (
+            "global-mem-bit",
+            FaultPlan::GlobalMemBit { byte: golden.memory.len() / 2, bit: 30, at: 0, mbu: true },
+        ),
+        (
+            "shared-mem-bit",
+            FaultPlan::SharedMemBit { block: u32::MAX, byte: 0, bit: 3, at: total / 2, mbu: false },
+        ),
+        (
+            "scheduler-next-pc",
+            FaultPlan::SchedulerNextPc {
+                at: total / 2,
+                warp: 0,
+                flip: flip(2),
+                persist: Persistence::Transient,
+            },
+        ),
+        (
+            "scheduler-priority",
+            FaultPlan::SchedulerPriority { at: total / 2, warp: 0, persist: Persistence::StuckAt },
+        ),
+        (
+            "active-mask",
+            FaultPlan::ActiveMask {
+                at: total / 2,
+                warp: 0,
+                flip: flip(5),
+                persist: Persistence::Transient,
+            },
+        ),
+        (
+            "barrier-counter",
+            FaultPlan::BarrierCounter {
+                at: total / 3,
+                phantom: true,
+                persist: Persistence::Transient,
+            },
+        ),
+        (
+            "memq",
+            FaultPlan::MemQueue {
+                nth: s.mem_ops / 2,
+                effect: MemQueueEffect::Replay,
+                persist: Persistence::Transient,
+            },
+        ),
+        (
+            "memq-stuck",
+            FaultPlan::MemQueue {
+                nth: s.mem_ops / 2,
+                effect: MemQueueEffect::Drop,
+                persist: Persistence::StuckAt,
+            },
+        ),
+        (
+            "fetch",
+            FaultPlan::Fetch {
+                at: total / 2,
+                effect: FetchEffect::OpcodeFlip(flip(1)),
+                persist: Persistence::Transient,
+            },
+        ),
+    ]
+}
+
+/// Assert that runs `a` and `b` agree on everything they report: status,
+/// memory with its latent corruption, every `Counts` field, the sites
+/// record, whether the plan fired, and each snapshot's dynamic count and
+/// class tallies (the hand-off snapshot's included).
+fn assert_same_run(a: &Executed, b: &Executed, what: &str) {
+    let classes: Vec<SiteClass> = [
+        SiteClass::GprWriter,
+        SiteClass::GprWriterNoHalf,
+        SiteClass::FloatArith,
+        SiteClass::HalfArith,
+        SiteClass::IntArith,
+        SiteClass::Load,
+    ]
+    .into_iter()
+    .chain(Op::ALL.iter().map(|op| SiteClass::Unit(op.functional_unit())))
+    .collect();
+    let counts = |r: &Executed| {
+        let c = &r.counts;
+        (c.total, c.per_unit, c.per_mix, c.warp_latency.clone(), c.warp_instrs.clone(), c.sites)
+    };
+    let snapshots = |r: &Executed| -> Vec<(u64, Vec<u64>)> {
+        let snaps = r.snapshots.iter().chain(&r.handoff);
+        snaps
+            .map(|s| (s.dyn_count(), classes.iter().map(|&c| s.class_matches(c)).collect()))
+            .collect()
+    };
+    assert_eq!(a.status, b.status, "{what}: status");
+    assert!(a.memory == b.memory, "{what}: memory");
+    assert_eq!(counts(a), counts(b), "{what}: counts");
+    assert_eq!(a.sites_record, b.sites_record, "{what}: sites record");
+    assert_eq!(a.fault_triggered, b.fault_triggered, "{what}: fault_triggered");
+    assert_eq!(snapshots(a), snapshots(b), "{what}: snapshots");
+}
+
+/// A run stepped lane by lane (a sink attached) and one stepped run-wide
+/// (no sink) are the same run, on every workload kernel: the golden run
+/// with its sites record and snapshots, and a trial of every
+/// trigger-carrying plan family with its sites record and hand-off.
+#[test]
+fn lane_by_lane_and_run_wide_steps_agree_on_every_kernel() {
+    let mut fired = 0;
+    let mut trials = 0;
+    for (w, device) in every_kernel() {
+        let opts = RunOptions::golden().record_sites(true).snapshot_every(2048);
+        let mut sink = CountingSink::default();
+        let traced = w.execute_traced(&device, &opts, &mut sink);
+        let golden = w.execute(&device, &opts);
+        assert!(sink.events > golden.counts.total, "{}: the sink saw no retires", w.name);
+        assert!(!golden.snapshots.is_empty(), "{}: no snapshot captured", w.name);
+        assert_same_run(&traced, &golden, &format!("{} golden", w.name));
+        let watchdog = 4 * golden.counts.total;
+        for (family, plan) in family_plans(&golden) {
+            let opts = RunOptions::trial(plan)
+                .ecc(false)
+                .watchdog(watchdog)
+                .record_sites(true)
+                .hand_off(true);
+            let traced = w.execute_traced(&device, &opts, &mut CountingSink::default());
+            let run = w.execute(&device, &opts);
+            assert_same_run(&traced, &run, &format!("{}/{family}", w.name));
+            fired += u32::from(run.fault_triggered);
+            trials += 1;
+        }
+    }
+    assert!(fired * 4 > trials * 3, "only {fired} of {trials} plans fired");
+}
+
+/// A run-wide step that raises a DUE at a middle lane counts the lanes
+/// before it and the failing lane (retires, sites and hook counters) and
+/// runs no later lane. A register strike before a converged FMXM warp's
+/// LDG (block 1, warp 0, lane 0 at dyn 19392) leaves lane 16's address
+/// register misaligned, so the LDG's quiet 32-lane run faults at lane 16.
+/// Values pinned on the lane-at-a-time engine.
+#[test]
+fn mid_run_due_counts_through_the_failing_lane() {
+    let mxm = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda7, Scale::Tiny);
+    let device = DeviceModel::named("k40c-sim");
+    let plan = FaultPlan::RegisterBit {
+        block: 1,
+        thread: 16,
+        reg: 8,
+        flip: BitFlip::single(1),
+        at: 19391,
+    };
+    let opts = RunOptions::trial(plan).ecc(false).record_sites(true);
+    let run = mxm.execute(&device, &opts);
+    let mut sink = RecordingSink::new();
+    let traced = mxm.execute_traced(&device, &opts, &mut sink);
+    assert_same_run(&traced, &run, "FMXM mid-run DUE");
+
+    // The strike lands before the run, and the run's lanes 0..=16 retire.
+    let fired = sink.events.iter().find_map(|e| match *e {
+        TraceEvent::FaultInjected { idx, .. } => Some(idx),
+        _ => None,
+    });
+    assert_eq!(fired, Some(19391));
+    let ldg: Vec<(u64, u32)> = sink
+        .events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::InstrRetired { idx, lane, op: "LDG", .. } if idx >= 19392 => {
+                Some((idx, lane))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(ldg, (0..=16).map(|l| (19392 + l as u64, l)).collect::<Vec<_>>());
+
+    let c = &run.counts;
+    assert_eq!(run.status, ExecStatus::Due(DueKind::MemoryViolation));
+    assert_eq!(c.total, 19409);
+    assert_eq!(
+        c.sites,
+        SiteCounts {
+            gpr_writers: 16593,
+            gpr_writers_no_half: 16593,
+            loads: 2705,
+            mem_ops: 2769,
+            setp: 1344
+        }
+    );
+    assert_eq!(c.per_unit, [0, 0, 1344, 0, 0, 0, 0, 0, 0, 6976, 0, 3072, 0, 0, 2769, 5248]);
+    assert_eq!(c.per_mix, [1344, 0, 0, 10048, 0, 2769, 5248]);
+    assert_eq!(c.warp_instrs, [7168, 7168, 2545, 2528, 0, 0, 0, 0]);
+    let rec = run.sites_record.as_ref().unwrap();
+    assert_eq!((rec.site_pcs.len(), rec.mem_pcs.len(), rec.setp_pcs.len()), (16593, 2769, 1344));
+    assert_eq!(outcome_digest(&run), 3247497996934429846);
 }

@@ -4,10 +4,10 @@
 //! Blocks execute sequentially (the paper's workloads have no inter-block
 //! synchronization); threads within a block execute in a fixed round-robin
 //! order, warp by warp, each lane one instruction per turn. A warp's lanes
-//! that sit at the same pc form a run: the instruction is fetched and
-//! decoded once per run, then executed lane by lane in lane order. This
-//! makes the global dynamic-instruction counter — the coordinate system
-//! every [`FaultPlan`] uses — fully deterministic.
+//! that sit at the same pc form a run: the instruction is fetched,
+//! decoded and resolved once per run, then executed over the run's lanes
+//! in lane order. This makes the global dynamic-instruction counter — the
+//! coordinate system every [`FaultPlan`] uses — fully deterministic.
 
 use crate::error::SimError;
 use crate::fault::{
@@ -494,32 +494,9 @@ impl Thread {
         }
     }
 
-    fn reg(&self, r: Reg) -> u32 {
-        if r.is_rz() {
-            0
-        } else {
-            self.regs[r.0 as usize]
-        }
-    }
-
-    fn reg64(&self, r: Reg) -> u64 {
-        if r.is_rz() {
-            0
-        } else {
-            (self.regs[r.0 as usize] as u64) | ((self.regs[r.0 as usize + 1] as u64) << 32)
-        }
-    }
-
     fn set_reg(&mut self, r: Reg, v: u32) {
         if !r.is_rz() {
             self.regs[r.0 as usize] = v;
-        }
-    }
-
-    fn set_reg64(&mut self, r: Reg, v: u64) {
-        if !r.is_rz() {
-            self.regs[r.0 as usize] = v as u32;
-            self.regs[r.0 as usize + 1] = (v >> 32) as u32;
         }
     }
 
@@ -1190,8 +1167,8 @@ fn run_block(
                     }
                     // One warp instruction: account it once, on the owning
                     // warp's slot; its destination write is one site.
-                    retire::<false>(ctx, meta, at.global, u32::MAX, pc)?;
-                    note_gpr_site(ctx, meta, pc);
+                    retire(ctx, meta, at.global, u32::MAX, pc)?;
+                    note_gpr_site(ctx, meta, pc, 1);
                     let warp = &mut threads[lo..hi];
                     if meta.is_mma {
                         exec_mma(ctx, meta, warp, ins);
@@ -1206,29 +1183,19 @@ fn run_block(
                     break;
                 }
 
-                // Execute the run in lane order. A bulk run skips each
-                // lane's retire bookkeeping and timed-fault hook, and adds
-                // its counts once for the lanes that ran, counting one
-                // that raised a DUE.
-                let bulk = run & (run - 1) != 0 && quiet(ctx, run.count_ones() as u64);
-                let mut lanes = run;
-                let stepped = loop {
-                    let lane = lo + lanes.trailing_zeros() as usize;
-                    lanes &= lanes - 1;
-                    let stepped = if bulk {
-                        step::<true>(ctx, ins, meta, &mut threads, lane, at, &mut shared)
-                    } else {
-                        step::<false>(ctx, ins, meta, &mut threads, lane, at, &mut shared)
-                    };
-                    if stepped.is_err() || lanes == 0 {
-                        break stepped;
+                // Execute the run in lane order: in bulk when no fault
+                // hook can fire inside it and no sink watches, else lane
+                // by lane, each lane on its own through the same body.
+                if ctx.sink.is_none() && quiet(ctx, meta, run.count_ones() as u64) {
+                    step::<true>(ctx, ins, meta, &mut threads, run, at, &mut shared)?;
+                } else {
+                    let mut lanes = run;
+                    while lanes != 0 {
+                        let lane = lanes & lanes.wrapping_neg();
+                        lanes &= lanes - 1;
+                        step::<false>(ctx, ins, meta, &mut threads, lane, at, &mut shared)?;
                     }
-                };
-                if bulk {
-                    let ran = run.count_ones() - lanes.count_ones();
-                    account(ctx, meta, at.global, ran as u64);
                 }
-                stepped?;
                 progress = true;
             }
         }
@@ -1321,11 +1288,13 @@ struct WarpPos {
     global: usize,
 }
 
-/// Whether the next `n` lanes to retire can do so in bulk: no fault hook
-/// can fire at any of them, the watchdog cannot trip and no cancel poll
-/// falls among them. They take the dynamic indices `[start, start + n)`
-/// and tick each fault-hook counter at most once apiece.
-fn quiet(ctx: &Ctx<'_>, n: u64) -> bool {
+/// Whether the next `n` lanes to retire, all executing the instruction
+/// `meta` describes, can do so in bulk: no fault hook can fire at any of
+/// them, the watchdog cannot trip and no cancel poll falls among them.
+/// They take the dynamic indices `[start, start + n)`, and tick a
+/// fault-hook counter once apiece only when the instruction is in the
+/// hook's class.
+fn quiet(ctx: &Ctx<'_>, meta: &InstrMeta, n: u64) -> bool {
     let start = ctx.dyn_count;
     let end = start + n;
     if end > ctx.opts.watchdog_limit
@@ -1335,26 +1304,31 @@ fn quiet(ctx: &Ctx<'_>, n: u64) -> bool {
     }
     let outside = |target: u64, counter: u64| target < counter || target >= counter + n;
     match ctx.opts.fault {
-        // Hidden scheduler, mask and barrier faults fire between rounds.
+        // Hidden scheduler, mask and barrier faults fire between rounds,
+        // and a fetch fault before a lone lane's fetch (under a fetch
+        // plan every run is one lane).
         FaultPlan::None
         | FaultPlan::SchedulerNextPc { .. }
         | FaultPlan::SchedulerPriority { .. }
         | FaultPlan::ActiveMask { .. }
-        | FaultPlan::BarrierCounter { .. } => true,
-        FaultPlan::InstructionOutput { nth, .. } | FaultPlan::InstructionOutputSet { nth, .. } => {
-            outside(nth, ctx.site_matches)
+        | FaultPlan::BarrierCounter { .. }
+        | FaultPlan::Fetch { .. } => true,
+        FaultPlan::InstructionOutput { nth, site, .. }
+        | FaultPlan::InstructionOutputSet { nth, site, .. } => {
+            !meta.in_class(site) || outside(nth, ctx.site_matches)
         }
         FaultPlan::MemAddress { nth, .. }
         | FaultPlan::MemQueue { nth, persist: Persistence::Transient, .. } => {
-            outside(nth, ctx.mem_ops)
+            !meta.is_mem_op || outside(nth, ctx.mem_ops)
         }
-        FaultPlan::MemQueue { nth, persist: Persistence::StuckAt, .. } => ctx.mem_ops + n <= nth,
-        FaultPlan::PredicateOutput { nth } => outside(nth, ctx.setp_ops),
+        FaultPlan::MemQueue { nth, persist: Persistence::StuckAt, .. } => {
+            !meta.is_mem_op || ctx.mem_ops + n <= nth
+        }
+        FaultPlan::PredicateOutput { nth } => !meta.writes_pred || outside(nth, ctx.setp_ops),
         FaultPlan::Pc { at, .. }
         | FaultPlan::RegisterBit { at, .. }
         | FaultPlan::GlobalMemBit { at, .. }
         | FaultPlan::SharedMemBit { at, .. } => outside(at, start),
-        FaultPlan::Fetch { .. } => false,
     }
 }
 
@@ -1508,13 +1482,13 @@ fn hidden_fetch_fault(
     Ok(())
 }
 
-/// Number one retired instruction of `global_warp` at `pc` and report it
-/// to the sink; `lane` is the thread index within the block, or `u32::MAX`
-/// for a warp-wide instruction. Unless `BULK`, also account it and run the
-/// watchdog and cancel checks. Returns the global dynamic index the
-/// instruction received.
+/// Number one retired instruction of `global_warp` at `pc`, account it,
+/// run the watchdog and cancel checks and report it to the sink; `lane`
+/// is the thread index within the block, or `u32::MAX` for a warp-wide
+/// instruction. Returns the global dynamic index the instruction
+/// received. A bulk run retires its lanes in [`step`] instead.
 #[inline]
-fn retire<const BULK: bool>(
+fn retire(
     ctx: &mut Ctx<'_>,
     meta: &InstrMeta,
     global_warp: usize,
@@ -1523,16 +1497,14 @@ fn retire<const BULK: bool>(
 ) -> Result<u64, DueKind> {
     let idx = ctx.dyn_count;
     ctx.dyn_count += 1;
-    if !BULK {
-        account(ctx, meta, global_warp, 1);
-        if ctx.dyn_count > ctx.opts.watchdog_limit {
-            return Err(DueKind::Watchdog);
-        }
-        if ctx.dyn_count.is_multiple_of(CANCEL_POLL_INTERVAL) {
-            if let Some(cancel) = &ctx.opts.cancel {
-                if cancel.load(Ordering::Relaxed) {
-                    return Err(DueKind::HostWatchdog);
-                }
+    account(ctx, meta, global_warp, 1);
+    if ctx.dyn_count > ctx.opts.watchdog_limit {
+        return Err(DueKind::Watchdog);
+    }
+    if ctx.dyn_count.is_multiple_of(CANCEL_POLL_INTERVAL) {
+        if let Some(cancel) = &ctx.opts.cancel {
+            if cancel.load(Ordering::Relaxed) {
+                return Err(DueKind::HostWatchdog);
             }
         }
     }
@@ -1567,20 +1539,70 @@ fn account(ctx: &mut Ctx<'_>, meta: &InstrMeta, global_warp: usize, n: u64) {
     }
 }
 
-/// Note one dynamic GPR-writer site at `pc`: its population tick, its
-/// provenance record and its snapshot class tallies. Warp-wide MMA/SHFL
-/// sites count here too but do not tick `gpr_writers_no_half` (see
-/// [`ClassTallies`]); `step` ticks that population itself. Forced inline,
-/// like [`output_fault`]: both run on most instructions, and as
-/// out-of-line calls they cost about a tenth of campaign trials/s.
+/// Note `n` dynamic GPR-writer sites at `pc`: their population tick,
+/// their provenance records and their snapshot class tallies. Warp-wide
+/// MMA/SHFL sites count here too but do not tick `gpr_writers_no_half`
+/// (see [`ClassTallies`]); [`note_sites`] ticks that population for
+/// scalar ops.
 #[inline(always)]
-fn note_gpr_site(ctx: &mut Ctx<'_>, meta: &InstrMeta, pc: u32) {
-    ctx.counts.sites.gpr_writers += 1;
+fn note_gpr_site(ctx: &mut Ctx<'_>, meta: &InstrMeta, pc: u32, n: u64) {
+    ctx.counts.sites.gpr_writers += n;
     if let Some(rec) = ctx.record.as_mut() {
-        rec.site_pcs.push(pc);
+        rec.site_pcs.extend(std::iter::repeat_n(pc, n as usize));
     }
     if let Some(cap) = ctx.cap.as_mut() {
-        cap.tallies.note(meta);
+        cap.tallies.note(meta, n);
+    }
+}
+
+/// Note `n` guard-passing executions of the scalar instruction at `pc`;
+/// only guard-passing instructions are injectable. Ticks the site-class
+/// populations with their provenance records and class tallies, and in
+/// bulk the fault-hook counters, which a lone lane's hooks tick
+/// themselves. The populations and the injectors' samplers read the same
+/// precomputed `InstrMeta` classes (`gpu_arch::decode`), whose decode
+/// tests pin the class/unit correspondence exhaustively, so they cannot
+/// silently drift apart.
+#[inline(always)]
+fn note_sites<const BULK: bool>(ctx: &mut Ctx<'_>, meta: &InstrMeta, pc: u32, n: u64) {
+    if n == 0 {
+        return;
+    }
+    if meta.writes_gpr() {
+        note_gpr_site(ctx, meta, pc, n);
+        if meta.in_class(SiteClass::GprWriterNoHalf) {
+            ctx.counts.sites.gpr_writers_no_half += n;
+        }
+    }
+    if meta.is_load() {
+        ctx.counts.sites.loads += n;
+    }
+    if meta.is_mem_op {
+        ctx.counts.sites.mem_ops += n;
+        if let Some(rec) = ctx.record.as_mut() {
+            rec.mem_pcs.extend(std::iter::repeat_n(pc, n as usize));
+        }
+    }
+    if meta.writes_pred {
+        ctx.counts.sites.setp += n;
+        if let Some(rec) = ctx.record.as_mut() {
+            rec.setp_pcs.extend(std::iter::repeat_n(pc, n as usize));
+        }
+    }
+    if BULK {
+        match ctx.opts.fault {
+            FaultPlan::InstructionOutput { site, .. }
+            | FaultPlan::InstructionOutputSet { site, .. }
+                if meta.in_class(site) =>
+            {
+                ctx.site_matches += n
+            }
+            FaultPlan::MemAddress { .. } | FaultPlan::MemQueue { .. } if meta.is_mem_op => {
+                ctx.mem_ops += n
+            }
+            FaultPlan::PredicateOutput { .. } if meta.writes_pred => ctx.setp_ops += n,
+            _ => {}
+        }
     }
 }
 
@@ -1764,422 +1786,490 @@ fn pred_fault(ctx: &mut Ctx<'_>) -> bool {
     false
 }
 
-fn f16_of(bits: u32) -> F16 {
-    F16::from_bits(bits as u16)
+/// A source operand resolved once per run: a register each lane reads,
+/// or one value every lane reads (an immediate; RZ and an absent operand
+/// read 0).
+#[derive(Clone, Copy)]
+enum Src {
+    Reg(usize),
+    Val(u32),
 }
 
-/// Execute one lane's instruction: the one body every scalar op runs
-/// through, whether its run retires in bulk or not. A `BULK` lane skips
-/// its retire bookkeeping and timed-fault hook; only a run [`quiet`]
-/// admits may run in bulk.
-fn step<const BULK: bool>(
-    ctx: &mut Ctx<'_>,
-    ins: &Instr,
-    meta: &InstrMeta,
-    threads: &mut [Thread],
+impl Src {
+    fn of(o: Operand) -> Src {
+        match o {
+            Operand::Reg(r) if !r.is_rz() => Src::Reg(r.0 as usize),
+            Operand::Imm(v) => Src::Val(v),
+            _ => Src::Val(0),
+        }
+    }
+
+    #[inline(always)]
+    fn u32(self, th: &Thread) -> u32 {
+        match self {
+            Src::Reg(r) => th.regs[r],
+            Src::Val(v) => v,
+        }
+    }
+
+    /// The register pair starting here, low word first.
+    #[inline(always)]
+    fn u64(self, th: &Thread) -> u64 {
+        match self {
+            Src::Reg(r) => (th.regs[r] as u64) | ((th.regs[r + 1] as u64) << 32),
+            Src::Val(v) => v as u64,
+        }
+    }
+
+    #[inline(always)]
+    fn i32(self, th: &Thread) -> i32 {
+        self.u32(th) as i32
+    }
+
+    #[inline(always)]
+    fn f32(self, th: &Thread) -> f32 {
+        f32::from_bits(self.u32(th))
+    }
+
+    #[inline(always)]
+    fn f64(self, th: &Thread) -> f64 {
+        f64::from_bits(self.u64(th))
+    }
+
+    #[inline(always)]
+    fn f16(self, th: &Thread) -> F16 {
+        F16::from_bits(self.u32(th) as u16)
+    }
+}
+
+/// What one lane's execution of a scalar op writes back.
+enum Write {
+    None,
+    W32(u32),
+    W64(u64),
+    Pred(bool),
+}
+
+/// The lane an op arm executes: its thread index within the block and the
+/// global dynamic index it retired as.
+#[derive(Clone, Copy)]
+struct Lane {
     lane: usize,
-    at: WarpPos,
-    shared: &mut SharedMemory,
-) -> Result<(), DueKind> {
-    let pc = threads[lane].pc;
-    let WarpPos { bx, by, block: block_linear, in_block: warp_in_block, global: global_warp } = at;
+    idx: u64,
+}
 
-    let executed_idx = retire::<BULK>(ctx, meta, global_warp, lane as u32, pc)?;
+/// A memory op's access, resolved once per run: the space, the direction
+/// and the width.
+#[derive(Clone, Copy)]
+struct Access {
+    global: bool,
+    write: bool,
+    bytes: u32,
+}
 
-    // Guard check: a predicated-off instruction issues (and is counted)
-    // but has no architectural effect.
-    let guard_passes = match meta.guard {
-        Some(g) => g.passes(threads[lane].pred(g.pred)),
-        None => true,
-    };
-    if !guard_passes {
-        if ins.op == Op::Bra {
-            // A guarded-off branch is the engine's divergence signal: the
-            // lane falls through while taken lanes jump.
-            emit!(
-                ctx,
-                TraceEvent::Branch {
-                    idx: executed_idx,
-                    block: block_linear,
-                    warp: global_warp as u32,
-                    lane: lane as u32,
-                    target: ins.target.unwrap_or(pc + 1),
-                    taken: false,
-                }
-            );
-        }
-        threads[lane].pc = pc + 1;
-        if BULK {
-            return Ok(());
-        }
-        return apply_timed_faults(ctx, threads, lane, block_linear, shared, executed_idx);
-    }
-
-    // Site-class population bookkeeping; only guard-passing instructions
-    // are injectable. These tallies and the injectors' samplers read the
-    // same precomputed `InstrMeta` classes (`gpu_arch::decode`), and the
-    // decode tests pin the class/unit correspondence exhaustively — the
-    // populations cannot silently drift apart.
-    if meta.writes_gpr() {
-        note_gpr_site(ctx, meta, pc);
-        if meta.in_class(SiteClass::GprWriterNoHalf) {
-            ctx.counts.sites.gpr_writers_no_half += 1;
-        }
-    }
-    if meta.is_load() {
-        ctx.counts.sites.loads += 1;
-    }
-    if meta.is_mem_op {
-        ctx.counts.sites.mem_ops += 1;
-        if let Some(rec) = ctx.record.as_mut() {
-            rec.mem_pcs.push(pc);
-        }
-    }
-    if meta.writes_pred {
-        ctx.counts.sites.setp += 1;
-        if let Some(rec) = ctx.record.as_mut() {
-            rec.setp_pcs.push(pc);
+impl Access {
+    /// The DUE an access outside the space, or a misaligned one, raises.
+    fn violation(self) -> DueKind {
+        if self.global {
+            DueKind::MemoryViolation
+        } else {
+            DueKind::SharedViolation
         }
     }
 
-    let src = |threads: &[Thread], o: Operand| -> u32 {
-        match o {
-            Operand::Reg(r) => threads[lane].reg(r),
-            Operand::Imm(v) => v,
-            Operand::None => 0,
-        }
-    };
-    let src64 = |threads: &[Thread], o: Operand| -> u64 {
-        match o {
-            Operand::Reg(r) => threads[lane].reg64(r),
-            Operand::Imm(v) => v as u64,
-            Operand::None => 0,
-        }
-    };
-    let sf = |threads: &[Thread], o: Operand| f32::from_bits(src(threads, o));
-    let sd = |threads: &[Thread], o: Operand| f64::from_bits(src64(threads, o));
-    let sh = |threads: &[Thread], o: Operand| f16_of(src(threads, o));
-    let si = |threads: &[Thread], o: Operand| src(threads, o) as i32;
-
-    let [a, b, c] = ins.srcs;
-    let mut next_pc = pc + 1;
-
-    enum Write {
-        None,
-        W32(u32),
-        W64(u64),
-        Pred(bool),
-    }
-
-    let write = match ins.op {
-        Op::Fadd => Write::W32((sf(threads, a) + sf(threads, b)).to_bits()),
-        Op::Fmul => Write::W32((sf(threads, a) * sf(threads, b)).to_bits()),
-        Op::Ffma => Write::W32(sf(threads, a).mul_add(sf(threads, b), sf(threads, c)).to_bits()),
-        Op::Fmin => Write::W32(sf(threads, a).min(sf(threads, b)).to_bits()),
-        Op::Fmax => Write::W32(sf(threads, a).max(sf(threads, b)).to_bits()),
-        Op::Fsetp(cmp) => {
-            let (x, y) = (sf(threads, a), sf(threads, b));
-            let v = match x.partial_cmp(&y) {
-                Some(ord) => cmp.eval_ord(ord),
-                None => cmp == CmpOp::Ne, // unordered
-            };
-            Write::Pred(v)
-        }
-        Op::F2i => Write::W32(sf(threads, a) as i32 as u32),
-        Op::I2f => Write::W32((si(threads, a) as f32).to_bits()),
-        Op::F2d => Write::W64((sf(threads, a) as f64).to_bits()),
-        Op::D2f => Write::W32((sd(threads, a) as f32).to_bits()),
-        Op::F2h => Write::W32(F16::from_f32(sf(threads, a)).to_bits() as u32),
-        Op::Frcp => Write::W32((1.0 / sf(threads, a)).to_bits()),
-        Op::Fsqrt => Write::W32(sf(threads, a).sqrt().to_bits()),
-        Op::Drcp => Write::W64((1.0 / sd(threads, a)).to_bits()),
-        Op::Dsqrt => Write::W64(sd(threads, a).sqrt().to_bits()),
-        Op::H2f => Write::W32(sh(threads, a).to_f32().to_bits()),
-        Op::Dadd => Write::W64((sd(threads, a) + sd(threads, b)).to_bits()),
-        Op::Dmul => Write::W64((sd(threads, a) * sd(threads, b)).to_bits()),
-        Op::Dfma => Write::W64(sd(threads, a).mul_add(sd(threads, b), sd(threads, c)).to_bits()),
-        Op::Dsetp(cmp) => {
-            let (x, y) = (sd(threads, a), sd(threads, b));
-            let v = match x.partial_cmp(&y) {
-                Some(ord) => cmp.eval_ord(ord),
-                None => cmp == CmpOp::Ne,
-            };
-            Write::Pred(v)
-        }
-        Op::Hadd => Write::W32(sh(threads, a).add(sh(threads, b)).to_bits() as u32),
-        Op::Hmul => Write::W32(sh(threads, a).mul(sh(threads, b)).to_bits() as u32),
-        Op::Hfma => Write::W32(sh(threads, a).fma(sh(threads, b), sh(threads, c)).to_bits() as u32),
-        Op::Hsetp(cmp) => {
-            let v = match sh(threads, a).partial_cmp(sh(threads, b)) {
-                Some(ord) => cmp.eval_ord(ord),
-                None => cmp == CmpOp::Ne,
-            };
-            Write::Pred(v)
-        }
-        Op::Iadd => Write::W32(si(threads, a).wrapping_add(si(threads, b)) as u32),
-        Op::Imul => Write::W32(si(threads, a).wrapping_mul(si(threads, b)) as u32),
-        Op::Imad => Write::W32(
-            si(threads, a).wrapping_mul(si(threads, b)).wrapping_add(si(threads, c)) as u32,
-        ),
-        Op::Isetp(cmp) => Write::Pred(cmp.eval_ord(si(threads, a).cmp(&si(threads, b)))),
-        Op::Imin => Write::W32(si(threads, a).min(si(threads, b)) as u32),
-        Op::Imax => Write::W32(si(threads, a).max(si(threads, b)) as u32),
-        Op::Shl => Write::W32(src(threads, a) << (src(threads, b) & 31)),
-        Op::Shr => Write::W32(src(threads, a) >> (src(threads, b) & 31)),
-        Op::Asr => Write::W32((si(threads, a) >> (src(threads, b) & 31)) as u32),
-        Op::And => Write::W32(src(threads, a) & src(threads, b)),
-        Op::Or => Write::W32(src(threads, a) | src(threads, b)),
-        Op::Xor => Write::W32(src(threads, a) ^ src(threads, b)),
-        Op::Not => Write::W32(!src(threads, a)),
-        Op::Mov => Write::W32(src(threads, a)),
-        Op::Sel => {
-            let Some((p, neg)) = ins.psrc else { unreachable!("validated SEL has psrc") };
-            let cond = threads[lane].pred(p) != neg;
-            Write::W32(if cond { src(threads, a) } else { src(threads, b) })
-        }
-        Op::S2r(sr) => {
-            let th = &threads[lane];
-            let v = match sr {
-                SpecialReg::TidX => th.tid_x,
-                SpecialReg::TidY => th.tid_y,
-                SpecialReg::CtaidX => bx,
-                SpecialReg::CtaidY => by,
-                SpecialReg::NtidX => ctx.launch.block.x,
-                SpecialReg::NtidY => ctx.launch.block.y,
-                SpecialReg::NctaidX => ctx.launch.grid.x,
-                SpecialReg::NctaidY => ctx.launch.grid.y,
-                SpecialReg::LaneId => (lane as u32) % WARP_SIZE,
-                SpecialReg::WarpId => warp_in_block,
-            };
-            Write::W32(v)
-        }
-        Op::Ldp => {
-            let idx = src(threads, a) as usize;
-            Write::W32(ctx.launch.params.get(idx).copied().unwrap_or(0))
-        }
-        Op::Ldg(w) | Op::Lds(w) => 'mem: {
-            let mut addr = src(threads, a).wrapping_add(src(threads, b));
+    /// The address a lane's access reaches: `addr` with the lane's memory
+    /// fault hooks applied (a lone lane only; a bulk run has none to
+    /// fire), reported to the sink and checked for alignment. `None` is a
+    /// dropped queue entry, which never reaches memory: a load's or an
+    /// atomic's destination keeps its stale value, and a store is lost.
+    #[inline(always)]
+    fn address<const BULK: bool>(
+        self,
+        ctx: &mut Ctx<'_>,
+        th: &mut Thread,
+        l: Lane,
+        pc: u32,
+        mut addr: u32,
+    ) -> Result<Option<u32>, DueKind> {
+        if !BULK {
             if let Some(flip) = addr_fault(ctx) {
                 addr ^= flip.mask as u32;
             }
             match memq_fault(ctx) {
                 // Poisoned queue entry: detected at dispatch.
                 Some(MemQueueEffect::Flag) => return Err(DueKind::MemQueueFault),
-                // Dropped entry: the load never reaches memory and the
-                // destination register keeps its stale value.
-                Some(MemQueueEffect::Drop) => break 'mem Write::None,
+                Some(MemQueueEffect::Drop) => return Ok(None),
                 // Un-retired entry: the same instruction issues again
                 // next round.
-                Some(MemQueueEffect::Replay) => next_pc = pc,
+                Some(MemQueueEffect::Replay) => th.pc = pc,
                 None => {}
-            }
-            let bytes = w.bytes();
-            emit!(
-                ctx,
-                TraceEvent::MemAccess {
-                    idx: executed_idx,
-                    space: if matches!(ins.op, Op::Ldg(_)) {
-                        MemSpace::Global
-                    } else {
-                        MemSpace::Shared
-                    },
-                    write: false,
-                    addr,
-                    bytes,
-                }
-            );
-            if addr % bytes != 0 {
-                return Err(if matches!(ins.op, Op::Ldg(_)) {
-                    DueKind::MemoryViolation
-                } else {
-                    DueKind::SharedViolation
-                });
-            }
-            let res = if matches!(ins.op, Op::Ldg(_)) {
-                ctx.global
-                    .device_read(addr, bytes, ctx.opts.ecc)
-                    .map_err(|_| DueKind::MemoryViolation)
-            } else {
-                shared.device_read(addr, bytes, ctx.opts.ecc).map_err(|_| DueKind::SharedViolation)
-            };
-            let (value, ecc_due) = res?;
-            if ecc_due {
-                return Err(DueKind::EccDoubleBit);
-            }
-            if matches!(ins.op, Op::Ldg(_)) {
-                note_global(ctx, addr, bytes, false);
-            }
-            match w {
-                MemWidth::W64 => Write::W64(value),
-                _ => Write::W32(value as u32),
             }
         }
-        Op::Stg(w) | Op::Sts(w) => 'mem: {
-            let mut addr = src(threads, a).wrapping_add(src(threads, b));
-            if let Some(flip) = addr_fault(ctx) {
-                addr ^= flip.mask as u32;
+        emit!(
+            ctx,
+            TraceEvent::MemAccess {
+                idx: l.idx,
+                space: if self.global { MemSpace::Global } else { MemSpace::Shared },
+                write: self.write,
+                addr,
+                bytes: self.bytes,
             }
-            match memq_fault(ctx) {
-                Some(MemQueueEffect::Flag) => return Err(DueKind::MemQueueFault),
-                // Dropped entry: the store is lost.
-                Some(MemQueueEffect::Drop) => break 'mem Write::None,
-                Some(MemQueueEffect::Replay) => next_pc = pc,
-                None => {}
-            }
-            let bytes = w.bytes();
-            emit!(
-                ctx,
-                TraceEvent::MemAccess {
-                    idx: executed_idx,
-                    space: if matches!(ins.op, Op::Stg(_)) {
-                        MemSpace::Global
-                    } else {
-                        MemSpace::Shared
-                    },
-                    write: true,
-                    addr,
-                    bytes,
-                }
-            );
-            if addr % bytes != 0 {
-                return Err(if matches!(ins.op, Op::Stg(_)) {
-                    DueKind::MemoryViolation
-                } else {
-                    DueKind::SharedViolation
-                });
-            }
-            let value = match (w, c) {
-                (MemWidth::W64, o) => src64(threads, o),
-                (MemWidth::W16, o) => (src(threads, o) & 0xFFFF) as u64,
-                (_, o) => src(threads, o) as u64,
-            };
-            if matches!(ins.op, Op::Stg(_)) {
-                note_global(ctx, addr, bytes, true);
-                ctx.global
-                    .device_write(addr, bytes, value)
-                    .map_err(|_| DueKind::MemoryViolation)?;
-            } else {
-                shared.device_write(addr, bytes, value).map_err(|_| DueKind::SharedViolation)?;
-            }
-            Write::None
+        );
+        if !addr.is_multiple_of(self.bytes) {
+            return Err(self.violation());
         }
-        Op::AtomGAdd | Op::AtomSAdd => 'mem: {
-            let mut addr = src(threads, a).wrapping_add(src(threads, b));
-            if let Some(flip) = addr_fault(ctx) {
-                addr ^= flip.mask as u32;
-            }
-            match memq_fault(ctx) {
-                Some(MemQueueEffect::Flag) => return Err(DueKind::MemQueueFault),
-                // Dropped entry: the read-modify-write is lost (the
-                // destination register keeps its stale value too).
-                Some(MemQueueEffect::Drop) => break 'mem Write::None,
-                Some(MemQueueEffect::Replay) => next_pc = pc,
-                None => {}
-            }
-            emit!(
-                ctx,
-                TraceEvent::MemAccess {
-                    idx: executed_idx,
-                    space: if ins.op == Op::AtomGAdd { MemSpace::Global } else { MemSpace::Shared },
-                    write: true,
-                    addr,
-                    bytes: 4,
+        Ok(Some(addr))
+    }
+
+    /// Read the access's bytes at `addr`; a global read is reported to
+    /// the exit table under construction.
+    #[inline(always)]
+    fn read(self, ctx: &mut Ctx<'_>, shared: &mut SharedMemory, addr: u32) -> Result<u64, DueKind> {
+        let res = if self.global {
+            ctx.global.device_read(addr, self.bytes, ctx.opts.ecc)
+        } else {
+            shared.device_read(addr, self.bytes, ctx.opts.ecc)
+        };
+        match res {
+            Err(_) => Err(self.violation()),
+            Ok((_, true)) => Err(DueKind::EccDoubleBit),
+            Ok((value, false)) => {
+                if self.global {
+                    note_global(ctx, addr, self.bytes, false);
                 }
-            );
-            if addr % 4 != 0 {
-                return Err(if ins.op == Op::AtomGAdd {
-                    DueKind::MemoryViolation
-                } else {
-                    DueKind::SharedViolation
-                });
+                Ok(value)
             }
-            let val = src(threads, c);
-            let res = if ins.op == Op::AtomGAdd {
-                ctx.global.device_read(addr, 4, ctx.opts.ecc).map_err(|_| DueKind::MemoryViolation)
+        }
+    }
+
+    /// Write `value` to the access's bytes at `addr`; a global write is
+    /// reported to the exit table under construction first.
+    #[inline(always)]
+    fn store(
+        self,
+        ctx: &mut Ctx<'_>,
+        shared: &mut SharedMemory,
+        addr: u32,
+        value: u64,
+    ) -> Result<(), DueKind> {
+        let res = if self.global {
+            note_global(ctx, addr, self.bytes, true);
+            ctx.global.device_write(addr, self.bytes, value)
+        } else {
+            shared.device_write(addr, self.bytes, value)
+        };
+        res.map_err(|_| self.violation())
+    }
+}
+
+/// A scalar instruction dispatched over a run of lanes, resolved once for the
+/// run (see [`step`]), with the lanes it has retired so far.
+struct Dispatch<'i, const BULK: bool> {
+    ins: &'i Instr,
+    meta: &'i InstrMeta,
+    at: WarpPos,
+    pc: u32,
+    /// Bit `i` stands for thread `lo + i` of the block.
+    run: u32,
+    lo: usize,
+    /// The destination register; `None` for RZ.
+    dst: Option<usize>,
+    /// Lanes retired, and how many of them passed their guard.
+    ran: u64,
+    passed: u64,
+}
+
+impl<const BULK: bool> Dispatch<'_, BULK> {
+    /// Execute the run's lanes in lane order: retire each, test its
+    /// guard, and for a lane whose guard passes run `exec` and write its
+    /// result back. A predicated-off lane retires (and is counted) but has
+    /// no architectural effect. Each lane's pc moves to the next
+    /// instruction before `exec`, which may send it elsewhere. Stops at
+    /// the first lane that raises a DUE, which counts as retired.
+    #[inline(always)]
+    fn each<'c>(
+        &mut self,
+        ctx: &mut Ctx<'c>,
+        threads: &mut [Thread],
+        shared: &mut SharedMemory,
+        mut exec: impl FnMut(
+            &mut Ctx<'c>,
+            &mut SharedMemory,
+            &mut Thread,
+            Lane,
+        ) -> Result<Write, DueKind>,
+    ) -> Result<(), DueKind> {
+        let (ins, meta, at, pc, guard) = (self.ins, self.meta, self.at, self.pc, self.meta.guard);
+        let mut lanes = self.run;
+        while lanes != 0 {
+            let lane = self.lo + lanes.trailing_zeros() as usize;
+            lanes &= lanes - 1;
+            let idx = if BULK {
+                ctx.dyn_count + self.ran
             } else {
-                shared.device_read(addr, 4, ctx.opts.ecc).map_err(|_| DueKind::SharedViolation)
+                retire(ctx, meta, at.global, lane as u32, pc)?
             };
-            let (old, ecc_due) = res?;
-            if ecc_due {
-                return Err(DueKind::EccDoubleBit);
+            self.ran += 1;
+            let th = &mut threads[lane];
+            th.pc = pc + 1;
+            if !guard.is_none_or(|g| g.passes(th.pred(g.pred))) {
+                if ins.op == Op::Bra {
+                    // A guarded-off branch is the engine's divergence
+                    // signal: the lane falls through while taken lanes
+                    // jump.
+                    emit!(
+                        ctx,
+                        TraceEvent::Branch {
+                            idx,
+                            block: at.block,
+                            warp: at.global as u32,
+                            lane: lane as u32,
+                            target: ins.target.unwrap_or(pc + 1),
+                            taken: false,
+                        }
+                    );
+                }
+                continue;
             }
-            let new = (old as u32).wrapping_add(val) as u64;
-            if ins.op == Op::AtomGAdd {
-                note_global(ctx, addr, 4, false);
-                note_global(ctx, addr, 4, true);
-                ctx.global.device_write(addr, 4, new).map_err(|_| DueKind::MemoryViolation)?;
-            } else {
-                shared.device_write(addr, 4, new).map_err(|_| DueKind::SharedViolation)?;
+            self.passed += 1;
+            // Output-value fault injection, then write-back.
+            match exec(ctx, shared, th, Lane { lane, idx })? {
+                Write::None => {}
+                Write::W32(mut v) => {
+                    if !BULK {
+                        if let Some(c) = output_fault(ctx, meta) {
+                            v = c.apply32(v);
+                        }
+                    }
+                    if let Some(d) = self.dst {
+                        th.regs[d] = v;
+                    }
+                }
+                Write::W64(mut v) => {
+                    if !BULK {
+                        if let Some(c) = output_fault(ctx, meta) {
+                            v = c.apply64(v);
+                        }
+                    }
+                    if let Some(d) = self.dst {
+                        th.regs[d] = v as u32;
+                        th.regs[d + 1] = (v >> 32) as u32;
+                    }
+                }
+                Write::Pred(mut v) => {
+                    if !BULK && pred_fault(ctx) {
+                        v = !v;
+                    }
+                    let Some(pdst) = ins.pdst else { unreachable!("validated SETP has pdst") };
+                    th.set_pred(pdst, v);
+                }
             }
-            Write::W32(old as u32)
+        }
+        Ok(())
+    }
+}
+
+/// Execute the scalar instruction `ins` at the pc its lanes share over
+/// `run`, a run of warp `at`'s lanes (bit `i` stands for lane `i` of the
+/// warp): the one body every scalar op runs through.
+///
+/// The op, its sources, its destination and the site bookkeeping are
+/// resolved once per run; each op arm then loops over the run's lanes,
+/// doing only the lane's guard test, its arithmetic or memory access, its
+/// write-back and its pc. A `BULK` run, one that [`quiet`] admits with no
+/// sink attached, adds its retire counts, site tallies and fault-hook
+/// counts once for the lanes that ran: a lane that raised a DUE is
+/// counted, and no lane after it runs. Otherwise `run` is one lane, which
+/// retires, goes through every fault hook and reports every event on its
+/// own.
+fn step<const BULK: bool>(
+    ctx: &mut Ctx<'_>,
+    ins: &Instr,
+    meta: &InstrMeta,
+    threads: &mut [Thread],
+    run: u32,
+    at: WarpPos,
+    shared: &mut SharedMemory,
+) -> Result<(), DueKind> {
+    let lo = at.in_block as usize * WARP_SIZE as usize;
+    let pc = threads[lo + run.trailing_zeros() as usize].pc;
+    let [a, b, c] = ins.srcs.map(Src::of);
+    let dst = (!ins.dst.is_rz()).then_some(ins.dst.0 as usize);
+    let mut dispatch = Dispatch::<BULK> { ins, meta, at, pc, run, lo, dst, ran: 0, passed: 0 };
+
+    // An op whose lanes each touch only their own registers.
+    macro_rules! lanes {
+        (|$th:ident| $write:expr) => {
+            dispatch.each(ctx, threads, shared, |_, _, $th, _| Ok($write))
+        };
+    }
+    let ordered = |cmp: CmpOp, ord: Option<std::cmp::Ordering>| match ord {
+        Some(ord) => cmp.eval_ord(ord),
+        None => cmp == CmpOp::Ne, // unordered
+    };
+
+    let result = match ins.op {
+        Op::Fadd => lanes!(|th| Write::W32((a.f32(th) + b.f32(th)).to_bits())),
+        Op::Fmul => lanes!(|th| Write::W32((a.f32(th) * b.f32(th)).to_bits())),
+        Op::Ffma => lanes!(|th| Write::W32(a.f32(th).mul_add(b.f32(th), c.f32(th)).to_bits())),
+        Op::Fmin => lanes!(|th| Write::W32(a.f32(th).min(b.f32(th)).to_bits())),
+        Op::Fmax => lanes!(|th| Write::W32(a.f32(th).max(b.f32(th)).to_bits())),
+        Op::Fsetp(cmp) => lanes!(|th| Write::Pred(ordered(cmp, a.f32(th).partial_cmp(&b.f32(th))))),
+        Op::F2i => lanes!(|th| Write::W32(a.f32(th) as i32 as u32)),
+        Op::I2f => lanes!(|th| Write::W32((a.i32(th) as f32).to_bits())),
+        Op::F2d => lanes!(|th| Write::W64((a.f32(th) as f64).to_bits())),
+        Op::D2f => lanes!(|th| Write::W32((a.f64(th) as f32).to_bits())),
+        Op::F2h => lanes!(|th| Write::W32(F16::from_f32(a.f32(th)).to_bits() as u32)),
+        Op::Frcp => lanes!(|th| Write::W32((1.0 / a.f32(th)).to_bits())),
+        Op::Fsqrt => lanes!(|th| Write::W32(a.f32(th).sqrt().to_bits())),
+        Op::Drcp => lanes!(|th| Write::W64((1.0 / a.f64(th)).to_bits())),
+        Op::Dsqrt => lanes!(|th| Write::W64(a.f64(th).sqrt().to_bits())),
+        Op::H2f => lanes!(|th| Write::W32(a.f16(th).to_f32().to_bits())),
+        Op::Dadd => lanes!(|th| Write::W64((a.f64(th) + b.f64(th)).to_bits())),
+        Op::Dmul => lanes!(|th| Write::W64((a.f64(th) * b.f64(th)).to_bits())),
+        Op::Dfma => lanes!(|th| Write::W64(a.f64(th).mul_add(b.f64(th), c.f64(th)).to_bits())),
+        Op::Dsetp(cmp) => lanes!(|th| Write::Pred(ordered(cmp, a.f64(th).partial_cmp(&b.f64(th))))),
+        Op::Hadd => lanes!(|th| Write::W32(a.f16(th).add(b.f16(th)).to_bits() as u32)),
+        Op::Hmul => lanes!(|th| Write::W32(a.f16(th).mul(b.f16(th)).to_bits() as u32)),
+        Op::Hfma => lanes!(|th| Write::W32(a.f16(th).fma(b.f16(th), c.f16(th)).to_bits() as u32)),
+        Op::Hsetp(cmp) => lanes!(|th| Write::Pred(ordered(cmp, a.f16(th).partial_cmp(b.f16(th))))),
+        Op::Iadd => lanes!(|th| Write::W32(a.i32(th).wrapping_add(b.i32(th)) as u32)),
+        Op::Imul => lanes!(|th| Write::W32(a.i32(th).wrapping_mul(b.i32(th)) as u32)),
+        Op::Imad => {
+            lanes!(
+                |th| Write::W32(a.i32(th).wrapping_mul(b.i32(th)).wrapping_add(c.i32(th)) as u32)
+            )
+        }
+        Op::Isetp(cmp) => lanes!(|th| Write::Pred(cmp.eval_ord(a.i32(th).cmp(&b.i32(th))))),
+        Op::Imin => lanes!(|th| Write::W32(a.i32(th).min(b.i32(th)) as u32)),
+        Op::Imax => lanes!(|th| Write::W32(a.i32(th).max(b.i32(th)) as u32)),
+        Op::Shl => lanes!(|th| Write::W32(a.u32(th) << (b.u32(th) & 31))),
+        Op::Shr => lanes!(|th| Write::W32(a.u32(th) >> (b.u32(th) & 31))),
+        Op::Asr => lanes!(|th| Write::W32((a.i32(th) >> (b.u32(th) & 31)) as u32)),
+        Op::And => lanes!(|th| Write::W32(a.u32(th) & b.u32(th))),
+        Op::Or => lanes!(|th| Write::W32(a.u32(th) | b.u32(th))),
+        Op::Xor => lanes!(|th| Write::W32(a.u32(th) ^ b.u32(th))),
+        Op::Not => lanes!(|th| Write::W32(!a.u32(th))),
+        Op::Mov => lanes!(|th| Write::W32(a.u32(th))),
+        Op::Sel => {
+            let Some((p, neg)) = ins.psrc else { unreachable!("validated SEL has psrc") };
+            lanes!(|th| Write::W32(if th.pred(p) != neg { a.u32(th) } else { b.u32(th) }))
+        }
+        Op::S2r(sr) => {
+            let launch = ctx.launch;
+            dispatch.each(ctx, threads, shared, |_, _, th, l| {
+                Ok(Write::W32(match sr {
+                    SpecialReg::TidX => th.tid_x,
+                    SpecialReg::TidY => th.tid_y,
+                    SpecialReg::CtaidX => at.bx,
+                    SpecialReg::CtaidY => at.by,
+                    SpecialReg::NtidX => launch.block.x,
+                    SpecialReg::NtidY => launch.block.y,
+                    SpecialReg::NctaidX => launch.grid.x,
+                    SpecialReg::NctaidY => launch.grid.y,
+                    SpecialReg::LaneId => (l.lane as u32) % WARP_SIZE,
+                    SpecialReg::WarpId => at.in_block,
+                }))
+            })
+        }
+        Op::Ldp => {
+            let params = &ctx.launch.params;
+            lanes!(|th| Write::W32(params.get(a.u32(th) as usize).copied().unwrap_or(0)))
+        }
+        Op::Ldg(w) | Op::Lds(w) => {
+            let acc =
+                Access { global: matches!(ins.op, Op::Ldg(_)), write: false, bytes: w.bytes() };
+            dispatch.each(ctx, threads, shared, |ctx, shared, th, l| {
+                let addr = a.u32(th).wrapping_add(b.u32(th));
+                let Some(addr) = acc.address::<BULK>(ctx, th, l, pc, addr)? else {
+                    return Ok(Write::None);
+                };
+                let value = acc.read(ctx, shared, addr)?;
+                Ok(match w {
+                    MemWidth::W64 => Write::W64(value),
+                    _ => Write::W32(value as u32),
+                })
+            })
+        }
+        Op::Stg(w) | Op::Sts(w) => {
+            let acc =
+                Access { global: matches!(ins.op, Op::Stg(_)), write: true, bytes: w.bytes() };
+            dispatch.each(ctx, threads, shared, |ctx, shared, th, l| {
+                let addr = a.u32(th).wrapping_add(b.u32(th));
+                let Some(addr) = acc.address::<BULK>(ctx, th, l, pc, addr)? else {
+                    return Ok(Write::None);
+                };
+                let value = match w {
+                    MemWidth::W64 => c.u64(th),
+                    MemWidth::W16 => (c.u32(th) & 0xFFFF) as u64,
+                    _ => c.u32(th) as u64,
+                };
+                acc.store(ctx, shared, addr, value)?;
+                Ok(Write::None)
+            })
+        }
+        Op::AtomGAdd | Op::AtomSAdd => {
+            let acc = Access { global: ins.op == Op::AtomGAdd, write: true, bytes: 4 };
+            dispatch.each(ctx, threads, shared, |ctx, shared, th, l| {
+                let addr = a.u32(th).wrapping_add(b.u32(th));
+                let Some(addr) = acc.address::<BULK>(ctx, th, l, pc, addr)? else {
+                    return Ok(Write::None);
+                };
+                let old = acc.read(ctx, shared, addr)? as u32;
+                acc.store(ctx, shared, addr, old.wrapping_add(c.u32(th)) as u64)?;
+                Ok(Write::W32(old))
+            })
         }
         Op::Shfl(_) => unreachable!("SHFL handled at warp level"),
         Op::Hmma | Op::Fmma => unreachable!("MMA handled at warp level"),
         Op::Bra => {
             let Some(target) = ins.target else { unreachable!("validated branch has target") };
-            next_pc = target;
-            emit!(
-                ctx,
-                TraceEvent::Branch {
-                    idx: executed_idx,
-                    block: block_linear,
-                    warp: global_warp as u32,
-                    lane: lane as u32,
-                    target: next_pc,
-                    taken: true,
-                }
-            );
-            Write::None
+            dispatch.each(ctx, threads, shared, |ctx, _, th, l| {
+                th.pc = target;
+                emit!(
+                    ctx,
+                    TraceEvent::Branch {
+                        idx: l.idx,
+                        block: at.block,
+                        warp: at.global as u32,
+                        lane: l.lane as u32,
+                        target,
+                        taken: true,
+                    }
+                );
+                Ok(Write::None)
+            })
         }
-        Op::Bar => {
-            threads[lane].state = TState::AtBarrier;
+        Op::Bar => dispatch.each(ctx, threads, shared, |ctx, _, th, l| {
+            th.state = TState::AtBarrier;
             emit!(
                 ctx,
                 TraceEvent::BarrierArrive {
-                    idx: executed_idx,
-                    block: block_linear,
-                    warp: global_warp as u32,
-                    lane: lane as u32,
+                    idx: l.idx,
+                    block: at.block,
+                    warp: at.global as u32,
+                    lane: l.lane as u32,
                 }
             );
+            Ok(Write::None)
+        }),
+        Op::Exit => lanes!(|th| {
+            th.state = TState::Exited;
             Write::None
-        }
-        Op::Exit => {
-            threads[lane].state = TState::Exited;
-            Write::None
-        }
-        Op::Nop => Write::None,
+        }),
+        Op::Nop => lanes!(|_th| Write::None),
     };
 
-    // Output-value fault injection, then write-back.
-    match write {
-        Write::None => {}
-        Write::W32(mut v) => {
-            if let Some(c) = output_fault(ctx, meta) {
-                v = c.apply32(v);
-            }
-            threads[lane].set_reg(ins.dst, v);
-        }
-        Write::W64(mut v) => {
-            if let Some(c) = output_fault(ctx, meta) {
-                v = c.apply64(v);
-            }
-            threads[lane].set_reg64(ins.dst, v);
-        }
-        Write::Pred(mut v) => {
-            if pred_fault(ctx) {
-                v = !v;
-            }
-            let Some(pdst) = ins.pdst else { unreachable!("validated SETP has pdst") };
-            threads[lane].set_pred(pdst, v);
-        }
-    }
-
-    threads[lane].pc = next_pc;
+    let Dispatch { ran, passed, .. } = dispatch;
+    note_sites::<BULK>(ctx, meta, pc, passed);
     if BULK {
-        return Ok(());
+        ctx.dyn_count += ran;
+        account(ctx, meta, at.global, ran);
+        return result;
     }
-    apply_timed_faults(ctx, threads, lane, block_linear, shared, executed_idx)
+    result?;
+    let lane = lo + run.trailing_zeros() as usize;
+    apply_timed_faults(ctx, threads, lane, at.block, shared, ctx.dyn_count - 1)
 }
 
 /// Execute a warp-synchronous 16x16x16 MMA.
@@ -2278,19 +2368,15 @@ fn exec_mma(ctx: &mut Ctx<'_>, meta: &InstrMeta, warp: &mut [Thread], ins: &Inst
 fn exec_shfl(ctx: &mut Ctx<'_>, meta: &InstrMeta, warp: &mut [Thread], ins: &Instr) {
     let Op::Shfl(mode) = ins.op else { unreachable!("exec_shfl on non-SHFL") };
     let width = warp.len();
-    let operand = |th: &Thread, o: Operand| match o {
-        Operand::Reg(r) => th.reg(r),
-        Operand::Imm(i) => i,
-        Operand::None => 0,
-    };
+    let (value, select) = (Src::of(ins.srcs[0]), Src::of(ins.srcs[1]));
     // Every lane reads the pre-exchange values (simultaneous exchange
     // semantics).
-    let values: Vec<u32> = warp.iter().map(|th| operand(th, ins.srcs[0])).collect();
+    let values: Vec<u32> = warp.iter().map(|th| value.u32(th)).collect();
     let mut results: Vec<u32> = warp
         .iter()
         .enumerate()
         .map(|(l, th)| {
-            let sel = operand(th, ins.srcs[1]) as usize;
+            let sel = select.u32(th) as usize;
             let src_lane = match mode {
                 gpu_arch::ShflMode::Idx => sel % width.max(1),
                 gpu_arch::ShflMode::Up => l.saturating_sub(sel),

@@ -193,6 +193,9 @@ impl GlobalMemory {
         let mut bytes = [0u8; 8];
         bytes[..len as usize].copy_from_slice(&self.data[i..i + len as usize]);
         let mut value = u64::from_le_bytes(bytes);
+        if self.corruption.is_empty() {
+            return Ok((value, false));
+        }
         let mut double_bit = false;
         // Apply corruption word by word.
         let first_word = addr / 4;
@@ -234,6 +237,9 @@ impl GlobalMemory {
         let i = self.check(addr, len)?;
         let bytes = value.to_le_bytes();
         self.data[i..i + len as usize].copy_from_slice(&bytes[..len as usize]);
+        if self.corruption.is_empty() {
+            return Ok(());
+        }
         let first_word = addr / 4;
         let last_word = (addr + len - 1) / 4;
         for w in first_word..=last_word {

@@ -72,15 +72,16 @@ pub(crate) struct ClassTallies {
 }
 
 impl ClassTallies {
-    /// Account one instruction that reached the output-fault hook.
+    /// Account `n` executions of an instruction that reached the
+    /// output-fault hook.
     #[inline]
-    pub(crate) fn note(&mut self, meta: &InstrMeta) {
+    pub(crate) fn note(&mut self, meta: &InstrMeta, n: u64) {
         for (slot, class) in self.base.iter_mut().zip(BASE_CLASSES) {
             if meta.in_class(class) {
-                *slot += 1;
+                *slot += n;
             }
         }
-        self.unit_writers[meta.unit_index as usize] += 1;
+        self.unit_writers[meta.unit_index as usize] += n;
     }
 
     /// The tallies a run with final counts `fin` ends with, estimated
@@ -139,6 +140,13 @@ impl EngineSnapshot {
     /// many instructions a trial resumed from this snapshot skips.
     pub fn dyn_count(&self) -> u64 {
         self.dyn_count
+    }
+
+    /// How many guard-passing sites of `site` the run had passed at the
+    /// capture point: the first `nth` a positional plan of that class can
+    /// still reach from here.
+    pub fn class_matches(&self, site: SiteClass) -> u64 {
+        self.tallies.class_matches(site)
     }
 
     /// True when `plan`'s trigger point lies at or after this snapshot,
