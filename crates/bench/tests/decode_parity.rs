@@ -15,11 +15,11 @@
 use campaign::{Budget, Campaign, SnapshotPolicy};
 use gpu_arch::{CodeGen, DeviceModel, Op, Precision};
 use gpu_sim::{
-    BitFlip, DueKind, ExecStatus, Executed, FaultPlan, FetchEffect, MemQueueEffect, Persistence,
-    RunOptions, SiteClass, SiteCounts, Target,
+    trigger_position, BitFlip, DueKind, ExecStatus, Executed, FaultPlan, FetchEffect,
+    MemQueueEffect, Persistence, RunOptions, SiteClass, SiteCounts, Target,
 };
 use injector::{Avf, HiddenAvf, Injector};
-use obs::{CountingSink, RecordingSink, TraceEvent};
+use obs::{CountingSink, RecordingSink, TraceEvent, TraceSink};
 use std::sync::Arc;
 use workloads::{build, Benchmark, Scale, Workload};
 
@@ -744,9 +744,9 @@ fn lane_by_lane_and_run_wide_steps_agree_on_every_kernel() {
 }
 
 /// A run-wide step that raises a DUE at a middle lane counts the lanes
-/// before it and the failing lane (retires, sites and hook counters) and
-/// runs no later lane. A register strike before a converged FMXM warp's
-/// LDG (block 1, warp 0, lane 0 at dyn 19392) leaves lane 16's address
+/// before it and the failing lane (retires and site counts) and runs no
+/// later lane. A register strike before a converged FMXM warp's LDG
+/// (block 1, warp 0, lane 0 at dyn 19392) leaves lane 16's address
 /// register misaligned, so the LDG's quiet 32-lane run faults at lane 16.
 /// Values pinned on the lane-at-a-time engine.
 #[test]
@@ -803,4 +803,93 @@ fn mid_run_due_counts_through_the_failing_lane() {
     let rec = run.sites_record.as_ref().unwrap();
     assert_eq!((rec.site_pcs.len(), rec.mem_pcs.len(), rec.setp_pcs.len()), (16593, 2769, 1344));
     assert_eq!(outcome_digest(&run), 3247497996934429846);
+}
+
+/// Where a fault landed: the dynamic index and pc of the last retired
+/// instruction, and, once the plan fires, its `FaultInjected` index with
+/// the retired instruction it fired at.
+#[derive(Default)]
+struct Landing {
+    retired: (u64, u32),
+    fired: Option<(u64, (u64, u32))>,
+}
+
+impl TraceSink for Landing {
+    fn event(&mut self, ev: &TraceEvent) {
+        match *ev {
+            TraceEvent::InstrRetired { idx, pc, .. } => self.retired = (idx, pc),
+            TraceEvent::FaultInjected { idx, .. } => {
+                self.fired.get_or_insert((idx, self.retired));
+            }
+            _ => {}
+        }
+    }
+}
+
+/// A positional fault fires on the site its `nth` names. On every
+/// workload kernel, each positional plan family (an output fault over
+/// the GPR writers and the no-half writers, and on the first MMA site of
+/// a kernel that has one; a memory-address fault; a predicate fault),
+/// run from zero and resumed from the latest golden snapshot before it,
+/// fires at the instruction retired just before: the instruction its
+/// `FaultInjected` index names. Its pc must be the one the golden sites
+/// record lists at `nth`: the GPR-writer sites filtered by the plan's
+/// class, the memory ops or the SETPs.
+#[test]
+fn positional_faults_land_on_the_recorded_site() {
+    let (mut runs, mut resumed, mut mma) = (0, 0, 0);
+    for (w, device) in every_kernel() {
+        let opts = RunOptions::golden().record_sites(true).snapshot_every(512);
+        let golden = w.execute(&device, &opts);
+        let rec = golden.sites_record.as_ref().unwrap();
+        let instrs = &w.kernel().instrs;
+        let of_class = |class: SiteClass| -> Vec<u32> {
+            let pcs = rec.site_pcs.iter().copied();
+            pcs.filter(|&pc| class.matches(instrs[pc as usize].op)).collect()
+        };
+        let gpr = of_class(SiteClass::GprWriter);
+        let no_half = of_class(SiteClass::GprWriterNoHalf);
+        let first_mma = gpr.iter().position(|&pc| instrs[pc as usize].op.is_mma());
+        let flip = BitFlip::single(4);
+        let output =
+            |nth: usize, site| FaultPlan::InstructionOutput { nth: nth as u64, site, flip };
+        let mut plans = vec![
+            (output(gpr.len() * 2 / 3, SiteClass::GprWriter), &gpr),
+            (output(no_half.len() * 2 / 3, SiteClass::GprWriterNoHalf), &no_half),
+            (FaultPlan::MemAddress { nth: rec.mem_pcs.len() as u64 * 2 / 3, flip }, &rec.mem_pcs),
+            (FaultPlan::PredicateOutput { nth: rec.setp_pcs.len() as u64 * 2 / 3 }, &rec.setp_pcs),
+        ];
+        if let Some(nth) = first_mma {
+            plans.push((output(nth, SiteClass::GprWriter), &gpr));
+            mma += 1;
+        }
+        for (plan, pcs) in plans {
+            let nth = match plan {
+                FaultPlan::InstructionOutput { nth, .. }
+                | FaultPlan::MemAddress { nth, .. }
+                | FaultPlan::PredicateOutput { nth } => nth as usize,
+                _ => unreachable!("positional plans only"),
+            };
+            let Some(&site_pc) = pcs.get(nth) else { continue };
+            let (before, _) = trigger_position(&golden.snapshots, &golden.counts, &plan);
+            let snapshot = before.checked_sub(1).map(|i| Arc::clone(&golden.snapshots[i]));
+            let opts = RunOptions::trial(plan).watchdog(4 * golden.counts.total);
+            let mut landed = Vec::new();
+            for resume in [None, snapshot] {
+                let ran_resumed = resume.is_some();
+                let mut sink = Landing::default();
+                w.execute_traced(&device, &opts.clone().resume(resume), &mut sink);
+                let what = format!("{} {plan:?} resumed {ran_resumed}", w.name);
+                let Some((idx, (retired, pc))) = sink.fired else { panic!("{what}: never fired") };
+                assert_eq!(idx, retired, "{what}: fired off the retiring instruction");
+                assert_eq!(pc, site_pc, "{what}: landed at pc {pc}, not at site {nth}'s");
+                landed.push((idx, pc));
+                runs += 1;
+                resumed += u32::from(ran_resumed);
+            }
+            assert!(landed.windows(2).all(|p| p[0] == p[1]), "{}: {landed:?}", w.name);
+        }
+    }
+    assert!(mma >= 1, "no kernel with an MMA site");
+    assert!(resumed * 3 > runs, "only {resumed} of {runs} runs resumed from a snapshot");
 }

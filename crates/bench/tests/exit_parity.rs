@@ -12,13 +12,20 @@
 use gpu_arch::decode::RegLiveness;
 use gpu_arch::{CodeGen, DecodedKernel, DeviceModel, Precision};
 use gpu_sim::{
-    nearest_snapshot, BitFlip, DueKind, EngineSnapshot, ExecStatus, Executed, ExitKind, FaultPlan,
+    trigger_position, BitFlip, DueKind, EngineSnapshot, ExecStatus, Executed, ExitKind, FaultPlan,
     MemQueueEffect, Persistence, RunOptions, SiteClass, Target,
 };
 use obs::{MemSpace, RecordingSink, TraceEvent, TraceSink};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 use workloads::{build, Benchmark, Scale, Workload};
+
+/// The latest of `golden`'s snapshots that precedes `plan`, the one a
+/// campaign resumes a trial of it from (see [`trigger_position`]).
+fn nearest(golden: &Executed, plan: &FaultPlan) -> Option<Arc<EngineSnapshot>> {
+    let (k, _) = trigger_position(&golden.snapshots, &golden.counts, plan);
+    k.checked_sub(1).map(|i| Arc::clone(&golden.snapshots[i]))
+}
 
 /// A kernel under test, its device and ECC state, and its golden run
 /// with snapshots and exit table.
@@ -42,7 +49,7 @@ impl Case {
     /// Run `plan` from its nearest snapshot, as a campaign does, with or
     /// without the exit table.
     fn trial(&self, plan: FaultPlan, watchdog: u64, exit: bool) -> Executed {
-        let resume = nearest_snapshot(&self.golden.snapshots, &plan).cloned();
+        let resume = nearest(&self.golden, &plan);
         let opts = RunOptions::trial(plan)
             .ecc(self.ecc)
             .watchdog(watchdog)
@@ -193,7 +200,7 @@ fn trigger_index(case: &Case, plan: FaultPlan) -> Option<u64> {
         | FaultPlan::ActiveMask { at, .. } => Some(at),
         _ => {
             let mut sink = FirstFault(None);
-            let resume = nearest_snapshot(&case.golden.snapshots, &plan).cloned();
+            let resume = nearest(&case.golden, &plan);
             let opts = RunOptions::trial(plan).ecc(case.ecc).resume(resume);
             case.workload.execute_traced(&case.device, &opts, &mut sink);
             sink.0
@@ -265,7 +272,7 @@ fn hand_off_lands_within_a_round_of_the_trigger() {
         FaultPlan::RegisterBit { block: u32::MAX, thread: 3, reg: 2, flip: BitFlip::single(1), at };
     let output = plan_for(case, 0, at, 5);
     for plan in [timed, output] {
-        let resume = nearest_snapshot(&case.golden.snapshots, &plan).cloned().expect("a snapshot");
+        let resume = nearest(&case.golden, &plan).expect("a snapshot");
         let opts = RunOptions::trial(plan).ecc(case.ecc).resume(Some(Arc::clone(&resume)));
         let out = case.workload.execute(&case.device, &opts.clone().hand_off(true));
         let handoff = out.handoff.expect("the trial hands off");

@@ -76,8 +76,9 @@ pub struct RunOptions {
     /// skipping the bit-identical fault-free prefix. The snapshot must
     /// come from a golden run of the same kernel/launch/memory geometry,
     /// and the fault plan's trigger must not precede its capture point
-    /// (use [`crate::nearest_snapshot`]); violations are
-    /// [`SimError::ResumeConflict`]s. Incompatible with
+    /// ([`EngineSnapshot::precedes`]; [`crate::trigger_position`] counts
+    /// the snapshots that qualify, the last of them skipping the most);
+    /// violations are [`SimError::ResumeConflict`]s. Incompatible with
     /// [`RunOptions::record_sites`] and [`RunOptions::snapshot_stride`].
     pub resume_from: Option<Arc<EngineSnapshot>>,
     /// The golden run that may end this trial early once its fault plan
@@ -366,7 +367,8 @@ pub struct Executed {
     pub sites_record: Option<SitesRecord>,
     /// Engine snapshots captured at [`RunOptions::snapshot_stride`]
     /// intervals, empty unless capture was enabled. Trials fast-forward by
-    /// resuming from the [`crate::nearest_snapshot`] of their fault plan.
+    /// resuming from the latest one that precedes their fault plan, the
+    /// `k`-th for `k` the first field of [`crate::trigger_position`].
     pub snapshots: Vec<Arc<EngineSnapshot>>,
     /// The exit table of a completed run that captured snapshots; trials
     /// end early through it (see [`RunOptions::exit_from`]).
@@ -403,8 +405,8 @@ pub enum ExitKind {
     Rejoin,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TState {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum TState {
     Running,
     AtBarrier,
     Exited,
@@ -412,15 +414,14 @@ enum TState {
 
 /// A thread's architectural state as stored inside an [`EngineSnapshot`],
 /// apart from its registers, which the snapshot keeps in one vector:
-/// predicates, pc and scheduler state as a small integer.
+/// predicates, pc and scheduler state.
 #[derive(Clone, Debug)]
 pub(crate) struct ThreadState {
     /// Predicate register bits.
     pub(crate) preds: u8,
     /// Program counter.
     pub(crate) pc: u32,
-    /// 0 = running, 1 = at barrier, 2 = exited.
-    pub(crate) state: u8,
+    pub(crate) state: TState,
 }
 
 struct Thread {
@@ -433,22 +434,11 @@ struct Thread {
     tid_y: u32,
 }
 
-impl TState {
-    /// The [`ThreadState::state`] code.
-    fn code(self) -> u8 {
-        match self {
-            TState::Running => 0,
-            TState::AtBarrier => 1,
-            TState::Exited => 2,
-        }
-    }
-}
-
 impl Thread {
     /// This thread's state, its registers appended to `regs`.
     fn to_state(&self, regs: &mut Vec<u32>) -> ThreadState {
         regs.extend_from_slice(&self.regs);
-        ThreadState { preds: self.preds, pc: self.pc, state: self.state.code() }
+        ThreadState { preds: self.preds, pc: self.pc, state: self.state }
     }
 
     /// Whether the rest of the run reads the same from this thread as
@@ -457,7 +447,7 @@ impl Thread {
     /// in every register in `live` (`None`: a pc past the kernel's end,
     /// which never matches).
     fn same_as(&self, st: &ThreadState, regs: &[u32], live: Option<&[u32; 8]>) -> bool {
-        if self.pc != st.pc || self.preds != st.preds || self.state.code() != st.state {
+        if self.pc != st.pc || self.preds != st.preds || self.state != st.state {
             return false;
         }
         if self.state == TState::Exited {
@@ -484,11 +474,7 @@ impl Thread {
             regs: regs.into(),
             preds: st.preds,
             pc: st.pc,
-            state: match st.state {
-                0 => TState::Running,
-                1 => TState::AtBarrier,
-                _ => TState::Exited,
-            },
+            state: st.state,
             tid_x: t % block_x,
             tid_y: t / block_x,
         }
@@ -527,8 +513,6 @@ struct Capture {
     /// Next dynamic-instruction count at which to capture.
     next_due: u64,
     snapshots: Vec<Arc<EngineSnapshot>>,
-    /// Fault-hook match tallies mirrored per class (see [`ClassTallies`]).
-    tallies: ClassTallies,
     /// The exit table under construction; `None` for grids too large
     /// for its block tags.
     exit: Option<ExitRecorder>,
@@ -543,9 +527,10 @@ struct Ctx<'a> {
     global: GlobalMemory,
     counts: Counts,
     dyn_count: u64,
-    site_matches: u64,
-    mem_ops: u64,
-    setp_ops: u64,
+    /// Guard-passing sites per class so far, which the output hook counts
+    /// its `nth` in; the memory and predicate hooks count theirs in
+    /// `counts.sites`.
+    tallies: ClassTallies,
     fault_triggered: bool,
     /// One-shot latch for hidden-resource faults: set when the plan's
     /// corruption first fires, so transient plans apply exactly once and
@@ -698,11 +683,12 @@ pub fn try_run_with_sink<'a>(
 
     let warps_per_block = launch.warps_per_block() as usize;
     let total_warps = warps_per_block * launch.grid.count() as usize;
-    let recorder = if opts.snapshot_stride > 0 {
-        ExitRecorder::new(kernel, &memory, launch.grid.count())
-    } else {
-        None
-    };
+    let cap = (opts.snapshot_stride > 0).then(|| Capture {
+        stride: opts.snapshot_stride,
+        next_due: opts.snapshot_stride,
+        snapshots: Vec::new(),
+        exit: ExitRecorder::new(kernel, &memory, launch.grid.count()),
+    });
     let reg_file = reg_file_len(kernel);
     let mut ctx = Ctx {
         kernel,
@@ -716,9 +702,7 @@ pub fn try_run_with_sink<'a>(
             ..Counts::default()
         },
         dyn_count: 0,
-        site_matches: 0,
-        mem_ops: 0,
-        setp_ops: 0,
+        tallies: ClassTallies::default(),
         fault_triggered: false,
         hidden_fired: false,
         current_block: 0,
@@ -727,18 +711,7 @@ pub fn try_run_with_sink<'a>(
         rejoin: exit
             .filter(|(golden, _)| golden.counts.total <= opts.watchdog_limit)
             .map(|(golden, table)| Rejoin { golden, table, next: 0, last_diff: 0 }),
-        // A hand-off keeps the class tallies a snapshot carries, from
-        // where the run starts until it captures, and nothing periodic.
-        cap: (opts.snapshot_stride > 0 || opts.hand_off).then(|| Capture {
-            stride: opts.snapshot_stride,
-            next_due: if opts.hand_off { u64::MAX } else { opts.snapshot_stride },
-            snapshots: Vec::new(),
-            tallies: opts
-                .resume_from
-                .as_ref()
-                .map_or_else(ClassTallies::default, |s| s.tallies.clone()),
-            exit: recorder,
-        }),
+        cap,
         handoff_from: opts.hand_off.then(|| opts.resume_from.as_ref().map_or(0, |s| s.dyn_count)),
         handoff: None,
         sink,
@@ -752,21 +725,14 @@ pub fn try_run_with_sink<'a>(
         // Seed the context with the golden run's state at the capture
         // point: the trial's fault-free prefix is bit-identical to the
         // golden run, so this is exactly the state a from-zero execution
-        // would have reached. The fault-hook counters are seeded with the
-        // number of matches the skipped prefix consumed, keeping site
-        // numbering global (relative to instruction 0, not the resume
-        // offset).
+        // would have reached. The site counts the fault hooks number
+        // their `nth` in come with it, keeping site numbering global
+        // (relative to instruction 0, not the resume offset).
         ctx.dyn_count = snap.dyn_count;
         ctx.counts = snap.counts.clone();
+        ctx.tallies = snap.tallies.clone();
         let image = std::mem::replace(&mut ctx.global, snap.global.clone());
         input = exit.map(|_| image);
-        ctx.site_matches = match opts.fault {
-            FaultPlan::InstructionOutput { site, .. }
-            | FaultPlan::InstructionOutputSet { site, .. } => snap.tallies.class_matches(site),
-            _ => 0,
-        };
-        ctx.mem_ops = snap.counts.sites.mem_ops;
-        ctx.setp_ops = snap.counts.sites.setp;
     } else if exit.is_some() {
         input = Some(ctx.global.clone());
     }
@@ -935,7 +901,7 @@ fn rejoin_here(
         rj.next += 1;
     }
     let snap = golden.snapshots.get(rj.next).filter(|s| (s.block, s.dyn_count) == here)?;
-    if !shared.same_as(&snap.shared) || !ctx.global.same_as(&snap.global) {
+    if *shared != snap.shared || ctx.global != snap.global {
         return None;
     }
     let same = |t: usize| {
@@ -962,10 +928,9 @@ fn capture_snapshot(
     threads: &[Thread],
     shared: &SharedMemory,
 ) {
-    let dyn_count = ctx.dyn_count;
-    let Some(snap) = snapshot_here(ctx, block_linear, threads, shared) else { return };
+    let snap = Arc::new(snapshot_here(ctx, block_linear, threads, shared));
     let Some(cap) = ctx.cap.as_mut() else { return };
-    cap.snapshots.push(Arc::new(snap));
+    cap.snapshots.push(snap);
     if cap.snapshots.len() > SNAPSHOT_CAP {
         let mut idx = 0usize;
         cap.snapshots.retain(|_| {
@@ -974,36 +939,34 @@ fn capture_snapshot(
         });
         cap.stride = cap.stride.saturating_mul(2);
     }
-    cap.next_due = dyn_count.saturating_add(cap.stride);
+    cap.next_due = ctx.dyn_count.saturating_add(cap.stride);
 }
 
-/// The current state as an [`EngineSnapshot`], with the capture's class
-/// tallies; `None` when the run captures nothing.
+/// The current state as an [`EngineSnapshot`].
 fn snapshot_here(
     ctx: &Ctx<'_>,
     block_linear: u32,
     threads: &[Thread],
     shared: &SharedMemory,
-) -> Option<EngineSnapshot> {
-    let cap = ctx.cap.as_ref()?;
+) -> EngineSnapshot {
     let mut regs = Vec::with_capacity(threads.len() * ctx.reg_file);
     let threads = threads.iter().map(|t| t.to_state(&mut regs)).collect();
-    Some(EngineSnapshot {
+    EngineSnapshot {
         dyn_count: ctx.dyn_count,
         counts: ctx.counts.clone(),
-        tallies: cap.tallies.clone(),
+        tallies: ctx.tallies.clone(),
         global: ctx.global.clone(),
         block: block_linear,
         threads,
         regs,
         shared: shared.clone(),
         geometry: Geometry::of(ctx.kernel, ctx.launch, ctx.global.len()),
-    })
+    }
 }
 
 /// At a scheduler round top of a trial asked for a hand-off: once the
 /// plan's trigger is within this round, capture the state into
-/// [`Executed::handoff`] and stop keeping class tallies.
+/// [`Executed::handoff`] and ask for nothing more.
 ///
 /// Within a round every running lane retires at most one instruction,
 /// and each instruction ticks a trigger counter at most once. So while
@@ -1014,10 +977,9 @@ fn snapshot_here(
 /// state no further on than where the run started is not handed off.
 #[inline(never)]
 fn hand_off(ctx: &mut Ctx<'_>, block_linear: u32, threads: &[Thread], shared: &SharedMemory) {
-    let Some(cap) = ctx.cap.as_ref() else { return };
     // How many more ticks the trigger counter needs; `None` when the plan
     // has no trigger or is already past it, and nothing is handed off.
-    let gap = trigger_counter(&ctx.opts.fault, &cap.tallies, &ctx.counts.sites, ctx.dyn_count)
+    let gap = trigger_counter(&ctx.opts.fault, &ctx.tallies, &ctx.counts.sites, ctx.dyn_count)
         .and_then(|(counter, trigger)| trigger.checked_sub(counter));
     if let Some(gap) = gap {
         if gap >= threads.len() as u64
@@ -1026,11 +988,11 @@ fn hand_off(ctx: &mut Ctx<'_>, block_linear: u32, threads: &[Thread], shared: &S
             return;
         }
     }
-    let started = ctx.handoff_from.take().unwrap_or(u64::MAX);
-    if gap.is_some() && ctx.dyn_count > started && !ctx.fault_triggered {
-        ctx.handoff = snapshot_here(ctx, block_linear, threads, shared).map(Arc::new);
+    let past_start = ctx.handoff_from.is_some_and(|from| ctx.dyn_count > from);
+    if gap.is_some() && past_start && !ctx.fault_triggered {
+        ctx.handoff = Some(Arc::new(snapshot_here(ctx, block_linear, threads, shared)));
     }
-    ctx.cap = None;
+    ctx.handoff_from = None;
 }
 
 fn run_block(
@@ -1080,12 +1042,10 @@ fn run_block(
     let lane_fetch = matches!(ctx.opts.fault, FaultPlan::Fetch { .. });
 
     loop {
-        if let Some(cap) = &ctx.cap {
-            if ctx.dyn_count >= cap.next_due {
-                capture_snapshot(ctx, block_linear, &threads, &shared);
-            } else if ctx.handoff_from.is_some() {
-                hand_off(ctx, block_linear, &threads, &shared);
-            }
+        if ctx.cap.as_ref().is_some_and(|cap| ctx.dyn_count >= cap.next_due) {
+            capture_snapshot(ctx, block_linear, &threads, &shared);
+        } else if ctx.handoff_from.is_some() {
+            hand_off(ctx, block_linear, &threads, &shared);
         }
         if ctx.fault_triggered {
             if let Some(rejoined) = rejoin_here(ctx, block_linear, &threads, &shared) {
@@ -1166,15 +1126,16 @@ fn run_block(
                         continue; // the other lanes will catch up
                     }
                     // One warp instruction: account it once, on the owning
-                    // warp's slot; its destination write is one site.
+                    // warp's slot; its destination write is one site,
+                    // noted after its output hook has read the count.
                     retire(ctx, meta, at.global, u32::MAX, pc)?;
-                    note_gpr_site(ctx, meta, pc, 1);
                     let warp = &mut threads[lo..hi];
                     if meta.is_mma {
                         exec_mma(ctx, meta, warp, ins);
                     } else {
                         exec_shfl(ctx, meta, warp, ins);
                     }
+                    note_gpr_site(ctx, meta, pc, 1);
                     for t in warp.iter_mut() {
                         t.pc = pc + 1;
                     }
@@ -1291,9 +1252,9 @@ struct WarpPos {
 /// Whether the next `n` lanes to retire, all executing the instruction
 /// `meta` describes, can do so in bulk: no fault hook can fire at any of
 /// them, the watchdog cannot trip and no cancel poll falls among them.
-/// They take the dynamic indices `[start, start + n)`, and tick a
-/// fault-hook counter once apiece only when the instruction is in the
-/// hook's class.
+/// They take the dynamic indices `[start, start + n)`, and tick the site
+/// count a fault hook numbers its `nth` in once apiece only when the
+/// instruction is in the hook's class.
 fn quiet(ctx: &Ctx<'_>, meta: &InstrMeta, n: u64) -> bool {
     let start = ctx.dyn_count;
     let end = start + n;
@@ -1315,16 +1276,18 @@ fn quiet(ctx: &Ctx<'_>, meta: &InstrMeta, n: u64) -> bool {
         | FaultPlan::Fetch { .. } => true,
         FaultPlan::InstructionOutput { nth, site, .. }
         | FaultPlan::InstructionOutputSet { nth, site, .. } => {
-            !meta.in_class(site) || outside(nth, ctx.site_matches)
+            !meta.in_class(site) || outside(nth, ctx.tallies.class_matches(site))
         }
         FaultPlan::MemAddress { nth, .. }
         | FaultPlan::MemQueue { nth, persist: Persistence::Transient, .. } => {
-            !meta.is_mem_op || outside(nth, ctx.mem_ops)
+            !meta.is_mem_op || outside(nth, ctx.counts.sites.mem_ops)
         }
         FaultPlan::MemQueue { nth, persist: Persistence::StuckAt, .. } => {
-            !meta.is_mem_op || ctx.mem_ops + n <= nth
+            !meta.is_mem_op || ctx.counts.sites.mem_ops + n <= nth
         }
-        FaultPlan::PredicateOutput { nth } => !meta.writes_pred || outside(nth, ctx.setp_ops),
+        FaultPlan::PredicateOutput { nth } => {
+            !meta.writes_pred || outside(nth, ctx.counts.sites.setp)
+        }
         FaultPlan::Pc { at, .. }
         | FaultPlan::RegisterBit { at, .. }
         | FaultPlan::GlobalMemBit { at, .. }
@@ -1540,31 +1503,30 @@ fn account(ctx: &mut Ctx<'_>, meta: &InstrMeta, global_warp: usize, n: u64) {
 }
 
 /// Note `n` dynamic GPR-writer sites at `pc`: their population tick,
-/// their provenance records and their snapshot class tallies. Warp-wide
-/// MMA/SHFL sites count here too but do not tick `gpr_writers_no_half`
-/// (see [`ClassTallies`]); [`note_sites`] ticks that population for
-/// scalar ops.
+/// their provenance records and their class tallies. Warp-wide MMA/SHFL
+/// sites count here too but do not tick `gpr_writers_no_half` (see
+/// [`ClassTallies`]); [`note_sites`] ticks that population for scalar
+/// ops.
 #[inline(always)]
 fn note_gpr_site(ctx: &mut Ctx<'_>, meta: &InstrMeta, pc: u32, n: u64) {
     ctx.counts.sites.gpr_writers += n;
     if let Some(rec) = ctx.record.as_mut() {
         rec.site_pcs.extend(std::iter::repeat_n(pc, n as usize));
     }
-    if let Some(cap) = ctx.cap.as_mut() {
-        cap.tallies.note(meta, n);
-    }
+    ctx.tallies.note(meta, n);
 }
 
 /// Note `n` guard-passing executions of the scalar instruction at `pc`;
 /// only guard-passing instructions are injectable. Ticks the site-class
-/// populations with their provenance records and class tallies, and in
-/// bulk the fault-hook counters, which a lone lane's hooks tick
-/// themselves. The populations and the injectors' samplers read the same
-/// precomputed `InstrMeta` classes (`gpu_arch::decode`), whose decode
-/// tests pin the class/unit correspondence exhaustively, so they cannot
-/// silently drift apart.
+/// populations with their provenance records and class tallies: the
+/// counts every positional fault hook numbers its `nth` in, which is why
+/// a step notes its sites only after its lanes' hooks have read them.
+/// The populations and the injectors' samplers read the same precomputed
+/// `InstrMeta` classes (`gpu_arch::decode`), whose decode tests pin the
+/// class/unit correspondence exhaustively, so they cannot silently drift
+/// apart.
 #[inline(always)]
-fn note_sites<const BULK: bool>(ctx: &mut Ctx<'_>, meta: &InstrMeta, pc: u32, n: u64) {
+fn note_sites(ctx: &mut Ctx<'_>, meta: &InstrMeta, pc: u32, n: u64) {
     if n == 0 {
         return;
     }
@@ -1587,21 +1549,6 @@ fn note_sites<const BULK: bool>(ctx: &mut Ctx<'_>, meta: &InstrMeta, pc: u32, n:
         ctx.counts.sites.setp += n;
         if let Some(rec) = ctx.record.as_mut() {
             rec.setp_pcs.extend(std::iter::repeat_n(pc, n as usize));
-        }
-    }
-    if BULK {
-        match ctx.opts.fault {
-            FaultPlan::InstructionOutput { site, .. }
-            | FaultPlan::InstructionOutputSet { site, .. }
-                if meta.in_class(site) =>
-            {
-                ctx.site_matches += n
-            }
-            FaultPlan::MemAddress { .. } | FaultPlan::MemQueue { .. } if meta.is_mem_op => {
-                ctx.mem_ops += n
-            }
-            FaultPlan::PredicateOutput { .. } if meta.writes_pred => ctx.setp_ops += n,
-            _ => {}
         }
     }
 }
@@ -1724,44 +1671,36 @@ fn output_fault(ctx: &mut Ctx<'_>, meta: &InstrMeta) -> Option<OutputCorruption>
         }
         _ => return None,
     };
-    if meta.in_class(site) {
-        let my = ctx.site_matches;
-        ctx.site_matches += 1;
-        if my == nth {
-            let detail = match corruption {
-                OutputCorruption::Flip(f) => f.mask,
-                OutputCorruption::Set(v) => v,
-            };
-            fault_fired(ctx, ctx.dyn_count - 1, detail);
-            return Some(corruption);
-        }
+    if meta.in_class(site) && ctx.tallies.class_matches(site) == nth {
+        let detail = match corruption {
+            OutputCorruption::Flip(f) => f.mask,
+            OutputCorruption::Set(v) => v,
+        };
+        fault_fired(ctx, ctx.dyn_count - 1, detail);
+        return Some(corruption);
     }
     None
 }
 
 /// Should a `MemAddress` fault fire for this memory op?
 fn addr_fault(ctx: &mut Ctx<'_>) -> Option<BitFlip> {
-    if let FaultPlan::MemAddress { nth, flip } = ctx.opts.fault {
-        let my = ctx.mem_ops;
-        ctx.mem_ops += 1;
-        if my == nth {
+    match ctx.opts.fault {
+        FaultPlan::MemAddress { nth, flip } if ctx.counts.sites.mem_ops == nth => {
             fault_fired(ctx, ctx.dyn_count - 1, flip.mask);
-            return Some(flip);
+            Some(flip)
         }
+        _ => None,
     }
-    None
 }
 
 /// Should a `MemQueue` fault fire for this memory op? Counts the same
-/// dynamic memory-op enumeration [`addr_fault`] does (only one plan is
-/// active per run, so the shared counter never double-ticks). A stuck-at
-/// plan corrupts every queue entry from `nth` onward.
+/// dynamic memory-op enumeration [`addr_fault`] does. A stuck-at plan
+/// corrupts every queue entry from `nth` onward.
 fn memq_fault(ctx: &mut Ctx<'_>) -> Option<MemQueueEffect> {
     let FaultPlan::MemQueue { nth, effect, persist } = ctx.opts.fault else {
         return None;
     };
-    let my = ctx.mem_ops;
-    ctx.mem_ops += 1;
+    let my = ctx.counts.sites.mem_ops;
     let fire = match persist {
         Persistence::Transient => my == nth,
         Persistence::StuckAt => my >= nth,
@@ -1775,15 +1714,13 @@ fn memq_fault(ctx: &mut Ctx<'_>) -> Option<MemQueueEffect> {
 
 /// Should a `PredicateOutput` fault fire for this SETP?
 fn pred_fault(ctx: &mut Ctx<'_>) -> bool {
-    if let FaultPlan::PredicateOutput { nth } = ctx.opts.fault {
-        let my = ctx.setp_ops;
-        ctx.setp_ops += 1;
-        if my == nth {
+    match ctx.opts.fault {
+        FaultPlan::PredicateOutput { nth } if ctx.counts.sites.setp == nth => {
             fault_fired(ctx, ctx.dyn_count - 1, 1);
-            return true;
+            true
         }
+        _ => false,
     }
-    false
 }
 
 /// A source operand resolved once per run: a register each lane reads,
@@ -2077,11 +2014,11 @@ impl<const BULK: bool> Dispatch<'_, BULK> {
 /// resolved once per run; each op arm then loops over the run's lanes,
 /// doing only the lane's guard test, its arithmetic or memory access, its
 /// write-back and its pc. A `BULK` run, one that [`quiet`] admits with no
-/// sink attached, adds its retire counts, site tallies and fault-hook
-/// counts once for the lanes that ran: a lane that raised a DUE is
-/// counted, and no lane after it runs. Otherwise `run` is one lane, which
-/// retires, goes through every fault hook and reports every event on its
-/// own.
+/// sink attached, adds its retire counts and site counts once for the
+/// lanes that ran: a lane that raised a DUE is counted, and no lane after
+/// it runs. Otherwise `run` is one lane, which retires, goes through every
+/// fault hook and reports every event on its own; its site counts are
+/// noted after its hooks read them.
 fn step<const BULK: bool>(
     ctx: &mut Ctx<'_>,
     ins: &Instr,
@@ -2261,7 +2198,7 @@ fn step<const BULK: bool>(
     };
 
     let Dispatch { ran, passed, .. } = dispatch;
-    note_sites::<BULK>(ctx, meta, pc, passed);
+    note_sites(ctx, meta, pc, passed);
     if BULK {
         ctx.dyn_count += ran;
         account(ctx, meta, at.global, ran);

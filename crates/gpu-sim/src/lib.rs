@@ -37,7 +37,7 @@ pub use engine::{
 pub use error::SimError;
 pub use fault::{BitFlip, DueKind, FaultPlan, FetchEffect, MemQueueEffect, Persistence, SiteClass};
 pub use memory::{GlobalMemory, MemoryError, SharedMemory};
-pub use snapshot::{nearest_snapshot, trigger_position, EngineSnapshot, ExitTable, SNAPSHOT_CAP};
+pub use snapshot::{trigger_position, EngineSnapshot, ExitTable, SNAPSHOT_CAP};
 
 /// Anything the fault-injection and beam engines can exercise: a kernel
 /// with a launch configuration, a reproducible input image, and an

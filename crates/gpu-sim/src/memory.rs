@@ -287,11 +287,6 @@ impl GlobalMemory {
         self.corruption.clone_from(&from.corruption);
     }
 
-    /// Same bytes and same latent corruption as `other`.
-    pub(crate) fn same_as(&self, other: &GlobalMemory) -> bool {
-        self.corruption == other.corruption && self.data == other.data
-    }
-
     /// Sweep all remaining latent corruption through the ECC policy, as a
     /// background scrubber / end-of-kernel ECC check would. Returns `true`
     /// if any word held a double-bit error (DUE with ECC on).
@@ -321,7 +316,7 @@ impl GlobalMemory {
 
 /// Per-block shared memory (a small bounds-checked scratchpad with the same
 /// strike semantics as global memory).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SharedMemory {
     inner: GlobalMemory,
 }
@@ -360,11 +355,6 @@ impl SharedMemory {
     /// Record a strike (see [`GlobalMemory::strike_bit`]).
     pub fn strike_bit(&mut self, byte_addr: u32, bit: u32) {
         self.inner.strike_bit(byte_addr, bit);
-    }
-
-    /// Same bytes and same latent corruption as `other`.
-    pub(crate) fn same_as(&self, other: &SharedMemory) -> bool {
-        self.inner.same_as(&other.inner)
     }
 }
 

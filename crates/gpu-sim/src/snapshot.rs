@@ -7,11 +7,12 @@
 //! every thread of the resident block, the block's shared memory, global
 //! memory (including latent ECC corruption — the scrub position), the
 //! dynamic-instruction counter, the accumulated [`Counts`], and the
-//! per-site-class match tallies the fault hooks count against. Resuming
+//! per-site-class tallies the output fault hook counts against. Resuming
 //! from a snapshot ([`crate::RunOptions::resume_from`]) reproduces the
 //! from-zero execution bit-for-bit **provided the fault site does not
-//! precede the snapshot** — which [`nearest`] guarantees by selecting the
-//! latest snapshot at or before the plan's trigger point.
+//! precede the snapshot** ([`EngineSnapshot::precedes`]); the latest
+//! snapshot that qualifies is the one [`trigger_position`] places the
+//! plan after.
 //!
 //! The parity argument: before a trial's fault fires, the trial executes
 //! exactly the golden instruction stream (a single [`FaultPlan`] has no
@@ -51,17 +52,16 @@ const BASE_CLASSES: [SiteClass; 6] = [
     SiteClass::Load,
 ];
 
-/// Running populations of every fault-hook enumeration: how many
-/// guard-passing GPR-writer instructions of each [`SiteClass`] have
-/// reached the output-fault hook so far. These mirror the engine's
-/// `site_matches` counter *per class* (and per functional unit, for
-/// [`SiteClass::Unit`] plans), so a resumed trial can seed its match
-/// counter with the exact number of matches the skipped prefix consumed.
+/// Running populations of every output-hook enumeration: how many
+/// guard-passing GPR-writer instructions of each [`SiteClass`] (and of
+/// each functional unit, for [`SiteClass::Unit`] plans) a run has passed.
+/// The output hook numbers a plan's `nth` in its class's tally, so a
+/// resumed trial that starts from a snapshot's tallies numbers its sites
+/// as a run from zero does.
 ///
 /// Note this is **not** [`crate::SiteCounts`]: warp-level MMA ticks the
-/// `GprWriterNoHalf` match counter (an `FMMA` is a no-half writer) but
-/// not the `gpr_writers_no_half` population, so the tallies are counted
-/// at the fault-hook call sites themselves.
+/// `GprWriterNoHalf` tally (an `FMMA` is a no-half writer) but not the
+/// `gpr_writers_no_half` population.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct ClassTallies {
     /// Matches per positional class, indexed like `BASE_CLASSES`.
@@ -223,11 +223,12 @@ pub(crate) fn trigger_counter(
 
 /// Where `plan`'s trigger falls in a golden run that captured
 /// `snapshots` and ended with counts `fin`: how many of the snapshots
-/// precede it (so `snapshots[k - 1]` is its [`nearest_snapshot`]), and
-/// an estimate of the golden dynamic-instruction index it fires at. The
-/// estimate interpolates the plan's trigger counter between the counters
-/// of the states around it: the run's start, the snapshots, and `fin`
-/// (whose class tallies are estimated from [`Counts::population`]).
+/// precede it (so `snapshots[k - 1]` is the latest one a trial of it can
+/// resume from, and `k == 0` means none), and an estimate of the golden
+/// dynamic-instruction index it fires at. The estimate interpolates the
+/// plan's trigger counter between the counters of the states around it:
+/// the run's start, the snapshots, and `fin` (whose class tallies are
+/// estimated from [`Counts::population`]).
 /// Sorting plans by it puts plans of every family in the order a run
 /// reaches them, up to that estimate. `(0, 0)` for [`FaultPlan::None`].
 pub fn trigger_position(
@@ -252,20 +253,6 @@ pub fn trigger_position(
     }
     let frac = u128::from(trigger.clamp(c0, c1) - c0);
     (k, d0 + (frac * u128::from(d1 - d0) / u128::from(c1 - c0)) as u64)
-}
-
-/// The latest snapshot whose capture point lies at or before `plan`'s
-/// trigger — the one that skips the most prefix without skipping the
-/// fault site. `None` when the plan is golden, the list is empty, or the
-/// fault fires before the first snapshot.
-pub fn nearest_snapshot<'a>(
-    snapshots: &'a [Arc<EngineSnapshot>],
-    plan: &FaultPlan,
-) -> Option<&'a Arc<EngineSnapshot>> {
-    // Capture order is dyn-count order and every trigger counter is
-    // nondecreasing along the run, so the latest qualifying snapshot is
-    // the first match scanning backwards.
-    snapshots.iter().rev().find(|s| s.precedes(plan))
 }
 
 /// The shape a run's golden data is only valid for: kernel length, grid

@@ -7,7 +7,7 @@ use gpu_arch::{
     CmpOp, DeviceModel, KernelBuilder, LaunchConfig, MemWidth, Operand, Pred, Reg, SpecialReg,
 };
 use gpu_sim::{
-    nearest_snapshot, run, run_golden, try_run_with_sink, BitFlip, ExecStatus, FaultPlan,
+    run, run_golden, trigger_position, try_run_with_sink, BitFlip, ExecStatus, FaultPlan,
     GlobalMemory, RunOptions,
 };
 use proptest::prelude::*;
@@ -162,7 +162,8 @@ proptest! {
             }
         };
         let from_zero = run(&device, &k, &l, m.clone(), &RunOptions::trial(plan));
-        if let Some(snap) = nearest_snapshot(&golden.snapshots, &plan) {
+        let (before, _) = trigger_position(&golden.snapshots, &golden.counts, &plan);
+        if let Some(snap) = before.checked_sub(1).map(|i| &golden.snapshots[i]) {
             let resumed = try_run_with_sink(
                 &device, &k, &l, m,
                 &RunOptions::trial(plan).resume(Some(Arc::clone(snap))),

@@ -8,7 +8,7 @@ use gpu_arch::{
     CmpOp, DeviceModel, KernelBuilder, LaunchConfig, MemWidth, Operand, Pred, Reg, SpecialReg,
 };
 use gpu_sim::{
-    nearest_snapshot, run, try_run_with_sink, BitFlip, EngineSnapshot, Executed, FaultPlan,
+    run, trigger_position, try_run_with_sink, BitFlip, EngineSnapshot, Executed, FaultPlan,
     FetchEffect, GlobalMemory, MemQueueEffect, Persistence, RunOptions, SimError, SiteClass,
     SNAPSHOT_CAP,
 };
@@ -120,16 +120,23 @@ fn barrier_fixture() -> (gpu_arch::Kernel, LaunchConfig, GlobalMemory) {
     (kernel, launch, GlobalMemory::new(8))
 }
 
-/// Run `plan` from zero and resumed from its nearest snapshot; both must
-/// agree bit-for-bit.
-fn check_parity(snapshots: &[Arc<EngineSnapshot>], plan: FaultPlan) -> bool {
-    check_parity_on(fixture(), snapshots, plan)
+/// The latest of `golden`'s snapshots that precedes `plan`, as
+/// [`trigger_position`] counts them.
+fn nearest<'a>(golden: &'a Executed, plan: &FaultPlan) -> Option<&'a Arc<EngineSnapshot>> {
+    let (k, _) = trigger_position(&golden.snapshots, &golden.counts, plan);
+    k.checked_sub(1).map(|i| &golden.snapshots[i])
+}
+
+/// Run `plan` from zero and resumed from the nearest snapshot of the
+/// fixture's golden run `golden`; both must agree bit-for-bit.
+fn check_parity(golden: &Executed, plan: FaultPlan) -> bool {
+    check_parity_on(fixture(), golden, plan)
 }
 
 /// [`check_parity`] generalized over the fixture.
 fn check_parity_on(
     (kernel, launch, mem): (gpu_arch::Kernel, LaunchConfig, GlobalMemory),
-    snapshots: &[Arc<EngineSnapshot>],
+    golden: &Executed,
     plan: FaultPlan,
 ) -> bool {
     let device = DeviceModel::named("v100");
@@ -138,7 +145,7 @@ fn check_parity_on(
     // watchdog far above any legitimate total preserves parity.
     let opts = RunOptions::trial(plan).watchdog(100_000);
     let from_zero = run(&device, &kernel, &launch, mem.clone(), &opts);
-    match nearest_snapshot(snapshots, &plan) {
+    match nearest(golden, &plan) {
         Some(snap) => {
             let resumed = try_run_with_sink(
                 &device,
@@ -176,7 +183,7 @@ fn snapshot_capture_does_not_change_the_run() {
 
 #[test]
 fn resume_reproduces_every_fault_family_bit_for_bit() {
-    let (snapshots, golden) = golden_with_snapshots(150);
+    let (_, golden) = golden_with_snapshots(150);
     let mut fast_forwarded = 0u32;
     let flip = BitFlip::single(3);
     let sites = golden.counts.sites;
@@ -212,7 +219,7 @@ fn resume_reproduces_every_fault_family_bit_for_bit() {
         });
     }
     for plan in plans {
-        if check_parity(&snapshots, plan) {
+        if check_parity(&golden, plan) {
             fast_forwarded += 1;
         }
     }
@@ -246,24 +253,21 @@ fn every_snapshot_of_every_stride_resumes_exactly() {
 }
 
 #[test]
-fn nearest_snapshot_picks_the_latest_preceding() {
+fn trigger_position_picks_the_latest_preceding_snapshot() {
     let (snapshots, golden) = golden_with_snapshots(100);
     assert!(snapshots.len() >= 2);
+    let picked = |plan: FaultPlan| nearest(&golden, &plan).map(|s| s.dyn_count());
     // A timed fault between the first two capture points must select the
     // first snapshot, not a later one.
     let at = snapshots[0].dyn_count();
-    let plan = FaultPlan::Pc { at, flip: BitFlip::single(0) };
-    let picked = nearest_snapshot(&snapshots, &plan).expect("found");
-    assert_eq!(picked.dyn_count(), snapshots[0].dyn_count());
+    assert_eq!(picked(FaultPlan::Pc { at, flip: BitFlip::single(0) }), Some(at));
     // A fault before the first snapshot has no resume point.
-    let early = FaultPlan::Pc { at: at - 1, flip: BitFlip::single(0) };
-    assert!(nearest_snapshot(&snapshots, &early).is_none());
+    assert_eq!(picked(FaultPlan::Pc { at: at - 1, flip: BitFlip::single(0) }), None);
     // A fault after everything selects the last snapshot.
     let late = FaultPlan::Pc { at: golden.counts.total, flip: BitFlip::single(0) };
-    let picked = nearest_snapshot(&snapshots, &late).expect("found");
-    assert_eq!(picked.dyn_count(), snapshots.last().unwrap().dyn_count());
+    assert_eq!(picked(late), Some(snapshots.last().unwrap().dyn_count()));
     // Golden plans never fast-forward.
-    assert!(nearest_snapshot(&snapshots, &FaultPlan::None).is_none());
+    assert_eq!(picked(FaultPlan::None), None);
 }
 
 #[test]
@@ -307,7 +311,7 @@ fn hidden_faults_resume_bit_identical() {
     // Every hidden-resource plan family, both persistence modes, with a
     // trigger in the run's second half so a snapshot precedes it: the
     // fast-forwarded trial must reproduce the from-zero one exactly.
-    let (snapshots, golden) = golden_with_snapshots(150);
+    let (_, golden) = golden_with_snapshots(150);
     let mid = golden.counts.total / 2;
     let memq_nth = golden.counts.sites.mem_ops * 3 / 4;
     let flip = BitFlip::single(1);
@@ -328,7 +332,7 @@ fn hidden_faults_resume_bit_identical() {
             },
         ];
         for plan in plans {
-            if check_parity(&snapshots, plan) {
+            if check_parity(&golden, plan) {
                 fast_forwarded += 1;
             }
         }
@@ -346,7 +350,7 @@ fn hidden_faults_resume_bit_identical() {
     for persist in [Persistence::Transient, Persistence::StuckAt] {
         for phantom in [false, true] {
             let plan = FaultPlan::BarrierCounter { at: bar_mid, phantom, persist };
-            if check_parity_on(barrier_fixture(), &bar_golden.snapshots, plan) {
+            if check_parity_on(barrier_fixture(), &bar_golden, plan) {
                 bar_forwarded += 1;
             }
         }
@@ -356,7 +360,7 @@ fn hidden_faults_resume_bit_identical() {
 
 /// Shared scaffolding for the per-variant resume-conflict tests: a plan
 /// whose trigger precedes the snapshot's capture point must never
-/// fast-forward — `nearest_snapshot` refuses the snapshot and a forced
+/// fast-forward — `precedes` refuses the snapshot and a forced
 /// resume hard-errors as [`SimError::ResumeConflict`]. Hidden-resource
 /// corruption (especially stuck-at) perturbs all state from its trigger
 /// on, so skipping past it would silently drop the fault.
@@ -366,10 +370,7 @@ fn assert_conflict(plan: FaultPlan) {
     let (snapshots, _) = golden_with_snapshots(200);
     let snap = Arc::clone(snapshots.last().unwrap());
     assert!(snap.dyn_count() > 0);
-    assert!(
-        nearest_snapshot(&[Arc::clone(&snap)], &plan).is_none(),
-        "nearest_snapshot accepted a snapshot past the trigger of {plan:?}"
-    );
+    assert!(!snap.precedes(&plan), "precedes accepted a snapshot past the trigger of {plan:?}");
     assert!(
         matches!(
             try_run_with_sink(

@@ -354,7 +354,7 @@ struct PruneState {
     analysis: Arc<sass_analysis::KernelAnalysis>,
     /// Per site class in the mode rotation: the golden dynamic site
     /// stream filtered to that class, mirroring the engine's in-order
-    /// `site_matches` numbering.
+    /// numbering of that class's sites (its class tallies).
     class_streams: Vec<(SiteClass, Vec<u32>)>,
     /// Per linear block: `[start, end)` dynamic-index residency window.
     block_windows: Vec<(u64, u64)>,
