@@ -235,6 +235,34 @@ fn exit_telemetry_identical_at_any_worker_count() {
     assert_eq!(skipped.count, block + rejoin);
 }
 
+/// The scheduler-round histogram is a pure function of the trials and
+/// the budget, like the fast-forward telemetry it depends on: identical
+/// at 1 and 4 workers, one sample per executed trial, and never more
+/// rounds than the instructions the trials retired. QUICKSORT's hung
+/// trials run on one lone lane, about one instruction a round.
+#[test]
+fn engine_rounds_identical_at_any_worker_count() {
+    let w = build(Benchmark::Quicksort, Precision::Int32, CodeGen::Cuda10, Scale::Small);
+    let device = DeviceModel::named("k40c-sim");
+    let observe = |workers| {
+        let metrics = MetricsRegistry::new();
+        let (_, run) = Campaign::new(Avf::new(Injector::NvBitFi), &w, &device)
+            .budget(Budget::fixed(128).seed(2021))
+            .workers(workers)
+            .observer(CampaignObserver::with_metrics(&metrics))
+            .run_full()
+            .expect("rounds campaign failed");
+        let snap = metrics.snapshot();
+        let hist = |name: &str| snap.histograms.get(name).cloned().expect(name);
+        (run.executed.total(), hist("campaign.engine.rounds"), hist("campaign.trial_dyn_instrs"))
+    };
+    let serial = observe(1);
+    assert_eq!(serial, observe(4), "round telemetry differs between 1 and 4 workers");
+    let (executed, rounds, dyn_instrs) = serial;
+    assert_eq!(rounds.count, executed, "every executed trial counts once");
+    assert!(rounds.sum > 0 && rounds.sum <= dyn_instrs.sum, "{rounds:?} vs {dyn_instrs:?}");
+}
+
 /// The fast-forward telemetry is a pure function of the trials and the
 /// budget: batches never depend on the worker count, so the relay
 /// counter, the snapshot hits and misses and the fast-forwarded

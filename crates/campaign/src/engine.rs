@@ -611,6 +611,10 @@ struct TrialRecord {
     /// The faulty run's `counts.total`, fast-forwarded prefix and
     /// exit-skipped instructions included (0 when not executed).
     dyn_instrs: u64,
+    /// Scheduler rounds the faulty run executed ([`Executed::rounds`];
+    /// 0 when not executed). Telemetry only: it depends on where the run
+    /// resumed and exited, so the digest leaves it out.
+    rounds: u64,
     /// Dynamic instructions skipped by resuming from a golden snapshot
     /// or a relayed state (never at instruction zero); `None` when the
     /// trial replayed from zero.
@@ -648,6 +652,7 @@ impl TrialRecord {
             retried: false,
             relayed: false,
             dyn_instrs: 0,
+            rounds: 0,
             fast_forwarded: None,
             exit: None,
             start_us: 0,
@@ -804,7 +809,11 @@ impl Telemetry<'_> {
     ) -> Tally {
         let CampaignObserver { metrics, progress, spans } = self.observer;
         let hists = metrics.map(|m| {
-            (m.histogram("campaign.trial_micros"), m.histogram("campaign.trial_dyn_instrs"))
+            (
+                m.histogram("campaign.trial_micros"),
+                m.histogram("campaign.trial_dyn_instrs"),
+                m.histogram("campaign.engine.rounds"),
+            )
         });
         let snap = metrics.filter(|_| self.ff).map(|m| {
             (
@@ -830,10 +839,11 @@ impl Telemetry<'_> {
             if let Some(h) = digest.as_mut() {
                 *h = digest_record(*h, &rec);
             }
-            if let Some((micros, dyn_instrs)) = &hists {
+            if let Some((micros, dyn_instrs, rounds)) = &hists {
                 micros.observe(u64::from(rec.micros));
                 if rec.executed {
                     dyn_instrs.observe(rec.dyn_instrs);
+                    rounds.observe(rec.rounds);
                 }
             }
             if let Some((hit, miss, relay, skipped)) = snap.as_ref().filter(|_| rec.executed) {
@@ -998,6 +1008,7 @@ struct Ran {
     outcome: Outcome,
     due: Option<DueKind>,
     dyn_instrs: u64,
+    rounds: u64,
     exit: Option<BlockExit>,
     handoff: Option<Arc<EngineSnapshot>>,
 }
@@ -1161,6 +1172,7 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
                 rec.outcome = ran.outcome;
                 rec.due = ran.due;
                 rec.dyn_instrs = ran.dyn_instrs;
+                rec.rounds = ran.rounds;
                 rec.fast_forwarded = fast_forwarded;
                 rec.exit = ran.exit;
                 ran.handoff
@@ -1229,6 +1241,7 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
             outcome,
             due,
             dyn_instrs: faulty.counts.total,
+            rounds: faulty.rounds,
             exit: faulty.exit,
             handoff: faulty.handoff,
         }

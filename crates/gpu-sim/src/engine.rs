@@ -359,6 +359,14 @@ pub struct Executed {
     pub memory: GlobalMemory,
     /// Dynamic instruction statistics.
     pub counts: Counts,
+    /// Scheduler rounds this run executed: rounds in which some warp of
+    /// the resident block had a running lane, counted from where the run
+    /// started (a resumed run does not count the snapshot's prefix, and
+    /// an early exit does not count the skipped rest). A lone warp that
+    /// takes several turns back to back takes one round per turn, so the
+    /// instructions the run executed divided by this is the mean a round
+    /// retired.
+    pub rounds: u64,
     /// Analytic timing (cycles, IPC, achieved occupancy, wall time).
     pub timing: TimingReport,
     /// Whether the fault plan's trigger point was actually reached.
@@ -527,6 +535,8 @@ struct Ctx<'a> {
     global: GlobalMemory,
     counts: Counts,
     dyn_count: u64,
+    /// Scheduler rounds run so far (see [`Executed::rounds`]).
+    rounds: u64,
     /// Guard-passing sites per class so far, which the output hook counts
     /// its `nth` in; the memory and predicate hooks count theirs in
     /// `counts.sites`.
@@ -557,6 +567,18 @@ struct Rejoin<'a> {
     next: usize,
     /// The thread that differed at the last comparison, tried first.
     last_diff: usize,
+}
+
+impl<'a> Rejoin<'a> {
+    /// The golden snapshot taken at `here` (block and dynamic count), if
+    /// there is one, moving the cursor past every one before it.
+    fn snapshot_at(&mut self, here: (u32, u64)) -> Option<&'a EngineSnapshot> {
+        let snaps = &self.golden.snapshots;
+        while snaps.get(self.next).is_some_and(|s| (s.block, s.dyn_count) < here) {
+            self.next += 1;
+        }
+        snaps.get(self.next).map(|s| &**s).filter(|s| (s.block, s.dyn_count) == here)
+    }
 }
 
 /// Execute `kernel` on `device` with the given launch, memory image and
@@ -702,6 +724,7 @@ pub fn try_run_with_sink<'a>(
             ..Counts::default()
         },
         dyn_count: 0,
+        rounds: 0,
         tallies: ClassTallies::default(),
         fault_triggered: false,
         hidden_fired: false,
@@ -805,6 +828,7 @@ pub fn try_run_with_sink<'a>(
         status,
         memory: ctx.global,
         counts: ctx.counts,
+        rounds: ctx.rounds,
         timing,
         fault_triggered: ctx.fault_triggered,
         sites_record: ctx.record,
@@ -894,13 +918,9 @@ fn rejoin_here(
     threads: &[Thread],
     shared: &SharedMemory,
 ) -> Option<BlockExit> {
-    let here = (block, ctx.dyn_count);
     let rj = ctx.rejoin.as_mut()?;
     let (golden, table) = (rj.golden, rj.table);
-    while golden.snapshots.get(rj.next).is_some_and(|s| (s.block, s.dyn_count) < here) {
-        rj.next += 1;
-    }
-    let snap = golden.snapshots.get(rj.next).filter(|s| (s.block, s.dyn_count) == here)?;
+    let snap = rj.snapshot_at((block, ctx.dyn_count))?;
     if *shared != snap.shared || ctx.global != snap.global {
         return None;
     }
@@ -976,15 +996,24 @@ fn snapshot_here(
 /// taken there, before the hidden round tick, like a golden capture; a
 /// state no further on than where the run started is not handed off.
 #[inline(never)]
-fn hand_off(ctx: &mut Ctx<'_>, block_linear: u32, threads: &[Thread], shared: &SharedMemory) {
+fn hand_off(
+    ctx: &mut Ctx<'_>,
+    block_linear: u32,
+    threads: &[Thread],
+    shared: &SharedMemory,
+    running_lanes: u64,
+) {
     // How many more ticks the trigger counter needs; `None` when the plan
     // has no trigger or is already past it, and nothing is handed off.
-    let gap = trigger_counter(&ctx.opts.fault, &ctx.tallies, &ctx.counts.sites, ctx.dyn_count)
-        .and_then(|(counter, trigger)| trigger.checked_sub(counter));
+    let gap = trigger_counter(
+        &ctx.opts.fault,
+        |c| ctx.tallies.class_matches(c),
+        &ctx.counts.sites,
+        ctx.dyn_count,
+    )
+    .and_then(|(counter, trigger)| trigger.checked_sub(counter));
     if let Some(gap) = gap {
-        if gap >= threads.len() as u64
-            || gap >= threads.iter().filter(|t| t.state == TState::Running).count() as u64
-        {
+        if gap >= running_lanes {
             return;
         }
     }
@@ -1003,9 +1032,6 @@ fn run_block(
     block_linear: u32,
     init: Option<&EngineSnapshot>,
 ) -> Result<Option<BlockExit>, DueKind> {
-    // Copy the kernel reference out of `ctx` so instruction borrows are
-    // independent of the `&mut ctx` passed to the executors.
-    let kernel = ctx.kernel;
     let block = ctx.launch.block;
     let nthreads = block.count() as usize;
     let (mut shared, mut threads): (SharedMemory, Vec<Thread>) = match init {
@@ -1037,6 +1063,7 @@ fn run_block(
 
     let nwarps = nthreads.div_ceil(WARP_SIZE as usize);
     let warps_per_block = ctx.launch.warps_per_block() as usize;
+    let mut running = Running::new(&threads, nwarps);
     // A fetch fault rewrites one lane's pc just before that lane fetches,
     // so under a fetch plan every lane issues on its own.
     let lane_fetch = matches!(ctx.opts.fault, FaultPlan::Fetch { .. });
@@ -1045,7 +1072,7 @@ fn run_block(
         if ctx.cap.as_ref().is_some_and(|cap| ctx.dyn_count >= cap.next_due) {
             capture_snapshot(ctx, block_linear, &threads, &shared);
         } else if ctx.handoff_from.is_some() {
-            hand_off(ctx, block_linear, &threads, &shared);
+            hand_off(ctx, block_linear, &threads, &shared, running.lanes());
         }
         if ctx.fault_triggered {
             if let Some(rejoined) = rejoin_here(ctx, block_linear, &threads, &shared) {
@@ -1055,25 +1082,18 @@ fn run_block(
         // Hidden scheduler/mask faults fire at round boundaries — which
         // snapshot capture points also are, so from-zero and resumed
         // executions fire at the same instant.
-        let round = hidden_round_tick(ctx, &mut threads, nwarps);
+        let round = hidden_round_tick(ctx, &mut threads, &mut running);
+        if running.live == 0 {
+            return Ok(None);
+        }
+        ctx.rounds += 1;
         let mut progress = false;
-        let mut all_done = true;
         let mut starved = false;
 
         for w in 0..nwarps {
-            let lo = w * WARP_SIZE as usize;
-            let hi = (lo + WARP_SIZE as usize).min(nthreads);
-            // Bit `i` stands for lane `lo + i`. Only a lane's own step
-            // changes its pc or state during the warp's turn, so the lanes
-            // still pending keep the pc they had when the turn began.
-            let mut pending = threads[lo..hi]
-                .iter()
-                .enumerate()
-                .fold(0u32, |m, (i, t)| m | ((t.state == TState::Running) as u32) << i);
-            if pending == 0 {
+            if running.masks[w] == 0 {
                 continue;
             }
-            all_done = false;
             if round.skip == Some(w) {
                 // The scheduler passes this warp over. A transient
                 // priority glitch still counts as scheduler progress (the
@@ -1094,75 +1114,22 @@ fn run_block(
                 in_block: w as u32,
                 global: block_linear as usize * warps_per_block + w,
             };
-            while pending != 0 {
-                let first = lo + pending.trailing_zeros() as usize;
-                if lane_fetch {
-                    hidden_fetch_fault(ctx, &mut threads, first)?;
-                }
-                let pc = threads[first].pc;
-                // The run: the pending lanes from `first` on, up to the
-                // first one at another pc.
-                let mut run = 0u32;
-                while pending != 0 && threads[lo + pending.trailing_zeros() as usize].pc == pc {
-                    run |= pending & pending.wrapping_neg();
-                    pending &= pending - 1;
-                    if lane_fetch {
-                        break;
-                    }
-                }
-                if pc as usize >= kernel.instrs.len() {
-                    return Err(DueKind::IllegalPc);
-                }
-                let ins = &kernel.instrs[pc as usize];
-                let meta = &metas[pc as usize];
-
-                if meta.is_warp_sync {
-                    // Warp-synchronous: issues once every lane of the warp
-                    // is running at this pc. A run over the whole warp is
-                    // that; otherwise lanes that stepped earlier in this
-                    // turn may just have arrived, so look at the warp.
-                    let whole_warp = run == u32::MAX >> (WARP_SIZE as usize - (hi - lo));
-                    if !whole_warp && !warp_converged_at(&threads[lo..hi], pc)? {
-                        continue; // the other lanes will catch up
-                    }
-                    // One warp instruction: account it once, on the owning
-                    // warp's slot; its destination write is one site,
-                    // noted after its output hook has read the count.
-                    retire(ctx, meta, at.global, u32::MAX, pc)?;
-                    let warp = &mut threads[lo..hi];
-                    if meta.is_mma {
-                        exec_mma(ctx, meta, warp, ins);
-                    } else {
-                        exec_shfl(ctx, meta, warp, ins);
-                    }
-                    note_gpr_site(ctx, meta, pc, 1);
-                    for t in warp.iter_mut() {
-                        t.pc = pc + 1;
-                    }
-                    progress = true;
-                    // The whole warp advanced; move to the next warp.
+            loop {
+                let retired =
+                    turn(ctx, metas, &mut threads, &mut shared, &mut running, at, lane_fetch)?;
+                progress |= retired;
+                // A lone warp whose turn retired an instruction takes its
+                // turn in the next round at once: the rest of this round
+                // skips every other warp and releases no barrier, and the
+                // next round's top does nothing unless a round-top event
+                // is due (DESIGN.md §16, "Straggler rounds").
+                let lone = retired && running.live == 1 && running.masks[w] != 0;
+                if !lone || !round_top_idle(ctx, block_linear) {
                     break;
                 }
-
-                // Execute the run in lane order: in bulk when no fault
-                // hook can fire inside it and no sink watches, else lane
-                // by lane, each lane on its own through the same body.
-                if ctx.sink.is_none() && quiet(ctx, meta, run.count_ones() as u64) {
-                    step::<true>(ctx, ins, meta, &mut threads, run, at, &mut shared)?;
-                } else {
-                    let mut lanes = run;
-                    while lanes != 0 {
-                        let lane = lanes & lanes.wrapping_neg();
-                        lanes &= lanes - 1;
-                        step::<false>(ctx, ins, meta, &mut threads, lane, at, &mut shared)?;
-                    }
-                }
-                progress = true;
+                ctx.rounds += 1;
+                progress = false; // the next round's, so far
             }
-        }
-
-        if all_done {
-            return Ok(None);
         }
 
         // Barrier-counter corruption: armed from the trigger instant on;
@@ -1178,19 +1145,15 @@ fn run_block(
             _ => None,
         };
 
-        // Barrier release: every live thread waiting.
-        let live_waiting = threads
-            .iter()
-            .filter(|t| t.state != TState::Exited)
-            .all(|t| t.state == TState::AtBarrier);
-        if live_waiting {
+        // Barrier release: no lane running, so every live thread waits.
+        if running.live == 0 {
             if barrier_fault == Some(false) {
                 // Lost arrival: the counter is short one and never
                 // reaches zero — the barrier hangs.
                 hidden_fault_fired(ctx, ctx.dyn_count, 0);
                 return Err(DueKind::BarrierDeadlock);
             }
-            release_barrier(ctx, &mut threads, block_linear);
+            release_barrier(ctx, &mut threads, &mut running, block_linear);
             progress = true;
         } else if barrier_fault == Some(true)
             && threads.iter().any(|t| t.state == TState::AtBarrier)
@@ -1200,7 +1163,7 @@ fn run_block(
             // their way (they will gather at the barrier again and the
             // regular release picks them up — skewed, not hung).
             hidden_fault_fired(ctx, ctx.dyn_count, 1);
-            release_barrier(ctx, &mut threads, block_linear);
+            release_barrier(ctx, &mut threads, &mut running, block_linear);
             progress = true;
         }
 
@@ -1210,16 +1173,189 @@ fn run_block(
     }
 }
 
+/// The running lanes of each warp of the resident block, so a round
+/// visits only the warps that have work: bit `i` of `masks[w]` stands for
+/// thread `w * WARP_SIZE + i`, and `live` counts the warps with a lane
+/// set. A lane's scheduler state changes only in its warp's turn (`BAR`,
+/// `EXIT`), at a barrier release and at a hidden active-mask flip, and
+/// each of those refolds the warps it touched.
+struct Running {
+    masks: Vec<u32>,
+    live: usize,
+}
+
+impl Running {
+    fn new(threads: &[Thread], nwarps: usize) -> Running {
+        let mut running = Running { masks: vec![0; nwarps], live: 0 };
+        for w in 0..nwarps {
+            running.refold(threads, w);
+        }
+        running
+    }
+
+    /// Read warp `w`'s running lanes off its threads again.
+    fn refold(&mut self, threads: &[Thread], w: usize) {
+        let lo = w * WARP_SIZE as usize;
+        let hi = (lo + WARP_SIZE as usize).min(threads.len());
+        let mask = threads[lo..hi]
+            .iter()
+            .enumerate()
+            .fold(0u32, |m, (i, t)| m | ((t.state == TState::Running) as u32) << i);
+        self.live = self.live + usize::from(mask != 0) - usize::from(self.masks[w] != 0);
+        self.masks[w] = mask;
+    }
+
+    /// How many lanes of the block are running.
+    fn lanes(&self) -> u64 {
+        self.masks.iter().map(|m| u64::from(m.count_ones())).sum()
+    }
+}
+
+/// Give warp `at.in_block` one turn: step each lane that was running when
+/// the turn began once, in lane order, a run of consecutive lanes at one
+/// pc at a time, then refold the warp's running lanes if one of them may
+/// have arrived at the barrier or exited. Returns whether an instruction
+/// retired: a warp-synchronous op whose lanes have not all arrived
+/// retires none.
+fn turn(
+    ctx: &mut Ctx<'_>,
+    metas: &[InstrMeta],
+    threads: &mut [Thread],
+    shared: &mut SharedMemory,
+    running: &mut Running,
+    at: WarpPos,
+    lane_fetch: bool,
+) -> Result<bool, DueKind> {
+    // Copy the kernel reference out of `ctx` so instruction borrows are
+    // independent of the `&mut ctx` passed to the executors.
+    let kernel = ctx.kernel;
+    let w = at.in_block as usize;
+    let lo = w * WARP_SIZE as usize;
+    let hi = (lo + WARP_SIZE as usize).min(threads.len());
+    // Bit `i` stands for lane `lo + i`. Only a lane's own step changes its
+    // pc or state during the warp's turn, so the lanes still pending keep
+    // the pc they had when the turn began.
+    let mut pending = running.masks[w];
+    let mut retired = false;
+    let mut parked = false;
+    while pending != 0 {
+        let first = lo + pending.trailing_zeros() as usize;
+        if lane_fetch {
+            hidden_fetch_fault(ctx, threads, first)?;
+        }
+        let pc = threads[first].pc;
+        // The run: the pending lanes from `first` on, up to the first one
+        // at another pc.
+        let mut run = 0u32;
+        while pending != 0 && threads[lo + pending.trailing_zeros() as usize].pc == pc {
+            run |= pending & pending.wrapping_neg();
+            pending &= pending - 1;
+            if lane_fetch {
+                break;
+            }
+        }
+        if pc as usize >= kernel.instrs.len() {
+            return Err(DueKind::IllegalPc);
+        }
+        let ins = &kernel.instrs[pc as usize];
+        let meta = &metas[pc as usize];
+
+        if meta.is_warp_sync {
+            // Warp-synchronous: issues once every lane of the warp is
+            // running at this pc. A run over the whole warp is that;
+            // otherwise lanes that stepped earlier in this turn may just
+            // have arrived, so look at the warp.
+            let whole_warp = run == u32::MAX >> (WARP_SIZE as usize - (hi - lo));
+            if !whole_warp && !warp_converged_at(&threads[lo..hi], pc)? {
+                continue; // the other lanes will catch up
+            }
+            // One warp instruction: account it once, on the owning warp's
+            // slot; its destination write is one site, noted after its
+            // output hook has read the count.
+            retire(ctx, meta, at.global, u32::MAX, pc)?;
+            let warp = &mut threads[lo..hi];
+            if meta.is_mma {
+                exec_mma(ctx, meta, warp, ins);
+            } else {
+                exec_shfl(ctx, meta, warp, ins);
+            }
+            note_gpr_site(ctx, meta, pc, 1);
+            for t in warp.iter_mut() {
+                t.pc = pc + 1;
+            }
+            // The whole warp advanced: its turn is over.
+            retired = true;
+            break;
+        }
+
+        // Execute the run in lane order: in bulk when no fault hook can
+        // fire inside it and no sink watches, else lane by lane, each
+        // lane on its own through the same body.
+        if ctx.sink.is_none() && quiet(ctx, meta, run.count_ones() as u64) {
+            step::<true>(ctx, ins, meta, threads, run, at, shared)?;
+        } else {
+            let mut lanes = run;
+            while lanes != 0 {
+                let lane = lanes & lanes.wrapping_neg();
+                lanes &= lanes - 1;
+                step::<false>(ctx, ins, meta, threads, lane, at, shared)?;
+            }
+        }
+        parked |= matches!(meta.op, Op::Bar | Op::Exit);
+        retired = true;
+    }
+    if parked {
+        running.refold(threads, w);
+    }
+    Ok(retired)
+}
+
+/// Whether the scheduler round top at the current dynamic count has
+/// nothing to do but start the round, so a lone warp may take its next
+/// turn at once: no snapshot capture is due, no hand-off is pending, no
+/// golden snapshot the trial could rejoin sits here, and no hidden
+/// scheduler, mask or barrier plan acts here (from its `at` on, until a
+/// transient one has fired).
+#[inline]
+fn round_top_idle(ctx: &mut Ctx<'_>, block: u32) -> bool {
+    if ctx.cap.as_ref().is_some_and(|cap| ctx.dyn_count >= cap.next_due)
+        || ctx.handoff_from.is_some()
+    {
+        return false;
+    }
+    let hidden = match ctx.opts.fault {
+        FaultPlan::SchedulerNextPc { at, persist, .. }
+        | FaultPlan::SchedulerPriority { at, persist, .. }
+        | FaultPlan::ActiveMask { at, persist, .. }
+        | FaultPlan::BarrierCounter { at, persist, .. } => {
+            ctx.dyn_count >= at && !(persist == Persistence::Transient && ctx.hidden_fired)
+        }
+        _ => false,
+    };
+    if hidden {
+        return false;
+    }
+    let here = (block, ctx.dyn_count);
+    !(ctx.fault_triggered && ctx.rejoin.as_mut().is_some_and(|rj| rj.snapshot_at(here).is_some()))
+}
+
 /// Release every lane waiting at the block barrier, reporting the release
 /// when any lane was waiting.
-fn release_barrier(ctx: &mut Ctx<'_>, threads: &mut [Thread], block_linear: u32) {
+fn release_barrier(
+    ctx: &mut Ctx<'_>,
+    threads: &mut [Thread],
+    running: &mut Running,
+    block_linear: u32,
+) {
     let mut released: u32 = 0;
-    for t in threads.iter_mut() {
+    for (i, t) in threads.iter_mut().enumerate() {
         if t.state == TState::AtBarrier {
             t.state = TState::Running;
+            running.masks[i / WARP_SIZE as usize] |= 1 << (i % WARP_SIZE as usize);
             released += 1;
         }
     }
+    running.live = running.masks.iter().filter(|&&m| m != 0).count();
     if released > 0 {
         emit!(
             ctx,
@@ -1337,8 +1473,13 @@ struct RoundHidden {
 /// capture points are themselves round boundaries and resumed runs replay
 /// rounds identically past them, so from-zero and fast-forwarded trials
 /// fire at the same instant.
-fn hidden_round_tick(ctx: &mut Ctx<'_>, threads: &mut [Thread], nwarps: usize) -> RoundHidden {
+fn hidden_round_tick(
+    ctx: &mut Ctx<'_>,
+    threads: &mut [Thread],
+    running: &mut Running,
+) -> RoundHidden {
     let nthreads = threads.len();
+    let nwarps = running.masks.len();
     let warp_span = |warp: u32| {
         let w = warp as usize % nwarps.max(1);
         let lo = w * WARP_SIZE as usize;
@@ -1380,7 +1521,7 @@ fn hidden_round_tick(ctx: &mut Ctx<'_>, threads: &mut [Thread], nwarps: usize) -
         }
         FaultPlan::ActiveMask { at, warp, flip, persist } if ctx.dyn_count >= at => {
             let first = hidden_fault_fired(ctx, ctx.dyn_count, flip.mask);
-            let (_, lo, hi) = warp_span(warp);
+            let (w, lo, hi) = warp_span(warp);
             let apply = match persist {
                 Persistence::Transient => first,
                 Persistence::StuckAt => true,
@@ -1399,6 +1540,7 @@ fn hidden_round_tick(ctx: &mut Ctx<'_>, threads: &mut [Thread], nwarps: usize) -
                         (Persistence::Transient, _) => TState::Exited,
                     };
                 }
+                running.refold(threads, w);
             }
             RoundHidden::default()
         }

@@ -31,6 +31,7 @@ use crate::engine::{Counts, SiteCounts, ThreadState};
 use crate::fault::FaultPlan;
 use crate::memory::{GlobalMemory, SharedMemory};
 use gpu_arch::decode::RegLiveness;
+use gpu_arch::decode::{FP32_ARITH_UNITS, FP64_ARITH_UNITS, HALF_ARITH_UNITS, INT_ARITH_UNITS};
 use gpu_arch::{DecodedKernel, FunctionalUnit, InstrMeta, Kernel, LaunchConfig, SiteClass};
 use std::fmt;
 use std::sync::Arc;
@@ -41,17 +42,6 @@ use std::sync::Arc;
 /// spacing degrades gracefully (geometric, not cliff-edge).
 pub const SNAPSHOT_CAP: usize = 32;
 
-/// The injectable site classes with positional (`nth`-indexed) fault
-/// plans, in the order [`ClassTallies::base`] is indexed.
-const BASE_CLASSES: [SiteClass; 6] = [
-    SiteClass::GprWriter,
-    SiteClass::GprWriterNoHalf,
-    SiteClass::FloatArith,
-    SiteClass::HalfArith,
-    SiteClass::IntArith,
-    SiteClass::Load,
-];
-
 /// Running populations of every output-hook enumeration: how many
 /// guard-passing GPR-writer instructions of each [`SiteClass`] (and of
 /// each functional unit, for [`SiteClass::Unit`] plans) a run has passed.
@@ -59,16 +49,24 @@ const BASE_CLASSES: [SiteClass; 6] = [
 /// resumed trial that starts from a snapshot's tallies numbers its sites
 /// as a run from zero does.
 ///
+/// Only the per-unit writers and the two classes that cut across units
+/// are ticked. Every noted instruction writes a GPR, so the GprWriter
+/// tally is the sum over units, and the float, half and integer
+/// arithmetic classes are sums over their unit groups (the
+/// correspondence `gpu_arch::decode` checks over every op).
+///
 /// Note this is **not** [`crate::SiteCounts`]: warp-level MMA ticks the
 /// `GprWriterNoHalf` tally (an `FMMA` is a no-half writer) but not the
 /// `gpr_writers_no_half` population.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct ClassTallies {
-    /// Matches per positional class, indexed like `BASE_CLASSES`.
-    pub(crate) base: [u64; 6],
+    /// [`SiteClass::GprWriterNoHalf`] matches.
+    no_half: u64,
+    /// [`SiteClass::Load`] matches.
+    loads: u64,
     /// Guard-passing GPR writers per functional unit (the
     /// [`SiteClass::Unit`] populations).
-    pub(crate) unit_writers: [u64; FunctionalUnit::COUNT],
+    unit_writers: [u64; FunctionalUnit::COUNT],
 }
 
 impl ClassTallies {
@@ -76,32 +74,25 @@ impl ClassTallies {
     /// output-fault hook.
     #[inline]
     pub(crate) fn note(&mut self, meta: &InstrMeta, n: u64) {
-        for (slot, class) in self.base.iter_mut().zip(BASE_CLASSES) {
-            if meta.in_class(class) {
-                *slot += n;
-            }
-        }
         self.unit_writers[meta.unit_index as usize] += n;
-    }
-
-    /// The tallies a run with final counts `fin` ends with, estimated
-    /// from its site populations ([`Counts::population`]).
-    fn estimated(fin: &Counts) -> ClassTallies {
-        ClassTallies {
-            base: BASE_CLASSES.map(|class| fin.population(class)),
-            unit_writers: fin.per_unit,
+        if meta.in_class(SiteClass::GprWriterNoHalf) {
+            self.no_half += n;
+        }
+        if meta.is_load() {
+            self.loads += n;
         }
     }
 
     /// Matches of `site` consumed so far.
     pub(crate) fn class_matches(&self, site: SiteClass) -> u64 {
+        let units = |us: &[FunctionalUnit]| us.iter().map(|u| self.unit_writers[u.index()]).sum();
         match site {
-            SiteClass::GprWriter => self.base[0],
-            SiteClass::GprWriterNoHalf => self.base[1],
-            SiteClass::FloatArith => self.base[2],
-            SiteClass::HalfArith => self.base[3],
-            SiteClass::IntArith => self.base[4],
-            SiteClass::Load => self.base[5],
+            SiteClass::GprWriter => self.unit_writers.iter().sum(),
+            SiteClass::GprWriterNoHalf => self.no_half,
+            SiteClass::FloatArith => units(&FP32_ARITH_UNITS) + units(&FP64_ARITH_UNITS),
+            SiteClass::HalfArith => units(&HALF_ARITH_UNITS),
+            SiteClass::IntArith => units(&INT_ARITH_UNITS),
+            SiteClass::Load => self.loads,
             SiteClass::Unit(u) => self.unit_writers[u.index()],
         }
     }
@@ -170,7 +161,7 @@ impl EngineSnapshot {
 
     /// [`trigger_counter`] read off this snapshot.
     fn trigger_counter(&self, plan: &FaultPlan) -> Option<(u64, u64)> {
-        trigger_counter(plan, &self.tallies, &self.counts.sites, self.dyn_count)
+        trigger_counter(plan, |c| self.tallies.class_matches(c), &self.counts.sites, self.dyn_count)
     }
 
     /// Approximate in-memory footprint in bytes (dominated by the memory
@@ -192,21 +183,21 @@ impl EngineSnapshot {
 }
 
 /// The counter `plan`'s trigger is numbered in, read off a state with
-/// class tallies `tallies`, site counts `sites` and dynamic count
+/// class matches `class_matches`, site counts `sites` and dynamic count
 /// `dyn_count`, and the trigger's value in it: positional plans
 /// (`nth`-indexed) count class matches, memory ops or `SETP`s, timed
 /// plans (`at`-indexed) the dynamic counter. `None` for
 /// [`FaultPlan::None`], which has no trigger.
 pub(crate) fn trigger_counter(
     plan: &FaultPlan,
-    tallies: &ClassTallies,
+    class_matches: impl FnOnce(SiteClass) -> u64,
     sites: &SiteCounts,
     dyn_count: u64,
 ) -> Option<(u64, u64)> {
     Some(match *plan {
         FaultPlan::None => return None,
         FaultPlan::InstructionOutput { nth, site, .. }
-        | FaultPlan::InstructionOutputSet { nth, site, .. } => (tallies.class_matches(site), nth),
+        | FaultPlan::InstructionOutputSet { nth, site, .. } => (class_matches(site), nth),
         FaultPlan::MemAddress { nth, .. } | FaultPlan::MemQueue { nth, .. } => (sites.mem_ops, nth),
         FaultPlan::PredicateOutput { nth } => (sites.setp, nth),
         FaultPlan::Pc { at, .. }
@@ -237,14 +228,13 @@ pub fn trigger_position(
     plan: &FaultPlan,
 ) -> (usize, u64) {
     let k = snapshots.iter().rposition(|s| s.precedes(plan)).map_or(0, |i| i + 1);
-    let zero = ClassTallies::default();
     let start = match k {
-        0 => trigger_counter(plan, &zero, &SiteCounts::default(), 0).map(|c| (c, 0)),
+        0 => trigger_counter(plan, |_| 0, &SiteCounts::default(), 0).map(|c| (c, 0)),
         _ => snapshots[k - 1].trigger_counter(plan).map(|c| (c, snapshots[k - 1].dyn_count)),
     };
     let end = match snapshots.get(k) {
         Some(s) => s.trigger_counter(plan).map(|c| (c, s.dyn_count)),
-        None => trigger_counter(plan, &ClassTallies::estimated(fin), &fin.sites, fin.total)
+        None => trigger_counter(plan, |c| fin.population(c), &fin.sites, fin.total)
             .map(|c| (c, fin.total)),
     };
     let (Some(((c0, trigger), d0)), Some(((c1, _), d1))) = (start, end) else { return (0, 0) };

@@ -601,3 +601,175 @@ fn short_kernel_completes_even_with_cancel_set() {
     assert_eq!(out.status, ExecStatus::Completed);
     assert!(out.counts.total < gpu_sim::CANCEL_POLL_INTERVAL);
 }
+
+/// Two warps: thread 33 spins on a branch while every other thread waits
+/// at `BAR` for it, so after three full rounds (S2R, ISETP, BAR) warp 1
+/// is the only warp with a running lane, and it runs alone.
+fn straggler_kernel() -> gpu_arch::Kernel {
+    let mut b = KernelBuilder::new("straggler");
+    b.s2r(r(0), SpecialReg::TidX);
+    b.isetp(Pred(0), CmpOp::Ne, r(0).into(), imm(33));
+    b.if_p(Pred(0)).bar();
+    b.label("spin");
+    b.bra("spin");
+    b.exit();
+    b.build().unwrap()
+}
+
+/// The parts of two runs' `Counts` a lone-warp stretch could change.
+fn same_counts(a: &gpu_sim::Executed, b: &gpu_sim::Executed) -> bool {
+    let (x, y) = (&a.counts, &b.counts);
+    x.total == y.total
+        && x.per_unit == y.per_unit
+        && x.per_mix == y.per_mix
+        && x.warp_latency == y.warp_latency
+        && x.warp_instrs == y.warp_instrs
+        && x.sites == y.sites
+}
+
+#[test]
+fn lone_straggler_trips_the_watchdog_one_round_per_instruction() {
+    let device = DeviceModel::named("k40c");
+    let kernel = straggler_kernel();
+    let launch = LaunchConfig::new(1, 64, vec![]);
+    let limit = 10_000;
+    let opts = RunOptions::golden().watchdog(limit);
+    let plain = run(&device, &kernel, &launch, GlobalMemory::new(4), &opts);
+    let mut sink = obs::RecordingSink::new();
+    let traced =
+        try_run_with_sink(&device, &kernel, &launch, GlobalMemory::new(4), &opts, Some(&mut sink))
+            .unwrap();
+    for out in [&plain, &traced] {
+        assert_eq!(out.status, ExecStatus::Due(DueKind::Watchdog));
+        assert_eq!(out.counts.total, limit + 1);
+        // The three full rounds retire 64 instructions each; every later
+        // round is the straggler's alone and retires one.
+        let alone = out.counts.total - 3 * 64;
+        assert_eq!(out.rounds, 3 + alone);
+    }
+    assert!(same_counts(&plain, &traced));
+    let retired =
+        sink.events.iter().filter(|e| matches!(e, obs::TraceEvent::InstrRetired { .. })).count();
+    // The instruction past the limit is counted, then trips the watchdog
+    // before it is reported.
+    assert_eq!(retired as u64, limit);
+}
+
+/// Two warps: every thread but 0 exits, then thread 0 alone sums 1..=200
+/// in a loop and stores the sum. Instructions 0..192 are the three full
+/// rounds; from 192 on every dynamic count is a round top.
+fn lone_tail_kernel() -> gpu_arch::Kernel {
+    let mut b = KernelBuilder::new("lone-tail");
+    b.s2r(r(0), SpecialReg::TidX);
+    b.isetp(Pred(0), CmpOp::Ne, r(0).into(), imm(0));
+    b.if_p(Pred(0)).exit();
+    b.mov(r(1), imm(0));
+    b.mov(r(2), imm(0));
+    b.label("top");
+    b.iadd(r(1), r(1).into(), imm(1));
+    b.iadd(r(2), r(2).into(), r(1).into());
+    b.isetp(Pred(1), CmpOp::Lt, r(1).into(), imm(200));
+    b.if_p(Pred(1)).bra("top");
+    b.ldp(r(3), 0);
+    b.stg(MemWidth::W32, r(3), 0, r(2));
+    b.exit();
+    b.build().unwrap()
+}
+
+/// The lone-tail kernel's golden run, capturing a snapshot every 256
+/// instructions: all three inside the lone stretch.
+fn lone_tail_golden() -> (gpu_arch::Kernel, LaunchConfig, std::sync::Arc<gpu_sim::Executed>) {
+    let kernel = lone_tail_kernel();
+    let launch = LaunchConfig::new(1, 64, vec![0]);
+    let opts = RunOptions::golden().ecc(false).snapshot_every(256);
+    let golden = run(&DeviceModel::named("k40c"), &kernel, &launch, GlobalMemory::new(4), &opts);
+    assert_eq!(golden.status, ExecStatus::Completed);
+    assert_eq!(golden.memory.read_u32_host(0).unwrap(), 200 * 201 / 2);
+    let at: Vec<u64> = golden.snapshots.iter().map(|s| s.dyn_count()).collect();
+    assert_eq!(at, [256, 512, 768]);
+    (kernel, launch, std::sync::Arc::new(golden))
+}
+
+/// The golden snapshot a campaign resumes `plan` from.
+fn nearest(
+    golden: &gpu_sim::Executed,
+    plan: &FaultPlan,
+) -> Option<std::sync::Arc<gpu_sim::EngineSnapshot>> {
+    let (k, _) = gpu_sim::trigger_position(&golden.snapshots, &golden.counts, plan);
+    k.checked_sub(1).map(|i| std::sync::Arc::clone(&golden.snapshots[i]))
+}
+
+#[test]
+fn dead_register_flip_in_a_lone_tail_rejoins_at_the_next_snapshot() {
+    let device = DeviceModel::named("k40c");
+    let (kernel, launch, golden) = lone_tail_golden();
+    // R0 is dead once ISETP has read it: a flip of it leaves nothing the
+    // rest of the run reads different from golden.
+    let plan =
+        FaultPlan::RegisterBit { block: 0, thread: 0, reg: 0, flip: BitFlip::single(5), at: 300 };
+    let trial = |resume: bool, exit: bool| {
+        let opts = RunOptions::trial(plan)
+            .ecc(false)
+            .resume(if resume { nearest(&golden, &plan) } else { None })
+            .exit_through(exit.then(|| std::sync::Arc::clone(&golden)));
+        run(&device, &kernel, &launch, GlobalMemory::new(4), &opts)
+    };
+    let full = trial(false, false);
+    assert_eq!(full.exit, None);
+    assert!(full.fault_triggered);
+    for resume in [false, true] {
+        let ended = trial(resume, true);
+        let exit = ended.exit.expect("the dead flip rejoins");
+        assert_eq!(exit.kind, gpu_sim::ExitKind::Rejoin);
+        assert_eq!(exit.skipped_instrs, golden.counts.total - 512, "resume {resume}");
+        assert_eq!(ended.status, full.status);
+        assert_eq!(ended.memory.raw(), full.memory.raw());
+        assert!(same_counts(&ended, &full), "resume {resume}");
+    }
+}
+
+#[test]
+fn hidden_plans_inside_a_lone_stretch_fire_at_the_same_instant_from_zero_and_resumed() {
+    let device = DeviceModel::named("k40c");
+    let (kernel, launch, golden) = lone_tail_golden();
+    let at = 600;
+    for persist in [gpu_sim::Persistence::Transient, gpu_sim::Persistence::StuckAt] {
+        for plan in [
+            FaultPlan::SchedulerPriority { at, warp: 0, persist },
+            FaultPlan::ActiveMask { at, warp: 0, flip: BitFlip::single(0), persist },
+        ] {
+            let resume = nearest(&golden, &plan);
+            assert_eq!(resume.as_ref().map(|s| s.dyn_count()), Some(512), "{plan:?}");
+            let trial = |resume| {
+                let opts = RunOptions::trial(plan).ecc(false).watchdog(4_000).resume(resume);
+                let mut sink = obs::RecordingSink::new();
+                let out = try_run_with_sink(
+                    &device,
+                    &kernel,
+                    &launch,
+                    GlobalMemory::new(4),
+                    &opts,
+                    Some(&mut sink),
+                )
+                .unwrap();
+                let fired: Vec<u64> = sink
+                    .events
+                    .iter()
+                    .filter_map(|e| match e {
+                        obs::TraceEvent::FaultInjected { idx, .. } => Some(*idx),
+                        _ => None,
+                    })
+                    .collect();
+                (out, fired)
+            };
+            let (zero, fired) = trial(None);
+            let (resumed, fired_resumed) = trial(resume);
+            // Every dynamic count of the stretch is a round top.
+            assert_eq!(fired, [at], "{plan:?}");
+            assert_eq!(fired_resumed, [at], "{plan:?}");
+            assert_eq!(zero.status, resumed.status, "{plan:?}");
+            assert_eq!(zero.memory.raw(), resumed.memory.raw(), "{plan:?}");
+            assert!(same_counts(&zero, &resumed), "{plan:?}");
+        }
+    }
+}

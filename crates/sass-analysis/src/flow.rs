@@ -284,40 +284,46 @@ impl ValueFlow {
             return SiteVerdict::ProvenMasked;
         }
         let mut sinks = Sinks { addr: true, ..Sinks::default() };
-        let mut items = Vec::new();
-        let mut seen = Vec::new();
+        let mut seeds = Vec::new();
         match self.decoded.meta(pc).op {
             // A misdirected store clobbers one location and leaves the
             // intended one stale: both the space and the output are
             // suspect.
             Op::Stg(_) | Op::AtomGAdd => {
                 sinks.store = true;
-                push(&mut items, &mut seen, Item::GlobalSpace);
+                seeds.push(Item::GlobalSpace);
                 if self.decoded.meta(pc).op == Op::AtomGAdd {
-                    push(&mut items, &mut seen, Item::Def(pc));
+                    seeds.push(Item::Def(pc));
                 }
             }
             Op::Sts(_) | Op::AtomSAdd => {
-                push(&mut items, &mut seen, Item::SharedSpace);
+                seeds.push(Item::SharedSpace);
                 if self.decoded.meta(pc).op == Op::AtomSAdd {
-                    push(&mut items, &mut seen, Item::Def(pc));
+                    seeds.push(Item::Def(pc));
                 }
             }
             // A misdirected load produces a wrong (in-bounds) value.
-            _ => push(&mut items, &mut seen, Item::Def(pc)),
+            _ => seeds.push(Item::Def(pc)),
         }
-        self.propagate(items, seen, &mut sinks);
+        self.propagate(&seeds, &mut sinks);
         sinks.classify()
     }
 
     fn run_taint(&self, seed: Item) -> SiteVerdict {
         let mut sinks = Sinks::default();
-        self.propagate(vec![seed], vec![seed], &mut sinks);
+        self.propagate(&[seed], &mut sinks);
         sinks.classify()
     }
 
-    /// Monotone worklist closure over taint items, accumulating sinks.
-    fn propagate(&self, mut work: Vec<Item>, mut seen: Vec<Item>, sinks: &mut Sinks) {
+    /// Monotone worklist closure over taint items from `seeds`,
+    /// accumulating sinks.
+    fn propagate(&self, seeds: &[Item], sinks: &mut Sinks) {
+        let n = self.reachable_pc.len();
+        let mut seen = Seen { bits: vec![0; (2 * n + 2).div_ceil(64)], n };
+        let mut work = Vec::new();
+        for &seed in seeds {
+            push(&mut work, &mut seen, seed);
+        }
         while let Some(item) = work.pop() {
             match item {
                 Item::Def(pc) => self.flow_def(pc, sinks, &mut work, &mut seen),
@@ -337,7 +343,7 @@ impl ValueFlow {
     }
 
     /// Propagate a corrupted GPR definition at `pc` through its uses.
-    fn flow_def(&self, pc: u32, sinks: &mut Sinks, work: &mut Vec<Item>, seen: &mut Vec<Item>) {
+    fn flow_def(&self, pc: u32, sinks: &mut Sinks, work: &mut Vec<Item>, seen: &mut Seen) {
         for &d in &self.defs_at[pc as usize] {
             let reg = self.du.defs[d as usize].reg;
             for &u in &self.du.uses[d as usize] {
@@ -397,7 +403,7 @@ impl ValueFlow {
     /// Propagate a corrupted predicate written at `pc`: every reachable
     /// guard, select, or branch on that predicate may observe it (the
     /// conservative, order-insensitive reading of the guard edges).
-    fn flow_pred(&self, pc: u32, sinks: &mut Sinks, work: &mut Vec<Item>, seen: &mut Vec<Item>) {
+    fn flow_pred(&self, pc: u32, sinks: &mut Sinks, work: &mut Vec<Item>, seen: &mut Seen) {
         let Some(p) = self.written_pred(pc) else { return };
         for &u in &self.pred_users[p.0 as usize] {
             let meta = self.decoded.meta(u);
@@ -446,7 +452,7 @@ impl ValueFlow {
     /// Control-dependence closure of a corrupted branch at `pc`: every
     /// definition, store, and barrier in the influence region may
     /// execute differently.
-    fn taint_region(&self, pc: u32, sinks: &mut Sinks, work: &mut Vec<Item>, seen: &mut Vec<Item>) {
+    fn taint_region(&self, pc: u32, sinks: &mut Sinks, work: &mut Vec<Item>, seen: &mut Seen) {
         for &b in &self.influence[pc as usize] {
             let (start, end) = self.block_ranges[b as usize];
             for u in start..end {
@@ -477,9 +483,33 @@ impl ValueFlow {
     }
 }
 
-fn push(work: &mut Vec<Item>, seen: &mut Vec<Item>, item: Item) {
-    if !seen.contains(&item) {
-        seen.push(item);
+/// The items one taint query has reached, one bit per item: `Def(pc)` at
+/// `pc`, `PredDef(pc)` at `n + pc`, then the global and shared spaces,
+/// for `n` the kernel's length. Membership is a bit test, so a query
+/// costs time linear in the items and edges it visits.
+struct Seen {
+    bits: Vec<u64>,
+    n: usize,
+}
+
+impl Seen {
+    /// Add `item`; whether it was new.
+    fn insert(&mut self, item: Item) -> bool {
+        let i = match item {
+            Item::Def(pc) => pc as usize,
+            Item::PredDef(pc) => self.n + pc as usize,
+            Item::GlobalSpace => 2 * self.n,
+            Item::SharedSpace => 2 * self.n + 1,
+        };
+        let (word, bit) = (i / 64, 1u64 << (i % 64));
+        let new = self.bits[word] & bit == 0;
+        self.bits[word] |= bit;
+        new
+    }
+}
+
+fn push(work: &mut Vec<Item>, seen: &mut Seen, item: Item) {
+    if seen.insert(item) {
         work.push(item);
     }
 }

@@ -733,6 +733,11 @@ impl KernelVerdicts {
         self.output_due[pc as usize]
     }
 
+    /// Proven-DUE bit mask for address flips at `pc` (diagnostics).
+    pub fn mem_due_bits(&self, pc: u32) -> DueBits {
+        self.mem_due[pc as usize]
+    }
+
     /// Number of instructions analyzed.
     pub fn len(&self) -> usize {
         self.output.len()
