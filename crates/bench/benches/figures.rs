@@ -6,7 +6,7 @@
 mod common;
 
 use beam::Beam;
-use campaign::{Budget, Campaign};
+use campaign::{Budget, Campaign, DirectRunner};
 use common::bench;
 use gpu_arch::{CodeGen, DeviceModel, Precision};
 use injector::{Avf, Injector};
@@ -65,13 +65,15 @@ fn fig6_prediction() {
     // The prediction step itself (unit characterization amortized out).
     let device = DeviceModel::named("k40c-sim");
     let units = characterize_units(
+        &mut DirectRunner,
         &device,
         &microbench::suite(&device),
         &CharacterizeConfig {
             beam: Budget::fixed(300).seed(1),
             injection: Budget::fixed(40).seed(1),
         },
-    );
+    )
+    .expect("unit characterization");
     let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10, Scale::Tiny);
     let prof = profile(&w, &device);
     let avf = Campaign::new(Avf::new(Injector::NvBitFi), &w, &device)
@@ -90,13 +92,15 @@ fn ablate_phi() {
     // that toggling phi is free).
     let device = DeviceModel::named("k40c-sim");
     let units = characterize_units(
+        &mut DirectRunner,
         &device,
         &microbench::suite(&device),
         &CharacterizeConfig {
             beam: Budget::fixed(300).seed(2),
             injection: Budget::fixed(40).seed(2),
         },
-    );
+    )
+    .expect("unit characterization");
     let w = build(Benchmark::Hotspot, Precision::Single, CodeGen::Cuda10, Scale::Tiny);
     let prof = profile(&w, &device);
     let avf = Campaign::new(Avf::new(Injector::NvBitFi), &w, &device)

@@ -9,14 +9,13 @@
 //! 3. **MBU rate**: how the multiple-bit-upset probability moves the
 //!    ECC-on DUE rate (SECDED detects exactly the double-bit events).
 
-use crate::experiments::{devices, HarnessConfig, ObserveCtx};
+use crate::experiments::{devices, must, unit_fits, HarnessConfig, ObserveCtx};
 use beam::{Beam, CrossSections};
+use campaign::Runner;
 use gpu_arch::{CodeGen, Precision};
 use gpu_sim::SiteClass;
 use injector::{Avf, ClassAvf, Injector};
-use prediction::{
-    characterize_units, memory_footprint, predict, CharacterizeConfig, PredictOptions,
-};
+use prediction::{memory_footprint, predict, PredictOptions};
 use profiler::profile;
 use stats::signed_ratio;
 use workloads::{build, Benchmark};
@@ -35,9 +34,7 @@ pub struct PhiRow {
 /// φ ablation over a few Kepler codes (ECC on).
 pub fn ablate_phi(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<PhiRow> {
     let (kepler, _) = devices();
-    let char_cfg =
-        CharacterizeConfig { beam: cfg.bench_beam.clone(), injection: cfg.bench_injection.clone() };
-    let units = characterize_units(&kepler, &microbench::suite(&kepler), &char_cfg);
+    let units = unit_fits(cfg, ctx, &kepler);
 
     let mut rows = Vec::new();
     for bench in [Benchmark::Mxm, Benchmark::Hotspot, Benchmark::Gaussian, Benchmark::Mergesort] {
@@ -45,10 +42,11 @@ pub fn ablate_phi(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<PhiRow> 
         let w = build(bench, precision, CodeGen::Cuda10, cfg.scale);
         let prof = profile(&w, &kepler);
         let label = format!("ablate/phi/NVBitFI/{}", w.name);
-        let avf = ctx.run(&label, Avf::new(Injector::NvBitFi), &w, &kepler, &cfg.injection);
+        let avf =
+            must(&label, ctx.run(&label, Avf::new(Injector::NvBitFi), &w, &kepler, &cfg.injection));
         let feet = memory_footprint(&w, &kepler, &prof);
         let label = format!("ablate/phi/ecc-on/{}", w.name);
-        let measured = ctx.run(&label, Beam::auto(true), &w, &kepler, &cfg.beam);
+        let measured = must(&label, ctx.run(&label, Beam::auto(true), &w, &kepler, &cfg.beam));
         let with_phi =
             predict(&prof, &avf, &units, &feet, &PredictOptions { ecc: true, use_phi: true });
         let without =
@@ -83,9 +81,7 @@ pub fn ablate_half_capability(
     ctx: &mut ObserveCtx<'_>,
 ) -> HalfCapabilityResult {
     let (_, volta) = devices();
-    let char_cfg =
-        CharacterizeConfig { beam: cfg.bench_beam.clone(), injection: cfg.bench_injection.clone() };
-    let units = characterize_units(&volta, &microbench::suite(&volta), &char_cfg);
+    let units = unit_fits(cfg, ctx, &volta);
 
     let h = build(Benchmark::Hotspot, Precision::Half, CodeGen::Cuda10, cfg.scale);
     let f = build(Benchmark::Hotspot, Precision::Single, CodeGen::Cuda10, cfg.scale);
@@ -95,13 +91,17 @@ pub fn ablate_half_capability(
     // Real NVBitFI: cannot touch half ops; the paper substitutes the
     // float variant's AVF.
     let label = format!("ablate/half/NVBitFI/{}", f.name);
-    let avf_f = ctx.run(&label, Avf::new(Injector::NvBitFi), &f, &volta, &cfg.injection);
+    let avf_f =
+        must(&label, ctx.run(&label, Avf::new(Injector::NvBitFi), &f, &volta, &cfg.injection));
     // Hypothetical injector with half support: all GPR writers.
     let label = format!("ablate/half/gpr-writer/{}", h.name);
-    let avf_h = ctx.run(&label, ClassAvf::new(SiteClass::GprWriter), &h, &volta, &cfg.injection);
+    let avf_h = must(
+        &label,
+        ctx.run(&label, ClassAvf::new(SiteClass::GprWriter), &h, &volta, &cfg.injection),
+    );
 
     let label = format!("ablate/half/ecc-on/{}", h.name);
-    let measured = ctx.run(&label, Beam::auto(true), &h, &volta, &cfg.beam);
+    let measured = must(&label, ctx.run(&label, Beam::auto(true), &h, &volta, &cfg.beam));
     let p_without =
         predict(&prof, &avf_f, &units, &feet, &PredictOptions { ecc: true, use_phi: true });
     let p_with =
@@ -137,7 +137,8 @@ pub fn ablate_mbu(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<MbuRow> 
         let mut xsec = CrossSections::ground_truth(&kepler);
         xsec.mbu_probability = mbu;
         let label = format!("ablate/mbu/{mbu}/{}", w.name);
-        let r = ctx.run(&label, Beam::auto(true).with_xsec(xsec), &w, &kepler, &cfg.beam);
+        let r =
+            must(&label, ctx.run(&label, Beam::auto(true).with_xsec(xsec), &w, &kepler, &cfg.beam));
         rows.push(MbuRow { mbu, sdc_fit: r.sdc_fit.fit, due_fit: r.due_fit.fit });
     }
     rows

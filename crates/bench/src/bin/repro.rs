@@ -14,7 +14,7 @@
 //! repro breakdown  per-instruction-class AVF decomposition
 //! repro convergence  AVF CI width vs campaign size
 //! repro device   full pipeline on a spec-resolved device (--device)
-//! repro all      everything above, in order
+//! repro all      table1, fig1, fig3-fig6, due and gap, in order
 //! ```
 //!
 //! Device selection (anywhere on the command line):
@@ -45,10 +45,7 @@
 //!                      label>/ (e.g. DIR/fig4/Kepler/SASSIFI/FMXM/),
 //!                      saves shard-boundary checkpoints there, and a
 //!                      re-run resumes each campaign from its last
-//!                      checkpoint (kill-safe). Campaigns inside library
-//!                      helpers (unit characterization, per-class
-//!                      breakdowns, hidden-rate calibration) are not
-//!                      checkpointed
+//!                      checkpoint (kill-safe)
 //! --spans-out FILE     write campaign → shard → trial → engine-phase
 //!                      spans as Chrome Trace Event Format JSON (load in
 //!                      chrome://tracing or Perfetto)
@@ -260,7 +257,7 @@ fn main() {
             }
             "ablate" => print!("{}", bench::ablations::render(&cfg, &mut ctx)),
             "codegen" => print!("{}", render::codegen(&codegen_comparison(&cfg, &mut ctx))),
-            "breakdown" => print!("{}", render::breakdown(&avf_breakdown(&cfg))),
+            "breakdown" => print!("{}", render::breakdown(&avf_breakdown(&cfg, &mut ctx))),
             "convergence" => {
                 let rows = convergence(&cfg, &mut ctx, workloads::Benchmark::Hotspot);
                 print!("{}", render::convergence(&rows))

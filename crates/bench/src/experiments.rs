@@ -4,11 +4,13 @@
 //! textual tables the `repro` binary prints. The per-experiment index in
 //! DESIGN.md maps each function to its paper counterpart.
 
+use std::any::Any;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use beam::{Beam, BeamResult};
-use campaign::{Budget, Campaign, CheckpointStore, Kind};
+use campaign::{Budget, Campaign, CampaignError, CheckpointStore, Kind, Runner};
 use gpu_arch::{CodeGen, DeviceModel, DeviceSpec, MixCategory, Precision};
 use gpu_sim::Target;
 use injector::{Avf, AvfResult, HiddenClass, HiddenCoverage, Injector};
@@ -67,6 +69,15 @@ impl HarnessConfig {
         }
     }
 
+    /// The micro-benchmark characterization budgets
+    /// ([`characterize_units`]).
+    pub fn characterize(&self) -> CharacterizeConfig {
+        CharacterizeConfig {
+            beam: self.bench_beam.clone(),
+            injection: self.bench_injection.clone(),
+        }
+    }
+
     /// Reads `REPRO_PROFILE` (`quick` default, `full`) from the
     /// environment.
     pub fn from_env() -> Self {
@@ -97,12 +108,17 @@ pub struct CampaignObservation {
     pub snapshot: MetricsSnapshot,
     /// The campaign's digest over its trials ([`campaign::CampaignRun::digest`]).
     pub digest: Option<u64>,
+    /// The label of the earlier campaign in this process whose result
+    /// this one reused instead of running (see [`ObserveCtx`]). A reused
+    /// campaign carries that campaign's digest and an empty snapshot.
+    pub reused: Option<String>,
 }
 
 impl CampaignObservation {
     /// One JSON line:
     /// `{"report":"campaign","campaign":...,"device":...,"metrics":{...}}`,
-    /// with `"digest":"<16 hex digits>"` after the device when known.
+    /// with `"digest":"<16 hex digits>"` after the device when known and
+    /// `"reused":"<first label>"` after that for a reused campaign.
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push_str("{\"report\":\"campaign\",\"campaign\":");
@@ -111,6 +127,10 @@ impl CampaignObservation {
         obs::json::escape_str(&mut out, &self.device);
         if let Some(digest) = self.digest {
             out.push_str(&format!(",\"digest\":\"{digest:016x}\""));
+        }
+        if let Some(first) = &self.reused {
+            out.push_str(",\"reused\":");
+            obs::json::escape_str(&mut out, first);
         }
         out.push_str(",\"metrics\":");
         out.push_str(&self.snapshot.to_json_line());
@@ -142,10 +162,20 @@ pub struct StoreLog {
 /// publisher only when something consumes them, checkpoints under
 /// `checkpoint_root`, and hands one [`CampaignObservation`] to
 /// `observe`. Tallies are identical with any combination of hooks.
-/// Campaigns started inside library helpers
-/// ([`characterize_units`], [`injector::measure_hidden_breakdown`],
-/// [`injector::measure_avf_breakdown`], [`beam::characterize_hidden`])
-/// are not observed.
+/// Library helpers that start campaigns ([`characterize_units`],
+/// [`injector::measure_hidden_breakdown`],
+/// [`injector::measure_avf_breakdown`]) take the ctx as their
+/// [`Runner`], so their campaigns are observed and checkpointed too.
+///
+/// Tallies are a pure function of the campaign, so the ctx runs each
+/// distinct campaign once. It keys finished campaigns on the kind's
+/// `Debug` text, the target's content digest
+/// ([`campaign::golden::target_digest`]), the device name and the
+/// budget's `Debug` text. A repeat reuses the first run's result: it
+/// runs no trial and opens no checkpoint store, and its observation
+/// names the first label (`reused`) and carries the first run's digest
+/// and no metrics, so summing `trials` over a stream counts each trial
+/// once. Its digest still folds into [`ObserveCtx::digest`].
 #[derive(Default)]
 pub struct ObserveCtx<'a> {
     /// Render stderr progress meters while campaigns run.
@@ -171,6 +201,28 @@ pub struct ObserveCtx<'a> {
     stores: StoreLog,
     /// Every campaign's digest so far, in the order they ran.
     digests: Vec<Option<u64>>,
+    /// Finished campaigns by [`MemoKey`].
+    memo: HashMap<MemoKey, Finished>,
+}
+
+/// Everything that decides a campaign's tallies: the kind's `Debug` text
+/// (the kind label alone cannot tell cross-section variants apart), the
+/// target's content digest (names are shared across codegen builds), the
+/// device name and the budget's `Debug` text.
+#[derive(PartialEq, Eq, Hash)]
+struct MemoKey {
+    kind: String,
+    target: u64,
+    device: String,
+    budget: String,
+}
+
+/// A campaign that already ran under this ctx.
+struct Finished {
+    label: String,
+    digest: Option<u64>,
+    /// The kind's output.
+    output: Box<dyn Any>,
 }
 
 impl ObserveCtx<'_> {
@@ -198,6 +250,7 @@ impl ObserveCtx<'_> {
         device: &DeviceModel,
         metrics: &MetricsRegistry,
         digest: Option<u64>,
+        reused: Option<&str>,
     ) {
         if let Some(observe) = self.observe.as_mut() {
             observe(CampaignObservation {
@@ -205,19 +258,48 @@ impl ObserveCtx<'_> {
                 device: device.name.clone(),
                 snapshot: metrics.snapshot(),
                 digest,
+                reused: reused.map(str::to_string),
             });
         }
     }
+}
 
-    /// Run one campaign of any [`Kind`] under the harness label `label`.
-    pub(crate) fn run<T: Target + Sync + ?Sized, K: Kind<T>>(
+/// Experiments return plain rows, so a campaign that cannot run is fatal
+/// at the experiment layer; `what` names it in the panic message.
+pub(crate) fn must<R>(what: &str, result: Result<R, CampaignError>) -> R {
+    result.unwrap_or_else(|e| panic!("{what} failed: {e}"))
+}
+
+impl Runner for ObserveCtx<'_> {
+    /// Run one campaign of any [`Kind`] under the harness label `label`,
+    /// or reuse the result of the same campaign run earlier.
+    fn run<T, K>(
         &mut self,
         label: &str,
         kind: K,
         target: &T,
         device: &DeviceModel,
         budget: &Budget,
-    ) -> K::Output {
+    ) -> Result<K::Output, CampaignError>
+    where
+        T: Target + Sync + ?Sized,
+        K: Kind<T> + std::fmt::Debug,
+        K::Output: Clone + 'static,
+    {
+        let key = MemoKey {
+            kind: format!("{kind:?}"),
+            target: campaign::golden::target_digest(target),
+            device: device.name.clone(),
+            budget: format!("{budget:?}"),
+        };
+        if let Some(first) = self.memo.get(&key) {
+            if let Some(output) = first.output.downcast_ref::<K::Output>() {
+                let (output, digest, first) = (output.clone(), first.digest, first.label.clone());
+                self.digests.push(digest);
+                self.emit(label, device, &MetricsRegistry::new(), digest, Some(&first));
+                return Ok(output);
+            }
+        }
         let mut store = self.checkpoint_root.as_deref().and_then(|root| {
             CheckpointStore::open(checkpoint_dir(root, label))
                 .map_err(|e| self.stores.errors.push(format!("{label}: {e}")))
@@ -247,8 +329,7 @@ impl ObserveCtx<'_> {
         if let Some(store) = store.as_mut() {
             campaign = campaign.store(store);
         }
-        let (output, run) =
-            campaign.run_full().unwrap_or_else(|e| panic!("campaign {label} failed: {e}"));
+        let (output, run) = campaign.run_full()?;
         self.digests.push(run.digest);
         if let Some(meter) = &meter {
             meter.finish();
@@ -265,9 +346,15 @@ impl ObserveCtx<'_> {
                 publisher.set_digest(run.digest);
                 let _ = publisher.publish_now();
             }
-            self.emit(label, device, &metrics, run.digest);
+            self.emit(label, device, &metrics, run.digest, None);
         }
-        output
+        let finished = Finished {
+            label: label.to_string(),
+            digest: run.digest,
+            output: Box::new(output.clone()),
+        };
+        self.memo.insert(key, finished);
+        Ok(output)
     }
 }
 
@@ -285,6 +372,17 @@ fn checkpoint_dir(root: &Path, label: &str) -> PathBuf {
             _ => part,
         })
     })
+}
+
+/// [`characterize_units`] on `device`'s micro-benchmark suite with the
+/// harness budgets.
+pub(crate) fn unit_fits(
+    cfg: &HarnessConfig,
+    ctx: &mut ObserveCtx<'_>,
+    device: &DeviceModel,
+) -> UnitFits {
+    let what = format!("unit characterization on {}", device.name);
+    must(&what, characterize_units(ctx, device, &microbench::suite(device), &cfg.characterize()))
 }
 
 // ------------------------------------------------------------- Table I --
@@ -322,7 +420,7 @@ pub fn table1(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<ProfileRow> 
             if ctx.observe.is_some() {
                 let metrics = MetricsRegistry::new();
                 p.export_metrics(&metrics);
-                ctx.emit(&format!("table1/{device_label}/{}", w.name), dm, &metrics, None);
+                ctx.emit(&format!("table1/{device_label}/{}", w.name), dm, &metrics, None, None);
             }
             rows.push(ProfileRow {
                 device: device_label,
@@ -396,7 +494,8 @@ fn fig3_device(
     for mb in &benches {
         let is_rf = mb.name == "RF";
         let obs_label = format!("fig3/{label}/{}", mb.name);
-        let res = ctx.run(&obs_label, Beam::auto(!is_rf), mb, device, &cfg.bench_beam);
+        let res =
+            must(&obs_label, ctx.run(&obs_label, Beam::auto(!is_rf), mb, device, &cfg.bench_beam));
         let per_mb = if is_rf {
             // Report the register file per megabyte, as the figure does.
             let golden = mb.execute_golden(device);
@@ -505,18 +604,18 @@ pub fn fig4(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<AvfRow> {
     for w in kepler_suite(CodeGen::Cuda7, cfg.scale) {
         if Injector::Sassifi.supports(&w, &kepler).is_ok() {
             let label = format!("fig4/Kepler/SASSIFI/{}", w.name);
-            let r = ctx.run(&label, Avf::new(Injector::Sassifi), &w, &kepler, budget);
+            let r = must(&label, ctx.run(&label, Avf::new(Injector::Sassifi), &w, &kepler, budget));
             rows.push(AvfRow::from("Kepler", &r));
         }
     }
     for w in kepler_suite(CodeGen::Cuda10, cfg.scale) {
         let label = format!("fig4/Kepler/NVBitFI/{}", w.name);
-        let r = ctx.run(&label, Avf::new(Injector::NvBitFi), &w, &kepler, budget);
+        let r = must(&label, ctx.run(&label, Avf::new(Injector::NvBitFi), &w, &kepler, budget));
         rows.push(AvfRow::from("Kepler", &r));
     }
     for w in volta_fig4_set(cfg.scale) {
         let label = format!("fig4/Volta/NVBitFI/{}", w.name);
-        let r = ctx.run(&label, Avf::new(Injector::NvBitFi), &w, &volta, budget);
+        let r = must(&label, ctx.run(&label, Avf::new(Injector::NvBitFi), &w, &volta, budget));
         rows.push(AvfRow::from("Volta", &r));
     }
     rows
@@ -601,7 +700,7 @@ fn beam_row(
     ctx: &mut ObserveCtx<'_>,
 ) -> BeamRow {
     let label = format!("fig5/{device}/{}/{}", ecc_label(ecc), w.name);
-    let res = ctx.run(&label, Beam::auto(ecc), w, dm, &cfg.beam);
+    let res = must(&label, ctx.run(&label, Beam::auto(ecc), w, dm, &cfg.beam));
     BeamRow {
         device,
         name: w.name.clone(),
@@ -741,13 +840,11 @@ impl AvfBank {
 /// vs predicted SDC FIT for every code, ECC off and on, both devices.
 pub fn fig6(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> ComparisonSet {
     let (kepler, volta) = devices();
-    let char_cfg =
-        CharacterizeConfig { beam: cfg.bench_beam.clone(), injection: cfg.bench_injection.clone() };
 
     // 1. Characterize the functional units on both devices (Figure 3 data
     //    in usable form).
-    let kepler_units = characterize_units(&kepler, &microbench::suite(&kepler), &char_cfg);
-    let volta_units = characterize_units(&volta, &microbench::suite(&volta), &char_cfg);
+    let kepler_units = unit_fits(cfg, ctx, &kepler);
+    let volta_units = unit_fits(cfg, ctx, &volta);
 
     // 2. AVF banks.
     let mut bank = AvfBank {
@@ -758,13 +855,17 @@ pub fn fig6(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> ComparisonSet {
     for w in kepler_suite(CodeGen::Cuda7, cfg.scale) {
         if Injector::Sassifi.supports(&w, &kepler).is_ok() {
             let label = format!("fig6/Kepler/SASSIFI/{}", w.name);
-            let r = ctx.run(&label, Avf::new(Injector::Sassifi), &w, &kepler, &cfg.injection);
+            let r = must(
+                &label,
+                ctx.run(&label, Avf::new(Injector::Sassifi), &w, &kepler, &cfg.injection),
+            );
             bank.kepler_sassifi.push(r);
         }
     }
     for w in kepler_suite(CodeGen::Cuda10, cfg.scale) {
         let label = format!("fig6/Kepler/NVBitFI/{}", w.name);
-        let r = ctx.run(&label, Avf::new(Injector::NvBitFi), &w, &kepler, &cfg.injection);
+        let r =
+            must(&label, ctx.run(&label, Avf::new(Injector::NvBitFi), &w, &kepler, &cfg.injection));
         bank.kepler_nvbitfi.push(r);
     }
     // Volta AVFs: every (benchmark, precision) the Volta comparisons need,
@@ -776,7 +877,8 @@ pub fn fig6(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> ComparisonSet {
             continue; // predictions use the float sibling
         }
         let label = format!("fig6/Volta/NVBitFI/{}", w.name);
-        let r = ctx.run(&label, Avf::new(Injector::NvBitFi), w, &volta, &cfg.injection);
+        let r =
+            must(&label, ctx.run(&label, Avf::new(Injector::NvBitFi), w, &volta, &cfg.injection));
         bank.volta_nvbitfi.push(r);
     }
 
@@ -791,7 +893,7 @@ pub fn fig6(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> ComparisonSet {
             let prof = profile(w, &kepler);
             let feet = memory_footprint(w, &kepler, &prof);
             let label = format!("fig6/Kepler/{}/{}", ecc_label(ecc), w.name);
-            let measured = ctx.run(&label, Beam::auto(ecc), w, &kepler, &cfg.beam);
+            let measured = must(&label, ctx.run(&label, Beam::auto(ecc), w, &kepler, &cfg.beam));
             for injector in [Injector::Sassifi, Injector::NvBitFi] {
                 let Some(avf) = bank.kepler(&w.name, injector) else { continue };
                 let pred = predict(
@@ -819,7 +921,7 @@ pub fn fig6(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> ComparisonSet {
             let prof = profile(w, &volta);
             let feet = memory_footprint(w, &volta, &prof);
             let label = format!("fig6/Volta/{}/{}", ecc_label(ecc), w.name);
-            let measured = ctx.run(&label, Beam::auto(ecc), w, &volta, &cfg.beam);
+            let measured = must(&label, ctx.run(&label, Beam::auto(ecc), w, &volta, &cfg.beam));
             let Some(avf) = bank.volta(w) else { continue };
             let pred =
                 predict(&prof, avf, &volta_units, &feet, &PredictOptions { ecc, use_phi: true });
@@ -962,9 +1064,7 @@ fn coverage_ladder() -> [HiddenCoverage; 4] {
 /// P(DUE | strike) from [`injector::measure_hidden_breakdown`] campaigns.
 pub fn hidden_gap_closure(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> GapClosure {
     let (_, volta) = devices();
-    let char_cfg =
-        CharacterizeConfig { beam: cfg.bench_beam.clone(), injection: cfg.bench_injection.clone() };
-    let units = characterize_units(&volta, &microbench::suite(&volta), &char_cfg);
+    let units = unit_fits(cfg, ctx, &volta);
     let rates = beam::characterize_hidden(&volta, cfg.beam.ceiling, cfg.beam.seed);
     let ladder = coverage_ladder();
 
@@ -974,10 +1074,14 @@ pub fn hidden_gap_closure(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> GapC
         let prof = profile(&w, &volta);
         let feet = memory_footprint(&w, &volta, &prof);
         let label = format!("gap/Volta/NVBitFI/{}", w.name);
-        let avf = ctx.run(&label, Avf::new(Injector::NvBitFi), &w, &volta, &cfg.injection);
+        let avf =
+            must(&label, ctx.run(&label, Avf::new(Injector::NvBitFi), &w, &volta, &cfg.injection));
         let label = format!("gap/Volta/ecc-on/{}", w.name);
-        let measured = ctx.run(&label, Beam::auto(true), &w, &volta, &cfg.beam);
-        let breakdown = injector::measure_hidden_breakdown(&w, &volta, &cfg.injection);
+        let measured = must(&label, ctx.run(&label, Beam::auto(true), &w, &volta, &cfg.beam));
+        let breakdown = must(
+            &format!("gap hidden breakdown of {}", w.name),
+            injector::measure_hidden_breakdown(ctx, &w, &volta, &cfg.injection),
+        );
         let base =
             predict(&prof, &avf, &units, &feet, &PredictOptions { ecc: true, use_phi: true });
         for coverage in ladder {
@@ -1082,9 +1186,7 @@ pub fn device_pipeline(
     // Campaigns run the derived single-SM variant (see DESIGN.md on
     // SM-count scaling); the report carries the full board's identity.
     let device = spec.sim_model();
-    let char_cfg =
-        CharacterizeConfig { beam: cfg.bench_beam.clone(), injection: cfg.bench_injection.clone() };
-    let units = characterize_units(&device, &microbench::suite(&device), &char_cfg);
+    let units = unit_fits(cfg, ctx, &device);
     let rates = beam::characterize_hidden(&device, cfg.beam.ceiling, cfg.beam.seed);
     let codegen = spec.codegen_profile();
     let injector_kind = if spec.sassifi { Injector::Sassifi } else { Injector::NvBitFi };
@@ -1096,12 +1198,16 @@ pub fn device_pipeline(
         let prof = profile(&w, &device);
         let feet = memory_footprint(&w, &device, &prof);
         let label = format!("device/{}/{injector_kind}/{}", spec.id, w.name);
-        let avf = ctx.run(&label, Avf::new(injector_kind), &w, &device, &cfg.injection);
-        let breakdown = injector::measure_hidden_breakdown(&w, &device, &cfg.injection);
+        let avf =
+            must(&label, ctx.run(&label, Avf::new(injector_kind), &w, &device, &cfg.injection));
+        let breakdown = must(
+            &format!("device hidden breakdown of {}", w.name),
+            injector::measure_hidden_breakdown(ctx, &w, &device, &cfg.injection),
+        );
         let term = predict_hidden(&prof, &rates, &breakdown, HiddenCoverage::full());
         for &ecc in ecc_states {
             let label = format!("device/{}/{}/{}", spec.id, ecc_label(ecc), w.name);
-            let measured = ctx.run(&label, Beam::auto(ecc), &w, &device, &cfg.beam);
+            let measured = must(&label, ctx.run(&label, Beam::auto(ecc), &w, &device, &cfg.beam));
             let pred = predict(&prof, &avf, &units, &feet, &PredictOptions { ecc, use_phi: true })
                 .with_hidden(&term);
             rows.push(DeviceRow {
@@ -1149,7 +1255,7 @@ pub fn codegen_comparison(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<
     let (kepler, _) = devices();
     let mut avf = |codegen: &str, w: &Workload| {
         let label = format!("codegen/{codegen}/{}", w.name);
-        ctx.run(&label, Avf::new(Injector::NvBitFi), w, &kepler, &cfg.injection)
+        must(&label, ctx.run(&label, Avf::new(Injector::NvBitFi), w, &kepler, &cfg.injection))
     };
     let mut rows = Vec::new();
     for bench in [
@@ -1208,7 +1314,7 @@ pub fn convergence(
     for n in [100u32, 250, 500, 1000, 2000, 4000] {
         let label = format!("convergence/{}/{n}", w.name);
         let budget = Budget::fixed(n).seed(cfg.injection.seed);
-        let r = ctx.run(&label, Avf::new(Injector::NvBitFi), &w, &kepler, &budget);
+        let r = must(&label, ctx.run(&label, Avf::new(Injector::NvBitFi), &w, &kepler, &budget));
         rows.push(ConvergenceRow {
             injections: n,
             sdc_avf: r.sdc_avf(),
@@ -1237,7 +1343,7 @@ pub struct BreakdownRow {
 }
 
 /// Measure per-class AVFs for a representative code set.
-pub fn avf_breakdown(cfg: &HarnessConfig) -> Vec<BreakdownRow> {
+pub fn avf_breakdown(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<BreakdownRow> {
     use gpu_sim::SiteClass;
     let (kepler, _) = devices();
     let label = |c: SiteClass| match c {
@@ -1251,7 +1357,10 @@ pub fn avf_breakdown(cfg: &HarnessConfig) -> Vec<BreakdownRow> {
     for bench in [Benchmark::Mxm, Benchmark::Hotspot, Benchmark::Nw, Benchmark::Mergesort] {
         let precision = if bench.is_integer() { Precision::Int32 } else { Precision::Single };
         let w = build(bench, precision, CodeGen::Cuda10, cfg.scale);
-        let b = injector::measure_avf_breakdown(&w, &kepler, &cfg.injection);
+        let b = must(
+            &format!("AVF breakdown of {}", w.name),
+            injector::measure_avf_breakdown(ctx, &w, &kepler, &cfg.injection),
+        );
         for (class, r) in &b.per_class {
             rows.push(BreakdownRow {
                 name: w.name.clone(),

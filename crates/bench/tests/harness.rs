@@ -1,15 +1,17 @@
 //! Smoke tests for the experiment harness: every table/figure function
 //! runs end to end at micro campaign sizes and produces well-formed data
 //! and renderable text. The one-path tests check that every campaign an
-//! experiment starts goes through the observing runner: quiet, observed
-//! and resumed runs agree row for row.
+//! experiment starts, library helpers' included, goes through the
+//! observing runner: quiet, observed and resumed runs agree row for row.
+//! The memo test checks that a campaign repeated in one ctx reuses the
+//! first run without changing any row.
 
 use std::path::{Path, PathBuf};
 
 use bench::ablations::ablate_mbu;
 use bench::{
-    codegen_comparison, convergence, due_analysis, fig1, fig3, fig4, fig5, fig6, table1, Budget,
-    CampaignObservation, HarnessConfig, ObserveCtx,
+    avf_breakdown, codegen_comparison, convergence, due_analysis, fig1, fig3, fig4, fig5, fig6,
+    hidden_gap_closure, table1, Budget, CampaignObservation, HarnessConfig, ObserveCtx,
 };
 use workloads::{Benchmark, Scale};
 
@@ -190,4 +192,54 @@ fn codegen_runs_every_campaign_through_the_one_path() {
 fn mbu_ablation_runs_every_campaign_through_the_one_path() {
     // Four cross-section variants of one beam campaign identity.
     check_one_path("mbu", 4, |ctx| ablate_mbu(&micro(), ctx));
+}
+
+#[test]
+fn gap_closure_runs_every_campaign_through_the_one_path() {
+    // Volta unit characterization: a beam and a de-masking AVF campaign
+    // per micro-benchmark, beam only for RF. Then per code (FMXM,
+    // FHOTSPOT) one AVF and one beam campaign, plus one hidden-class
+    // campaign per live hidden class: four on FMXM (it has no barrier),
+    // all five on FHOTSPOT.
+    let benches = microbench::suite(&bench::experiments::devices().1).len();
+    check_one_path("gap", 2 * benches - 1 + 2 * 2 + 4 + 5, |ctx| hidden_gap_closure(&micro(), ctx));
+}
+
+#[test]
+fn avf_breakdown_runs_every_campaign_through_the_one_path() {
+    // One class-AVF campaign per populated site class of each code:
+    // FMXM and FHOTSPOT have float, integer and load sites; NW and
+    // MERGESORT integer and load sites.
+    check_one_path("breakdown", 3 + 3 + 2 + 2, |ctx| avf_breakdown(&micro(), ctx));
+}
+
+#[test]
+fn repeated_campaigns_reuse_the_first_run() {
+    // Figure 6 repeats Figure 3's micro-benchmark beams, Figure 4's AVF
+    // campaigns and Figure 5's beam campaigns under its own labels.
+    let cfg = micro();
+    let alone = format!("{:?}", fig6(&cfg, &mut ObserveCtx::default()));
+    let mut seen: Vec<CampaignObservation> = Vec::new();
+    let mut observe = |o| seen.push(o);
+    let mut ctx = ObserveCtx::default();
+    ctx.observe = Some(&mut observe);
+    fig3(&cfg, &mut ctx);
+    fig4(&cfg, &mut ctx);
+    fig5(&cfg, &mut ctx);
+    let after = format!("{:?}", fig6(&cfg, &mut ctx));
+    drop(ctx);
+    assert_eq!(after, alone, "reusing earlier campaigns changed Figure 6");
+
+    let mut reused = 0;
+    for (i, o) in seen.iter().enumerate() {
+        let Some(first) = &o.reused else { continue };
+        reused += 1;
+        let earlier = seen[..i].iter().find(|e| &e.campaign == first).unwrap_or_else(|| {
+            panic!("{} reuses {first}, which was not emitted before", o.campaign)
+        });
+        assert!(earlier.reused.is_none(), "{}: reuses a reused line", o.campaign);
+        assert!(o.digest.is_some() && o.digest == earlier.digest, "{}: digest differs", o.campaign);
+        assert!(!o.snapshot.counters.contains_key("trials"), "{}: ran a shard", o.campaign);
+    }
+    assert!(reused > 0, "Figure 6 reused nothing");
 }

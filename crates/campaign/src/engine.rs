@@ -1388,10 +1388,10 @@ pub(crate) fn fnv1a(name: &str) -> u64 {
 }
 
 /// The FNV-1a offset basis: the hash of nothing.
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 
 /// FNV-1a state `h` continued over `bytes`.
-fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);

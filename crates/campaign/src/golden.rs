@@ -3,9 +3,9 @@
 //! Every campaign needs the fault-free reference execution of its target,
 //! and the old entry points recomputed it per call — `fig6` alone ran the
 //! same golden dozens of times. The cache keys on everything that makes a
-//! golden run unique (target name, device, launch geometry, kernel and
-//! memory size, ECC state — scale is implied by the sizes) and hands out
-//! `Arc<Executed>` so concurrent campaigns share one copy.
+//! golden run unique (the target's content digest, [`target_digest`], the
+//! device and the ECC state) and hands out `Arc<Executed>` so concurrent
+//! campaigns share one copy.
 //!
 //! Requests are described by [`GoldenRequest`]: one [`fetch`] entry point
 //! covers plain goldens, site-recorded goldens (`record_sites`) and
@@ -20,10 +20,12 @@
 //! campaign; the bound just keeps long `repro all` sessions from pinning
 //! every workload's output memory at once).
 
+use crate::engine::{fnv1a_extend, FNV_OFFSET};
 use gpu_arch::DeviceModel;
 use gpu_sim::{Executed, RunOptions, Target};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Maximum cached golden runs.
@@ -66,15 +68,44 @@ impl GoldenRequest {
     }
 }
 
+/// A content digest of `target`: FNV-1a over its name, its kernel
+/// (instructions and resource footprint), its launch (geometry and
+/// parameters) and its input memory image. This is what "the same
+/// target" means to the golden cache and to any memo of finished
+/// campaigns: two targets with one digest execute identically on every
+/// device. The name is part of it because it also seeds a campaign's
+/// trial streams. The output comparison rule is not: targets built the
+/// same way compare their outputs the same way.
+pub fn target_digest<T: Target + ?Sized>(target: &T) -> u64 {
+    let mut h = Fnv(FNV_OFFSET);
+    target.name().hash(&mut h);
+    target.kernel().hash(&mut h);
+    target.launch().hash(&mut h);
+    h.write(target.fresh_memory().raw());
+    h.finish()
+}
+
+/// [`Hasher`] over the engine's FNV-1a, so derived `Hash` impls feed
+/// [`target_digest`]. A kernel hashes as thousands of small writes, which
+/// FNV-1a takes about four times faster than the std SipHash hasher.
+struct Fnv(u64);
+
+impl Hasher for Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a_extend(self.0, bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct GoldenKey {
-    target: String,
+    /// [`target_digest`] of the target.
+    target: u64,
     device: String,
     ecc: bool,
-    kernel_len: usize,
-    grid: u64,
-    block: u64,
-    memory_len: u32,
     /// Whether the run carries a [`gpu_sim::SitesRecord`]. Recorded runs
     /// are a superset of plain ones, so a plain fetch may reuse a
     /// recorded entry (but not vice versa).
@@ -94,10 +125,6 @@ impl GoldenKey {
         self.target == want.target
             && self.device == want.device
             && self.ecc == want.ecc
-            && self.kernel_len == want.kernel_len
-            && self.grid == want.grid
-            && self.block == want.block
-            && self.memory_len == want.memory_len
             && (self.recorded || !want.recorded)
             && (want.snapshot_stride == 0 || self.snapshot_stride == want.snapshot_stride)
     }
@@ -105,8 +132,9 @@ impl GoldenKey {
 
 struct GoldenCache {
     map: HashMap<GoldenKey, Arc<Executed>>,
-    /// Insertion order for FIFO eviction.
-    order: Vec<GoldenKey>,
+    /// Insertion order for FIFO eviction, with each target's name for
+    /// [`cache_report`].
+    order: Vec<(GoldenKey, String)>,
 }
 
 static CACHE: OnceLock<Mutex<GoldenCache>> = OnceLock::new();
@@ -116,15 +144,10 @@ fn cache() -> &'static Mutex<GoldenCache> {
 }
 
 fn key<T: Target + ?Sized>(target: &T, device: &DeviceModel, req: GoldenRequest) -> GoldenKey {
-    let launch = target.launch();
     GoldenKey {
-        target: target.name().to_string(),
+        target: target_digest(target),
         device: device.name.clone(),
         ecc: req.ecc,
-        kernel_len: target.kernel().len(),
-        grid: launch.grid.count(),
-        block: launch.block.count(),
-        memory_len: target.fresh_memory().len(),
         recorded: req.record_sites,
         snapshot_stride: req.snapshot_stride,
     }
@@ -154,7 +177,7 @@ pub fn fetch<T: Target + ?Sized>(
         // A richer run (recorded, or snapshotted when we need none) is the
         // same execution plus extras; share it instead of recomputing.
         // Insertion-order scan keeps the pick deterministic.
-        for k in &cache.order {
+        for (k, _) in &cache.order {
             if k.serves(&want) {
                 if let Some(hit) = cache.map.get(k) {
                     return Ok((Arc::clone(hit), true));
@@ -176,11 +199,11 @@ pub fn fetch<T: Target + ?Sized>(
     let mut cache = cache().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     if !cache.map.contains_key(&want) {
         if cache.map.len() >= CACHE_CAPACITY {
-            let oldest = cache.order.remove(0);
+            let (oldest, _) = cache.order.remove(0);
             cache.map.remove(&oldest);
         }
         cache.map.insert(want.clone(), Arc::clone(&golden));
-        cache.order.push(want);
+        cache.order.push((want, target.name().to_string()));
     }
     Ok((golden, false))
 }
@@ -192,14 +215,14 @@ pub fn cache_report() -> String {
     let cache = cache().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let mut out = String::new();
     let _ = writeln!(out, "golden cache: {} of {} entries", cache.order.len(), CACHE_CAPACITY);
-    for k in &cache.order {
+    for (k, name) in &cache.order {
         let Some(run) = cache.map.get(k) else { continue };
         let snap_bytes: u64 = run.snapshots.iter().map(|s| s.approx_bytes()).sum();
         let exit_bytes = run.exit_table.as_ref().map_or(0, |t| t.approx_bytes());
         let _ = writeln!(
             out,
             "  {} on {} ecc={} recorded={} stride={} snapshots={} ({} KiB) exit table {:.1} KiB",
-            k.target,
+            name,
             k.device,
             k.ecc,
             k.recorded,
@@ -230,6 +253,31 @@ mod tests {
         // ECC state is part of the key.
         let (_, hit_ecc) = fetch(&target, &device, GoldenRequest::new(true)).unwrap();
         assert!(!hit_ecc);
+    }
+
+    #[test]
+    fn target_identity_is_content_not_name_or_sizes() {
+        let device = DeviceModel::named("k40c-sim");
+        let fadd = microbench::arith(FunctionalUnit::Fadd);
+        // Same name, launch and memory size, different instructions.
+        let mut fmul = microbench::arith(FunctionalUnit::Fmul);
+        fmul.name = fadd.name.clone();
+        assert_eq!(fmul.kernel.instrs.len(), fadd.kernel.instrs.len());
+        assert_eq!(fmul.memory.len(), fadd.memory.len());
+        assert_ne!(target_digest(&fadd), target_digest(&fmul));
+        let (a, _) = fetch(&fadd, &device, GoldenRequest::new(true)).unwrap();
+        let (b, hit) = fetch(&fmul, &device, GoldenRequest::new(true)).unwrap();
+        assert!(!hit, "a different kernel under one name must not share a golden run");
+        assert!(!Arc::ptr_eq(&a, &b));
+        // The launch parameters and the input image are part of it too.
+        let mut params = fadd.clone();
+        params.launch.params.push(0);
+        assert_ne!(target_digest(&fadd), target_digest(&params));
+        let mut input = fadd.clone();
+        let word = input.memory.read_u32_host(0).unwrap();
+        input.memory.write_u32_host(0, word ^ 1).unwrap();
+        assert_ne!(target_digest(&fadd), target_digest(&input));
+        assert_eq!(target_digest(&fadd), target_digest(&fadd.clone()));
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //!   results are bit-identical at any worker count and across
 //!   checkpoint/resume ([`Checkpoint`]).
 //! * **[`golden`]** — a process-wide cache of golden (fault-free) runs
-//!   keyed by (target, device, ECC, geometry), shared across campaigns.
+//!   keyed by (target content digest, device, ECC), shared across
+//!   campaigns.
+//! * **[`Runner`]** — how a library helper that needs several campaigns
+//!   starts them: [`DirectRunner`] builds and runs each one; the
+//!   experiment harness observes, checkpoints and memoizes them.
 //!
 //! ```
 //! use campaign::{Budget, Campaign, Kind, Sampler, TrialPlan};
@@ -61,6 +65,7 @@ mod budget;
 mod checkpoint;
 mod engine;
 pub mod golden;
+mod runner;
 mod store;
 mod supervise;
 
@@ -71,5 +76,6 @@ pub use engine::{
     QUARANTINE_LABEL,
 };
 pub use golden::GoldenRequest;
+pub use runner::{DirectRunner, Runner};
 pub use store::{CheckpointStore, StoreError};
 pub use supervise::{QuarantineRecord, QUARANTINE_REPORT_KIND};

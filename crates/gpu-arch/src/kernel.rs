@@ -35,7 +35,7 @@ impl Dim {
 }
 
 /// Launch geometry plus kernel parameters (the constant bank).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct LaunchConfig {
     /// Blocks in the grid.
     pub grid: Dim,
@@ -129,7 +129,7 @@ impl std::error::Error for KernelError {}
 
 /// A validated kernel: straight-line SASS-like code with resolved branch
 /// targets, plus its static resource footprint.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Kernel {
     /// Kernel name (used in reports and profiles).
     pub name: String,

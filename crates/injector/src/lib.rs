@@ -38,7 +38,9 @@
 //! deprecated for several releases, are gone; see the README migration
 //! notes.)
 
-use campaign::{Budget, Campaign, CampaignRun, Kind, Sampler, TrialPlan};
+use campaign::{
+    Budget, CampaignError, CampaignRun, GoldenRequest, Kind, Runner, Sampler, TrialPlan,
+};
 use gpu_arch::{DeviceModel, FunctionalUnit, LaunchConfig, Op};
 use gpu_sim::{
     BitFlip, ExecStatus, Executed, FaultPlan, FetchEffect, MemQueueEffect, Persistence, SiteClass,
@@ -787,15 +789,19 @@ pub struct AvfBreakdown {
 }
 
 /// Measure the SDC/DUE AVF separately per site class. Every per-class
-/// campaign shares the same cached golden run and `budget`.
+/// campaign shares the same cached golden run and `budget`, and goes
+/// through `runner` labeled `breakdown/<device name>/<target>/<class>`.
+///
+/// # Errors
+/// The golden run's failure, or the first campaign failure.
 pub fn measure_avf_breakdown<T: Target + Sync + ?Sized>(
+    runner: &mut impl Runner,
     target: &T,
     device: &DeviceModel,
     budget: &Budget,
-) -> AvfBreakdown {
-    let (golden, _) =
-        campaign::golden::fetch(target, device, campaign::golden::GoldenRequest::new(false))
-            .expect("golden run failed");
+) -> Result<AvfBreakdown, CampaignError> {
+    let (golden, _) = campaign::golden::fetch(target, device, GoldenRequest::new(false))
+        .map_err(CampaignError::GoldenFailed)?;
     let classes =
         [SiteClass::FloatArith, SiteClass::HalfArith, SiteClass::IntArith, SiteClass::Load];
     let mut per_class = Vec::new();
@@ -804,13 +810,11 @@ pub fn measure_avf_breakdown<T: Target + Sync + ?Sized>(
         if pop == 0 {
             continue;
         }
-        let r = Campaign::new(ClassAvf::new(class), target, device)
-            .budget(budget.clone())
-            .run()
-            .expect("class-AVF campaign failed");
+        let label = format!("breakdown/{}/{}/{}", device.name, target.name(), class.label());
+        let r = runner.run(&label, ClassAvf::new(class), target, device, budget)?;
         per_class.push((class, r));
     }
-    AvfBreakdown { target: target.name().to_string(), per_class }
+    Ok(AvfBreakdown { target: target.name().to_string(), per_class })
 }
 
 /// One hidden micro-architectural resource class — state neither SASSIFI
@@ -1164,29 +1168,32 @@ impl HiddenBreakdown {
 }
 
 /// Measure P(SDC/DUE | strike) separately per live hidden class. Every
-/// per-class campaign shares the same cached golden run and `budget`.
+/// per-class campaign shares the same cached golden run and `budget`, and
+/// goes through `runner` labeled `hidden/<device name>/<target>/<class>`.
+///
+/// # Errors
+/// The golden run's failure, or the first campaign failure.
 pub fn measure_hidden_breakdown<T: Target + Sync + ?Sized>(
+    runner: &mut impl Runner,
     target: &T,
     device: &DeviceModel,
     budget: &Budget,
-) -> HiddenBreakdown {
-    let (golden, _) =
-        campaign::golden::fetch(target, device, campaign::golden::GoldenRequest::new(false))
-            .expect("golden run failed");
+) -> Result<HiddenBreakdown, CampaignError> {
+    let (golden, _) = campaign::golden::fetch(target, device, GoldenRequest::new(false))
+        .map_err(CampaignError::GoldenFailed)?;
     let mut per_class = Vec::new();
     for class in hidden_classes_available(target.kernel(), &golden) {
-        let r = Campaign::new(HiddenAvf::class(class), target, device)
-            .budget(budget.clone())
-            .run()
-            .expect("hidden-class campaign failed");
+        let label = format!("hidden/{}/{}/{class}", device.name, target.name());
+        let r = runner.run(&label, HiddenAvf::class(class), target, device, budget)?;
         per_class.push((class, r));
     }
-    HiddenBreakdown { target: target.name().to_string(), per_class }
+    Ok(HiddenBreakdown { target: target.name().to_string(), per_class })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use campaign::{Campaign, DirectRunner};
     use gpu_arch::{CodeGen, Precision};
     use workloads::{build, Benchmark, Scale};
 
@@ -1469,7 +1476,8 @@ mod tests {
         let volta = DeviceModel::named("v100-sim");
         // MXM synchronizes and touches memory: every class is live.
         let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10, Scale::Tiny);
-        let b = measure_hidden_breakdown(&w, &volta, &Budget::fixed(50).seed(7));
+        let b = measure_hidden_breakdown(&mut DirectRunner, &w, &volta, &Budget::fixed(50).seed(7))
+            .unwrap();
         let classes: Vec<HiddenClass> = b.per_class.iter().map(|(c, _)| *c).collect();
         assert!(classes.contains(&HiddenClass::Scheduler));
         assert!(classes.contains(&HiddenClass::MemQueue));
@@ -1501,6 +1509,7 @@ mod tests {
 #[cfg(test)]
 mod breakdown_tests {
     use super::*;
+    use campaign::DirectRunner;
     use gpu_arch::{CodeGen, Precision};
     use workloads::{build, Benchmark, Scale};
 
@@ -1508,7 +1517,8 @@ mod breakdown_tests {
     fn breakdown_covers_the_code_mix() {
         let device = DeviceModel::named("k40c-sim");
         let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10, Scale::Tiny);
-        let b = measure_avf_breakdown(&w, &device, &Budget::fixed(60).seed(4));
+        let b = measure_avf_breakdown(&mut DirectRunner, &w, &device, &Budget::fixed(60).seed(4))
+            .unwrap();
         let classes: Vec<SiteClass> = b.per_class.iter().map(|(c, _)| *c).collect();
         assert!(classes.contains(&SiteClass::FloatArith));
         assert!(classes.contains(&SiteClass::IntArith));
@@ -1526,7 +1536,8 @@ mod breakdown_tests {
         // address arithmetic.
         let device = DeviceModel::named("k40c-sim");
         let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10, Scale::Tiny);
-        let b = measure_avf_breakdown(&w, &device, &Budget::fixed(150).seed(4));
+        let b = measure_avf_breakdown(&mut DirectRunner, &w, &device, &Budget::fixed(150).seed(4))
+            .unwrap();
         let get = |c: SiteClass| {
             b.per_class.iter().find(|(cc, _)| *cc == c).map(|(_, r)| r.sdc_avf()).unwrap()
         };

@@ -28,7 +28,7 @@
 //! comparison.
 
 use beam::{Beam, BeamResult, HiddenRates};
-use campaign::{Budget, Campaign};
+use campaign::{Budget, CampaignError, Runner};
 use gpu_arch::{DeviceModel, FunctionalUnit, WARP_SIZE};
 use gpu_sim::Target;
 use injector::{AvfResult, ClassAvf, HiddenBreakdown, HiddenClass, HiddenCoverage};
@@ -103,18 +103,23 @@ impl Default for CharacterizeConfig {
 ///
 /// Arithmetic/MMA/LDST benches run with ECC on (their state is registers);
 /// the RF bench runs with ECC off, as in the paper (Figure 3 caption).
+/// Every campaign goes through `runner`, labeled
+/// `units/<device name>/<bench>/beam` or `.../avf`.
+///
+/// # Errors
+/// The first campaign failure.
 pub fn characterize_units(
+    runner: &mut impl Runner,
     device: &DeviceModel,
     benches: &[MicroBench],
     config: &CharacterizeConfig,
-) -> UnitFits {
+) -> Result<UnitFits, CampaignError> {
     let mut fits = UnitFits::default();
     for mb in benches {
         let is_rf = mb.name == "RF";
-        let result = Campaign::new(Beam::auto(!is_rf), mb, device)
-            .budget(config.beam.clone())
-            .run()
-            .expect("beam characterization failed");
+        let label = format!("units/{}/{}", device.name, mb.name);
+        let result =
+            runner.run(&format!("{label}/beam"), Beam::auto(!is_rf), mb, device, &config.beam)?;
         if is_rf {
             // Normalize to a per-bit rate over the bits the bench exposes.
             let golden = mb.execute_golden(device);
@@ -127,10 +132,13 @@ pub fn characterize_units(
         }
         // De-mask by the bench's own unit AVF (Section V-A): the bench
         // only observes errors that survive to the end of the chain.
-        let avf = Campaign::new(ClassAvf::unit(mb.unit), mb, device)
-            .budget(config.injection.clone())
-            .run()
-            .expect("de-masking injection campaign failed");
+        let avf = runner.run(
+            &format!("{label}/avf"),
+            ClassAvf::unit(mb.unit),
+            mb,
+            device,
+            &config.injection,
+        )?;
         let sdc_avf = avf.sdc_avf().max(0.05); // floor against tiny campaigns
         let golden = mb.execute_golden(device);
         let count = golden.counts.unit(mb.unit) as f64;
@@ -144,7 +152,7 @@ pub fn characterize_units(
         fits.due[i] = result.due_fit.fit;
         fits.bench_work[i] = work;
     }
-    fits
+    Ok(fits)
 }
 
 /// A FIT prediction for one workload.
@@ -416,6 +424,7 @@ pub fn compare(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use campaign::{Campaign, DirectRunner};
     use gpu_arch::{CodeGen, Precision};
     use injector::Injector;
     use workloads::{build, Benchmark, Scale};
@@ -431,7 +440,7 @@ mod tests {
     fn characterization_fills_measured_units() {
         let device = DeviceModel::named("k40c-sim");
         let benches = microbench::suite(&device);
-        let fits = characterize_units(&device, &benches, &quick_cfg());
+        let fits = characterize_units(&mut DirectRunner, &device, &benches, &quick_cfg()).unwrap();
         // Float and integer pipes must have rates; integer above float
         // (the ground truth says 4x, but we only assert direction here —
         // the figure harness checks magnitudes with bigger campaigns).
@@ -445,7 +454,7 @@ mod tests {
     fn prediction_pipeline_end_to_end() {
         let device = DeviceModel::named("k40c-sim");
         let benches = microbench::suite(&device);
-        let fits = characterize_units(&device, &benches, &quick_cfg());
+        let fits = characterize_units(&mut DirectRunner, &device, &benches, &quick_cfg()).unwrap();
 
         let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda7, Scale::Tiny);
         let profile = profiler::profile(&w, &device);
@@ -501,8 +510,9 @@ mod tests {
         let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10, Scale::Tiny);
         let profile = profiler::profile(&w, &device);
         let rates = beam::characterize_hidden(&device, 800, 11);
+        let budget = Budget::fixed(80).seed(11);
         let breakdown =
-            injector::measure_hidden_breakdown(&w, &device, &Budget::fixed(80).seed(11));
+            injector::measure_hidden_breakdown(&mut DirectRunner, &w, &device, &budget).unwrap();
         let ladder = [
             HiddenCoverage::none(),
             HiddenCoverage::of(&[HiddenClass::Scheduler]),

@@ -37,7 +37,8 @@ fn main() {
         beam: Budget::fixed(2000).seed(11),
         injection: Budget::fixed(150).seed(11),
     };
-    let units = characterize_units(&device, &benches, &char_cfg);
+    let units = characterize_units(&mut DirectRunner, &device, &benches, &char_cfg)
+        .expect("unit characterization");
     for u in [FunctionalUnit::Fadd, FunctionalUnit::Ffma, FunctionalUnit::Iadd] {
         println!("      {u}: SDC FIT/work {:.3e}", units.sdc_per_work(u));
     }

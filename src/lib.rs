@@ -68,7 +68,8 @@ pub use workloads;
 pub mod prelude {
     pub use beam::{Beam, BeamResult, CrossSections};
     pub use campaign::{
-        Budget, Campaign, CampaignRun, Checkpoint, CheckpointStore, StopReason, Watchdog,
+        Budget, Campaign, CampaignRun, Checkpoint, CheckpointStore, DirectRunner, Runner,
+        StopReason, Watchdog,
     };
     pub use gpu_arch::{
         Architecture, CodeGen, DeviceModel, FunctionalUnit, MixCategory, Precision,

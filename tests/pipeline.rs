@@ -133,13 +133,15 @@ fn prediction_pipeline_produces_finite_comparisons() {
     let device = DeviceModel::named("k40c-sim");
     let benches = gpu_reliability::microbench::suite(&device);
     let units = characterize_units(
+        &mut DirectRunner,
         &device,
         &benches,
         &CharacterizeConfig {
             beam: Budget::fixed(500).seed(31),
             injection: Budget::fixed(60).seed(31),
         },
-    );
+    )
+    .expect("unit characterization");
     let w = tiny(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10);
     let prof = profile(&w, &device);
     let w_avf = avf(Injector::NvBitFi, &w, &device, 120, 31);
@@ -156,13 +158,15 @@ fn phi_factor_changes_prediction_by_the_profiled_phi() {
     let device = DeviceModel::named("k40c-sim");
     let benches = gpu_reliability::microbench::suite(&device);
     let units = characterize_units(
+        &mut DirectRunner,
         &device,
         &benches,
         &CharacterizeConfig {
             beam: Budget::fixed(400).seed(37),
             injection: Budget::fixed(50).seed(37),
         },
-    );
+    )
+    .expect("unit characterization");
     let w = tiny(Benchmark::Hotspot, Precision::Single, CodeGen::Cuda10);
     let prof = profile(&w, &device);
     let w_avf = avf(Injector::NvBitFi, &w, &device, 100, 37);
