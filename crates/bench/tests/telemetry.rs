@@ -301,6 +301,7 @@ fn matrix_run<K: Kind<Workload>>(
     device: &DeviceModel,
     workers: usize,
     snapshots: SnapshotPolicy,
+    observer: CampaignObserver<'_>,
     resume: Option<Checkpoint>,
 ) -> (CampaignRun, Vec<Checkpoint>) {
     // Eight shards reach the floor, so the first ones run in batches and
@@ -310,6 +311,7 @@ fn matrix_run<K: Kind<Workload>>(
     let mut campaign = Campaign::new(kind, w, device)
         .budget(budget)
         .workers(workers)
+        .observer(observer)
         .on_checkpoint(|cp| checkpoints.borrow_mut().push(cp.clone()));
     if let Some(cp) = resume {
         campaign = campaign.resume_from(cp);
@@ -320,8 +322,10 @@ fn matrix_run<K: Kind<Workload>>(
 
 /// The determinism contract as one matrix: four kinds of campaign, each
 /// at 1 and 4 workers, with snapshots off and on, run uninterrupted and
-/// killed mid-batch then resumed from its last checkpoint. Every cell
-/// gives the same digest and the same tallies.
+/// killed mid-batch then resumed from its last checkpoint. The 4-worker
+/// cells run with metrics and spans attached and the 1-worker cells
+/// bare, so every comparison across worker counts also crosses telemetry
+/// on and off. Every cell gives the same digest and the same tallies.
 #[test]
 fn digest_matrix_is_one_invariant() {
     fn cells<K: Kind<Workload> + Clone>(kind: K, w: &Workload, device: &str) {
@@ -329,8 +333,14 @@ fn digest_matrix_is_one_invariant() {
         let mut seen: Option<CampaignRun> = None;
         for workers in [1, 4] {
             for snapshots in [SnapshotPolicy::Off, SnapshotPolicy::Auto] {
-                let campaign =
-                    |resume| matrix_run(kind.clone(), w, &device, workers, snapshots, resume);
+                let (metrics, spans) = (MetricsRegistry::new(), SpanBus::new());
+                let observer = match workers {
+                    1 => CampaignObserver::none(),
+                    _ => CampaignObserver::with_metrics(&metrics).with_spans(&spans),
+                };
+                let campaign = |resume| {
+                    matrix_run(kind.clone(), w, &device, workers, snapshots, observer, resume)
+                };
                 let (whole, checkpoints) = campaign(None);
                 // Killed after shard 6 of 8, inside the second batch.
                 let killed = checkpoints.into_iter().find(|cp| cp.shards_done == 6);
@@ -349,6 +359,8 @@ fn digest_matrix_is_one_invariant() {
                     }
                     seen.get_or_insert(run);
                 }
+                let traced = metrics.snapshot().counters.get("trials").copied().unwrap_or(0);
+                assert_eq!(traced > 0 && !spans.is_empty(), workers == 4, "telemetry at {workers}");
             }
         }
     }

@@ -44,11 +44,11 @@
 //! emits their telemetry, so a discarded shard leaves none of them
 //! behind.
 
-use crate::budget::Budget;
+use crate::budget::{watchdog_limit, Budget};
 use crate::checkpoint::Checkpoint;
 use crate::golden;
 use crate::store::CheckpointStore;
-use crate::supervise::{panic_message, DeadlineMonitor, QuarantineRecord};
+use crate::supervise::{panic_message, QuarantineRecord};
 use gpu_arch::DeviceModel;
 use gpu_sim::{
     trigger_position, BlockExit, DueKind, EngineSnapshot, ExecStatus, Executed, ExitKind,
@@ -447,15 +447,13 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
         } else {
             self.workers
         };
-        let monitor =
-            self.budget.watchdog.wall_budget.map(|wall| DeadlineMonitor::new(wall, workers));
         let ctx = ShardCtx {
             target: self.target,
             device: self.device,
             golden: &golden,
             sampler: &sampler,
             ecc,
-            watchdog: self.budget.watchdog.dyn_limit(golden.counts.total),
+            watchdog: watchdog_limit(golden.counts.total),
             ff,
             exit,
             base_seed: self.budget.seed ^ fnv1a(self.target.name()),
@@ -463,7 +461,6 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
             ceiling,
             spans: self.observer.spans,
             key_base,
-            monitor: monitor.as_ref(),
         };
         let mut quarantine: Vec<QuarantineRecord> = Vec::new();
         // The shards folded whatever the tallies say: every one under a
@@ -952,7 +949,7 @@ impl Telemetry<'_> {
         ];
         if let Some(kind) = rec.due {
             args.push(("due", kind.name().to_string()));
-            if matches!(kind, DueKind::Watchdog | DueKind::HostWatchdog) {
+            if kind == DueKind::Watchdog {
                 event("watchdog", vec![("trial", trial), ("kind", kind.name().to_string())]);
             }
         }
@@ -988,7 +985,6 @@ struct ShardCtx<'a, T: ?Sized, S> {
     /// other span.
     spans: Option<&'a SpanBus>,
     key_base: u64,
-    monitor: Option<&'a DeadlineMonitor>,
 }
 
 /// A planned trial waiting in its batch, with its place in trigger
@@ -1018,13 +1014,12 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
     /// shard runs in shard order.
     fn run_wave(&self, batches: Vec<Range<u32>>) -> Result<Vec<ShardRun>, CampaignError> {
         if batches.len() == 1 {
-            return Ok(self.run_batch(batches[0].clone(), 0));
+            return Ok(self.run_batch(batches[0].clone()));
         }
         std::thread::scope(|scope| {
             let handles: Vec<_> = batches
                 .into_iter()
-                .enumerate()
-                .map(|(slot, batch)| scope.spawn(move || self.run_batch(batch, slot)))
+                .map(|batch| scope.spawn(move || self.run_batch(batch)))
                 .collect();
             let mut runs = Vec::new();
             for h in handles {
@@ -1040,12 +1035,11 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
         })
     }
 
-    /// Run one batch of shards on worker `slot`: sample every trial in
-    /// trial order, execute the planned ones in trigger order, relaying
-    /// each trial's fault-free state to the next where that skips more
-    /// prefix than a golden snapshot, and return the shards' records in
-    /// trial order.
-    fn run_batch(&self, shards: Range<u32>, slot: usize) -> Vec<ShardRun> {
+    /// Run one batch of shards: sample every trial in trial order,
+    /// execute the planned ones in trigger order, relaying each trial's
+    /// fault-free state to the next where that skips more prefix than a
+    /// golden snapshot, and return the shards' records in trial order.
+    fn run_batch(&self, shards: Range<u32>) -> Vec<ShardRun> {
         let mut pending = Vec::new();
         let mut runs: Vec<ShardRun> = shards
             .enumerate()
@@ -1068,7 +1062,7 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
             rec.relayed = relayed.is_some();
             let resume = relayed.or_else(|| golden.cloned());
             let start_us = micros(run.start.elapsed());
-            if let Some(next) = self.execute_supervised(rec, p.plan, resume, hand_off, slot) {
+            if let Some(next) = self.execute_supervised(rec, p.plan, resume, hand_off) {
                 relay = Some(next);
             }
             rec.start_us = start_us;
@@ -1140,29 +1134,25 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
         ShardRun { index: shard, range, start, micros: 0, records }
     }
 
-    /// Execute `plan` for `rec` on worker `slot` from `resume`, under
-    /// supervision: a panicking run is retried once, unless its sampling
-    /// already was, and on a second panic the trial is quarantined with
-    /// its plan. Returns the run's hand-off, if it made one.
+    /// Execute `plan` for `rec` from `resume`, under supervision: a
+    /// panicking run is retried once, unless its sampling already was,
+    /// and on a second panic the trial is quarantined with its plan.
+    /// Returns the run's hand-off, if it made one.
     fn execute_supervised(
         &self,
         rec: &mut TrialRecord,
         plan: FaultPlan,
         resume: Option<Arc<EngineSnapshot>>,
         hand_off: bool,
-        slot: usize,
     ) -> Option<Arc<EngineSnapshot>> {
         let started = Instant::now();
         let fast_forwarded = resume.as_ref().and_then(|s| NonZeroU64::new(s.dyn_count()));
         let trial = rec.trial;
-        let attempt = || self.execute(trial, plan, resume.clone(), hand_off, slot);
+        let attempt = || self.execute(trial, plan, resume.clone(), hand_off);
         let mut result = catch_unwind(AssertUnwindSafe(&attempt));
         if result.is_err() && !rec.retried {
             // First panic: deterministic retry from the same state.
             rec.retried = true;
-            if let Some(m) = self.monitor {
-                m.disarm(slot);
-            }
             result = catch_unwind(AssertUnwindSafe(&attempt));
         }
         rec.micros = rec.micros.saturating_add(micros(started.elapsed()));
@@ -1178,27 +1168,22 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
                 ran.handoff
             }
             Err(payload) => {
-                if let Some(m) = self.monitor {
-                    m.disarm(slot);
-                }
                 rec.quarantine(Some(plan), payload.as_ref());
                 None
             }
         }
     }
 
-    /// Execute `plan` on worker `slot` and classify the run against the
-    /// golden run. Pure with respect to the batch state, so a panic
-    /// anywhere inside loses nothing and the trial can be replayed.
+    /// Execute `plan` and classify the run against the golden run. Pure
+    /// with respect to the batch state, so a panic anywhere inside loses
+    /// nothing and the trial can be replayed.
     fn execute(
         &self,
         trial: u64,
         plan: FaultPlan,
         resume: Option<Arc<EngineSnapshot>>,
         hand_off: bool,
-        slot: usize,
     ) -> Ran {
-        let cancel = self.monitor.map(|m| m.arm(slot));
         // Fast-forward: resume from a golden snapshot or a relayed state
         // at or before the fault site, and end at the first snapshot
         // point or block boundary after which the run is provably golden.
@@ -1208,7 +1193,6 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
         let opts = RunOptions::trial(plan)
             .ecc(self.ecc)
             .watchdog(self.watchdog)
-            .cancel_flag(cancel)
             .resume(resume)
             .exit_through(self.exit.cloned())
             .hand_off(hand_off);
@@ -1224,9 +1208,6 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
             }
             None => self.target.execute(self.device, &opts),
         };
-        if let Some(m) = self.monitor {
-            m.disarm(slot);
-        }
         let (outcome, due) = match faulty.status {
             ExecStatus::Due(kind) => (Outcome::Due, Some(kind)),
             ExecStatus::Completed => {
@@ -1272,9 +1253,6 @@ fn export_shard_metrics(m: &MetricsRegistry, tally: &Tally, micros: u64) {
     }
     if let Some(n) = tally.dues.get(DueKind::Watchdog.name()) {
         m.counter("campaign.watchdog.dyn_trips").add(*n);
-    }
-    if let Some(n) = tally.dues.get(DueKind::HostWatchdog.name()) {
-        m.counter("campaign.watchdog.wall_trips").add(*n);
     }
     if tally.retries > 0 {
         m.counter("campaign.trial_retries").add(tally.retries);

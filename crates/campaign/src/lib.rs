@@ -69,7 +69,7 @@ mod runner;
 mod store;
 mod supervise;
 
-pub use budget::{Budget, SnapshotPolicy, Watchdog};
+pub use budget::{Budget, SnapshotPolicy};
 pub use checkpoint::{Checkpoint, StreamScan, CHECKPOINT_REPORT_KIND};
 pub use engine::{
     Campaign, CampaignError, CampaignRun, Kind, Sampler, StopReason, TrialPlan, BATCH_SHARDS,

@@ -1,12 +1,11 @@
 //! Fault tolerance of the campaign engine itself: supervised trials
-//! (retry → quarantine), the wall-clock watchdog, and kill-resume
+//! (retry → quarantine), the dynamic-instruction watchdog, and kill-resume
 //! equivalence through the crash-consistent checkpoint store.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 
 use campaign::{
-    Budget, Campaign, CampaignRun, CheckpointStore, Kind, Sampler, TrialPlan, Watchdog,
-    QUARANTINE_LABEL,
+    Budget, Campaign, CampaignRun, CheckpointStore, Kind, Sampler, TrialPlan, QUARANTINE_LABEL,
 };
 use gpu_arch::{asm, DeviceModel, Kernel, LaunchConfig};
 use gpu_sim::{BitFlip, DueKind, Executed, FaultPlan, GlobalMemory, RunOptions, SiteClass, Target};
@@ -18,7 +17,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// The sentinel fault plan the chaos target panics on: a PC fault at an
 /// address no real sampler would draw.
@@ -293,7 +291,7 @@ fn store_resume_is_a_noop_on_a_finished_campaign() {
 }
 
 // ---------------------------------------------------------------------
-// Wall-clock watchdog.
+// Hang bound.
 
 /// A kernel that completes instantly fault-free but spins forever when
 /// the first MOV's output is corrupted: the loop re-tests R1, which no
@@ -371,46 +369,11 @@ impl<T: Target + Sync + ?Sized> Kind<T> for SpinKind {
     fn finish(&self, _: &T, _: &SpinSampler, _: &CampaignRun) {}
 }
 
+/// The spin fault hangs the trial, and the one hang bound ends it as a
+/// watchdog DUE after exactly `4 × golden + 100_000` instructions plus
+/// the one that trips it, on every host.
 #[test]
-fn wall_clock_watchdog_reaps_infinite_loop_as_host_watchdog_due() {
-    let device = DeviceModel::named("k40c-sim");
-    let target = SpinTarget::new();
-    let wall = Duration::from_millis(40);
-    // The dynamic-instruction watchdog is pushed out of the way so only
-    // the wall clock can stop the loop.
-    let watchdog = Watchdog { dyn_factor: u64::MAX, dyn_slack: 0, wall_budget: Some(wall) };
-    let metrics = MetricsRegistry::new();
-    let started = Instant::now();
-    let run = Campaign::new(SpinKind, &target, &device)
-        .budget(Budget::fixed(2).seed(1).watchdog(watchdog))
-        .observer(CampaignObserver::with_metrics(&metrics))
-        .run_full()
-        .expect("watchdogged campaign")
-        .1;
-    let elapsed = started.elapsed();
-
-    // Both trials spun forever and were reaped by the host watchdog.
-    assert_eq!(run.counts.due, 2, "counts: {:?}", run.counts);
-    let snapshot = metrics.snapshot();
-    let counter = |name: &str| snapshot.counters.get(name).copied().unwrap_or(0);
-    assert_eq!(
-        counter(&format!("due.{}", DueKind::HostWatchdog.name())),
-        2,
-        "counters: {:?}",
-        snapshot.counters
-    );
-    assert_eq!(counter("campaign.watchdog.wall_trips"), 2);
-    // Reaped within the budget plus scheduling slack, not hung.
-    assert!(
-        elapsed < wall * 2 * 20,
-        "watchdog took {elapsed:?} for 2 trials with a {wall:?} budget"
-    );
-}
-
-#[test]
-fn unarmed_wall_watchdog_leaves_spin_kernel_to_dyn_watchdog() {
-    // With only the (default) dyn-instruction watchdog, the same fault
-    // is still caught — as a deterministic simulator watchdog DUE.
+fn spin_kernel_trips_the_dyn_watchdog() {
     let device = DeviceModel::named("k40c-sim");
     let target = SpinTarget::new();
     let metrics = MetricsRegistry::new();
@@ -430,4 +393,7 @@ fn unarmed_wall_watchdog_leaves_spin_kernel_to_dyn_watchdog() {
         snapshot.counters
     );
     assert_eq!(counter("campaign.watchdog.dyn_trips"), 1);
+    let retired = snapshot.histograms.get("campaign.trial_dyn_instrs").expect("dyn histogram");
+    assert_eq!(retired.count, 1);
+    assert_eq!(retired.sum, 4 * run.golden.counts.total + 100_000 + 1);
 }

@@ -25,7 +25,6 @@ use gpu_arch::{
 };
 use obs::{MemSpace, TraceEvent, TraceSink};
 use softfloat::F16;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Forward an event to the installed sink, if any. Event construction
@@ -58,13 +57,6 @@ pub struct RunOptions {
     /// campaigns turn this on; it is off by default because the record
     /// grows with the dynamic instruction count.
     pub record_sites: bool,
-    /// Cooperative cancellation flag, polled in the dispatch loop every
-    /// [`CANCEL_POLL_INTERVAL`] dynamic instructions. When an external
-    /// watchdog sets it, the run aborts as a [`DueKind::HostWatchdog`]
-    /// DUE — the wall-clock complement to [`RunOptions::watchdog_limit`],
-    /// which bounds dynamic instructions but not real time. `None` (the
-    /// default) costs one `Option` check per poll window.
-    pub cancel: Option<Arc<AtomicBool>>,
     /// Capture an [`EngineSnapshot`] into [`Executed::snapshots`] roughly
     /// every this many dynamic instructions (at the next block-scheduler
     /// round boundary). Zero (the default) disables capture. Golden runs
@@ -145,13 +137,6 @@ impl RunOptions {
         self
     }
 
-    /// Install (or clear) the cooperative cancellation flag (see
-    /// [`RunOptions::cancel`]).
-    pub fn cancel_flag(mut self, flag: Option<Arc<AtomicBool>>) -> Self {
-        self.cancel = flag;
-        self
-    }
-
     /// Capture engine snapshots every `stride` dynamic instructions; zero
     /// disables (see [`RunOptions::snapshot_stride`]).
     pub fn snapshot_every(mut self, stride: u64) -> Self {
@@ -180,12 +165,6 @@ impl RunOptions {
     }
 }
 
-/// How many dynamic instructions pass between polls of
-/// [`RunOptions::cancel`]. A power of two so the poll reduces to a mask
-/// test; small enough that a hung trial is reaped within microseconds of
-/// its deadline at simulator speeds.
-pub const CANCEL_POLL_INTERVAL: u64 = 1024;
-
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
@@ -193,7 +172,6 @@ impl Default for RunOptions {
             fault: FaultPlan::None,
             watchdog_limit: u64::MAX,
             record_sites: false,
-            cancel: None,
             snapshot_stride: 0,
             resume_from: None,
             exit_from: None,
@@ -1387,16 +1365,14 @@ struct WarpPos {
 
 /// Whether the next `n` lanes to retire, all executing the instruction
 /// `meta` describes, can do so in bulk: no fault hook can fire at any of
-/// them, the watchdog cannot trip and no cancel poll falls among them.
-/// They take the dynamic indices `[start, start + n)`, and tick the site
-/// count a fault hook numbers its `nth` in once apiece only when the
-/// instruction is in the hook's class.
+/// them and the watchdog cannot trip. They take the dynamic indices
+/// `[start, start + n)`, and tick the site count a fault hook numbers
+/// its `nth` in once apiece only when the instruction is in the hook's
+/// class.
 fn quiet(ctx: &Ctx<'_>, meta: &InstrMeta, n: u64) -> bool {
     let start = ctx.dyn_count;
     let end = start + n;
-    if end > ctx.opts.watchdog_limit
-        || (ctx.opts.cancel.is_some() && start / CANCEL_POLL_INTERVAL != end / CANCEL_POLL_INTERVAL)
-    {
+    if end > ctx.opts.watchdog_limit {
         return false;
     }
     let outside = |target: u64, counter: u64| target < counter || target >= counter + n;
@@ -1588,8 +1564,8 @@ fn hidden_fetch_fault(
 }
 
 /// Number one retired instruction of `global_warp` at `pc`, account it,
-/// run the watchdog and cancel checks and report it to the sink; `lane`
-/// is the thread index within the block, or `u32::MAX` for a warp-wide
+/// run the watchdog check and report it to the sink; `lane` is the
+/// thread index within the block, or `u32::MAX` for a warp-wide
 /// instruction. Returns the global dynamic index the instruction
 /// received. A bulk run retires its lanes in [`step`] instead.
 #[inline]
@@ -1605,13 +1581,6 @@ fn retire(
     account(ctx, meta, global_warp, 1);
     if ctx.dyn_count > ctx.opts.watchdog_limit {
         return Err(DueKind::Watchdog);
-    }
-    if ctx.dyn_count.is_multiple_of(CANCEL_POLL_INTERVAL) {
-        if let Some(cancel) = &ctx.opts.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                return Err(DueKind::HostWatchdog);
-            }
-        }
     }
     emit!(
         ctx,

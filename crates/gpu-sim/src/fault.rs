@@ -366,31 +366,14 @@ pub enum DueKind {
     /// A pending-memory-queue entry was flagged poisoned and the memory
     /// controller raised a detected error ([`FaultPlan::MemQueue`]).
     MemQueueFault,
-    /// The host-side wall-clock watchdog cancelled the run via
-    /// [`crate::RunOptions::cancel`] — the software analogue of the beam
-    /// room's host watchdog power-cycling a hung board. Unlike
-    /// [`DueKind::Watchdog`] (a dynamic-instruction bound), this kind is
-    /// driven by real time and therefore only appears when a campaign
-    /// arms a per-trial wall budget.
+    /// A host wall-clock watchdog aborted the run. The engine never
+    /// raises this kind: hangs end deterministically as
+    /// [`DueKind::Watchdog`]. It remains only because the campaign
+    /// benchmark still names it.
     HostWatchdog,
 }
 
 impl DueKind {
-    /// Every DUE kind, in reporting order (for metric pre-registration).
-    pub const ALL: [DueKind; 11] = [
-        DueKind::MemoryViolation,
-        DueKind::SharedViolation,
-        DueKind::IllegalPc,
-        DueKind::Watchdog,
-        DueKind::BarrierDeadlock,
-        DueKind::EccDoubleBit,
-        DueKind::HiddenResource,
-        DueKind::SchedulerStall,
-        DueKind::FetchFault,
-        DueKind::MemQueueFault,
-        DueKind::HostWatchdog,
-    ];
-
     /// Stable short identifier used in trace events and metric names.
     pub fn name(self) -> &'static str {
         match self {

@@ -32,7 +32,7 @@ pub mod timing;
 
 pub use engine::{
     run, run_with_sink, try_run_with_sink, BlockExit, Counts, ExecStatus, Executed, ExitKind,
-    RunOptions, SiteCounts, SitesRecord, CANCEL_POLL_INTERVAL,
+    RunOptions, SiteCounts, SitesRecord,
 };
 pub use error::SimError;
 pub use fault::{BitFlip, DueKind, FaultPlan, FetchEffect, MemQueueEffect, Persistence, SiteClass};

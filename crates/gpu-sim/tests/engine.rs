@@ -531,77 +531,6 @@ fn mix_counts_sum_to_total() {
     assert_eq!(warp_sum, out.counts.total);
 }
 
-// ---------------------------------------------------------------------
-// Cooperative cancellation (the host wall-clock watchdog's mechanism).
-
-/// A kernel that loops forever: the campaign's deadline monitor (or any
-/// host-side supervisor) must be able to stop it via the cancel flag.
-fn forever_kernel() -> gpu_arch::Kernel {
-    let mut b = KernelBuilder::new("forever");
-    b.mov(r(0), imm(1));
-    b.label("spin");
-    b.isetp(Pred(0), CmpOp::Ne, r(0).into(), imm(0)); // always true
-    b.if_p(Pred(0)).bra("spin");
-    b.exit();
-    b.build().expect("forever kernel builds")
-}
-
-#[test]
-fn preset_cancel_flag_aborts_long_run_as_host_watchdog() {
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
-
-    let device = DeviceModel::named("k40c-sim");
-    let kernel = forever_kernel();
-    let launch = LaunchConfig::new(1, 32, vec![]);
-    let cancel = Arc::new(AtomicBool::new(true));
-    let opts = RunOptions::golden().cancel_flag(Some(Arc::clone(&cancel)));
-    let out = run(&device, &kernel, &launch, GlobalMemory::new(4), &opts);
-    assert_eq!(out.status, ExecStatus::Due(DueKind::HostWatchdog));
-    // The abort happens at the first poll boundary, not instantly.
-    assert!(out.counts.total >= gpu_sim::CANCEL_POLL_INTERVAL);
-    assert!(out.counts.total <= 2 * gpu_sim::CANCEL_POLL_INTERVAL);
-}
-
-#[test]
-fn cancel_flag_set_mid_run_stops_spinning_kernel() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    let device = DeviceModel::named("k40c-sim");
-    let kernel = forever_kernel();
-    let launch = LaunchConfig::new(1, 32, vec![]);
-    let cancel = Arc::new(AtomicBool::new(false));
-    let tripper = {
-        let cancel = Arc::clone(&cancel);
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            cancel.store(true, Ordering::Relaxed);
-        })
-    };
-    let opts = RunOptions::golden().cancel_flag(Some(cancel));
-    let out = run(&device, &kernel, &launch, GlobalMemory::new(4), &opts);
-    tripper.join().expect("tripper thread");
-    assert_eq!(out.status, ExecStatus::Due(DueKind::HostWatchdog));
-}
-
-#[test]
-fn short_kernel_completes_even_with_cancel_set() {
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
-
-    // Cancellation is cooperative with poll granularity: a kernel that
-    // retires fewer than CANCEL_POLL_INTERVAL instructions finishes
-    // normally even when the flag is already set.
-    let device = DeviceModel::named("k40c-sim");
-    let (kernel, launch, mem) = saxpy_setup(32, 1.5);
-    let opts = RunOptions::golden().cancel_flag(Some(Arc::new(AtomicBool::new(true))));
-    let out = run(&device, &kernel, &launch, mem, &opts);
-    assert_eq!(out.status, ExecStatus::Completed);
-    assert!(out.counts.total < gpu_sim::CANCEL_POLL_INTERVAL);
-}
-
 /// Two warps: thread 33 spins on a branch while every other thread waits
 /// at `BAR` for it, so after three full rounds (S2R, ISETP, BAR) warp 1
 /// is the only warp with a running lane, and it runs alone.

@@ -90,7 +90,7 @@ pub fn render_status(status: &StatusSnapshot) -> String {
         "events     retries {} · quarantined {} · watchdog {} · golden hit/miss {}/{}",
         counter("campaign.trial_retries"),
         counter("campaign.quarantined"),
-        counter("campaign.watchdog.dyn_trips") + counter("campaign.watchdog.wall_trips"),
+        counter("campaign.watchdog.dyn_trips"),
         counter("campaign.golden.hit"),
         counter("campaign.golden.miss"),
     );

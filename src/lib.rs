@@ -69,7 +69,7 @@ pub mod prelude {
     pub use beam::{Beam, BeamResult, CrossSections};
     pub use campaign::{
         Budget, Campaign, CampaignRun, Checkpoint, CheckpointStore, DirectRunner, Runner,
-        StopReason, Watchdog,
+        StopReason,
     };
     pub use gpu_arch::{
         Architecture, CodeGen, DeviceModel, FunctionalUnit, MixCategory, Precision,
