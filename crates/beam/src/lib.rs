@@ -329,14 +329,6 @@ pub struct BeamSampler {
     memory_len: u32,
 }
 
-impl BeamSampler {
-    /// The flux this campaign runs at (auto-tuned when the kind's flux
-    /// was `0.0`).
-    pub fn resolved_flux(&self) -> f64 {
-        self.flux
-    }
-}
-
 impl Sampler for BeamSampler {
     fn sample(&self, _trial: u64, rng: &mut ChaCha12Rng) -> TrialPlan {
         if !rng.gen_bool(self.p_strike.clamp(0.0, 1.0)) {

@@ -8,17 +8,17 @@
 //! numbering, same `SiteCounts` populations, same injector RNG draws,
 //! same campaign tallies. These tests pin concrete pre-refactor values
 //! (captured on the seed revision, before the decode layer existed) so
-//! any drift fails loudly instead of silently skewing AVF.
+//! any drift fails loudly instead of silently skewing AVF. The campaign
+//! tallies are pinned as rows of `telemetry.rs`'s
+//! `digest_matrix_is_one_invariant`.
 
 #![allow(clippy::unwrap_used)]
 
-use campaign::{Budget, Campaign, SnapshotPolicy};
 use gpu_arch::{CodeGen, DeviceModel, Op, Precision};
 use gpu_sim::{
     trigger_position, BitFlip, DueKind, ExecStatus, Executed, FaultPlan, FetchEffect,
     MemQueueEffect, Persistence, RunOptions, SiteClass, SiteCounts, Target,
 };
-use injector::{Avf, HiddenAvf, Injector};
 use obs::{CountingSink, RecordingSink, TraceEvent, TraceSink};
 use std::sync::Arc;
 use workloads::{build, Benchmark, Scale, Workload};
@@ -36,130 +36,6 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 
 fn digest_u64s(vals: impl IntoIterator<Item = u64>) -> u64 {
     fnv1a(vals.into_iter().flat_map(u64::to_le_bytes))
-}
-
-#[test]
-fn campaign_tallies_pinned_mxm_sassifi_k40c() {
-    let device = DeviceModel::named("k40c-sim");
-    let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda7, Scale::Tiny);
-    let (result, run) = Campaign::new(Avf::new(Injector::Sassifi), &w, &device)
-        .budget(Budget::fixed(160).seed(12021))
-        .run_full()
-        .unwrap();
-    // Pinned on the pre-decode engine; bit-identical RNG draw order and
-    // site populations are required to reproduce these tallies.
-    assert_eq!(run.trials, 160);
-    assert_eq!(
-        (result.counts.sdc, result.counts.due, result.counts.masked),
-        (103, 39, 18),
-        "campaign tallies drifted (Sassifi/k40c/mxm_f32_tiny seed 12021)"
-    );
-}
-
-#[test]
-fn campaign_tallies_pinned_hotspot_nvbitfi_v100() {
-    let device = DeviceModel::named("v100-sim");
-    let w = build(Benchmark::Hotspot, Precision::Half, CodeGen::Cuda10, Scale::Tiny);
-    let (result, run) = Campaign::new(Avf::new(Injector::NvBitFi), &w, &device)
-        .budget(Budget::fixed(160).seed(12021))
-        .run_full()
-        .unwrap();
-    assert_eq!(run.trials, 160);
-    assert_eq!(
-        (result.counts.sdc, result.counts.due, result.counts.masked),
-        (52, 66, 42),
-        "campaign tallies drifted (NvBitFi/v100/hotspot_f16_tiny seed 12021)"
-    );
-}
-
-/// Static-resolution pruning must be invisible in the tallies: the
-/// pinned hotspot campaign reproduces its exact pre-verdict tallies with
-/// pruning on, at any worker count, while strictly reducing the number
-/// of *simulated* trials. A single mislabeled proof (a consequential
-/// fault resolved Masked, or a non-faulting flip resolved DUE) shifts a
-/// tally and fails this pin.
-#[test]
-fn pruned_campaign_tallies_pinned_hotspot_nvbitfi_v100_any_workers() {
-    let device = DeviceModel::named("v100-sim");
-    let w = build(Benchmark::Hotspot, Precision::Half, CodeGen::Cuda10, Scale::Tiny);
-    for workers in [1usize, 4] {
-        let (result, run) = Campaign::new(Avf::new_pruned(Injector::NvBitFi), &w, &device)
-            .budget(Budget::fixed(160).seed(12021))
-            .workers(workers)
-            .run_full()
-            .unwrap();
-        assert_eq!(run.trials, 160);
-        assert_eq!(
-            (result.counts.sdc, result.counts.due, result.counts.masked),
-            (52, 66, 42),
-            "pruned tallies drifted (NvBitFi/v100/hotspot_f16_tiny seed 12021, workers={workers})"
-        );
-        assert!(
-            run.executed.total() < 160,
-            "pruning resolved nothing statically (workers={workers})"
-        );
-    }
-}
-
-/// Trial fast-forward must be invisible in the tallies: the pinned
-/// campaign digests reproduce exactly with snapshots off, at the Auto
-/// policy, and at two explicit strides — and at any worker count (the
-/// engine's shard fold is already order-independent, but run 1 and 4
-/// workers to prove the resume path doesn't break it).
-#[test]
-fn campaign_tallies_identical_snapshots_on_or_off_any_workers() {
-    let device = DeviceModel::named("k40c-sim");
-    let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda7, Scale::Tiny);
-    let policies = [
-        SnapshotPolicy::Off,
-        SnapshotPolicy::Auto,
-        SnapshotPolicy::Every(1000),
-        SnapshotPolicy::Every(7777),
-    ];
-    for policy in policies {
-        for workers in [1usize, 4] {
-            let (result, run) = Campaign::new(Avf::new(Injector::Sassifi), &w, &device)
-                .budget(Budget::fixed(160).seed(12021).snapshots(policy))
-                .workers(workers)
-                .run_full()
-                .unwrap();
-            assert_eq!(run.trials, 160);
-            assert_eq!(
-                (result.counts.sdc, result.counts.due, result.counts.masked),
-                (103, 39, 18),
-                "tallies drifted with snapshots={policy:?} workers={workers}"
-            );
-        }
-    }
-}
-
-/// Hidden-resource campaigns ride the same seed-deterministic sharded
-/// RNG as the architectural injectors: pinned tallies must reproduce
-/// bit-identically at any worker count, with trial fast-forward from
-/// golden snapshots on or off. Hidden faults trigger at scheduler-round
-/// boundaries — exactly the snapshot capture points — so a resume-parity
-/// bug in any of the six hidden fault families shifts a tally here.
-#[test]
-fn hidden_campaign_tallies_pinned_any_workers_snapshots_on_or_off() {
-    let device = DeviceModel::named("v100-sim");
-    let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10, Scale::Tiny);
-    let policies = [SnapshotPolicy::Off, SnapshotPolicy::Auto, SnapshotPolicy::Every(1000)];
-    for policy in policies {
-        for workers in [1usize, 4] {
-            let (result, run) = Campaign::new(HiddenAvf::full(), &w, &device)
-                .budget(Budget::fixed(160).seed(12021).snapshots(policy))
-                .workers(workers)
-                .run_full()
-                .unwrap();
-            assert_eq!(run.trials, 160);
-            assert_eq!(
-                (result.counts.sdc, result.counts.due, result.counts.masked),
-                (63, 71, 26),
-                "hidden tallies drifted (v100/mxm_f32_tiny seed 12021, \
-                 snapshots={policy:?} workers={workers})"
-            );
-        }
-    }
 }
 
 /// The golden run's own digests (counts and SitesRecord) are unchanged by

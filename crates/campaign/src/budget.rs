@@ -32,8 +32,6 @@ pub enum SnapshotPolicy {
     /// sparse enough that capture cost is noise on tiny kernels.
     #[default]
     Auto,
-    /// Capture every `n` dynamic instructions; `0` behaves like `Off`.
-    Every(u64),
 }
 
 impl SnapshotPolicy {
@@ -46,7 +44,6 @@ impl SnapshotPolicy {
         match self {
             SnapshotPolicy::Off => 0,
             SnapshotPolicy::Auto => Self::AUTO_STRIDE,
-            SnapshotPolicy::Every(n) => n,
         }
     }
 }
@@ -228,8 +225,6 @@ mod tests {
     fn snapshot_policy_maps_to_strides() {
         assert_eq!(SnapshotPolicy::Off.stride(), 0);
         assert_eq!(SnapshotPolicy::Auto.stride(), SnapshotPolicy::AUTO_STRIDE);
-        assert_eq!(SnapshotPolicy::Every(512).stride(), 512);
-        assert_eq!(SnapshotPolicy::Every(0).stride(), 0);
         assert_eq!(Budget::fixed(10).snapshots, SnapshotPolicy::Auto);
         let off = Budget::fixed(10).snapshots(SnapshotPolicy::Off);
         assert_eq!(off.snapshots, SnapshotPolicy::Off);

@@ -177,8 +177,8 @@ impl StopReason {
 pub enum CampaignError {
     /// The golden (fault-free) run did not complete.
     GoldenFailed(String),
-    /// A resume checkpoint does not match this campaign's identity or
-    /// shard partition.
+    /// The store's checkpoint for this campaign does not match its seed
+    /// or shard partition.
     CheckpointMismatch(String),
     /// The attached [`CheckpointStore`] failed (lock held, I/O error
     /// after retries).
@@ -269,7 +269,6 @@ pub struct Campaign<'a, T: Target + Sync + ?Sized, K: Kind<T>> {
     observer: CampaignObserver<'a>,
     workers: usize,
     sink: Option<CheckpointSink<'a>>,
-    resume: Option<Checkpoint>,
     store: Option<&'a mut CheckpointStore>,
 }
 
@@ -285,7 +284,6 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
             observer: CampaignObserver::none(),
             workers: 1,
             sink: None,
-            resume: None,
             store: None,
         }
     }
@@ -318,20 +316,12 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
 
     /// Attach a durable [`CheckpointStore`]: a checkpoint is saved to it
     /// after every folded shard, quarantined trials are appended to its
-    /// quarantine journal, and — unless [`Campaign::resume_from`] was
-    /// given explicitly — the campaign automatically resumes from the
-    /// store's last checkpoint for this label.
+    /// quarantine journal, and the campaign resumes from the store's last
+    /// checkpoint for this label. That checkpoint must match the budget's
+    /// seed and shard size; the completed run is bit-identical to an
+    /// uninterrupted one.
     pub fn store(mut self, store: &'a mut CheckpointStore) -> Self {
         self.store = Some(store);
-        self
-    }
-
-    /// Resume from a previously emitted checkpoint instead of starting at
-    /// shard 0. The checkpoint must match this campaign's label, seed and
-    /// shard size; the completed run is bit-identical to an uninterrupted
-    /// one.
-    pub fn resume_from(mut self, checkpoint: Checkpoint) -> Self {
-        self.resume = Some(checkpoint);
         self
     }
 
@@ -403,24 +393,17 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
             }
         }
 
-        if self.resume.is_none() {
-            if let Some(store) = self.store.as_mut() {
-                self.resume =
-                    store.load(&label).map_err(|e| CampaignError::Store(e.to_string()))?;
-            }
-        }
+        // The store hands back only checkpoints with this campaign's label.
+        let resume = match self.store.as_mut() {
+            Some(store) => store.load(&label).map_err(|e| CampaignError::Store(e.to_string()))?,
+            None => None,
+        };
 
         let mut total = Tally::default();
         let mut digest = Some(FNV_OFFSET);
         let mut next_shard = 0u32;
         let mut resumed_trials = 0u64;
-        if let Some(cp) = self.resume.take() {
-            if cp.label != label {
-                return Err(CampaignError::CheckpointMismatch(format!(
-                    "checkpoint is for {:?}, campaign is {:?}",
-                    cp.label, label
-                )));
-            }
+        if let Some(cp) = resume {
             if cp.seed != self.budget.seed || cp.shard_size != self.budget.shard_size {
                 return Err(CampaignError::CheckpointMismatch(format!(
                     "checkpoint partition (seed {}, shard size {}) != budget (seed {}, shard size {})",

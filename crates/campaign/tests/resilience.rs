@@ -1,6 +1,8 @@
 //! Fault tolerance of the campaign engine itself: supervised trials
-//! (retry → quarantine), the dynamic-instruction watchdog, and kill-resume
-//! equivalence through the crash-consistent checkpoint store.
+//! (retry → quarantine), the dynamic-instruction watchdog, and resuming a
+//! finished campaign through the crash-consistent checkpoint store.
+//! Kill-and-resume equivalence is a column of bench's determinism matrix
+//! (`digest_matrix_is_one_invariant` in `crates/bench/tests/telemetry.rs`).
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 
@@ -13,7 +15,6 @@ use obs::{CampaignObserver, MetricsRegistry};
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use stats::Outcome;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -157,7 +158,7 @@ fn quarantine_tallies_are_identical_at_any_worker_count() {
 }
 
 // ---------------------------------------------------------------------
-// Kill-resume equivalence through the durable store.
+// Resume through the durable store.
 
 /// Bernoulli-style kind (no simulation) for cheap many-trial campaigns.
 #[derive(Clone, Copy)]
@@ -200,67 +201,6 @@ fn scratch_dir(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("campaign-resilience-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-#[test]
-fn kill_at_shard_boundary_and_resume_is_bit_identical() {
-    let device = DeviceModel::named("k40c-sim");
-    let target = microbench::arith(gpu_arch::FunctionalUnit::Iadd);
-    let budget = Budget::fixed(320).seed(23).shard_size(32);
-
-    let baseline = Campaign::new(Coin, &target, &device)
-        .budget(budget.clone())
-        .run_full()
-        .expect("uninterrupted campaign")
-        .1;
-
-    // `crash_after` >= 2: the sink panics *before* the store persists
-    // that same checkpoint, so crashing on the very first one leaves an
-    // empty store (a cold restart, not a resume).
-    for (case, crash_after, workers) in
-        [("w1", 3u32, 1usize), ("w4-early", 2, 4), ("w4-late", 7, 4)]
-    {
-        let dir = scratch_dir(case);
-        let mut store = CheckpointStore::open(&dir).expect("open store");
-
-        // "Kill" the campaign at a shard boundary: the checkpoint sink
-        // panics after `crash_after` checkpoints, mid-campaign — the
-        // store has durably saved everything up to the previous
-        // boundary.
-        let crashed = catch_unwind(AssertUnwindSafe(|| {
-            let mut seen = 0u32;
-            let _ = Campaign::new(Coin, &target, &device)
-                .budget(budget.clone())
-                .workers(workers)
-                .store(&mut store)
-                .on_checkpoint(move |_| {
-                    seen += 1;
-                    if seen == crash_after {
-                        panic!("simulated power loss");
-                    }
-                })
-                .run_full();
-        }));
-        assert!(crashed.is_err(), "{case}: the crash must happen mid-campaign");
-
-        // Resume from the store: the completed run must be bit-identical
-        // to the uninterrupted baseline.
-        let resumed = Campaign::new(Coin, &target, &device)
-            .budget(budget.clone())
-            .workers(workers)
-            .store(&mut store)
-            .run_full()
-            .expect("resumed campaign")
-            .1;
-        assert_eq!(resumed.counts, baseline.counts, "{case}");
-        assert_eq!(resumed.trials, baseline.trials, "{case}");
-        assert_eq!(resumed.direct, baseline.direct, "{case}");
-        assert_eq!(resumed.checkpoint, baseline.checkpoint, "{case}");
-        assert!(resumed.resumed_trials > 0, "{case}: nothing was resumed");
-
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }
 
 #[test]

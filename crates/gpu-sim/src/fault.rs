@@ -311,22 +311,6 @@ impl FaultPlan {
             | FaultPlan::SharedMemBit { .. } => true,
         }
     }
-
-    /// True for the hidden-resource plans (scheduler, active mask,
-    /// barrier counter, memory queue, fetch/decode) — the
-    /// micro-architectural sites architecture-level injectors cannot
-    /// reach, modeled to close the paper's Section VII-B DUE gap.
-    pub fn is_hidden(&self) -> bool {
-        matches!(
-            self,
-            FaultPlan::SchedulerNextPc { .. }
-                | FaultPlan::SchedulerPriority { .. }
-                | FaultPlan::ActiveMask { .. }
-                | FaultPlan::BarrierCounter { .. }
-                | FaultPlan::MemQueue { .. }
-                | FaultPlan::Fetch { .. }
-        )
-    }
 }
 
 /// Why a run terminated as a Detected Unrecoverable Error.

@@ -1308,57 +1308,30 @@ mod tests {
         assert_eq!(runs[0], runs[2]);
     }
 
-    #[test]
-    fn resume_from_checkpoint_is_bit_identical() {
-        let kepler = DeviceModel::named("k40c-sim");
-        let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda7, Scale::Tiny);
-        let b = budget(80).shard_size(16);
-        let mut checkpoints = Vec::new();
-        let (_, full) = Campaign::new(Avf::new(Injector::Sassifi), &w, &kepler)
-            .budget(b.clone())
-            .on_checkpoint(|cp| checkpoints.push(cp.clone()))
-            .run_full()
-            .unwrap();
-        assert_eq!(full.trials, 80);
-        assert_eq!(checkpoints.len(), 5);
-        // Round-trip the mid-campaign checkpoint through its JSONL form,
-        // as a separate process would.
-        let mid = campaign::Checkpoint::parse(&checkpoints[2].to_json_line()).unwrap();
-        assert_eq!(mid.trials, 48);
-        let (_, resumed) = Campaign::new(Avf::new(Injector::Sassifi), &w, &kepler)
-            .budget(b)
-            .resume_from(mid)
-            .run_full()
-            .unwrap();
-        assert_eq!(resumed.counts, full.counts);
-        assert_eq!(resumed.trials, full.trials);
-        assert_eq!(resumed.resumed_trials, 48);
-    }
-
+    /// A store hands a campaign only checkpoints with its own label, so
+    /// what is left to refuse is a checkpoint from another partition: one
+    /// keyed with a different seed or shard size.
     #[test]
     fn resume_rejects_mismatched_partition() {
         let kepler = DeviceModel::named("k40c-sim");
         let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda7, Scale::Tiny);
+        let dir = std::env::temp_dir().join(format!("injector-partition-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = campaign::CheckpointStore::open(&dir).unwrap();
+        let run = |budget: Budget, store: &mut campaign::CheckpointStore| {
+            Campaign::new(Avf::new(Injector::Sassifi), &w, &kepler)
+                .budget(budget)
+                .store(store)
+                .run()
+        };
         let b = budget(64).shard_size(16);
-        let mut checkpoints = Vec::new();
-        Campaign::new(Avf::new(Injector::Sassifi), &w, &kepler)
-            .budget(b.clone())
-            .on_checkpoint(|cp| checkpoints.push(cp.clone()))
-            .run()
-            .unwrap();
-        let mid = checkpoints[1].clone();
-        let err = Campaign::new(Avf::new(Injector::Sassifi), &w, &kepler)
-            .budget(b.clone().seed(43))
-            .resume_from(mid.clone())
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, campaign::CampaignError::CheckpointMismatch(_)));
-        let err = Campaign::new(Avf::new(Injector::NvBitFi), &w, &kepler)
-            .budget(b)
-            .resume_from(mid)
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, campaign::CampaignError::CheckpointMismatch(_)));
+        run(b.clone(), &mut store).unwrap();
+        for other in [b.clone().seed(43), b.shard_size(8)] {
+            let err = run(other, &mut store).unwrap_err();
+            assert!(matches!(err, campaign::CampaignError::CheckpointMismatch(_)), "{err}");
+        }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   injection plans. Zero-cost when no sink is installed: the engine
 //!   checks one `Option` per hook and constructs nothing.
 //! * [`MetricsRegistry`] — counters/gauges/histograms with lock-free
-//!   updates, snapshotable to JSONL or CSV; campaign loops tally outcomes
+//!   updates, snapshotable to JSONL; campaign loops tally outcomes
 //!   by site class and DUE kind, trials/sec, and the profiler's
 //!   φ/IPC/occupancy gauges into it.
 //! * [`SpanBus`] / [`SpanSink`] — campaign → shard → trial → engine-phase
@@ -20,7 +20,7 @@
 //! * [`SnapshotPublisher`] / [`StatusSnapshot`] / [`console`] — periodic
 //!   atomic publishing of snapshots (JSON + Prometheus text exposition)
 //!   plus the `campaign-top` dashboard rendering that consumes them.
-//! * [`RunReport`] / [`JsonlWriter`] / [`Progress`] — structured
+//! * [`RunReport`] / [`Progress`] — structured
 //!   machine-readable run reporting and progress for the `bench` binaries
 //!   (`--trace-out`, `--metrics-out`, `--progress`).
 //!
@@ -42,6 +42,6 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, Timer,
 };
 pub use publish::{write_atomic, SnapshotPublisher, StatusSnapshot};
-pub use report::{CampaignObserver, JsonlWriter, Progress, RunReport, Value};
+pub use report::{CampaignObserver, Progress, RunReport, Value};
 pub use span::{keyed_id, OpenSpan, SpanBus, SpanRecord, SpanSink, ROOT_SPAN};
 pub use trace::{CountingSink, JsonlTraceSink, MemSpace, RecordingSink, TraceEvent, TraceSink};

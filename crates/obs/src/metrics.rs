@@ -1,5 +1,5 @@
 //! Campaign metrics: counters, gauges and histograms behind a registry,
-//! snapshotable to JSONL and CSV.
+//! snapshotable to JSONL.
 //!
 //! All instruments are lock-free on the update path (`AtomicU64`) so the
 //! parallel campaign workers can tally outcomes without contention;
@@ -319,8 +319,7 @@ impl HistogramSnapshot {
 }
 
 /// Point-in-time copy of a [`MetricsRegistry`], serializable to a JSON
-/// line or CSV rows and parseable back (for tooling and the round-trip
-/// tests).
+/// line and parseable back (for tooling and the round-trip tests).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
@@ -452,37 +451,6 @@ impl MetricsSnapshot {
             }
         }
         Ok(snap)
-    }
-
-    /// CSV rows: `kind,name,field,value`, header included. Histograms emit
-    /// one row per summary field plus one per non-empty bucket.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("kind,name,field,value\n");
-        let csv_name = |name: &str| {
-            if name.contains([',', '"', '\n']) {
-                format!("\"{}\"", name.replace('"', "\"\""))
-            } else {
-                name.to_string()
-            }
-        };
-        for (k, v) in &self.counters {
-            out.push_str(&format!("counter,{},value,{v}\n", csv_name(k)));
-        }
-        for (k, v) in &self.gauges {
-            out.push_str(&format!("gauge,{},value,{v}\n", csv_name(k)));
-        }
-        for (k, h) in &self.histograms {
-            let name = csv_name(k);
-            out.push_str(&format!("histogram,{name},count,{}\n", h.count));
-            out.push_str(&format!("histogram,{name},sum,{}\n", h.sum));
-            out.push_str(&format!("histogram,{name},min,{}\n", h.min));
-            out.push_str(&format!("histogram,{name},max,{}\n", h.max));
-            for (idx, n) in &h.buckets {
-                let (lo, hi) = Histogram::bucket_range(*idx as usize);
-                out.push_str(&format!("histogram,{name},bucket[{lo}..={hi}],{n}\n"));
-            }
-        }
-        out
     }
 }
 
@@ -690,19 +658,5 @@ mod tests {
         assert_eq!(back, snap);
         // Serialization is deterministic.
         assert_eq!(back.to_json_line(), line);
-    }
-
-    #[test]
-    fn snapshot_csv_shape() {
-        let reg = MetricsRegistry::new();
-        reg.counter("a").inc();
-        reg.gauge("b").set(0.5);
-        reg.histogram("c").observe(2);
-        let csv = reg.snapshot().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "kind,name,field,value");
-        assert!(lines.contains(&"counter,a,value,1"));
-        assert!(lines.contains(&"gauge,b,value,0.5"));
-        assert!(lines.contains(&"histogram,c,bucket[2..=3],1"));
     }
 }

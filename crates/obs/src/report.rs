@@ -93,34 +93,6 @@ impl RunReport {
     }
 }
 
-/// Writes reports and metric snapshots as JSON lines to a file/stream.
-pub struct JsonlWriter<W: io::Write> {
-    writer: W,
-}
-
-impl<W: io::Write> JsonlWriter<W> {
-    pub fn new(writer: W) -> Self {
-        JsonlWriter { writer }
-    }
-
-    pub fn emit_report(&mut self, report: &RunReport) -> io::Result<()> {
-        self.emit_line(&report.to_json_line())
-    }
-
-    pub fn emit_line(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")
-    }
-
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.writer.flush()
-    }
-
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-}
-
 /// Throttled stderr progress meter: completed/total, trials/sec, ETA and
 /// (when the campaign reports one) the current CI half-width.
 pub struct Progress {
@@ -262,16 +234,6 @@ mod tests {
             r#"{"report":"campaign","name":"FMXM","trials":1000,"delta":-3,"avf":0.125,"ecc":true}"#
         );
         assert!(json::parse(&line).is_ok());
-    }
-
-    #[test]
-    fn jsonl_writer_appends_newlines() {
-        let mut w = JsonlWriter::new(Vec::new());
-        w.emit_report(&RunReport::new("a")).unwrap();
-        w.emit_line("{}").unwrap();
-        let buf = w.into_inner();
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(text, "{\"report\":\"a\"}\n{}\n");
     }
 
     #[test]

@@ -169,15 +169,6 @@ pub struct DefUse {
     pub uses: Vec<Vec<u32>>,
 }
 
-impl DefUse {
-    /// Defs with no reachable use (candidates for dead-write reporting;
-    /// the lint itself uses bit-level liveness, which also understands
-    /// partially-observed values).
-    pub fn unused_defs(&self) -> Vec<Def> {
-        self.defs.iter().zip(&self.uses).filter(|(_, u)| u.is_empty()).map(|(d, _)| *d).collect()
-    }
-}
-
 /// Compute reaching definitions and def-use chains over reachable code.
 pub fn def_use(kernel: &Kernel, cfg: &Cfg) -> DefUse {
     let decoded = DecodedKernel::new(kernel);

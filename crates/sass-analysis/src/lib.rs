@@ -65,12 +65,3 @@ pub fn static_ace_fraction(kernel: &gpu_arch::Kernel) -> f64 {
 pub fn verdict_summary(kernel: &gpu_arch::Kernel, ctx: &AnalysisContext) -> VerdictSummary {
     analyze(kernel, ctx).summary()
 }
-
-/// [`verdict_summary`] restricted to sites of one injection class.
-pub fn verdict_summary_for(
-    kernel: &gpu_arch::Kernel,
-    class: gpu_arch::SiteClass,
-    ctx: &AnalysisContext,
-) -> VerdictSummary {
-    analyze(kernel, ctx).summary_for(class)
-}

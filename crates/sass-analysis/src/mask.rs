@@ -34,12 +34,10 @@
 
 use crate::cfg::Cfg;
 use crate::dataflow;
-use gpu_arch::{DecodedKernel, Kernel, Op};
-use gpu_sim::SiteClass;
+use gpu_arch::{DecodedKernel, Kernel};
 
 /// Per-kernel static masking facts.
 pub struct StaticMasks {
-    ops: Vec<Op>,
     /// Observed-bit mask of the destination after each write (low 32 =
     /// `dst`, high 32 = `dst.pair_hi()` for pair writers).
     dst_observed: Vec<u64>,
@@ -67,13 +65,7 @@ impl StaticMasks {
             site.push(scalar_writer && cfg.reachable[cfg.block_of[pc] as usize]);
             writes_pair.push(m.writes_pair);
         }
-        StaticMasks {
-            ops: kernel.instrs.iter().map(|i| i.op).collect(),
-            dst_observed: lv.dst_observed,
-            site,
-            writes_pair,
-            read_union: lv.read_union,
-        }
+        StaticMasks { dst_observed: lv.dst_observed, site, writes_pair, read_union: lv.read_union }
     }
 
     /// Observed-bit mask of the destination written at `pc`.
@@ -116,19 +108,10 @@ impl StaticMasks {
     /// unweighted by execution counts, so it reflects the *code*, not the
     /// trip counts.
     pub fn ace_fraction(&self) -> f64 {
-        self.ace_over(|_| true)
-    }
-
-    /// [`StaticMasks::ace_fraction`] restricted to sites of `class`.
-    pub fn ace_fraction_for(&self, class: SiteClass) -> f64 {
-        self.ace_over(|op| class.matches(op))
-    }
-
-    fn ace_over(&self, keep: impl Fn(Op) -> bool) -> f64 {
         let mut observed = 0u64;
         let mut width = 0u64;
-        for pc in 0..self.ops.len() {
-            if !self.site[pc] || !keep(self.ops[pc]) {
+        for pc in 0..self.site.len() {
+            if !self.site[pc] {
                 continue;
             }
             observed += u64::from(self.dst_observed[pc].count_ones());
