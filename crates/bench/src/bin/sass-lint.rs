@@ -72,8 +72,7 @@ struct KernelReport {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
+        usage_error("no arguments");
     }
 
     let mut path: Option<String> = None;
@@ -89,57 +88,43 @@ fn main() {
 
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        let flag = args[i].as_str();
+        // The flag's value: the next argument, which must be there.
+        let mut value = || {
+            i += 1;
+            args.get(i)
+                .map(String::as_str)
+                .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
+        };
+        match flag {
             "--workloads" => all_workloads = true,
             "--deny-warnings" => deny_warnings = true,
             "--verdicts" => verdicts = true,
             "--format" => {
-                i += 1;
-                format = match args.get(i).map(String::as_str) {
-                    Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    other => {
-                        eprintln!("bad --format {other:?} (expected text|json)");
-                        std::process::exit(2);
-                    }
+                format = match value() {
+                    "text" => Format::Text,
+                    "json" => Format::Json,
+                    other => usage_error(&format!("bad --format `{other}` (expected text|json)")),
                 };
             }
             "--allow" => {
-                i += 1;
-                let name = args.get(i).cloned().unwrap_or_default();
-                if !LINT_NAMES.contains(&name.as_str()) {
-                    eprintln!(
+                let name = value();
+                if !LINT_NAMES.contains(&name) {
+                    usage_error(&format!(
                         "unknown lint `{name}` for --allow (one of: {})",
                         LINT_NAMES.join(", ")
-                    );
-                    std::process::exit(2);
+                    ));
                 }
-                allowed.push(name);
+                allowed.push(name.to_string());
             }
-            "--grid" => {
-                i += 1;
-                grid = args[i].parse().expect("bad --grid");
-            }
-            "--block" => {
-                i += 1;
-                block = args[i].parse().expect("bad --block");
-            }
-            "--global-bytes" => {
-                i += 1;
-                global_bytes = Some(args[i].parse().expect("bad --global-bytes"));
-            }
-            "--param" => {
-                i += 1;
-                params.push(parse_word(&args[i]));
-            }
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag `{other}`");
-                std::process::exit(2);
-            }
+            "--grid" => grid = number(flag, value()),
+            "--block" => block = number(flag, value()),
+            "--global-bytes" => global_bytes = Some(number(flag, value())),
+            "--param" => params.push(parse_word(value())),
+            other if other.starts_with("--") => usage_error(&format!("unknown flag `{other}`")),
             file => {
                 if path.replace(file.to_string()).is_some() {
-                    eprintln!("multiple input files given");
-                    std::process::exit(2);
+                    usage_error("multiple input files given");
                 }
             }
         }
@@ -161,10 +146,7 @@ fn main() {
             });
         }
     } else {
-        let Some(path) = path else {
-            eprintln!("no input file (or pass --workloads)");
-            std::process::exit(2);
-        };
+        let Some(path) = path else { usage_error("no input file (or pass --workloads)") };
         let source = match std::fs::read_to_string(&path) {
             Ok(s) => s,
             Err(e) => {
@@ -340,10 +322,22 @@ fn print_json(reports: &[KernelReport], allowed: &[String], worst: Option<Severi
     println!("{out}");
 }
 
+/// Print `msg` and the usage line, and exit with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2)
+}
+
+/// The value of a numeric flag; a malformed one is a usage error.
+fn number<T: std::str::FromStr>(flag: &str, s: &str) -> T {
+    s.parse().unwrap_or_else(|_| usage_error(&format!("bad {flag} value `{s}`")))
+}
+
+/// A 32-bit `--param` word in decimal or `0x` hex.
 fn parse_word(s: &str) -> u32 {
-    if let Some(h) = s.strip_prefix("0x") {
-        u32::from_str_radix(h, 16).expect("bad hex word")
-    } else {
-        s.parse().expect("bad word")
+    match s.strip_prefix("0x") {
+        Some(h) => u32::from_str_radix(h, 16).ok(),
+        None => s.parse().ok(),
     }
+    .unwrap_or_else(|| usage_error(&format!("bad --param word `{s}`")))
 }

@@ -106,7 +106,8 @@ pub struct CampaignObservation {
     pub device: String,
     /// Final metrics: outcome tallies, trials/sec, profile gauges.
     pub snapshot: MetricsSnapshot,
-    /// The campaign's digest over its trials ([`campaign::CampaignRun::digest`]).
+    /// The campaign's digest over its trials ([`campaign::CampaignRun::digest`]);
+    /// `None` for an observation that ran no campaign (Table I's profiles).
     pub digest: Option<u64>,
     /// The label of the earlier campaign in this process whose result
     /// this one reused instead of running (see [`ObserveCtx`]). A reused
@@ -200,7 +201,7 @@ pub struct ObserveCtx<'a> {
     pub publisher: Option<&'a obs::SnapshotPublisher>,
     stores: StoreLog,
     /// Every campaign's digest so far, in the order they ran.
-    digests: Vec<Option<u64>>,
+    digests: Vec<u64>,
     /// Finished campaigns by [`MemoKey`].
     memo: HashMap<MemoKey, Finished>,
 }
@@ -220,7 +221,7 @@ struct MemoKey {
 /// A campaign that already ran under this ctx.
 struct Finished {
     label: String,
-    digest: Option<u64>,
+    digest: u64,
     /// The kind's output.
     output: Box<dyn Any>,
 }
@@ -233,15 +234,13 @@ impl ObserveCtx<'_> {
 
     /// FNV-1a over the digests of every campaign run so far, in order:
     /// one number for a whole `repro` command. `None` before the first
-    /// campaign, or when a campaign had no digest.
+    /// campaign.
     pub fn digest(&self) -> Option<u64> {
-        if self.digests.is_empty() {
-            return None;
-        }
-        self.digests.iter().try_fold(0xcbf2_9ce4_8422_2325u64, |h, d| {
-            let bytes = (*d)?.to_le_bytes();
-            Some(bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)))
-        })
+        let bytes = self.digests.iter().flat_map(|d| d.to_le_bytes());
+        let h = bytes.fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+        (!self.digests.is_empty()).then_some(h)
     }
 
     fn emit(
@@ -296,7 +295,7 @@ impl Runner for ObserveCtx<'_> {
             if let Some(output) = first.output.downcast_ref::<K::Output>() {
                 let (output, digest, first) = (output.clone(), first.digest, first.label.clone());
                 self.digests.push(digest);
-                self.emit(label, device, &MetricsRegistry::new(), digest, Some(&first));
+                self.emit(label, device, &MetricsRegistry::new(), Some(digest), Some(&first));
                 return Ok(output);
             }
         }
@@ -343,10 +342,10 @@ impl Runner for ObserveCtx<'_> {
         if let Some(metrics) = metrics {
             profile(target, device).export_metrics(&metrics);
             if let Some(publisher) = self.publisher {
-                publisher.set_digest(run.digest);
+                publisher.set_digest(Some(run.digest));
                 let _ = publisher.publish_now();
             }
-            self.emit(label, device, &metrics, run.digest, None);
+            self.emit(label, device, &metrics, Some(run.digest), None);
         }
         let finished = Finished {
             label: label.to_string(),

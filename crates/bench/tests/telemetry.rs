@@ -232,10 +232,9 @@ fn relay_telemetry_identical_at_any_worker_count() {
     };
     let serial = observe(1);
     assert_eq!(serial, observe(4), "fast-forward telemetry differs between 1 and 4 workers");
-    let (executed, [hit, miss, relay], _, digest) = serial;
+    let (executed, [hit, miss, relay], _, _) = serial;
     assert_eq!(hit + miss, executed, "every executed trial counts once");
     assert!(relay > 0 && relay <= hit, "{relay} of {hit} fast-forwarded FMXM trials relayed");
-    assert!(digest.is_some());
 }
 
 /// One cell of a row: how the campaign runs.
@@ -312,7 +311,7 @@ fn row<K: Kind<Workload> + Clone>(
         };
         let what = format!("{} {cell:?}", run.label);
         let c = run.counts;
-        assert_eq!(([c.sdc, c.due, c.masked], run.digest), (pin.0, Some(pin.1)), "{what}: pin");
+        assert_eq!(([c.sdc, c.due, c.masked], run.digest), (pin.0, pin.1), "{what}: pin");
         if let Some(first) = &first {
             assert_eq!(run.executed, first.executed, "{what}: executed");
             assert_eq!(run.direct, first.direct, "{what}: direct");

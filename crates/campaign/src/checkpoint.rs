@@ -37,9 +37,8 @@ pub struct Checkpoint {
     /// sampler's direct label (e.g. `beam.unstruck`).
     pub direct: BTreeMap<String, OutcomeCounts>,
     /// The campaign digest over the trials folded so far (see
-    /// [`crate::CampaignRun::digest`]); `None` in lines written before
-    /// checkpoints carried it.
-    pub digest: Option<u64>,
+    /// [`crate::CampaignRun::digest`]).
+    pub digest: u64,
 }
 
 impl Checkpoint {
@@ -55,10 +54,8 @@ impl Checkpoint {
             .push_uint("trials", self.trials)
             .push_uint("sdc", self.counts.sdc)
             .push_uint("due", self.counts.due)
-            .push_uint("masked", self.counts.masked);
-        if let Some(digest) = self.digest {
-            r.push_str("digest", &format!("{digest:016x}"));
-        }
+            .push_uint("masked", self.counts.masked)
+            .push_str("digest", &format!("{:016x}", self.digest));
         for (label, c) in &self.direct {
             r.push_uint(&format!("direct.{label}.sdc"), c.sdc)
                 .push_uint(&format!("direct.{label}.due"), c.due)
@@ -87,22 +84,11 @@ impl Checkpoint {
                 .map(|v| v as u64)
                 .ok_or_else(|| format!("checkpoint missing numeric field {k:?}"))
         };
-        // Lines written before the seed became a string carry a number.
-        let seed = match obj.get("seed") {
-            Some(Json::Str(digits)) => digits.parse().ok(),
-            Some(other) => other.as_num().filter(|v| v.is_finite() && *v >= 0.0).map(|v| v as u64),
-            None => None,
-        }
-        .ok_or("checkpoint missing or malformed field \"seed\"")?;
-        let digest = match obj.get("digest") {
-            None => None,
-            Some(value) => Some(
-                value
-                    .as_str()
-                    .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-                    .ok_or("checkpoint field \"digest\" is not a hex string")?,
-            ),
-        };
+        let seed = str_field("seed")?
+            .parse()
+            .map_err(|_| "checkpoint field \"seed\" is not a decimal string")?;
+        let digest = u64::from_str_radix(&str_field("digest")?, 16)
+            .map_err(|_| "checkpoint field \"digest\" is not a hex string")?;
         let mut direct: BTreeMap<String, OutcomeCounts> = BTreeMap::new();
         for (key, value) in obj {
             let Some(rest) = key.strip_prefix("direct.") else { continue };
@@ -240,7 +226,7 @@ mod tests {
             trials: 128,
             counts: OutcomeCounts { sdc: 11, due: 13, masked: 104 },
             direct,
-            digest: Some(0x0123_4567_89ab_cdef),
+            digest: 0x0123_4567_89ab_cdef,
         }
     }
 
@@ -253,22 +239,21 @@ mod tests {
     }
 
     #[test]
-    fn seeds_past_2_pow_53_round_trip_and_numeric_seeds_still_parse() {
+    fn seeds_past_2_pow_53_round_trip() {
         let cp = Checkpoint { seed: u64::MAX - 1, ..sample() };
         assert_eq!(Checkpoint::parse(&cp.to_json_line()).unwrap(), cp);
-        let legacy = sample().to_json_line().replace("\"seed\":\"2021\"", "\"seed\":2021");
-        assert_ne!(legacy, sample().to_json_line());
-        assert_eq!(Checkpoint::parse(&legacy).unwrap(), sample());
     }
 
     #[test]
-    fn lines_without_a_digest_still_parse() {
-        let legacy = Checkpoint { digest: None, ..sample() };
-        let line = legacy.to_json_line();
-        assert!(!line.contains("digest"));
-        assert_eq!(Checkpoint::parse(&line).unwrap(), legacy);
-        let bad = sample().to_json_line().replace("0123456789abcdef", "not hex");
-        assert!(Checkpoint::parse(&bad).is_err());
+    fn lines_without_a_string_seed_or_a_hex_digest_are_rejected() {
+        let line = sample().to_json_line();
+        let numeric_seed = line.replace("\"seed\":\"2021\"", "\"seed\":2021");
+        let no_digest = line.replace(",\"digest\":\"0123456789abcdef\"", "");
+        let bad_digest = line.replace("0123456789abcdef", "not hex");
+        for bad in [numeric_seed, no_digest, bad_digest] {
+            assert_ne!(bad, line);
+            assert!(Checkpoint::parse(&bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

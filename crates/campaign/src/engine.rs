@@ -242,10 +242,8 @@ pub struct CampaignRun {
     /// FNV-1a over every trial's (index, outcome, DUE kind, tally label,
     /// stratum) in trial order, resumed trials included: one number that
     /// any change to any trial's result moves. The same at any worker
-    /// count, snapshot policy and across a kill and resume; `None` when
-    /// the run resumed from a checkpoint written before checkpoints
-    /// carried it.
-    pub digest: Option<u64>,
+    /// count, snapshot policy and across a kill and resume.
+    pub digest: u64,
 }
 
 impl CampaignRun {
@@ -400,7 +398,7 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
         };
 
         let mut total = Tally::default();
-        let mut digest = Some(FNV_OFFSET);
+        let mut digest = FNV_OFFSET;
         let mut next_shard = 0u32;
         let mut resumed_trials = 0u64;
         if let Some(cp) = resume {
@@ -785,7 +783,7 @@ impl Telemetry<'_> {
         shard: ShardRun,
         label: &str,
         quarantine: &mut Vec<QuarantineRecord>,
-        digest: &mut Option<u64>,
+        digest: &mut u64,
     ) -> Tally {
         let CampaignObserver { metrics, progress, spans } = self.observer;
         let hists = metrics.map(|m| {
@@ -816,9 +814,7 @@ impl Telemetry<'_> {
         let mut tally = Tally::default();
         for rec in shard.records {
             tally.record(&rec);
-            if let Some(h) = digest.as_mut() {
-                *h = digest_record(*h, &rec);
-            }
+            *digest = digest_record(*digest, &rec);
             if let Some((micros, dyn_instrs, rounds)) = &hists {
                 micros.observe(u64::from(rec.micros));
                 if rec.executed {
@@ -1275,7 +1271,7 @@ fn snapshot(
     budget: &Budget,
     shards_done: u32,
     tally: &Tally,
-    digest: Option<u64>,
+    digest: u64,
 ) -> Checkpoint {
     Checkpoint {
         label: label.to_string(),

@@ -523,7 +523,7 @@ mod tests {
             trials,
             counts: OutcomeCounts { sdc: 1, due: 1, masked: trials - 2 },
             direct: BTreeMap::new(),
-            digest: Some(u64::from(shards)),
+            digest: u64::from(shards),
         }
     }
 

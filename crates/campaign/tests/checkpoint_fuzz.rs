@@ -37,8 +37,7 @@ fn counts() -> impl Strategy<Value = OutcomeCounts> {
 fn checkpoint() -> impl Strategy<Value = Checkpoint> {
     let identity = (ascii(24), any::<u64>(), any::<u32>(), any::<u32>());
     let direct = prop::collection::vec((ascii(12), counts()), 0..4);
-    let digest = (any::<bool>(), any::<u64>()).prop_map(|(some, d)| some.then_some(d));
-    (identity, counts(), direct, digest).prop_map(
+    (identity, counts(), direct, any::<u64>()).prop_map(
         |((label, seed, shard_size, shards_done), c, d, digest)| Checkpoint {
             label,
             seed,

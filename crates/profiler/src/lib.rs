@@ -73,7 +73,8 @@ impl KernelProfile {
         out: &Executed,
     ) -> Self {
         let ctx = sass_analysis::AnalysisContext::for_launch(launch, out.memory.len() as u64);
-        let summary = sass_analysis::verdict_summary(target_kernel, &ctx);
+        let analysis = sass_analysis::analyze(target_kernel, &ctx);
+        let summary = analysis.summary();
         KernelProfile {
             name: name.into(),
             shared_bytes: target_kernel.shared_bytes,
@@ -86,7 +87,7 @@ impl KernelProfile {
             mix_fractions: out.counts.mix_fractions(),
             seconds: out.timing.seconds,
             cycles: out.timing.cycles,
-            static_ace: sass_analysis::static_ace_fraction(target_kernel),
+            static_ace: analysis.masks.ace_fraction(),
             static_sdc_upper: summary.sdc_upper(),
             static_due_upper: summary.due_upper(),
         }

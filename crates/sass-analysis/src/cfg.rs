@@ -1,4 +1,5 @@
-//! Control-flow graph construction over a [`Kernel`].
+//! Control-flow graph construction over a [`Kernel`], and the one
+//! dataflow solver every fixpoint in this crate runs on.
 //!
 //! Branch targets in the ISA are resolved instruction indices
 //! ([`gpu_arch::KernelBuilder`] fixes up labels at build time), so basic
@@ -8,11 +9,18 @@
 //! data-flow, not control flow — but a guarded `BRA`/`EXIT` makes the
 //! fall-through edge real.
 //!
-//! Dominators and postdominators are computed as plain iterative bitset
-//! dataflow. Kernels in this workspace are at most a few hundred
-//! instructions, so the O(blocks²) sets are cheaper than a Lengauer-Tarjan
-//! implementation would be to maintain, and the sets themselves are what
-//! the loop finder and the divergence analysis consume.
+//! The solver (`Cfg::solve`) is round-robin: each pass visits the
+//! reachable blocks in index order (reverse order for backward problems)
+//! and recomputes a block's state as the join over its neighbours'
+//! states, each carried through its neighbour by a per-block transfer.
+//! Updates land in place, so later blocks of a pass see them. Its
+//! companion `Cfg::sweep` then visits every reachable instruction once
+//! with the fixpoint state before it (after it, for backward problems).
+//! Dominators and postdominators are plain bitset problems on it.
+//! Kernels in this workspace are at most a few hundred instructions, so
+//! the O(blocks²) sets are cheaper than a Lengauer-Tarjan implementation
+//! would be to maintain, and the sets themselves are what the loop finder
+//! and the divergence analysis consume.
 
 use gpu_arch::{Kernel, Op};
 
@@ -208,97 +216,22 @@ impl Cfg {
             }
         }
 
-        // Dominators: dom[b] = {b} ∪ ⋂ dom[p], iterated to fixpoint.
-        let mut dom: Vec<BlockSet> = (0..nb)
-            .map(|b| {
-                if b == 0 {
-                    let mut s = BlockSet::empty(nb);
-                    s.insert(0);
-                    s
-                } else if reachable[b] {
-                    BlockSet::full(nb)
-                } else {
-                    BlockSet::empty(nb)
-                }
-            })
-            .collect();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for b in 1..nb {
-                if !reachable[b] {
-                    continue;
-                }
-                let mut new = BlockSet::full(nb);
-                let mut any_pred = false;
-                for &p in &blocks[b].preds {
-                    if reachable[p as usize] {
-                        new.intersect_with(&dom[p as usize]);
-                        any_pred = true;
-                    }
-                }
-                if !any_pred {
-                    new = BlockSet::empty(nb);
-                }
-                new.insert(b as u32);
-                if new != dom[b] {
-                    dom[b] = new;
-                    changed = true;
-                }
-            }
-        }
-
-        // Postdominators: the same dataflow on the reversed graph, seeded
-        // at the exit blocks (no successors). Blocks in a region that
-        // cannot reach any exit converge to the empty set.
-        let exits: Vec<usize> =
-            (0..nb).filter(|&b| reachable[b] && blocks[b].succs.is_empty()).collect();
-        let mut pdom: Vec<BlockSet> = (0..nb)
-            .map(|b| {
-                if exits.contains(&b) {
-                    let mut s = BlockSet::empty(nb);
-                    s.insert(b as u32);
-                    s
-                } else if reachable[b] {
-                    BlockSet::full(nb)
-                } else {
-                    BlockSet::empty(nb)
-                }
-            })
-            .collect();
-        changed = true;
-        while changed {
-            changed = false;
-            for b in (0..nb).rev() {
-                if !reachable[b] || exits.contains(&b) {
-                    continue;
-                }
-                let mut new = BlockSet::full(nb);
-                for &s in &blocks[b].succs {
-                    new.intersect_with(&pdom[s as usize]);
-                }
-                if blocks[b].succs.is_empty() {
-                    new = BlockSet::empty(nb);
-                }
-                new.insert(b as u32);
-                if new != pdom[b] {
-                    pdom[b] = new;
-                    changed = true;
-                }
-            }
-        }
-        // A full set can only survive the fixpoint in an exit-free cycle;
-        // normalize it to "unknown" (empty) so consumers treat those
-        // blocks conservatively.
-        for b in 0..nb {
-            if reachable[b] && pdom[b].len() >= nb as u32 && nb > 1 {
-                pdom[b] = BlockSet::empty(nb);
-            }
-        }
+        let mut cfg = Cfg {
+            blocks,
+            block_of,
+            reachable,
+            dom: Vec::new(),
+            pdom: Vec::new(),
+            ipdom: vec![NO_BLOCK; nb],
+            back_edges: Vec::new(),
+            loops: Vec::new(),
+        };
+        cfg.dom = cfg.dominators(false);
+        cfg.pdom = cfg.dominators(true);
 
         // Immediate postdominators: ipdom(b) is the member c of
         // pdom(b)\{b} whose own set pdom(c) equals pdom(b)\{b}.
-        let mut ipdom = vec![NO_BLOCK; nb];
+        let (blocks, reachable, pdom) = (&cfg.blocks, &cfg.reachable, &cfg.pdom);
         for b in 0..nb {
             if !reachable[b] || pdom[b].is_empty() {
                 continue;
@@ -307,26 +240,24 @@ impl Cfg {
             cands.words[b / 64] &= !(1 << (b % 64));
             for c in 0..nb as u32 {
                 if cands.contains(c) && pdom[c as usize] == cands {
-                    ipdom[b] = c;
+                    cfg.ipdom[b] = c;
                     break;
                 }
             }
         }
 
         // Back edges and natural loops.
-        let mut back_edges = Vec::new();
         for b in 0..nb {
             if !reachable[b] {
                 continue;
             }
             for &s in &blocks[b].succs {
-                if dom[b].contains(s) {
-                    back_edges.push((b as u32, s));
+                if cfg.dom[b].contains(s) {
+                    cfg.back_edges.push((b as u32, s));
                 }
             }
         }
-        let mut loops: Vec<NaturalLoop> = Vec::new();
-        for &(tail, head) in &back_edges {
+        for &(tail, head) in &cfg.back_edges {
             // Body: head plus reverse-reachability from tail stopping at
             // the head.
             let mut in_body = vec![false; nb];
@@ -342,7 +273,7 @@ impl Cfg {
                 }
             }
             let body: Vec<u32> = (0..nb as u32).filter(|&b| in_body[b as usize]).collect();
-            if let Some(l) = loops.iter_mut().find(|l| l.head == head) {
+            if let Some(l) = cfg.loops.iter_mut().find(|l| l.head == head) {
                 for b in body {
                     if !l.body.contains(&b) {
                         l.body.push(b);
@@ -350,11 +281,127 @@ impl Cfg {
                 }
                 l.body.sort_unstable();
             } else {
-                loops.push(NaturalLoop { head, body });
+                cfg.loops.push(NaturalLoop { head, body });
             }
         }
+        cfg
+    }
 
-        Cfg { blocks, block_of, reachable, dom, pdom, ipdom, back_edges, loops }
+    /// Dominator sets, or postdominator sets when `backward`: the greatest
+    /// solution of `set(b) = {b} ∪ ⋂ set(n)` over `b`'s reachable
+    /// predecessors (successors), where the intersection is empty for the
+    /// entry (for the exits). The solver's state is that intersection.
+    /// Unreachable blocks get an empty set. A full postdominator set
+    /// survives the fixpoint in an exit-free cycle (and wherever every
+    /// block postdominates); it is normalized to "unknown" (empty) so
+    /// consumers treat those blocks conservatively.
+    fn dominators(&self, backward: bool) -> Vec<BlockSet> {
+        let nb = self.blocks.len();
+        let mut meet = vec![BlockSet::full(nb); nb];
+        self.solve(
+            backward,
+            usize::MAX,
+            &mut meet,
+            |b, set| set.insert(b as u32),
+            |_, b, _, flows| {
+                let mut flows = flows.filter(|&(n, _)| self.reachable[n]).map(|(_, set)| set);
+                match flows.next() {
+                    Some(first) if backward || b != 0 => flows.fold(first, |mut m, set| {
+                        m.intersect_with(&set);
+                        m
+                    }),
+                    _ => BlockSet::empty(nb),
+                }
+            },
+        );
+        let set = |(b, mut m): (usize, BlockSet)| {
+            m.insert(b as u32);
+            let unknown = backward && m.len() >= nb as u32 && nb > 1;
+            if self.reachable[b] && !unknown {
+                m
+            } else {
+                BlockSet::empty(nb)
+            }
+        };
+        meet.into_iter().enumerate().map(set).collect()
+    }
+
+    /// Solve a dataflow problem by round-robin iteration. `state[b]` is
+    /// block `b`'s state where its neighbours' flows meet: at its entry
+    /// for forward problems, at its exit for `backward` ones. A
+    /// neighbour's flow is its state carried through it by `transfer`.
+    /// Each pass visits the reachable blocks in index order (reverse
+    /// order when `backward`) and replaces `state[b]` in place by
+    /// `join(pass, b, state, flows)`, where `flows` yields `(n, flow)` for
+    /// every predecessor (successor) `n` of `b`, reachable or not. The
+    /// solver stops after a pass that changes nothing, or after
+    /// `max_passes`.
+    pub(crate) fn solve<S: Clone + PartialEq>(
+        &self,
+        backward: bool,
+        max_passes: usize,
+        state: &mut [S],
+        transfer: impl Fn(usize, &mut S),
+        mut join: impl FnMut(usize, usize, &[S], &mut dyn Iterator<Item = (usize, S)>) -> S,
+    ) {
+        let nb = self.blocks.len();
+        for pass in 0..max_passes {
+            let mut changed = false;
+            for i in 0..nb {
+                let b = if backward { nb - 1 - i } else { i };
+                if !self.reachable[b] {
+                    continue;
+                }
+                let view: &[S] = state;
+                let block = &self.blocks[b];
+                let mut flows =
+                    (if backward { &block.succs } else { &block.preds }).iter().map(|&n| {
+                        let mut flow = view[n as usize].clone();
+                        transfer(n as usize, &mut flow);
+                        (n as usize, flow)
+                    });
+                let next = join(pass, b, view, &mut flows);
+                if next != state[b] {
+                    state[b] = next;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+    }
+
+    /// Carry `state` through block `b`, calling `f` on each instruction in
+    /// program order (reverse order when `backward`).
+    pub(crate) fn walk<S>(
+        &self,
+        b: usize,
+        backward: bool,
+        state: &mut S,
+        mut f: impl FnMut(usize, &mut S),
+    ) {
+        let range = self.blocks[b].range();
+        if backward {
+            range.rev().for_each(|pc| f(pc, state));
+        } else {
+            range.for_each(|pc| f(pc, state));
+        }
+    }
+
+    /// Visit every reachable instruction once, after `Cfg::solve`:
+    /// blocks in index order, instructions as `Cfg::walk` orders them.
+    /// `visit(pc, s)` gets the fixpoint state before `pc` (after it, when
+    /// `backward`) and must apply `pc`'s transfer to it.
+    pub(crate) fn sweep<S: Clone>(
+        &self,
+        backward: bool,
+        state: &[S],
+        mut visit: impl FnMut(usize, &mut S),
+    ) {
+        for b in (0..self.blocks.len()).filter(|&b| self.reachable[b]) {
+            self.walk(b, backward, &mut state[b].clone(), &mut visit);
+        }
     }
 
     /// Does block `a` dominate block `b`?

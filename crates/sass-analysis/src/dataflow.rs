@@ -1,6 +1,13 @@
 //! Dataflow passes over the CFG: reaching definitions and def-use chains,
-//! bit-level register liveness, definite-assignment, and a uniformity
-//! (divergence) analysis.
+//! bit-level register liveness, may-assignment of registers and
+//! predicates, predicate liveness, and a uniformity (divergence) analysis.
+//!
+//! Every pass takes the kernel's [`Cfg`] and [`DecodedKernel`], built
+//! once by the entry point that runs it ([`crate::KernelAnalysis::compute`]
+//! or [`crate::verify`]), and runs on the CFG's one solver: a per-
+//! instruction transfer written once, carried through whole blocks by
+//! `Cfg::solve` to the fixpoint and then through each reachable
+//! instruction by `Cfg::sweep`, which records the pass's answer.
 //!
 //! All passes share the predecode layer's read/write model of the ISA
 //! ([`gpu_arch::DecodedKernel`]) — the same tables the simulator and the
@@ -18,10 +25,6 @@
 //!   value in place, so the old value stays live (and a prior definition
 //!   still reaches) across it.
 //!
-//! Each pass decodes the kernel once up front, so the fixpoint iterations
-//! index precomputed read/write tables instead of re-deriving them per
-//! (block, instruction) visit.
-//!
 //! The bit-level liveness fixpoint itself is
 //! [`gpu_arch::decode::RegLiveness`], which the simulator also uses to
 //! ignore dead registers when a trial rejoins its golden run; this module
@@ -35,7 +38,7 @@
 
 use crate::cfg::Cfg;
 use gpu_arch::decode::RegLiveness;
-use gpu_arch::{DecodedKernel, Instr, InstrMeta, Kernel, Op, Pred, Reg, SpecialReg};
+use gpu_arch::{DecodedKernel, Instr, Kernel, Op, Pred, Reg, SpecialReg};
 
 /// Number of real (non-`RZ`) general-purpose registers.
 pub use gpu_arch::decode::TRACKED_REGS;
@@ -71,43 +74,22 @@ impl RegSet {
         !r.is_rz() && self.words[r.0 as usize / 64] & (1 << (r.0 % 64)) != 0
     }
 
-    /// Union in `other`; returns true if `self` grew.
-    pub fn union_with(&mut self, other: &RegSet) -> bool {
-        let mut grew = false;
+    /// Union in `other`.
+    pub fn union_with(&mut self, other: &RegSet) {
         for (w, o) in self.words.iter_mut().zip(&other.words) {
-            let new = *w | o;
-            grew |= new != *w;
-            *w = new;
+            *w |= o;
         }
-        grew
     }
 }
 
-/// Observability masks, re-exported from the predecode layer (the
-/// definitions moved to [`gpu_arch::decode`]).
-pub use gpu_arch::decode::{OBS_FULL as FULL, OBS_HALF as HALF, OBS_SHIFT_COUNT as SHIFT_COUNT};
-
-/// Registers read by `i` with the observed-bit mask per read.
-///
-/// Delegates to [`gpu_arch::decode::observed_reads_of`]; passes that walk
-/// a whole kernel should decode once and use
-/// [`DecodedKernel::observed_reads`] instead.
-pub fn observed_reads(i: &Instr) -> Vec<(Reg, u32)> {
-    gpu_arch::decode::observed_reads_of(i)
+/// Predicates `i` reads: its guard and its condition source, `PT` excluded.
+fn pred_reads(i: &Instr) -> impl Iterator<Item = Pred> {
+    i.guard.map(|g| g.pred).into_iter().chain(i.psrc.map(|(p, _)| p)).filter(|p| !p.is_pt())
 }
 
-/// Registers written by `i`, MMA fragments expanded (see
-/// [`gpu_arch::decode::written_regs_of`]).
-pub fn written_regs(i: &Instr) -> Vec<Reg> {
-    gpu_arch::decode::written_regs_of(i).as_slice().to_vec()
-}
-
-/// True if the definitions of `i` overwrite the whole destination on every
-/// executing thread: unguarded scalar writes kill; guarded writes and
-/// warp-level MMA/SHFL writes do not (the conservative direction for both
-/// liveness and reaching definitions).
-pub fn def_kills(i: &Instr) -> bool {
-    InstrMeta::new(i).def_kills
+/// The predicate `i` writes, `PT` excluded.
+fn pred_write(i: &Instr) -> Option<Pred> {
+    i.pdst.filter(|p| !p.is_pt())
 }
 
 /// Bit-level liveness: which bits of which registers may still be
@@ -127,11 +109,10 @@ pub struct Liveness {
 
 /// Bit-level liveness over `cfg`'s reachable code: the fixpoint is
 /// [`RegLiveness`], shared with the simulator's golden rejoin.
-pub fn liveness(kernel: &Kernel, cfg: &Cfg) -> Liveness {
-    let decoded = DecodedKernel::new(kernel);
+pub fn liveness(kernel: &Kernel, cfg: &Cfg, decoded: &DecodedKernel) -> Liveness {
     let reachable = |pc: usize| cfg.reachable[cfg.block_of[pc] as usize];
     let mut dst_observed = vec![0u64; kernel.instrs.len()];
-    RegLiveness::new(kernel, &decoded).sweep(|pc, after, _| {
+    RegLiveness::new(kernel, decoded).sweep(|pc, after, _| {
         let (i, meta) = (&kernel.instrs[pc], decoded.meta(pc as u32));
         if reachable(pc) && !meta.has_no_dst && !i.dst.is_rz() {
             let observed = |r: Reg| u64::from(after.get(r.0 as usize).copied().unwrap_or(0));
@@ -170,15 +151,11 @@ pub struct DefUse {
 }
 
 /// Compute reaching definitions and def-use chains over reachable code.
-pub fn def_use(kernel: &Kernel, cfg: &Cfg) -> DefUse {
-    let decoded = DecodedKernel::new(kernel);
+pub fn def_use(cfg: &Cfg, decoded: &DecodedKernel) -> DefUse {
     // Enumerate defs and index them per register.
     let mut defs = Vec::new();
     let mut defs_of_reg: Vec<Vec<u32>> = vec![Vec::new(); TRACKED_REGS];
-    for b in 0..cfg.blocks.len() {
-        if !cfg.reachable[b] {
-            continue;
-        }
+    for b in (0..cfg.blocks.len()).filter(|&b| cfg.reachable[b]) {
         for pc in cfg.blocks[b].range() {
             for &r in decoded.written_regs(pc) {
                 defs_of_reg[r.0 as usize].push(defs.len() as u32);
@@ -186,76 +163,52 @@ pub fn def_use(kernel: &Kernel, cfg: &Cfg) -> DefUse {
             }
         }
     }
-    let nd = defs.len();
-    let words = nd.div_ceil(64).max(1);
-    let nb = cfg.blocks.len();
-    let mut in_sets = vec![vec![0u64; words]; nb];
-    let set = |s: &mut [u64], d: u32| s[d as usize / 64] |= 1 << (d % 64);
-    let clear = |s: &mut [u64], d: u32| s[d as usize / 64] &= !(1 << (d % 64));
+    let words = defs.len().div_ceil(64).max(1);
     let test = |s: &[u64], d: u32| s[d as usize / 64] & (1 << (d % 64)) != 0;
 
-    // Block transfer applied instruction by instruction (gen/kill per
-    // instruction is simpler than precomputing block summaries and fast
-    // enough at these kernel sizes).
-    let apply_block = |block: usize, cur: &mut Vec<u64>, mut chains: Option<&mut Vec<Vec<u32>>>| {
-        for pc in cfg.blocks[block].range() {
-            if let Some(chains) = chains.as_deref_mut() {
-                for &(r, _) in decoded.observed_reads(pc) {
-                    for &d in &defs_of_reg[r.0 as usize] {
-                        if test(cur, d) && !chains[d as usize].contains(&(pc as u32)) {
-                            chains[d as usize].push(pc as u32);
-                        }
-                    }
-                }
-            }
-            let kills = decoded.meta(pc as u32).def_kills;
-            for &r in decoded.written_regs(pc) {
-                for &d in &defs_of_reg[r.0 as usize] {
-                    if kills && defs[d as usize].pc != pc as u32 {
-                        clear(cur, d);
-                    }
-                    if defs[d as usize].pc == pc as u32 {
-                        set(cur, d);
-                    }
+    // Gen/kill per instruction: a write defines its own defs and, unless
+    // guarded, kills every other def of the register.
+    let transfer = |pc: usize, cur: &mut Vec<u64>| {
+        let kills = decoded.meta(pc as u32).def_kills;
+        for &r in decoded.written_regs(pc) {
+            for &d in &defs_of_reg[r.0 as usize] {
+                let (word, bit) = (d as usize / 64, 1u64 << (d % 64));
+                if defs[d as usize].pc == pc as u32 {
+                    cur[word] |= bit;
+                } else if kills {
+                    cur[word] &= !bit;
                 }
             }
         }
     };
-
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in 0..nb {
-            if !cfg.reachable[b] {
-                continue;
-            }
+    let mut reaching = vec![vec![0u64; words]; cfg.blocks.len()];
+    cfg.solve(
+        false,
+        usize::MAX,
+        &mut reaching,
+        |b, s| cfg.walk(b, false, s, &transfer),
+        |_, _, _, flows| {
             let mut cur = vec![0u64; words];
-            for &p in &cfg.blocks[b].preds {
-                if !cfg.reachable[p as usize] {
-                    continue;
-                }
-                // in[b] |= out[p]; out is recomputed from in on the fly.
-                let mut pout = in_sets[p as usize].clone();
-                apply_block(p as usize, &mut pout, None);
-                for (c, o) in cur.iter_mut().zip(&pout) {
-                    *c |= o;
-                }
+            for (_, flow) in flows.filter(|&(p, _)| cfg.reachable[p]) {
+                cur.iter_mut().zip(&flow).for_each(|(c, f)| *c |= f);
             }
-            if cur != in_sets[b] {
-                in_sets[b] = cur;
-                changed = true;
-            }
-        }
-    }
+            cur
+        },
+    );
 
-    let mut uses = vec![Vec::new(); nd];
-    for (b, in_set) in in_sets.iter().enumerate() {
-        if !cfg.reachable[b] {
-            continue;
+    let mut uses = vec![Vec::new(); defs.len()];
+    cfg.sweep(false, &reaching, |pc, cur| {
+        for &(r, _) in decoded.observed_reads(pc) {
+            for &d in &defs_of_reg[r.0 as usize] {
+                // The sweep visits each pc once, so a repeat is this pc's.
+                let chain = &mut uses[d as usize];
+                if test(cur, d) && chain.last() != Some(&(pc as u32)) {
+                    chain.push(pc as u32);
+                }
+            }
         }
-        let mut cur = in_set.clone();
-        apply_block(b, &mut cur, Some(&mut uses));
-    }
+        transfer(pc, cur);
+    });
     DefUse { defs, uses }
 }
 
@@ -270,60 +223,72 @@ pub struct UninitRead {
     pub reg: Reg,
 }
 
-/// Find reads of never-written registers (definite uninitialized reads).
+/// A predicate read (guard or condition source) with no assignment on
+/// any path from kernel entry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UnwrittenGuard {
+    /// The reading instruction.
+    pub pc: u32,
+    /// The predicate read.
+    pub pred: Pred,
+}
+
+/// Find reads of never-written registers and predicates, in program
+/// order: the register reads, and the guards and condition sources on
+/// predicates (which reset to false at launch, so such a guard is a
+/// constant — `@P` never fires and `@!P` always does).
 ///
-/// Uses a may-assign forward pass — a guarded write counts as an
+/// One may-assign forward pass over both — a guarded write counts as an
 /// assignment — so only reads with *no* defining path are reported, which
-/// keeps the lint free of false positives on predicated code.
-pub fn uninitialized_reads(kernel: &Kernel, cfg: &Cfg) -> Vec<UninitRead> {
-    let decoded = DecodedKernel::new(kernel);
-    let nb = cfg.blocks.len();
-    let mut in_sets = vec![RegSet::new(); nb];
-    let out_of = |block: usize, mut cur: RegSet| {
-        for pc in cfg.blocks[block].range() {
-            for &r in decoded.written_regs(pc) {
-                cur.insert(r);
-            }
+/// keeps the lints free of false positives on predicated code.
+pub fn uninitialized_reads(
+    kernel: &Kernel,
+    cfg: &Cfg,
+    decoded: &DecodedKernel,
+) -> (Vec<UninitRead>, Vec<UnwrittenGuard>) {
+    let transfer = |pc: usize, (regs, preds): &mut (RegSet, u8)| {
+        for &r in decoded.written_regs(pc) {
+            regs.insert(r);
         }
-        cur
+        if let Some(p) = pred_write(&kernel.instrs[pc]) {
+            *preds |= 1 << p.0;
+        }
     };
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in 0..nb {
-            if !cfg.reachable[b] {
-                continue;
+    let mut assigned = vec![(RegSet::new(), 0u8); cfg.blocks.len()];
+    cfg.solve(
+        false,
+        usize::MAX,
+        &mut assigned,
+        |b, s| cfg.walk(b, false, s, &transfer),
+        |_, _, _, flows| {
+            let mut cur = (RegSet::new(), 0u8);
+            for (_, (regs, preds)) in flows.filter(|&(p, _)| cfg.reachable[p]) {
+                cur.0.union_with(&regs);
+                cur.1 |= preds;
             }
-            let mut cur = RegSet::new();
-            for &p in &cfg.blocks[b].preds {
-                if cfg.reachable[p as usize] {
-                    cur.union_with(&out_of(p as usize, in_sets[p as usize]));
-                }
-            }
-            if cur != in_sets[b] {
-                in_sets[b] = cur;
-                changed = true;
-            }
-        }
-    }
-    let mut out = Vec::new();
-    for (b, in_set) in in_sets.iter().enumerate() {
-        if !cfg.reachable[b] {
-            continue;
-        }
-        let mut cur = *in_set;
-        for pc in cfg.blocks[b].range() {
-            for &(r, _) in decoded.observed_reads(pc) {
-                if !cur.contains(r) && !out.contains(&UninitRead { pc: pc as u32, reg: r }) {
-                    out.push(UninitRead { pc: pc as u32, reg: r });
-                }
-            }
-            for &r in decoded.written_regs(pc) {
-                cur.insert(r);
+            cur
+        },
+    );
+
+    let (mut regs, mut preds) = (Vec::new(), Vec::new());
+    cfg.sweep(false, &assigned, |pc, cur| {
+        // The sweep visits each pc once: only this pc's entries can repeat.
+        let (reg_start, pred_start) = (regs.len(), preds.len());
+        for &(r, _) in decoded.observed_reads(pc) {
+            let hit = UninitRead { pc: pc as u32, reg: r };
+            if !cur.0.contains(r) && !regs[reg_start..].contains(&hit) {
+                regs.push(hit);
             }
         }
-    }
-    out
+        for p in pred_reads(&kernel.instrs[pc]) {
+            let hit = UnwrittenGuard { pc: pc as u32, pred: p };
+            if cur.1 & (1 << p.0) == 0 && !preds[pred_start..].contains(&hit) {
+                preds.push(hit);
+            }
+        }
+        transfer(pc, cur);
+    });
+    (regs, preds)
 }
 
 /// Uniformity (divergence) analysis results.
@@ -350,23 +315,21 @@ fn forced_varying(op: Op) -> bool {
     )
 }
 
-/// Taint state while walking a block: varying registers + predicates.
-#[derive(Clone, Copy)]
+/// Uniformity state of a block: varying registers and predicates at its
+/// entry, whether the block itself is divergent, and whether the guarded
+/// branch that ends it varies (its guard does, or the block diverges).
+#[derive(Clone, Copy, Default, PartialEq)]
 struct Taint {
     regs: RegSet,
     preds: u8,
+    divergent: bool,
+    branch_varies: bool,
 }
 
 /// Apply one instruction's taint transfer; returns whether its guard is
 /// varying at this point.
-fn taint_transfer(
-    decoded: &DecodedKernel,
-    pc: usize,
-    i: &Instr,
-    block_divergent: bool,
-    t: &mut Taint,
-) -> bool {
-    let mut var = forced_varying(i.op) || block_divergent;
+fn taint_transfer(decoded: &DecodedKernel, pc: usize, i: &Instr, t: &mut Taint) -> bool {
+    let mut var = forced_varying(i.op) || t.divergent;
     for &(r, _) in decoded.observed_reads(pc) {
         var |= t.regs.contains(r);
     }
@@ -383,101 +346,67 @@ fn taint_transfer(
             t.regs.remove(r);
         }
     }
-    if let Some(p) = i.pdst {
-        if !p.is_pt() {
-            if var {
-                t.preds |= 1 << p.0;
-            } else if i.guard.is_none() {
-                t.preds &= !(1 << p.0);
-            }
+    if let Some(p) = pred_write(i) {
+        if var {
+            t.preds |= 1 << p.0;
+        } else if i.guard.is_none() {
+            t.preds &= !(1 << p.0);
         }
     }
     guard_var
 }
 
-/// Flow-sensitive taint analysis from thread-identity sources, interleaved
-/// with control-dependence propagation: a branch on a varying predicate
-/// makes every block up to its reconvergence point divergent, and any
-/// definition inside a divergent region is itself varying. Iterated to
-/// fixpoint (both lattices only grow).
-pub fn uniformity(kernel: &Kernel, cfg: &Cfg) -> Uniformity {
+/// Flow-sensitive taint analysis from thread-identity sources, solved
+/// together with control dependence: a block is divergent when a guarded
+/// branch whose region ([`Cfg::influence_region`]) contains it varies —
+/// its guard is varying at the branch, or the branch's block is divergent
+/// — and every definition inside a divergent block is itself varying.
+/// Both lattices only grow, so one fixpoint covers them.
+pub fn uniformity(kernel: &Kernel, cfg: &Cfg, decoded: &DecodedKernel) -> Uniformity {
     let instrs = &kernel.instrs;
-    let decoded = DecodedKernel::new(kernel);
     let nb = cfg.blocks.len();
-    let mut divergent = vec![false; nb];
-    let mut state_in = vec![Taint { regs: RegSet::new(), preds: 0 }; nb];
-
-    loop {
-        // Inner fixpoint: taint propagation under the current divergence
-        // map.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for b in 0..nb {
-                if !cfg.reachable[b] {
-                    continue;
-                }
-                let mut t = state_in[b];
-                for pc in cfg.blocks[b].range() {
-                    taint_transfer(&decoded, pc, &instrs[pc], divergent[b], &mut t);
-                }
-                for &s in &cfg.blocks[b].succs {
-                    let s = s as usize;
-                    changed |= state_in[s].regs.union_with(&t.regs);
-                    if state_in[s].preds | t.preds != state_in[s].preds {
-                        state_in[s].preds |= t.preds;
-                        changed = true;
-                    }
-                }
-            }
-        }
-
-        // Re-derive divergent regions from varying branch guards.
-        let mut grew = false;
-        for b in 0..nb {
-            if !cfg.reachable[b] {
-                continue;
-            }
-            let last = cfg.blocks[b].end as usize - 1;
-            if !(instrs[last].op == Op::Bra && instrs[last].guard.is_some()) {
-                continue;
-            }
-            let mut t = state_in[b];
-            for pc in cfg.blocks[b].range() {
-                if pc == last {
-                    break;
-                }
-                taint_transfer(&decoded, pc, &instrs[pc], divergent[b], &mut t);
-            }
-            let g = instrs[last].guard.expect("checked above");
-            let guard_var = (!g.pred.is_pt() && t.preds & (1 << g.pred.0) != 0) || divergent[b];
-            if guard_var {
-                for r in cfg.influence_region(b as u32) {
-                    if !divergent[r as usize] {
-                        divergent[r as usize] = true;
-                        grew = true;
-                    }
-                }
-            }
-        }
-        if !grew {
-            break;
+    let transfer = |pc: usize, t: &mut Taint| taint_transfer(decoded, pc, &instrs[pc], t);
+    let guarded_branch = |b: usize| {
+        let last = &instrs[cfg.blocks[b].end as usize - 1];
+        last.op == Op::Bra && last.guard.is_some()
+    };
+    // Per block: the reachable guarded-branch blocks whose influence
+    // region contains it.
+    let mut controllers = vec![Vec::new(); nb];
+    for c in (0..nb).filter(|&c| cfg.reachable[c] && guarded_branch(c)) {
+        for r in cfg.influence_region(c as u32) {
+            controllers[r as usize].push(c);
         }
     }
+    let mut taint = vec![Taint::default(); nb];
+    cfg.solve(
+        false,
+        usize::MAX,
+        &mut taint,
+        |b, s| {
+            cfg.walk(b, false, s, |pc, t| {
+                transfer(pc, t);
+            })
+        },
+        |_, b, state, flows| {
+            let divergent = controllers[b].iter().any(|&c| state[c].branch_varies);
+            let mut cur = Taint { divergent, ..Taint::default() };
+            for (_, flow) in flows.filter(|&(p, _)| cfg.reachable[p]) {
+                cur.regs.union_with(&flow.regs);
+                cur.preds |= flow.preds;
+            }
+            if guarded_branch(b) {
+                let mut guard = false;
+                cfg.walk(b, false, &mut cur.clone(), |pc, t| guard = transfer(pc, t));
+                cur.branch_varies = guard || divergent;
+            }
+            cur
+        },
+    );
 
-    // Final sweep: per-instruction guard taint.
     let mut guard_varying = vec![false; instrs.len()];
-    for b in 0..nb {
-        if !cfg.reachable[b] {
-            continue;
-        }
-        let mut t = state_in[b];
-        for pc in cfg.blocks[b].range() {
-            guard_varying[pc] = taint_transfer(&decoded, pc, &instrs[pc], divergent[b], &mut t);
-        }
-    }
-
-    Uniformity { divergent_block: divergent, guard_varying }
+    cfg.sweep(false, &taint, |pc, t| guard_varying[pc] = transfer(pc, t));
+    Uniformity { divergent_block: taint.iter().map(|t| t.divergent).collect(), guard_varying }
 }
 
 /// A predicate definition no later instruction ever observes.
@@ -498,168 +427,41 @@ pub struct DeadPredWrite {
 /// instruction's own guard reads the *old* predicate, so a
 /// `@P0 ISETP P0, ...` keeps prior definitions of `P0` live.
 pub fn dead_predicate_writes(kernel: &Kernel, cfg: &Cfg) -> Vec<DeadPredWrite> {
-    let nb = cfg.blocks.len();
-    // live-out predicate mask per block (bit per predicate, PT excluded).
-    let mut live_in = vec![0u8; nb];
-    let transfer = |block: usize, live_out: u8| -> u8 {
-        let mut live = live_out;
-        for pc in cfg.blocks[block].range().rev() {
-            let i = &kernel.instrs[pc];
-            if let Some(p) = i.pdst {
-                if !p.is_pt() && i.guard.is_none() {
-                    live &= !(1 << p.0);
-                }
-            }
-            if let Some(g) = i.guard {
-                if !g.pred.is_pt() {
-                    live |= 1 << g.pred.0;
-                }
-            }
-            if let Some((p, _)) = i.psrc {
-                if !p.is_pt() {
-                    live |= 1 << p.0;
-                }
-            }
+    // Live predicates before an instruction from those live after it.
+    let transfer = |pc: usize, live: &mut u8| {
+        let i = &kernel.instrs[pc];
+        if let Some(p) = pred_write(i).filter(|_| i.guard.is_none()) {
+            *live &= !(1 << p.0);
         }
-        live
+        for p in pred_reads(i) {
+            *live |= 1 << p.0;
+        }
     };
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in (0..nb).rev() {
-            if !cfg.reachable[b] {
-                continue;
-            }
-            let mut out = 0u8;
-            for &s in &cfg.blocks[b].succs {
-                out |= live_in[s as usize];
-            }
-            let next = transfer(b, out);
-            if next != live_in[b] {
-                live_in[b] = next;
-                changed = true;
-            }
-        }
-    }
+    let mut live_out = vec![0u8; cfg.blocks.len()];
+    cfg.solve(
+        true,
+        usize::MAX,
+        &mut live_out,
+        |b, s| cfg.walk(b, true, s, &transfer),
+        |_, _, _, flows| flows.fold(0, |live, (_, flow)| live | flow),
+    );
     let mut dead = Vec::new();
-    for b in 0..nb {
-        if !cfg.reachable[b] {
-            continue;
-        }
-        let mut live = 0u8;
-        for &s in &cfg.blocks[b].succs {
-            live |= live_in[s as usize];
-        }
-        // Walk backward recording each write's liveness at its own point.
-        for pc in cfg.blocks[b].range().rev() {
-            let i = &kernel.instrs[pc];
-            if let Some(p) = i.pdst {
-                if !p.is_pt() {
-                    if live & (1 << p.0) == 0 {
-                        dead.push(DeadPredWrite { pc: pc as u32, pred: p });
-                    }
-                    if i.guard.is_none() {
-                        live &= !(1 << p.0);
-                    }
-                }
-            }
-            if let Some(g) = i.guard {
-                if !g.pred.is_pt() {
-                    live |= 1 << g.pred.0;
-                }
-            }
-            if let Some((p, _)) = i.psrc {
-                if !p.is_pt() {
-                    live |= 1 << p.0;
-                }
+    cfg.sweep(true, &live_out, |pc, live| {
+        if let Some(p) = pred_write(&kernel.instrs[pc]) {
+            if *live & (1 << p.0) == 0 {
+                dead.push(DeadPredWrite { pc: pc as u32, pred: p });
             }
         }
-    }
+        transfer(pc, live);
+    });
     dead.sort_by_key(|d| d.pc);
     dead
-}
-
-/// A predicate read (guard or condition source) with no assignment on
-/// any path from kernel entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct UnwrittenGuard {
-    /// The reading instruction.
-    pub pc: u32,
-    /// The predicate read.
-    pub pred: Pred,
-}
-
-/// Find predicate reads that no path can have assigned (may-assign
-/// forward pass, mirroring [`uninitialized_reads`]): predicates reset to
-/// false at launch, so such a guard is a constant — `@P` never fires and
-/// `@!P` always does.
-pub fn unwritten_guards(kernel: &Kernel, cfg: &Cfg) -> Vec<UnwrittenGuard> {
-    let nb = cfg.blocks.len();
-    let mut in_sets = vec![0u8; nb];
-    let out_of = |block: usize, mut cur: u8| -> u8 {
-        for pc in cfg.blocks[block].range() {
-            if let Some(p) = kernel.instrs[pc].pdst {
-                if !p.is_pt() {
-                    cur |= 1 << p.0;
-                }
-            }
-        }
-        cur
-    };
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in 0..nb {
-            if !cfg.reachable[b] {
-                continue;
-            }
-            let mut cur = 0u8;
-            for &p in &cfg.blocks[b].preds {
-                if cfg.reachable[p as usize] {
-                    cur |= out_of(p as usize, in_sets[p as usize]);
-                }
-            }
-            if cur != in_sets[b] {
-                in_sets[b] = cur;
-                changed = true;
-            }
-        }
-    }
-    let mut out: Vec<UnwrittenGuard> = Vec::new();
-    for (b, &in_set) in in_sets.iter().enumerate() {
-        if !cfg.reachable[b] {
-            continue;
-        }
-        let mut cur = in_set;
-        for pc in cfg.blocks[b].range() {
-            let i = &kernel.instrs[pc];
-            let mut check = |p: Pred| {
-                if !p.is_pt() && cur & (1 << p.0) == 0 {
-                    let hit = UnwrittenGuard { pc: pc as u32, pred: p };
-                    if !out.contains(&hit) {
-                        out.push(hit);
-                    }
-                }
-            };
-            if let Some(g) = i.guard {
-                check(g.pred);
-            }
-            if let Some((p, _)) = i.psrc {
-                check(p);
-            }
-            if let Some(p) = i.pdst {
-                if !p.is_pt() {
-                    cur |= 1 << p.0;
-                }
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_arch::decode::{OBS_HALF as HALF, OBS_SHIFT_COUNT as SHIFT_COUNT};
     use gpu_arch::{CmpOp, KernelBuilder, Operand, Pred, Reg};
 
     fn straight(f: impl FnOnce(&mut KernelBuilder)) -> Kernel {
@@ -676,8 +478,7 @@ mod tests {
             b.mov(Reg(1), Operand::Imm(9)); // never read
             b.stg(gpu_arch::MemWidth::W32, Reg(2), 0, Reg(0));
         });
-        let cfg = Cfg::build(&k);
-        let lv = liveness(&k, &cfg);
+        let lv = liveness(&k, &Cfg::build(&k), &DecodedKernel::new(&k));
         assert_ne!(lv.dst_observed[0], 0, "stored value is observed");
         assert_eq!(lv.dst_observed[1], 0, "R1 is never read");
     }
@@ -689,8 +490,7 @@ mod tests {
             b.hadd(Reg(1), Operand::Reg(Reg(0)), Operand::Reg(Reg(0)));
             b.stg(gpu_arch::MemWidth::W16, Reg(2), 0, Reg(1));
         });
-        let cfg = Cfg::build(&k);
-        let lv = liveness(&k, &cfg);
+        let lv = liveness(&k, &Cfg::build(&k), &DecodedKernel::new(&k));
         assert_eq!(lv.dst_observed[0], u64::from(HALF));
         assert_eq!(lv.dst_observed[1], u64::from(HALF));
         assert_eq!(lv.read_union[0], HALF);
@@ -703,8 +503,7 @@ mod tests {
             b.shl(Reg(1), Operand::Reg(Reg(2)), Operand::Reg(Reg(0)));
             b.stg(gpu_arch::MemWidth::W32, Reg(4), 0, Reg(1));
         });
-        let cfg = Cfg::build(&k);
-        let lv = liveness(&k, &cfg);
+        let lv = liveness(&k, &Cfg::build(&k), &DecodedKernel::new(&k));
         assert_eq!(lv.dst_observed[0], u64::from(SHIFT_COUNT));
     }
 
@@ -720,8 +519,7 @@ mod tests {
             b.exit();
             b.build().unwrap()
         };
-        let cfg = Cfg::build(&k);
-        let lv = liveness(&k, &cfg);
+        let lv = liveness(&k, &Cfg::build(&k), &DecodedKernel::new(&k));
         // The first MOV may still be observed (guard can fail).
         assert_ne!(lv.dst_observed[0], 0);
     }
@@ -733,8 +531,7 @@ mod tests {
             b.iadd(Reg(1), Operand::Reg(Reg(0)), Operand::Imm(1));
             b.stg(gpu_arch::MemWidth::W32, Reg(2), 0, Reg(1));
         });
-        let cfg = Cfg::build(&k);
-        let du = def_use(&k, &cfg);
+        let du = def_use(&Cfg::build(&k), &DecodedKernel::new(&k));
         let d0 = du.defs.iter().position(|d| d.pc == 0).unwrap();
         assert_eq!(du.uses[d0], vec![1]);
         let d1 = du.defs.iter().position(|d| d.pc == 1).unwrap();
@@ -747,8 +544,7 @@ mod tests {
             b.iadd(Reg(1), Operand::Reg(Reg(0)), Operand::Imm(1)); // R0 never written
             b.stg(gpu_arch::MemWidth::W32, Reg(2), 0, Reg(1)); // R2 never written
         });
-        let cfg = Cfg::build(&k);
-        let ur = uninitialized_reads(&k, &cfg);
+        let (ur, _) = uninitialized_reads(&k, &Cfg::build(&k), &DecodedKernel::new(&k));
         assert!(ur.contains(&UninitRead { pc: 0, reg: Reg(0) }));
         assert!(ur.contains(&UninitRead { pc: 1, reg: Reg(2) }));
         assert!(!ur.iter().any(|u| u.reg == Reg(1)));
@@ -768,13 +564,11 @@ mod tests {
             b.build().unwrap()
         };
         let tid = build(gpu_arch::SpecialReg::TidX);
-        let cfg = Cfg::build(&tid);
-        let u = uniformity(&tid, &cfg);
+        let u = uniformity(&tid, &Cfg::build(&tid), &DecodedKernel::new(&tid));
         assert!(u.divergent_block.iter().any(|&d| d), "tid-guarded region diverges");
 
         let ctaid = build(gpu_arch::SpecialReg::CtaidX);
-        let cfg = Cfg::build(&ctaid);
-        let u = uniformity(&ctaid, &cfg);
+        let u = uniformity(&ctaid, &Cfg::build(&ctaid), &DecodedKernel::new(&ctaid));
         assert!(u.divergent_block.iter().all(|&d| !d), "ctaid branches are uniform");
     }
 }

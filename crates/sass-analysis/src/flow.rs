@@ -142,8 +142,8 @@ enum Item {
 }
 
 /// The per-kernel value-flow graph, pre-resolved for taint queries.
-pub struct ValueFlow {
-    decoded: DecodedKernel,
+pub struct ValueFlow<'k> {
+    decoded: &'k DecodedKernel,
     /// Def-use chains: per def index, the pcs that may observe it.
     du: dataflow::DefUse,
     /// Def indices per pc (a pair write yields two defs at one pc).
@@ -172,17 +172,10 @@ pub struct ValueFlow {
     mem_value: Vec<[Option<Reg>; 2]>,
 }
 
-impl ValueFlow {
-    /// Build the flow graph of `kernel`.
-    pub fn build(kernel: &Kernel) -> ValueFlow {
-        let cfg = Cfg::build(kernel);
-        ValueFlow::build_with_cfg(kernel, &cfg)
-    }
-
-    /// Build the flow graph re-using an already-built CFG.
-    pub fn build_with_cfg(kernel: &Kernel, cfg: &Cfg) -> ValueFlow {
-        let decoded = DecodedKernel::new(kernel);
-        let du = dataflow::def_use(kernel, cfg);
+impl<'k> ValueFlow<'k> {
+    /// Build the flow graph of `kernel` over its CFG and decoding.
+    pub fn build_with_cfg(kernel: &Kernel, cfg: &Cfg, decoded: &'k DecodedKernel) -> ValueFlow<'k> {
+        let du = dataflow::def_use(cfg, decoded);
         let n = kernel.instrs.len();
         let mut defs_at = vec![Vec::new(); n];
         for (d, def) in du.defs.iter().enumerate() {

@@ -23,9 +23,10 @@
 //!
 //! Layout:
 //!
-//! * [`mod@cfg`] — basic blocks, dominators/postdominators, natural loops;
+//! * [`mod@cfg`] — basic blocks, dominators/postdominators, natural loops,
+//!   and the one dataflow solver every pass runs on;
 //! * [`dataflow`] — reaching definitions + def-use chains, bit-level
-//!   liveness, predicate liveness/assignment, definite assignment,
+//!   liveness, predicate liveness, register and predicate assignment,
 //!   uniformity (divergence) analysis;
 //! * [`lint`] — [`verify`]/[`verify_with_launch`] producing
 //!   [`Diagnostic`]s with severities;
@@ -52,16 +53,3 @@ pub use mask::StaticMasks;
 pub use verdict::{
     analyze, AnalysisContext, DueBits, KernelAnalysis, KernelVerdicts, VerdictSummary,
 };
-
-/// Convenience: the static ACE fraction of `kernel` (see
-/// [`StaticMasks::ace_fraction`]). For outcome-class bounds
-/// (SDC-upper/DUE-upper) use [`verdict_summary`], which subsumes this.
-pub fn static_ace_fraction(kernel: &gpu_arch::Kernel) -> f64 {
-    StaticMasks::compute(kernel).ace_fraction()
-}
-
-/// Verdict-stratum fractions over all GPR-writer site bits of `kernel`
-/// (memoized via [`analyze`]).
-pub fn verdict_summary(kernel: &gpu_arch::Kernel, ctx: &AnalysisContext) -> VerdictSummary {
-    analyze(kernel, ctx).summary()
-}

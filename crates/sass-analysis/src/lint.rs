@@ -156,7 +156,8 @@ fn verify_inner(kernel: &Kernel, launch: Option<&LaunchConfig>) -> Vec<Diagnosti
 
     // Uninitialized reads (definite: no defining path exists; the engine
     // zero-fills the register file, so execution is still deterministic).
-    for u in dataflow::uninitialized_reads(kernel, &cfg) {
+    let (uninit, unwritten) = dataflow::uninitialized_reads(kernel, &cfg, &decoded);
+    for u in uninit {
         out.push(diag(
             LintKind::UninitializedRead,
             u.pc,
@@ -169,7 +170,7 @@ fn verify_inner(kernel: &Kernel, launch: Option<&LaunchConfig>) -> Vec<Diagnosti
 
     // Dead writes via bit-level liveness: the whole destination (pair
     // included) is unobserved on every path.
-    let lv = dataflow::liveness(kernel, &cfg);
+    let lv = dataflow::liveness(kernel, &cfg, &decoded);
     for (b, block) in cfg.blocks.iter().enumerate() {
         if !cfg.reachable[b] {
             continue; // reported as unreachable instead
@@ -209,7 +210,7 @@ fn verify_inner(kernel: &Kernel, launch: Option<&LaunchConfig>) -> Vec<Diagnosti
     // Guards on never-written predicates: constantly false (or true for
     // `@!P`), so the guarded instruction is unconditionally dropped or
     // unconditionally executed.
-    for g in dataflow::unwritten_guards(kernel, &cfg) {
+    for g in unwritten {
         out.push(diag(
             LintKind::RedundantGuard,
             g.pc,
@@ -222,7 +223,7 @@ fn verify_inner(kernel: &Kernel, launch: Option<&LaunchConfig>) -> Vec<Diagnosti
     }
 
     // Divergent barriers.
-    let uni = dataflow::uniformity(kernel, &cfg);
+    let uni = dataflow::uniformity(kernel, &cfg, &decoded);
     for (b, block) in cfg.blocks.iter().enumerate() {
         if !cfg.reachable[b] {
             continue;

@@ -49,11 +49,9 @@ pub struct StaticMasks {
 }
 
 impl StaticMasks {
-    /// Run the analyses over `kernel`.
-    pub fn compute(kernel: &Kernel) -> StaticMasks {
-        let cfg = Cfg::build(kernel);
-        let decoded = DecodedKernel::new(kernel);
-        let lv = dataflow::liveness(kernel, &cfg);
+    /// Run the analyses over `kernel`, given its CFG and decoding.
+    pub fn compute(kernel: &Kernel, cfg: &Cfg, decoded: &DecodedKernel) -> StaticMasks {
+        let lv = dataflow::liveness(kernel, cfg, decoded);
         let mut site = Vec::with_capacity(kernel.instrs.len());
         let mut writes_pair = Vec::with_capacity(kernel.instrs.len());
         for pc in 0..kernel.instrs.len() {
@@ -128,7 +126,12 @@ impl StaticMasks {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AnalysisContext, KernelAnalysis};
     use gpu_arch::{KernelBuilder, MemWidth, Operand, Reg};
+
+    fn masks(k: &Kernel) -> StaticMasks {
+        KernelAnalysis::compute(k, &AnalysisContext::default()).masks
+    }
 
     fn k_with_dead_and_live() -> Kernel {
         let mut b = KernelBuilder::new("m");
@@ -142,7 +145,7 @@ mod tests {
 
     #[test]
     fn dead_destination_prunes_and_live_does_not() {
-        let m = StaticMasks::compute(&k_with_dead_and_live());
+        let m = masks(&k_with_dead_and_live());
         assert!(m.output_flip_masked(2, 1 << 13), "dead MOV output flip");
         assert!(m.output_replace_masked(2), "dead MOV output replace");
         assert!(!m.output_flip_masked(1, 1 << 13), "stored MOV is observed");
@@ -158,7 +161,7 @@ mod tests {
         b.stg(MemWidth::W16, Reg(2), 0, Reg(1));
         b.exit();
         let k = b.build().unwrap();
-        let m = StaticMasks::compute(&k);
+        let m = masks(&k);
         assert!(m.output_flip_masked(1, 1 << 20), "upper half of W16 load is dead");
         assert!(!m.output_flip_masked(1, 1 << 3), "lower half is consumed");
         // Register-file view: R0 and R1 are only ever read as halves.
@@ -172,14 +175,14 @@ mod tests {
         b.hmma(Reg(0), Reg(4), Reg(8));
         b.exit();
         let k = b.build().unwrap();
-        let m = StaticMasks::compute(&k);
+        let m = masks(&k);
         assert!(!m.prunable_site(0));
         assert!(!m.output_flip_masked(0, 1));
     }
 
     #[test]
     fn ace_fraction_reflects_dead_code() {
-        let m = StaticMasks::compute(&k_with_dead_and_live());
+        let m = masks(&k_with_dead_and_live());
         let ace = m.ace_fraction();
         assert!(ace > 0.0 && ace < 1.0, "ace={ace}");
     }

@@ -23,8 +23,11 @@
 //! and `v` a multiple of `2^tz`. Transfers cover the integer
 //! address-arithmetic subset (`S2R`, `LDP`, `MOV`, `IADD`, `IMUL`,
 //! `IMAD`, `IMIN`, `IMAX`, `SHL`, `SHR`, `ASR`, `AND` by constant);
-//! everything else is TOP. The fixpoint is a standard forward pass over
-//! reachable blocks with join at merges and iteration-bounded widening.
+//! everything else is TOP. The fixpoint is a forward problem on
+//! `Cfg::solve`: every block starts at TOP, a block joins the flows of
+//! all its predecessors (unreachable ones included; TOP without any), a
+//! value still changing from pass `WIDEN_AFTER` (8) on widens to TOP, and
+//! the solver gives up after `MAX_PASSES` (48).
 //!
 //! A single-bit flip of a provably-zero bit `k` *adds* exactly
 //! `D = 2^k` to the register (no borrow: the bit was 0). The proof then
@@ -298,9 +301,8 @@ fn intervals(
 ) -> Intervals {
     let n = kernel.instrs.len();
     let launch = ctx.launch.as_ref();
-    let nb = cfg.blocks.len();
     let top_state = || vec![AbsVal::TOP; TRACKED];
-    let mut in_states: Vec<Vec<AbsVal>> = (0..nb).map(|_| top_state()).collect();
+    let mut in_states = vec![top_state(); cfg.blocks.len()];
     // Entry block starts TOP (registers are zero-initialized in the sim,
     // but uninitialized reads are a lint, not something to rely on).
 
@@ -325,32 +327,20 @@ fn intervals(
             state[ins.dst.0 as usize] = if meta.guard.is_some() { old.join(val) } else { val };
         }
     };
-    let step_block = |state: &mut Vec<AbsVal>, b: usize| {
-        for pc in cfg.blocks[b].start..cfg.blocks[b].end {
-            exec(state, pc);
-        }
-    };
-
-    for pass in 0..MAX_PASSES {
-        let mut changed = false;
-        for b in 0..nb {
-            if !cfg.reachable[b] {
-                continue;
-            }
-            let mut joined: Option<Vec<AbsVal>> = None;
-            for &p in &cfg.blocks[b].preds {
-                let mut out = in_states[p as usize].clone();
-                step_block(&mut out, p as usize);
-                joined = Some(match joined {
-                    None => out,
-                    Some(mut j) => {
-                        for (a, v) in j.iter_mut().zip(out) {
-                            *a = a.join(v);
-                        }
-                        j
-                    }
-                });
-            }
+    cfg.solve(
+        false,
+        MAX_PASSES,
+        &mut in_states,
+        |b, state| cfg.walk(b, false, state, |pc, state| exec(state, pc as u32)),
+        |pass, b, in_states, flows| {
+            // Join over every predecessor, unreachable ones included; TOP
+            // for a block without any.
+            let joined = flows.map(|(_, out)| out).reduce(|mut j, out| {
+                for (a, v) in j.iter_mut().zip(out) {
+                    *a = a.join(v);
+                }
+                j
+            });
             let mut next = joined.unwrap_or_else(top_state);
             if pass >= WIDEN_AFTER {
                 for (nv, old) in next.iter_mut().zip(&in_states[b]) {
@@ -359,34 +349,21 @@ fn intervals(
                     }
                 }
             }
-            if next != in_states[b] {
-                in_states[b] = next;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+            next
+        },
+    );
 
     // Final sweep: record operand and destination abstractions per pc.
     let mut dst = vec![AbsVal::TOP; n];
     let mut ops = vec![[AbsVal::TOP; 3]; n];
-    for (b, in_state) in in_states.iter().enumerate() {
-        if !cfg.reachable[b] {
-            continue;
+    cfg.sweep(false, &in_states, |pc, state| {
+        let ins = &kernel.instrs[pc];
+        ops[pc] = [eval(state, ins.srcs[0]), eval(state, ins.srcs[1]), eval(state, ins.srcs[2])];
+        exec(state, pc as u32);
+        if !ins.dst.is_rz() && (ins.dst.0 as usize) < TRACKED {
+            dst[pc] = state[ins.dst.0 as usize];
         }
-        let mut state = in_state.clone();
-        for pc in cfg.blocks[b].start..cfg.blocks[b].end {
-            let ins = &kernel.instrs[pc as usize];
-            ops[pc as usize] =
-                [eval(&state, ins.srcs[0]), eval(&state, ins.srcs[1]), eval(&state, ins.srcs[2])];
-            exec(&mut state, pc);
-            if !ins.dst.is_rz() && (ins.dst.0 as usize) < TRACKED {
-                dst[pc as usize] = state[ins.dst.0 as usize];
-            }
-        }
-    }
+    });
     Intervals { dst, ops }
 }
 
@@ -651,13 +628,17 @@ pub struct KernelVerdicts {
 }
 
 impl KernelVerdicts {
-    /// Run the flow taint and the interval proofs over `kernel`.
-    pub fn compute(kernel: &Kernel, ctx: &AnalysisContext) -> KernelVerdicts {
-        let cfg = Cfg::build(kernel);
-        let decoded = DecodedKernel::new(kernel);
-        let flow = ValueFlow::build_with_cfg(kernel, &cfg);
-        let iv = intervals(kernel, &cfg, &decoded, ctx);
-        let env = ProofEnv { kernel, cfg: &cfg, decoded: &decoded, iv: &iv, ctx };
+    /// Run the flow taint and the interval proofs over `kernel`, given
+    /// its CFG and decoding.
+    pub fn compute(
+        kernel: &Kernel,
+        cfg: &Cfg,
+        decoded: &DecodedKernel,
+        ctx: &AnalysisContext,
+    ) -> KernelVerdicts {
+        let flow = ValueFlow::build_with_cfg(kernel, cfg, decoded);
+        let iv = intervals(kernel, cfg, decoded, ctx);
+        let env = ProofEnv { kernel, cfg, decoded, iv: &iv, ctx };
         let n = kernel.instrs.len();
         let mut output = Vec::with_capacity(n);
         let mut predicate = Vec::with_capacity(n);
@@ -798,11 +779,14 @@ pub struct KernelAnalysis {
 }
 
 impl KernelAnalysis {
-    /// Compute both layers (uncached; prefer [`analyze`]).
+    /// Compute both layers over one CFG and one decoding of `kernel`
+    /// (uncached; prefer [`analyze`]).
     pub fn compute(kernel: &Kernel, ctx: &AnalysisContext) -> KernelAnalysis {
+        let cfg = Cfg::build(kernel);
+        let decoded = DecodedKernel::new(kernel);
         KernelAnalysis {
-            masks: StaticMasks::compute(kernel),
-            verdicts: KernelVerdicts::compute(kernel, ctx),
+            masks: StaticMasks::compute(kernel, &cfg, &decoded),
+            verdicts: KernelVerdicts::compute(kernel, &cfg, &decoded, ctx),
         }
     }
 
@@ -922,6 +906,10 @@ mod tests {
     use super::*;
     use gpu_arch::{KernelBuilder, Operand, Pred, Reg};
 
+    fn verdicts(k: &Kernel, ctx: &AnalysisContext) -> KernelVerdicts {
+        KernelAnalysis::compute(k, ctx).verdicts
+    }
+
     fn r(n: u8) -> Reg {
         Reg(n)
     }
@@ -970,7 +958,7 @@ mod tests {
     #[test]
     fn low_bit_flip_of_aligned_base_is_proven_misalignment_due() {
         let k = aligned_store_kernel();
-        let v = KernelVerdicts::compute(&k, &ctx_64_threads(256));
+        let v = verdicts(&k, &ctx_64_threads(256));
         // Flipping bit 0 of the SHL output makes the store misaligned.
         assert_eq!(v.output_flip_due(1, 1), Some(DueKind::MemoryViolation));
         assert_eq!(v.output_flip_due(1, 2), Some(DueKind::MemoryViolation));
@@ -979,11 +967,11 @@ mod tests {
     #[test]
     fn high_bit_flip_is_proven_oob_due_when_memory_is_small() {
         let k = aligned_store_kernel();
-        let v = KernelVerdicts::compute(&k, &ctx_64_threads(256));
+        let v = verdicts(&k, &ctx_64_threads(256));
         // addr ∈ [0,252]; +2^10 = addr ∈ [1024,1276] > 256 bytes: OOB.
         assert_eq!(v.output_flip_due(1, 1 << 10), Some(DueKind::MemoryViolation));
         // Without a known memory size the OOB proof must not fire.
-        let v2 = KernelVerdicts::compute(
+        let v2 = verdicts(
             &k,
             &AnalysisContext { launch: Some(LaunchConfig::new(1, 64, vec![])), global_bytes: None },
         );
@@ -995,7 +983,7 @@ mod tests {
     #[test]
     fn mem_address_bits_prove_alignment_and_bounds_dues() {
         let k = aligned_store_kernel();
-        let v = KernelVerdicts::compute(&k, &ctx_64_threads(256));
+        let v = verdicts(&k, &ctx_64_threads(256));
         // The store at pc 3: address 4-aligned in [0,252].
         assert_eq!(v.mem_flip_due(3, 1), Some(DueKind::MemoryViolation));
         assert_eq!(v.mem_flip_due(3, 1 << 12), Some(DueKind::MemoryViolation));
@@ -1014,10 +1002,7 @@ mod tests {
         b.exit();
         let k = b.build().unwrap();
         let launch = LaunchConfig::new(1, 32, vec![]);
-        let v = KernelVerdicts::compute(
-            &k,
-            &AnalysisContext { launch: Some(launch), global_bytes: Some(1024) },
-        );
+        let v = verdicts(&k, &AnalysisContext { launch: Some(launch), global_bytes: Some(1024) });
         assert_eq!(v.output_flip_due(1, 1), Some(DueKind::SharedViolation));
         // +2^7: addr ∈ [128, 252] ≥ shared size 128 → OOB in shared.
         assert_eq!(v.output_flip_due(1, 1 << 7), Some(DueKind::SharedViolation));
@@ -1026,7 +1011,7 @@ mod tests {
     #[test]
     fn store_value_flip_is_not_a_due_proof() {
         let k = aligned_store_kernel();
-        let v = KernelVerdicts::compute(&k, &ctx_64_threads(256));
+        let v = verdicts(&k, &ctx_64_threads(256));
         // pc 2 writes the stored *value* (R2=7): its zero bits flow to
         // the store data, never the address — no DUE proof.
         assert_eq!(v.output_flip_due(2, 1 << 20), None);
@@ -1044,7 +1029,7 @@ mod tests {
         b.stg(gpu_arch::MemWidth::W32, r(0), 0, r(1));
         b.exit();
         let k = b.build().unwrap();
-        let v = KernelVerdicts::compute(&k, &ctx_64_threads(256));
+        let v = verdicts(&k, &ctx_64_threads(256));
         assert_eq!(v.output_flip_due(1, 1), None);
     }
 
@@ -1059,12 +1044,12 @@ mod tests {
         b.stg(gpu_arch::MemWidth::W32, r(3), 0, r(0));
         b.exit();
         let k = b.build().unwrap();
-        let v = KernelVerdicts::compute(&k, &ctx_64_threads(256));
+        let v = verdicts(&k, &ctx_64_threads(256));
         // The flip at pc 1 still reaches the store *base* via R0 itself
         // — the walk sees the displaced R0 read at the STG and proves or
         // bails on that access, not on the cancelled R3 path.
         // Either way, no unsound claim: check determinism + consistency.
-        let again = KernelVerdicts::compute(&k, &ctx_64_threads(256));
+        let again = verdicts(&k, &ctx_64_threads(256));
         assert_eq!(v.output_due_bits(1), again.output_due_bits(1));
     }
 

@@ -17,11 +17,13 @@
 //! * **determinism** — recomputing [`KernelVerdicts`] yields identical
 //!   verdicts and proven-DUE bit masks.
 
-use gpu_arch::{DeviceModel, Kernel, KernelBuilder, LaunchConfig, MemWidth, Operand, Reg};
+use gpu_arch::{
+    DecodedKernel, DeviceModel, Kernel, KernelBuilder, LaunchConfig, MemWidth, Operand, Reg,
+};
 use gpu_sim::{run, BitFlip, ExecStatus, FaultPlan, GlobalMemory, RunOptions, SiteClass};
 use proptest::prelude::*;
 use sass_analysis::{
-    cfg::Cfg, dataflow, AnalysisContext, KernelVerdicts, SiteVerdict, StaticMasks,
+    cfg::Cfg, dataflow, AnalysisContext, KernelAnalysis, KernelVerdicts, SiteVerdict, StaticMasks,
 };
 
 /// One generated straight-line ALU instruction.
@@ -74,6 +76,10 @@ fn launch() -> LaunchConfig {
     LaunchConfig::new(1, 1, vec![64])
 }
 
+fn verdicts(kernel: &Kernel) -> KernelVerdicts {
+    KernelAnalysis::compute(kernel, &ctx()).verdicts
+}
+
 /// Analysis context matching [`run_with`]'s launch and 256-byte global
 /// allocation.
 fn ctx() -> AnalysisContext {
@@ -108,7 +114,7 @@ proptest! {
         bit in 0u32..32,
     ) {
         let kernel = build_kernel(&body);
-        let masks = StaticMasks::compute(&kernel);
+        let masks: StaticMasks = KernelAnalysis::compute(&kernel, &ctx()).masks;
         let golden = run_with(&kernel, FaultPlan::None);
         prop_assert!(golden.status.completed());
 
@@ -153,7 +159,8 @@ proptest! {
     fn uninit_read_verdicts_match_replay(body in prop::collection::vec(gen_instr(), 1..24)) {
         let kernel = build_kernel(&body);
         let cfg = Cfg::build(&kernel);
-        let mut got: Vec<(u32, Reg)> = dataflow::uninitialized_reads(&kernel, &cfg)
+        let (uninit, _) = dataflow::uninitialized_reads(&kernel, &cfg, &DecodedKernel::new(&kernel));
+        let mut got: Vec<(u32, Reg)> = uninit
             .into_iter()
             .map(|u| (u.pc, u.reg))
             .collect();
@@ -184,7 +191,7 @@ proptest! {
         bit in 0u32..32,
     ) {
         let kernel = build_kernel(&body);
-        let verdicts = KernelVerdicts::compute(&kernel, &ctx());
+        let verdicts = verdicts(&kernel);
         let golden = run_with(&kernel, FaultPlan::None);
         prop_assert!(golden.status.completed());
         for (nth, &pc) in site_pcs(&kernel).iter().enumerate() {
@@ -223,7 +230,7 @@ proptest! {
         bit in 0u32..32,
     ) {
         let kernel = build_kernel(&body);
-        let verdicts = KernelVerdicts::compute(&kernel, &ctx());
+        let verdicts = verdicts(&kernel);
         let golden = run_with(&kernel, FaultPlan::None);
         prop_assert!(golden.status.completed());
         for (nth, &pc) in site_pcs(&kernel).iter().enumerate() {
@@ -255,7 +262,7 @@ proptest! {
         body in prop::collection::vec(gen_instr(), 1..24),
     ) {
         let kernel = build_kernel(&body);
-        let verdicts = KernelVerdicts::compute(&kernel, &ctx());
+        let verdicts = verdicts(&kernel);
         for (nth, &pc) in site_pcs(&kernel).iter().enumerate() {
             let due = verdicts.output_due_bits(pc);
             for k in (0..32).filter(|k| due.bits & (1 << k) != 0) {
@@ -302,8 +309,8 @@ proptest! {
     #[test]
     fn verdict_map_is_deterministic(body in prop::collection::vec(gen_instr(), 1..24)) {
         let kernel = build_kernel(&body);
-        let a = KernelVerdicts::compute(&kernel, &ctx());
-        let b = KernelVerdicts::compute(&kernel, &ctx());
+        let a = verdicts(&kernel);
+        let b = verdicts(&kernel);
         for pc in 0..kernel.instrs.len() as u32 {
             prop_assert_eq!(a.output_verdict(pc), b.output_verdict(pc));
             prop_assert_eq!(a.predicate_verdict(pc), b.predicate_verdict(pc));
