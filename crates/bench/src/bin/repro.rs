@@ -46,8 +46,9 @@
 //!                      saves shard-boundary checkpoints there, and a
 //!                      re-run resumes each campaign from its last
 //!                      checkpoint (kill-safe)
-//! --spans-out FILE     write campaign → shard → trial → engine-phase
-//!                      spans as Chrome Trace Event Format JSON (load in
+//! --spans-out FILE     write campaign → shard → trial spans, each
+//!                      executed trial with its engine phase times, as
+//!                      Chrome Trace Event Format JSON (load in
 //!                      chrome://tracing or Perfetto)
 //! --status-dir DIR     publish status.json + status.prom into DIR every
 //!                      second while campaigns run (watch live with

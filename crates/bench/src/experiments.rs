@@ -192,8 +192,9 @@ pub struct ObserveCtx<'a> {
     /// one. Per-label directories keep campaigns the engine would label
     /// alike (same kind, device and target name) apart.
     pub checkpoint_root: Option<PathBuf>,
-    /// Span bus collecting campaign → shard → trial → engine-phase spans
-    /// across every campaign in the run (`repro --spans-out`).
+    /// Span bus collecting campaign → shard → trial spans across every
+    /// campaign in the run (`repro --spans-out`); executed trial spans
+    /// carry the engine phase times as args.
     pub spans: Option<&'a obs::SpanBus>,
     /// Live status publisher (`repro --status-dir`): re-pointed at each
     /// campaign's registry as it starts, so `campaign-top` always shows

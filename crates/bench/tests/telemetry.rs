@@ -101,14 +101,36 @@ fn span_tree_is_well_formed() {
         assert!(shard_ids.contains(&trial.parent), "trials parent under a shard");
     }
 
-    // Engine-phase spans from sampled trials nest under trial spans.
-    let trial_ids: std::collections::BTreeSet<u64> = trials.iter().map(|r| r.id).collect();
-    let phases: Vec<_> = records.iter().filter(|r| r.cat == "engine").collect();
-    assert!(!phases.is_empty(), "default sampling must trace at least one trial");
-    for phase in &phases {
-        assert!(trial_ids.contains(&phase.parent), "phases parent under a trial");
-        assert!(phase.dur_us.is_some());
+    // Every executed trial's span carries its four engine phase times;
+    // no trial runs a traced engine path of its own.
+    let mut timed = 0;
+    for trial in &trials {
+        let keys: Vec<_> =
+            trial.args.iter().map(|(k, _)| *k).filter(|k| PHASES.contains(k)).collect();
+        assert!(keys.is_empty() || keys == PHASES, "trial span phase args {keys:?}");
+        timed += u64::from(!keys.is_empty());
     }
+    assert_eq!(timed, run.executed.total(), "one timed span per executed trial");
+    assert!(records.iter().all(|r| r.cat != "engine"), "no engine-phase spans");
+}
+
+/// The engine phase times an executed trial reports: its span args, and
+/// the `campaign.phase.*` histograms.
+const PHASES: [&str; 4] = ["setup_nanos", "blocks_nanos", "scrub_nanos", "timing_nanos"];
+
+/// Metrics alone, or metrics and a span bus.
+fn observer<'a>(metrics: &'a MetricsRegistry, spans: Option<&'a SpanBus>) -> CampaignObserver<'a> {
+    let observer = CampaignObserver::with_metrics(metrics);
+    match spans {
+        Some(bus) => observer.with_spans(bus),
+        None => observer,
+    }
+}
+
+/// Samples in each `campaign.phase.*` histogram, in [`PHASES`] order.
+fn phase_counts(metrics: &MetricsRegistry) -> [u64; 4] {
+    let snap = metrics.snapshot();
+    PHASES.map(|p| snap.histograms.get(&format!("campaign.phase.{p}")).map_or(0, |h| h.count))
 }
 
 /// Hidden-resource campaigns stratify their outcome counters per hidden
@@ -149,29 +171,32 @@ fn hidden_campaign_emits_per_class_counters() {
 
 /// The early exits' telemetry is a pure function of the trials:
 /// `campaign.exit.block`/`.rejoin`/`.none` and the skipped-instruction
-/// histogram are identical at 1 and 4 workers, cover every executed
-/// trial, and show most FMXM trials ending early.
+/// histogram are identical at 1 worker and at 4 workers with spans
+/// attached, cover every executed trial, and show most FMXM trials
+/// ending early. Every executed trial reports its phase times once.
 #[test]
 fn exit_telemetry_identical_at_any_worker_count() {
     let w = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda7, Scale::Small);
     let device = DeviceModel::named("k40c-sim");
-    let observe = |workers| {
+    let observe = |workers, spans| {
         let metrics = MetricsRegistry::new();
         let (_, run) = Campaign::new(Avf::new(Injector::NvBitFi), &w, &device)
             .budget(Budget::fixed(96).seed(2021))
             .workers(workers)
-            .observer(CampaignObserver::with_metrics(&metrics))
+            .observer(observer(&metrics, spans))
             .run_full()
             .expect("exit campaign failed");
         let snap = metrics.snapshot();
         let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
         let skipped = snap.histograms.get("campaign.exit.skipped_instrs").cloned();
         let exits = ["block", "rejoin", "none"].map(|k| count(&format!("campaign.exit.{k}")));
-        (run.executed.total(), exits, skipped)
+        (run.executed.total(), exits, skipped, phase_counts(&metrics))
     };
-    let serial = observe(1);
-    assert_eq!(serial, observe(4), "exit telemetry differs between 1 and 4 workers");
-    let (executed, [block, rejoin, none], skipped) = serial;
+    let serial = observe(1, None);
+    let spans = SpanBus::new();
+    assert_eq!(serial, observe(4, Some(&spans)), "exit telemetry differs between 1 and 4 workers");
+    let (executed, [block, rejoin, none], skipped, phases) = serial;
+    assert_eq!(phases, [executed; 4], "one phase sample per executed trial");
     assert_eq!(block + rejoin + none, executed, "every executed trial counts once");
     assert!(2 * block > executed, "only {block} of {executed} FMXM trials exited at a block");
     assert!(rejoin > 0, "no FMXM trial rejoined");
@@ -181,28 +206,33 @@ fn exit_telemetry_identical_at_any_worker_count() {
 
 /// The scheduler-round histogram is a pure function of the trials and
 /// the budget, like the fast-forward telemetry it depends on: identical
-/// at 1 and 4 workers, one sample per executed trial, and never more
-/// rounds than the instructions the trials retired. QUICKSORT's hung
-/// trials run on one lone lane, about one instruction a round.
+/// at 1 worker and at 4 workers with spans attached, one sample per
+/// executed trial, and never more rounds than the instructions the
+/// trials retired. QUICKSORT's hung trials run on one lone lane, about
+/// one instruction a round. Every executed trial reports its phase times
+/// once.
 #[test]
 fn engine_rounds_identical_at_any_worker_count() {
     let w = build(Benchmark::Quicksort, Precision::Int32, CodeGen::Cuda10, Scale::Small);
     let device = DeviceModel::named("k40c-sim");
-    let observe = |workers| {
+    let observe = |workers, spans| {
         let metrics = MetricsRegistry::new();
         let (_, run) = Campaign::new(Avf::new(Injector::NvBitFi), &w, &device)
             .budget(Budget::fixed(128).seed(2021))
             .workers(workers)
-            .observer(CampaignObserver::with_metrics(&metrics))
+            .observer(observer(&metrics, spans))
             .run_full()
             .expect("rounds campaign failed");
         let snap = metrics.snapshot();
         let hist = |name: &str| snap.histograms.get(name).cloned().expect(name);
-        (run.executed.total(), hist("campaign.engine.rounds"), hist("campaign.trial_dyn_instrs"))
+        let rounds = hist("campaign.engine.rounds");
+        (run.executed.total(), rounds, hist("campaign.trial_dyn_instrs"), phase_counts(&metrics))
     };
-    let serial = observe(1);
-    assert_eq!(serial, observe(4), "round telemetry differs between 1 and 4 workers");
-    let (executed, rounds, dyn_instrs) = serial;
+    let serial = observe(1, None);
+    let spans = SpanBus::new();
+    assert_eq!(serial, observe(4, Some(&spans)), "round telemetry differs between 1 and 4 workers");
+    let (executed, rounds, dyn_instrs, phases) = serial;
+    assert_eq!(phases, [executed; 4], "one phase sample per executed trial");
     assert_eq!(rounds.count, executed, "every executed trial counts once");
     assert!(rounds.sum > 0 && rounds.sum <= dyn_instrs.sum, "{rounds:?} vs {dyn_instrs:?}");
 }

@@ -52,7 +52,7 @@ use crate::supervise::{panic_message, QuarantineRecord};
 use gpu_arch::DeviceModel;
 use gpu_sim::{
     trigger_position, BlockExit, DueKind, EngineSnapshot, ExecStatus, Executed, ExitKind,
-    FaultPlan, RunOptions, Target,
+    FaultPlan, PhaseNanos, RunOptions, Target,
 };
 use obs::span::SpanBus;
 use obs::{CampaignObserver, MetricsRegistry, SpanRecord};
@@ -440,8 +440,6 @@ impl<'a, T: Target + Sync + ?Sized, K: Kind<T>> Campaign<'a, T, K> {
             base_seed: self.budget.seed ^ fnv1a(self.target.name()),
             shard_size,
             ceiling,
-            spans: self.observer.spans,
-            key_base,
         };
         let mut quarantine: Vec<QuarantineRecord> = Vec::new();
         // The shards folded whatever the tallies say: every one under a
@@ -600,6 +598,9 @@ struct TrialRecord {
     /// Where and how the trial ended early through its golden run, and
     /// the instructions that skipped; `None` when it ran to the end.
     exit: Option<BlockExit>,
+    /// The faulty run's phase times ([`Executed::phases`]; zero when not
+    /// executed). Telemetry only, like `rounds`.
+    phases: PhaseNanos,
     /// When the trial started (its execution, for an executed trial), in
     /// microseconds after its shard run's start, and how long its
     /// sampling and execution took.
@@ -633,6 +634,7 @@ impl TrialRecord {
             rounds: 0,
             fast_forwarded: None,
             exit: None,
+            phases: PhaseNanos::default(),
             start_us: 0,
             micros: 0,
             quarantined: None,
@@ -791,6 +793,7 @@ impl Telemetry<'_> {
                 m.histogram("campaign.trial_micros"),
                 m.histogram("campaign.trial_dyn_instrs"),
                 m.histogram("campaign.engine.rounds"),
+                PHASES.map(|name| m.histogram(&format!("campaign.phase.{name}"))),
             )
         });
         let snap = metrics.filter(|_| self.ff).map(|m| {
@@ -815,11 +818,14 @@ impl Telemetry<'_> {
         for rec in shard.records {
             tally.record(&rec);
             *digest = digest_record(*digest, &rec);
-            if let Some((micros, dyn_instrs, rounds)) = &hists {
+            if let Some((micros, dyn_instrs, rounds, phases)) = &hists {
                 micros.observe(u64::from(rec.micros));
                 if rec.executed {
                     dyn_instrs.observe(rec.dyn_instrs);
                     rounds.observe(rec.rounds);
+                    for (hist, nanos) in phases.iter().zip(phase_nanos(&rec.phases)) {
+                        hist.observe(nanos);
+                    }
                 }
             }
             if let Some((hit, miss, relay, skipped)) = snap.as_ref().filter(|_| rec.executed) {
@@ -921,15 +927,23 @@ impl Telemetry<'_> {
         if rec.quarantined.is_some() {
             event("quarantine", vec![("trial", trial.clone())]);
         }
-        let mut args = vec![
-            ("trial", trial.clone()),
+        if rec.due == Some(DueKind::Watchdog) {
+            let kind = DueKind::Watchdog.name().to_string();
+            event("watchdog", vec![("trial", trial.clone()), ("kind", kind)]);
+        }
+        // Room for the DUE kind and the phase times.
+        let mut args = Vec::with_capacity(3 + 1 + PHASES.len());
+        args.extend([
+            ("trial", trial),
             ("outcome", rec.outcome.to_string()),
             ("site", rec.label.to_string()),
-        ];
+        ]);
         if let Some(kind) = rec.due {
             args.push(("due", kind.name().to_string()));
-            if kind == DueKind::Watchdog {
-                event("watchdog", vec![("trial", trial), ("kind", kind.name().to_string())]);
+        }
+        if rec.executed {
+            for (key, nanos) in PHASES.into_iter().zip(phase_nanos(&rec.phases)) {
+                args.push((key, nanos.to_string()));
             }
         }
         bus.push(SpanRecord {
@@ -960,10 +974,6 @@ struct ShardCtx<'a, T: ?Sized, S> {
     base_seed: u64,
     shard_size: u64,
     ceiling: u64,
-    /// For the sampled engine-phase sink only; the fold pushes every
-    /// other span.
-    spans: Option<&'a SpanBus>,
-    key_base: u64,
 }
 
 /// A planned trial waiting in its batch, with its place in trigger
@@ -986,6 +996,7 @@ struct Ran {
     rounds: u64,
     exit: Option<BlockExit>,
     handoff: Option<Arc<EngineSnapshot>>,
+    phases: PhaseNanos,
 }
 
 impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
@@ -1126,8 +1137,7 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
     ) -> Option<Arc<EngineSnapshot>> {
         let started = Instant::now();
         let fast_forwarded = resume.as_ref().and_then(|s| NonZeroU64::new(s.dyn_count()));
-        let trial = rec.trial;
-        let attempt = || self.execute(trial, plan, resume.clone(), hand_off);
+        let attempt = || self.execute(plan, resume.clone(), hand_off);
         let mut result = catch_unwind(AssertUnwindSafe(&attempt));
         if result.is_err() && !rec.retried {
             // First panic: deterministic retry from the same state.
@@ -1144,6 +1154,7 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
                 rec.rounds = ran.rounds;
                 rec.fast_forwarded = fast_forwarded;
                 rec.exit = ran.exit;
+                rec.phases = ran.phases;
                 ran.handoff
             }
             Err(payload) => {
@@ -1156,13 +1167,7 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
     /// Execute `plan` and classify the run against the golden run. Pure
     /// with respect to the batch state, so a panic anywhere inside loses
     /// nothing and the trial can be replayed.
-    fn execute(
-        &self,
-        trial: u64,
-        plan: FaultPlan,
-        resume: Option<Arc<EngineSnapshot>>,
-        hand_off: bool,
-    ) -> Ran {
+    fn execute(&self, plan: FaultPlan, resume: Option<Arc<EngineSnapshot>>, hand_off: bool) -> Ran {
         // Fast-forward: resume from a golden snapshot or a relayed state
         // at or before the fault site, and end at the first snapshot
         // point or block boundary after which the run is provably golden.
@@ -1175,18 +1180,7 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
             .resume(resume)
             .exit_through(self.exit.cloned())
             .hand_off(hand_off);
-        // Sampled trials run with the engine-phase sink attached, parented
-        // under the trial span the fold pushes, on the shard's track. The
-        // sink only timestamps phase events, so architectural results
-        // (and therefore tallies) are identical either way.
-        let faulty = match self.spans.filter(|bus| bus.sample_phases(trial)) {
-            Some(bus) => {
-                let tid = trial / self.shard_size + 1;
-                let mut sink = obs::SpanSink::new(bus, obs::keyed_id(self.key_base, trial), tid);
-                self.target.execute_traced(self.device, &opts, &mut sink)
-            }
-            None => self.target.execute(self.device, &opts),
-        };
+        let faulty = self.target.execute(self.device, &opts);
         let (outcome, due) = match faulty.status {
             ExecStatus::Due(kind) => (Outcome::Due, Some(kind)),
             ExecStatus::Completed => {
@@ -1204,8 +1198,18 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
             rounds: faulty.rounds,
             exit: faulty.exit,
             handoff: faulty.handoff,
+            phases: faulty.phases,
         }
     }
+}
+
+/// The engine phase times an executed trial reports, in [`phase_nanos`]
+/// order: its trial span's args, and the `campaign.phase.{name}`
+/// histograms.
+const PHASES: [&str; 4] = ["setup_nanos", "blocks_nanos", "scrub_nanos", "timing_nanos"];
+
+fn phase_nanos(p: &PhaseNanos) -> [u64; 4] {
+    [p.setup, p.blocks, p.scrub, p.timing]
 }
 
 /// `d` in whole microseconds, saturating.

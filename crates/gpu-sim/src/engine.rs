@@ -26,6 +26,7 @@ use gpu_arch::{
 use obs::{MemSpace, TraceEvent, TraceSink};
 use softfloat::F16;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Forward an event to the installed sink, if any. Event construction
 /// happens inside the branch, so with no sink each hook point costs one
@@ -365,6 +366,24 @@ pub struct Executed {
     /// The state a later trial may resume from, when
     /// [`RunOptions::hand_off`] asked for one and the run reached it.
     pub handoff: Option<Arc<EngineSnapshot>>,
+    /// Wall time of the run's phases. Presentation only: no tally, digest
+    /// or control decision reads it.
+    pub phases: PhaseNanos,
+}
+
+/// Wall time of one run's phases in nanoseconds, read from the clock at
+/// the phase boundaries only: five reads a run, never per block or round.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PhaseNanos {
+    /// Validation, decode, and the memory restore from a snapshot or a
+    /// relayed state.
+    pub setup: u64,
+    /// The block loop, block exits and rejoins included.
+    pub blocks: u64,
+    /// The end-of-kernel ECC scrub.
+    pub scrub: u64,
+    /// The analytic timing model.
+    pub timing: u64,
 }
 
 /// Where a trial ended early: the rest of its run after block `block`
@@ -616,6 +635,7 @@ pub fn try_run_with_sink<'a>(
     opts: &'a RunOptions,
     sink: Option<&'a mut (dyn TraceSink + 'a)>,
 ) -> Result<Executed, SimError> {
+    let started = Instant::now();
     if launch.total_threads() == 0 {
         return Err(SimError::EmptyLaunch);
     }
@@ -671,7 +691,7 @@ pub fn try_run_with_sink<'a>(
 
     // Decode once per launch: the hot loop below only does table lookups
     // over the per-pc `InstrMeta`, never re-classifying opcodes. Phase
-    // events bracket it so span traces can attribute setup time.
+    // events bracket it for trace sinks.
     let mut sink = sink;
     if let Some(s) = sink.as_deref_mut() {
         s.event(&TraceEvent::PhaseBegin { idx: 0, phase: "decode" });
@@ -738,6 +758,7 @@ pub fn try_run_with_sink<'a>(
         input = Some(ctx.global.clone());
     }
 
+    let setup_done = Instant::now();
     let mut status = ExecStatus::Completed;
     let mut exited = None;
     'blocks: for by in 0..launch.grid.y {
@@ -781,6 +802,7 @@ pub fn try_run_with_sink<'a>(
         }
     }
 
+    let blocks_done = Instant::now();
     // End-of-kernel ECC sweep over memory that was struck but never read.
     if status == ExecStatus::Completed {
         emit!(ctx, TraceEvent::PhaseBegin { idx: ctx.dyn_count, phase: "ecc-scrub" });
@@ -794,7 +816,16 @@ pub fn try_run_with_sink<'a>(
         emit!(ctx, TraceEvent::DueRaised { idx: ctx.dyn_count, kind: kind.name() });
     }
 
+    let scrub_done = Instant::now();
     let timing = timing::analyze(device, kernel, launch, &ctx.counts);
+    let timing_done = Instant::now();
+    let nanos = |from: Instant, to: Instant| to.duration_since(from).as_nanos() as u64;
+    let phases = PhaseNanos {
+        setup: nanos(started, setup_done),
+        blocks: nanos(setup_done, blocks_done),
+        scrub: nanos(blocks_done, scrub_done),
+        timing: nanos(scrub_done, timing_done),
+    };
     let (snapshots, exit_table) = match ctx.cap {
         Some(cap) => {
             let table = cap.exit.filter(|_| status.completed()).map(|r| r.finish(geometry));
@@ -814,6 +845,7 @@ pub fn try_run_with_sink<'a>(
         exit_table,
         exit: exited,
         handoff: ctx.handoff,
+        phases,
     })
 }
 

@@ -14,9 +14,9 @@
 //!   updates, snapshotable to JSONL; campaign loops tally outcomes
 //!   by site class and DUE kind, trials/sec, and the profiler's
 //!   φ/IPC/occupancy gauges into it.
-//! * [`SpanBus`] / [`SpanSink`] — campaign → shard → trial → engine-phase
-//!   span tracing with FaultPlan-keyed trial IDs, exported as Chrome Trace
-//!   Event Format (`chrome://tracing`, Perfetto) or JSONL.
+//! * [`SpanBus`] — campaign → shard → trial span tracing with
+//!   FaultPlan-keyed trial IDs, exported as Chrome Trace Event Format
+//!   (`chrome://tracing`, Perfetto) or JSONL.
 //! * [`SnapshotPublisher`] / [`StatusSnapshot`] / [`console`] — periodic
 //!   atomic publishing of snapshots (JSON + Prometheus text exposition)
 //!   plus the `campaign-top` dashboard rendering that consumes them.
@@ -43,5 +43,5 @@ pub use metrics::{
 };
 pub use publish::{write_atomic, SnapshotPublisher, StatusSnapshot};
 pub use report::{CampaignObserver, Progress, RunReport, Value};
-pub use span::{keyed_id, OpenSpan, SpanBus, SpanRecord, SpanSink, ROOT_SPAN};
+pub use span::{keyed_id, OpenSpan, SpanBus, SpanRecord, ROOT_SPAN};
 pub use trace::{CountingSink, JsonlTraceSink, MemSpace, RecordingSink, TraceEvent, TraceSink};

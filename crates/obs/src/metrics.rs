@@ -1,14 +1,14 @@
 //! Campaign metrics: counters, gauges and histograms behind a registry,
 //! snapshotable to JSONL.
 //!
-//! All instruments are lock-free on the update path (`AtomicU64`) so the
-//! parallel campaign workers can tally outcomes without contention;
-//! the registry itself takes a mutex only on instrument *creation* and
+//! All instruments are lock-free on the update path (`AtomicU64`), so a
+//! publisher thread can snapshot them while a campaign updates them; the
+//! registry itself takes a mutex only on instrument *creation* and
 //! snapshot. Campaign code therefore resolves its instruments once, before
 //! the hot loop.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -60,48 +60,15 @@ impl Gauge {
 /// bucket `i` holds values with `floor(log2(v)) == i - 1`.
 const HISTOGRAM_BUCKETS: usize = 65;
 
-/// Number of independent update stripes per histogram. Each thread hashes
-/// to one stripe, so concurrent workers touch disjoint cache lines; the
-/// snapshot folds stripes back together (addition is order-independent,
-/// so snapshots stay deterministic for a given set of observations).
-const HISTOGRAM_STRIPES: usize = 8;
-
-/// One stripe of histogram state. Cache-line aligned so two stripes never
-/// share a line at their boundary.
+/// Log₂-bucketed histogram of `u64` observations (e.g. per-trial sim
+/// microseconds, dynamic instruction counts, fsync latencies). Updates are
+/// lock-free. Campaigns update their histograms from the shard fold on
+/// the calling thread only, so nothing spreads updates across threads.
 #[derive(Debug)]
-#[repr(align(64))]
-struct HistogramStripe {
+pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
-}
-
-impl Default for HistogramStripe {
-    fn default() -> Self {
-        HistogramStripe {
-            buckets: [(); HISTOGRAM_BUCKETS].map(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Stripe this thread updates. Threads are assigned round-robin on first
-/// touch, which spreads a pool of campaign workers evenly across stripes.
-fn stripe_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % HISTOGRAM_STRIPES;
-    }
-    STRIPE.with(|s| *s)
-}
-
-/// Log₂-bucketed histogram of `u64` observations (e.g. per-trial sim
-/// microseconds, dynamic instruction counts, fsync latencies). Updates are
-/// lock-free and striped per thread; min/max are shared atomics.
-#[derive(Debug)]
-pub struct Histogram {
-    stripes: [HistogramStripe; HISTOGRAM_STRIPES],
     min: AtomicU64,
     max: AtomicU64,
 }
@@ -109,7 +76,9 @@ pub struct Histogram {
 impl Default for Histogram {
     fn default() -> Self {
         Histogram {
-            stripes: [(); HISTOGRAM_STRIPES].map(|_| HistogramStripe::default()),
+            buckets: [(); HISTOGRAM_BUCKETS].map(|_| AtomicU64::new(0)),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
         }
@@ -118,10 +87,9 @@ impl Default for Histogram {
 
 impl Histogram {
     pub fn observe(&self, v: u64) {
-        let stripe = &self.stripes[stripe_index()];
-        stripe.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        stripe.count.fetch_add(1, Ordering::Relaxed);
-        stripe.sum.fetch_add(v, Ordering::Relaxed);
+        self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
@@ -141,11 +109,11 @@ impl Histogram {
     }
 
     pub fn count(&self) -> u64 {
-        self.stripes.iter().map(|s| s.count.load(Ordering::Relaxed)).sum()
+        self.count.load(Ordering::Relaxed)
     }
 
     pub fn sum(&self) -> u64 {
-        self.stripes.iter().map(|s| s.sum.load(Ordering::Relaxed)).sum()
+        self.sum.load(Ordering::Relaxed)
     }
 
     pub fn mean(&self) -> f64 {
@@ -166,8 +134,7 @@ impl Histogram {
             max: self.max.load(Ordering::Relaxed),
             buckets: (0..HISTOGRAM_BUCKETS)
                 .filter_map(|i| {
-                    let n: u64 =
-                        self.stripes.iter().map(|s| s.buckets[i].load(Ordering::Relaxed)).sum();
+                    let n = self.buckets[i].load(Ordering::Relaxed);
                     (n > 0).then_some((i as u32, n))
                 })
                 .collect(),
@@ -580,10 +547,10 @@ mod tests {
     }
 
     #[test]
-    fn striped_updates_fold_into_one_deterministic_snapshot() {
-        // Many threads (more than stripes) hammer one histogram; the
-        // snapshot must account for every observation exactly once and be
-        // identical to a single-threaded run over the same multiset.
+    fn concurrent_updates_fold_into_one_deterministic_snapshot() {
+        // Many threads hammer one histogram; the snapshot must account for
+        // every observation exactly once and be identical to a
+        // single-threaded run over the same multiset.
         let h = Histogram::default();
         std::thread::scope(|s| {
             for t in 0..16 {

@@ -1,4 +1,4 @@
-//! Campaign span bus: campaign → shard → trial → engine-phase spans.
+//! Campaign span bus: campaign → shard → trial spans.
 //!
 //! A [`SpanBus`] collects timed spans and instant events from a campaign
 //! run and exports them as Chrome Trace Event Format (loadable in
@@ -7,11 +7,6 @@
 //! trial spans use FaultPlan-keyed IDs derived from the campaign label and
 //! trial index via [`keyed_id`], so the same trial gets the same span ID
 //! on every run and at every worker count.
-//!
-//! [`SpanSink`] adapts the bus to the engine's [`TraceSink`] hook points:
-//! it turns `PhaseBegin`/`PhaseEnd` events into engine-phase spans nested
-//! under a trial span. Campaign loops attach it to a *sampled* subset of
-//! trials (`phase_every`) so full tracing stays cheap.
 
 use std::fmt::Write as _;
 use std::io;
@@ -21,14 +16,9 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::json::escape_str;
-use crate::trace::{TraceEvent, TraceSink};
 
 /// Parent ID for top-level spans.
 pub const ROOT_SPAN: u64 = 0;
-
-/// Default engine-phase sampling period: one trial in `DEFAULT_PHASE_EVERY`
-/// runs with the phase-tracing sink attached.
-pub const DEFAULT_PHASE_EVERY: u64 = 64;
 
 /// Deterministic span ID for item `n` under key `base` (splitmix64
 /// finalizer). The high bit is set so keyed IDs never collide with
@@ -46,7 +36,7 @@ pub struct SpanRecord {
     pub id: u64,
     pub parent: u64,
     pub name: String,
-    /// Category: `"campaign"`, `"shard"`, `"trial"`, `"engine"` or `"event"`.
+    /// Category: `"campaign"`, `"shard"`, `"trial"` or `"event"`.
     pub cat: &'static str,
     /// Track the span renders on (campaign = 0, shard `s` = `s + 1`).
     pub tid: u64,
@@ -61,7 +51,6 @@ pub struct SpanBus {
     started: Instant,
     records: Mutex<Vec<SpanRecord>>,
     next_id: AtomicU64,
-    phase_every: u64,
 }
 
 impl Default for SpanBus {
@@ -76,23 +65,7 @@ impl SpanBus {
             started: Instant::now(),
             records: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(1),
-            phase_every: DEFAULT_PHASE_EVERY,
         }
-    }
-
-    /// Set the engine-phase sampling period (0 disables phase tracing).
-    pub fn with_phase_every(mut self, every: u64) -> Self {
-        self.phase_every = every;
-        self
-    }
-
-    pub fn phase_every(&self) -> u64 {
-        self.phase_every
-    }
-
-    /// Should trial `n` run with the engine-phase sink attached?
-    pub fn sample_phases(&self, trial: u64) -> bool {
-        self.phase_every != 0 && trial.is_multiple_of(self.phase_every)
     }
 
     /// Microseconds since the bus was created.
@@ -313,56 +286,6 @@ impl Drop for OpenSpan<'_> {
     }
 }
 
-/// [`TraceSink`] adapter: times `PhaseBegin`/`PhaseEnd` engine events into
-/// `"engine"` spans parented under a trial span, and counts everything
-/// else. Attach to sampled trials via `Target::execute_traced`.
-pub struct SpanSink<'a> {
-    bus: &'a SpanBus,
-    parent: u64,
-    tid: u64,
-    stack: Vec<(&'static str, u64, u64)>,
-    /// Total events seen (phases included).
-    pub events: u64,
-}
-
-impl<'a> SpanSink<'a> {
-    pub fn new(bus: &'a SpanBus, parent: u64, tid: u64) -> Self {
-        SpanSink { bus, parent, tid, stack: Vec::new(), events: 0 }
-    }
-}
-
-impl TraceSink for SpanSink<'_> {
-    fn event(&mut self, ev: &TraceEvent) {
-        self.events += 1;
-        match *ev {
-            TraceEvent::PhaseBegin { idx, phase } => {
-                self.stack.push((phase, self.bus.now_us(), idx));
-            }
-            TraceEvent::PhaseEnd { idx, phase } => {
-                // Pop to the matching begin; tolerates truncated streams
-                // (e.g. a DUE raised mid-phase).
-                while let Some((name, t0, idx0)) = self.stack.pop() {
-                    if name != phase {
-                        continue;
-                    }
-                    self.bus.push(SpanRecord {
-                        id: self.bus.alloc_id(),
-                        parent: self.parent,
-                        name: name.to_string(),
-                        cat: "engine",
-                        tid: self.tid,
-                        ts_us: t0,
-                        dur_us: Some(self.bus.now_us().saturating_sub(t0)),
-                        args: vec![("idx0", idx0.to_string()), ("idx1", idx.to_string())],
-                    });
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,41 +385,5 @@ mod tests {
         assert_eq!(obj["id"].as_num(), Some(cid as f64));
         assert_eq!(obj["parent"].as_num(), Some(pid as f64));
         assert!(obj["dur_us"].as_num().is_some());
-    }
-
-    #[test]
-    fn span_sink_times_phases_under_the_trial() {
-        let bus = SpanBus::new();
-        let trial_id = keyed_id(1, 5);
-        let mut sink = SpanSink::new(&bus, trial_id, 3);
-        sink.event(&TraceEvent::PhaseBegin { idx: 0, phase: "decode" });
-        sink.event(&TraceEvent::PhaseEnd { idx: 0, phase: "decode" });
-        sink.event(&TraceEvent::PhaseBegin { idx: 0, phase: "block" });
-        sink.event(&TraceEvent::InstrRetired {
-            idx: 0,
-            block: 0,
-            warp: 0,
-            lane: 0,
-            pc: 0,
-            op: "iadd",
-        });
-        sink.event(&TraceEvent::PhaseEnd { idx: 17, phase: "block" });
-        assert_eq!(sink.events, 5);
-
-        let records = bus.records();
-        assert_eq!(records.len(), 2);
-        assert!(records.iter().all(|r| r.parent == trial_id && r.cat == "engine"));
-        let block = records.iter().find(|r| r.name == "block").unwrap();
-        assert_eq!(block.args, vec![("idx0", "0".to_string()), ("idx1", "17".to_string())]);
-    }
-
-    #[test]
-    fn phase_sampling_period() {
-        let bus = SpanBus::new().with_phase_every(8);
-        assert!(bus.sample_phases(0));
-        assert!(!bus.sample_phases(7));
-        assert!(bus.sample_phases(8));
-        let off = SpanBus::new().with_phase_every(0);
-        assert!(!off.sample_phases(0));
     }
 }

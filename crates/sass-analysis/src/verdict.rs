@@ -303,8 +303,6 @@ fn intervals(
     let launch = ctx.launch.as_ref();
     let top_state = || vec![AbsVal::TOP; TRACKED];
     let mut in_states = vec![top_state(); cfg.blocks.len()];
-    // Entry block starts TOP (registers are zero-initialized in the sim,
-    // but uninitialized reads are a lint, not something to rely on).
 
     // One instruction's effect on the abstract state: kill everything it
     // may write, then land the modeled scalar result (pair-high words
@@ -333,6 +331,13 @@ fn intervals(
         &mut in_states,
         |b, state| cfg.walk(b, false, state, |pc, state| exec(state, pc as u32)),
         |pass, b, in_states, flows| {
+            // The entry block joins the launch state, TOP, with whatever
+            // branches back to it (registers are zero-initialized in the
+            // sim, but uninitialized reads are a lint, not something to
+            // rely on).
+            if b == 0 {
+                return top_state();
+            }
             // Join over every predecessor, unreachable ones included; TOP
             // for a block without any.
             let joined = flows.map(|(_, out)| out).reduce(|mut j, out| {

@@ -325,3 +325,31 @@ proptest! {
         }
     }
 }
+
+/// A branch back to pc 0 makes the entry block a loop header whose first
+/// pass starts from the launch state, not from the back edge alone. R5
+/// is 0 at the first store, so flipping bit 8 of its address lands at
+/// byte 256, inside the 400-byte allocation, and the run completes; only
+/// the later stores, at R5 = 200, fault under that flip.
+#[test]
+fn loop_back_to_pc_zero_joins_the_launch_state() {
+    let source = ".kernel pc0_loop
+top:
+    STG.32 R5, 0, R0
+    MOV R5, 200
+    IADD R0, R0, 1
+    ISETP.LT P0, R0, 3
+    @P0 BRA top
+    EXIT
+";
+    let kernel = gpu_arch::asm::assemble(source).expect("kernel assembles");
+    let launch = LaunchConfig::new(1, 1, vec![]);
+    let verdicts =
+        KernelAnalysis::compute(&kernel, &AnalysisContext::for_launch(&launch, 400)).verdicts;
+    let device = DeviceModel::named("v100-sim");
+    let fault = FaultPlan::MemAddress { nth: 0, flip: BitFlip::single(8) };
+    let opts = RunOptions::trial(fault).ecc(false);
+    let faulty = run(&device, &kernel, &launch, GlobalMemory::new(400), &opts);
+    assert_eq!(faulty.status, ExecStatus::Completed);
+    assert_eq!(verdicts.mem_flip_due(0, 1 << 8), None, "the first store's flip is no DUE");
+}
