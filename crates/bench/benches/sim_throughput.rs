@@ -7,7 +7,9 @@
 //! bench is self-reporting — alongside the human-readable lines it writes
 //! `BENCH_sim_throughput.json` (override the path with the
 //! `BENCH_JSON_PATH` environment variable) so CI can record the perf
-//! trajectory per commit.
+//! trajectory per commit. The golden runs cover converged warps (FMXM,
+//! FHOTSPOT, HGEMM-MMA) and one divergent kernel, QUICKSORT, whose lanes
+//! each sort their own slice and so sit at different pcs in most turns.
 //!
 //! The campaign section measures trials/second twice — with the golden
 //! snapshot fast-forward and the early exits (DESIGN.md §16) enabled and
@@ -164,6 +166,11 @@ fn main() {
         Case {
             name: "hotspot_f32_small",
             workload: build(Benchmark::Hotspot, Precision::Single, CodeGen::Cuda10, Scale::Small),
+            device: DeviceModel::named("k40c-sim"),
+        },
+        Case {
+            name: "quicksort_i32_small",
+            workload: build(Benchmark::Quicksort, Precision::Int32, CodeGen::Cuda7, Scale::Small),
             device: DeviceModel::named("k40c-sim"),
         },
         Case {

@@ -619,6 +619,101 @@ fn lane_by_lane_and_run_wide_steps_agree_on_every_kernel() {
     assert!(fired * 4 > trials * 3, "only {fired} of {trials} plans fired");
 }
 
+/// The same comparison without a sites record, which a plain run keeps
+/// only when asked: a run stepped lane by lane (a sink attached) and one
+/// whose divergent turns may issue by pc group (no sink, no record) are
+/// the same run on every workload kernel, the golden run with its
+/// snapshots and a trial of every trigger-carrying plan family with its
+/// hand-off.
+#[test]
+fn lane_by_lane_and_grouped_issue_agree_on_every_kernel() {
+    let mut fired = 0;
+    let mut trials = 0;
+    for (w, device) in every_kernel() {
+        let opts = RunOptions::golden().snapshot_every(2048);
+        let traced = w.execute_traced(&device, &opts, &mut CountingSink::default());
+        let golden = w.execute(&device, &opts);
+        assert!(!golden.snapshots.is_empty(), "{}: no snapshot captured", w.name);
+        assert_same_run(&traced, &golden, &format!("{} golden", w.name));
+        let watchdog = 4 * golden.counts.total;
+        for (family, plan) in family_plans(&golden) {
+            let opts = RunOptions::trial(plan).ecc(false).watchdog(watchdog).hand_off(true);
+            let traced = w.execute_traced(&device, &opts, &mut CountingSink::default());
+            let run = w.execute(&device, &opts);
+            assert_same_run(&traced, &run, &format!("{}/{family}", w.name));
+            fired += u32::from(run.fault_triggered);
+            trials += 1;
+        }
+    }
+    assert!(fired * 4 > trials * 3, "only {fired} of {trials} plans fired");
+}
+
+/// A DUE in the middle of a divergent turn counts every lane before the
+/// failing one and the failing lane itself, and no lane after it. In
+/// QUICKSORT Small (one warp per block), block 0's turn from dyn 1504
+/// finds its lanes at three pcs: LDG R17 via R16 (pc 32), LDG R19 via R18
+/// (pc 38) and the loop's BRA (pc 29). A strike on lane 13's R18 at dyn
+/// 1503, the last instruction of the turn before, leaves that address
+/// misaligned, so lane 13's LDG faults with memory lanes and BRA lanes
+/// both below it and above it. Values pinned on the lane-order engine.
+#[test]
+fn mid_turn_due_counts_through_the_failing_lane() {
+    let qs = build(Benchmark::Quicksort, Precision::Int32, CodeGen::Cuda7, Scale::Small);
+    let device = DeviceModel::named("k40c-sim");
+    let plan = FaultPlan::RegisterBit {
+        block: 0,
+        thread: 13,
+        reg: 18,
+        flip: BitFlip::single(1),
+        at: 1503,
+    };
+    let opts = RunOptions::trial(plan).ecc(false);
+    let run = qs.execute(&device, &opts);
+    let mut sink = RecordingSink::new();
+    let traced = qs.execute_traced(&device, &opts, &mut sink);
+    assert_same_run(&traced, &run, "QUICKSORT mid-turn DUE");
+
+    // The turn as the golden run takes it, and as far as the trial gets.
+    let turn = |events: &[TraceEvent]| -> Vec<(u32, u32)> {
+        let turn = events.iter().filter_map(|e| match *e {
+            TraceEvent::InstrRetired { idx, lane, pc, .. } if (1504..1536).contains(&idx) => {
+                Some((lane, pc))
+            }
+            _ => None,
+        });
+        turn.collect()
+    };
+    let mut golden = RecordingSink::new();
+    qs.execute_traced(&device, &RunOptions::golden(), &mut golden);
+    let whole = turn(&golden.events);
+    assert_eq!(
+        whole.iter().map(|&(lane, _)| lane).collect::<Vec<_>>(),
+        (0..32).collect::<Vec<_>>()
+    );
+    let at = |pc: u32, lanes: std::ops::Range<usize>| whole[lanes].iter().any(|&(_, p)| p == pc);
+    assert!(at(29, 0..13) && at(29, 14..32), "no lane-local lane on both sides of lane 13");
+    assert!(at(32, 0..13) && at(38, 0..13) && at(38, 14..32), "memory lanes missing");
+    assert_eq!(whole[13], (13, 38));
+    assert_eq!(turn(&sink.events), whole[..14].to_vec(), "the trial's turn is not lanes 0..=13");
+
+    let c = &run.counts;
+    assert_eq!(run.status, ExecStatus::Due(DueKind::MemoryViolation));
+    assert_eq!(c.total, 1518);
+    assert_eq!(
+        c.sites,
+        SiteCounts {
+            gpr_writers: 1015,
+            gpr_writers_no_half: 1015,
+            loads: 169,
+            mem_ops: 245,
+            setp: 195
+        }
+    );
+    assert_eq!(c.per_unit, [0, 0, 0, 0, 0, 0, 0, 0, 0, 494, 32, 64, 0, 0, 245, 683]);
+    assert_eq!(c.warp_instrs, [1518, 0]);
+    assert_eq!(outcome_digest(&run), 4930149083244981319);
+}
+
 /// A run-wide step that raises a DUE at a middle lane counts the lanes
 /// before it and the failing lane (retires and site counts) and runs no
 /// later lane. A register strike before a converged FMXM warp's LDG

@@ -7,8 +7,8 @@ use gpu_arch::{
     CmpOp, DeviceModel, KernelBuilder, LaunchConfig, MemWidth, Operand, Pred, Reg, SpecialReg,
 };
 use gpu_sim::{
-    run, run_golden, trigger_position, try_run_with_sink, BitFlip, ExecStatus, FaultPlan,
-    GlobalMemory, RunOptions,
+    run, run_golden, run_with_sink, trigger_position, try_run_with_sink, BitFlip, ExecStatus,
+    FaultPlan, GlobalMemory, RunOptions,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -199,5 +199,176 @@ proptest! {
         if n1 < n2 {
             prop_assert!(a.counts.total < b.counts.total);
         }
+    }
+}
+
+/// One step of [`divergent_kernel`]'s loop body.
+#[derive(Clone, Copy, Debug)]
+enum BodyItem {
+    /// Lane-local arithmetic on the accumulator R10.
+    Alu(u32),
+    /// A global load of the lane's own word, guarded on the iteration.
+    GuardedLoad(u32),
+    /// A global store of the accumulator, guarded on the thread index.
+    GuardedStore(u32),
+    /// A shared store and reload through the lane's shared word.
+    Shared,
+    /// A global atomic add to one word every lane shares.
+    Atomic,
+    /// A forward branch over the next item, taken on the accumulator.
+    Skip(u32),
+}
+
+fn body_item() -> impl Strategy<Value = BodyItem> {
+    prop_oneof![
+        (1u32..7).prop_map(BodyItem::Alu),
+        (1u32..4).prop_map(BodyItem::GuardedLoad),
+        (1u32..4).prop_map(BodyItem::GuardedStore),
+        Just(BodyItem::Shared),
+        Just(BodyItem::Atomic),
+        (1u32..4).prop_map(BodyItem::Skip),
+    ]
+}
+
+/// A loop whose trip count per lane is `base + (tid & tid_mask) +
+/// (data[tid] & data_mask)`, its body `items`, then an optional barrier
+/// and a final store. Global memory holds `data` (one word per thread),
+/// the output words, and one shared atomic counter; the address
+/// registers are R4 (the lane's data word), R11 (its output word), R14
+/// (its shared word) and R15 (the counter).
+fn divergent_kernel(
+    items: &[BodyItem],
+    tid_mask: u32,
+    data_mask: u32,
+    base: u32,
+    bar: bool,
+) -> gpu_arch::Kernel {
+    let imm = Operand::Imm;
+    let mut b = KernelBuilder::new("divergent");
+    b.shared(64 * 4);
+    b.s2r(r(0), SpecialReg::TidX);
+    b.ldp(r(1), 0);
+    b.ldp(r(2), 1);
+    b.ldp(r(15), 2);
+    b.shl(r(3), r(0).into(), imm(2));
+    b.iadd(r(4), r(1).into(), r(3).into());
+    b.iadd(r(11), r(2).into(), r(3).into());
+    b.mov(r(14), r(3).into());
+    b.ldg(MemWidth::W32, r(5), r(4), 0);
+    b.and(r(6), r(5).into(), imm(data_mask));
+    b.and(r(7), r(0).into(), imm(tid_mask));
+    b.iadd(r(8), r(6).into(), r(7).into());
+    b.iadd(r(8), r(8).into(), imm(base));
+    b.mov(r(9), imm(0));
+    b.mov(r(10), r(0).into());
+    b.label("top");
+    b.isetp(Pred(0), CmpOp::Ge, r(9).into(), r(8).into());
+    b.if_p(Pred(0)).bra("done");
+    for (i, item) in items.iter().enumerate() {
+        match *item {
+            BodyItem::Alu(k) => {
+                b.imad(r(10), r(10).into(), imm(k), r(9).into());
+                b.xor(r(10), r(10).into(), r(0).into());
+            }
+            BodyItem::GuardedLoad(k) => {
+                b.and(r(12), r(9).into(), imm(k));
+                b.isetp(Pred(1), CmpOp::Eq, r(12).into(), imm(0));
+                b.if_p(Pred(1)).ldg(MemWidth::W32, r(13), r(4), 0);
+                b.iadd(r(10), r(10).into(), r(13).into());
+            }
+            BodyItem::GuardedStore(k) => {
+                b.and(r(12), r(0).into(), imm(k));
+                b.isetp(Pred(1), CmpOp::Ne, r(12).into(), imm(0));
+                b.if_p(Pred(1)).stg(MemWidth::W32, r(11), 0, r(10));
+            }
+            BodyItem::Shared => {
+                b.sts(MemWidth::W32, r(14), 0, r(10));
+                b.shl(r(12), r(9).into(), imm(1));
+                b.lds(MemWidth::W32, r(13), r(14), 0);
+                b.iadd(r(10), r(13).into(), r(12).into());
+            }
+            BodyItem::Atomic => {
+                b.atomg_add(r(13), r(15), 0, r(0));
+                b.xor(r(10), r(10).into(), r(13).into());
+            }
+            BodyItem::Skip(k) => {
+                b.and(r(12), r(10).into(), imm(k));
+                b.isetp(Pred(2), CmpOp::Eq, r(12).into(), imm(0));
+                b.if_p(Pred(2)).bra(format!("skip{i}"));
+                b.iadd(r(10), r(10).into(), imm(k));
+                b.label(format!("skip{i}"));
+            }
+        }
+    }
+    b.iadd(r(9), r(9).into(), imm(1));
+    b.bra("top");
+    b.label("done");
+    if bar {
+        b.bar();
+    }
+    b.stg(MemWidth::W32, r(11), 0, r(10));
+    b.exit();
+    b.build().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A divergent turn whose lanes sit at several pcs may issue them by
+    /// pc group when no sink is attached; a sink makes every lane issue
+    /// on its own, in lane order. The two runs must be the same run: on
+    /// one- and two-warp blocks, per-lane trip counts from the thread
+    /// index and from data, guarded loads, stores and atomics with
+    /// lane-local ops between them, and a register strike that can make
+    /// one lane's address misaligned, so a DUE lands in the middle of a
+    /// turn.
+    #[test]
+    fn grouped_issue_matches_lane_order_on_divergent_kernels(
+        items in prop::collection::vec(body_item(), 1..6),
+        nthreads in 1u32..65,
+        tid_mask in 0u32..8,
+        data_mask in 0u32..8,
+        base in 0u32..3,
+        bar in any::<bool>(),
+        data in prop::collection::vec(any::<u32>(), 64),
+        struck in any::<bool>(),
+        strike in (0u32..64, 0usize..5, 0u32..12, any::<u64>()),
+    ) {
+        let device = DeviceModel::named("k40c-sim");
+        let kernel = divergent_kernel(&items, tid_mask, data_mask, base, bar);
+        let out = 4 * nthreads;
+        let launch = LaunchConfig::new(1, nthreads, vec![0, out, 2 * out]);
+        let mut memory = GlobalMemory::new(2 * out + 4);
+        for (i, &v) in data.iter().take(nthreads as usize).enumerate() {
+            memory.write_u32_host(4 * i as u32, v).unwrap();
+        }
+        let golden = run(&device, &kernel, &launch, memory.clone(), &RunOptions::golden());
+        prop_assert_eq!(golden.status, ExecStatus::Completed);
+        let (thread, reg, bit, at) = strike;
+        let plan = if struck {
+            FaultPlan::RegisterBit {
+                block: 0,
+                thread: thread % nthreads,
+                reg: [4, 11, 14, 8, 10][reg],
+                flip: BitFlip::single(bit),
+                at: at % golden.counts.total,
+            }
+        } else {
+            FaultPlan::None
+        };
+        let opts = RunOptions::trial(plan).ecc(false).watchdog(4 * golden.counts.total + 64);
+        let plain = run(&device, &kernel, &launch, memory.clone(), &opts);
+        let mut sink = obs::CountingSink::default();
+        let traced = run_with_sink(&device, &kernel, &launch, memory, &opts, Some(&mut sink));
+        prop_assert_eq!(plain.status, traced.status);
+        prop_assert_eq!(plain.fault_triggered, traced.fault_triggered);
+        prop_assert_eq!(plain.memory.raw(), traced.memory.raw());
+        let (a, b) = (&plain.counts, &traced.counts);
+        prop_assert_eq!(a.total, b.total);
+        prop_assert_eq!(a.per_unit, b.per_unit);
+        prop_assert_eq!(a.per_mix, b.per_mix);
+        prop_assert_eq!(&a.warp_latency, &b.warp_latency);
+        prop_assert_eq!(&a.warp_instrs, &b.warp_instrs);
+        prop_assert_eq!(a.sites, b.sites);
     }
 }
