@@ -243,6 +243,22 @@ fn divergent_kernel(
     base: u32,
     bar: bool,
 ) -> gpu_arch::Kernel {
+    loop_kernel(items, tid_mask, data_mask, base, bar, None)
+}
+
+/// [`divergent_kernel`], with `tail: Some((hot, extra))` adding `extra`
+/// trips to thread `hot`'s count and half as many to thread `hot ^ 1`'s
+/// (through guarded `IADD`s after the count is formed), so once the
+/// others have left the loop those two lanes of one warp run on alone,
+/// then `hot` by itself.
+fn loop_kernel(
+    items: &[BodyItem],
+    tid_mask: u32,
+    data_mask: u32,
+    base: u32,
+    bar: bool,
+    tail: Option<(u32, u32)>,
+) -> gpu_arch::Kernel {
     let imm = Operand::Imm;
     let mut b = KernelBuilder::new("divergent");
     b.shared(64 * 4);
@@ -259,6 +275,12 @@ fn divergent_kernel(
     b.and(r(7), r(0).into(), imm(tid_mask));
     b.iadd(r(8), r(6).into(), r(7).into());
     b.iadd(r(8), r(8).into(), imm(base));
+    if let Some((hot, extra)) = tail {
+        b.isetp(Pred(3), CmpOp::Eq, r(0).into(), imm(hot));
+        b.if_p(Pred(3)).iadd(r(8), r(8).into(), imm(extra));
+        b.isetp(Pred(3), CmpOp::Eq, r(0).into(), imm(hot ^ 1));
+        b.if_p(Pred(3)).iadd(r(8), r(8).into(), imm(extra / 2));
+    }
     b.mov(r(9), imm(0));
     b.mov(r(10), r(0).into());
     b.label("top");
@@ -370,5 +392,180 @@ proptest! {
         prop_assert_eq!(&a.warp_latency, &b.warp_latency);
         prop_assert_eq!(&a.warp_instrs, &b.warp_instrs);
         prop_assert_eq!(a.sites, b.sites);
+    }
+}
+
+/// `x` folded into the last quarter of `0..n`: with `n` the golden run's
+/// count of a trigger's counter, a point in the lone tail.
+fn in_tail(n: u64, x: u64) -> u64 {
+    n.saturating_sub(1 + x % (n / 4 + 1))
+}
+
+/// Every field of two runs' `Counts`.
+fn same_counts(a: &gpu_sim::Counts, b: &gpu_sim::Counts) -> bool {
+    a.total == b.total
+        && a.per_unit == b.per_unit
+        && a.per_mix == b.per_mix
+        && a.warp_latency == b.warp_latency
+        && a.warp_instrs == b.warp_instrs
+        && a.sites == b.sites
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Two lanes of one warp, then one, run on alone for hundreds of
+    /// instructions after every other lane of their block has left the
+    /// loop (exited, or waiting at a barrier), with a trigger or the
+    /// watchdog limit inside that tail: register, pc and memory strikes
+    /// at `at`; output, address and predicate flips at `nth`; transient
+    /// and stuck-at memory-queue plans; scheduler-priority and
+    /// active-mask plans; and a strike on a block that is not resident,
+    /// which fires and changes nothing. A sink makes every lane issue on
+    /// its own, in lane order. The run without one must be the same run,
+    /// rounds included, and a scheduler or mask plan must fire within a
+    /// round of its `at`.
+    ///
+    /// Asked for a hand-off and given an exit golden, the two must hand
+    /// off at the same dynamic count, and a plan whose `at` lies past the
+    /// first round must be handed off: the round top before the one its
+    /// fault fires in is within a round of the trigger. A sink turns the
+    /// early exits off, so the exit is checked two other ways: the strike
+    /// that changes nothing rejoins at the first golden snapshot after
+    /// its `at`, with a hand-off and without, and the run from zero exits
+    /// where the run resumed from golden's nearest snapshot does.
+    #[test]
+    fn lone_lane_matches_lane_order_in_the_tail(
+        items in prop::collection::vec(body_item(), 1..5),
+        nthreads in 1u32..65,
+        tid_mask in 0u32..4,
+        data_mask in 0u32..2,
+        base in 0u32..3,
+        bar in any::<bool>(),
+        hot in any::<u32>(),
+        extra in 20u32..120,
+        data in prop::collection::vec(any::<u32>(), 64),
+        family in 0usize..15,
+        x in any::<u64>(),
+        detail in (0u32..32, 0usize..5, any::<bool>()),
+        tight in 0u32..4,
+        stride in 32u64..400,
+    ) {
+        use gpu_sim::{MemQueueEffect, Persistence, SiteClass};
+        let device = DeviceModel::named("k40c-sim");
+        let hot = hot % nthreads;
+        let kernel = loop_kernel(&items, tid_mask, data_mask, base, bar, Some((hot, extra)));
+        let out = 4 * nthreads;
+        let launch = LaunchConfig::new(1, nthreads, vec![0, out, 2 * out]);
+        let mut memory = GlobalMemory::new(2 * out + 4);
+        for (i, &v) in data.iter().take(nthreads as usize).enumerate() {
+            memory.write_u32_host(4 * i as u32, v).unwrap();
+        }
+        let capture = RunOptions::golden().ecc(false).snapshot_every(stride);
+        let golden = Arc::new(run(&device, &kernel, &launch, memory.clone(), &capture));
+        prop_assert_eq!(golden.status, ExecStatus::Completed);
+        let (bit, reg, stuck) = detail;
+        let persist = if stuck { Persistence::StuckAt } else { Persistence::Transient };
+        let flip = BitFlip::single(bit);
+        let sites = golden.counts.sites;
+        let at = in_tail(golden.counts.total, x);
+        let warp = if x & 2 == 0 { hot / 32 } else { (x >> 8) as u32 % 2 };
+        let plan = match family {
+            0 => FaultPlan::None,
+            1 => FaultPlan::RegisterBit {
+                block: 0,
+                thread: if x & 1 == 0 { hot } else { (x >> 8) as u32 % nthreads },
+                reg: [4, 11, 14, 8, 10][reg],
+                flip,
+                at,
+            },
+            2 => FaultPlan::Pc { at, flip: BitFlip::single(bit % 6) },
+            3 => FaultPlan::GlobalMemBit { byte: (x >> 16) as u32 % memory.len(), bit, at, mbu: false },
+            4 => FaultPlan::InstructionOutput {
+                nth: in_tail(sites.gpr_writers, x),
+                site: SiteClass::GprWriter,
+                flip,
+            },
+            5 => FaultPlan::MemAddress { nth: in_tail(sites.mem_ops, x), flip },
+            6 => FaultPlan::PredicateOutput { nth: in_tail(sites.setp, x) },
+            7 | 8 => FaultPlan::MemQueue {
+                nth: in_tail(sites.mem_ops, x),
+                effect: [MemQueueEffect::Flag, MemQueueEffect::Drop, MemQueueEffect::Replay][reg % 3],
+                persist,
+            },
+            9 | 10 => FaultPlan::SchedulerPriority { at, warp, persist },
+            11 | 12 => FaultPlan::ActiveMask { at, warp, flip: BitFlip::single(hot % 32), persist },
+            _ => FaultPlan::RegisterBit { block: 1, thread: hot, reg: 10, flip, at },
+        };
+        let timed = matches!(family, 1 | 2 | 3 | 9..);
+        let limit = if tight == 0 || family == 0 { at } else { 4 * golden.counts.total + 64 };
+        let opts = RunOptions::trial(plan).ecc(false).watchdog(limit);
+
+        let plain = run(&device, &kernel, &launch, memory.clone(), &opts);
+        let mut sink = obs::RecordingSink::new();
+        let traced = run_with_sink(&device, &kernel, &launch, memory.clone(), &opts, Some(&mut sink));
+        prop_assert_eq!(plain.status, traced.status);
+        prop_assert_eq!(plain.fault_triggered, traced.fault_triggered);
+        prop_assert_eq!(plain.memory.raw(), traced.memory.raw());
+        prop_assert!(same_counts(&plain.counts, &traced.counts));
+        prop_assert_eq!(plain.rounds, traced.rounds);
+        // A scheduler or mask plan fires at the first round top at or
+        // past its `at`, and a round retires at most one instruction per
+        // thread.
+        let fired = sink.events.iter().find_map(|e| match e {
+            obs::TraceEvent::FaultInjected { idx, .. } => Some(*idx),
+            _ => None,
+        });
+        if let (9..=12, Some(idx)) = (family, fired) {
+            prop_assert!((at..at + u64::from(nthreads)).contains(&idx));
+        }
+        // A strike on a block that is not resident fires and changes
+        // nothing, so the trial rejoins at golden's first snapshot past
+        // it, if the watchdog leaves room for the rest of golden's run.
+        let rejoin = golden.snapshots.iter().find(|s| s.dyn_count() > at).map(|s| {
+            gpu_sim::BlockExit {
+                block: 0,
+                skipped_instrs: golden.counts.total - s.dyn_count(),
+                kind: gpu_sim::ExitKind::Rejoin,
+            }
+        });
+        let noop = family >= 13 && golden.counts.total <= limit;
+        if noop {
+            let exit = opts.clone().exit_through(Some(Arc::clone(&golden)));
+            let ended = run(&device, &kernel, &launch, memory.clone(), &exit);
+            prop_assert_eq!(ended.exit, rejoin);
+        }
+
+        let relay = opts.exit_through(Some(Arc::clone(&golden))).hand_off(true);
+        let plain = run(&device, &kernel, &launch, memory.clone(), &relay);
+        let mut sink = obs::CountingSink::default();
+        let traced = run_with_sink(&device, &kernel, &launch, memory.clone(), &relay, Some(&mut sink));
+        prop_assert_eq!(plain.status, traced.status);
+        prop_assert_eq!(plain.fault_triggered, traced.fault_triggered);
+        prop_assert_eq!(plain.memory.raw(), traced.memory.raw());
+        prop_assert!(same_counts(&plain.counts, &traced.counts));
+        let handoff = |e: &gpu_sim::Executed| e.handoff.as_ref().map(|s| s.dyn_count());
+        prop_assert_eq!(handoff(&plain), handoff(&traced));
+        if plain.exit.is_none() {
+            prop_assert_eq!(plain.rounds, traced.rounds);
+        }
+        if plain.fault_triggered && timed && at >= u64::from(nthreads) {
+            prop_assert!(plain.handoff.is_some());
+        }
+        if noop {
+            prop_assert_eq!(plain.exit, rejoin);
+        }
+        // A run resumed past the watchdog limit would trip at once.
+        let (before, _) = trigger_position(&golden.snapshots, &golden.counts, &plan);
+        let nearest = before.checked_sub(1).map(|i| &golden.snapshots[i]);
+        if let Some(snap) = nearest.filter(|s| s.dyn_count() <= limit) {
+            let resumed =
+                run(&device, &kernel, &launch, memory, &relay.resume(Some(Arc::clone(snap))));
+            prop_assert_eq!(plain.status, resumed.status);
+            prop_assert_eq!(plain.fault_triggered, resumed.fault_triggered);
+            prop_assert_eq!(plain.memory.raw(), resumed.memory.raw());
+            prop_assert!(same_counts(&plain.counts, &resumed.counts));
+            prop_assert_eq!(plain.exit, resumed.exit);
+        }
     }
 }
