@@ -8,8 +8,11 @@
 //! `BENCH_sim_throughput.json` (override the path with the
 //! `BENCH_JSON_PATH` environment variable) so CI can record the perf
 //! trajectory per commit. The golden runs cover converged warps (FMXM,
-//! FHOTSPOT, HGEMM-MMA) and one divergent kernel, QUICKSORT, whose lanes
-//! each sort their own slice and so sit at different pcs in most turns.
+//! FHOTSPOT, HGEMM-MMA), one divergent kernel, QUICKSORT, whose lanes
+//! each sort their own slice and so sit at different pcs in most turns,
+//! and `lone_lane_loop`, one thread in a loop of integer ops: it measures
+//! a lone lane's per-instruction issue cost, what a hung straggler or the
+//! tail of a sort pays for every instruction it runs alone.
 //!
 //! The campaign section measures trials/second twice — with the golden
 //! snapshot fast-forward and the early exits (DESIGN.md §16) enabled and
@@ -26,8 +29,11 @@
 //!   asserts the snapshot-enabled campaign figure made it into the JSON.
 
 use campaign::{golden, Budget, Campaign, SnapshotPolicy};
-use gpu_arch::{CodeGen, DeviceModel, Precision};
-use gpu_sim::Target;
+use gpu_arch::{
+    CmpOp, CodeGen, DeviceModel, Kernel, KernelBuilder, LaunchConfig, MemWidth, Operand, Precision,
+    Pred, Reg,
+};
+use gpu_sim::{Executed, GlobalMemory, Target};
 use injector::{Avf, Injector};
 use obs::json::{object, Json};
 use obs::{CampaignObserver, MetricsRegistry};
@@ -37,8 +43,60 @@ use workloads::{build, Benchmark, Scale, Workload};
 
 struct Case {
     name: &'static str,
-    workload: Workload,
+    target: Box<dyn Target>,
     device: DeviceModel,
+}
+
+/// One thread running `LONE_LANE_TRIPS` trips of a five-instruction
+/// integer loop, then storing a checksum: the block's only lane, so it
+/// issues every instruction alone.
+struct LoneLaneLoop {
+    kernel: Kernel,
+    launch: LaunchConfig,
+}
+
+const LONE_LANE_TRIPS: u32 = 100_000;
+
+impl LoneLaneLoop {
+    fn new() -> LoneLaneLoop {
+        let r = Reg;
+        let mut b = KernelBuilder::new("lone-lane-loop");
+        b.mov(r(0), Operand::Imm(0));
+        b.mov(r(1), Operand::Imm(1));
+        b.label("top");
+        b.iadd(r(0), r(0).into(), Operand::Imm(1));
+        b.imad(r(1), r(1).into(), Operand::Imm(3), r(0).into());
+        b.xor(r(2), r(1).into(), r(0).into());
+        b.isetp(Pred(0), CmpOp::Lt, r(0).into(), Operand::Imm(LONE_LANE_TRIPS));
+        b.if_p(Pred(0)).bra("top");
+        b.stg(MemWidth::W32, Reg::RZ, 0, r(2));
+        b.exit();
+        let kernel = b.build().expect("the lone-lane loop is a valid kernel");
+        LoneLaneLoop { kernel, launch: LaunchConfig::new(1, 1, vec![]) }
+    }
+}
+
+impl Target for LoneLaneLoop {
+    fn name(&self) -> &str {
+        "LONE-LANE-LOOP"
+    }
+    fn kernel(&self) -> &Kernel {
+        &self.kernel
+    }
+    fn launch(&self) -> &LaunchConfig {
+        &self.launch
+    }
+    fn fresh_memory(&self) -> GlobalMemory {
+        GlobalMemory::new(4)
+    }
+    fn output_matches(&self, golden: &Executed, faulty: &Executed) -> bool {
+        golden.memory.raw() == faulty.memory.raw()
+    }
+}
+
+/// A golden case of a paper workload.
+fn workload(name: &'static str, w: Workload, device: &str) -> Case {
+    Case { name, target: Box::new(w), device: DeviceModel::named(device) }
 }
 
 struct Measurement {
@@ -59,7 +117,7 @@ impl Measurement {
 fn measure(case: &Case, budget_secs: f64, min_samples: usize) -> Measurement {
     // One untimed run warms caches and yields the dynamic-instruction
     // count the rates are computed from.
-    let golden = case.workload.execute_golden(&case.device);
+    let golden = case.target.execute_golden(&case.device);
     assert!(golden.status.completed(), "{}: golden run failed", case.name);
     let dyn_instrs = golden.counts.total;
 
@@ -67,7 +125,7 @@ fn measure(case: &Case, budget_secs: f64, min_samples: usize) -> Measurement {
     let start = Instant::now();
     while samples.len() < min_samples || start.elapsed().as_secs_f64() < budget_secs {
         let t = Instant::now();
-        black_box(case.workload.execute_golden(&case.device));
+        black_box(case.target.execute_golden(&case.device));
         samples.push(t.elapsed().as_secs_f64());
     }
     let best = samples.iter().copied().fold(f64::INFINITY, f64::min);
@@ -158,25 +216,30 @@ fn main() {
     let (budget_secs, min_samples) = if smoke { (0.2, 2) } else { (2.0, 10) };
 
     let cases = [
+        workload(
+            "mxm_f32_small",
+            build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10, Scale::Small),
+            "k40c-sim",
+        ),
+        workload(
+            "hotspot_f32_small",
+            build(Benchmark::Hotspot, Precision::Single, CodeGen::Cuda10, Scale::Small),
+            "k40c-sim",
+        ),
+        workload(
+            "quicksort_i32_small",
+            build(Benchmark::Quicksort, Precision::Int32, CodeGen::Cuda7, Scale::Small),
+            "k40c-sim",
+        ),
+        workload(
+            "gemm_mma_h16_small",
+            build(Benchmark::GemmMma, Precision::Half, CodeGen::Cuda10, Scale::Small),
+            "v100-sim",
+        ),
         Case {
-            name: "mxm_f32_small",
-            workload: build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10, Scale::Small),
+            name: "lone_lane_loop",
+            target: Box::new(LoneLaneLoop::new()),
             device: DeviceModel::named("k40c-sim"),
-        },
-        Case {
-            name: "hotspot_f32_small",
-            workload: build(Benchmark::Hotspot, Precision::Single, CodeGen::Cuda10, Scale::Small),
-            device: DeviceModel::named("k40c-sim"),
-        },
-        Case {
-            name: "quicksort_i32_small",
-            workload: build(Benchmark::Quicksort, Precision::Int32, CodeGen::Cuda7, Scale::Small),
-            device: DeviceModel::named("k40c-sim"),
-        },
-        Case {
-            name: "gemm_mma_h16_small",
-            workload: build(Benchmark::GemmMma, Precision::Half, CodeGen::Cuda10, Scale::Small),
-            device: DeviceModel::named("v100-sim"),
         },
     ];
 

@@ -111,7 +111,7 @@ pub struct CampaignObservation {
     pub digest: Option<u64>,
     /// The label of the earlier campaign in this process whose result
     /// this one reused instead of running (see [`ObserveCtx`]). A reused
-    /// campaign carries that campaign's digest and an empty snapshot.
+    /// campaign carries that campaign's digest and metrics snapshot.
     pub reused: Option<String>,
 }
 
@@ -175,8 +175,9 @@ pub struct StoreLog {
 /// budget's `Debug` text. A repeat reuses the first run's result: it
 /// runs no trial and opens no checkpoint store, and its observation
 /// names the first label (`reused`) and carries the first run's digest
-/// and no metrics, so summing `trials` over a stream counts each trial
-/// once. Its digest still folds into [`ObserveCtx::digest`].
+/// and metrics snapshot, so a consumer counting each trial once skips
+/// lines that carry `reused`. Its digest still folds into
+/// [`ObserveCtx::digest`].
 #[derive(Default)]
 pub struct ObserveCtx<'a> {
     /// Render stderr progress meters while campaigns run.
@@ -223,6 +224,9 @@ struct MemoKey {
 struct Finished {
     label: String,
     digest: u64,
+    /// The metrics its observation carried; empty when nothing observed
+    /// it.
+    snapshot: MetricsSnapshot,
     /// The kind's output.
     output: Box<dyn Any>,
 }
@@ -248,7 +252,7 @@ impl ObserveCtx<'_> {
         &mut self,
         label: &str,
         device: &DeviceModel,
-        metrics: &MetricsRegistry,
+        snapshot: MetricsSnapshot,
         digest: Option<u64>,
         reused: Option<&str>,
     ) {
@@ -256,7 +260,7 @@ impl ObserveCtx<'_> {
             observe(CampaignObservation {
                 campaign: label.to_string(),
                 device: device.name.clone(),
-                snapshot: metrics.snapshot(),
+                snapshot,
                 digest,
                 reused: reused.map(str::to_string),
             });
@@ -294,9 +298,10 @@ impl Runner for ObserveCtx<'_> {
         };
         if let Some(first) = self.memo.get(&key) {
             if let Some(output) = first.output.downcast_ref::<K::Output>() {
-                let (output, digest, first) = (output.clone(), first.digest, first.label.clone());
+                let (output, digest) = (output.clone(), first.digest);
+                let (snapshot, first) = (first.snapshot.clone(), first.label.clone());
                 self.digests.push(digest);
-                self.emit(label, device, &MetricsRegistry::new(), Some(digest), Some(&first));
+                self.emit(label, device, snapshot, Some(digest), Some(&first));
                 return Ok(output);
             }
         }
@@ -340,17 +345,20 @@ impl Runner for ObserveCtx<'_> {
             log.damage_events += store.damage_events();
             log.lock_breaks += store.lock_breaks();
         }
-        if let Some(metrics) = metrics {
+        let snapshot = metrics.map(|metrics| {
             profile(target, device).export_metrics(&metrics);
             if let Some(publisher) = self.publisher {
                 publisher.set_digest(Some(run.digest));
                 let _ = publisher.publish_now();
             }
-            self.emit(label, device, &metrics, Some(run.digest), None);
-        }
+            let snapshot = metrics.snapshot();
+            self.emit(label, device, snapshot.clone(), Some(run.digest), None);
+            snapshot
+        });
         let finished = Finished {
             label: label.to_string(),
             digest: run.digest,
+            snapshot: snapshot.unwrap_or_default(),
             output: Box::new(output.clone()),
         };
         self.memo.insert(key, finished);
@@ -420,7 +428,13 @@ pub fn table1(cfg: &HarnessConfig, ctx: &mut ObserveCtx<'_>) -> Vec<ProfileRow> 
             if ctx.observe.is_some() {
                 let metrics = MetricsRegistry::new();
                 p.export_metrics(&metrics);
-                ctx.emit(&format!("table1/{device_label}/{}", w.name), dm, &metrics, None, None);
+                ctx.emit(
+                    &format!("table1/{device_label}/{}", w.name),
+                    dm,
+                    metrics.snapshot(),
+                    None,
+                    None,
+                );
             }
             rows.push(ProfileRow {
                 device: device_label,

@@ -221,8 +221,10 @@ fn repeated_campaigns_reuse_the_first_run() {
     let alone = format!("{:?}", fig6(&cfg, &mut ObserveCtx::default()));
     let mut seen: Vec<CampaignObservation> = Vec::new();
     let mut observe = |o| seen.push(o);
+    let spans = obs::SpanBus::new();
     let mut ctx = ObserveCtx::default();
     ctx.observe = Some(&mut observe);
+    ctx.spans = Some(&spans);
     fig3(&cfg, &mut ctx);
     fig4(&cfg, &mut ctx);
     fig5(&cfg, &mut ctx);
@@ -239,7 +241,11 @@ fn repeated_campaigns_reuse_the_first_run() {
         });
         assert!(earlier.reused.is_none(), "{}: reuses a reused line", o.campaign);
         assert!(o.digest.is_some() && o.digest == earlier.digest, "{}: digest differs", o.campaign);
-        assert!(!o.snapshot.counters.contains_key("trials"), "{}: ran a shard", o.campaign);
+        assert_eq!(o.snapshot, earlier.snapshot, "{}: metrics differ", o.campaign);
     }
     assert!(reused > 0, "Figure 6 reused nothing");
+    // A reused line runs no campaign, so no shard either: every campaign
+    // span belongs to a line that ran.
+    let ran = spans.records().iter().filter(|r| r.cat == "campaign").count();
+    assert_eq!(ran, seen.len() - reused, "a reused campaign ran");
 }

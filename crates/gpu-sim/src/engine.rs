@@ -17,6 +17,14 @@
 //! fire anywhere in the turn; lane-local ops touch only their own lane and
 //! never raise a DUE. Memory, every count and the run's outcome are then
 //! those of lane order (see `issue_grouped`).
+//!
+//! When one warp of a block is left with running lanes, it takes its
+//! turns back to back up to the next round-top event, one dynamic count
+//! read when the stretch starts (see `next_event`): every round top
+//! before it would only start the round. If that warp has one running
+//! lane and nothing can tell, the lane steps on its own, one instruction
+//! per round, up to that count or the first point a fault hook or the
+//! watchdog could fire (see `step_lone_lane`).
 
 use crate::error::SimError;
 use crate::fault::{
@@ -576,14 +584,20 @@ struct Rejoin<'a> {
 }
 
 impl<'a> Rejoin<'a> {
-    /// The golden snapshot taken at `here` (block and dynamic count), if
-    /// there is one, moving the cursor past every one before it.
-    fn snapshot_at(&mut self, here: (u32, u64)) -> Option<&'a EngineSnapshot> {
+    /// The first golden snapshot taken at or after `here` (block and
+    /// dynamic count) in `here`'s block, if there is one, moving the
+    /// cursor past every one before `here`.
+    fn next_in_block(&mut self, here: (u32, u64)) -> Option<&'a EngineSnapshot> {
         let snaps = &self.golden.snapshots;
         while snaps.get(self.next).is_some_and(|s| (s.block, s.dyn_count) < here) {
             self.next += 1;
         }
-        snaps.get(self.next).map(|s| &**s).filter(|s| (s.block, s.dyn_count) == here)
+        snaps.get(self.next).map(|s| &**s).filter(|s| s.block == here.0)
+    }
+
+    /// The golden snapshot taken at `here`, if there is one.
+    fn snapshot_at(&mut self, here: (u32, u64)) -> Option<&'a EngineSnapshot> {
+        self.next_in_block(here).filter(|s| s.dyn_count == here.1)
     }
 }
 
@@ -1086,6 +1100,7 @@ fn run_block(
     // A fetch fault rewrites one lane's pc just before that lane fetches,
     // so under a fetch plan every lane issues on its own.
     let lane_fetch = matches!(ctx.opts.fault, FaultPlan::Fetch { .. });
+    let lone_lane = unobserved(ctx, lane_fetch);
 
     loop {
         if ctx.cap.as_ref().is_some_and(|cap| ctx.dyn_count >= cap.next_due) {
@@ -1133,17 +1148,28 @@ fn run_block(
                 in_block: w as u32,
                 global: block_linear as usize * warps_per_block + w,
             };
+            // A lone warp whose turn retired an instruction takes its
+            // turn in the next round at once: the rest of this round
+            // skips every other warp and releases no barrier, and the
+            // round tops before `horizon`, read when the stretch starts,
+            // do nothing but start the round. A lone running lane steps
+            // on its own where nothing can tell (DESIGN.md §16,
+            // "Straggler rounds").
+            let mut horizon = None;
             loop {
                 let retired =
                     turn(ctx, decoded, &mut threads, &mut shared, &mut running, at, lane_fetch)?;
                 progress |= retired;
-                // A lone warp whose turn retired an instruction takes its
-                // turn in the next round at once: the rest of this round
-                // skips every other warp and releases no barrier, and the
-                // next round's top does nothing unless a round-top event
-                // is due (DESIGN.md §16, "Straggler rounds").
-                let lone = retired && running.live == 1 && running.masks[w] != 0;
-                if !lone || !round_top_idle(ctx, block_linear) {
+                if !retired || running.live != 1 || running.masks[w] == 0 {
+                    break;
+                }
+                let horizon =
+                    *horizon.get_or_insert_with(|| next_event(ctx, block_linear, running.lanes()));
+                if lone_lane && running.masks[w].is_power_of_two() {
+                    let lane = running.masks[w];
+                    step_lone_lane(ctx, decoded, &mut threads, &mut shared, at, lane, horizon)?;
+                }
+                if ctx.dyn_count >= horizon {
                     break;
                 }
                 ctx.rounds += 1;
@@ -1265,7 +1291,7 @@ fn turn(
     let mut parked = false;
     // Whether the rest of the turn may yet issue by pc group: tried once,
     // after the first run that issues.
-    let mut group = !lane_fetch && ctx.sink.is_none() && ctx.record.is_none();
+    let mut group = unobserved(ctx, lane_fetch);
     while pending != 0 {
         let first = lo + pending.trailing_zeros() as usize;
         if lane_fetch {
@@ -1489,33 +1515,90 @@ fn issue_grouped(
     }
 }
 
-/// Whether the scheduler round top at the current dynamic count has
-/// nothing to do but start the round, so a lone warp may take its next
-/// turn at once: no snapshot capture is due, no hand-off is pending, no
-/// golden snapshot the trial could rejoin sits here, and no hidden
-/// scheduler, mask or barrier plan acts here (from its `at` on, until a
-/// transient one has fired).
-#[inline]
-fn round_top_idle(ctx: &mut Ctx<'_>, block: u32) -> bool {
-    if ctx.cap.as_ref().is_some_and(|cap| ctx.dyn_count >= cap.next_due)
-        || ctx.handoff_from.is_some()
-    {
-        return false;
+/// Whether nothing but the fault hooks and the watchdog, which [`quiet`]
+/// rules out, can tell the order lanes issue in: no sink watches, no
+/// sites record is kept and no fetch plan rewrites pcs.
+fn unobserved(ctx: &Ctx<'_>, lane_fetch: bool) -> bool {
+    !lane_fetch && ctx.sink.is_none() && ctx.record.is_none()
+}
+
+/// The first dynamic count at which a scheduler round top of block
+/// `block` may do more than start the round, read when a lone warp with
+/// `lanes` running lanes starts taking its turns back to back. Before it
+/// no snapshot capture is due, the hand-off is out of reach, no golden
+/// snapshot the trial could rejoin sits at a round top, and no hidden
+/// scheduler, mask or barrier plan acts. The bound holds for the whole
+/// stretch: the lone warp's running lanes only leave it, and the plan's
+/// trigger counter ticks at most once per instruction.
+fn next_event(ctx: &mut Ctx<'_>, block: u32, lanes: u64) -> u64 {
+    let now = ctx.dyn_count;
+    // How many more ticks the trigger counter needs; `None` when the plan
+    // has no trigger or is past it.
+    let gap =
+        trigger_counter(&ctx.opts.fault, |c| ctx.tallies.class_matches(c), &ctx.counts.sites, now)
+            .and_then(|(counter, trigger)| trigger.checked_sub(counter));
+    let mut next = ctx.cap.as_ref().map_or(u64::MAX, |cap| cap.next_due);
+    if ctx.handoff_from.is_some() {
+        // The hand-off acts at the first round top where the gap is
+        // gone or below the running lanes (see `hand_off`).
+        let reach = gap.map_or(0, |g| g.saturating_add(1).saturating_sub(lanes));
+        next = next.min(now.saturating_add(reach));
     }
-    let hidden = match ctx.opts.fault {
+    if let Some(rj) = ctx.rejoin.as_mut() {
+        // A rejoin needs a fired plan: the next golden snapshot in this
+        // block once it has fired, else the round top after the earliest
+        // instruction it can fire at.
+        let rejoin = if ctx.fault_triggered {
+            rj.next_in_block((block, now)).map(|s| s.dyn_count)
+        } else {
+            gap.map(|g| now.saturating_add(g).saturating_add(1))
+        };
+        next = next.min(rejoin.unwrap_or(u64::MAX));
+    }
+    match ctx.opts.fault {
+        // From its `at` on, until a transient one has fired.
         FaultPlan::SchedulerNextPc { at, persist, .. }
         | FaultPlan::SchedulerPriority { at, persist, .. }
         | FaultPlan::ActiveMask { at, persist, .. }
-        | FaultPlan::BarrierCounter { at, persist, .. } => {
-            ctx.dyn_count >= at && !(persist == Persistence::Transient && ctx.hidden_fired)
+        | FaultPlan::BarrierCounter { at, persist, .. }
+            if !(persist == Persistence::Transient && ctx.hidden_fired) =>
+        {
+            next.min(at)
         }
-        _ => false,
-    };
-    if hidden {
-        return false;
+        _ => next,
     }
-    let here = (block, ctx.dyn_count);
-    !(ctx.fault_triggered && ctx.rejoin.as_mut().is_some_and(|rj| rj.snapshot_at(here).is_some()))
+}
+
+/// Step the one running lane of lone warp `at` (`lane` is its bit in the
+/// warp's mask) on its own, one instruction per round, through the
+/// run-wide body, while the dynamic count stays below `horizon` (from
+/// [`next_event`]) and [`quiet`] holds, so no round top between acts and
+/// no fault hook or watchdog can fire. Each instruction is a whole round:
+/// no other warp has a running lane, and this warp's turn is the one
+/// step. A `BAR`, an `EXIT`, a warp-synchronous op and a pc outside the
+/// kernel are left to [`turn`].
+fn step_lone_lane(
+    ctx: &mut Ctx<'_>,
+    decoded: &Decoded,
+    threads: &mut [Thread],
+    shared: &mut SharedMemory,
+    at: WarpPos,
+    lane: u32,
+    horizon: u64,
+) -> Result<(), DueKind> {
+    let kernel = ctx.kernel;
+    let th = at.in_block as usize * WARP_SIZE as usize + lane.trailing_zeros() as usize;
+    let end = horizon.min(ctx.dyn_count.saturating_add(quiet_span(ctx, None)));
+    while ctx.dyn_count < end {
+        let pc = threads[th].pc as usize;
+        let Some(meta) = decoded.metas.get(pc) else { break };
+        if meta.is_warp_sync || matches!(meta.op, Op::Bar | Op::Exit) {
+            break;
+        }
+        ctx.rounds += 1;
+        step::<true>(ctx, &kernel.instrs[pc], meta, threads, lane, at, shared)?;
+    }
+    Ok(())
 }
 
 /// Release every lane waiting at the block barrier, reporting the release
@@ -1566,18 +1649,25 @@ struct WarpPos {
 
 /// Whether the next `n` lanes to retire can do so without a fault hook
 /// firing at any of them and without the watchdog tripping, so that they
-/// may run in bulk: executing the instruction `meta` describes, or any
-/// instructions for `None`. They take the dynamic indices `[start, start +
-/// n)`, and tick the site count a fault hook numbers its `nth` in at most
-/// once apiece, and only for an instruction in the hook's class.
+/// may run in bulk: `n` is within [`quiet_span`].
+#[inline]
 fn quiet(ctx: &Ctx<'_>, meta: Option<&InstrMeta>, n: u64) -> bool {
-    let start = ctx.dyn_count;
-    let end = start + n;
-    if end > ctx.opts.watchdog_limit {
-        return false;
-    }
-    let outside = |target: u64, counter: u64| target < counter || target >= counter + n;
-    match ctx.opts.fault {
+    n <= quiet_span(ctx, meta)
+}
+
+/// How many of the next lanes to retire can do so without a fault hook
+/// firing at any of them and without the watchdog tripping: executing
+/// the instruction `meta` describes, or any instructions for `None`. They
+/// take the next dynamic indices, and tick the site count a fault hook
+/// numbers its `nth` in at most once apiece, and only for an instruction
+/// in the hook's class.
+#[inline]
+fn quiet_span(ctx: &Ctx<'_>, meta: Option<&InstrMeta>) -> u64 {
+    let room = ctx.opts.watchdog_limit.saturating_sub(ctx.dyn_count);
+    // Ticks before the counter reaches the target; none ever do once the
+    // counter is past it.
+    let until = |target: u64, counter: u64| target.checked_sub(counter).unwrap_or(u64::MAX);
+    let hooked = match ctx.opts.fault {
         // Hidden scheduler, mask and barrier faults fire between rounds,
         // and a fetch fault before a lone lane's fetch (under a fetch
         // plan every run is one lane).
@@ -1586,26 +1676,38 @@ fn quiet(ctx: &Ctx<'_>, meta: Option<&InstrMeta>, n: u64) -> bool {
         | FaultPlan::SchedulerPriority { .. }
         | FaultPlan::ActiveMask { .. }
         | FaultPlan::BarrierCounter { .. }
-        | FaultPlan::Fetch { .. } => true,
+        | FaultPlan::Fetch { .. } => u64::MAX,
+        FaultPlan::InstructionOutput { site, .. }
+        | FaultPlan::InstructionOutputSet { site, .. }
+            if meta.is_some_and(|m| !m.in_class(site)) =>
+        {
+            u64::MAX
+        }
         FaultPlan::InstructionOutput { nth, site, .. }
         | FaultPlan::InstructionOutputSet { nth, site, .. } => {
-            meta.is_some_and(|m| !m.in_class(site)) || outside(nth, ctx.tallies.class_matches(site))
+            until(nth, ctx.tallies.class_matches(site))
+        }
+        FaultPlan::MemAddress { .. } | FaultPlan::MemQueue { .. }
+            if meta.is_some_and(|m| !m.is_mem_op) =>
+        {
+            u64::MAX
         }
         FaultPlan::MemAddress { nth, .. }
         | FaultPlan::MemQueue { nth, persist: Persistence::Transient, .. } => {
-            meta.is_some_and(|m| !m.is_mem_op) || outside(nth, ctx.counts.sites.mem_ops)
+            until(nth, ctx.counts.sites.mem_ops)
         }
+        // A stuck-at queue corrupts every entry from `nth` on.
         FaultPlan::MemQueue { nth, persist: Persistence::StuckAt, .. } => {
-            meta.is_some_and(|m| !m.is_mem_op) || ctx.counts.sites.mem_ops + n <= nth
+            nth.saturating_sub(ctx.counts.sites.mem_ops)
         }
-        FaultPlan::PredicateOutput { nth } => {
-            meta.is_some_and(|m| !m.writes_pred) || outside(nth, ctx.counts.sites.setp)
-        }
+        FaultPlan::PredicateOutput { .. } if meta.is_some_and(|m| !m.writes_pred) => u64::MAX,
+        FaultPlan::PredicateOutput { nth } => until(nth, ctx.counts.sites.setp),
         FaultPlan::Pc { at, .. }
         | FaultPlan::RegisterBit { at, .. }
         | FaultPlan::GlobalMemBit { at, .. }
-        | FaultPlan::SharedMemBit { at, .. } => outside(at, start),
-    }
+        | FaultPlan::SharedMemBit { at, .. } => until(at, ctx.dyn_count),
+    };
+    room.min(hooked)
 }
 
 /// Mark the fault plan as triggered and report it to the sink; every
