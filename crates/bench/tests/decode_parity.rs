@@ -648,6 +648,94 @@ fn lane_by_lane_and_grouped_issue_agree_on_every_kernel() {
     assert!(fired * 4 > trials * 3, "only {fired} of {trials} plans fired");
 }
 
+/// Where the scheduler round top acts, pinned. On every workload kernel
+/// and on Small QUICKSORT (one divergent warp per block) and MERGESORT
+/// (four warps per block), the digest covers the golden run's snapshot
+/// points and rounds, and for each trigger-carrying plan family resumed
+/// from golden's nearest snapshot before its trigger, with an exit golden
+/// and a hand-off: the status, the hand-off's dynamic count, the exit
+/// (block or rejoin, and where), the rounds, and from a traced run every
+/// `FaultInjected` index. The parity tests compare runs that share the
+/// round-top code; this one pins its answers. Digests were captured on
+/// the engine that ran all four round-top checks every multi-warp round.
+#[test]
+fn round_top_events_pinned() {
+    const PINNED: [(&str, u64); 31] = [
+        ("CCL", 9068321429588940503),
+        ("BFS", 9522400035565262798),
+        ("FLAVA", 1045078711834188208),
+        ("FHOTSPOT", 17403779017901108244),
+        ("FGAUSSIAN", 5347114173869387258),
+        ("FLUD", 10329823676172721492),
+        ("NW", 15153976604254599165),
+        ("FMXM", 9494153652282012061),
+        ("FGEMM", 9937541061798815255),
+        ("MERGESORT", 7525150915292068108),
+        ("QUICKSORT", 1323654921570438119),
+        ("FYOLOV2", 4411793634943208467),
+        ("FYOLOV3", 6871264700347704658),
+        ("HLAVA", 2297500615088419121),
+        ("FLAVA", 1045078711834188208),
+        ("DLAVA", 13446947016907030627),
+        ("HHOTSPOT", 9819969905659626340),
+        ("FHOTSPOT", 15893235243903809611),
+        ("DHOTSPOT", 17595398916352673932),
+        ("HMXM", 408760321569889534),
+        ("FMXM", 15234298817954726540),
+        ("DMXM", 2657718185111831958),
+        ("HGEMM", 5266229294140649020),
+        ("FGEMM", 9937541061798815255),
+        ("DGEMM", 2245858768191956417),
+        ("HGEMM-MMA", 7113969134251106544),
+        ("FGEMM-MMA", 8286161633529985104),
+        ("HYOLOV3", 9000481523715547224),
+        ("FYOLOV3", 6871264700347704658),
+        ("QUICKSORT", 15424323631518236501),
+        ("MERGESORT", 12244650907033390431),
+    ];
+    let sorts = [Benchmark::Quicksort, Benchmark::Mergesort].map(|b| {
+        let w = build(b, Precision::Int32, CodeGen::Cuda7, Scale::Small);
+        (w, DeviceModel::named("k40c-sim"))
+    });
+    let mut got = Vec::new();
+    for (w, device) in every_kernel().into_iter().chain(sorts) {
+        let golden = w.execute(&device, &RunOptions::golden().ecc(false).snapshot_every(2048));
+        let golden = Arc::new(golden);
+        let points: Vec<u64> = golden.snapshots.iter().map(|s| s.dyn_count()).collect();
+        let mut events = format!("{points:?} {}", golden.rounds);
+        let watchdog = 4 * golden.counts.total;
+        for (family, plan) in family_plans(&golden) {
+            let (before, _) = trigger_position(&golden.snapshots, &golden.counts, &plan);
+            let resume = before.checked_sub(1).map(|i| Arc::clone(&golden.snapshots[i]));
+            let opts = RunOptions::trial(plan)
+                .ecc(false)
+                .watchdog(watchdog)
+                .resume(resume)
+                .exit_through(Some(Arc::clone(&golden)))
+                .hand_off(true);
+            let run = w.execute(&device, &opts);
+            let mut sink = RecordingSink::new();
+            w.execute_traced(&device, &opts, &mut sink);
+            let fired: Vec<u64> = sink
+                .events
+                .iter()
+                .filter_map(|e| match *e {
+                    TraceEvent::FaultInjected { idx, .. } => Some(idx),
+                    _ => None,
+                })
+                .collect();
+            let handoff = run.handoff.as_ref().map(|s| s.dyn_count());
+            events += &format!(
+                " | {family} {:?} {handoff:?} {:?} {} {fired:?}",
+                run.status, run.exit, run.rounds
+            );
+        }
+        got.push((w.name.clone(), fnv1a(events.into_bytes())));
+    }
+    let pinned: Vec<(String, u64)> = PINNED.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+    assert_eq!(got, pinned, "round-top events drifted");
+}
+
 /// A DUE in the middle of a divergent turn counts every lane before the
 /// failing one and the failing lane itself, and no lane after it. In
 /// QUICKSORT Small (one warp per block), block 0's turn from dyn 1504
