@@ -291,6 +291,11 @@ fn resume_conflicts_are_rejected() {
     // A fault that fires inside the skipped prefix is rejected.
     let early = FaultPlan::Pc { at: 0, flip: BitFlip::single(0) };
     assert!(conflict(RunOptions::trial(early).resume(Some(Arc::clone(&snap)))));
+    // A snapshot past the watchdog limit is rejected: a run from zero
+    // trips before it, at the limit plus one.
+    let limit = snap.dyn_count();
+    assert!(!conflict(RunOptions::trial(plan).watchdog(limit).resume(Some(Arc::clone(&snap)))));
+    assert!(conflict(RunOptions::trial(plan).watchdog(limit - 1).resume(Some(Arc::clone(&snap)))));
     // Geometry mismatch (different memory size) is rejected.
     let bad_mem = GlobalMemory::new(16);
     assert!(matches!(
