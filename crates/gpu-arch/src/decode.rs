@@ -109,26 +109,6 @@ impl SiteClass {
             SiteClass::Unit(u) => u.name(),
         }
     }
-
-    /// Widest destination this class can corrupt (for bit-position
-    /// sampling): 64 for classes containing pair-writing ops.
-    pub fn dst_bits(self, op: Op) -> u32 {
-        if op.writes_pair() {
-            64
-        } else if matches!(
-            op,
-            Op::Hadd
-                | Op::Hmul
-                | Op::Hfma
-                | Op::F2h
-                | Op::Ldg(MemWidth::W16)
-                | Op::Lds(MemWidth::W16)
-        ) {
-            16
-        } else {
-            32
-        }
-    }
 }
 
 /// The functional units whose per-unit dynamic counts make up each
@@ -255,9 +235,6 @@ pub struct InstrMeta {
     /// on every executing thread (unguarded scalar writes; guarded and
     /// warp-level MMA/SHFL writes do not kill).
     pub def_kills: bool,
-    /// Width of the destination value in bits (16/32/64) for
-    /// bit-position sampling.
-    pub dst_bits: u32,
     /// Registers read, with 64-bit pairs expanded (no MMA fragment
     /// expansion — see [`DecodedKernel::observed_reads`]).
     pub src_regs: RegList,
@@ -303,7 +280,6 @@ impl InstrMeta {
                     | Op::Fmma
             ),
             def_kills: i.guard.is_none() && !matches!(op, Op::Hmma | Op::Fmma | Op::Shfl(_)),
-            dst_bits: SiteClass::GprWriter.dst_bits(op),
             src_regs: i.src_regs(),
             dst_regs: i.dst_regs(),
             guard: i.guard,
@@ -665,14 +641,6 @@ mod tests {
         assert!(SiteClass::Unit(FunctionalUnit::Ffma).matches(Op::Ffma));
         assert!(!SiteClass::Unit(FunctionalUnit::Ldst).matches(Op::Stg(MemWidth::W32)));
         assert!(SiteClass::Unit(FunctionalUnit::Ldst).matches(Op::Ldg(MemWidth::W32)));
-    }
-
-    #[test]
-    fn dst_bits_by_width() {
-        assert_eq!(SiteClass::GprWriter.dst_bits(Op::Dfma), 64);
-        assert_eq!(SiteClass::GprWriter.dst_bits(Op::Hadd), 16);
-        assert_eq!(SiteClass::GprWriter.dst_bits(Op::Fadd), 32);
-        assert_eq!(SiteClass::GprWriter.dst_bits(Op::Ldg(MemWidth::W16)), 16);
     }
 
     #[test]

@@ -460,11 +460,11 @@ impl fmt::Display for MixCategory {
 impl Op {
     /// One representative of every opcode, with parameterized variants
     /// appearing once per parameter value that can change classification
-    /// (every `MemWidth` — it drives `dst_bits` — and every `ShflMode`;
-    /// `CmpOp` and `SpecialReg` never do, so one each). Exhaustiveness
-    /// checks over the classification tables ([`crate::decode`]) iterate
-    /// this instead of hand-maintaining per-test lists; extend it when
-    /// adding an opcode.
+    /// (every `MemWidth` — a 64-bit load writes a register pair — and
+    /// every `ShflMode`; `CmpOp` and `SpecialReg` never do, so one each).
+    /// Exhaustiveness checks over the classification tables
+    /// ([`crate::decode`]) iterate this instead of hand-maintaining
+    /// per-test lists; extend it when adding an opcode.
     pub const ALL: [Op; 65] = [
         Op::Fadd,
         Op::Fmul,
