@@ -702,3 +702,78 @@ fn hidden_plans_inside_a_lone_stretch_fire_at_the_same_instant_from_zero_and_res
         }
     }
 }
+
+/// Each thread counts to 40 in lockstep with the others, then stores its
+/// count: a converged loop whose every round retires one instruction per
+/// thread.
+fn lockstep_kernel() -> gpu_arch::Kernel {
+    let mut b = KernelBuilder::new("lockstep");
+    b.s2r(r(0), SpecialReg::TidX);
+    b.mov(r(1), imm(0));
+    b.label("top");
+    b.iadd(r(1), r(1).into(), imm(1));
+    b.isetp(Pred(1), CmpOp::Lt, r(1).into(), imm(40));
+    b.if_p(Pred(1)).bra("top");
+    b.shl(r(2), r(0).into(), imm(2));
+    b.ldp(r(3), 0);
+    b.iadd(r(3), r(3).into(), r(2).into());
+    b.stg(MemWidth::W32, r(3), 0, r(1));
+    b.exit();
+    b.build().unwrap()
+}
+
+/// A transient hidden plan that changes nothing rejoins at golden's first
+/// snapshot at or past the round top it fires at. Two cases: a mask flip
+/// of a lane warp 1 does not have, due inside a round of 48 threads, so
+/// the round top it fires at lies past its `at`; and a one-round skip of
+/// the only warp at a snapshot's count, after which the round retires
+/// nothing and the next round top sits at that same count.
+#[test]
+fn hidden_plans_that_change_nothing_rejoin_at_the_next_snapshot() {
+    use gpu_sim::{BlockExit, ExitKind, Persistence};
+    let device = DeviceModel::named("k40c");
+    let kernel = lockstep_kernel();
+    let transient = Persistence::Transient;
+    let cases = [
+        (
+            48,
+            FaultPlan::ActiveMask {
+                at: 300,
+                warp: 1,
+                flip: BitFlip::single(20),
+                persist: transient,
+            },
+            [288, 576, 864],
+            576,
+        ),
+        (
+            32,
+            FaultPlan::SchedulerPriority { at: 512, warp: 0, persist: transient },
+            [256, 512, 768],
+            512,
+        ),
+    ];
+    for (threads, plan, points, rejoin_at) in cases {
+        let launch = LaunchConfig::new(1, threads, vec![0]);
+        let memory = GlobalMemory::new(4 * threads);
+        let capture = RunOptions::golden().ecc(false).snapshot_every(256);
+        let golden = run(&device, &kernel, &launch, memory.clone(), &capture);
+        let at: Vec<u64> = golden.snapshots.iter().map(|s| s.dyn_count()).collect();
+        assert_eq!(at[..3], points, "{plan:?}");
+        let golden = std::sync::Arc::new(golden);
+        let opts = RunOptions::trial(plan).ecc(false);
+        let full = run(&device, &kernel, &launch, memory.clone(), &opts);
+        assert!(full.fault_triggered, "{plan:?}");
+        assert_eq!(full.memory.raw(), golden.memory.raw(), "{plan:?}");
+        let exit = opts.exit_through(Some(std::sync::Arc::clone(&golden)));
+        let ended = run(&device, &kernel, &launch, memory, &exit);
+        let skipped_instrs = golden.counts.total - rejoin_at;
+        assert_eq!(
+            ended.exit,
+            Some(BlockExit { block: 0, skipped_instrs, kind: ExitKind::Rejoin })
+        );
+        assert_eq!(ended.status, full.status, "{plan:?}");
+        assert_eq!(ended.memory.raw(), full.memory.raw(), "{plan:?}");
+        assert!(same_counts(&ended, &full), "{plan:?}");
+    }
+}
