@@ -802,6 +802,26 @@ fn mid_turn_due_counts_through_the_failing_lane() {
     assert_eq!(outcome_digest(&run), 4930149083244981319);
 }
 
+/// The plain QUICKSORT Small golden run issues its divergent warps in
+/// windows: one per block, opened once the lanes have split up, none
+/// rolled back, on both code generations. A traced run opens none and
+/// is the same run, rounds included. A change that stops windows from
+/// opening, or makes the golden run roll one back, fails here.
+#[test]
+fn quicksort_golden_windows_pinned() {
+    let device = DeviceModel::named("k40c-sim");
+    for codegen in [CodeGen::Cuda7, CodeGen::Cuda10] {
+        let qs = build(Benchmark::Quicksort, Precision::Int32, codegen, Scale::Small);
+        let golden = qs.execute(&device, &RunOptions::golden());
+        let traced =
+            qs.execute_traced(&device, &RunOptions::golden(), &mut CountingSink::default());
+        assert_same_run(&traced, &golden, &format!("QUICKSORT {codegen:?} golden"));
+        assert_eq!(golden.rounds, traced.rounds, "{codegen:?}: rounds");
+        assert_eq!((traced.windows, traced.window_rollbacks), (0, 0), "{codegen:?}: traced");
+        assert_eq!((golden.windows, golden.window_rollbacks), (2, 0), "{codegen:?}: windows");
+    }
+}
+
 /// A run-wide step that raises a DUE at a middle lane counts the lanes
 /// before it and the failing lane (retires and site counts) and runs no
 /// later lane. A register strike before a converged FMXM warp's LDG

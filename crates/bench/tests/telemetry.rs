@@ -210,7 +210,9 @@ fn exit_telemetry_identical_at_any_worker_count() {
 /// executed trial, and never more rounds than the instructions the
 /// trials retired. QUICKSORT's hung trials run on one lone lane, about
 /// one instruction a round. Every executed trial reports its phase times
-/// once.
+/// once. The window histograms are identical alike, one sample per
+/// executed trial: QUICKSORT's divergent warps open windows, and fewer
+/// of them roll back than commit.
 #[test]
 fn engine_rounds_identical_at_any_worker_count() {
     let w = build(Benchmark::Quicksort, Precision::Int32, CodeGen::Cuda10, Scale::Small);
@@ -226,15 +228,20 @@ fn engine_rounds_identical_at_any_worker_count() {
         let snap = metrics.snapshot();
         let hist = |name: &str| snap.histograms.get(name).cloned().expect(name);
         let rounds = hist("campaign.engine.rounds");
-        (run.executed.total(), rounds, hist("campaign.trial_dyn_instrs"), phase_counts(&metrics))
+        let windows =
+            ["windows", "window_rollbacks"].map(|k| hist(&format!("campaign.engine.{k}")));
+        let dyn_instrs = hist("campaign.trial_dyn_instrs");
+        (run.executed.total(), rounds, dyn_instrs, phase_counts(&metrics), windows)
     };
     let serial = observe(1, None);
     let spans = SpanBus::new();
     assert_eq!(serial, observe(4, Some(&spans)), "round telemetry differs between 1 and 4 workers");
-    let (executed, rounds, dyn_instrs, phases) = serial;
+    let (executed, rounds, dyn_instrs, phases, [windows, rollbacks]) = serial;
     assert_eq!(phases, [executed; 4], "one phase sample per executed trial");
     assert_eq!(rounds.count, executed, "every executed trial counts once");
     assert!(rounds.sum > 0 && rounds.sum <= dyn_instrs.sum, "{rounds:?} vs {dyn_instrs:?}");
+    assert_eq!((windows.count, rollbacks.count), (executed, executed));
+    assert!(2 * rollbacks.sum < windows.sum, "{rollbacks:?} of {windows:?} windows rolled back");
 }
 
 /// The fast-forward telemetry is a pure function of the trials and the

@@ -591,6 +591,11 @@ struct TrialRecord {
     /// 0 when not executed). Telemetry only: it depends on where the run
     /// resumed and exited, so the digest leaves it out.
     rounds: u64,
+    /// Windows the faulty run opened and rolled back
+    /// ([`Executed::windows`], [`Executed::window_rollbacks`]). Telemetry
+    /// only, like `rounds`.
+    windows: u64,
+    window_rollbacks: u64,
     /// Dynamic instructions skipped by resuming from a golden snapshot
     /// or a relayed state (never at instruction zero); `None` when the
     /// trial replayed from zero.
@@ -632,6 +637,8 @@ impl TrialRecord {
             relayed: false,
             dyn_instrs: 0,
             rounds: 0,
+            windows: 0,
+            window_rollbacks: 0,
             fast_forwarded: None,
             exit: None,
             phases: PhaseNanos::default(),
@@ -793,6 +800,8 @@ impl Telemetry<'_> {
                 m.histogram("campaign.trial_micros"),
                 m.histogram("campaign.trial_dyn_instrs"),
                 m.histogram("campaign.engine.rounds"),
+                m.histogram("campaign.engine.windows"),
+                m.histogram("campaign.engine.window_rollbacks"),
                 PHASES.map(|name| m.histogram(&format!("campaign.phase.{name}"))),
             )
         });
@@ -818,11 +827,13 @@ impl Telemetry<'_> {
         for rec in shard.records {
             tally.record(&rec);
             *digest = digest_record(*digest, &rec);
-            if let Some((micros, dyn_instrs, rounds, phases)) = &hists {
+            if let Some((micros, dyn_instrs, rounds, windows, rollbacks, phases)) = &hists {
                 micros.observe(u64::from(rec.micros));
                 if rec.executed {
                     dyn_instrs.observe(rec.dyn_instrs);
                     rounds.observe(rec.rounds);
+                    windows.observe(rec.windows);
+                    rollbacks.observe(rec.window_rollbacks);
                     for (hist, nanos) in phases.iter().zip(phase_nanos(&rec.phases)) {
                         hist.observe(nanos);
                     }
@@ -994,6 +1005,8 @@ struct Ran {
     due: Option<DueKind>,
     dyn_instrs: u64,
     rounds: u64,
+    windows: u64,
+    window_rollbacks: u64,
     exit: Option<BlockExit>,
     handoff: Option<Arc<EngineSnapshot>>,
     phases: PhaseNanos,
@@ -1152,6 +1165,7 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
                 rec.due = ran.due;
                 rec.dyn_instrs = ran.dyn_instrs;
                 rec.rounds = ran.rounds;
+                (rec.windows, rec.window_rollbacks) = (ran.windows, ran.window_rollbacks);
                 rec.fast_forwarded = fast_forwarded;
                 rec.exit = ran.exit;
                 rec.phases = ran.phases;
@@ -1196,6 +1210,8 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
             due,
             dyn_instrs: faulty.counts.total,
             rounds: faulty.rounds,
+            windows: faulty.windows,
+            window_rollbacks: faulty.window_rollbacks,
             exit: faulty.exit,
             handoff: faulty.handoff,
             phases: faulty.phases,

@@ -267,6 +267,14 @@ impl GlobalMemory {
         u32::from_le_bytes(bytes)
     }
 
+    /// Set the data of word `w` (see [`GlobalMemory::word`]), leaving
+    /// latent corruption as it is.
+    pub(crate) fn set_word(&mut self, w: usize, value: u32) {
+        let base = w * 4;
+        let end = (base + 4).min(self.data.len());
+        self.data[base..end].copy_from_slice(&value.to_le_bytes()[..end - base]);
+    }
+
     /// Words carrying latent corruption, in no particular order.
     pub(crate) fn corrupted(&self) -> impl Iterator<Item = usize> + '_ {
         self.corruption.keys().map(|&w| w as usize)
@@ -355,6 +363,21 @@ impl SharedMemory {
     /// Record a strike (see [`GlobalMemory::strike_bit`]).
     pub fn strike_bit(&mut self, byte_addr: u32, bit: u32) {
         self.inner.strike_bit(byte_addr, bit);
+    }
+
+    /// Number of words currently carrying latent corruption.
+    pub fn corrupted_words(&self) -> usize {
+        self.inner.corrupted_words()
+    }
+
+    /// The space as a flat one, for the word-level accessors.
+    pub(crate) fn flat_mut(&mut self) -> &mut GlobalMemory {
+        &mut self.inner
+    }
+
+    /// The space as a flat one, for the word-level accessors.
+    pub(crate) fn flat(&self) -> &GlobalMemory {
+        &self.inner
     }
 }
 
