@@ -777,3 +777,66 @@ fn hidden_plans_that_change_nothing_rejoin_at_the_next_snapshot() {
         assert!(same_counts(&ended, &full), "{plan:?}");
     }
 }
+
+/// Two lanes of one warp that loop apart: thread 0, at the higher pcs,
+/// stores a new address into word X (byte 0) in round 45; thread 1, at
+/// the lower pcs, reads X in round 47 and stores to the address it read.
+/// A window that covers both issues thread 1's pcs first, so it reads X's
+/// old address and stores there before thread 0's claim on X conflicts:
+/// an access lane order never makes.
+fn stale_read_kernel() -> gpu_arch::Kernel {
+    let mut b = KernelBuilder::new("stale_read");
+    b.s2r(r(0), SpecialReg::TidX);
+    b.ldp(r(3), 0);
+    b.isetp(Pred(0), CmpOp::Eq, r(0).into(), imm(0));
+    b.if_p(Pred(0)).bra("writer");
+    b.label("reader");
+    b.iadd(r(1), r(1).into(), imm(1));
+    b.isetp(Pred(1), CmpOp::Lt, r(1).into(), imm(14));
+    b.if_p(Pred(1)).bra("reader");
+    b.ldg(MemWidth::W32, r(5), r(3), 0);
+    b.stg(MemWidth::W32, r(5), 0, r(0));
+    for _ in 0..60 {
+        b.iadd(r(2), r(2).into(), imm(1));
+    }
+    b.exit();
+    b.label("writer");
+    b.iadd(r(1), r(1).into(), imm(1));
+    b.isetp(Pred(1), CmpOp::Lt, r(1).into(), imm(13));
+    b.if_p(Pred(1)).bra("writer");
+    b.ldp(r(6), 1);
+    b.stg(MemWidth::W32, r(3), 0, r(6));
+    b.exit();
+    b.build().unwrap()
+}
+
+/// A capturing run rolls back a window whose stale read fed a store
+/// address (see [`stale_read_kernel`]): the rollback must undo the exit
+/// recorder's notes on the word stored to, as well as memory. The plain
+/// capture opens a window and rolls it back, and its snapshots and exit
+/// table are bit-identical to those of the sink-attached capture, which
+/// issues in lane order.
+#[test]
+fn capture_rollback_undoes_the_exit_recorder_notes() {
+    let device = DeviceModel::named("k40c-sim");
+    let kernel = stale_read_kernel();
+    let launch = LaunchConfig::new(1, 2, vec![0, 128]);
+    let mut memory = GlobalMemory::new(256);
+    memory.write_u32_host(0, 64).unwrap();
+    let opts = RunOptions::golden().ecc(false).snapshot_every(64);
+    let plain = run(&device, &kernel, &launch, memory.clone(), &opts);
+    let mut sink = obs::CountingSink::default();
+    let traced =
+        try_run_with_sink(&device, &kernel, &launch, memory, &opts, Some(&mut sink)).unwrap();
+    assert_eq!(plain.status, ExecStatus::Completed);
+    assert!(plain.windows > 0 && plain.window_rollbacks > 0, "no window rolled back");
+    assert_eq!((traced.windows, traced.window_rollbacks), (0, 0));
+    assert_eq!(plain.memory.raw(), traced.memory.raw());
+    assert_eq!(plain.memory.read_u32_host(128).unwrap(), 1, "the store lane order makes");
+    assert!(same_counts(&plain, &traced));
+    assert_eq!(plain.rounds, traced.rounds);
+    assert!(plain.snapshots.len() >= 2, "{} snapshots", plain.snapshots.len());
+    assert!(plain.snapshots == traced.snapshots, "snapshot states differ");
+    assert!(plain.exit_table.is_some());
+    assert!(plain.exit_table == traced.exit_table, "exit tables differ");
+}
