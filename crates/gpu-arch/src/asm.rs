@@ -21,7 +21,7 @@
 //! (as emitted by the disassembler's address column) are stripped.
 
 use crate::instr::{Guard, Instr};
-use crate::kernel::{Kernel, KernelError};
+use crate::kernel::{max_reg_used, Kernel, KernelError};
 use crate::op::{CmpOp, MemWidth, Op, SpecialReg};
 use crate::operand::{Operand, Pred, Reg};
 use std::collections::HashMap;
@@ -119,10 +119,8 @@ pub fn assemble(source: &str) -> Result<Kernel, AsmError> {
         instrs[at as usize].target = Some(target);
     }
 
-    let mut kernel = Kernel { name, instrs, regs_per_thread: 0, shared_bytes: shared, proprietary };
-    kernel.regs_per_thread = regs_override.unwrap_or_else(|| kernel.max_reg_used());
-    kernel.validate()?;
-    Ok(kernel)
+    let regs = regs_override.unwrap_or_else(|| max_reg_used(&instrs));
+    Ok(Kernel::new(name, instrs, regs, shared, proprietary)?)
 }
 
 fn strip_comments(line: &str) -> String {
@@ -394,8 +392,8 @@ mod tests {
         assert_eq!(k.name, "tiny");
         assert_eq!(k.shared_bytes, 64);
         assert_eq!(k.len(), 4);
-        assert_eq!(k.instrs[2].op, Op::Iadd);
-        assert_eq!(k.instrs[2].dst, Reg(2));
+        assert_eq!(k.instrs()[2].op, Op::Iadd);
+        assert_eq!(k.instrs()[2].dst, Reg(2));
     }
 
     #[test]
@@ -413,10 +411,10 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert_eq!(k.instrs[3].op, Op::Bra);
-        assert_eq!(k.instrs[3].target, Some(1));
-        assert_eq!(k.instrs[3].guard, Some(Guard::when(Pred(0))));
-        assert_eq!(k.instrs[4].guard, Some(Guard::unless(Pred(1))));
+        assert_eq!(k.instrs()[3].op, Op::Bra);
+        assert_eq!(k.instrs()[3].target, Some(1));
+        assert_eq!(k.instrs()[3].guard, Some(Guard::when(Pred(0))));
+        assert_eq!(k.instrs()[4].guard, Some(Guard::unless(Pred(1))));
     }
 
     #[test]
@@ -430,7 +428,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert_eq!(k.instrs[1].target, Some(0));
+        assert_eq!(k.instrs()[1].target, Some(0));
     }
 
     #[test]
@@ -444,8 +442,8 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert_eq!(k.instrs[0].srcs[0], Operand::Imm(1.5f32.to_bits()));
-        assert_eq!(k.instrs[1].srcs[0], Operand::Imm((-3i32) as u32));
+        assert_eq!(k.instrs()[0].srcs[0], Operand::Imm(1.5f32.to_bits()));
+        assert_eq!(k.instrs()[1].srcs[0], Operand::Imm((-3i32) as u32));
     }
 
     #[test]
@@ -458,7 +456,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert_eq!(k.instrs[0].psrc, Some((Pred(3), true)));
+        assert_eq!(k.instrs()[0].psrc, Some((Pred(3), true)));
     }
 
     #[test]
@@ -472,11 +470,11 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert_eq!(k.instrs[0].dst, Reg::RZ);
-        assert_eq!(k.instrs[0].srcs[0], Operand::Reg(Reg(0)));
-        assert_eq!(k.instrs[0].srcs[1], Operand::Imm(8));
-        assert_eq!(k.instrs[0].srcs[2], Operand::Reg(Reg(5)));
-        assert_eq!(k.instrs[1].op, Op::Sts(MemWidth::W64));
+        assert_eq!(k.instrs()[0].dst, Reg::RZ);
+        assert_eq!(k.instrs()[0].srcs[0], Operand::Reg(Reg(0)));
+        assert_eq!(k.instrs()[0].srcs[1], Operand::Imm(8));
+        assert_eq!(k.instrs()[0].srcs[2], Operand::Reg(Reg(5)));
+        assert_eq!(k.instrs()[1].op, Op::Sts(MemWidth::W64));
     }
 
     #[test]
@@ -511,7 +509,7 @@ mod tests {
             "#;
         let k1 = assemble(src).unwrap();
         let k2 = assemble(&k1.disassemble()).unwrap();
-        assert_eq!(k1.instrs, k2.instrs);
+        assert_eq!(k1.instrs(), k2.instrs());
         assert_eq!(k1.regs_per_thread, k2.regs_per_thread);
         assert_eq!(k1.shared_bytes, k2.shared_bytes);
     }
