@@ -83,17 +83,3 @@ pub trait Target {
         self.execute(device, &RunOptions::default())
     }
 }
-
-/// Convenience: execute a kernel with no faults and default options.
-///
-/// Panics if the launch itself is malformed (zero threads). Returns the
-/// completed execution (which may still be a DUE if the *program* is
-/// buggy, e.g. accesses out of bounds).
-pub fn run_golden(
-    device: &gpu_arch::DeviceModel,
-    kernel: &gpu_arch::Kernel,
-    launch: &gpu_arch::LaunchConfig,
-    memory: GlobalMemory,
-) -> Executed {
-    run(device, kernel, launch, memory, &RunOptions::default())
-}

@@ -7,8 +7,8 @@ use gpu_arch::{
     CmpOp, DeviceModel, KernelBuilder, LaunchConfig, MemWidth, Operand, Pred, Reg, SpecialReg,
 };
 use gpu_sim::{
-    run, run_golden, try_run_with_sink, BitFlip, DueKind, ExecStatus, FaultPlan, GlobalMemory,
-    RunOptions, SimError, SiteClass,
+    run, try_run_with_sink, BitFlip, DueKind, ExecStatus, FaultPlan, GlobalMemory, RunOptions,
+    SimError, SiteClass,
 };
 
 fn r(i: u8) -> Reg {
@@ -63,7 +63,7 @@ fn saxpy_setup(n: u32, a: f32) -> (gpu_arch::Kernel, LaunchConfig, GlobalMemory)
 fn saxpy_computes_correctly() {
     let device = DeviceModel::named("v100");
     let (kernel, launch, mem) = saxpy_setup(128, 2.0);
-    let out = run_golden(&device, &kernel, &launch, mem);
+    let out = run(&device, &kernel, &launch, mem, &RunOptions::golden());
     assert_eq!(out.status, ExecStatus::Completed);
     for i in 0..128u32 {
         let got = out.memory.read_f32_host(8 * 128 + 4 * i).unwrap();
@@ -77,8 +77,8 @@ fn saxpy_computes_correctly() {
 fn determinism_same_counts_every_run() {
     let device = DeviceModel::named("k40c");
     let (kernel, launch, mem) = saxpy_setup(64, 1.5);
-    let a = run_golden(&device, &kernel, &launch, mem.clone());
-    let b = run_golden(&device, &kernel, &launch, mem);
+    let a = run(&device, &kernel, &launch, mem.clone(), &RunOptions::golden());
+    let b = run(&device, &kernel, &launch, mem, &RunOptions::golden());
     assert_eq!(a.counts.total, b.counts.total);
     assert_eq!(a.counts.per_unit, b.counts.per_unit);
     assert_eq!(a.memory.raw(), b.memory.raw());
@@ -101,7 +101,7 @@ fn loop_and_predication() {
     let kernel = b.build().unwrap();
     let mem = GlobalMemory::new(4);
     let launch = LaunchConfig::new(1, 1, vec![0]);
-    let out = run_golden(&DeviceModel::named("v100"), &kernel, &launch, mem);
+    let out = run(&DeviceModel::named("v100"), &kernel, &launch, mem, &RunOptions::golden());
     assert_eq!(out.status, ExecStatus::Completed);
     assert_eq!(out.memory.read_u32_host(0).unwrap(), 55);
 }
@@ -124,7 +124,7 @@ fn warp_divergence_converges() {
     let kernel = b.build().unwrap();
     let mem = GlobalMemory::new(4 * 32);
     let launch = LaunchConfig::new(1, 32, vec![0]);
-    let out = run_golden(&DeviceModel::named("v100"), &kernel, &launch, mem);
+    let out = run(&DeviceModel::named("v100"), &kernel, &launch, mem, &RunOptions::golden());
     assert_eq!(out.status, ExecStatus::Completed);
     for i in 0..32 {
         let expect = if i % 2 == 0 { 1 } else { 2 };
@@ -160,7 +160,7 @@ fn shared_memory_reduction_with_barrier() {
     let kernel = b.build().unwrap();
     let mem = GlobalMemory::new(4);
     let launch = LaunchConfig::new(1, n, vec![0]);
-    let out = run_golden(&DeviceModel::named("k40c"), &kernel, &launch, mem);
+    let out = run(&DeviceModel::named("k40c"), &kernel, &launch, mem, &RunOptions::golden());
     assert_eq!(out.status, ExecStatus::Completed);
     assert_eq!(out.memory.read_u32_host(0).unwrap(), (0..n).sum::<u32>());
 }
@@ -179,7 +179,7 @@ fn fp64_pair_arithmetic() {
     mem.write_f64_host(0, 2.5).unwrap();
     mem.write_f64_host(8, 3.0).unwrap();
     let launch = LaunchConfig::new(1, 1, vec![0]);
-    let out = run_golden(&DeviceModel::named("v100"), &kernel, &launch, mem);
+    let out = run(&DeviceModel::named("v100"), &kernel, &launch, mem, &RunOptions::golden());
     assert_eq!(out.status, ExecStatus::Completed);
     assert_eq!(out.memory.read_f64_host(16).unwrap(), 2.5f64 * 3.0 + 2.5);
 }
@@ -201,7 +201,7 @@ fn fp16_arithmetic_and_conversion() {
     let kernel = b.build().unwrap();
     let mem = GlobalMemory::new(4);
     let launch = LaunchConfig::new(1, 1, vec![0]);
-    let out = run_golden(&DeviceModel::named("v100"), &kernel, &launch, mem);
+    let out = run(&DeviceModel::named("v100"), &kernel, &launch, mem, &RunOptions::golden());
     assert_eq!(out.memory.read_f32_host(0).unwrap(), 10.5);
 }
 
@@ -262,7 +262,7 @@ fn mma_matches_reference() {
     let kernel = b.build().unwrap();
     let mem = GlobalMemory::new(32 * 32);
     let launch = LaunchConfig::new(1, 32, vec![0]);
-    let out = run_golden(&DeviceModel::named("v100"), &kernel, &launch, mem);
+    let out = run(&DeviceModel::named("v100"), &kernel, &launch, mem, &RunOptions::golden());
     assert_eq!(out.status, ExecStatus::Completed);
     // A is the identity, so D = B: D[idx] = (idx & 3) * 0.25.
     for lane in 0..32u32 {
@@ -309,7 +309,7 @@ fn mma_on_a_block_of_partial_warps_is_a_setup_error() {
 fn instruction_output_flip_causes_sdc() {
     let device = DeviceModel::named("v100");
     let (kernel, launch, mem) = saxpy_setup(64, 2.0);
-    let golden = run_golden(&device, &kernel, &launch, mem.clone());
+    let golden = run(&device, &kernel, &launch, mem.clone(), &RunOptions::golden());
     let opts = RunOptions::trial(FaultPlan::InstructionOutput {
         nth: 10,
         site: SiteClass::Unit(gpu_arch::FunctionalUnit::Ffma),
@@ -408,7 +408,7 @@ fn watchdog_fires_on_runaway_loop() {
 fn register_bit_flip_without_ecc_corrupts() {
     let device = DeviceModel::named("v100");
     let (kernel, launch, mem) = saxpy_setup(32, 2.0);
-    let golden = run_golden(&device, &kernel, &launch, mem.clone());
+    let golden = run(&device, &kernel, &launch, mem.clone(), &RunOptions::golden());
     // Flip thread 3's FFMA result (r9) while it is live: thread 3 runs the
     // FFMA (static instr 12) at global instant 32*12+3 = 387 and stores at
     // 483, so a strike at 400 lands between producer and consumer.
@@ -430,7 +430,7 @@ fn register_bit_flip_without_ecc_corrupts() {
 fn register_bit_flip_with_ecc_is_corrected() {
     let device = DeviceModel::named("v100");
     let (kernel, launch, mem) = saxpy_setup(32, 2.0);
-    let golden = run_golden(&device, &kernel, &launch, mem.clone());
+    let golden = run(&device, &kernel, &launch, mem.clone(), &RunOptions::golden());
     let opts = RunOptions::trial(FaultPlan::RegisterBit {
         block: 0,
         thread: 3,
@@ -464,7 +464,7 @@ fn register_double_bit_with_ecc_is_due() {
 fn global_memory_bit_flip_without_ecc_is_sdc() {
     let device = DeviceModel::named("v100");
     let (kernel, launch, mem) = saxpy_setup(32, 2.0);
-    let golden = run_golden(&device, &kernel, &launch, mem.clone());
+    let golden = run(&device, &kernel, &launch, mem.clone(), &RunOptions::golden());
     // Strike an input word before any thread reads it.
     let opts = RunOptions::trial(FaultPlan::GlobalMemBit { byte: 16, bit: 27, at: 1, mbu: false })
         .ecc(false);
@@ -477,7 +477,7 @@ fn global_memory_bit_flip_without_ecc_is_sdc() {
 fn global_memory_bit_flip_with_ecc_is_masked() {
     let device = DeviceModel::named("v100");
     let (kernel, launch, mem) = saxpy_setup(32, 2.0);
-    let golden = run_golden(&device, &kernel, &launch, mem.clone());
+    let golden = run(&device, &kernel, &launch, mem.clone(), &RunOptions::golden());
     let opts = RunOptions::trial(FaultPlan::GlobalMemBit { byte: 16, bit: 27, at: 1, mbu: false })
         .ecc(true);
     let out = run(&device, &kernel, &launch, mem, &opts);
@@ -503,7 +503,13 @@ fn out_of_bounds_program_is_due_even_without_faults() {
     b.exit();
     let kernel = b.build().unwrap();
     let launch = LaunchConfig::new(1, 1, vec![]);
-    let out = run_golden(&DeviceModel::named("v100"), &kernel, &launch, GlobalMemory::new(64));
+    let out = run(
+        &DeviceModel::named("v100"),
+        &kernel,
+        &launch,
+        GlobalMemory::new(64),
+        &RunOptions::golden(),
+    );
     assert_eq!(out.status, ExecStatus::Due(DueKind::MemoryViolation));
 }
 
@@ -511,7 +517,7 @@ fn out_of_bounds_program_is_due_even_without_faults() {
 fn timing_report_is_populated() {
     let device = DeviceModel::named("v100");
     let (kernel, launch, mem) = saxpy_setup(128, 2.0);
-    let out = run_golden(&device, &kernel, &launch, mem);
+    let out = run(&device, &kernel, &launch, mem, &RunOptions::golden());
     assert!(out.timing.cycles > 0.0);
     assert!(out.timing.ipc > 0.0);
     assert!(out.timing.seconds > 0.0);
@@ -522,7 +528,7 @@ fn timing_report_is_populated() {
 fn mix_counts_sum_to_total() {
     let device = DeviceModel::named("v100");
     let (kernel, launch, mem) = saxpy_setup(64, 1.0);
-    let out = run_golden(&device, &kernel, &launch, mem);
+    let out = run(&device, &kernel, &launch, mem, &RunOptions::golden());
     let mix_sum: u64 = out.counts.per_mix.iter().sum();
     let unit_sum: u64 = out.counts.per_unit.iter().sum();
     assert_eq!(mix_sum, out.counts.total);

@@ -7,8 +7,8 @@ use gpu_arch::{
     CmpOp, DeviceModel, KernelBuilder, LaunchConfig, MemWidth, Operand, Pred, Reg, SpecialReg,
 };
 use gpu_sim::{
-    run, run_golden, run_with_sink, trigger_position, try_run_with_sink, BitFlip, ExecStatus,
-    FaultPlan, GlobalMemory, RunOptions,
+    run, run_with_sink, trigger_position, try_run_with_sink, BitFlip, ExecStatus, FaultPlan,
+    GlobalMemory, RunOptions,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -59,7 +59,7 @@ proptest! {
     ) {
         let device = DeviceModel::named("v100-sim");
         let (k, l, m) = poly_setup(&xs, a, bb);
-        let out = run_golden(&device, &k, &l, m);
+        let out = run(&device, &k, &l, m, &RunOptions::golden());
         prop_assert_eq!(out.status, ExecStatus::Completed);
         for (i, &x) in xs.iter().enumerate() {
             let expect = a.mul_add(x, bb).mul_add(x, i as f32);
@@ -103,7 +103,7 @@ proptest! {
         let device = DeviceModel::named("v100-sim");
         let (k, l, m) = poly_setup(&xs, 2.0, 1.0);
         prop_assume!(byte < m.len());
-        let golden = run_golden(&device, &k, &l, m.clone());
+        let golden = run(&device, &k, &l, m.clone(), &RunOptions::golden());
         let opts = RunOptions::trial(FaultPlan::GlobalMemBit { byte, bit, at, mbu: false }).ecc(true).watchdog(1_000_000);
         let out = run(&device, &k, &l, m, &opts);
         prop_assert_eq!(out.status, ExecStatus::Completed);
@@ -193,8 +193,8 @@ proptest! {
         }
         let device = DeviceModel::named("k40c-sim");
         let launch = LaunchConfig::new(1, 1, vec![]);
-        let a = run_golden(&device, &loop_kernel(n1), &launch, GlobalMemory::new(4));
-        let b = run_golden(&device, &loop_kernel(n2), &launch, GlobalMemory::new(4));
+        let a = run(&device, &loop_kernel(n1), &launch, GlobalMemory::new(4), &RunOptions::golden());
+        let b = run(&device, &loop_kernel(n2), &launch, GlobalMemory::new(4), &RunOptions::golden());
         prop_assert_eq!(a.status, ExecStatus::Completed);
         if n1 < n2 {
             prop_assert!(a.counts.total < b.counts.total);
@@ -856,7 +856,7 @@ fn windows_open_on_private_loops_and_roll_back_on_shared_words() {
     for cross in [None, Some(Neighbour), Some(Atomic), Some(PairStore)] {
         let items: Vec<BodyItem> = private.iter().copied().chain(cross).collect();
         let kernel = divergent_kernel(&items, 7, 7, 2, true);
-        let plain = run_golden(&device, &kernel, &launch, memory.clone());
+        let plain = run(&device, &kernel, &launch, memory.clone(), &RunOptions::golden());
         let mut sink = obs::CountingSink::default();
         let opts = RunOptions::golden();
         let traced =

@@ -7,7 +7,7 @@
 use gpu_arch::{
     CmpOp, DeviceModel, KernelBuilder, LaunchConfig, MemWidth, Operand, Pred, Reg, SpecialReg,
 };
-use gpu_sim::{run_golden, ExecStatus, GlobalMemory};
+use gpu_sim::{run, ExecStatus, GlobalMemory, RunOptions};
 
 fn r(i: u8) -> Reg {
     Reg(i)
@@ -26,11 +26,12 @@ fn run1(body: impl FnOnce(&mut KernelBuilder)) -> GlobalMemory {
     body(&mut b);
     b.exit();
     let k = b.build().unwrap();
-    let out = run_golden(
+    let out = run(
         &DeviceModel::named("v100-sim"),
         &k,
         &LaunchConfig::new(1, 1, vec![0]),
         GlobalMemory::new(64),
+        &RunOptions::golden(),
     );
     assert_eq!(out.status, ExecStatus::Completed);
     out.memory
@@ -252,7 +253,13 @@ fn special_registers_2d() {
     let k = b.build().unwrap();
     let launch =
         gpu_arch::LaunchConfig::new_2d(gpu_arch::Dim::d2(2, 2), gpu_arch::Dim::d2(4, 2), vec![0]);
-    let out = run_golden(&DeviceModel::named("k40c-sim"), &k, &launch, GlobalMemory::new(4 * 32));
+    let out = run(
+        &DeviceModel::named("k40c-sim"),
+        &k,
+        &launch,
+        GlobalMemory::new(4 * 32),
+        &RunOptions::golden(),
+    );
     assert_eq!(out.status, ExecStatus::Completed);
     for i in 0..32u32 {
         assert_eq!(out.memory.read_u32_host(4 * i).unwrap(), i, "gid {i}");
@@ -273,11 +280,12 @@ fn barrier_with_exited_threads_releases() {
     b.label("skip");
     b.exit();
     let k = b.build().unwrap();
-    let out = run_golden(
+    let out = run(
         &DeviceModel::named("v100-sim"),
         &k,
         &LaunchConfig::new(1, 64, vec![]),
         GlobalMemory::new(4),
+        &RunOptions::golden(),
     );
     assert_eq!(out.status, ExecStatus::Completed);
 }
@@ -295,11 +303,12 @@ fn warp_sync_with_exited_lane_is_deadlock_due() {
     b.label("quit");
     b.exit();
     let k = b.build().unwrap();
-    let out = run_golden(
+    let out = run(
         &DeviceModel::named("v100-sim"),
         &k,
         &LaunchConfig::new(1, 32, vec![]),
         GlobalMemory::new(4),
+        &RunOptions::golden(),
     );
     assert_eq!(out.status, ExecStatus::Due(gpu_sim::DueKind::BarrierDeadlock));
 }

@@ -6,9 +6,7 @@ use gpu_arch::{
     CmpOp, DeviceModel, KernelBuilder, LaunchConfig, MemWidth, Operand, Pred, Reg, ShflMode,
     SpecialReg,
 };
-use gpu_sim::{
-    run, run_golden, DueKind, ExecStatus, FaultPlan, GlobalMemory, RunOptions, SiteClass,
-};
+use gpu_sim::{run, DueKind, ExecStatus, FaultPlan, GlobalMemory, RunOptions, SiteClass};
 
 fn r(i: u8) -> Reg {
     Reg(i)
@@ -29,11 +27,12 @@ fn shfl_idx_broadcasts_lane_zero() {
     b.stg(MemWidth::W32, r(3), 0, r(2));
     b.exit();
     let k = b.build().unwrap();
-    let out = run_golden(
+    let out = run(
         &DeviceModel::named("v100-sim"),
         &k,
         &LaunchConfig::new(1, 32, vec![0]),
         GlobalMemory::new(128),
+        &RunOptions::golden(),
     );
     assert_eq!(out.status, ExecStatus::Completed);
     for lane in 0..32 {
@@ -58,11 +57,12 @@ fn shfl_bfly_reduction_sums_warp() {
     b.stg(MemWidth::W32, r(3), 0, r(1));
     b.exit();
     let k = b.build().unwrap();
-    let out = run_golden(
+    let out = run(
         &DeviceModel::named("v100-sim"),
         &k,
         &LaunchConfig::new(1, 32, vec![0]),
         GlobalMemory::new(128),
+        &RunOptions::golden(),
     );
     assert_eq!(out.status, ExecStatus::Completed);
     for lane in 0..32 {
@@ -83,11 +83,12 @@ fn shfl_up_down_clamp_at_warp_edges() {
     b.stg(MemWidth::W32, r(3), 4, r(2));
     b.exit();
     let k = b.build().unwrap();
-    let out = run_golden(
+    let out = run(
         &DeviceModel::named("v100-sim"),
         &k,
         &LaunchConfig::new(1, 32, vec![0]),
         GlobalMemory::new(256),
+        &RunOptions::golden(),
     );
     for lane in 0..32u32 {
         assert_eq!(out.memory.read_u32_host(8 * lane).unwrap(), lane.saturating_sub(1));
@@ -112,11 +113,12 @@ fn atomic_add_counts_all_threads() {
     b.stg(MemWidth::W32, r(2), 0, r(4));
     b.exit();
     let k = b.build().unwrap();
-    let out = run_golden(
+    let out = run(
         &DeviceModel::named("k40c-sim"),
         &k,
         &LaunchConfig::new(2, 32, vec![0, 4]),
         GlobalMemory::new(4 + 4 * 64),
+        &RunOptions::golden(),
     );
     assert_eq!(out.status, ExecStatus::Completed);
     assert_eq!(out.memory.read_u32_host(0).unwrap(), 64);
@@ -149,11 +151,12 @@ fn shared_atomic_add_histogram() {
     b.label("done");
     b.exit();
     let k = b.build().unwrap();
-    let out = run_golden(
+    let out = run(
         &DeviceModel::named("v100-sim"),
         &k,
         &LaunchConfig::new(1, 64, vec![0]),
         GlobalMemory::new(16),
+        &RunOptions::golden(),
     );
     assert_eq!(out.status, ExecStatus::Completed);
     for bucket in 0..4 {
@@ -169,11 +172,12 @@ fn misaligned_atomic_is_due() {
     b.atomg_add(r(2), r(0), 0, r(1));
     b.exit();
     let k = b.build().unwrap();
-    let out = run_golden(
+    let out = run(
         &DeviceModel::named("v100-sim"),
         &k,
         &LaunchConfig::new(1, 1, vec![]),
         GlobalMemory::new(64),
+        &RunOptions::golden(),
     );
     assert_eq!(out.status, ExecStatus::Due(DueKind::MemoryViolation));
 }

@@ -75,8 +75,8 @@ pub mod prelude {
         Architecture, CodeGen, DeviceModel, FunctionalUnit, MixCategory, Precision,
     };
     pub use gpu_sim::{
-        run_golden, BitFlip, DueKind, ExecStatus, FaultPlan, GlobalMemory, RunOptions, SimError,
-        SiteClass, Target,
+        BitFlip, DueKind, ExecStatus, FaultPlan, GlobalMemory, RunOptions, SimError, SiteClass,
+        Target,
     };
     pub use injector::{Avf, AvfResult, ClassAvf, Injector};
     pub use prediction::{
