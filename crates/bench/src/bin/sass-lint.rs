@@ -37,7 +37,7 @@
 //! Exit status: 0 clean, 1 non-allowed diagnostics at error severity (or
 //! any non-allowed diagnostic under `--deny-warnings`), 2 usage error.
 
-use gpu_arch::{asm, CodeGen, DecodedKernel, Kernel, LaunchConfig};
+use gpu_arch::{asm, CodeGen, Kernel, LaunchConfig};
 use sass_analysis::{
     analyze, verify_with_launch, AnalysisContext, Diagnostic, Severity, VerdictSummary,
 };
@@ -229,12 +229,12 @@ fn print_summary(name: &str, s: &VerdictSummary) {
 fn print_site_table(kernel: &Kernel, ctx: &AnalysisContext) {
     let analysis = analyze(kernel, ctx);
     let v = &analysis.verdicts;
-    let decoded = DecodedKernel::new(kernel);
+    let decoded = kernel.decoded();
     println!(
         "{:>4}  {:<10} {:<8} {:<8} {:<8} proven-due-bits",
         "pc", "op", "output", "pred", "addr"
     );
-    for pc in 0..kernel.instrs.len() as u32 {
+    for pc in 0..kernel.len() as u32 {
         let meta = decoded.meta(pc);
         let gpr_site = meta.writes_gpr() && !meta.is_warp_sync;
         if !gpr_site && !meta.writes_pred && !meta.is_mem_op {
@@ -249,7 +249,7 @@ fn print_site_table(kernel: &Kernel, ctx: &AnalysisContext) {
         };
         println!(
             "{pc:>4}  {:<10} {:<8} {:<8} {:<8} {due_cell}",
-            format!("{:?}", kernel.instrs[pc as usize].op),
+            format!("{:?}", kernel.instrs()[pc as usize].op),
             cell(gpr_site, v.output_verdict(pc).name()),
             cell(meta.writes_pred, v.predicate_verdict(pc).name()),
             cell(meta.is_mem_op, v.mem_verdict(pc).name()),

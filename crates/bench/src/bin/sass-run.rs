@@ -113,7 +113,7 @@ impl TraceSink for Listing<'_> {
         if let TraceEvent::InstrRetired { idx, block, warp, lane, pc, .. } = *ev {
             if self.remaining > 0 {
                 self.remaining -= 1;
-                let ins = &self.kernel.instrs[pc as usize];
+                let ins = &self.kernel.instrs()[pc as usize];
                 if lane == u32::MAX {
                     println!("[{idx:>6}] warp{warp:<3} {ins}");
                 } else {

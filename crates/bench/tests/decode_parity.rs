@@ -926,7 +926,7 @@ fn positional_faults_land_on_the_recorded_site() {
         let opts = RunOptions::golden().record_sites(true).snapshot_every(512);
         let golden = w.execute(&device, &opts);
         let rec = golden.sites_record.as_ref().unwrap();
-        let instrs = &w.kernel().instrs;
+        let instrs = w.kernel().instrs();
         let of_class = |class: SiteClass| -> Vec<u32> {
             let pcs = rec.site_pcs.iter().copied();
             pcs.filter(|&pc| class.matches(instrs[pc as usize].op)).collect()

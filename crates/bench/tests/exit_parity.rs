@@ -10,7 +10,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 
 use gpu_arch::decode::RegLiveness;
-use gpu_arch::{CodeGen, DecodedKernel, DeviceModel, Precision};
+use gpu_arch::{CodeGen, DeviceModel, Precision};
 use gpu_sim::{
     trigger_position, BitFlip, DueKind, EngineSnapshot, ExecStatus, Executed, ExitKind, FaultPlan,
     MemQueueEffect, Persistence, RunOptions, SiteClass, Target,
@@ -420,7 +420,7 @@ fn golden_events(case: &Case) -> Vec<TraceEvent> {
 /// (`live` true) there, in the order found.
 fn nw_strikes(case: &Case, live: bool) -> Vec<FaultPlan> {
     let kernel = case.workload.kernel();
-    let sets = RegLiveness::new(kernel, &DecodedKernel::new(kernel)).live_regs();
+    let sets = RegLiveness::new(kernel).live_regs();
     let events = golden_events(case);
     let retired: Vec<(u64, u32, u32)> = events
         .iter()

@@ -262,7 +262,7 @@ mod tests {
         // Same name, launch and memory size, different instructions.
         let mut fmul = microbench::arith(FunctionalUnit::Fmul);
         fmul.name = fadd.name.clone();
-        assert_eq!(fmul.kernel.instrs.len(), fadd.kernel.instrs.len());
+        assert_eq!(fmul.kernel.len(), fadd.kernel.len());
         assert_eq!(fmul.memory.len(), fadd.memory.len());
         assert_ne!(target_digest(&fadd), target_digest(&fmul));
         let (a, _) = fetch(&fadd, &device, GoldenRequest::new(true)).unwrap();

@@ -5,10 +5,13 @@
 //! synchronization); threads within a block execute in a fixed round-robin
 //! order, warp by warp, each lane one instruction per turn, in lane order.
 //! This makes the global dynamic-instruction counter — the coordinate
-//! system every [`FaultPlan`] uses — fully deterministic. A warp's lanes
-//! that sit at the same pc next to each other form a run: the instruction
-//! is fetched, decoded and resolved once per run, then executed over the
-//! run's lanes.
+//! system every [`FaultPlan`] uses — fully deterministic. A run neither
+//! validates nor decodes its kernel: a [`Kernel`] is both when it is
+//! built, and carries its [`gpu_arch::DecodedKernel`], which sizes the
+//! register files and whose per-pc [`InstrMeta`] the hot loop reads. A
+//! warp's lanes that sit at the same pc next to each other form a run:
+//! the instruction is fetched, looked up and resolved once per run, then
+//! executed over the run's lanes.
 //!
 //! A divergent turn issues in one of two ways: in lane order, a run at a
 //! time, or inside a window (below) that covers it. "Nothing can tell"
@@ -485,7 +488,8 @@ pub(crate) struct ThreadState {
 }
 
 struct Thread {
-    /// The register file, [`Ctx::reg_file`] registers long.
+    /// The register file, [`gpu_arch::DecodedKernel::reg_file_len`]
+    /// registers long.
     regs: Box<[u32]>,
     preds: u8,
     pc: u32,
@@ -580,8 +584,6 @@ struct Capture {
 
 struct Ctx<'a> {
     kernel: &'a Kernel,
-    /// Registers in each thread's file (see [`reg_file_len`]).
-    reg_file: usize,
     launch: &'a LaunchConfig,
     opts: &'a RunOptions,
     global: GlobalMemory,
@@ -639,8 +641,7 @@ impl<'a> Rejoin<'a> {
 ///
 /// # Panics
 /// Panics on every setup failure [`try_run_with_sink`] reports as a
-/// [`SimError`] (callers construct kernels through the validating
-/// builder).
+/// [`SimError`].
 pub fn run(
     device: &DeviceModel,
     kernel: &Kernel,
@@ -674,15 +675,15 @@ pub fn run_with_sink<'a>(
 }
 
 /// [`run_with_sink`] with setup failures surfaced as values: a zero-thread
-/// launch or a kernel that fails validation returns a [`SimError`] instead
+/// launch or options the run cannot honour return a [`SimError`] instead
 /// of panicking, so campaign harnesses can quarantine a bad target rather
-/// than abort.
+/// than abort. The kernel needs no check: it was validated and decoded
+/// when it was built.
 ///
 /// # Errors
-/// [`SimError::EmptyLaunch`], [`SimError::InvalidKernel`],
-/// [`SimError::PartialWarpMma`] or [`SimError::ResumeConflict`]; device
-/// failures during execution are outcomes ([`ExecStatus::Due`]), never
-/// errors.
+/// [`SimError::EmptyLaunch`], [`SimError::PartialWarpMma`] or
+/// [`SimError::ResumeConflict`]; device failures during execution are
+/// outcomes ([`ExecStatus::Due`]), never errors.
 pub fn try_run_with_sink<'a>(
     device: &DeviceModel,
     kernel: &'a Kernel,
@@ -695,11 +696,8 @@ pub fn try_run_with_sink<'a>(
     if launch.total_threads() == 0 {
         return Err(SimError::EmptyLaunch);
     }
-    kernel.validate().map_err(SimError::InvalidKernel)?;
     let block_threads = launch.block.count();
-    if !block_threads.is_multiple_of(WARP_SIZE as u64)
-        && kernel.instrs.iter().any(|i| i.op.is_mma())
-    {
+    if !block_threads.is_multiple_of(WARP_SIZE as u64) && kernel.decoded().has_mma() {
         return Err(SimError::PartialWarpMma { block_threads });
     }
     let geometry = Geometry::of(kernel, launch, memory.len());
@@ -746,15 +744,12 @@ pub fn try_run_with_sink<'a>(
         }
     };
 
-    // Decode once per launch: the hot loop below only does table lookups
-    // over the per-pc `InstrMeta`, never re-classifying opcodes. Phase
-    // events bracket it for trace sinks.
+    // The kernel was decoded when it was built: the hot loop below only
+    // does table lookups over its per-pc `InstrMeta`, never re-classifying
+    // opcodes. Trace sinks still see the decode phase open and close.
     let mut sink = sink;
     if let Some(s) = sink.as_deref_mut() {
         s.event(&TraceEvent::PhaseBegin { idx: 0, phase: "decode" });
-    }
-    let decoded = Decoded::new(kernel);
-    if let Some(s) = sink.as_deref_mut() {
         s.event(&TraceEvent::PhaseEnd { idx: 0, phase: "decode" });
     }
 
@@ -766,10 +761,8 @@ pub fn try_run_with_sink<'a>(
         snapshots: Vec::new(),
         exit: ExitRecorder::new(kernel, &memory, launch.grid.count()),
     });
-    let reg_file = reg_file_len(kernel);
     let mut ctx = Ctx {
         kernel,
-        reg_file,
         launch,
         opts,
         global: memory,
@@ -815,7 +808,7 @@ pub fn try_run_with_sink<'a>(
         input = Some(ctx.global.clone());
     }
 
-    let mut windows = Windows::new(&ctx, &decoded);
+    let mut windows = Windows::new(&ctx);
     let setup_done = Instant::now();
     let mut status = ExecStatus::Completed;
     let mut exited = None;
@@ -829,7 +822,7 @@ pub fn try_run_with_sink<'a>(
             ctx.current_block = block_linear;
             let window_start = ctx.dyn_count;
             emit!(ctx, TraceEvent::PhaseBegin { idx: window_start, phase: "block" });
-            let result = run_block(&mut ctx, &decoded, &mut windows, bx, by, block_linear, init);
+            let result = run_block(&mut ctx, &mut windows, bx, by, block_linear, init);
             emit!(ctx, TraceEvent::PhaseEnd { idx: ctx.dyn_count, phase: "block" });
             if let Some(rec) = ctx.record.as_mut() {
                 rec.block_windows.push((window_start, ctx.dyn_count));
@@ -907,20 +900,6 @@ pub fn try_run_with_sink<'a>(
         handoff: ctx.handoff,
         phases,
     })
-}
-
-/// How many registers each thread's file holds: one past the highest
-/// register an instruction of `kernel` reads or writes, the high halves
-/// of pairs and MMA fragments included. No instruction touches a register
-/// past it, so one that a strike flips there is masked.
-fn reg_file_len(kernel: &Kernel) -> usize {
-    let fragments = kernel.instrs.iter().filter(|i| i.op.is_mma()).flat_map(|i| {
-        let c = if i.op == Op::Hmma { 4 } else { 8 };
-        [(i.srcs[0], 4), (i.srcs[1], 4), (i.srcs[2], c)]
-            .into_iter()
-            .filter_map(|(src, n)| src.reg().map(|r| usize::from(r.0) + n))
-    });
-    fragments.fold(usize::from(kernel.max_reg_used()), usize::max).clamp(1, 256)
 }
 
 /// End a spent trial after block `block` if the rest of its run is
@@ -1060,7 +1039,7 @@ fn snapshot_here(
     threads: &[Thread],
     shared: &SharedMemory,
 ) -> EngineSnapshot {
-    let mut regs = Vec::with_capacity(threads.len() * ctx.reg_file);
+    let mut regs = Vec::with_capacity(threads.len() * ctx.kernel.decoded().reg_file_len());
     let threads = threads.iter().map(|t| t.to_state(&mut regs)).collect();
     EngineSnapshot {
         dyn_count: ctx.dyn_count,
@@ -1120,7 +1099,6 @@ fn trigger_gap(ctx: &Ctx<'_>) -> Option<u64> {
 
 fn run_block(
     ctx: &mut Ctx<'_>,
-    decoded: &Decoded,
     windows: &mut Windows,
     bx: u32,
     by: u32,
@@ -1145,7 +1123,7 @@ fn run_block(
             SharedMemory::new(ctx.kernel.shared_bytes),
             (0..nthreads)
                 .map(|t| Thread {
-                    regs: vec![0; ctx.reg_file].into_boxed_slice(),
+                    regs: vec![0; ctx.kernel.decoded().reg_file_len()].into_boxed_slice(),
                     preds: 0,
                     pc: 0,
                     state: TState::Running,
@@ -1183,7 +1161,6 @@ fn run_block(
             windows.due(ctx.rounds)
                 && open_window(
                     ctx,
-                    decoded,
                     windows,
                     &mut threads,
                     &mut shared,
@@ -1242,14 +1219,14 @@ fn run_block(
             let mut top = false;
             loop {
                 let retired = (top && window!())
-                    || turn(ctx, decoded, &mut threads, &mut shared, &mut running, at, lane_fetch)?;
+                    || turn(ctx, &mut threads, &mut shared, &mut running, at, lane_fetch)?;
                 progress |= retired;
                 if !retired || running.live != 1 || running.masks[w] == 0 {
                     break;
                 }
                 if lone_lane && running.masks[w].is_power_of_two() {
                     let lane = running.masks[w];
-                    step_lone_lane(ctx, decoded, &mut threads, &mut shared, at, lane, horizon)?;
+                    step_lone_lane(ctx, &mut threads, &mut shared, at, lane, horizon)?;
                 }
                 if ctx.dyn_count >= horizon {
                     break;
@@ -1354,16 +1331,15 @@ impl Running {
 /// or not.
 fn turn(
     ctx: &mut Ctx<'_>,
-    decoded: &Decoded,
     threads: &mut [Thread],
     shared: &mut SharedMemory,
     running: &mut Running,
     at: WarpPos,
     lane_fetch: bool,
 ) -> Result<bool, DueKind> {
-    // Copy the kernel reference out of `ctx` so instruction borrows are
+    // Take the kernel's tables out of `ctx` so instruction borrows are
     // independent of the `&mut ctx` passed to the executors.
-    let kernel = ctx.kernel;
+    let (instrs, metas) = (ctx.kernel.instrs(), ctx.kernel.decoded().metas());
     let w = at.in_block as usize;
     let lo = w * WARP_SIZE as usize;
     let hi = (lo + WARP_SIZE as usize).min(threads.len());
@@ -1379,11 +1355,10 @@ fn turn(
             hidden_fetch_fault(ctx, threads, first)?;
         }
         let (pc, run) = take_run(threads, lo, &mut pending, lane_fetch);
-        if pc as usize >= kernel.instrs.len() {
+        if pc as usize >= instrs.len() {
             return Err(DueKind::IllegalPc);
         }
-        let ins = &kernel.instrs[pc as usize];
-        let meta = &decoded.metas[pc as usize];
+        let (ins, meta) = (&instrs[pc as usize], &metas[pc as usize]);
 
         if meta.is_warp_sync {
             // Warp-synchronous: issues once every lane of the warp is
@@ -1453,30 +1428,6 @@ fn take_run(threads: &[Thread], lo: usize, pending: &mut u32, alone: bool) -> (u
     (pc, run)
 }
 
-/// The kernel as a run decodes it once: each pc's [`InstrMeta`].
-struct Decoded {
-    metas: Vec<InstrMeta>,
-    /// Whether the kernel has a warp-synchronous op, noted as the metas
-    /// are made: a run that asks walks no meta again.
-    warp_sync: bool,
-}
-
-impl Decoded {
-    fn new(kernel: &Kernel) -> Decoded {
-        let mut warp_sync = false;
-        let metas = kernel
-            .instrs
-            .iter()
-            .map(|ins| {
-                let meta = InstrMeta::new(ins);
-                warp_sync |= meta.is_warp_sync;
-                meta
-            })
-            .collect();
-        Decoded { metas, warp_sync }
-    }
-}
-
 /// Whether nothing but the fault hooks and the watchdog, which
 /// [`quiet_span`] rules out, can tell the order lanes issue in: no sink
 /// watches, no sites record is kept and no fetch plan rewrites pcs.
@@ -1494,24 +1445,23 @@ fn unobserved(ctx: &Ctx<'_>, lane_fetch: bool) -> bool {
 /// kernel are left to [`turn`].
 fn step_lone_lane(
     ctx: &mut Ctx<'_>,
-    decoded: &Decoded,
     threads: &mut [Thread],
     shared: &mut SharedMemory,
     at: WarpPos,
     lane: u32,
     horizon: u64,
 ) -> Result<(), DueKind> {
-    let kernel = ctx.kernel;
+    let (instrs, metas) = (ctx.kernel.instrs(), ctx.kernel.decoded().metas());
     let th = at.in_block as usize * WARP_SIZE as usize + lane.trailing_zeros() as usize;
     let end = horizon.min(ctx.dyn_count.saturating_add(quiet_span(ctx, None)));
     while ctx.dyn_count < end {
         let pc = threads[th].pc as usize;
-        let Some(meta) = decoded.metas.get(pc) else { break };
+        let Some(meta) = metas.get(pc) else { break };
         if meta.is_warp_sync || matches!(meta.op, Op::Bar | Op::Exit) {
             break;
         }
         ctx.rounds += 1;
-        step::<true>(ctx, &kernel.instrs[pc], meta, threads, lane, at, shared)?;
+        step::<true>(ctx, &instrs[pc], meta, threads, lane, at, shared)?;
     }
     Ok(())
 }
@@ -1546,10 +1496,10 @@ struct Windows {
 }
 
 impl Windows {
-    fn new(ctx: &Ctx<'_>, decoded: &Decoded) -> Windows {
+    fn new(ctx: &Ctx<'_>) -> Windows {
         let lane_fetch = matches!(ctx.opts.fault, FaultPlan::Fetch { .. });
         let allowed = unobserved(ctx, lane_fetch)
-            && !decoded.warp_sync
+            && !ctx.kernel.decoded().warp_sync()
             && ctx.launch.block.count() <= Claim::LANES as u64;
         Windows { allowed, next_try: 0, opened: 0, rolled_back: 0, bufs: None }
     }
@@ -1586,7 +1536,7 @@ struct WindowBufs {
 
 impl WindowBufs {
     fn new(ctx: &Ctx<'_>, shared: &SharedMemory) -> WindowBufs {
-        let pcs = ctx.kernel.instrs.len();
+        let pcs = ctx.kernel.len();
         WindowBufs {
             at_pc: vec![0; pcs],
             occupied: vec![0; pcs.div_ceil(64)],
@@ -1651,9 +1601,10 @@ impl WindowBufs {
         shared: &mut SharedMemory,
         running: &Running,
     ) {
+        let n = ctx.kernel.decoded().reg_file_len();
         for (k, t) in running_threads(running).enumerate() {
             let (th, st) = (&mut threads[t], &self.states[k]);
-            th.regs.copy_from_slice(&self.regs[k * ctx.reg_file..(k + 1) * ctx.reg_file]);
+            th.regs.copy_from_slice(&self.regs[k * n..(k + 1) * n]);
             (th.preds, th.pc, th.state) = (st.preds, st.pc, st.state);
         }
         for (claims, memory) in [(&self.global, &mut ctx.global), (&self.shared, shared.flat_mut())]
@@ -1809,10 +1760,8 @@ fn extra_runs(threads: &[Thread], running: &Running, pcs: usize) -> Option<u64> 
 /// [`rejoin_here`], so `run_block`'s loop keeps its size; a run in which
 /// no window may open never calls it.
 #[inline(never)]
-#[allow(clippy::too_many_arguments)]
 fn open_window(
     ctx: &mut Ctx<'_>,
-    decoded: &Decoded,
     win: &mut Windows,
     threads: &mut [Thread],
     shared: &mut SharedMemory,
@@ -1837,7 +1786,7 @@ fn open_window(
         }
         return false;
     }
-    match extra_runs(threads, running, decoded.metas.len()) {
+    match extra_runs(threads, running, ctx.kernel.len()) {
         Some(extra) if extra > 0 && extra * LANES_PER_EXTRA_RUN >= lanes => {}
         Some(_) => {
             win.next_try = ctx.rounds + RETEST_ROUNDS;
@@ -1848,7 +1797,7 @@ fn open_window(
     let bufs = win.bufs.get_or_insert_with(|| Box::new(WindowBufs::new(ctx, shared)));
     bufs.save(ctx, threads, running);
     win.opened += 1;
-    match run_window(ctx, decoded, bufs, threads, shared, running, block, rounds) {
+    match run_window(ctx, bufs, threads, shared, running, block, rounds) {
         Ok(most) => {
             ctx.rounds += most - 1;
             for w in 0..running.masks.len() {
@@ -1870,10 +1819,8 @@ fn open_window(
 /// Run a window of at most `rounds` rounds over the running lanes, warp
 /// by warp. Returns the most instructions a lane ran, as `Err` when the
 /// window must roll back.
-#[allow(clippy::too_many_arguments)]
 fn run_window(
     ctx: &mut Ctx<'_>,
-    decoded: &Decoded,
     bufs: &mut WindowBufs,
     threads: &mut [Thread],
     shared: &mut SharedMemory,
@@ -1881,8 +1828,8 @@ fn run_window(
     block: WarpPos,
     rounds: u64,
 ) -> Result<u64, u64> {
-    let kernel = ctx.kernel;
-    let pcs = decoded.metas.len();
+    let (instrs, metas) = (ctx.kernel.instrs(), ctx.kernel.decoded().metas());
+    let pcs = instrs.len();
     let mut most = 0;
     for (w, &mask) in running.masks.iter().enumerate() {
         if mask == 0 {
@@ -1898,7 +1845,7 @@ fn run_window(
             bufs.park(threads[lo + i].pc as usize, i);
         }
         while let Some((pc, group)) = bufs.take_lowest() {
-            let (ins, meta) = (&kernel.instrs[pc], &decoded.metas[pc]);
+            let (ins, meta) = (&instrs[pc], &metas[pc]);
             let claimed =
                 !meta.is_mem_op || claim_group(ctx, bufs, shared, ins, meta, threads, lo, group);
             if !claimed || step::<true>(ctx, ins, meta, threads, group, at, shared).is_err() {
@@ -2236,7 +2183,7 @@ fn hidden_fetch_fault(
         FetchEffect::StaleReplay => threads[lane].pc = pc.saturating_sub(1),
         FetchEffect::OpcodeFlip(flip) => {
             let corrupted = pc ^ flip.mask as u32;
-            if corrupted as usize >= ctx.kernel.instrs.len() {
+            if corrupted as usize >= ctx.kernel.len() {
                 return Err(DueKind::FetchFault);
             }
             threads[lane].pc = corrupted;

@@ -3,13 +3,13 @@
 //! The execution engine reports *device* failures as [`crate::DueKind`]s —
 //! those are experiment outcomes, not errors. [`SimError`] covers the
 //! remaining failure modes of the simulator as a library: malformed
-//! launches, kernels that fail validation, and host-side accesses outside
-//! an allocation. Campaign harnesses treat these as values instead of
-//! aborting, which is what lets a fleet-scale campaign outlive a bad
-//! trial.
+//! launches, options a run cannot honour, and host-side accesses outside
+//! an allocation. A kernel cannot fail validation here: every
+//! [`gpu_arch::Kernel`] was validated when it was built. Campaign
+//! harnesses treat these as values instead of aborting, which is what
+//! lets a fleet-scale campaign outlive a bad trial.
 
 use crate::memory::MemoryError;
-use gpu_arch::KernelError;
 use std::fmt;
 
 /// A simulator-level (non-outcome) failure.
@@ -17,8 +17,6 @@ use std::fmt;
 pub enum SimError {
     /// The launch configuration has zero threads.
     EmptyLaunch,
-    /// The kernel failed [`gpu_arch::Kernel::validate`].
-    InvalidKernel(KernelError),
     /// A host-side typed access fell outside the allocation.
     HostAccess(MemoryError),
     /// A [`crate::RunOptions::resume_from`] snapshot cannot seed this run:
@@ -40,7 +38,6 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::EmptyLaunch => write!(f, "launch has zero threads"),
-            SimError::InvalidKernel(why) => write!(f, "kernel failed validation: {why}"),
             SimError::HostAccess(e) => write!(f, "host access: {e}"),
             SimError::ResumeConflict(why) => write!(f, "snapshot resume conflict: {why}"),
             SimError::PartialWarpMma { block_threads } => write!(
@@ -57,7 +54,6 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::HostAccess(e) => Some(e),
-            SimError::InvalidKernel(e) => Some(e),
             SimError::EmptyLaunch
             | SimError::ResumeConflict(_)
             | SimError::PartialWarpMma { .. } => None,
@@ -68,11 +64,5 @@ impl std::error::Error for SimError {
 impl From<MemoryError> for SimError {
     fn from(e: MemoryError) -> Self {
         SimError::HostAccess(e)
-    }
-}
-
-impl From<KernelError> for SimError {
-    fn from(e: KernelError) -> Self {
-        SimError::InvalidKernel(e)
     }
 }

@@ -32,7 +32,7 @@ use crate::fault::FaultPlan;
 use crate::memory::{GlobalMemory, SharedMemory};
 use gpu_arch::decode::RegLiveness;
 use gpu_arch::decode::{FP32_ARITH_UNITS, FP64_ARITH_UNITS, HALF_ARITH_UNITS, INT_ARITH_UNITS};
-use gpu_arch::{DecodedKernel, FunctionalUnit, InstrMeta, Kernel, LaunchConfig, SiteClass};
+use gpu_arch::{FunctionalUnit, InstrMeta, Kernel, LaunchConfig, SiteClass};
 use std::fmt;
 use std::sync::Arc;
 
@@ -263,7 +263,7 @@ impl Geometry {
     /// bytes of global memory.
     pub(crate) fn of(kernel: &Kernel, launch: &LaunchConfig, memory_len: u32) -> Geometry {
         Geometry {
-            kernel_len: kernel.instrs.len(),
+            kernel_len: kernel.len(),
             grid: (launch.grid.x, launch.grid.y),
             block_dim: (launch.block.x, launch.block.y),
             memory_len,
@@ -465,7 +465,6 @@ impl ExitRecorder {
         if blocks >= u64::from(MIXED) {
             return None;
         }
-        let decoded = DecodedKernel::new(kernel);
         let words = memory.words();
         Some(ExitRecorder {
             memory_len: memory.len() as usize,
@@ -474,7 +473,7 @@ impl ExitRecorder {
             written: vec![0; words],
             history: Vec::new(),
             bounds: Vec::with_capacity(blocks as usize),
-            live: RegLiveness::new(kernel, &decoded).live_regs(),
+            live: RegLiveness::new(kernel).live_regs(),
         })
     }
 

@@ -391,7 +391,7 @@ impl PruneState {
                     .site_pcs
                     .iter()
                     .copied()
-                    .filter(|&pc| c.matches(kernel.instrs[pc as usize].op))
+                    .filter(|&pc| c.matches(kernel.instrs()[pc as usize].op))
                     .collect();
                 (c, stream)
             })
@@ -1008,7 +1008,7 @@ impl HiddenResult {
 /// performs memory operations.
 pub fn hidden_classes_available(kernel: &gpu_arch::Kernel, golden: &Executed) -> Vec<HiddenClass> {
     let mut classes = vec![HiddenClass::Scheduler, HiddenClass::Fetch, HiddenClass::Mask];
-    if kernel.instrs.iter().any(|i| i.op == Op::Bar) {
+    if kernel.instrs().iter().any(|i| i.op == Op::Bar) {
         classes.push(HiddenClass::Barrier);
     }
     if golden.counts.sites.mem_ops > 0 {

@@ -130,7 +130,7 @@ impl Cfg {
     /// Build the CFG of `kernel`. The kernel must be non-empty and have
     /// in-range branch targets (guaranteed by [`Kernel::validate`]).
     pub fn build(kernel: &Kernel) -> Cfg {
-        let instrs = &kernel.instrs;
+        let instrs = kernel.instrs();
         let n = instrs.len();
         assert!(n > 0, "cannot build a CFG of an empty kernel");
 
@@ -475,7 +475,7 @@ mod tests {
         assert!(cfg.reachable.iter().all(|&r| r));
         // Entry dominates everything; the join is the entry's ipdom... the
         // entry's immediate postdominator is the join block.
-        let join = cfg.block_of[k.instrs.len() - 1];
+        let join = cfg.block_of[k.len() - 1];
         assert_eq!(cfg.ipdom[0], join);
         assert!(cfg.dominates(0, join));
         assert!(!cfg.dominates(1, join));

@@ -2,9 +2,10 @@
 //! bit-level register liveness, may-assignment of registers and
 //! predicates, predicate liveness, and a uniformity (divergence) analysis.
 //!
-//! Every pass takes the kernel's [`Cfg`] and [`DecodedKernel`], built
-//! once by the entry point that runs it ([`crate::KernelAnalysis::compute`]
-//! or [`crate::verify`]), and runs on the CFG's one solver: a per-
+//! Every pass takes the kernel's [`Cfg`], built once by the entry point
+//! that runs it ([`crate::KernelAnalysis::compute`] or [`crate::verify`]),
+//! reads the decode the kernel was built with ([`Kernel::decoded`]), and
+//! runs on the CFG's one solver: a per-
 //! instruction transfer written once, carried through whole blocks by
 //! `Cfg::solve` to the fixpoint and then through each reachable
 //! instruction by `Cfg::sweep`, which records the pass's answer.
@@ -109,11 +110,12 @@ pub struct Liveness {
 
 /// Bit-level liveness over `cfg`'s reachable code: the fixpoint is
 /// [`RegLiveness`], shared with the simulator's golden rejoin.
-pub fn liveness(kernel: &Kernel, cfg: &Cfg, decoded: &DecodedKernel) -> Liveness {
+pub fn liveness(kernel: &Kernel, cfg: &Cfg) -> Liveness {
     let reachable = |pc: usize| cfg.reachable[cfg.block_of[pc] as usize];
-    let mut dst_observed = vec![0u64; kernel.instrs.len()];
-    RegLiveness::new(kernel, decoded).sweep(|pc, after, _| {
-        let (i, meta) = (&kernel.instrs[pc], decoded.meta(pc as u32));
+    let decoded = kernel.decoded();
+    let mut dst_observed = vec![0u64; kernel.len()];
+    RegLiveness::new(kernel).sweep(|pc, after, _| {
+        let (i, meta) = (&kernel.instrs()[pc], decoded.meta(pc as u32));
         if reachable(pc) && !meta.has_no_dst && !i.dst.is_rz() {
             let observed = |r: Reg| u64::from(after.get(r.0 as usize).copied().unwrap_or(0));
             let mut o = observed(i.dst);
@@ -124,7 +126,7 @@ pub fn liveness(kernel: &Kernel, cfg: &Cfg, decoded: &DecodedKernel) -> Liveness
         }
     });
     let mut read_union = [0u32; TRACKED_REGS];
-    for pc in (0..kernel.instrs.len()).filter(|&pc| reachable(pc)) {
+    for pc in (0..kernel.len()).filter(|&pc| reachable(pc)) {
         for &(r, m) in decoded.observed_reads(pc) {
             read_union[r.0 as usize] |= m;
         }
@@ -151,7 +153,8 @@ pub struct DefUse {
 }
 
 /// Compute reaching definitions and def-use chains over reachable code.
-pub fn def_use(cfg: &Cfg, decoded: &DecodedKernel) -> DefUse {
+pub fn def_use(kernel: &Kernel, cfg: &Cfg) -> DefUse {
+    let decoded = kernel.decoded();
     // Enumerate defs and index them per register.
     let mut defs = Vec::new();
     let mut defs_of_reg: Vec<Vec<u32>> = vec![Vec::new(); TRACKED_REGS];
@@ -241,16 +244,13 @@ pub struct UnwrittenGuard {
 /// One may-assign forward pass over both — a guarded write counts as an
 /// assignment — so only reads with *no* defining path are reported, which
 /// keeps the lints free of false positives on predicated code.
-pub fn uninitialized_reads(
-    kernel: &Kernel,
-    cfg: &Cfg,
-    decoded: &DecodedKernel,
-) -> (Vec<UninitRead>, Vec<UnwrittenGuard>) {
+pub fn uninitialized_reads(kernel: &Kernel, cfg: &Cfg) -> (Vec<UninitRead>, Vec<UnwrittenGuard>) {
+    let (instrs, decoded) = (kernel.instrs(), kernel.decoded());
     let transfer = |pc: usize, (regs, preds): &mut (RegSet, u8)| {
         for &r in decoded.written_regs(pc) {
             regs.insert(r);
         }
-        if let Some(p) = pred_write(&kernel.instrs[pc]) {
+        if let Some(p) = pred_write(&instrs[pc]) {
             *preds |= 1 << p.0;
         }
     };
@@ -280,7 +280,7 @@ pub fn uninitialized_reads(
                 regs.push(hit);
             }
         }
-        for p in pred_reads(&kernel.instrs[pc]) {
+        for p in pred_reads(&instrs[pc]) {
             let hit = UnwrittenGuard { pc: pc as u32, pred: p };
             if cur.1 & (1 << p.0) == 0 && !preds[pred_start..].contains(&hit) {
                 preds.push(hit);
@@ -362,8 +362,8 @@ fn taint_transfer(decoded: &DecodedKernel, pc: usize, i: &Instr, t: &mut Taint) 
 /// its guard is varying at the branch, or the branch's block is divergent
 /// — and every definition inside a divergent block is itself varying.
 /// Both lattices only grow, so one fixpoint covers them.
-pub fn uniformity(kernel: &Kernel, cfg: &Cfg, decoded: &DecodedKernel) -> Uniformity {
-    let instrs = &kernel.instrs;
+pub fn uniformity(kernel: &Kernel, cfg: &Cfg) -> Uniformity {
+    let (instrs, decoded) = (kernel.instrs(), kernel.decoded());
     let nb = cfg.blocks.len();
     let transfer = |pc: usize, t: &mut Taint| taint_transfer(decoded, pc, &instrs[pc], t);
     let guarded_branch = |b: usize| {
@@ -429,7 +429,7 @@ pub struct DeadPredWrite {
 pub fn dead_predicate_writes(kernel: &Kernel, cfg: &Cfg) -> Vec<DeadPredWrite> {
     // Live predicates before an instruction from those live after it.
     let transfer = |pc: usize, live: &mut u8| {
-        let i = &kernel.instrs[pc];
+        let i = &kernel.instrs()[pc];
         if let Some(p) = pred_write(i).filter(|_| i.guard.is_none()) {
             *live &= !(1 << p.0);
         }
@@ -447,7 +447,7 @@ pub fn dead_predicate_writes(kernel: &Kernel, cfg: &Cfg) -> Vec<DeadPredWrite> {
     );
     let mut dead = Vec::new();
     cfg.sweep(true, &live_out, |pc, live| {
-        if let Some(p) = pred_write(&kernel.instrs[pc]) {
+        if let Some(p) = pred_write(&kernel.instrs()[pc]) {
             if *live & (1 << p.0) == 0 {
                 dead.push(DeadPredWrite { pc: pc as u32, pred: p });
             }
@@ -478,7 +478,7 @@ mod tests {
             b.mov(Reg(1), Operand::Imm(9)); // never read
             b.stg(gpu_arch::MemWidth::W32, Reg(2), 0, Reg(0));
         });
-        let lv = liveness(&k, &Cfg::build(&k), &DecodedKernel::new(&k));
+        let lv = liveness(&k, &Cfg::build(&k));
         assert_ne!(lv.dst_observed[0], 0, "stored value is observed");
         assert_eq!(lv.dst_observed[1], 0, "R1 is never read");
     }
@@ -490,7 +490,7 @@ mod tests {
             b.hadd(Reg(1), Operand::Reg(Reg(0)), Operand::Reg(Reg(0)));
             b.stg(gpu_arch::MemWidth::W16, Reg(2), 0, Reg(1));
         });
-        let lv = liveness(&k, &Cfg::build(&k), &DecodedKernel::new(&k));
+        let lv = liveness(&k, &Cfg::build(&k));
         assert_eq!(lv.dst_observed[0], u64::from(HALF));
         assert_eq!(lv.dst_observed[1], u64::from(HALF));
         assert_eq!(lv.read_union[0], HALF);
@@ -503,7 +503,7 @@ mod tests {
             b.shl(Reg(1), Operand::Reg(Reg(2)), Operand::Reg(Reg(0)));
             b.stg(gpu_arch::MemWidth::W32, Reg(4), 0, Reg(1));
         });
-        let lv = liveness(&k, &Cfg::build(&k), &DecodedKernel::new(&k));
+        let lv = liveness(&k, &Cfg::build(&k));
         assert_eq!(lv.dst_observed[0], u64::from(SHIFT_COUNT));
     }
 
@@ -519,7 +519,7 @@ mod tests {
             b.exit();
             b.build().unwrap()
         };
-        let lv = liveness(&k, &Cfg::build(&k), &DecodedKernel::new(&k));
+        let lv = liveness(&k, &Cfg::build(&k));
         // The first MOV may still be observed (guard can fail).
         assert_ne!(lv.dst_observed[0], 0);
     }
@@ -531,7 +531,7 @@ mod tests {
             b.iadd(Reg(1), Operand::Reg(Reg(0)), Operand::Imm(1));
             b.stg(gpu_arch::MemWidth::W32, Reg(2), 0, Reg(1));
         });
-        let du = def_use(&Cfg::build(&k), &DecodedKernel::new(&k));
+        let du = def_use(&k, &Cfg::build(&k));
         let d0 = du.defs.iter().position(|d| d.pc == 0).unwrap();
         assert_eq!(du.uses[d0], vec![1]);
         let d1 = du.defs.iter().position(|d| d.pc == 1).unwrap();
@@ -544,7 +544,7 @@ mod tests {
             b.iadd(Reg(1), Operand::Reg(Reg(0)), Operand::Imm(1)); // R0 never written
             b.stg(gpu_arch::MemWidth::W32, Reg(2), 0, Reg(1)); // R2 never written
         });
-        let (ur, _) = uninitialized_reads(&k, &Cfg::build(&k), &DecodedKernel::new(&k));
+        let (ur, _) = uninitialized_reads(&k, &Cfg::build(&k));
         assert!(ur.contains(&UninitRead { pc: 0, reg: Reg(0) }));
         assert!(ur.contains(&UninitRead { pc: 1, reg: Reg(2) }));
         assert!(!ur.iter().any(|u| u.reg == Reg(1)));
@@ -564,11 +564,11 @@ mod tests {
             b.build().unwrap()
         };
         let tid = build(gpu_arch::SpecialReg::TidX);
-        let u = uniformity(&tid, &Cfg::build(&tid), &DecodedKernel::new(&tid));
+        let u = uniformity(&tid, &Cfg::build(&tid));
         assert!(u.divergent_block.iter().any(|&d| d), "tid-guarded region diverges");
 
         let ctaid = build(gpu_arch::SpecialReg::CtaidX);
-        let u = uniformity(&ctaid, &Cfg::build(&ctaid), &DecodedKernel::new(&ctaid));
+        let u = uniformity(&ctaid, &Cfg::build(&ctaid));
         assert!(u.divergent_block.iter().all(|&d| !d), "ctaid branches are uniform");
     }
 }

@@ -22,7 +22,7 @@
 
 use crate::cfg::Cfg;
 use crate::dataflow;
-use gpu_arch::{DecodedKernel, Instr, Kernel, LaunchConfig, Op, Operand};
+use gpu_arch::{Instr, Kernel, LaunchConfig, Op, Operand};
 use std::fmt;
 
 /// How bad a diagnostic is.
@@ -136,8 +136,7 @@ pub fn verify_with_launch(kernel: &Kernel, launch: &LaunchConfig) -> Vec<Diagnos
 
 fn verify_inner(kernel: &Kernel, launch: Option<&LaunchConfig>) -> Vec<Diagnostic> {
     let cfg = Cfg::build(kernel);
-    let decoded = DecodedKernel::new(kernel);
-    let instrs = &kernel.instrs;
+    let (instrs, decoded) = (kernel.instrs(), kernel.decoded());
     let mut out = Vec::new();
 
     // Unreachable blocks.
@@ -156,7 +155,7 @@ fn verify_inner(kernel: &Kernel, launch: Option<&LaunchConfig>) -> Vec<Diagnosti
 
     // Uninitialized reads (definite: no defining path exists; the engine
     // zero-fills the register file, so execution is still deterministic).
-    let (uninit, unwritten) = dataflow::uninitialized_reads(kernel, &cfg, &decoded);
+    let (uninit, unwritten) = dataflow::uninitialized_reads(kernel, &cfg);
     for u in uninit {
         out.push(diag(
             LintKind::UninitializedRead,
@@ -170,7 +169,7 @@ fn verify_inner(kernel: &Kernel, launch: Option<&LaunchConfig>) -> Vec<Diagnosti
 
     // Dead writes via bit-level liveness: the whole destination (pair
     // included) is unobserved on every path.
-    let lv = dataflow::liveness(kernel, &cfg, &decoded);
+    let lv = dataflow::liveness(kernel, &cfg);
     for (b, block) in cfg.blocks.iter().enumerate() {
         if !cfg.reachable[b] {
             continue; // reported as unreachable instead
@@ -223,7 +222,7 @@ fn verify_inner(kernel: &Kernel, launch: Option<&LaunchConfig>) -> Vec<Diagnosti
     }
 
     // Divergent barriers.
-    let uni = dataflow::uniformity(kernel, &cfg, &decoded);
+    let uni = dataflow::uniformity(kernel, &cfg);
     for (b, block) in cfg.blocks.iter().enumerate() {
         if !cfg.reachable[b] {
             continue;
@@ -311,7 +310,7 @@ fn shared_access(pc: usize, i: &Instr) -> Option<SharedAccess> {
 /// tiles accessed through different base registers are reported
 /// conservatively.
 fn shared_races(kernel: &Kernel, cfg: &Cfg, out: &mut Vec<Diagnostic>) {
-    let instrs = &kernel.instrs;
+    let instrs = kernel.instrs();
     let n = instrs.len();
     // Instruction-granularity successors, not expanding through barriers.
     let succs_of = |pc: usize| -> Vec<usize> {

@@ -34,7 +34,7 @@
 
 use crate::cfg::Cfg;
 use crate::dataflow;
-use gpu_arch::{DecodedKernel, Kernel};
+use gpu_arch::Kernel;
 
 /// Per-kernel static masking facts.
 pub struct StaticMasks {
@@ -49,12 +49,13 @@ pub struct StaticMasks {
 }
 
 impl StaticMasks {
-    /// Run the analyses over `kernel`, given its CFG and decoding.
-    pub fn compute(kernel: &Kernel, cfg: &Cfg, decoded: &DecodedKernel) -> StaticMasks {
-        let lv = dataflow::liveness(kernel, cfg, decoded);
-        let mut site = Vec::with_capacity(kernel.instrs.len());
-        let mut writes_pair = Vec::with_capacity(kernel.instrs.len());
-        for pc in 0..kernel.instrs.len() {
+    /// Run the analyses over `kernel`, given its CFG.
+    pub fn compute(kernel: &Kernel, cfg: &Cfg) -> StaticMasks {
+        let lv = dataflow::liveness(kernel, cfg);
+        let decoded = kernel.decoded();
+        let mut site = Vec::with_capacity(kernel.len());
+        let mut writes_pair = Vec::with_capacity(kernel.len());
+        for pc in 0..kernel.len() {
             // A scalar GPR writer in the predecode layer's terms: the
             // warp-level MMA/SHFL corruptions use different engine
             // machinery, so only non-warp-sync writers are prunable.

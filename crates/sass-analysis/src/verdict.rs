@@ -63,9 +63,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::cfg::Cfg;
 use crate::flow::{SiteVerdict, ValueFlow};
 use crate::mask::StaticMasks;
-use gpu_arch::{
-    DecodedKernel, Instr, Kernel, LaunchConfig, Op, Operand, Reg, SiteClass, SpecialReg,
-};
+use gpu_arch::{Instr, Kernel, LaunchConfig, Op, Operand, Reg, SiteClass, SpecialReg};
 use gpu_sim::DueKind;
 
 /// Launch-time facts the static analysis may assume.
@@ -293,13 +291,9 @@ fn transfer(state: &[AbsVal], ins: &Instr, launch: Option<&LaunchConfig>) -> Opt
     })
 }
 
-fn intervals(
-    kernel: &Kernel,
-    cfg: &Cfg,
-    decoded: &DecodedKernel,
-    ctx: &AnalysisContext,
-) -> Intervals {
-    let n = kernel.instrs.len();
+fn intervals(kernel: &Kernel, cfg: &Cfg, ctx: &AnalysisContext) -> Intervals {
+    let (instrs, decoded) = (kernel.instrs(), kernel.decoded());
+    let n = instrs.len();
     let launch = ctx.launch.as_ref();
     let top_state = || vec![AbsVal::TOP; TRACKED];
     let mut in_states = vec![top_state(); cfg.blocks.len()];
@@ -308,7 +302,7 @@ fn intervals(
     // may write, then land the modeled scalar result (pair-high words
     // stay TOP; a guarded write joins with the fall-through value).
     let exec = |state: &mut [AbsVal], pc: u32| {
-        let ins = &kernel.instrs[pc as usize];
+        let ins = &instrs[pc as usize];
         let meta = decoded.meta(pc);
         let val = transfer(state, ins, launch).unwrap_or(AbsVal::TOP);
         let scalar = !meta.writes_pair
@@ -362,7 +356,7 @@ fn intervals(
     let mut dst = vec![AbsVal::TOP; n];
     let mut ops = vec![[AbsVal::TOP; 3]; n];
     cfg.sweep(false, &in_states, |pc, state| {
-        let ins = &kernel.instrs[pc];
+        let ins = &instrs[pc];
         ops[pc] = [eval(state, ins.srcs[0]), eval(state, ins.srcs[1]), eval(state, ins.srcs[2])];
         exec(state, pc as u32);
         if !ins.dst.is_rz() && (ins.dst.0 as usize) < TRACKED {
@@ -409,7 +403,6 @@ fn space_kind(shared: bool) -> DueKind {
 struct ProofEnv<'a> {
     kernel: &'a Kernel,
     cfg: &'a Cfg,
-    decoded: &'a DecodedKernel,
     iv: &'a Intervals,
     ctx: &'a AnalysisContext,
 }
@@ -453,7 +446,7 @@ impl ProofEnv<'_> {
     fn output_bit_due(&self, pc: u32, k: u32) -> Option<DueKind> {
         let block = self.cfg.block_of[pc as usize];
         let (_, end) = (self.cfg.blocks[block as usize].start, self.cfg.blocks[block as usize].end);
-        let site_dst = self.kernel.instrs[pc as usize].dst;
+        let site_dst = self.kernel.instrs()[pc as usize].dst;
         if site_dst.is_rz() {
             return None;
         }
@@ -467,8 +460,8 @@ impl ProofEnv<'_> {
         };
 
         for u in pc + 1..end {
-            let ins = &self.kernel.instrs[u as usize];
-            let meta = self.decoded.meta(u);
+            let ins = &self.kernel.instrs()[u as usize];
+            let meta = self.kernel.decoded().meta(u);
             let reads_disp = meta.src_regs.iter().any(|&r| displacement(&disp, r).is_some());
             if meta.guard.is_some() {
                 // A guarded instruction in between must be proven inert
@@ -557,7 +550,7 @@ impl ProofEnv<'_> {
 
     /// Proven-DUE bits for an `InstructionOutput` flip at `pc`.
     fn output_due_bits(&self, pc: u32) -> DueBits {
-        let meta = self.decoded.meta(pc);
+        let meta = self.kernel.decoded().meta(pc);
         // Pair writers (64-bit values) and warp-sync ops are out of the
         // affine-displacement model.
         if meta.writes_pair || meta.is_warp_sync || meta.has_no_dst {
@@ -590,7 +583,7 @@ impl ProofEnv<'_> {
     /// fault hits the already-computed effective address, so a guard on
     /// the access itself is fine (the dynamic site implies it passed).
     fn mem_due_bits(&self, pc: u32) -> DueBits {
-        let Some((bytes, shared)) = mem_geometry(self.kernel.instrs[pc as usize].op) else {
+        let Some((bytes, shared)) = mem_geometry(self.kernel.instrs()[pc as usize].op) else {
             return DueBits::default();
         };
         let addr = self.iv.ops[pc as usize][0].add(self.iv.ops[pc as usize][1]);
@@ -634,17 +627,13 @@ pub struct KernelVerdicts {
 
 impl KernelVerdicts {
     /// Run the flow taint and the interval proofs over `kernel`, given
-    /// its CFG and decoding.
-    pub fn compute(
-        kernel: &Kernel,
-        cfg: &Cfg,
-        decoded: &DecodedKernel,
-        ctx: &AnalysisContext,
-    ) -> KernelVerdicts {
-        let flow = ValueFlow::build_with_cfg(kernel, cfg, decoded);
-        let iv = intervals(kernel, cfg, decoded, ctx);
-        let env = ProofEnv { kernel, cfg, decoded, iv: &iv, ctx };
-        let n = kernel.instrs.len();
+    /// its CFG.
+    pub fn compute(kernel: &Kernel, cfg: &Cfg, ctx: &AnalysisContext) -> KernelVerdicts {
+        let flow = ValueFlow::build_with_cfg(kernel, cfg);
+        let iv = intervals(kernel, cfg, ctx);
+        let env = ProofEnv { kernel, cfg, iv: &iv, ctx };
+        let decoded = kernel.decoded();
+        let n = kernel.len();
         let mut output = Vec::with_capacity(n);
         let mut predicate = Vec::with_capacity(n);
         let mut mem = Vec::with_capacity(n);
@@ -679,7 +668,7 @@ impl KernelVerdicts {
             mem,
             output_due,
             mem_due,
-            ops: kernel.instrs.iter().map(|i| i.op).collect(),
+            ops: kernel.instrs().iter().map(|i| i.op).collect(),
             writes_pair: (0..n as u32).map(|pc| decoded.meta(pc).writes_pair).collect(),
             site,
         }
@@ -784,14 +773,13 @@ pub struct KernelAnalysis {
 }
 
 impl KernelAnalysis {
-    /// Compute both layers over one CFG and one decoding of `kernel`
-    /// (uncached; prefer [`analyze`]).
+    /// Compute both layers over one CFG of `kernel` (uncached; prefer
+    /// [`analyze`]).
     pub fn compute(kernel: &Kernel, ctx: &AnalysisContext) -> KernelAnalysis {
         let cfg = Cfg::build(kernel);
-        let decoded = DecodedKernel::new(kernel);
         KernelAnalysis {
-            masks: StaticMasks::compute(kernel, &cfg, &decoded),
-            verdicts: KernelVerdicts::compute(kernel, &cfg, &decoded, ctx),
+            masks: StaticMasks::compute(kernel, &cfg),
+            verdicts: KernelVerdicts::compute(kernel, &cfg, ctx),
         }
     }
 
@@ -871,7 +859,7 @@ impl Hasher for FnvHasher {
 fn analysis_key(kernel: &Kernel, ctx: &AnalysisContext) -> u64 {
     let mut h = FnvHasher(0xcbf2_9ce4_8422_2325);
     kernel.name.hash(&mut h);
-    kernel.instrs.hash(&mut h);
+    kernel.instrs().hash(&mut h);
     kernel.regs_per_thread.hash(&mut h);
     kernel.shared_bytes.hash(&mut h);
     match &ctx.launch {
@@ -949,8 +937,7 @@ mod tests {
     fn interval_tracks_alignment_and_range() {
         let k = aligned_store_kernel();
         let cfg = Cfg::build(&k);
-        let decoded = DecodedKernel::new(&k);
-        let iv = intervals(&k, &cfg, &decoded, &ctx_64_threads(256));
+        let iv = intervals(&k, &cfg, &ctx_64_threads(256));
         // R0 = tid.x << 2 ∈ [0, 252], 4-aligned.
         let v = iv.dst[1];
         assert_eq!((v.lo, v.hi), (0, 252));

@@ -12,8 +12,7 @@
 //! answer exactly as the one it replaces.
 
 use gpu_arch::{
-    CmpOp, CodeGen, DecodedKernel, Kernel, KernelBuilder, LaunchConfig, MemWidth, Operand, Pred,
-    Reg, SpecialReg,
+    CmpOp, CodeGen, Kernel, KernelBuilder, LaunchConfig, MemWidth, Operand, Pred, Reg, SpecialReg,
 };
 use sass_analysis::{cfg::Cfg, dataflow, AnalysisContext, DueBits, KernelAnalysis};
 use workloads::{kepler_suite, volta_suite, Scale};
@@ -34,7 +33,6 @@ fn flags(h: u64, bs: &[bool]) -> u64 {
 /// Digest of everything the CFG and the dataflow passes answer.
 fn dataflow_digest(mut h: u64, k: &Kernel) -> u64 {
     let cfg = Cfg::build(k);
-    let decoded = DecodedKernel::new(k);
     let nb = cfg.blocks.len() as u32;
     h = fnv1a(h, k.name.bytes());
     h = words(h, [nb]);
@@ -52,17 +50,17 @@ fn dataflow_digest(mut h: u64, k: &Kernel) -> u64 {
         h = words(h, [l.head].into_iter().chain(l.body.iter().copied()).chain([u32::MAX]));
     }
 
-    let du = dataflow::def_use(&cfg, &decoded);
+    let du = dataflow::def_use(k, &cfg);
     for (def, uses) in du.defs.iter().zip(&du.uses) {
         h = words(h, [def.pc, u32::from(def.reg.0)]);
         h = words(h, uses.iter().copied().chain([u32::MAX]));
     }
-    let (uninit, unwritten) = dataflow::uninitialized_reads(k, &cfg, &decoded);
+    let (uninit, unwritten) = dataflow::uninitialized_reads(k, &cfg);
     h = words(h, uninit.iter().flat_map(|u| [u.pc, u32::from(u.reg.0)]).chain([u32::MAX]));
     h = words(h, unwritten.iter().flat_map(|g| [g.pc, u32::from(g.pred.0)]).chain([u32::MAX]));
     let dead = dataflow::dead_predicate_writes(k, &cfg);
     h = words(h, dead.iter().flat_map(|d| [d.pc, u32::from(d.pred.0)]).chain([u32::MAX]));
-    let uni = dataflow::uniformity(k, &cfg, &decoded);
+    let uni = dataflow::uniformity(k, &cfg);
     h = flags(h, &uni.divergent_block);
     flags(h, &uni.guard_varying)
 }
@@ -75,7 +73,7 @@ fn due(h: u64, d: DueBits) -> u64 {
 fn analysis_digest(mut h: u64, k: &Kernel, ctx: &AnalysisContext) -> u64 {
     let a = KernelAnalysis::compute(k, ctx);
     let v = &a.verdicts;
-    for pc in 0..k.instrs.len() as u32 {
+    for pc in 0..k.len() as u32 {
         let verdicts = [v.output_verdict(pc), v.predicate_verdict(pc), v.mem_verdict(pc)];
         h = fnv1a(h, format!("{verdicts:?}").bytes());
         h = due(h, v.output_due_bits(pc));
@@ -199,9 +197,8 @@ fn dataflow_of_hand_built_shapes_is_pinned() {
     assert!(!Cfg::build(&kernels[1]).blocks[0].preds.is_empty(), "a branch back to pc 0");
     // The chain's constant reaches the store in pass `hops - 1`; widening
     // from pass 8 on turns it to TOP, and the alignment proof with it.
-    let store_due = |k: &Kernel| {
-        KernelAnalysis::compute(k, &ctx).verdicts.mem_flip_due(k.instrs.len() as u32 - 2, 1)
-    };
+    let store_due =
+        |k: &Kernel| KernelAnalysis::compute(k, &ctx).verdicts.mem_flip_due(k.len() as u32 - 2, 1);
     assert!(store_due(&kernels[3]).is_some(), "settles before widening");
     assert!(store_due(&kernels[4]).is_none(), "widened");
     assert_eq!(h, 0x6d56_bbc7_3325_8399, "dataflow digest over the hand-built kernels");

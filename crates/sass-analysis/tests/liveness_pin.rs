@@ -4,7 +4,7 @@
 //! in `gpu_arch::decode`, shared with the simulator's golden rejoin; any
 //! change to its answer on a real kernel fails here.
 
-use gpu_arch::{CodeGen, DecodedKernel};
+use gpu_arch::CodeGen;
 use sass_analysis::{cfg::Cfg, dataflow};
 use workloads::{kepler_suite, volta_suite, Scale};
 
@@ -21,8 +21,8 @@ fn liveness_of_every_workload_kernel_is_pinned() {
     let mut h = 0xcbf2_9ce4_8422_2325;
     for w in &all {
         let k = &w.kernel;
-        let lv = dataflow::liveness(k, &Cfg::build(k), &DecodedKernel::new(k));
-        assert_eq!(lv.dst_observed.len(), w.kernel.instrs.len(), "{}", w.name);
+        let lv = dataflow::liveness(k, &Cfg::build(k));
+        assert_eq!(lv.dst_observed.len(), w.kernel.len(), "{}", w.name);
         h = fnv1a(h, w.kernel.name.bytes());
         h = fnv1a(h, lv.dst_observed.iter().flat_map(|m| m.to_le_bytes()));
         h = fnv1a(h, lv.read_union.iter().flat_map(|m| m.to_le_bytes()));

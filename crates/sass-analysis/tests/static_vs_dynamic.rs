@@ -17,9 +17,7 @@
 //! * **determinism** — recomputing [`KernelVerdicts`] yields identical
 //!   verdicts and proven-DUE bit masks.
 
-use gpu_arch::{
-    DecodedKernel, DeviceModel, Kernel, KernelBuilder, LaunchConfig, MemWidth, Operand, Reg,
-};
+use gpu_arch::{DeviceModel, Kernel, KernelBuilder, LaunchConfig, MemWidth, Operand, Reg};
 use gpu_sim::{run, BitFlip, ExecStatus, FaultPlan, GlobalMemory, RunOptions, SiteClass};
 use proptest::prelude::*;
 use sass_analysis::{
@@ -89,8 +87,8 @@ fn ctx() -> AnalysisContext {
 /// `nth`-indexed pcs of the GPR-writer site stream (single thread, no
 /// branches: dynamic order == program order).
 fn site_pcs(kernel: &Kernel) -> Vec<u32> {
-    (0..kernel.instrs.len() as u32)
-        .filter(|&pc| SiteClass::GprWriter.matches(kernel.instrs[pc as usize].op))
+    (0..kernel.len() as u32)
+        .filter(|&pc| SiteClass::GprWriter.matches(kernel.instrs()[pc as usize].op))
         .collect()
 }
 
@@ -119,7 +117,7 @@ proptest! {
         prop_assert!(golden.status.completed());
 
         let mut nth = 0u64;
-        for (pc, instr) in kernel.instrs.iter().enumerate() {
+        for (pc, instr) in kernel.instrs().iter().enumerate() {
             if !SiteClass::GprWriter.matches(instr.op) {
                 continue;
             }
@@ -159,7 +157,7 @@ proptest! {
     fn uninit_read_verdicts_match_replay(body in prop::collection::vec(gen_instr(), 1..24)) {
         let kernel = build_kernel(&body);
         let cfg = Cfg::build(&kernel);
-        let (uninit, _) = dataflow::uninitialized_reads(&kernel, &cfg, &DecodedKernel::new(&kernel));
+        let (uninit, _) = dataflow::uninitialized_reads(&kernel, &cfg);
         let mut got: Vec<(u32, Reg)> = uninit
             .into_iter()
             .map(|u| (u.pc, u.reg))
@@ -167,7 +165,7 @@ proptest! {
 
         let mut written = [false; 256];
         let mut expect: Vec<(u32, Reg)> = Vec::new();
-        for (pc, instr) in kernel.instrs.iter().enumerate() {
+        for (pc, instr) in kernel.instrs().iter().enumerate() {
             for r in instr.src_regs() {
                 if !written[r.0 as usize] && !expect.contains(&(pc as u32, r)) {
                     expect.push((pc as u32, r));
@@ -277,9 +275,9 @@ proptest! {
                 );
             }
         }
-        let mem_pcs: Vec<u32> = (0..kernel.instrs.len() as u32)
+        let mem_pcs: Vec<u32> = (0..kernel.len() as u32)
             .filter(|&pc| {
-                matches!(kernel.instrs[pc as usize].op,
+                matches!(kernel.instrs()[pc as usize].op,
                     gpu_arch::Op::Ldg(_) | gpu_arch::Op::Stg(_)
                     | gpu_arch::Op::Lds(_) | gpu_arch::Op::Sts(_)
                     | gpu_arch::Op::AtomGAdd | gpu_arch::Op::AtomSAdd)
@@ -311,7 +309,7 @@ proptest! {
         let kernel = build_kernel(&body);
         let a = verdicts(&kernel);
         let b = verdicts(&kernel);
-        for pc in 0..kernel.instrs.len() as u32 {
+        for pc in 0..kernel.len() as u32 {
             prop_assert_eq!(a.output_verdict(pc), b.output_verdict(pc));
             prop_assert_eq!(a.predicate_verdict(pc), b.predicate_verdict(pc));
             prop_assert_eq!(a.mem_verdict(pc), b.mem_verdict(pc));

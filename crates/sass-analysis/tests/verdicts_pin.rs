@@ -36,7 +36,7 @@ fn verdicts_of_every_workload_kernel_are_pinned() {
         let ctx = AnalysisContext::for_launch(&w.launch, w.memory.len() as u64);
         let a = KernelAnalysis::compute(&w.kernel, &ctx);
         let v = &a.verdicts;
-        assert_eq!(v.len(), w.kernel.instrs.len(), "{}", w.name);
+        assert_eq!(v.len(), w.kernel.len(), "{}", w.name);
         h = fnv1a(h, w.kernel.name.bytes());
         for pc in 0..v.len() as u32 {
             let verdicts = [v.output_verdict(pc), v.predicate_verdict(pc), v.mem_verdict(pc)];
