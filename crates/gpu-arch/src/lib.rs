@@ -12,7 +12,8 @@
 //!   including SASS-style predication (`@P0` guards) and the `RZ` zero
 //!   register;
 //! * [`Kernel`] and [`KernelBuilder`] — validated kernels with label-based
-//!   control flow, register/shared-memory footprints and launch geometry;
+//!   control flow, register/shared-memory footprints and launch geometry,
+//!   each decoded once when it is built ([`decode`]);
 //! * an assembler/disassembler ([`asm`]) for a textual form of the ISA;
 //! * [`DeviceModel`] — device configurations compiled from declarative
 //!   spec files ([`spec`]): SM counts, per-SM lane counts for each
