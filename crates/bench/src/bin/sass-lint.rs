@@ -223,12 +223,12 @@ fn print_summary(name: &str, s: &VerdictSummary) {
     );
 }
 
-/// Per-site verdict table (single-file mode): one row per injectable
-/// site, with the output/predicate/address verdicts and any proven-DUE
-/// output bits.
+/// Per-site verdict table (single-file mode): one row per GPR site (the
+/// static oracle's: a reachable scalar GPR writer), predicate writer or
+/// memory op, with the output/predicate/address verdicts and any
+/// proven-DUE output bits.
 fn print_site_table(kernel: &Kernel, ctx: &AnalysisContext) {
-    let analysis = analyze(kernel, ctx);
-    let v = &analysis.verdicts;
+    let a = analyze(kernel, ctx);
     let decoded = kernel.decoded();
     println!(
         "{:>4}  {:<10} {:<8} {:<8} {:<8} proven-due-bits",
@@ -236,12 +236,12 @@ fn print_site_table(kernel: &Kernel, ctx: &AnalysisContext) {
     );
     for pc in 0..kernel.len() as u32 {
         let meta = decoded.meta(pc);
-        let gpr_site = meta.writes_gpr() && !meta.is_warp_sync;
+        let gpr_site = a.gpr_site(pc);
         if !gpr_site && !meta.writes_pred && !meta.is_mem_op {
             continue;
         }
         let cell = |on: bool, s: &'static str| if on { s } else { "-" };
-        let due = v.output_due_bits(pc);
+        let due = a.output_due_bits(pc);
         let due_cell = if due.bits != 0 {
             format!("{:#010x} {:?}", due.bits, due.kind.expect("bits imply kind"))
         } else {
@@ -250,9 +250,9 @@ fn print_site_table(kernel: &Kernel, ctx: &AnalysisContext) {
         println!(
             "{pc:>4}  {:<10} {:<8} {:<8} {:<8} {due_cell}",
             format!("{:?}", kernel.instrs()[pc as usize].op),
-            cell(gpr_site, v.output_verdict(pc).name()),
-            cell(meta.writes_pred, v.predicate_verdict(pc).name()),
-            cell(meta.is_mem_op, v.mem_verdict(pc).name()),
+            cell(gpr_site, a.output_verdict(pc).name()),
+            cell(meta.writes_pred, a.predicate_verdict(pc).name()),
+            cell(meta.is_mem_op, a.mem_verdict(pc).name()),
         );
     }
 }

@@ -48,6 +48,7 @@ use gpu_sim::{
 };
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
+use sass_analysis::Resolution;
 use stats::{binomial_ci95, Outcome, OutcomeCounts};
 use std::fmt;
 use std::sync::Arc;
@@ -326,29 +327,15 @@ fn sample_plan<R: Rng>(
     }
 }
 
-/// How the static oracle resolved one sampled fault plan.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum StaticResolution {
-    /// No proof applies: simulate the trial.
-    Simulate,
-    /// Provably Masked: no observed bit ever differs from the golden run.
-    Masked,
-    /// Provably a DUE of this kind: the corrupted value reaches a
-    /// misaligned or out-of-bounds access before anything else can
-    /// observe it.
-    Due(gpu_sim::DueKind),
-}
-
-/// The static fault-resolution oracle backing pruned AVF campaigns
+/// The golden-run half of the static oracle behind pruned AVF campaigns
 /// ([`Avf::new_pruned`]).
 ///
-/// Built from the memoized [`sass_analysis::analyze`] result —
-/// [`sass_analysis::StaticMasks`] (bit-level liveness) plus
-/// [`sass_analysis::KernelVerdicts`] (value-flow taint verdicts and
-/// interval/alignment DUE proofs) — and the golden run's site provenance
-/// ([`gpu_sim::SitesRecord`]), which resolves a sampled `nth` dynamic
-/// site to the static pc the corruption lands on. A trial the oracle
-/// proves Masked (or a DUE of a specific kind) is tallied directly
+/// [`sass_analysis::KernelAnalysis`] (memoized by
+/// [`sass_analysis::analyze`]) resolves a fault at a static pc; this maps
+/// a sampled plan's `nth` dynamic site to that pc through the golden
+/// run's site provenance ([`gpu_sim::SitesRecord`]), and answers
+/// register strikes timed outside the target block's residency. A trial
+/// resolved Masked (or a DUE of a specific kind) is tallied directly
 /// instead of simulated; the outcome counts are bit-identical to the
 /// unpruned campaign because the sampler consumes the RNG identically
 /// and only replaces provably-resolved executions.
@@ -358,14 +345,6 @@ struct PruneState {
     /// stream filtered to that class, mirroring the engine's in-order
     /// numbering of that class's sites (its class tallies).
     class_streams: Vec<(SiteClass, Vec<u32>)>,
-    /// Per linear block: `[start, end)` dynamic-index residency window.
-    block_windows: Vec<(u64, u64)>,
-    /// Dynamic memory-op pc stream (the engine's `MemAddress` `nth`
-    /// numbering).
-    mem_pcs: Vec<u32>,
-    /// Dynamic SETP pc stream (the engine's `PredicateOutput` `nth`
-    /// numbering).
-    setp_pcs: Vec<u32>,
 }
 
 impl PruneState {
@@ -397,13 +376,7 @@ impl PruneState {
             })
             .collect();
         let ctx = sass_analysis::AnalysisContext::for_launch(launch, global_bytes);
-        PruneState {
-            analysis: sass_analysis::analyze(kernel, &ctx),
-            class_streams,
-            block_windows: record.block_windows.clone(),
-            mem_pcs: record.mem_pcs.clone(),
-            setp_pcs: record.setp_pcs.clone(),
-        }
+        PruneState { analysis: sass_analysis::analyze(kernel, &ctx), class_streams }
     }
 
     /// Static pc of the `nth` dynamic site of `class` (the instruction the
@@ -413,115 +386,46 @@ impl PruneState {
         stream.get(nth as usize).copied()
     }
 
-    /// Statically resolve `plan`. Sound only for ECC-off runs (AVF
-    /// campaigns), where a register strike lands raw instead of being
-    /// corrected/detected.
-    fn resolve(&self, plan: &FaultPlan, regs_per_thread: u16) -> StaticResolution {
-        use sass_analysis::SiteVerdict;
-        let masks = &self.analysis.masks;
-        let verdicts = &self.analysis.verdicts;
-        match *plan {
+    /// Statically resolve `plan` against the golden run's site provenance
+    /// `record`. Sound only for ECC-off runs (AVF campaigns), where a
+    /// register strike lands raw instead of being corrected/detected. A
+    /// plan whose site the golden run does not have, and every PC or
+    /// whole-value memory fault, is simulated without a site verdict.
+    fn resolve(
+        &self,
+        plan: &FaultPlan,
+        record: &gpu_sim::SitesRecord,
+        regs_per_thread: u16,
+    ) -> Resolution {
+        let a = &self.analysis;
+        let resolved = match *plan {
             FaultPlan::InstructionOutput { nth, site, flip } => {
-                let Some(pc) = self.pc_of(site, nth) else {
-                    return StaticResolution::Simulate;
-                };
-                if masks.output_flip_masked(pc, flip.mask)
-                    || verdicts.output_verdict(pc) == SiteVerdict::ProvenMasked
-                {
-                    return StaticResolution::Masked;
-                }
-                if let Some(kind) = verdicts.output_flip_due(pc, flip.mask) {
-                    return StaticResolution::Due(kind);
-                }
-                StaticResolution::Simulate
+                self.pc_of(site, nth).map(|pc| a.output_flip(pc, flip.mask))
             }
             FaultPlan::InstructionOutputSet { nth, site, .. } => {
-                let masked = self.pc_of(site, nth).is_some_and(|pc| {
-                    masks.output_replace_masked(pc)
-                        || verdicts.output_verdict(pc) == SiteVerdict::ProvenMasked
-                });
-                if masked {
-                    StaticResolution::Masked
-                } else {
-                    StaticResolution::Simulate
-                }
+                self.pc_of(site, nth).map(|pc| a.output_replace(pc))
             }
             FaultPlan::RegisterBit { block, thread: _, reg, flip, at } => {
-                let Some(&(start, end)) = self.block_windows.get(block as usize) else {
-                    return StaticResolution::Simulate;
-                };
-                if at < start || at >= end {
-                    // Blocks run sequentially; a strike timed outside the
-                    // target block's residency window is the engine's
-                    // "target block not resident" no-op.
-                    return StaticResolution::Masked;
-                }
-                if masks.register_flip_masked(reg, regs_per_thread, flip.mask as u32) {
-                    StaticResolution::Masked
-                } else {
-                    StaticResolution::Simulate
-                }
+                record.block_windows.get(block as usize).map(|&(start, end)| {
+                    if at < start || at >= end {
+                        // Blocks run sequentially; a strike timed outside
+                        // the target block's residency window is the
+                        // engine's "target block not resident" no-op.
+                        Resolution::Masked
+                    } else {
+                        a.register_flip(reg, regs_per_thread, flip.mask as u32)
+                    }
+                })
             }
             FaultPlan::PredicateOutput { nth } => {
-                let masked = self
-                    .setp_pcs
-                    .get(nth as usize)
-                    .is_some_and(|&pc| verdicts.predicate_verdict(pc) == SiteVerdict::ProvenMasked);
-                if masked {
-                    StaticResolution::Masked
-                } else {
-                    StaticResolution::Simulate
-                }
+                record.setp_pcs.get(nth as usize).map(|&pc| a.predicate_flip(pc))
             }
             FaultPlan::MemAddress { nth, flip } => {
-                let due = self
-                    .mem_pcs
-                    .get(nth as usize)
-                    .and_then(|&pc| verdicts.mem_flip_due(pc, flip.mask));
-                match due {
-                    Some(kind) => StaticResolution::Due(kind),
-                    None => StaticResolution::Simulate,
-                }
+                record.mem_pcs.get(nth as usize).map(|&pc| a.address_flip(pc, flip.mask))
             }
-            // PC and whole-value memory faults are never resolved
-            // statically.
-            _ => StaticResolution::Simulate,
-        }
-    }
-
-    /// Verdict stratum of the static site `plan` lands on, for the
-    /// campaign's `campaign.pruned.*` / `campaign.verdict.*` telemetry.
-    fn stratum_of(&self, plan: &FaultPlan) -> Option<&'static str> {
-        let verdicts = &self.analysis.verdicts;
-        let verdict = match *plan {
-            FaultPlan::InstructionOutput { nth, site, .. }
-            | FaultPlan::InstructionOutputSet { nth, site, .. } => {
-                verdicts.output_verdict(self.pc_of(site, nth)?)
-            }
-            FaultPlan::PredicateOutput { nth } => {
-                verdicts.predicate_verdict(*self.setp_pcs.get(nth as usize)?)
-            }
-            FaultPlan::MemAddress { nth, .. } => {
-                verdicts.mem_verdict(*self.mem_pcs.get(nth as usize)?)
-            }
-            // Register-file strikes have no single static site.
-            _ => return None,
+            _ => None,
         };
-        Some(stratum_name(verdict))
-    }
-}
-
-/// Collapse a [`sass_analysis::SiteVerdict`] to the four-stratum naming
-/// used by [`sass_analysis::VerdictSummary`] and the campaign counters
-/// (`AddressReaching` and `ControlReaching` are both DUE-prone and
-/// share the `addr_ctl` stratum).
-fn stratum_name(v: sass_analysis::SiteVerdict) -> &'static str {
-    use sass_analysis::SiteVerdict;
-    match v {
-        SiteVerdict::ProvenMasked => "masked",
-        SiteVerdict::StoreReaching => "store",
-        SiteVerdict::AddressReaching | SiteVerdict::ControlReaching => "addr_ctl",
-        SiteVerdict::Unknown => "unknown",
+        resolved.unwrap_or(Resolution::Simulate(None))
     }
 }
 
@@ -591,6 +495,14 @@ pub struct AvfSampler {
     prune: Option<PruneState>,
 }
 
+impl AvfSampler {
+    /// How the static oracle resolves `plan`; `None` unless pruning.
+    fn resolve(&self, plan: &FaultPlan) -> Option<Resolution> {
+        let record = self.golden.sites_record.as_ref()?;
+        Some(self.prune.as_ref()?.resolve(plan, record, self.regs_per_thread))
+    }
+}
+
 impl Sampler for AvfSampler {
     fn sample(&self, trial: u64, rng: &mut ChaCha12Rng) -> TrialPlan {
         // SASSIFI splits the budget evenly across instruction kinds
@@ -598,28 +510,19 @@ impl Sampler for AvfSampler {
         // trial index achieves the same, independent of sharding.
         let mode = self.modes[(trial % self.modes.len() as u64) as usize];
         match sample_plan(rng, mode, &self.golden, &self.launch, self.regs_per_thread) {
-            Some(plan) => {
-                if let Some(pr) = &self.prune {
-                    match pr.resolve(&plan, self.regs_per_thread) {
-                        StaticResolution::Masked => {
-                            return TrialPlan::Direct {
-                                outcome: Outcome::Masked,
-                                due: None,
-                                label: "static-masked",
-                            };
-                        }
-                        StaticResolution::Due(kind) => {
-                            return TrialPlan::Direct {
-                                outcome: Outcome::Due,
-                                due: Some(kind),
-                                label: "static-due",
-                            };
-                        }
-                        StaticResolution::Simulate => {}
-                    }
-                }
-                TrialPlan::Fault(plan)
-            }
+            Some(plan) => match self.resolve(&plan) {
+                Some(Resolution::Masked) => TrialPlan::Direct {
+                    outcome: Outcome::Masked,
+                    due: None,
+                    label: "static-masked",
+                },
+                Some(Resolution::Due(kind)) => TrialPlan::Direct {
+                    outcome: Outcome::Due,
+                    due: Some(kind),
+                    label: "static-due",
+                },
+                _ => TrialPlan::Fault(plan),
+            },
             // A mode whose population turned out empty: the fault has no
             // site to land on, so the run is trivially masked.
             None => TrialPlan::Direct { outcome: Outcome::Masked, due: None, label: "presampled" },
@@ -627,18 +530,15 @@ impl Sampler for AvfSampler {
     }
 
     fn stratum(&self, _trial: u64, plan: &TrialPlan) -> Option<&'static str> {
-        let pr = self.prune.as_ref()?;
+        // A pruned trial's plan is gone, but its tally carries the
+        // resolution; a simulated one resolves again to its site verdict.
         match plan {
-            // Pruned trials: proven-Masked sites land in the masked
-            // stratum; proven-DUE sites are DUE-prone by construction
-            // (the corrupted value reaches an address), so they count
-            // under the DUE-prone stratum.
-            TrialPlan::Direct { label, .. } => match *label {
-                "static-masked" => Some("masked"),
-                "static-due" => Some("addr_ctl"),
-                _ => None,
-            },
-            TrialPlan::Fault(plan) => pr.stratum_of(plan),
+            TrialPlan::Fault(plan) => self.resolve(plan)?.stratum(),
+            TrialPlan::Direct { label: "static-masked", .. } => Resolution::Masked.stratum(),
+            TrialPlan::Direct { label: "static-due", due: Some(kind), .. } => {
+                Resolution::Due(*kind).stratum()
+            }
+            TrialPlan::Direct { .. } => None,
         }
     }
 }
@@ -1271,19 +1171,24 @@ mod tests {
                 "{injector}: every skipped trial is tallied under static-masked/static-due"
             );
             // The verdict strata partition every resolved trial, and the
-            // dynamic outcomes inside each stratum must respect its
-            // static bound: a masked/addr_ctl-stratum SDC or a
-            // store-stratum DUE would falsify the lattice.
+            // dynamic outcomes inside each stratum must respect the bound
+            // of the verdicts that land in it: an SDC in the masked or
+            // address/control stratum, or a DUE in the store stratum,
+            // would falsify the lattice.
             let pruned_total: u64 = pruned_run.strata_pruned.values().map(|c| c.total()).sum();
             assert_eq!(pruned_total, skipped, "{injector}: pruned strata cover skipped trials");
-            for (s, c) in &pruned_run.strata_sim {
-                match s.as_str() {
-                    "masked" | "addr_ctl" => {
-                        assert_eq!(c.sdc, 0, "{injector}: SDC in simulated {s} stratum")
-                    }
-                    "store" => assert_eq!(c.due, 0, "{injector}: DUE in simulated store stratum"),
-                    _ => {}
-                }
+            let masked = Resolution::Masked.stratum().unwrap();
+            let sim = |s: &str| pruned_run.strata_sim.get(s);
+            assert!(
+                sim(masked).is_none_or(|c| c.sdc == 0),
+                "{injector}: SDC in simulated {masked}"
+            );
+            use sass_analysis::SiteVerdict::{AddressReaching, ControlReaching, StoreReaching};
+            for v in [StoreReaching, AddressReaching, ControlReaching] {
+                let s = Resolution::Simulate(Some(v)).stratum().unwrap();
+                let Some(c) = sim(s) else { continue };
+                assert!(v.sdc_possible() || c.sdc == 0, "{injector}: SDC in simulated {s} stratum");
+                assert!(v.due_possible() || c.due == 0, "{injector}: DUE in simulated {s} stratum");
             }
         }
     }
@@ -1472,7 +1377,7 @@ mod tests {
         // population excludes the H* arithmetic.
         let volta = DeviceModel::named("v100-sim");
         let w = build(Benchmark::Hotspot, Precision::Half, CodeGen::Cuda10, Scale::Tiny);
-        let g = w.golden(&volta);
+        let g = w.execute_golden(&volta);
         assert!(g.counts.sites.gpr_writers > g.counts.sites.gpr_writers_no_half);
         let r = avf(Injector::NvBitFi, &w, &volta, 50);
         assert_eq!(r.counts.total(), 50);

@@ -46,7 +46,7 @@ pub struct KernelProfile {
     pub cycles: f64,
     /// Static ACE fraction: of the destination bits the kernel's
     /// (reachable, scalar GPR-writing) instructions produce, the fraction
-    /// some path may observe ([`sass_analysis::StaticMasks`]). The static
+    /// some path may observe ([`sass_analysis::KernelAnalysis::ace_fraction`]). The static
     /// analogue of the dynamically-measured AVF, reported beside it in
     /// the prediction tables.
     pub static_ace: f64,
@@ -87,7 +87,7 @@ impl KernelProfile {
             mix_fractions: out.counts.mix_fractions(),
             seconds: out.timing.seconds,
             cycles: out.timing.cycles,
-            static_ace: analysis.masks.ace_fraction(),
+            static_ace: analysis.ace_fraction(),
             static_sdc_upper: summary.sdc_upper(),
             static_due_upper: summary.due_upper(),
         }

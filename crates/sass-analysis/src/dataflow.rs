@@ -32,7 +32,7 @@
 //! maps it onto the CFG's reachable code.
 //!
 //! The bit-level liveness result is what proves injection sites masked
-//! (see [`crate::StaticMasks`]): a flipped destination bit that no path
+//! (see [`crate::KernelAnalysis`]): a flipped destination bit that no path
 //! ever observes cannot change memory, control flow, or addresses, so the
 //! faulty run's architectural outputs are bit-identical to the golden
 //! run's.

@@ -1,8 +1,8 @@
 //! Per-kernel value-flow graph and forward fault-propagation taint.
 //!
-//! [`StaticMasks`](crate::StaticMasks) answers a binary question — is a
-//! corrupted destination *observed* anywhere — but says nothing about
-//! *where* the corruption can go. This module follows every injectable
+//! Bit-level liveness ([`crate::dataflow::liveness`]) answers a binary
+//! question — is a corrupted destination *observed* anywhere — but says
+//! nothing about *where* the corruption can go. This module follows every injectable
 //! site's corruption forward through the kernel's value-flow graph and
 //! classifies the set of architectural sinks it can reach:
 //!
@@ -36,14 +36,15 @@
 //! propagation a monotone fixpoint over a finite item set, and errs only
 //! toward weaker verdicts (never toward a wrong `ProvenMasked`).
 //!
-//! Soundness argument (mirrors `mask.rs`): the faulty run is identical
-//! to the golden run up to the injection instant, so the static def-use
-//! edges — which over-approximate *all* paths — cover every dynamic
-//! observation of the corrupted value after it. If the transitive
-//! closure reaches no global store (by value, address, or control
-//! dependence), no branch/barrier guard, and no warp-synchronous op,
-//! then every global-memory write and the termination behavior of the
-//! faulty run are bit-identical to the golden run: the trial is Masked.
+//! Soundness argument (mirrors the liveness one in [`crate::verdict`]):
+//! the faulty run is identical to the golden run up to the injection
+//! instant, so the static def-use edges — which over-approximate *all*
+//! paths — cover every dynamic observation of the corrupted value after
+//! it. If the transitive closure reaches no global store (by value,
+//! address, or control dependence), no branch/barrier guard, and no
+//! warp-synchronous op, then every global-memory write and the
+//! termination behavior of the faulty run are bit-identical to the
+//! golden run: the trial is Masked.
 //! Conversely the absence of a sink *class* bounds the outcomes: a site
 //! whose closure contains no address, control, or warp sink cannot raise
 //! a DUE (all addresses and trip counts are golden), and one whose

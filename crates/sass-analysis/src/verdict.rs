@@ -1,18 +1,43 @@
-//! Per-site outcome verdicts: the flow-graph taint of [`crate::flow`]
-//! joined with a launch-aware interval/alignment abstract interpretation
-//! that upgrades some sites from "DUE-prone" to "provably DUE".
+//! The static oracle: one per-pc table, [`KernelAnalysis`], and the
+//! functions that resolve a single-site fault from it.
 //!
-//! Three fault models get a static verdict here:
+//! Per pc the table holds whether the pc is a GPR site (a reachable
+//! scalar GPR writer: everything the engine's 32/64-bit write-back path
+//! covers; warp-level MMA/SHFL corruptions use other machinery), whether
+//! it writes a register pair, its op, the bit-level liveness mask of its
+//! destination ([`crate::dataflow::liveness`]), the three value-flow
+//! verdicts of [`crate::flow`] (output, predicate, address), and the
+//! proven-DUE bits of output and address flips; per register it holds
+//! the union of the bits any instruction observes. One resolution
+//! function per single-site fault reads it —
+//! [`KernelAnalysis::output_flip`], [`KernelAnalysis::output_replace`],
+//! [`KernelAnalysis::register_flip`], [`KernelAnalysis::predicate_flip`]
+//! and [`KernelAnalysis::address_flip`] — and answers
+//! [`Resolution::Masked`], [`Resolution::Due`] or [`Resolution::Simulate`]
+//! with the site's verdict; [`Resolution::stratum`] names the verdict
+//! stratum the campaign telemetry counts the fault under.
 //!
-//! * **`InstructionOutput` / `InstructionOutputSet`** (corrupted GPR
-//!   destination) — classified by [`ValueFlow::output_verdict`]; single-bit
-//!   flips of bits that are *provably zero* in the written value may
-//!   additionally be proven to raise a DUE (see below).
-//! * **`PredicateOutput`** (inverted `SETP` result) — classified by
-//!   [`ValueFlow::predicate_verdict`]. This covers the site class
-//!   `StaticMasks` punts on entirely: a dead predicate write is
-//!   `ProvenMasked` here.
-//! * **`MemAddress`** (XORed effective address) — classified by
+//! # Why a liveness-masked fault is Masked
+//!
+//! The faulty run is identical to the golden run up to the injection
+//! instant, so the static masks, which hold on *all* paths, apply to the
+//! dynamic state at that instant. After it, a flip outside every
+//! observed bit induces no architectural difference, and outcome
+//! classification compares output memory only. A register-file bit that
+//! no instruction ever observes cannot propagate whenever it is flipped.
+//! This holds only with ECC off: with ECC on, a detected flip is a DUE
+//! regardless of liveness.
+//!
+//! # Verdicts
+//!
+//! * **Output flips and replacements** (corrupted GPR destination) —
+//!   [`ValueFlow::output_verdict`]; single-bit flips of bits that are
+//!   *provably zero* in the written value may additionally be proven to
+//!   raise a DUE (see below).
+//! * **Predicate flips** (inverted `SETP` result) —
+//!   [`ValueFlow::predicate_verdict`]: a dead predicate write is
+//!   `ProvenMasked`, which liveness alone cannot say.
+//! * **Address flips** (XORed effective address) —
 //!   [`ValueFlow::mem_address_verdict`]; per-bit DUE proofs from the
 //!   address's abstract value.
 //!
@@ -61,8 +86,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::cfg::Cfg;
+use crate::dataflow;
 use crate::flow::{SiteVerdict, ValueFlow};
-use crate::mask::StaticMasks;
 use gpu_arch::{Instr, Kernel, LaunchConfig, Op, Operand, Reg, SiteClass, SpecialReg};
 use gpu_sim::DueKind;
 
@@ -381,6 +406,13 @@ pub struct DueBits {
     pub kind: Option<DueKind>,
 }
 
+impl DueBits {
+    /// The proven kind when `mask` flips exactly one proven-DUE bit.
+    fn single(self, mask: u64) -> Option<DueKind> {
+        (mask.count_ones() == 1 && self.bits & mask == mask).then_some(self.kind).flatten()
+    }
+}
+
 fn mem_geometry(op: Op) -> Option<(u64, bool)> {
     // (access bytes, is_shared)
     match op {
@@ -604,123 +636,281 @@ impl ProofEnv<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel-wide verdict map.
+// The per-pc table and its resolution functions.
 // ---------------------------------------------------------------------------
 
-/// Static per-site verdicts for one kernel under one launch context.
-pub struct KernelVerdicts {
-    /// Per pc: verdict for a corrupted GPR destination (meaningful at
-    /// GPR-writer sites; other pcs report their taint result anyway).
-    output: Vec<SiteVerdict>,
-    /// Per pc: verdict for an inverted predicate destination.
-    predicate: Vec<SiteVerdict>,
-    /// Per pc: verdict for a corrupted effective address.
-    mem: Vec<SiteVerdict>,
-    /// Per pc: output-flip bits that are proven DUEs.
-    output_due: Vec<DueBits>,
-    /// Per pc: address-flip bits that are proven DUEs.
-    mem_due: Vec<DueBits>,
-    ops: Vec<Op>,
-    writes_pair: Vec<bool>,
-    site: Vec<bool>,
+/// How the static oracle resolves one single-site fault.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Resolution {
+    /// Provably Masked: no observed bit ever differs from the golden run.
+    Masked,
+    /// Provably a DUE of this kind: the corrupted value reaches a
+    /// misaligned or out-of-bounds access before anything else can
+    /// observe it.
+    Due(DueKind),
+    /// No proof applies: simulate the trial. Carries the verdict of the
+    /// fault's static site, which bounds the simulated outcome; `None`
+    /// for a fault without one (a register-file strike).
+    Simulate(Option<SiteVerdict>),
 }
 
-impl KernelVerdicts {
-    /// Run the flow taint and the interval proofs over `kernel`, given
-    /// its CFG.
-    pub fn compute(kernel: &Kernel, cfg: &Cfg, ctx: &AnalysisContext) -> KernelVerdicts {
-        let flow = ValueFlow::build_with_cfg(kernel, cfg);
-        let iv = intervals(kernel, cfg, ctx);
-        let env = ProofEnv { kernel, cfg, iv: &iv, ctx };
+impl Resolution {
+    /// The verdict stratum the fault counts under in a campaign's strata
+    /// telemetry: `masked`, `store`, `addr_ctl` (address- or
+    /// control-reaching, and every proven DUE, whose corrupted value
+    /// reaches an address) or `unknown`. `None` for a simulated fault
+    /// without a static site.
+    pub fn stratum(self) -> Option<&'static str> {
+        Some(match self {
+            Resolution::Masked | Resolution::Simulate(Some(SiteVerdict::ProvenMasked)) => "masked",
+            Resolution::Simulate(Some(SiteVerdict::StoreReaching)) => "store",
+            Resolution::Due(_)
+            | Resolution::Simulate(Some(
+                SiteVerdict::AddressReaching | SiteVerdict::ControlReaching,
+            )) => "addr_ctl",
+            Resolution::Simulate(Some(SiteVerdict::Unknown)) => "unknown",
+            Resolution::Simulate(None) => return None,
+        })
+    }
+}
+
+/// One pc's row of [`KernelAnalysis`].
+struct PcFacts {
+    op: Op,
+    /// A GPR site: a reachable scalar GPR writer.
+    site: bool,
+    writes_pair: bool,
+    /// Observed-bit mask of the destination after the write (low 32 =
+    /// `dst`, high 32 = `dst.pair_hi()` for pair writers).
+    dst_observed: u64,
+    /// Verdict for a corrupted GPR destination (every pc reports its
+    /// taint result; only GPR sites are injected).
+    output: SiteVerdict,
+    /// Verdict for an inverted predicate destination.
+    predicate: SiteVerdict,
+    /// Verdict for a corrupted effective address.
+    mem: SiteVerdict,
+    /// Output-flip bits that are proven DUEs.
+    output_due: DueBits,
+    /// Address-flip bits that are proven DUEs.
+    mem_due: DueBits,
+}
+
+/// One kernel's static analysis under one launch context: the per-pc
+/// table the resolution functions read (see the module docs).
+pub struct KernelAnalysis {
+    pcs: Vec<PcFacts>,
+    /// Per register: the union of the bits any instruction observes.
+    read_union: [u32; dataflow::TRACKED_REGS],
+}
+
+impl KernelAnalysis {
+    /// Run liveness, the flow taint and the interval proofs over one CFG
+    /// of `kernel` (uncached; prefer [`analyze`]).
+    pub fn compute(kernel: &Kernel, ctx: &AnalysisContext) -> KernelAnalysis {
+        let cfg = Cfg::build(kernel);
+        let lv = dataflow::liveness(kernel, &cfg);
+        let flow = ValueFlow::build_with_cfg(kernel, &cfg);
+        let iv = intervals(kernel, &cfg, ctx);
+        let env = ProofEnv { kernel, cfg: &cfg, iv: &iv, ctx };
         let decoded = kernel.decoded();
-        let n = kernel.len();
-        let mut output = Vec::with_capacity(n);
-        let mut predicate = Vec::with_capacity(n);
-        let mut mem = Vec::with_capacity(n);
-        let mut output_due = Vec::with_capacity(n);
-        let mut mem_due = Vec::with_capacity(n);
-        let mut site = Vec::with_capacity(n);
-        for pc in 0..n as u32 {
-            let meta = decoded.meta(pc);
-            let reachable = cfg.reachable[cfg.block_of[pc as usize] as usize];
-            output.push(flow.output_verdict(pc));
-            predicate.push(if meta.writes_pred {
-                flow.predicate_verdict(pc)
-            } else {
-                SiteVerdict::ProvenMasked
-            });
-            mem.push(if meta.is_mem_op {
-                flow.mem_address_verdict(pc)
-            } else {
-                SiteVerdict::ProvenMasked
-            });
-            output_due.push(if reachable { env.output_due_bits(pc) } else { DueBits::default() });
-            mem_due.push(if reachable && meta.is_mem_op {
-                env.mem_due_bits(pc)
-            } else {
-                DueBits::default()
-            });
-            site.push(meta.writes_gpr() && !meta.is_warp_sync && reachable);
+        let pcs = (0..kernel.len() as u32)
+            .map(|pc| {
+                let meta = decoded.meta(pc);
+                let reachable = cfg.reachable[cfg.block_of[pc as usize] as usize];
+                PcFacts {
+                    op: kernel.instrs()[pc as usize].op,
+                    site: meta.writes_gpr() && !meta.is_warp_sync && reachable,
+                    writes_pair: meta.writes_pair,
+                    dst_observed: lv.dst_observed[pc as usize],
+                    output: flow.output_verdict(pc),
+                    predicate: if meta.writes_pred {
+                        flow.predicate_verdict(pc)
+                    } else {
+                        SiteVerdict::ProvenMasked
+                    },
+                    mem: if meta.is_mem_op {
+                        flow.mem_address_verdict(pc)
+                    } else {
+                        SiteVerdict::ProvenMasked
+                    },
+                    output_due: if reachable {
+                        env.output_due_bits(pc)
+                    } else {
+                        DueBits::default()
+                    },
+                    mem_due: if reachable && meta.is_mem_op {
+                        env.mem_due_bits(pc)
+                    } else {
+                        DueBits::default()
+                    },
+                }
+            })
+            .collect();
+        KernelAnalysis { pcs, read_union: lv.read_union }
+    }
+
+    /// Resolve XOR-ing `mask` into the output of the instruction at `pc`:
+    /// Masked when the flip misses every observed bit of a GPR site (for
+    /// 32-bit destinations only the low word of the mask lands, matching
+    /// the engine's write-back) or the output verdict is `ProvenMasked`;
+    /// a DUE when the mask is one proven-DUE bit.
+    pub fn output_flip(&self, pc: u32, mask: u64) -> Resolution {
+        let f = &self.pcs[pc as usize];
+        let effective = if f.writes_pair { mask } else { mask & 0xFFFF_FFFF };
+        if (f.site && effective & f.dst_observed == 0) || f.output == SiteVerdict::ProvenMasked {
+            return Resolution::Masked;
         }
-        KernelVerdicts {
-            output,
-            predicate,
-            mem,
-            output_due,
-            mem_due,
-            ops: kernel.instrs().iter().map(|i| i.op).collect(),
-            writes_pair: (0..n as u32).map(|pc| decoded.meta(pc).writes_pair).collect(),
-            site,
+        f.output_due.single(mask).map_or(Resolution::Simulate(Some(f.output)), Resolution::Due)
+    }
+
+    /// Resolve *replacing* the output of the instruction at `pc` with any
+    /// value: Masked when no bit of a GPR site's destination is observed
+    /// or the output verdict is `ProvenMasked`.
+    pub fn output_replace(&self, pc: u32) -> Resolution {
+        let f = &self.pcs[pc as usize];
+        if (f.site && f.dst_observed == 0) || f.output == SiteVerdict::ProvenMasked {
+            Resolution::Masked
+        } else {
+            Resolution::Simulate(Some(f.output))
         }
+    }
+
+    /// Resolve flipping `mask` bits of architectural register `reg` at any
+    /// instant: Masked when no instruction observes a flipped bit.
+    /// `regs_per_thread` mirrors the engine's register-index wrap for
+    /// out-of-footprint indices.
+    pub fn register_flip(&self, reg: u8, regs_per_thread: u16, mask: u32) -> Resolution {
+        let r = (reg as usize).min(254) % usize::from(regs_per_thread.max(1));
+        if mask & self.read_union[r] == 0 {
+            Resolution::Masked
+        } else {
+            Resolution::Simulate(None)
+        }
+    }
+
+    /// Resolve inverting the `SETP` predicate written at `pc`: Masked when
+    /// its verdict is `ProvenMasked`.
+    pub fn predicate_flip(&self, pc: u32) -> Resolution {
+        match self.pcs[pc as usize].predicate {
+            SiteVerdict::ProvenMasked => Resolution::Masked,
+            v => Resolution::Simulate(Some(v)),
+        }
+    }
+
+    /// Resolve XOR-ing `mask` into the effective address of memory op
+    /// `pc`: a DUE when the mask is one proven-DUE bit, never Masked.
+    pub fn address_flip(&self, pc: u32, mask: u64) -> Resolution {
+        let f = &self.pcs[pc as usize];
+        f.mem_due.single(mask).map_or(Resolution::Simulate(Some(f.mem)), Resolution::Due)
+    }
+
+    /// Is `pc` a GPR site (a reachable scalar GPR writer)?
+    pub fn gpr_site(&self, pc: u32) -> bool {
+        self.pcs[pc as usize].site
+    }
+
+    /// Observed-bit mask of the destination written at `pc` (liveness).
+    pub fn dst_observed(&self, pc: u32) -> u64 {
+        self.pcs[pc as usize].dst_observed
     }
 
     /// Verdict for a corrupted GPR destination written at `pc`.
     pub fn output_verdict(&self, pc: u32) -> SiteVerdict {
-        self.output[pc as usize]
+        self.pcs[pc as usize].output
     }
 
     /// Verdict for an inverted `SETP` predicate written at `pc`.
     pub fn predicate_verdict(&self, pc: u32) -> SiteVerdict {
-        self.predicate[pc as usize]
+        self.pcs[pc as usize].predicate
     }
 
     /// Verdict for a corrupted effective address at memory op `pc`.
     pub fn mem_verdict(&self, pc: u32) -> SiteVerdict {
-        self.mem[pc as usize]
+        self.pcs[pc as usize].mem
     }
 
-    /// If a single-bit `InstructionOutput` flip (`mask`) at `pc` is a
-    /// proven DUE, the proven kind.
-    pub fn output_flip_due(&self, pc: u32, mask: u64) -> Option<DueKind> {
-        let d = &self.output_due[pc as usize];
-        (mask.count_ones() == 1 && d.bits & mask == mask).then_some(d.kind).flatten()
-    }
-
-    /// If a single-bit `MemAddress` flip (`mask`) at `pc` is a proven
-    /// DUE, the proven kind.
-    pub fn mem_flip_due(&self, pc: u32, mask: u64) -> Option<DueKind> {
-        let d = &self.mem_due[pc as usize];
-        (mask.count_ones() == 1 && d.bits & mask == mask).then_some(d.kind).flatten()
-    }
-
-    /// Proven-DUE bit mask for output flips at `pc` (diagnostics).
+    /// Proven-DUE bit mask for output flips at `pc`.
     pub fn output_due_bits(&self, pc: u32) -> DueBits {
-        self.output_due[pc as usize]
+        self.pcs[pc as usize].output_due
     }
 
-    /// Proven-DUE bit mask for address flips at `pc` (diagnostics).
+    /// Proven-DUE bit mask for address flips at `pc`.
     pub fn mem_due_bits(&self, pc: u32) -> DueBits {
-        self.mem_due[pc as usize]
+        self.pcs[pc as usize].mem_due
     }
 
     /// Number of instructions analyzed.
     pub fn len(&self) -> usize {
-        self.output.len()
+        self.pcs.len()
     }
 
     /// True for the empty kernel.
     pub fn is_empty(&self) -> bool {
-        self.output.is_empty()
+        self.pcs.is_empty()
+    }
+
+    /// Static ACE fraction: of all destination bits written by GPR sites,
+    /// the fraction some path may observe. The static analogue of the
+    /// dynamically-measured AVF — unweighted by execution counts, so it
+    /// reflects the *code*, not the trip counts.
+    pub fn ace_fraction(&self) -> f64 {
+        let (mut observed, mut width) = (0u64, 0u64);
+        for f in self.pcs.iter().filter(|f| f.site) {
+            observed += u64::from(f.dst_observed.count_ones());
+            width += if f.writes_pair { 64 } else { 32 };
+        }
+        if width == 0 {
+            0.0
+        } else {
+            observed as f64 / width as f64
+        }
+    }
+
+    /// Verdict fractions over all GPR-site bits.
+    pub fn summary(&self) -> VerdictSummary {
+        self.summary_over(|_| true)
+    }
+
+    /// Verdict fractions restricted to GPR sites matching `class`.
+    pub fn summary_for(&self, class: SiteClass) -> VerdictSummary {
+        self.summary_over(|op| class.matches(op))
+    }
+
+    /// Each bit of each GPR site lands in the stratum its single-bit
+    /// [`KernelAnalysis::output_flip`] resolves to.
+    fn summary_over(&self, include: impl Fn(Op) -> bool) -> VerdictSummary {
+        let mut counts = [0u64; 5]; // masked, proven_due, store, addr_ctl, unknown
+        let mut total = 0u64;
+        for (pc, f) in self.pcs.iter().enumerate() {
+            if !f.site || !include(f.op) {
+                continue;
+            }
+            let width = if f.writes_pair { 64 } else { 32 };
+            for k in 0..width {
+                total += 1;
+                counts[match self.output_flip(pc as u32, 1 << k) {
+                    Resolution::Masked => 0,
+                    Resolution::Due(_) => 1,
+                    Resolution::Simulate(Some(SiteVerdict::StoreReaching)) => 2,
+                    Resolution::Simulate(Some(
+                        SiteVerdict::AddressReaching | SiteVerdict::ControlReaching,
+                    )) => 3,
+                    Resolution::Simulate(_) => 4,
+                }] += 1;
+            }
+        }
+        if total == 0 {
+            return VerdictSummary::default();
+        }
+        let f = |c: u64| c as f64 / total as f64;
+        VerdictSummary {
+            masked: f(counts[0]),
+            proven_due: f(counts[1]),
+            store: f(counts[2]),
+            addr_ctl: f(counts[3]),
+            unknown: f(counts[4]),
+        }
     }
 }
 
@@ -728,12 +918,12 @@ impl KernelVerdicts {
 // Summary fractions.
 // ---------------------------------------------------------------------------
 
-/// Static outcome-bound fractions over a kernel's GPR-writer site bits.
+/// Static outcome-bound fractions over a kernel's GPR-site bits.
 ///
-/// Each destination bit of each (reachable, non-warp-sync) GPR-writer
-/// site lands in exactly one stratum; the five fractions sum to 1 when
-/// the kernel has any sites. `sdc_upper`/`due_upper` are the paper-style
-/// per-class upper bounds to compare against campaign tallies.
+/// Each destination bit of each GPR site lands in exactly one stratum;
+/// the five fractions sum to 1 when the kernel has any sites.
+/// `sdc_upper`/`due_upper` are the paper-style per-class upper bounds to
+/// compare against campaign tallies.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct VerdictSummary {
     /// Fraction of site bits proven Masked (liveness- or flow-proven).
@@ -763,81 +953,6 @@ impl VerdictSummary {
 // ---------------------------------------------------------------------------
 // Memoized analysis.
 // ---------------------------------------------------------------------------
-
-/// One kernel's full static analysis: liveness masks plus verdicts.
-pub struct KernelAnalysis {
-    /// Bit-liveness masked-site proofs (PR 3).
-    pub masks: StaticMasks,
-    /// Flow/interval verdicts (this module).
-    pub verdicts: KernelVerdicts,
-}
-
-impl KernelAnalysis {
-    /// Compute both layers over one CFG of `kernel` (uncached; prefer
-    /// [`analyze`]).
-    pub fn compute(kernel: &Kernel, ctx: &AnalysisContext) -> KernelAnalysis {
-        let cfg = Cfg::build(kernel);
-        KernelAnalysis {
-            masks: StaticMasks::compute(kernel, &cfg),
-            verdicts: KernelVerdicts::compute(kernel, &cfg, ctx),
-        }
-    }
-
-    /// Stratum of a single site bit: the finest static fact about a
-    /// flip of bit `k` at GPR-writer site `pc`.
-    fn bit_stratum(&self, pc: u32, k: u32) -> SiteVerdict {
-        if self.masks.output_flip_masked(pc, 1 << k)
-            || self.verdicts.output_verdict(pc) == SiteVerdict::ProvenMasked
-        {
-            return SiteVerdict::ProvenMasked;
-        }
-        self.verdicts.output_verdict(pc)
-    }
-
-    /// Verdict fractions over all GPR-writer site bits.
-    pub fn summary(&self) -> VerdictSummary {
-        self.summary_over(|_| true)
-    }
-
-    /// Verdict fractions restricted to GPR-writer sites matching `class`.
-    pub fn summary_for(&self, class: SiteClass) -> VerdictSummary {
-        self.summary_over(|op| class.matches(op))
-    }
-
-    fn summary_over(&self, include: impl Fn(Op) -> bool) -> VerdictSummary {
-        let mut counts = [0u64; 5]; // masked, proven_due, store, addr_ctl, unknown
-        let mut total = 0u64;
-        for pc in 0..self.verdicts.len() as u32 {
-            if !self.verdicts.site[pc as usize] || !include(self.verdicts.ops[pc as usize]) {
-                continue;
-            }
-            let width = if self.verdicts.writes_pair[pc as usize] { 64 } else { 32 };
-            let due = self.verdicts.output_due[pc as usize];
-            for k in 0..width {
-                total += 1;
-                let idx = match self.bit_stratum(pc, k) {
-                    SiteVerdict::ProvenMasked => 0,
-                    _ if k < 32 && due.bits & (1 << k) != 0 => 1,
-                    SiteVerdict::StoreReaching => 2,
-                    SiteVerdict::AddressReaching | SiteVerdict::ControlReaching => 3,
-                    SiteVerdict::Unknown => 4,
-                };
-                counts[idx] += 1;
-            }
-        }
-        if total == 0 {
-            return VerdictSummary::default();
-        }
-        let f = |c: u64| c as f64 / total as f64;
-        VerdictSummary {
-            masked: f(counts[0]),
-            proven_due: f(counts[1]),
-            store: f(counts[2]),
-            addr_ctl: f(counts[3]),
-            unknown: f(counts[4]),
-        }
-    }
-}
 
 /// FNV-1a, used instead of the std hasher because the cache key must be
 /// identical across processes and runs (`RandomState` is seeded).
@@ -897,10 +1012,18 @@ pub fn analyze(kernel: &Kernel, ctx: &AnalysisContext) -> Arc<KernelAnalysis> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_arch::{KernelBuilder, Operand, Pred, Reg};
+    use gpu_arch::{KernelBuilder, MemWidth, Operand, Pred, Reg};
 
-    fn verdicts(k: &Kernel, ctx: &AnalysisContext) -> KernelVerdicts {
-        KernelAnalysis::compute(k, ctx).verdicts
+    fn verdicts(k: &Kernel, ctx: &AnalysisContext) -> KernelAnalysis {
+        KernelAnalysis::compute(k, ctx)
+    }
+
+    /// The proven DUE kind of a resolution, if it is one.
+    fn due(r: Resolution) -> Option<DueKind> {
+        match r {
+            Resolution::Due(kind) => Some(kind),
+            _ => None,
+        }
     }
 
     fn r(n: u8) -> Reg {
@@ -952,8 +1075,8 @@ mod tests {
         let k = aligned_store_kernel();
         let v = verdicts(&k, &ctx_64_threads(256));
         // Flipping bit 0 of the SHL output makes the store misaligned.
-        assert_eq!(v.output_flip_due(1, 1), Some(DueKind::MemoryViolation));
-        assert_eq!(v.output_flip_due(1, 2), Some(DueKind::MemoryViolation));
+        assert_eq!(due(v.output_flip(1, 1)), Some(DueKind::MemoryViolation));
+        assert_eq!(due(v.output_flip(1, 2)), Some(DueKind::MemoryViolation));
     }
 
     #[test]
@@ -961,15 +1084,15 @@ mod tests {
         let k = aligned_store_kernel();
         let v = verdicts(&k, &ctx_64_threads(256));
         // addr ∈ [0,252]; +2^10 = addr ∈ [1024,1276] > 256 bytes: OOB.
-        assert_eq!(v.output_flip_due(1, 1 << 10), Some(DueKind::MemoryViolation));
+        assert_eq!(due(v.output_flip(1, 1 << 10)), Some(DueKind::MemoryViolation));
         // Without a known memory size the OOB proof must not fire.
         let v2 = verdicts(
             &k,
             &AnalysisContext { launch: Some(LaunchConfig::new(1, 64, vec![])), global_bytes: None },
         );
-        assert_eq!(v2.output_flip_due(1, 1 << 10), None);
+        assert_eq!(due(v2.output_flip(1, 1 << 10)), None);
         // But the (launch-independent) misalignment proof still does.
-        assert_eq!(v2.output_flip_due(1, 1), Some(DueKind::MemoryViolation));
+        assert_eq!(due(v2.output_flip(1, 1)), Some(DueKind::MemoryViolation));
     }
 
     #[test]
@@ -977,10 +1100,10 @@ mod tests {
         let k = aligned_store_kernel();
         let v = verdicts(&k, &ctx_64_threads(256));
         // The store at pc 3: address 4-aligned in [0,252].
-        assert_eq!(v.mem_flip_due(3, 1), Some(DueKind::MemoryViolation));
-        assert_eq!(v.mem_flip_due(3, 1 << 12), Some(DueKind::MemoryViolation));
+        assert_eq!(due(v.address_flip(3, 1)), Some(DueKind::MemoryViolation));
+        assert_eq!(due(v.address_flip(3, 1 << 12)), Some(DueKind::MemoryViolation));
         // Bit 7 may stay in range (e.g. addr=0 → 128): not provable.
-        assert_eq!(v.mem_flip_due(3, 1 << 7), None);
+        assert_eq!(due(v.address_flip(3, 1 << 7)), None);
     }
 
     #[test]
@@ -995,9 +1118,9 @@ mod tests {
         let k = b.build().unwrap();
         let launch = LaunchConfig::new(1, 32, vec![]);
         let v = verdicts(&k, &AnalysisContext { launch: Some(launch), global_bytes: Some(1024) });
-        assert_eq!(v.output_flip_due(1, 1), Some(DueKind::SharedViolation));
+        assert_eq!(due(v.output_flip(1, 1)), Some(DueKind::SharedViolation));
         // +2^7: addr ∈ [128, 252] ≥ shared size 128 → OOB in shared.
-        assert_eq!(v.output_flip_due(1, 1 << 7), Some(DueKind::SharedViolation));
+        assert_eq!(due(v.output_flip(1, 1 << 7)), Some(DueKind::SharedViolation));
     }
 
     #[test]
@@ -1006,7 +1129,7 @@ mod tests {
         let v = verdicts(&k, &ctx_64_threads(256));
         // pc 2 writes the stored *value* (R2=7): its zero bits flow to
         // the store data, never the address — no DUE proof.
-        assert_eq!(v.output_flip_due(2, 1 << 20), None);
+        assert_eq!(due(v.output_flip(2, 1 << 20)), None);
         assert_eq!(v.output_verdict(2), SiteVerdict::StoreReaching);
     }
 
@@ -1022,7 +1145,7 @@ mod tests {
         b.exit();
         let k = b.build().unwrap();
         let v = verdicts(&k, &ctx_64_threads(256));
-        assert_eq!(v.output_flip_due(1, 1), None);
+        assert_eq!(due(v.output_flip(1, 1)), None);
     }
 
     #[test]
@@ -1066,5 +1189,57 @@ mod tests {
         let other = analyze(&k, &ctx_64_threads(512));
         assert!(!Arc::ptr_eq(&a, &other), "context is part of the key");
         assert_eq!(analysis_key(&k, &ctx), analysis_key(&k, &ctx_64_threads(256)));
+    }
+
+    fn k_with_dead_and_live() -> Kernel {
+        let mut b = KernelBuilder::new("m");
+        b.ldp(Reg(2), 0);
+        b.mov(Reg(0), Operand::Imm(7)); // live: stored
+        b.mov(Reg(5), Operand::Imm(9)); // dead
+        b.stg(MemWidth::W32, Reg(2), 0, Reg(0));
+        b.exit();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn dead_destination_prunes_and_live_does_not() {
+        let a = verdicts(&k_with_dead_and_live(), &AnalysisContext::default());
+        assert_eq!(a.output_flip(2, 1 << 13), Resolution::Masked, "dead MOV output flip");
+        assert_eq!(a.output_replace(2), Resolution::Masked, "dead MOV output replace");
+        assert_ne!(a.output_flip(1, 1 << 13), Resolution::Masked, "stored MOV is observed");
+        assert_ne!(a.output_replace(1), Resolution::Masked);
+    }
+
+    #[test]
+    fn half_observed_value_prunes_upper_bits_only() {
+        let mut b = KernelBuilder::new("h");
+        b.ldp(Reg(2), 0);
+        b.ldg(MemWidth::W16, Reg(0), Reg(2), 0);
+        b.hadd(Reg(1), Operand::Reg(Reg(0)), Operand::Reg(Reg(0)));
+        b.stg(MemWidth::W16, Reg(2), 0, Reg(1));
+        b.exit();
+        let k = b.build().unwrap();
+        let a = verdicts(&k, &AnalysisContext::default());
+        assert_eq!(a.output_flip(1, 1 << 20), Resolution::Masked, "upper half of W16 load is dead");
+        assert_ne!(a.output_flip(1, 1 << 3), Resolution::Masked, "lower half is consumed");
+        // Register-file view: R0 and R1 are only ever read as halves.
+        assert_eq!(a.register_flip(0, k.regs_per_thread, 0xFFFF_0000), Resolution::Masked);
+        assert_eq!(a.register_flip(0, k.regs_per_thread, 0x0000_8000), Resolution::Simulate(None));
+    }
+
+    #[test]
+    fn warp_ops_are_never_gpr_sites() {
+        let mut b = KernelBuilder::new("w");
+        b.hmma(Reg(0), Reg(4), Reg(8));
+        b.exit();
+        let a = verdicts(&b.build().unwrap(), &AnalysisContext::default());
+        assert!(!a.gpr_site(0));
+        assert_eq!(a.output_flip(0, 1), Resolution::Simulate(Some(SiteVerdict::Unknown)));
+    }
+
+    #[test]
+    fn ace_fraction_reflects_dead_code() {
+        let ace = verdicts(&k_with_dead_and_live(), &AnalysisContext::default()).ace_fraction();
+        assert!(ace > 0.0 && ace < 1.0, "ace={ace}");
     }
 }

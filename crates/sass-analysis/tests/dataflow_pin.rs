@@ -14,7 +14,7 @@
 use gpu_arch::{
     CmpOp, CodeGen, Kernel, KernelBuilder, LaunchConfig, MemWidth, Operand, Pred, Reg, SpecialReg,
 };
-use sass_analysis::{cfg::Cfg, dataflow, AnalysisContext, DueBits, KernelAnalysis};
+use sass_analysis::{cfg::Cfg, dataflow, AnalysisContext, DueBits, KernelAnalysis, Resolution};
 use workloads::{kepler_suite, volta_suite, Scale};
 
 /// FNV-1a over a byte stream.
@@ -72,13 +72,12 @@ fn due(h: u64, d: DueBits) -> u64 {
 /// Digest of one kernel's verdicts and liveness masks under a launch.
 fn analysis_digest(mut h: u64, k: &Kernel, ctx: &AnalysisContext) -> u64 {
     let a = KernelAnalysis::compute(k, ctx);
-    let v = &a.verdicts;
     for pc in 0..k.len() as u32 {
-        let verdicts = [v.output_verdict(pc), v.predicate_verdict(pc), v.mem_verdict(pc)];
+        let verdicts = [a.output_verdict(pc), a.predicate_verdict(pc), a.mem_verdict(pc)];
         h = fnv1a(h, format!("{verdicts:?}").bytes());
-        h = due(h, v.output_due_bits(pc));
-        h = due(h, v.mem_due_bits(pc));
-        h = fnv1a(h, a.masks.dst_observed(pc).to_le_bytes());
+        h = due(h, a.output_due_bits(pc));
+        h = due(h, a.mem_due_bits(pc));
+        h = fnv1a(h, a.dst_observed(pc).to_le_bytes());
     }
     h
 }
@@ -197,9 +196,11 @@ fn dataflow_of_hand_built_shapes_is_pinned() {
     assert!(!Cfg::build(&kernels[1]).blocks[0].preds.is_empty(), "a branch back to pc 0");
     // The chain's constant reaches the store in pass `hops - 1`; widening
     // from pass 8 on turns it to TOP, and the alignment proof with it.
-    let store_due =
-        |k: &Kernel| KernelAnalysis::compute(k, &ctx).verdicts.mem_flip_due(k.len() as u32 - 2, 1);
-    assert!(store_due(&kernels[3]).is_some(), "settles before widening");
-    assert!(store_due(&kernels[4]).is_none(), "widened");
+    let store_due = |k: &Kernel| {
+        let flip = KernelAnalysis::compute(k, &ctx).address_flip(k.len() as u32 - 2, 1);
+        matches!(flip, Resolution::Due(_))
+    };
+    assert!(store_due(&kernels[3]), "settles before widening");
+    assert!(!store_due(&kernels[4]), "widened");
     assert_eq!(h, 0x6d56_bbc7_3325_8399, "dataflow digest over the hand-built kernels");
 }

@@ -1,9 +1,13 @@
 //! Property tests pitting the static analyses against the `gpu-sim`
-//! dynamic oracle on random straight-line (unguarded, branch-free)
-//! kernels:
+//! dynamic oracle on random straight-line (branch-free) kernels:
 //!
-//! * **pruning soundness** — every output flip/replacement the
-//!   [`StaticMasks`] oracle proves Masked must leave the executed output
+//! * **resolution soundness** — the calls a pruned campaign makes: for
+//!   output flips, output replacements, predicate flips and address
+//!   flips at every dynamic site of a kernel with some guarded
+//!   instructions, a [`Resolution::Masked`] fault runs to completion with
+//!   golden memory and a [`Resolution::Due`] one ends as that DUE;
+//! * **liveness soundness** — every output flip/replacement that misses
+//!   the observed bits of a GPR site must leave the executed output
 //!   memory bit-identical to the golden run;
 //! * **uninitialized reads** — the dataflow verdict must equal a direct
 //!   replay of the instruction sequence (straight-line code makes the
@@ -14,15 +18,15 @@
 //!   (`StoreReaching`/`Unknown`); every dynamic DUE from a site whose
 //!   verdict admits DUEs; and every statically-proven DUE bit reproduces
 //!   as a dynamic DUE of the proven kind;
-//! * **determinism** — recomputing [`KernelVerdicts`] yields identical
+//! * **determinism** — recomputing [`KernelAnalysis`] yields identical
 //!   verdicts and proven-DUE bit masks.
 
-use gpu_arch::{DeviceModel, Kernel, KernelBuilder, LaunchConfig, MemWidth, Operand, Reg};
+use gpu_arch::{
+    CmpOp, DeviceModel, Kernel, KernelBuilder, LaunchConfig, MemWidth, Operand, Pred, Reg,
+};
 use gpu_sim::{run, BitFlip, ExecStatus, FaultPlan, GlobalMemory, RunOptions, SiteClass};
 use proptest::prelude::*;
-use sass_analysis::{
-    cfg::Cfg, dataflow, AnalysisContext, KernelAnalysis, KernelVerdicts, SiteVerdict, StaticMasks,
-};
+use sass_analysis::{cfg::Cfg, dataflow, AnalysisContext, KernelAnalysis, Resolution, SiteVerdict};
 
 /// One generated straight-line ALU instruction.
 #[derive(Clone, Debug)]
@@ -44,12 +48,23 @@ fn gen_instr() -> impl Strategy<Value = GenInstr> {
 /// pointer from the constant bank, run the ALU body, store R0..R3 so a
 /// stable subset of the computation is architecturally observable.
 fn build_kernel(body: &[GenInstr]) -> Kernel {
+    build_guarded_kernel(body, 0)
+}
+
+/// [`build_kernel`], with body instruction `i` guarded by `@P0` when bit
+/// `i` of `guards` is set, and preceded by an `ISETP.LT P0` over its own
+/// operands.
+fn build_guarded_kernel(body: &[GenInstr], guards: u32) -> Kernel {
     let mut kb = KernelBuilder::new("prop");
     kb.ldp(Reg(14), 0);
-    for g in body {
+    for (i, g) in body.iter().enumerate() {
         let dst = Reg(g.dst % 8);
         let a = Operand::Reg(Reg(g.a % 8));
         let b = if g.b_is_imm { Operand::Imm(g.imm) } else { Operand::Reg(Reg(g.b % 8)) };
+        if guards >> i & 1 == 1 {
+            kb.isetp(Pred(0), CmpOp::Lt, a, b);
+            kb.if_p(Pred(0));
+        }
         match g.op {
             0 => kb.mov(dst, b),
             1 => kb.iadd(dst, a, b),
@@ -74,8 +89,8 @@ fn launch() -> LaunchConfig {
     LaunchConfig::new(1, 1, vec![64])
 }
 
-fn verdicts(kernel: &Kernel) -> KernelVerdicts {
-    KernelAnalysis::compute(kernel, &ctx()).verdicts
+fn verdicts(kernel: &Kernel) -> KernelAnalysis {
+    KernelAnalysis::compute(kernel, &ctx())
 }
 
 /// Analysis context matching [`run_with`]'s launch and 256-byte global
@@ -101,18 +116,78 @@ fn run_with(kernel: &Kernel, fault: FaultPlan) -> gpu_sim::Executed {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Soundness of the pruning oracle: a statically-Masked single-bit
-    /// output flip (or whole-value replacement) at any site must produce
-    /// output memory bit-identical to the golden run. One thread and no
-    /// branches make the site stream enumerable in the test: the `nth`
-    /// GPR-writer site is simply the `nth` GPR-writing instruction.
+    /// Soundness of the resolutions a pruned campaign acts on. The golden
+    /// run's site record maps each dynamic site to its static pc, as the
+    /// pruner maps it; every fault the table resolves Masked must run to
+    /// completion with golden memory, and every fault it resolves as
+    /// `Due(k)` must end as `ExecStatus::Due(k)`. Address flips try every
+    /// bit, the other shapes the drawn one.
+    #[test]
+    fn pruner_resolutions_hold_dynamically(
+        body in prop::collection::vec(gen_instr(), 1..24),
+        guards in any::<u32>(),
+        bit in 0u32..32,
+    ) {
+        let kernel = build_guarded_kernel(&body, guards);
+        let a = verdicts(&kernel);
+        let device = DeviceModel::named("v100-sim");
+        let opts = RunOptions::golden().ecc(false).record_sites(true);
+        let golden = run(&device, &kernel, &launch(), GlobalMemory::new(256), &opts);
+        prop_assert!(golden.status.completed());
+        let record = golden.sites_record.as_ref().expect("site-recorded golden run");
+
+        let mut plans = Vec::new();
+        let gpr_pcs = record
+            .site_pcs
+            .iter()
+            .filter(|&&pc| SiteClass::GprWriter.matches(kernel.instrs()[pc as usize].op));
+        for (nth, &pc) in gpr_pcs.enumerate() {
+            let (nth, site) = (nth as u64, SiteClass::GprWriter);
+            let flip = BitFlip::single(bit);
+            plans.push((pc, a.output_flip(pc, flip.mask), FaultPlan::InstructionOutput { nth, site, flip }));
+            let value = 0xDEAD_BEEF_0BAD_CAFE;
+            plans.push((pc, a.output_replace(pc), FaultPlan::InstructionOutputSet { nth, site, value }));
+        }
+        for (nth, &pc) in record.setp_pcs.iter().enumerate() {
+            plans.push((pc, a.predicate_flip(pc), FaultPlan::PredicateOutput { nth: nth as u64 }));
+        }
+        for (nth, &pc) in record.mem_pcs.iter().enumerate() {
+            for k in 0..32 {
+                let flip = BitFlip::single(k);
+                let plan = FaultPlan::MemAddress { nth: nth as u64, flip };
+                plans.push((pc, a.address_flip(pc, flip.mask), plan));
+            }
+        }
+        for (pc, resolution, plan) in plans {
+            let expect = match resolution {
+                Resolution::Masked => ExecStatus::Completed,
+                Resolution::Due(kind) => ExecStatus::Due(kind),
+                Resolution::Simulate(_) => continue,
+            };
+            let faulty = run_with(&kernel, plan);
+            prop_assert_eq!(faulty.status, expect, "{:?} @{} resolved {:?}", plan, pc, resolution);
+            if resolution == Resolution::Masked {
+                prop_assert!(
+                    faulty.memory.raw() == golden.memory.raw(),
+                    "output changed after {:?} @{} resolved Masked", plan, pc
+                );
+            }
+        }
+    }
+
+    /// Soundness of the liveness layer on its own: a single-bit output
+    /// flip (or whole-value replacement) that misses the observed bits of
+    /// a GPR site must produce output memory bit-identical to the golden
+    /// run. One thread and no branches make the site stream enumerable in
+    /// the test: the `nth` GPR-writer site is simply the `nth` GPR-writing
+    /// instruction.
     #[test]
     fn statically_masked_output_faults_do_not_change_output(
         body in prop::collection::vec(gen_instr(), 1..24),
         bit in 0u32..32,
     ) {
         let kernel = build_kernel(&body);
-        let masks: StaticMasks = KernelAnalysis::compute(&kernel, &ctx()).masks;
+        let a = verdicts(&kernel);
         let golden = run_with(&kernel, FaultPlan::None);
         prop_assert!(golden.status.completed());
 
@@ -123,7 +198,9 @@ proptest! {
             }
             let my_nth = nth;
             nth += 1;
-            if masks.output_flip_masked(pc as u32, 1u64 << bit) {
+            let (pc32, observed) = (pc as u32, a.dst_observed(pc as u32));
+            // 32-bit writers only: the low word of the flip lands.
+            if a.gpr_site(pc32) && (1u64 << bit) & observed == 0 {
                 let faulty = run_with(&kernel, FaultPlan::InstructionOutput {
                     nth: my_nth,
                     site: SiteClass::GprWriter,
@@ -135,7 +212,7 @@ proptest! {
                     "output changed after proven-masked flip of bit {bit} @{pc}"
                 );
             }
-            if masks.output_replace_masked(pc as u32) {
+            if a.gpr_site(pc32) && observed == 0 {
                 let faulty = run_with(&kernel, FaultPlan::InstructionOutputSet {
                     nth: my_nth,
                     site: SiteClass::GprWriter,
@@ -284,17 +361,15 @@ proptest! {
             })
             .collect();
         for (nth, &pc) in mem_pcs.iter().enumerate() {
-            for k in 0..32u32 {
-                if verdicts.mem_flip_due(pc, 1u64 << k).is_none() {
-                    continue;
-                }
+            let due = verdicts.mem_due_bits(pc);
+            for k in (0..32).filter(|k| due.bits & (1 << k) != 0) {
                 let faulty = run_with(&kernel, FaultPlan::MemAddress {
                     nth: nth as u64,
                     flip: BitFlip::single(k),
                 });
                 prop_assert_eq!(
                     faulty.status,
-                    ExecStatus::Due(verdicts.mem_flip_due(pc, 1u64 << k).unwrap()),
+                    ExecStatus::Due(due.kind.unwrap()),
                     "proven MemAddress DUE bit {} @{} did not reproduce", k, pc
                 );
             }
@@ -314,12 +389,7 @@ proptest! {
             prop_assert_eq!(a.predicate_verdict(pc), b.predicate_verdict(pc));
             prop_assert_eq!(a.mem_verdict(pc), b.mem_verdict(pc));
             prop_assert_eq!(a.output_due_bits(pc), b.output_due_bits(pc));
-            for k in 0..32 {
-                prop_assert_eq!(
-                    a.mem_flip_due(pc, 1u64 << k),
-                    b.mem_flip_due(pc, 1u64 << k)
-                );
-            }
+            prop_assert_eq!(a.mem_due_bits(pc), b.mem_due_bits(pc));
         }
     }
 }
@@ -342,12 +412,12 @@ top:
 ";
     let kernel = gpu_arch::asm::assemble(source).expect("kernel assembles");
     let launch = LaunchConfig::new(1, 1, vec![]);
-    let verdicts =
-        KernelAnalysis::compute(&kernel, &AnalysisContext::for_launch(&launch, 400)).verdicts;
+    let analysis = KernelAnalysis::compute(&kernel, &AnalysisContext::for_launch(&launch, 400));
     let device = DeviceModel::named("v100-sim");
     let fault = FaultPlan::MemAddress { nth: 0, flip: BitFlip::single(8) };
     let opts = RunOptions::trial(fault).ecc(false);
     let faulty = run(&device, &kernel, &launch, GlobalMemory::new(400), &opts);
     assert_eq!(faulty.status, ExecStatus::Completed);
-    assert_eq!(verdicts.mem_flip_due(0, 1 << 8), None, "the first store's flip is no DUE");
+    let flip = analysis.address_flip(0, 1 << 8);
+    assert!(!matches!(flip, Resolution::Due(_)), "the first store's flip is no DUE");
 }

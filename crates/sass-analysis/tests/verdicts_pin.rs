@@ -1,5 +1,5 @@
 //! Pins the static fault-propagation verdicts of every workload kernel: a
-//! digest of every [`KernelVerdicts`] answer (output, predicate and
+//! digest of every [`KernelAnalysis`] verdict answer (output, predicate and
 //! address verdicts, the proven-DUE bits of output and address flips) and
 //! of the verdict summaries the profiler reports, over the Kepler (CUDA 7
 //! and 10) and Volta suites at Small and Profile scale. A faster value
@@ -35,14 +35,13 @@ fn verdicts_of_every_workload_kernel_are_pinned() {
     for w in &all {
         let ctx = AnalysisContext::for_launch(&w.launch, w.memory.len() as u64);
         let a = KernelAnalysis::compute(&w.kernel, &ctx);
-        let v = &a.verdicts;
-        assert_eq!(v.len(), w.kernel.len(), "{}", w.name);
+        assert_eq!(a.len(), w.kernel.len(), "{}", w.name);
         h = fnv1a(h, w.kernel.name.bytes());
-        for pc in 0..v.len() as u32 {
-            let verdicts = [v.output_verdict(pc), v.predicate_verdict(pc), v.mem_verdict(pc)];
+        for pc in 0..a.len() as u32 {
+            let verdicts = [a.output_verdict(pc), a.predicate_verdict(pc), a.mem_verdict(pc)];
             h = fnv1a(h, format!("{verdicts:?}").bytes());
-            h = due(h, v.output_due_bits(pc));
-            h = due(h, v.mem_due_bits(pc));
+            h = due(h, a.output_due_bits(pc));
+            h = due(h, a.mem_due_bits(pc));
         }
         h = summary(h, a.summary());
         for class in [

@@ -45,8 +45,8 @@ pub use prec::host as prec_host;
 pub use sort::{mergesort_reference, quicksort_reference, sort_input};
 pub use stencil::reference as hotspot_reference;
 
-use gpu_arch::{CodeGen, CodeGenProfile, DeviceModel, Kernel, LaunchConfig, Precision};
-use gpu_sim::{run, Executed, GlobalMemory, RunOptions};
+use gpu_arch::{CodeGen, CodeGenProfile, Kernel, LaunchConfig, Precision};
+use gpu_sim::{Executed, GlobalMemory};
 use softfloat::F16;
 
 /// Identifies one of the paper's codes.
@@ -233,23 +233,6 @@ pub struct Workload {
     pub compare: CompareSpec,
 }
 
-impl Workload {
-    /// Run fault-free with ECC on.
-    pub fn golden(&self, device: &DeviceModel) -> Executed {
-        self.run_with(device, &RunOptions::default())
-    }
-
-    /// Run with explicit options (fault plans, ECC mode, watchdog).
-    pub fn run_with(&self, device: &DeviceModel, opts: &RunOptions) -> Executed {
-        run(device, &self.kernel, &self.launch, self.memory.clone(), opts)
-    }
-
-    /// True when `test`'s output is acceptable relative to `golden`'s.
-    pub fn output_matches(&self, golden: &Executed, test: &Executed) -> bool {
-        self.compare.matches(&golden.memory, &test.memory)
-    }
-}
-
 impl gpu_sim::Target for Workload {
     fn name(&self) -> &str {
         &self.name
@@ -264,7 +247,7 @@ impl gpu_sim::Target for Workload {
         self.memory.clone()
     }
     fn output_matches(&self, golden: &Executed, faulty: &Executed) -> bool {
-        Workload::output_matches(self, golden, faulty)
+        self.compare.matches(&golden.memory, &faulty.memory)
     }
 }
 

@@ -2,11 +2,11 @@
 //! match its bit-exact host reference.
 
 use gpu_arch::{CodeGen, DeviceModel, Precision};
-use gpu_sim::ExecStatus;
+use gpu_sim::{ExecStatus, Target};
 use workloads::{build, read_elem, Benchmark, Scale, Workload};
 
 fn run_ok(w: &Workload, device: &DeviceModel) -> gpu_sim::Executed {
-    let out = w.golden(device);
+    let out = w.execute_golden(device);
     assert_eq!(out.status, ExecStatus::Completed, "{} did not complete", w.name);
     out
 }
@@ -236,7 +236,7 @@ fn yolo_scores_match_reference() {
 fn kepler_suite_builds_and_completes() {
     let kepler = DeviceModel::named("k40c-sim");
     for w in workloads::kepler_suite(CodeGen::Cuda7, Scale::Tiny) {
-        let out = w.golden(&kepler);
+        let out = w.execute_golden(&kepler);
         assert_eq!(out.status, ExecStatus::Completed, "{}", w.name);
         assert!(out.counts.total > 0, "{}", w.name);
         // Self-comparison always matches.
@@ -248,7 +248,7 @@ fn kepler_suite_builds_and_completes() {
 fn volta_suite_builds_and_completes() {
     let volta = DeviceModel::named("v100-sim");
     for w in workloads::volta_suite(Scale::Tiny) {
-        let out = w.golden(&volta);
+        let out = w.execute_golden(&volta);
         assert_eq!(out.status, ExecStatus::Completed, "{}", w.name);
         assert!(w.output_matches(&out, &out), "{}", w.name);
     }

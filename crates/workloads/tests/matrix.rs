@@ -5,7 +5,7 @@
 //! output* (optimizations cannot change semantics).
 
 use gpu_arch::{CodeGen, DeviceModel, Precision};
-use gpu_sim::ExecStatus;
+use gpu_sim::{ExecStatus, Target};
 use workloads::{build, read_elem, Benchmark, CompareSpec, Scale, Workload};
 
 const FP_BENCHES: [Benchmark; 7] = [
@@ -37,7 +37,7 @@ fn every_fp_variant_completes_on_volta() {
         for precision in [Precision::Half, Precision::Single, Precision::Double] {
             for codegen in [CodeGen::Cuda7, CodeGen::Cuda10] {
                 let w = build(bench, precision, codegen, Scale::Tiny);
-                let out = w.golden(&volta);
+                let out = w.execute_golden(&volta);
                 assert_eq!(out.status, ExecStatus::Completed, "{} {codegen:?}", w.name);
                 assert!(out.counts.total > 0);
             }
@@ -51,7 +51,7 @@ fn every_int_variant_completes_on_kepler() {
     for bench in INT_BENCHES {
         for codegen in [CodeGen::Cuda7, CodeGen::Cuda10] {
             let w = build(bench, Precision::Int32, codegen, Scale::Tiny);
-            let out = w.golden(&kepler);
+            let out = w.execute_golden(&kepler);
             assert_eq!(out.status, ExecStatus::Completed, "{} {codegen:?}", w.name);
         }
     }
@@ -77,8 +77,8 @@ fn codegen_variants_compute_identical_outputs() {
         let precision = if bench.is_integer() { Precision::Int32 } else { Precision::Single };
         let w7 = build(bench, precision, CodeGen::Cuda7, Scale::Tiny);
         let w10 = build(bench, precision, CodeGen::Cuda10, Scale::Tiny);
-        let o7 = w7.golden(&kepler);
-        let o10 = w10.golden(&kepler);
+        let o7 = w7.execute_golden(&kepler);
+        let o10 = w10.execute_golden(&kepler);
         let (off, len, prec) = out_region(&w10);
         let elem = prec.size_bytes();
         for i in 0..(len / elem) {
@@ -98,9 +98,10 @@ fn scales_are_ordered_by_work() {
     let kepler = DeviceModel::named("k40c-sim");
     for bench in [Benchmark::Mxm, Benchmark::Hotspot, Benchmark::Mergesort] {
         let precision = if bench.is_integer() { Precision::Int32 } else { Precision::Single };
-        let tiny = build(bench, precision, CodeGen::Cuda10, Scale::Tiny).golden(&kepler);
-        let small = build(bench, precision, CodeGen::Cuda10, Scale::Small).golden(&kepler);
-        let profile = build(bench, precision, CodeGen::Cuda10, Scale::Profile).golden(&kepler);
+        let tiny = build(bench, precision, CodeGen::Cuda10, Scale::Tiny).execute_golden(&kepler);
+        let small = build(bench, precision, CodeGen::Cuda10, Scale::Small).execute_golden(&kepler);
+        let profile =
+            build(bench, precision, CodeGen::Cuda10, Scale::Profile).execute_golden(&kepler);
         assert!(tiny.counts.total < small.counts.total, "{bench:?}");
         assert!(small.counts.total < profile.counts.total, "{bench:?}");
     }

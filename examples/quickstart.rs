@@ -14,7 +14,7 @@ fn main() {
     let mxm = build(Benchmark::Mxm, Precision::Single, CodeGen::Cuda10, Scale::Small);
 
     // 1. Fault-free (golden) execution.
-    let golden = mxm.golden(&device);
+    let golden = mxm.execute_golden(&device);
     assert_eq!(golden.status, ExecStatus::Completed);
     println!("== golden run of {} ==", mxm.name);
     println!("   dynamic instructions : {}", golden.counts.total);
@@ -43,7 +43,7 @@ fn main() {
     })
     .ecc(false)
     .watchdog(golden.counts.total * 4);
-    let faulty = mxm.run_with(&device, &opts);
+    let faulty = mxm.execute(&device, &opts);
     let outcome = match faulty.status {
         ExecStatus::Due(kind) => format!("DUE ({kind})"),
         ExecStatus::Completed if mxm.output_matches(&golden, &faulty) => "Masked".to_string(),

@@ -86,8 +86,7 @@ pub mod prelude {
     pub use profiler::{profile, KernelProfile};
     pub use stats::{signed_ratio, wilson_half_width, FitRate, Outcome, OutcomeCounts};
     pub use workloads::{build, kepler_suite, volta_suite, Benchmark, Scale, Workload};
-    // The deprecated pre-engine entry points (`measure_avf*`, `expose*`,
-    // `CampaignConfig`, `BeamConfig`) are no longer re-exported here;
-    // migrating callers can still reach them at their crate paths until
-    // the forwarders are removed.
+    // The pre-engine entry points (`measure_avf*`, `expose*`,
+    // `CampaignConfig`, `BeamConfig`) are removed; README.md's migration
+    // notes name the `Campaign` call that replaces each.
 }

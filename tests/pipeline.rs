@@ -30,10 +30,10 @@ fn every_workload_runs_on_its_device() {
     let kepler = DeviceModel::named("k40c-sim");
     let volta = DeviceModel::named("v100-sim");
     for w in kepler_suite(CodeGen::Cuda7, Scale::Tiny) {
-        assert_eq!(w.golden(&kepler).status, ExecStatus::Completed, "{}", w.name);
+        assert_eq!(w.execute_golden(&kepler).status, ExecStatus::Completed, "{}", w.name);
     }
     for w in volta_suite(Scale::Tiny) {
-        assert_eq!(w.golden(&volta).status, ExecStatus::Completed, "{}", w.name);
+        assert_eq!(w.execute_golden(&volta).status, ExecStatus::Completed, "{}", w.name);
     }
 }
 
