@@ -653,6 +653,68 @@ fn lane_by_lane_and_windowed_issue_agree_on_every_kernel() {
     assert!(fired * 4 > trials * 3, "only {fired} of {trials} plans fired");
 }
 
+/// The stuck-at hidden plans, each of which hangs some kernel: a fetch
+/// plan that replays the stale instruction, or flips an opcode bit to
+/// another pc inside the kernel or to one outside every kernel, from
+/// half-way through the golden run on; and a memory queue that replays,
+/// drops or flags every entry from half-way through its memory ops on.
+fn stuck_at_plans(golden: &Executed) -> Vec<(&'static str, FaultPlan)> {
+    let (at, nth) = (golden.counts.total / 2, golden.counts.sites.mem_ops / 2);
+    let persist = Persistence::StuckAt;
+    let fetch = |effect| FaultPlan::Fetch { at, effect, persist };
+    let memq = |effect| FaultPlan::MemQueue { nth, effect, persist };
+    vec![
+        ("stale-replay", fetch(FetchEffect::StaleReplay)),
+        ("opcode-flip-inside", fetch(FetchEffect::OpcodeFlip(BitFlip::single(1)))),
+        ("opcode-flip-outside", fetch(FetchEffect::OpcodeFlip(BitFlip::single(14)))),
+        ("memq-replay", memq(MemQueueEffect::Replay)),
+        ("memq-drop", memq(MemQueueEffect::Drop)),
+        ("memq-flag", memq(MemQueueEffect::Flag)),
+    ]
+}
+
+/// Under a stuck-at fetch or memory-queue plan, a run stepped lane by
+/// lane (a sink attached) and one without a sink are the same run, on
+/// every workload kernel, the MMA and SHFL kernels included: each plan
+/// of [`stuck_at_plans`] from zero and resumed from golden's snapshot
+/// before its trigger, to the end or to a watchdog at four golden runs.
+/// The resumed run ends as the run from zero does, with the same memory,
+/// dynamic count and site counts.
+#[test]
+fn stuck_at_plans_agree_lane_by_lane_and_run_wide_on_every_kernel() {
+    let (mut fired, mut hung, mut resumed, mut trials) = (0, 0, 0, 0);
+    for (w, device) in every_kernel() {
+        let golden = w.execute(&device, &RunOptions::golden().ecc(false).snapshot_every(2048));
+        let watchdog = 4 * golden.counts.total;
+        for (family, plan) in stuck_at_plans(&golden) {
+            let (before, _) = trigger_position(&golden.snapshots, &golden.counts, &plan);
+            let snap = before.checked_sub(1).map(|i| Arc::clone(&golden.snapshots[i]));
+            let opts = RunOptions::trial(plan).ecc(false).watchdog(watchdog);
+            let traced = w.execute_traced(&device, &opts, &mut CountingSink::default());
+            let run = w.execute(&device, &opts);
+            let what = format!("{}/{family}", w.name);
+            assert_same_run(&traced, &run, &what);
+            if snap.is_some() {
+                let opts = opts.resume(snap);
+                let traced = w.execute_traced(&device, &opts, &mut CountingSink::default());
+                let from_snap = w.execute(&device, &opts);
+                assert_same_run(&traced, &from_snap, &format!("{what} resumed"));
+                assert_eq!(run.status, from_snap.status, "{what}: resumed status");
+                assert!(run.memory == from_snap.memory, "{what}: resumed memory");
+                assert_eq!(run.counts.total, from_snap.counts.total, "{what}: resumed total");
+                assert_eq!(run.counts.sites, from_snap.counts.sites, "{what}: resumed sites");
+                resumed += 1;
+            }
+            fired += u32::from(run.fault_triggered);
+            hung += u32::from(run.status == ExecStatus::Due(DueKind::Watchdog));
+            trials += 1;
+        }
+    }
+    assert!(fired * 10 > trials * 9, "only {fired} of {trials} plans fired");
+    assert!(hung * 4 > trials, "only {hung} of {trials} plans hung");
+    assert!(resumed * 2 > trials, "only {resumed} of {trials} plans resumed");
+}
+
 /// Where the scheduler round top acts, pinned. On every workload kernel
 /// and on Small QUICKSORT (one divergent warp per block) and MERGESORT
 /// (four warps per block), the digest covers the golden run's snapshot
