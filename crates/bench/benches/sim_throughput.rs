@@ -14,12 +14,18 @@
 //! a lone lane's per-instruction issue cost, what a hung straggler or the
 //! tail of a sort pays for every instruction it runs alone.
 //!
-//! Two hung trials measure the same rate where a campaign's hidden-resource
-//! trials spend theirs: FHOTSPOT Small on v100-sim under a stuck-at fetch
+//! Three hung trials measure where a campaign's hidden-resource trials
+//! spend their time: FHOTSPOT Small on v100-sim under a stuck-at fetch
 //! plan that replays the stale instruction and under a stuck-at memory
 //! queue that replays every entry, each from half-way through the golden
-//! run on, run to the campaign watchdog (`4 * golden + 100,000`
-//! instructions).
+//! run on, and under a stuck-at stale fetch from a fifth of the way on,
+//! run to the campaign watchdog (`4 * golden + 100,000` instructions).
+//! The first two come back to one state every round, so the repeat exit
+//! (DESIGN.md §16) ends them by whole periods; the third drifts and runs
+//! every instruction, which prices the exit's saves and compares on a
+//! hang it cannot end. Hangs are reported as wall time per hang, with the
+//! instructions the repeat exit skipped: their dyn-instrs/s counts the
+//! skipped periods too.
 //!
 //! The campaign section measures trials/second twice — with the golden
 //! snapshot fast-forward and the early exits (DESIGN.md §16) enabled and
@@ -112,6 +118,8 @@ fn workload(name: &'static str, w: Workload, device: &str) -> Case {
 struct Measurement {
     name: &'static str,
     dyn_instrs: u64,
+    /// Instructions the repeat exit skipped (hangs only).
+    repeat_skipped: u64,
     /// Best (minimum) seconds per golden run over the sample set.
     best_secs: f64,
     mean_secs: f64,
@@ -134,7 +142,7 @@ fn measure(case: &Case, budget_secs: f64, min_samples: usize) -> Measurement {
     let (best_secs, mean_secs, samples) = sample(budget_secs, min_samples, || {
         black_box(case.target.execute_golden(&case.device));
     });
-    Measurement { name: case.name, dyn_instrs, best_secs, mean_secs, samples }
+    Measurement { name: case.name, dyn_instrs, repeat_skipped: 0, best_secs, mean_secs, samples }
 }
 
 /// Time `run` at least `min_samples` times and for at least `budget_secs`:
@@ -153,13 +161,15 @@ fn sample(budget_secs: f64, min_samples: usize, mut run: impl FnMut()) -> (f64, 
 }
 
 /// A hung trial of `w` on `device` under `plan`, which is aimed at the
-/// golden run it is given: dynamic instructions per second up to the
-/// campaign watchdog.
+/// golden run it is given, run to the campaign watchdog: seconds per hang
+/// and the instructions the repeat exit skipped, checked against
+/// `repeats`.
 fn measure_hang(
     name: &'static str,
     w: &Workload,
     device: &DeviceModel,
     plan: impl Fn(&Executed) -> FaultPlan,
+    repeats: bool,
     budget_secs: f64,
     min_samples: usize,
 ) -> Measurement {
@@ -168,10 +178,12 @@ fn measure_hang(
     let opts = RunOptions::trial(plan(&golden)).watchdog(watchdog);
     let hung = w.execute(device, &opts);
     assert_eq!(hung.status, ExecStatus::Due(DueKind::Watchdog), "{name}: the trial did not hang");
+    assert_eq!(hung.repeat_skipped > 0, repeats, "{name}: repeat exit taken");
     let (best_secs, mean_secs, samples) = sample(budget_secs, min_samples, || {
         black_box(w.execute(device, &opts));
     });
-    Measurement { name, dyn_instrs: hung.counts.total, best_secs, mean_secs, samples }
+    let (dyn_instrs, repeat_skipped) = (hung.counts.total, hung.repeat_skipped);
+    Measurement { name, dyn_instrs, repeat_skipped, best_secs, mean_secs, samples }
 }
 
 /// End-to-end campaign rate: full injector trials (plan sampling, faulty
@@ -288,6 +300,7 @@ fn main() {
                 effect: FetchEffect::StaleReplay,
                 persist,
             },
+            true,
             budget_secs,
             min_samples,
         ),
@@ -300,12 +313,26 @@ fn main() {
                 effect: MemQueueEffect::Replay,
                 persist,
             },
+            true,
+            budget_secs,
+            min_samples,
+        ),
+        measure_hang(
+            "hang_stale_drift_hotspot",
+            &hotspot,
+            &volta,
+            |g| FaultPlan::Fetch {
+                at: g.counts.total / 5,
+                effect: FetchEffect::StaleReplay,
+                persist,
+            },
+            false,
             budget_secs,
             min_samples,
         ),
     ];
 
-    for m in results.iter().chain(&hangs) {
+    for m in &results {
         println!(
             "sim_throughput/{:<26} {:>8.2} M dyn-instrs/s  (best {:.3} ms, mean {:.3} ms, {} dyn instrs, {} samples)",
             m.name,
@@ -313,6 +340,17 @@ fn main() {
             m.best_secs * 1e3,
             m.mean_secs * 1e3,
             m.dyn_instrs,
+            m.samples,
+        );
+    }
+    for m in &hangs {
+        println!(
+            "sim_throughput/{:<26} {:>8.3} ms/hang  (mean {:.3} ms, {} dyn instrs, {} skipped by the repeat exit, {} samples)",
+            m.name,
+            m.best_secs * 1e3,
+            m.mean_secs * 1e3,
+            m.dyn_instrs,
+            m.repeat_skipped,
             m.samples,
         );
     }
@@ -370,6 +408,7 @@ fn main() {
                 object([
                     ("name", Json::Str(m.name.to_string())),
                     ("dyn_instrs", Json::Num(m.dyn_instrs as f64)),
+                    ("repeat_skipped", Json::Num(m.repeat_skipped as f64)),
                     ("best_secs", Json::Num(m.best_secs)),
                     ("mean_secs", Json::Num(m.mean_secs)),
                     ("instrs_per_sec", Json::Num(m.instrs_per_sec())),

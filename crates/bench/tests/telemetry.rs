@@ -244,6 +244,43 @@ fn engine_rounds_identical_at_any_worker_count() {
     assert!(2 * rollbacks.sum < windows.sum, "{rollbacks:?} of {windows:?} windows rolled back");
 }
 
+/// The repeat exit's histogram is a pure function of the trials and the
+/// budget too: identical at 1 worker and at 4 with spans attached, one
+/// sample per executed trial. In a hidden-resource FHOTSPOT campaign some
+/// stuck-at fetch and memory-queue hangs come back to one state and take
+/// the exit, and every trial that skipped instructions hung to the
+/// watchdog, whose dynamic count the skipped periods are part of.
+#[test]
+fn repeat_telemetry_identical_at_any_worker_count() {
+    let w = build(Benchmark::Hotspot, Precision::Single, CodeGen::Cuda10, Scale::Small);
+    let device = DeviceModel::named("v100-sim");
+    let observe = |workers, spans| {
+        let metrics = MetricsRegistry::new();
+        let (_, run) = Campaign::new(HiddenAvf::full(), &w, &device)
+            .budget(Budget::fixed(96).seed(2021))
+            .workers(workers)
+            .observer(observer(&metrics, spans))
+            .run_full()
+            .expect("repeat campaign failed");
+        let snap = metrics.snapshot();
+        let hist = |name: &str| snap.histograms.get(name).cloned().expect(name);
+        let trips = snap.counters.get("campaign.watchdog.dyn_trips").copied().unwrap_or(0);
+        let skipped = hist("campaign.engine.repeat_skipped");
+        (run.executed.total(), skipped, hist("campaign.trial_dyn_instrs"), trips)
+    };
+    let serial = observe(1, None);
+    let spans = SpanBus::new();
+    assert_eq!(
+        serial,
+        observe(4, Some(&spans)),
+        "repeat telemetry differs between 1 and 4 workers"
+    );
+    let (executed, skipped, dyn_instrs, trips) = serial;
+    assert_eq!(skipped.count, executed, "every executed trial counts once");
+    assert!(skipped.sum > 0, "no FHOTSPOT hang took the repeat exit");
+    assert!(trips > 0 && skipped.sum < trips * dyn_instrs.max, "{skipped:?} over {trips} trips");
+}
+
 /// The fast-forward telemetry is a pure function of the trials and the
 /// budget: batches never depend on the worker count, so the relay
 /// counter, the snapshot hits and misses and the fast-forwarded

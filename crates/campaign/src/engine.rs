@@ -596,6 +596,9 @@ struct TrialRecord {
     /// only, like `rounds`.
     windows: u64,
     window_rollbacks: u64,
+    /// Instructions the faulty run's repeat exit skipped
+    /// ([`Executed::repeat_skipped`]). Telemetry only, like `rounds`.
+    repeat_skipped: u64,
     /// Dynamic instructions skipped by resuming from a golden snapshot
     /// or a relayed state (never at instruction zero); `None` when the
     /// trial replayed from zero.
@@ -639,6 +642,7 @@ impl TrialRecord {
             rounds: 0,
             windows: 0,
             window_rollbacks: 0,
+            repeat_skipped: 0,
             fast_forwarded: None,
             exit: None,
             phases: PhaseNanos::default(),
@@ -802,6 +806,7 @@ impl Telemetry<'_> {
                 m.histogram("campaign.engine.rounds"),
                 m.histogram("campaign.engine.windows"),
                 m.histogram("campaign.engine.window_rollbacks"),
+                m.histogram("campaign.engine.repeat_skipped"),
                 PHASES.map(|name| m.histogram(&format!("campaign.phase.{name}"))),
             )
         });
@@ -827,13 +832,14 @@ impl Telemetry<'_> {
         for rec in shard.records {
             tally.record(&rec);
             *digest = digest_record(*digest, &rec);
-            if let Some((micros, dyn_instrs, rounds, windows, rollbacks, phases)) = &hists {
+            if let Some((micros, dyn_instrs, rounds, windows, rollbacks, repeat, phases)) = &hists {
                 micros.observe(u64::from(rec.micros));
                 if rec.executed {
                     dyn_instrs.observe(rec.dyn_instrs);
                     rounds.observe(rec.rounds);
                     windows.observe(rec.windows);
                     rollbacks.observe(rec.window_rollbacks);
+                    repeat.observe(rec.repeat_skipped);
                     for (hist, nanos) in phases.iter().zip(phase_nanos(&rec.phases)) {
                         hist.observe(nanos);
                     }
@@ -1007,6 +1013,7 @@ struct Ran {
     rounds: u64,
     windows: u64,
     window_rollbacks: u64,
+    repeat_skipped: u64,
     exit: Option<BlockExit>,
     handoff: Option<Arc<EngineSnapshot>>,
     phases: PhaseNanos,
@@ -1166,6 +1173,7 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
                 rec.dyn_instrs = ran.dyn_instrs;
                 rec.rounds = ran.rounds;
                 (rec.windows, rec.window_rollbacks) = (ran.windows, ran.window_rollbacks);
+                rec.repeat_skipped = ran.repeat_skipped;
                 rec.fast_forwarded = fast_forwarded;
                 rec.exit = ran.exit;
                 rec.phases = ran.phases;
@@ -1212,6 +1220,7 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
             rounds: faulty.rounds,
             windows: faulty.windows,
             window_rollbacks: faulty.window_rollbacks,
+            repeat_skipped: faulty.repeat_skipped,
             exit: faulty.exit,
             handoff: faulty.handoff,
             phases: faulty.phases,

@@ -20,14 +20,14 @@
 //! anywhere in the lanes issued.
 //!
 //! Each scheduler round-top action (snapshot capture, hand-off, golden
-//! rejoin and the hidden round tick) returns its next tick: the first
-//! dynamic count at which it can act again. A block keeps the least of
-//! them as its horizon, and every round top below it only starts the
-//! round. When one warp of a block is left with running lanes, it takes
-//! its turns back to back up to that horizon. If that warp has one
-//! running lane and nothing can tell, the lane steps on its own, one
-//! instruction per round, up to the horizon or the first point a fault
-//! hook or the watchdog could fire (see `step_lone_lane`).
+//! rejoin, the repeat exit and the hidden round tick) returns its next
+//! tick: the first dynamic count at which it can act again. A block keeps
+//! the least of them as its horizon, and every round top below it only
+//! starts the round. When one warp of a block is left with running
+//! lanes, it takes its turns back to back up to that horizon. If that
+//! warp has one running lane and nothing can tell, the lane steps on its
+//! own, one instruction per round, up to the horizon or the first point a
+//! fault hook or the watchdog could fire (see `step_lone_lane`).
 //!
 //! Where a block's warps diverge enough and nothing can tell, a round top
 //! below the horizon may instead open a window over the next rounds: each
@@ -314,6 +314,39 @@ impl Counts {
         warp_instrs.clone_from(from_warp_instrs);
     }
 
+    /// Add `k` more periods to these counts, a period being what they
+    /// gained since `at` (see [`repeat_exit`]). Destructured whole, like
+    /// [`Counts::copy_from`].
+    fn add_periods(&mut self, at: &Counts, k: u64) {
+        let Counts { total, per_unit, per_mix, warp_latency, warp_instrs, sites } = self;
+        let Counts {
+            total: at_total,
+            per_unit: at_per_unit,
+            per_mix: at_per_mix,
+            warp_latency: at_warp_latency,
+            warp_instrs: at_warp_instrs,
+            sites: at_sites,
+        } = at;
+        let SiteCounts { gpr_writers, gpr_writers_no_half, loads, mem_ops, setp } = sites;
+        let scalars = [
+            (total, at_total),
+            (gpr_writers, &at_sites.gpr_writers),
+            (gpr_writers_no_half, &at_sites.gpr_writers_no_half),
+            (loads, &at_sites.loads),
+            (mem_ops, &at_sites.mem_ops),
+            (setp, &at_sites.setp),
+        ];
+        let per_slot = per_unit
+            .iter_mut()
+            .zip(at_per_unit)
+            .chain(per_mix.iter_mut().zip(at_per_mix))
+            .chain(warp_latency.iter_mut().zip(at_warp_latency))
+            .chain(warp_instrs.iter_mut().zip(at_warp_instrs));
+        for (c, a) in scalars.into_iter().chain(per_slot) {
+            *c += k * (*c - a);
+        }
+    }
+
     /// How many sites of `class` the run offers a fault plan: the
     /// population an injector samples `nth` from. For the arithmetic
     /// classes and [`SiteClass::Unit`] it counts every instruction of
@@ -397,13 +430,19 @@ pub struct Executed {
     /// an early exit does not count the skipped rest). A lone warp that
     /// takes several turns back to back takes one round per turn, so the
     /// instructions the run executed divided by this is the mean a round
-    /// retired.
+    /// retired. The periods the repeat exit skips count: the run still
+    /// goes on to its end.
     pub rounds: u64,
     /// Windows the run opened (DESIGN.md §16, "Windows"), the ones it
     /// rolled back included. Like `rounds`, telemetry: no digest reads it.
     pub windows: u64,
     /// Windows the run rolled back and re-ran in lane order.
     pub window_rollbacks: u64,
+    /// Dynamic instructions the repeat exit skipped (DESIGN.md §16,
+    /// "Repeat exit"): whole periods of a hang whose state came back to
+    /// itself, added to `counts` and `rounds` without running them. The
+    /// run still ends at the watchdog. Telemetry, like `rounds`.
+    pub repeat_skipped: u64,
     /// Analytic timing (cycles, IPC, achieved occupancy, wall time).
     pub timing: TimingReport,
     /// Whether the fault plan's trigger point was actually reached.
@@ -532,6 +571,12 @@ impl Thread {
         })
     }
 
+    /// Whether this thread is `st` exactly, its registers being `regs`.
+    fn is(&self, st: &ThreadState, regs: &[u32]) -> bool {
+        ThreadState { preds: self.preds, pc: self.pc, state: self.state } == *st
+            && *self.regs == *regs
+    }
+
     /// Thread `t` restored from `st`, whose registers are `regs`.
     fn from_state(st: &ThreadState, regs: &[u32], t: u32, block_x: u32) -> Thread {
         Thread {
@@ -591,6 +636,8 @@ struct Ctx<'a> {
     dyn_count: u64,
     /// Scheduler rounds run so far (see [`Executed::rounds`]).
     rounds: u64,
+    /// Instructions the repeat exit skipped (see [`repeat_exit`]).
+    repeat_skipped: u64,
     /// Guard-passing sites per class so far, which the output hook counts
     /// its `nth` in; the memory and predicate hooks count theirs in
     /// `counts.sites`.
@@ -773,6 +820,7 @@ pub fn try_run_with_sink<'a>(
         },
         dyn_count: 0,
         rounds: 0,
+        repeat_skipped: 0,
         tallies: ClassTallies::default(),
         fault_triggered: false,
         hidden_fired: false,
@@ -891,6 +939,7 @@ pub fn try_run_with_sink<'a>(
         rounds: ctx.rounds,
         windows: windows.opened,
         window_rollbacks: windows.rolled_back,
+        repeat_skipped: ctx.repeat_skipped,
         timing,
         fault_triggered: ctx.fault_triggered,
         sites_record: ctx.record,
@@ -1097,6 +1146,107 @@ fn trigger_gap(ctx: &Ctx<'_>) -> Option<u64> {
         .and_then(|(counter, trigger)| trigger.checked_sub(counter))
 }
 
+/// Instructions from the round top a plan is first seen fired at to the
+/// repeat exit's first save; each later save waits twice as long as the
+/// one before.
+const REPEAT_FIRST_SAVE: u64 = 64;
+
+/// The repeat exit's state in one block (see [`repeat_exit`]).
+struct Repeat {
+    /// The dynamic count the next save falls due at; `None` until the
+    /// plan has fired.
+    next_save: Option<u64>,
+    /// Instructions from the last save, or from the round top the plan
+    /// was first seen fired at, to the next save: [`REPEAT_FIRST_SAVE`],
+    /// doubled at each save.
+    spacing: u64,
+    /// The last save's state and the rounds run by then, compared at the
+    /// next round top. Boxed, so `run_block`'s frame stays small.
+    saved: Option<Box<(EngineSnapshot, u64)>>,
+}
+
+impl Repeat {
+    /// The repeat exit's state for a block of `ctx`'s run, if the exit may
+    /// act in it: under a plan that goes on acting once it has fired (a
+    /// fetch or stuck-at hidden plan), with a watchdog and with no sink,
+    /// no sites record and no snapshot capture.
+    fn armed(ctx: &Ctx<'_>) -> Option<Repeat> {
+        let fault = &ctx.opts.fault;
+        let armed = !fault.fires_once()
+            && !matches!(fault, FaultPlan::None)
+            && ctx.sink.is_none()
+            && ctx.record.is_none()
+            && ctx.cap.is_none()
+            && ctx.opts.watchdog_limit != u64::MAX;
+        armed.then_some(Repeat { next_save: None, spacing: REPEAT_FIRST_SAVE, saved: None })
+    }
+}
+
+/// At a scheduler round top of block `block`: end a hang whose state has
+/// come back to itself at the watchdog, by whole periods (DESIGN.md §16,
+/// "Repeat exit"). Once the plan has fired, the state is saved at spaced
+/// round tops, the first [`REPEAT_FIRST_SAVE`] instructions after the
+/// plan is first seen fired and each later one twice as far on as the
+/// last, and compared at the round top after each save: every thread's
+/// pc, scheduler state, predicates and registers, then shared and global
+/// memory with their latent corruption. A fired plan of this kind acts
+/// through that state and through trigger tests that stay true once
+/// they are true, so an equal state repeats what the round between added
+/// for as long as the run goes on: its `d` instructions, every count, the
+/// class tallies and the rounds. The exit adds `k = (watchdog_limit -
+/// now) / d - 1` such periods at once, so at least one period still runs
+/// and the watchdog trips at the instruction it would have tripped at.
+///
+/// Returns the first count at which it may act again: before the plan
+/// fires, the earliest count it can fire at (as [`rejoin_here`]); then
+/// the next save, or the round top after a save; and never once the exit
+/// is taken, or while a hand-off is still to come. Kept out of line like
+/// [`rejoin_here`].
+#[inline(never)]
+fn repeat_exit(
+    ctx: &mut Ctx<'_>,
+    repeat: &mut Option<Repeat>,
+    block: u32,
+    threads: &[Thread],
+    shared: &SharedMemory,
+) -> u64 {
+    let Some(rp) = repeat.as_mut().filter(|_| ctx.handoff_from.is_none()) else {
+        return u64::MAX;
+    };
+    let now = ctx.dyn_count;
+    if !ctx.hidden_fired {
+        return now.saturating_add(trigger_gap(ctx).unwrap_or(0));
+    }
+    if let Some(saved) = rp.saved.take() {
+        let (snap, rounds) = &*saved;
+        let d = now - snap.dyn_count;
+        let room = ctx.opts.watchdog_limit.saturating_sub(now);
+        let k = room.checked_div(d).and_then(|n| n.checked_sub(1)).filter(|&k| k > 0);
+        let same = || {
+            threads.iter().enumerate().all(|(t, th)| th.is(&snap.threads[t], snap.thread_regs(t)))
+                && *shared == snap.shared
+                && ctx.global == snap.global
+        };
+        if let Some(k) = k.filter(|_| same()) {
+            ctx.counts.add_periods(&snap.counts, k);
+            ctx.tallies.add_periods(&snap.tallies, k);
+            ctx.rounds += k * (ctx.rounds - rounds);
+            ctx.dyn_count += k * d;
+            ctx.repeat_skipped += k * d;
+            *repeat = None;
+            return u64::MAX;
+        }
+    }
+    let due = *rp.next_save.get_or_insert(now.saturating_add(rp.spacing));
+    if now < due {
+        return due;
+    }
+    rp.saved = Some(Box::new((snapshot_here(ctx, block, threads, shared), ctx.rounds)));
+    rp.spacing = rp.spacing.saturating_mul(2);
+    rp.next_save = Some(now.saturating_add(rp.spacing));
+    now + 1
+}
+
 fn run_block(
     ctx: &mut Ctx<'_>,
     windows: &mut Windows,
@@ -1142,8 +1292,9 @@ fn run_block(
     // (see [`turn`]), and no window or lone-lane stretch runs.
     let lane_fetch = matches!(ctx.opts.fault, FaultPlan::Fetch { .. });
     let lone_lane = unobserved(ctx, lane_fetch);
+    let mut repeat = Repeat::armed(ctx);
     // The first dynamic count at which a round top may do more than start
-    // the round: the least of the counts its four actions return when
+    // the round: the least of the counts its five actions return when
     // they run. A round top below it skips them (DESIGN.md §16, "One
     // horizon").
     let mut horizon = 0;
@@ -1181,6 +1332,7 @@ fn run_block(
                 ControlFlow::Break(rejoined) => return Ok(Some(rejoined)),
                 ControlFlow::Continue(next) => horizon = horizon.min(next),
             }
+            horizon = horizon.min(repeat_exit(ctx, &mut repeat, block_linear, &threads, &shared));
             let (hidden, next) = hidden_round_tick(ctx, &mut threads, &mut running);
             (round, horizon) = (hidden, horizon.min(next));
         }

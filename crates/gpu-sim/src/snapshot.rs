@@ -83,6 +83,17 @@ impl ClassTallies {
         }
     }
 
+    /// Add `k` more periods to these tallies, a period being what they
+    /// gained since `at` (the engine's repeat exit).
+    pub(crate) fn add_periods(&mut self, at: &ClassTallies, k: u64) {
+        let ClassTallies { no_half, loads, unit_writers } = self;
+        let ClassTallies { no_half: at_no_half, loads: at_loads, unit_writers: at_unit } = at;
+        let units = unit_writers.iter_mut().zip(at_unit);
+        for (c, a) in [(no_half, at_no_half), (loads, at_loads)].into_iter().chain(units) {
+            *c += k * (*c - a);
+        }
+    }
+
     /// Matches of `site` consumed so far.
     pub(crate) fn class_matches(&self, site: SiteClass) -> u64 {
         let units = |us: &[FunctionalUnit]| us.iter().map(|u| self.unit_writers[u.index()]).sum();

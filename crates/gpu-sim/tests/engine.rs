@@ -846,3 +846,128 @@ fn capture_rollback_undoes_the_exit_recorder_notes() {
     assert!(plain.exit_table.is_some());
     assert!(plain.exit_table == traced.exit_table, "exit tables differ");
 }
+
+/// Each of 64 threads loops 40 times over its own word: a load of it, or
+/// with `atomic` an atomic add of one to it, then a counter step and the
+/// loop branch, and at the end stores its count there. Every lane runs in
+/// every round, so the rounds retire 64 instructions each; after the
+/// five-instruction prologue, round `5 + 4i + q` runs loop pc `5 + q` on
+/// every lane, in iteration `i`.
+fn word_loop_kernel(atomic: bool) -> gpu_arch::Kernel {
+    let mut b = KernelBuilder::new("word-loop");
+    b.s2r(r(0), SpecialReg::TidX);
+    b.shl(r(2), r(0).into(), imm(2));
+    b.ldp(r(3), 0);
+    b.iadd(r(3), r(3).into(), r(2).into());
+    b.mov(r(5), imm(1));
+    b.label("top");
+    if atomic {
+        b.atomg_add(Reg::RZ, r(3), 0, r(5));
+    } else {
+        b.ldg(MemWidth::W32, r(4), r(3), 0);
+    }
+    b.iadd(r(1), r(1).into(), imm(1));
+    b.isetp(Pred(1), CmpOp::Lt, r(1).into(), imm(40));
+    b.if_p(Pred(1)).bra("top");
+    b.stg(MemWidth::W32, r(3), 0, r(1));
+    b.exit();
+    b.build().unwrap()
+}
+
+/// Run `plan` on the word loop from zero or resumed from golden's nearest
+/// snapshot, without a sink and with one, which keeps the repeat exit
+/// off; the two must be the same run, and the plain one is returned.
+fn against_the_sink(atomic: bool, plan: FaultPlan, resume: bool) -> gpu_sim::Executed {
+    let device = DeviceModel::named("v100-sim");
+    let kernel = word_loop_kernel(atomic);
+    let launch = LaunchConfig::new(1, 64, vec![0]);
+    let memory = GlobalMemory::new(256);
+    let capture = RunOptions::golden().ecc(false).snapshot_every(256);
+    let golden = run(&device, &kernel, &launch, memory.clone(), &capture);
+    assert_eq!((golden.status, golden.counts.total), (ExecStatus::Completed, 64 * 167));
+    let from = if resume { nearest(&golden, &plan) } else { None };
+    assert_eq!(from.is_some(), resume, "{plan:?}");
+    let opts = RunOptions::trial(plan).ecc(false).watchdog(4 * 64 * 167).resume(from);
+    let plain = run(&device, &kernel, &launch, memory.clone(), &opts);
+    let mut sink = obs::CountingSink::default();
+    let traced =
+        try_run_with_sink(&device, &kernel, &launch, memory, &opts, Some(&mut sink)).unwrap();
+    assert_eq!(plain.status, ExecStatus::Due(DueKind::Watchdog), "{plan:?}");
+    assert_eq!(traced.repeat_skipped, 0, "{plan:?}: a sink-attached run took the exit");
+    assert_eq!(plain.status, traced.status, "{plan:?}");
+    assert_eq!(plain.fault_triggered, traced.fault_triggered, "{plan:?}");
+    assert_eq!(plain.memory, traced.memory, "{plan:?}");
+    assert_eq!(plain.counts, traced.counts, "{plan:?}");
+    assert_eq!(plain.rounds, traced.rounds, "{plan:?}");
+    assert_eq!(plain.exit, None, "{plan:?}");
+    plain
+}
+
+/// A stuck-at memory queue that replays every entry from a load in the
+/// loop on, and a stuck-at fetch that replays that load's stale fetch at
+/// every later fetch, both hang with every lane stuck on one load: the
+/// state comes back to itself each round, one period of 64 instructions.
+/// The repeat exit takes both, from zero and resumed from golden's nearest
+/// snapshot, to the watchdog, and leaves one to two periods to run; the
+/// runs equal the sink-attached ones, which never exit.
+///
+/// The skips follow the save schedule. Under the queue the plan fires in
+/// round 45, at lane 5 of iteration 10's load, so the first round top it
+/// is seen fired at is 46 × 64 = 2,944: the saves fall at 3,008 and 3,136
+/// (lanes 0-4 still move at the first compare, at 3,072), and the compare
+/// at 3,200 exits. Under the fetch plan the whole warp replays the load
+/// from round 46 on: the first save falls at 3,072 and the compare at
+/// 3,136 exits. `k = (limit - exit) / 64 - 1` periods.
+#[test]
+fn repeating_stuck_at_hangs_take_the_repeat_exit_from_zero_and_resumed() {
+    use gpu_sim::{FetchEffect, MemQueueEffect, Persistence};
+    let limit = 4 * 64 * 167;
+    let stuck = Persistence::StuckAt;
+    let cases = [
+        (
+            FaultPlan::MemQueue {
+                nth: 64 * 10 + 5,
+                effect: MemQueueEffect::Replay,
+                persist: stuck,
+            },
+            3200,
+        ),
+        (FaultPlan::Fetch { at: 64 * 46, effect: FetchEffect::StaleReplay, persist: stuck }, 3136),
+    ];
+    for (plan, exit) in cases {
+        let skipped = ((limit - exit) / 64 - 1) * 64;
+        for resume in [false, true] {
+            let out = against_the_sink(false, plan, resume);
+            assert_eq!(out.repeat_skipped, skipped, "{plan:?} resumed {resume}");
+            assert_eq!(out.counts.total, limit + 1, "{plan:?} resumed {resume}");
+        }
+    }
+}
+
+/// Stuck-at hangs whose state never comes back: a stale fetch that replays
+/// the loop counter's step on every lane (the registers drift), and a
+/// stuck-at queue that replays an atomic add with no destination (only
+/// global memory drifts). Neither takes the repeat exit, and both equal
+/// the sink-attached runs.
+#[test]
+fn drifting_stuck_at_hangs_do_not_take_the_repeat_exit() {
+    use gpu_sim::{FetchEffect, MemQueueEffect, Persistence};
+    let stuck = Persistence::StuckAt;
+    let cases = [
+        (false, FaultPlan::Fetch { at: 64 * 47, effect: FetchEffect::StaleReplay, persist: stuck }),
+        (
+            true,
+            FaultPlan::MemQueue {
+                nth: 64 * 10 + 5,
+                effect: MemQueueEffect::Replay,
+                persist: stuck,
+            },
+        ),
+    ];
+    for (atomic, plan) in cases {
+        for resume in [false, true] {
+            let out = against_the_sink(atomic, plan, resume);
+            assert_eq!(out.repeat_skipped, 0, "{plan:?} resumed {resume}");
+        }
+    }
+}
