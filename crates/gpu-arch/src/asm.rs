@@ -21,7 +21,7 @@
 //! (as emitted by the disassembler's address column) are stripped.
 
 use crate::instr::{Guard, Instr};
-use crate::kernel::{max_reg_used, Kernel, KernelError};
+use crate::kernel::{Kernel, KernelError};
 use crate::op::{CmpOp, MemWidth, Op, SpecialReg};
 use crate::operand::{Operand, Pred, Reg};
 use std::collections::HashMap;
@@ -119,8 +119,9 @@ pub fn assemble(source: &str) -> Result<Kernel, AsmError> {
         instrs[at as usize].target = Some(target);
     }
 
-    let regs = regs_override.unwrap_or_else(|| max_reg_used(&instrs));
-    Ok(Kernel::new(name, instrs, regs, shared, proprietary)?)
+    let mut kernel = Kernel::new(name, instrs, shared, proprietary)?;
+    kernel.regs_per_thread = regs_override.unwrap_or(kernel.regs_per_thread);
+    Ok(kernel)
 }
 
 fn strip_comments(line: &str) -> String {

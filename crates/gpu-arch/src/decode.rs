@@ -12,9 +12,11 @@
 //! [`DecodedKernel::new`] walks a kernel once and produces a dense,
 //! index-addressed [`InstrMeta`] per static instruction: functional unit
 //! and mix category (pre-resolved to their dense count indices), the set
-//! of injection [`SiteClass`]es the instruction belongs to, precomputed
-//! source/destination register lists, the decoded guard, and the
-//! read/write model the dataflow passes use. A [`Kernel`] is decoded
+//! of injection [`SiteClass`]es the instruction belongs to and the
+//! decoded guard; beside the table it keeps the one register read/write
+//! model ([`DecodedKernel::observed_reads`], [`DecodedKernel::written_regs`],
+//! MMA fragments expanded) that the dataflow passes, the static oracle
+//! and the register-file bound all read. A [`Kernel`] is decoded
 //! once, when it is built, and carries the table ([`Kernel::decoded`]):
 //! the simulator's `step()` is table lookups into it, and the injector,
 //! profiler and `sass-analysis` read the same table, so the
@@ -22,8 +24,8 @@
 //! is structural instead of a comment — and drift fails a test (see the
 //! unit-group constants below).
 
-use crate::instr::{Guard, Instr, RegList};
-use crate::kernel::{max_reg_used, Kernel};
+use crate::instr::{Guard, Instr};
+use crate::kernel::Kernel;
 use crate::op::{FunctionalUnit, MemWidth, Op};
 use crate::operand::Reg;
 use crate::WARP_SIZE;
@@ -236,12 +238,6 @@ pub struct InstrMeta {
     /// on every executing thread (unguarded scalar writes; guarded and
     /// warp-level MMA/SHFL writes do not kill).
     pub def_kills: bool,
-    /// Registers read, with 64-bit pairs expanded (no MMA fragment
-    /// expansion — see [`DecodedKernel::observed_reads`]).
-    pub src_regs: RegList,
-    /// Registers written (no MMA fragment expansion — see
-    /// [`DecodedKernel::written_regs`]).
-    pub dst_regs: RegList,
     /// The decoded execution guard.
     pub guard: Option<Guard>,
 }
@@ -281,8 +277,6 @@ impl InstrMeta {
                     | Op::Fmma
             ),
             def_kills: i.guard.is_none() && !matches!(op, Op::Hmma | Op::Fmma | Op::Shfl(_)),
-            src_regs: i.src_regs(),
-            dst_regs: i.dst_regs(),
             guard: i.guard,
         }
     }
@@ -322,9 +316,11 @@ pub struct DecodedKernel {
     /// it lives.
     reads: Vec<(Reg, u32)>,
     read_at: Vec<u32>,
-    /// Per instruction: registers written, MMA fragments expanded.
-    writes: Vec<RegList>,
-    reg_file_len: usize,
+    /// Registers written, MMA fragments expanded, laid out as `reads`.
+    writes: Vec<Reg>,
+    write_at: Vec<u32>,
+    /// One past the highest register in `reads` or `writes`.
+    regs_touched: u16,
     has_mma: bool,
     warp_sync: bool,
 }
@@ -340,27 +336,25 @@ impl DecodedKernel {
     pub(crate) fn of(instrs: &[Instr]) -> DecodedKernel {
         let metas: Vec<InstrMeta> = instrs.iter().map(InstrMeta::new).collect();
         let (mut reads, mut read_at) = (Vec::new(), vec![0]);
+        let (mut writes, mut write_at) = (Vec::new(), vec![0]);
         for i in instrs {
             reads.extend(observed_reads_of(i));
             read_at.push(reads.len() as u32);
+            writes.extend(written_regs_of(i));
+            write_at.push(writes.len() as u32);
         }
         reads.shrink_to_fit();
-        let writes = instrs.iter().map(written_regs_of).collect();
-        let fragments = instrs.iter().filter(|i| i.op.is_mma()).flat_map(|i| {
-            let c = if i.op == Op::Hmma { 4 } else { 8 };
-            [(i.srcs[0], 4), (i.srcs[1], 4), (i.srcs[2], c)]
-                .into_iter()
-                .filter_map(|(src, n)| src.reg().map(|r| usize::from(r.0) + n))
-        });
-        let named = usize::from(max_reg_used(instrs));
+        writes.shrink_to_fit();
+        let named = reads.iter().map(|&(r, _)| r).chain(writes.iter().copied());
         DecodedKernel {
-            reg_file_len: fragments.fold(named, usize::max).clamp(1, 256),
+            regs_touched: named.map(|r| u16::from(r.0) + 1).max().unwrap_or(0),
             has_mma: metas.iter().any(|m| m.is_mma),
             warp_sync: metas.iter().any(|m| m.is_warp_sync),
             metas,
             reads,
             read_at,
             writes,
+            write_at,
         }
     }
 
@@ -385,15 +379,23 @@ impl DecodedKernel {
     /// Registers written by the instruction at `pc`, the MMA D fragment
     /// expanded to the accumulator register range.
     pub fn written_regs(&self, pc: usize) -> &[Reg] {
-        &self.writes[pc]
+        &self.writes[self.write_at[pc] as usize..self.write_at[pc + 1] as usize]
     }
 
     /// How many registers each thread's file holds: one past the highest
     /// register an instruction reads or writes, the high halves of pairs
-    /// and MMA fragments included. No instruction touches a register past
-    /// it, so one that a strike flips there is masked.
+    /// and MMA fragments included, and at least one. No instruction
+    /// touches a register past it, so one that a strike flips there is
+    /// masked.
     pub fn reg_file_len(&self) -> usize {
-        self.reg_file_len
+        usize::from(self.regs_touched.max(1))
+    }
+
+    /// One past the highest register an instruction reads or writes, or 0
+    /// for a kernel that touches none: a kernel's default
+    /// `regs_per_thread`.
+    pub(crate) fn regs_touched(&self) -> u16 {
+        self.regs_touched
     }
 
     /// The kernel has a tensor-core MMA.
@@ -407,11 +409,9 @@ impl DecodedKernel {
     }
 }
 
-/// Registers read by `i` with the observed-bit mask per read.
-///
-/// Supersedes [`Instr::src_regs`] for analysis purposes: MMA fragment
-/// reads are expanded here (the simulator does that expansion at
-/// execution time), and each read carries its observability mask.
+/// Registers read by `i` with the observed-bit mask per read: the
+/// high words of 64-bit pairs and the registers of MMA fragments
+/// included, each read at most as wide as the instruction looks.
 pub fn observed_reads_of(i: &Instr) -> Vec<(Reg, u32)> {
     let mut out = Vec::new();
     let mut push = |r: Reg, m: u32| {
@@ -421,19 +421,11 @@ pub fn observed_reads_of(i: &Instr) -> Vec<(Reg, u32)> {
     };
     match i.op {
         Op::Hmma | Op::Fmma => {
-            // A and B are packed-f16 4-register fragments; C is 4
-            // registers packed (HMMA) or 8 registers of f32 (FMMA).
-            for slot in [i.srcs[0], i.srcs[1]] {
-                if let Some(base) = slot.reg() {
-                    for k in 0..4 {
+            for (src, len) in i.srcs.into_iter().zip(mma_fragment_lens(i.op)) {
+                if let Some(base) = src.reg() {
+                    for k in 0..len {
                         push(Reg(base.0 + k), OBS_FULL);
                     }
-                }
-            }
-            if let Some(c) = i.srcs[2].reg() {
-                let n = if i.op == Op::Hmma { 4 } else { 8 };
-                for k in 0..n {
-                    push(Reg(c.0 + k), OBS_FULL);
                 }
             }
         }
@@ -446,10 +438,7 @@ pub fn observed_reads_of(i: &Instr) -> Vec<(Reg, u32)> {
             }
         }
         _ => {
-            let pairwise = matches!(
-                i.op,
-                Op::Dadd | Op::Dmul | Op::Dfma | Op::Dsetp(_) | Op::D2f | Op::Drcp | Op::Dsqrt
-            );
+            let pairwise = i.op.reads_pairs();
             let half = matches!(i.op, Op::Hadd | Op::Hmul | Op::Hfma | Op::Hsetp(_) | Op::H2f);
             for (slot, s) in i.srcs.iter().enumerate() {
                 if let Some(r) = s.reg() {
@@ -475,23 +464,25 @@ pub fn observed_reads_of(i: &Instr) -> Vec<(Reg, u32)> {
     out
 }
 
-/// Registers written by `i`, MMA fragments expanded.
-pub fn written_regs_of(i: &Instr) -> RegList {
-    let mut out = RegList::new();
-    match i.op {
-        Op::Hmma | Op::Fmma => {
-            if let Some(c) = i.srcs[2].reg() {
-                let n = if i.op == Op::Hmma { 4 } else { 8 };
-                for k in 0..n {
-                    if !Reg(c.0 + k).is_rz() {
-                        out.push(Reg(c.0 + k));
-                    }
-                }
-            }
-            out
-        }
-        _ => i.dst_regs(),
-    }
+/// Registers written by `i`: its destination and the high word of a
+/// 64-bit pair, or the MMA accumulator fragment, which an MMA writes
+/// over.
+pub fn written_regs_of(i: &Instr) -> Vec<Reg> {
+    let (base, len) = match i.op {
+        Op::Hmma | Op::Fmma => (i.srcs[2].reg(), mma_fragment_lens(i.op)[2]),
+        op if op.has_no_dst() => (None, 0),
+        op => (Some(i.dst), if op.writes_pair() { 2 } else { 1 }),
+    };
+    let base = base.filter(|r| !r.is_rz());
+    base.map_or_else(Vec::new, |b| (0..len).map(|k| Reg(b.0 + k)).collect())
+}
+
+/// The register count of each fragment an HMMA or FMMA names, in
+/// operand order A, B, C. A and B are packed-f16 4-register fragments;
+/// C, which the result overwrites, is 4 registers packed (HMMA) or 8
+/// registers of f32 (FMMA).
+pub(crate) fn mma_fragment_lens(op: Op) -> [u8; 3] {
+    [4, 4, if op == Op::Hmma { 4 } else { 8 }]
 }
 
 /// Number of real (non-`RZ`) general-purpose registers.
@@ -538,12 +529,7 @@ pub struct RegLiveness<'k> {
 impl<'k> RegLiveness<'k> {
     /// Run the fixpoint over `kernel`.
     pub fn new(kernel: &'k Kernel) -> RegLiveness<'k> {
-        let (n, decoded) = (kernel.len(), kernel.decoded());
-        let named = (0..n).flat_map(|pc| {
-            let reads = decoded.observed_reads(pc).iter().map(|&(r, _)| r);
-            reads.chain(decoded.written_regs(pc).iter().copied())
-        });
-        let width = named.map(|r| r.0 as usize + 1).max().unwrap_or(0);
+        let (n, width) = (kernel.len(), usize::from(kernel.decoded().regs_touched()));
         let mut slot = vec![NO_SLOT; n];
         let mut back = Vec::new();
         for (pc, i) in kernel.instrs().iter().enumerate() {
@@ -648,6 +634,7 @@ impl<'k> RegLiveness<'k> {
 mod tests {
     use super::*;
     use crate::op::CmpOp;
+    use crate::operand::Operand;
     use crate::MixCategory as Mix;
 
     #[test]
@@ -776,6 +763,48 @@ mod tests {
         assert!(d.observed_reads(0).is_empty()); // RZ and an immediate
         assert_eq!(d.meta(1).op, Op::Exit);
         assert!(d.meta(1).has_no_dst);
+    }
+
+    #[test]
+    fn fp64_reads_and_writes_expand_pairs() {
+        let mut i = Instr::new(Op::Dadd);
+        i.dst = Reg(0);
+        i.srcs = [Operand::Reg(Reg(2)), Operand::Reg(Reg(4)), Operand::None];
+        let reads: Vec<Reg> = observed_reads_of(&i).into_iter().map(|(r, _)| r).collect();
+        assert_eq!(reads, [Reg(2), Reg(3), Reg(4), Reg(5)]);
+        assert_eq!(written_regs_of(&i), [Reg(0), Reg(1)]);
+    }
+
+    #[test]
+    fn store64_reads_value_pair() {
+        let mut i = Instr::new(Op::Stg(MemWidth::W64));
+        i.srcs = [Operand::Reg(Reg(0)), Operand::Imm(0), Operand::Reg(Reg(6))];
+        let reads = observed_reads_of(&i);
+        assert_eq!(reads, [(Reg(0), OBS_FULL), (Reg(6), OBS_FULL), (Reg(7), OBS_FULL)]);
+        assert!(written_regs_of(&i).is_empty());
+    }
+
+    #[test]
+    fn rz_is_never_listed() {
+        let mut i = Instr::new(Op::Iadd);
+        i.dst = Reg::RZ;
+        i.srcs = [Operand::Reg(Reg::RZ), Operand::Imm(1), Operand::None];
+        assert!(observed_reads_of(&i).is_empty());
+        assert!(written_regs_of(&i).is_empty());
+    }
+
+    #[test]
+    fn mma_reads_and_writes_its_fragments() {
+        let mut i = Instr::new(Op::Fmma);
+        i.dst = Reg(16);
+        i.srcs = [Reg(0).into(), Reg(8).into(), Reg(16).into()];
+        let reads: Vec<u8> = observed_reads_of(&i).into_iter().map(|(r, _)| r.0).collect();
+        assert_eq!(reads, [0, 1, 2, 3, 8, 9, 10, 11, 16, 17, 18, 19, 20, 21, 22, 23]);
+        let writes: Vec<u8> = written_regs_of(&i).into_iter().map(|r| r.0).collect();
+        assert_eq!(writes, [16, 17, 18, 19, 20, 21, 22, 23]);
+        i.op = Op::Hmma;
+        assert_eq!(observed_reads_of(&i).len(), 12);
+        assert_eq!(written_regs_of(&i), [Reg(16), Reg(17), Reg(18), Reg(19)]);
     }
 
     /// A kernel's liveness, per pc: the masks on entry to it and after

@@ -42,68 +42,6 @@ impl fmt::Display for Guard {
     }
 }
 
-/// A small fixed-capacity register list, returned by [`Instr::src_regs`]
-/// and [`Instr::dst_regs`].
-///
-/// The engine calls those per dynamic instruction and the dataflow passes
-/// call them per (block, instruction) iteration, so they must not allocate.
-/// The worst case is an FP64 three-source op (3 sources + 3 pair-high
-/// words = 6); capacity 8 leaves headroom. Derefs to `&[Reg]`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct RegList {
-    regs: [Reg; RegList::CAPACITY],
-    len: u8,
-}
-
-impl RegList {
-    /// Maximum registers one instruction can name (with pair expansion).
-    pub const CAPACITY: usize = 8;
-
-    /// Empty list.
-    pub fn new() -> RegList {
-        RegList { regs: [Reg::RZ; RegList::CAPACITY], len: 0 }
-    }
-
-    pub(crate) fn push(&mut self, r: Reg) {
-        self.regs[self.len as usize] = r;
-        self.len += 1;
-    }
-
-    /// The registers as a slice.
-    pub fn as_slice(&self) -> &[Reg] {
-        &self.regs[..self.len as usize]
-    }
-}
-
-impl Default for RegList {
-    fn default() -> RegList {
-        RegList::new()
-    }
-}
-
-impl std::ops::Deref for RegList {
-    type Target = [Reg];
-    fn deref(&self) -> &[Reg] {
-        self.as_slice()
-    }
-}
-
-impl IntoIterator for RegList {
-    type Item = Reg;
-    type IntoIter = std::iter::Take<std::array::IntoIter<Reg, { RegList::CAPACITY }>>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.regs.into_iter().take(self.len as usize)
-    }
-}
-
-impl<'a> IntoIterator for &'a RegList {
-    type Item = &'a Reg;
-    type IntoIter = std::slice::Iter<'a, Reg>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
-    }
-}
-
 /// One decoded instruction.
 ///
 /// * `dst` is the destination GPR (`RZ` when unused or write-discarded).
@@ -146,50 +84,6 @@ impl Instr {
             target: None,
             guard: None,
         }
-    }
-
-    /// Registers read by this instruction, including high words of 64-bit
-    /// pairs. MMA fragment reads are expanded by the simulator, not here.
-    pub fn src_regs(&self) -> RegList {
-        let mut regs = RegList::new();
-        let pairwise = matches!(
-            self.op,
-            Op::Dadd | Op::Dmul | Op::Dfma | Op::Dsetp(_) | Op::D2f | Op::Drcp | Op::Dsqrt
-        );
-        for s in self.srcs {
-            if let Operand::Reg(r) = s {
-                if r.is_rz() {
-                    continue;
-                }
-                regs.push(r);
-                if pairwise {
-                    regs.push(r.pair_hi());
-                }
-            }
-        }
-        // A 64-bit store also reads the high word of the value operand.
-        if matches!(self.op, Op::Stg(crate::op::MemWidth::W64) | Op::Sts(crate::op::MemWidth::W64))
-        {
-            if let Operand::Reg(r) = self.srcs[2] {
-                if !r.is_rz() {
-                    regs.push(r.pair_hi());
-                }
-            }
-        }
-        regs
-    }
-
-    /// Registers written by this instruction.
-    pub fn dst_regs(&self) -> RegList {
-        let mut regs = RegList::new();
-        if self.op.has_no_dst() || self.dst.is_rz() {
-            return regs;
-        }
-        regs.push(self.dst);
-        if self.op.writes_pair() {
-            regs.push(self.dst.pair_hi());
-        }
-        regs
     }
 }
 
@@ -234,7 +128,7 @@ impl fmt::Display for Instr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{CmpOp, MemWidth};
+    use crate::op::CmpOp;
 
     #[test]
     fn guard_evaluation() {
@@ -242,33 +136,6 @@ mod tests {
         assert!(!Guard::when(Pred(0)).passes(false));
         assert!(Guard::unless(Pred(0)).passes(false));
         assert!(!Guard::unless(Pred(0)).passes(true));
-    }
-
-    #[test]
-    fn src_regs_expand_fp64_pairs() {
-        let mut i = Instr::new(Op::Dadd);
-        i.dst = Reg(0);
-        i.srcs = [Operand::Reg(Reg(2)), Operand::Reg(Reg(4)), Operand::None];
-        assert_eq!(i.src_regs().as_slice(), [Reg(2), Reg(3), Reg(4), Reg(5)]);
-        assert_eq!(i.dst_regs().as_slice(), [Reg(0), Reg(1)]);
-    }
-
-    #[test]
-    fn store64_reads_value_pair() {
-        let mut i = Instr::new(Op::Stg(MemWidth::W64));
-        i.srcs = [Operand::Reg(Reg(0)), Operand::Imm(0), Operand::Reg(Reg(6))];
-        let regs = i.src_regs();
-        assert!(regs.contains(&Reg(6)));
-        assert!(regs.contains(&Reg(7)));
-    }
-
-    #[test]
-    fn rz_is_never_listed() {
-        let mut i = Instr::new(Op::Iadd);
-        i.dst = Reg::RZ;
-        i.srcs = [Operand::Reg(Reg::RZ), Operand::Imm(1), Operand::None];
-        assert!(i.src_regs().is_empty());
-        assert!(i.dst_regs().is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Kernels, launch geometry, and the kernel builder.
 
-use crate::decode::DecodedKernel;
+use crate::decode::{mma_fragment_lens, DecodedKernel};
 use crate::instr::{Guard, Instr};
 use crate::op::{CmpOp, MemWidth, Op, SpecialReg};
 use crate::operand::{Operand, Pred, Reg};
@@ -176,16 +176,18 @@ impl fmt::Debug for Kernel {
 
 impl Kernel {
     /// Validate `instrs` and decode them: the one constructor, shared by
-    /// [`KernelBuilder::build`] and [`crate::asm`].
+    /// [`KernelBuilder::build`] and [`crate::asm`]. `regs_per_thread`
+    /// starts at one past the highest register the decode reads or
+    /// writes.
     pub(crate) fn new(
         name: String,
         instrs: Vec<Instr>,
-        regs_per_thread: u16,
         shared_bytes: u32,
         proprietary: bool,
     ) -> Result<Kernel, KernelError> {
         validate(&instrs)?;
         let decoded = DecodedKernel::of(&instrs);
+        let regs_per_thread = decoded.regs_touched();
         Ok(Kernel { name, instrs, regs_per_thread, shared_bytes, proprietary, decoded })
     }
 
@@ -256,10 +258,7 @@ fn validate(instrs: &[Instr]) -> Result<(), KernelError> {
         if ins.op.writes_pair() && !ins.dst.is_rz() && !ins.dst.is_pair_aligned() {
             return Err(KernelError::MisalignedPair { at, reg: ins.dst });
         }
-        if matches!(
-            ins.op,
-            Op::Dadd | Op::Dmul | Op::Dfma | Op::Dsetp(_) | Op::D2f | Op::Drcp | Op::Dsqrt
-        ) {
+        if ins.op.reads_pairs() {
             for s in ins.srcs {
                 if let Operand::Reg(r) = s {
                     if !r.is_rz() && !r.is_pair_aligned() {
@@ -275,12 +274,9 @@ fn validate(instrs: &[Instr]) -> Result<(), KernelError> {
             return Err(KernelError::MissingPredSrc(at));
         }
         if ins.op.is_mma() {
-            let c_len = if ins.op == Op::Hmma { 4 } else { 8 };
             // `r + len` overflows exactly when the fragment reaches RZ.
-            let fits =
-                |o: Operand, len: u8| o.reg().is_some_and(|r| r.0.checked_add(len).is_some());
-            let [a, b, c] = ins.srcs;
-            if !(fits(a, 4) && fits(b, 4) && fits(c, c_len)) {
+            let mut frags = ins.srcs.into_iter().zip(mma_fragment_lens(ins.op));
+            if !frags.all(|(o, len)| o.reg().is_some_and(|r| r.0.checked_add(len).is_some())) {
                 return Err(KernelError::MalformedMma(at));
             }
         }
@@ -289,13 +285,6 @@ fn validate(instrs: &[Instr]) -> Result<(), KernelError> {
         return Err(KernelError::NoExit);
     }
     Ok(())
-}
-
-/// Highest GPR index `instrs` reference, plus one: the default
-/// `regs_per_thread`.
-pub(crate) fn max_reg_used(instrs: &[Instr]) -> u16 {
-    let named = instrs.iter().flat_map(|ins| ins.src_regs().into_iter().chain(ins.dst_regs()));
-    named.map(|r| r.0 as u16 + 1).max().unwrap_or(0)
 }
 
 /// Incremental kernel construction with label-based control flow.
@@ -717,8 +706,9 @@ impl KernelBuilder {
                 .ok_or_else(|| KernelError::UndefinedLabel(label.clone()))?;
             self.instrs[at as usize].target = Some(target);
         }
-        let regs = max_reg_used(&self.instrs).max(self.reserved_regs);
-        Kernel::new(self.name, self.instrs, regs, self.shared_bytes, self.proprietary)
+        let mut kernel = Kernel::new(self.name, self.instrs, self.shared_bytes, self.proprietary)?;
+        kernel.regs_per_thread = kernel.regs_per_thread.max(self.reserved_regs);
+        Ok(kernel)
     }
 }
 

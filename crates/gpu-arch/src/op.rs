@@ -607,6 +607,15 @@ impl Op {
         )
     }
 
+    /// True for ops that read each register source as an aligned 64-bit
+    /// register pair.
+    pub fn reads_pairs(self) -> bool {
+        matches!(
+            self,
+            Op::Dadd | Op::Dmul | Op::Dfma | Op::Dsetp(_) | Op::D2f | Op::Drcp | Op::Dsqrt
+        )
+    }
+
     /// True for ops that write a predicate instead of a GPR.
     pub fn writes_pred(self) -> bool {
         matches!(self, Op::Fsetp(_) | Op::Dsetp(_) | Op::Hsetp(_) | Op::Isetp(_))

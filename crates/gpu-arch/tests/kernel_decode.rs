@@ -4,7 +4,7 @@
 //! an assembled one, against a fresh decode and against the per-run
 //! formulas the simulator used before kernels carried them.
 
-use gpu_arch::{asm, CodeGen, DecodedKernel, Kernel};
+use gpu_arch::{asm, CodeGen, DecodedKernel, Kernel, MemWidth, Op};
 use workloads::Scale;
 
 /// Every workload kernel (the Kepler suite under both code generators,
@@ -31,20 +31,33 @@ fn kernels() -> Vec<Kernel> {
     kernels
 }
 
-/// The register-file length as the simulator worked it out per run: one
-/// past the highest register an instruction names, or past the end of
-/// an MMA fragment, clamped to `1..=256`.
+/// The register-file length, worked out from the operands alone: one
+/// past the highest register an instruction names, past the high word
+/// of a 64-bit pair, or past the end of an MMA fragment; at least one.
 fn reference_reg_file_len(kernel: &Kernel) -> usize {
-    let named = kernel.instrs().iter().flat_map(|i| i.src_regs().into_iter().chain(i.dst_regs()));
-    let max_reg_used = named.map(|r| usize::from(r.0) + 1).max().unwrap_or(0);
-    let mma = kernel.instrs().iter().filter(|i| i.op.is_mma());
-    let fragments = mma.flat_map(|i| {
-        let c = if i.op == gpu_arch::Op::Hmma { 4 } else { 8 };
-        [(i.srcs[0], 4), (i.srcs[1], 4), (i.srcs[2], c)]
-            .into_iter()
-            .filter_map(|(src, n)| src.reg().map(|r| usize::from(r.0) + n))
-    });
-    fragments.fold(max_reg_used, usize::max).clamp(1, 256)
+    let mut len = 1;
+    for i in kernel.instrs() {
+        let pair_sources = matches!(
+            i.op,
+            Op::Dadd | Op::Dmul | Op::Dfma | Op::Dsetp(_) | Op::D2f | Op::Drcp | Op::Dsqrt
+        );
+        let store64 = matches!(i.op, Op::Stg(MemWidth::W64) | Op::Sts(MemWidth::W64));
+        let c_len = if i.op == Op::Hmma { 4 } else { 8 };
+        for (slot, src) in i.srcs.iter().enumerate() {
+            let Some(r) = src.reg().filter(|r| !r.is_rz()) else { continue };
+            let extent = match slot {
+                _ if i.op.is_mma() => [4, 4, c_len][slot],
+                2 if store64 => 2,
+                _ if pair_sources => 2,
+                _ => 1,
+            };
+            len = len.max(usize::from(r.0) + extent);
+        }
+        if !i.op.has_no_dst() && !i.dst.is_rz() {
+            len = len.max(usize::from(i.dst.0) + if i.op.writes_pair() { 2 } else { 1 });
+        }
+    }
+    len
 }
 
 #[test]

@@ -197,10 +197,12 @@ proptest! {
         b.exit();
         let k = b.build().unwrap();
         prop_assert!(k.validate().is_ok());
-        // regs_per_thread covers every referenced register.
-        for ins in k.instrs() {
-            for r in ins.src_regs().into_iter().chain(ins.dst_regs()) {
-                prop_assert!((r.0 as u16) < k.regs_per_thread);
+        // regs_per_thread covers every register the decode reads or writes.
+        let d = k.decoded();
+        for pc in 0..k.len() {
+            let reads = d.observed_reads(pc).iter().map(|&(r, _)| r);
+            for r in reads.chain(d.written_regs(pc).iter().copied()) {
+                prop_assert!(u16::from(r.0) < k.regs_per_thread, "R{} @{}", r.0, pc);
             }
         }
     }
@@ -286,9 +288,6 @@ proptest! {
                 prop_assert_eq!(m.in_class(class), class.matches(op), "class {:?}", class);
             }
             // Register tables match a fresh per-instruction recomputation.
-            let (srcs, dsts) = (i.src_regs(), i.dst_regs());
-            prop_assert_eq!(m.src_regs.as_slice(), srcs.as_slice());
-            prop_assert_eq!(m.dst_regs.as_slice(), dsts.as_slice());
             let (reads, writes) = (decode::observed_reads_of(i), decode::written_regs_of(i));
             prop_assert_eq!(d.observed_reads(pc), reads.as_slice());
             prop_assert_eq!(d.written_regs(pc), writes.as_slice());

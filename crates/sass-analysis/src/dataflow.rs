@@ -10,15 +10,16 @@
 //! `Cfg::solve` to the fixpoint and then through each reachable
 //! instruction by `Cfg::sweep`, which records the pass's answer.
 //!
-//! All passes share the predecode layer's read/write model of the ISA
-//! ([`gpu_arch::DecodedKernel`]) — the same tables the simulator and the
-//! injectors consume:
+//! All passes share the ISA's one register read/write model,
+//! [`gpu_arch::DecodedKernel::observed_reads`] and
+//! [`gpu_arch::DecodedKernel::written_regs`] — the model the verdict
+//! walks and the register-file bound read too:
 //!
 //! * reads carry a *bit mask* of the source register that the instruction
 //!   can actually observe — half-precision ops read the low 16 bits,
 //!   shift counts the low 5, everything else all 32;
 //! * 64-bit (`D*`) operands and `ST.64` values expand to the aligned
-//!   even/odd register pair, matching [`gpu_arch::Instr::src_regs`];
+//!   even/odd register pair ([`gpu_arch::Op::reads_pairs`]);
 //! * MMA fragments expand to the A/B/C register ranges the simulator
 //!   reads and writes (`exec_mma` walks `base..base+4`, and `base..base+8`
 //!   for the FMMA accumulator);

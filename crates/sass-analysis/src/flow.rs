@@ -162,8 +162,8 @@ pub struct ValueFlow<'k> {
     block_ranges: Vec<(u32, u32)>,
     reachable_pc: Vec<bool>,
     /// Per pc: the base-address register of a memory op (`srcs[0]`;
-    /// `None` for non-mem ops or an RZ base). `src_regs` cannot recover
-    /// this — it drops RZ, so the base is not reliably first.
+    /// `None` for non-mem ops or an RZ base). The decoded reads cannot
+    /// recover this — they drop RZ, so the base is not reliably first.
     mem_base: Vec<Option<Reg>>,
     /// Per pc: the stored-value registers of a store/atomic (`srcs[2]`,
     /// plus its pair-high word for 64-bit stores).
@@ -382,7 +382,7 @@ impl<'k> ValueFlow<'k> {
                 if meta.writes_pred {
                     push(work, seen, Item::PredDef(u));
                 }
-                if !meta.dst_regs.is_empty() {
+                if !self.kernel.decoded().written_regs(u as usize).is_empty() {
                     push(work, seen, Item::Def(u));
                 }
             }
@@ -430,7 +430,7 @@ impl<'k> ValueFlow<'k> {
                     if meta.writes_pred {
                         push(work, seen, Item::PredDef(u));
                     }
-                    if !meta.dst_regs.is_empty() {
+                    if !self.kernel.decoded().written_regs(u as usize).is_empty() {
                         push(work, seen, Item::Def(u));
                     }
                 }
@@ -460,7 +460,7 @@ impl<'k> ValueFlow<'k> {
                 if meta.writes_pred {
                     push(work, seen, Item::PredDef(u));
                 }
-                if !meta.dst_regs.is_empty() {
+                if !self.kernel.decoded().written_regs(u as usize).is_empty() {
                     push(work, seen, Item::Def(u));
                 }
             }

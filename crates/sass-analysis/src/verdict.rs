@@ -491,16 +491,22 @@ impl ProofEnv<'_> {
             _ => None,
         };
 
+        let decoded = self.kernel.decoded();
         for u in pc + 1..end {
             let ins = &self.kernel.instrs()[u as usize];
-            let meta = self.kernel.decoded().meta(u);
-            let reads_disp = meta.src_regs.iter().any(|&r| displacement(&disp, r).is_some());
+            let meta = decoded.meta(u);
+            // Reads and writes as the engine makes them, MMA fragments
+            // included.
+            let (reads, writes) =
+                (decoded.observed_reads(u as usize), decoded.written_regs(u as usize));
+            let displaced = |r: Reg| displacement(&disp, r).is_some();
+            let reads_disp = reads.iter().any(|&(r, _)| displaced(r));
             if meta.guard.is_some() {
                 // A guarded instruction in between must be proven inert
                 // w.r.t. displaced state; its guard itself is golden
                 // (predicates cannot be displaced — a SETP reading a
                 // displaced register bails below).
-                if reads_disp || meta.dst_regs.iter().any(|&r| displacement(&disp, r).is_some()) {
+                if reads_disp || writes.iter().any(|&r| displaced(r)) {
                     return None;
                 }
                 continue;
@@ -509,9 +515,7 @@ impl ProofEnv<'_> {
                 let base_d = operand_disp(&disp, ins.srcs[0]);
                 let value_d =
                     matches!(ins.op, Op::Stg(_) | Op::Sts(_) | Op::AtomGAdd | Op::AtomSAdd)
-                        && meta.src_regs.iter().any(|&r| {
-                            Some(r) != ins.srcs[0].reg() && displacement(&disp, r).is_some()
-                        });
+                        && reads.iter().any(|&(r, _)| Some(r) != ins.srcs[0].reg() && displaced(r));
                 if value_d {
                     return None; // displaced stored value: SDC path, not provable
                 }
@@ -569,9 +573,7 @@ impl ProofEnv<'_> {
                 }
             } else {
                 // Clean inputs: any write kills stale displacements.
-                for &r in meta.dst_regs.iter() {
-                    disp.retain(|&(dr, _)| dr != r);
-                }
+                disp.retain(|(dr, _)| !writes.contains(dr));
             }
             if disp.is_empty() {
                 return None; // fault cancelled or overwritten before observation
