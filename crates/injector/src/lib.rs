@@ -43,8 +43,7 @@ use campaign::{
 };
 use gpu_arch::{DeviceModel, FunctionalUnit, LaunchConfig, Op};
 use gpu_sim::{
-    BitFlip, ExecStatus, Executed, FaultPlan, FetchEffect, MemQueueEffect, Persistence, SiteClass,
-    Target,
+    BitFlip, Executed, FaultPlan, FetchEffect, MemQueueEffect, Persistence, SiteClass, Target,
 };
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
@@ -426,20 +425,6 @@ impl PruneState {
             _ => None,
         };
         resolved.unwrap_or(Resolution::Simulate(None))
-    }
-}
-
-/// Classify one faulty run against the golden run.
-pub fn classify<T: Target + ?Sized>(target: &T, golden: &Executed, faulty: &Executed) -> Outcome {
-    match faulty.status {
-        ExecStatus::Due(_) => Outcome::Due,
-        ExecStatus::Completed => {
-            if target.output_matches(golden, faulty) {
-                Outcome::Masked
-            } else {
-                Outcome::Sdc
-            }
-        }
     }
 }
 
