@@ -16,7 +16,7 @@
 //!   φ/IPC/occupancy gauges into it.
 //! * [`SpanBus`] — campaign → shard → trial span tracing with
 //!   FaultPlan-keyed trial IDs, exported as Chrome Trace Event Format
-//!   (`chrome://tracing`, Perfetto) or JSONL.
+//!   (`chrome://tracing`, Perfetto).
 //! * [`SnapshotPublisher`] / [`StatusSnapshot`] / [`console`] — periodic
 //!   atomic publishing of snapshots (JSON + Prometheus text exposition)
 //!   plus the `campaign-top` dashboard rendering that consumes them.

@@ -2,7 +2,7 @@
 //!
 //! A [`SpanBus`] collects timed spans and instant events from a campaign
 //! run and exports them as Chrome Trace Event Format (loadable in
-//! `chrome://tracing` or Perfetto) or JSONL. Span *timing* is wall-clock
+//! `chrome://tracing` or Perfetto). Span *timing* is wall-clock
 //! (presentation side, like `Progress`); span *identity* is deterministic:
 //! trial spans use FaultPlan-keyed IDs derived from the campaign label and
 //! trial index via [`keyed_id`], so the same trial gets the same span ID
@@ -94,21 +94,9 @@ impl SpanBus {
         parent: u64,
         tid: u64,
     ) -> OpenSpan<'_> {
-        self.begin_keyed(self.alloc_id(), name, cat, parent, tid)
-    }
-
-    /// Open a span with a caller-supplied (e.g. [`keyed_id`]) ID.
-    pub fn begin_keyed(
-        &self,
-        id: u64,
-        name: impl Into<String>,
-        cat: &'static str,
-        parent: u64,
-        tid: u64,
-    ) -> OpenSpan<'_> {
         OpenSpan {
             bus: self,
-            id,
+            id: self.alloc_id(),
             parent,
             tid,
             t0_us: self.now_us(),
@@ -193,39 +181,6 @@ impl SpanBus {
         out
     }
 
-    /// One JSON object per record with numeric `id`/`parent`, for tooling
-    /// that wants the span tree rather than a rendering.
-    pub fn to_jsonl(&self) -> String {
-        let records = self.records.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out = String::with_capacity(records.len() * 128);
-        for r in records.iter() {
-            let _ = write!(out, "{{\"id\":{},\"parent\":{},\"name\":", r.id, r.parent);
-            escape_str(&mut out, &r.name);
-            let _ = write!(
-                out,
-                ",\"cat\":\"{}\",\"tid\":{},\"ts_us\":{},\"dur_us\":",
-                r.cat, r.tid, r.ts_us
-            );
-            match r.dur_us {
-                Some(d) => {
-                    let _ = write!(out, "{d}");
-                }
-                None => out.push_str("null"),
-            }
-            out.push_str(",\"args\":{");
-            for (i, (k, v)) in r.args.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                escape_str(&mut out, k);
-                out.push(':');
-                escape_str(&mut out, v);
-            }
-            out.push_str("}}\n");
-        }
-        out
-    }
-
     /// Write the Chrome trace to `path` (tmp file + atomic rename).
     pub fn write_chrome_trace(&self, path: &Path) -> io::Result<()> {
         let tmp = path.with_extension("tmp");
@@ -299,10 +254,7 @@ mod tests {
         let mut shard = bus.begin("shard-0", "shard", cid, 1);
         shard.arg("trials", "4");
         let sid = shard.id();
-        let trial = bus.begin_keyed(keyed_id(7, 0), "trial", "trial", sid, 1);
-        let tid_span = trial.id();
-        assert_eq!(tid_span, keyed_id(7, 0));
-        trial.end();
+        bus.begin("trial", "trial", sid, 1).end();
         bus.instant("retry", sid, 1, vec![("trial", "3".into())]);
         shard.end();
         campaign.end();
@@ -370,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_preserves_the_tree() {
+    fn chrome_trace_preserves_the_tree() {
         let bus = SpanBus::new();
         let parent = bus.begin("shard-0", "shard", ROOT_SPAN, 1);
         let child = bus.begin("trial", "trial", parent.id(), 1);
@@ -378,12 +330,11 @@ mod tests {
         child.end();
         parent.end();
 
-        let lines: Vec<_> = bus.to_jsonl().lines().map(str::to_string).collect();
-        assert_eq!(lines.len(), 2);
-        let first = json::parse(&lines[0]).unwrap();
-        let obj = first.as_obj().unwrap();
-        assert_eq!(obj["id"].as_num(), Some(cid as f64));
-        assert_eq!(obj["parent"].as_num(), Some(pid as f64));
-        assert!(obj["dur_us"].as_num().is_some());
+        let doc = json::parse(&bus.to_chrome_trace()).expect("chrome trace parses");
+        let events = doc.as_arr().expect("array");
+        assert_eq!(events.len(), 2);
+        let args = events[0].as_obj().unwrap()["args"].as_obj().unwrap().clone();
+        assert_eq!(args["id"].as_str(), Some(format!("{cid:#x}").as_str()));
+        assert_eq!(args["parent"].as_str(), Some(format!("{pid:#x}").as_str()));
     }
 }
