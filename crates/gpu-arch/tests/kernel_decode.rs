@@ -2,9 +2,10 @@
 //! built, with the register-file length and the MMA and warp-sync flags
 //! that a run sizes itself by. Checked for every workload kernel and for
 //! an assembled one, against a fresh decode and against the per-run
-//! formulas the simulator used before kernels carried them.
+//! formulas the simulator used before kernels carried them. A kernel
+//! whose memory op names a register offset is not built at all.
 
-use gpu_arch::{asm, CodeGen, DecodedKernel, Kernel, MemWidth, Op};
+use gpu_arch::{asm, CodeGen, DecodedKernel, Kernel, KernelError, MemWidth, Op};
 use workloads::Scale;
 
 /// Every workload kernel (the Kepler suite under both code generators,
@@ -83,4 +84,21 @@ fn kernels_carry_their_build_time_decode() {
     }
     // HGEMM-MMA, FGEMM-MMA and the assembled kernel.
     assert_eq!((mma, warp_sync), (3, 3));
+}
+
+/// A memory address is a base register plus an immediate offset. A
+/// register in the offset slot is a build error: the simulator would add
+/// it into the address, while the static oracle and the lints read the
+/// base register alone.
+#[test]
+fn register_offsets_are_rejected() {
+    let source = "
+        .kernel reg_offset
+            MOV R0, 7
+            MOV R1, 4
+            STG.32 R14, R1, R0
+            EXIT
+    ";
+    let rejected = asm::assemble(source).err();
+    assert_eq!(rejected, Some(KernelError::RegisterOffset(2).into()));
 }
