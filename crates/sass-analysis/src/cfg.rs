@@ -16,15 +16,15 @@
 //! Updates land in place, so later blocks of a pass see them. Its
 //! companion `Cfg::sweep` then visits every reachable instruction once
 //! with the fixpoint state before it (after it, for backward problems).
-//! Dominators and postdominators are plain bitset problems on it.
-//! Kernels in this workspace are at most a few hundred instructions, so
-//! the O(blocks²) sets are cheaper than a Lengauer-Tarjan implementation
-//! would be to maintain, and the sets themselves are what the loop finder
-//! and the divergence analysis consume.
+//! Postdominators are a plain bitset problem on it. Kernels in this
+//! workspace are at most a few hundred instructions, so the O(blocks²)
+//! sets are cheaper than a Lengauer-Tarjan implementation would be to
+//! maintain, and the sets themselves are what the immediate
+//! postdominators, and through them the divergence analysis, consume.
 
 use gpu_arch::{Kernel, Op};
 
-/// Sentinel for "no block" (unreachable, or no immediate (post)dominator).
+/// Sentinel for "no block" (unreachable, or no immediate postdominator).
 pub const NO_BLOCK: u32 = u32::MAX;
 
 /// A maximal straight-line run of instructions.
@@ -47,17 +47,7 @@ impl BasicBlock {
     }
 }
 
-/// A natural loop: the target of a back edge plus every block that can
-/// reach the back edge without passing through the head.
-#[derive(Clone, Debug)]
-pub struct NaturalLoop {
-    /// Loop header block.
-    pub head: u32,
-    /// All member blocks, head included.
-    pub body: Vec<u32>,
-}
-
-/// A fixed-size bitset over basic blocks, used for dominator sets.
+/// A fixed-size bitset over basic blocks, used for postdominator sets.
 #[derive(Clone, PartialEq, Eq)]
 pub struct BlockSet {
     words: Vec<u64>,
@@ -111,19 +101,12 @@ pub struct Cfg {
     pub block_of: Vec<u32>,
     /// Per block: reachable from entry?
     pub reachable: Vec<bool>,
-    /// Per block: the set of blocks that dominate it (unreachable blocks
-    /// get an empty set).
-    pub dom: Vec<BlockSet>,
     /// Per block: the set of blocks that postdominate it. Blocks that
     /// cannot reach an exit get an empty set.
     pub pdom: Vec<BlockSet>,
     /// Immediate postdominator per block ([`NO_BLOCK`] when the block
     /// exits directly or cannot reach an exit).
     pub ipdom: Vec<u32>,
-    /// Back edges `(tail, head)` where `head` dominates `tail`.
-    pub back_edges: Vec<(u32, u32)>,
-    /// Natural loops, one per back-edge head (bodies merged per head).
-    pub loops: Vec<NaturalLoop>,
 }
 
 impl Cfg {
@@ -216,22 +199,13 @@ impl Cfg {
             }
         }
 
-        let mut cfg = Cfg {
-            blocks,
-            block_of,
-            reachable,
-            dom: Vec::new(),
-            pdom: Vec::new(),
-            ipdom: vec![NO_BLOCK; nb],
-            back_edges: Vec::new(),
-            loops: Vec::new(),
-        };
-        cfg.dom = cfg.dominators(false);
-        cfg.pdom = cfg.dominators(true);
+        let mut cfg =
+            Cfg { blocks, block_of, reachable, pdom: Vec::new(), ipdom: vec![NO_BLOCK; nb] };
+        cfg.pdom = cfg.postdominators();
 
         // Immediate postdominators: ipdom(b) is the member c of
         // pdom(b)\{b} whose own set pdom(c) equals pdom(b)\{b}.
-        let (blocks, reachable, pdom) = (&cfg.blocks, &cfg.reachable, &cfg.pdom);
+        let (reachable, pdom) = (&cfg.reachable, &cfg.pdom);
         for b in 0..nb {
             if !reachable[b] || pdom[b].is_empty() {
                 continue;
@@ -246,77 +220,38 @@ impl Cfg {
             }
         }
 
-        // Back edges and natural loops.
-        for b in 0..nb {
-            if !reachable[b] {
-                continue;
-            }
-            for &s in &blocks[b].succs {
-                if cfg.dom[b].contains(s) {
-                    cfg.back_edges.push((b as u32, s));
-                }
-            }
-        }
-        for &(tail, head) in &cfg.back_edges {
-            // Body: head plus reverse-reachability from tail stopping at
-            // the head.
-            let mut in_body = vec![false; nb];
-            in_body[head as usize] = true;
-            let mut stack = vec![tail];
-            while let Some(b) = stack.pop() {
-                if in_body[b as usize] {
-                    continue;
-                }
-                in_body[b as usize] = true;
-                for &p in &blocks[b as usize].preds {
-                    stack.push(p);
-                }
-            }
-            let body: Vec<u32> = (0..nb as u32).filter(|&b| in_body[b as usize]).collect();
-            if let Some(l) = cfg.loops.iter_mut().find(|l| l.head == head) {
-                for b in body {
-                    if !l.body.contains(&b) {
-                        l.body.push(b);
-                    }
-                }
-                l.body.sort_unstable();
-            } else {
-                cfg.loops.push(NaturalLoop { head, body });
-            }
-        }
         cfg
     }
 
-    /// Dominator sets, or postdominator sets when `backward`: the greatest
-    /// solution of `set(b) = {b} ∪ ⋂ set(n)` over `b`'s reachable
-    /// predecessors (successors), where the intersection is empty for the
-    /// entry (for the exits). The solver's state is that intersection.
-    /// Unreachable blocks get an empty set. A full postdominator set
+    /// Postdominator sets: the greatest solution of
+    /// `set(b) = {b} ∪ ⋂ set(s)` over `b`'s reachable successors, where
+    /// the intersection is empty for the exits. The solver's state is that
+    /// intersection. Unreachable blocks get an empty set. A full set
     /// survives the fixpoint in an exit-free cycle (and wherever every
     /// block postdominates); it is normalized to "unknown" (empty) so
     /// consumers treat those blocks conservatively.
-    fn dominators(&self, backward: bool) -> Vec<BlockSet> {
+    fn postdominators(&self) -> Vec<BlockSet> {
         let nb = self.blocks.len();
         let mut meet = vec![BlockSet::full(nb); nb];
         self.solve(
-            backward,
+            true,
             usize::MAX,
             &mut meet,
             |b, set| set.insert(b as u32),
-            |_, b, _, flows| {
+            |_, _, _, flows| {
                 let mut flows = flows.filter(|&(n, _)| self.reachable[n]).map(|(_, set)| set);
                 match flows.next() {
-                    Some(first) if backward || b != 0 => flows.fold(first, |mut m, set| {
+                    Some(first) => flows.fold(first, |mut m, set| {
                         m.intersect_with(&set);
                         m
                     }),
-                    _ => BlockSet::empty(nb),
+                    None => BlockSet::empty(nb),
                 }
             },
         );
         let set = |(b, mut m): (usize, BlockSet)| {
             m.insert(b as u32);
-            let unknown = backward && m.len() >= nb as u32 && nb > 1;
+            let unknown = m.len() >= nb as u32 && nb > 1;
             if self.reachable[b] && !unknown {
                 m
             } else {
@@ -404,11 +339,6 @@ impl Cfg {
         }
     }
 
-    /// Does block `a` dominate block `b`?
-    pub fn dominates(&self, a: u32, b: u32) -> bool {
-        self.dom[b as usize].contains(a)
-    }
-
     /// Blocks on some path from `branch`'s successors to (but excluding)
     /// its immediate postdominator: the region whose execution depends on
     /// which way `branch` goes. With no known reconvergence point the
@@ -454,48 +384,18 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Simple counted loop.
-    fn counted_loop() -> Kernel {
-        let mut b = KernelBuilder::new("loop");
-        b.mov(Reg(0), Operand::Imm(0));
-        b.label("head");
-        b.iadd(Reg(0), Operand::Reg(Reg(0)), Operand::Imm(1));
-        b.isetp(Pred(0), CmpOp::Lt, Operand::Reg(Reg(0)), Operand::Imm(10));
-        b.if_p(Pred(0));
-        b.bra("head");
-        b.exit();
-        b.build().unwrap()
-    }
-
     #[test]
     fn diamond_structure() {
         let k = diamond();
         let cfg = Cfg::build(&k);
         assert_eq!(cfg.blocks.len(), 4);
         assert!(cfg.reachable.iter().all(|&r| r));
-        // Entry dominates everything; the join is the entry's ipdom... the
-        // entry's immediate postdominator is the join block.
+        // The entry's immediate postdominator is the join block.
         let join = cfg.block_of[k.len() - 1];
         assert_eq!(cfg.ipdom[0], join);
-        assert!(cfg.dominates(0, join));
-        assert!(!cfg.dominates(1, join));
-        assert!(cfg.back_edges.is_empty());
         let region = cfg.influence_region(0);
         assert!(!region.contains(&join));
         assert_eq!(region.len(), 2);
-    }
-
-    #[test]
-    fn loop_detection() {
-        let k = counted_loop();
-        let cfg = Cfg::build(&k);
-        assert_eq!(cfg.back_edges.len(), 1);
-        assert_eq!(cfg.loops.len(), 1);
-        let l = &cfg.loops[0];
-        assert!(l.body.contains(&l.head));
-        // The loop head is the branch target.
-        let (tail, head) = cfg.back_edges[0];
-        assert!(cfg.dominates(head, tail));
     }
 
     #[test]
