@@ -19,6 +19,21 @@
 //!
 //! Comments run from `//` or `;` to end of line; `/* ... */` block comments
 //! (as emitted by the disassembler's address column) are stripped.
+//!
+//! Operands follow the mnemonic, comma-separated: the destination first
+//! (a register `R0`..`R254` or `RZ`; a predicate `P0`..`P6` for the
+//! `SETP` family; none for stores and control ops), then up to three
+//! sources. A source is a register, an immediate (decimal, `0x` hex, or
+//! a float with an `f` suffix, kept as its binary32 bits), `SEL`'s
+//! predicate `Pn` or `!Pn`, or a branch target. Memory ops name a base
+//! register, an immediate byte offset and, for stores and atomics, the
+//! value register ([`crate::MemOp`]); a register offset is rejected:
+//!
+//! ```text
+//!     LDG.32 R8, R7, 0x10      // R8 = [R7 + 16]
+//!     STG.64 R2, 0, R30        // [R2] = R30:R31
+//!     ATOMS.ADD R4, R5, 8, R6  // R4 = shared[R5 + 8]; shared[R5 + 8] += R6
+//! ```
 
 use crate::instr::{Guard, Instr};
 use crate::kernel::{Kernel, KernelError};

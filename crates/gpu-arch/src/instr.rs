@@ -48,8 +48,8 @@ impl fmt::Display for Guard {
 /// * `pdst` is the destination predicate for `SETP` ops.
 /// * `srcs` holds up to three source operands; memory ops use
 ///   `srcs[0]` = base register, `srcs[1]` = immediate byte offset and (for
-///   stores) `srcs[2]` = the value register. MMA ops use the three slots as
-///   the A, B, C fragment base registers.
+///   stores and atomics) `srcs[2]` = the value register ([`crate::MemOp`]). MMA
+///   ops use the three slots as the A, B, C fragment base registers.
 /// * `psrc` is the predicate source for `SEL`.
 /// * `target` is the branch destination (an instruction index within the
 ///   kernel), resolved by [`crate::KernelBuilder`].
@@ -83,6 +83,19 @@ impl Instr {
             psrc: None,
             target: None,
             guard: None,
+        }
+    }
+
+    /// The registers a store or an atomic sends to memory ([`crate::MemOp`]):
+    /// `srcs[2]`, then the high word of its pair for a 64-bit store. An
+    /// `RZ` or immediate value, and every other op, names none.
+    pub fn stored_regs(&self) -> [Option<Reg>; 2] {
+        match self.op.mem() {
+            Some(m) if m.stores => {
+                let value = self.srcs[2].reg().filter(|r| !r.is_rz());
+                [value, value.filter(|_| m.bytes == 8).map(Reg::pair_hi)]
+            }
+            _ => [None, None],
         }
     }
 }

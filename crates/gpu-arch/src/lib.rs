@@ -42,7 +42,7 @@ pub use decode::{DecodedKernel, InstrMeta, SiteClass, SiteClassSet};
 pub use device::{Architecture, CodeGen, CodeGenProfile, DeviceCaps, DeviceModel, EccMode};
 pub use instr::{Guard, Instr};
 pub use kernel::{Dim, Kernel, KernelBuilder, KernelError, LaunchConfig};
-pub use op::{CmpOp, FunctionalUnit, MemWidth, MixCategory, Op, ShflMode, SpecialReg};
+pub use op::{CmpOp, FunctionalUnit, MemOp, MemWidth, MixCategory, Op, ShflMode, SpecialReg};
 pub use operand::{Operand, Pred, Reg};
 pub use spec::{DeviceRegistry, DeviceSpec, DeviceSummary, SpecLoadError, ValidationError};
 

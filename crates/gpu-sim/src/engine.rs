@@ -51,7 +51,7 @@ use crate::snapshot::{
 use crate::timing::{self, TimingReport};
 use gpu_arch::decode::{FP32_ARITH_UNITS, FP64_ARITH_UNITS, HALF_ARITH_UNITS, INT_ARITH_UNITS};
 use gpu_arch::{
-    CmpOp, DeviceModel, FunctionalUnit, Instr, InstrMeta, Kernel, LaunchConfig, MemWidth,
+    CmpOp, DeviceModel, FunctionalUnit, Instr, InstrMeta, Kernel, LaunchConfig, MemOp, MemWidth,
     MixCategory, Op, Operand, Reg, SpecialReg, WARP_SIZE,
 };
 use obs::{MemSpace, TraceEvent, TraceSink};
@@ -2050,15 +2050,7 @@ fn claim_group(
     lo: usize,
     group: u32,
 ) -> bool {
-    let (global, write, bytes) = match ins.op {
-        Op::Ldg(w) => (true, false, w.bytes()),
-        Op::Lds(w) => (false, false, w.bytes()),
-        Op::Stg(w) => (true, true, w.bytes()),
-        Op::Sts(w) => (false, true, w.bytes()),
-        Op::AtomGAdd => (true, true, 4),
-        Op::AtomSAdd => (false, true, 4),
-        _ => return false,
-    };
+    let Some(MemOp { global, stores: write, bytes, .. }) = ins.op.mem() else { return false };
     let (claims, memory) =
         if global { (&mut bufs.global, &ctx.global) } else { (&mut bufs.shared, shared.flat()) };
     let (a, b) = (Src::of(ins.srcs[0]), Src::of(ins.srcs[1]));
@@ -2713,13 +2705,11 @@ struct Lane {
     idx: u64,
 }
 
-/// A memory op's access, resolved once per run: the space, the direction,
-/// the width, and what a stuck-at memory queue does to each lane.
+/// A memory op's access, resolved once per run: its [`MemOp`], and what
+/// a stuck-at memory queue does to each lane.
 #[derive(Clone, Copy)]
 struct Access {
-    global: bool,
-    write: bool,
-    bytes: u32,
+    mem: MemOp,
     /// The effect of a stuck-at `MemQueue` plan that has fired, on every
     /// lane of a `BULK` run; `None` otherwise, and for a lone lane, whose
     /// hook applies it.
@@ -2727,9 +2717,10 @@ struct Access {
 }
 
 impl Access {
-    /// The access of a run of `BULK` or lone lanes of a memory op.
+    /// The access of a run of `BULK` or lone lanes of memory op `op`.
     #[inline(always)]
-    fn new<const BULK: bool>(ctx: &Ctx<'_>, global: bool, write: bool, bytes: u32) -> Access {
+    fn new<const BULK: bool>(ctx: &Ctx<'_>, op: Op) -> Access {
+        let Some(mem) = op.mem() else { unreachable!("a memory op's arm") };
         let queue = match ctx.opts.fault {
             FaultPlan::MemQueue { effect, persist: Persistence::StuckAt, .. }
                 if BULK && ctx.hidden_fired =>
@@ -2738,16 +2729,7 @@ impl Access {
             }
             _ => None,
         };
-        Access { global, write, bytes, queue }
-    }
-
-    /// The DUE an access outside the space, or a misaligned one, raises.
-    fn violation(self) -> DueKind {
-        if self.global {
-            DueKind::MemoryViolation
-        } else {
-            DueKind::SharedViolation
-        }
+        Access { mem, queue }
     }
 
     /// The address a lane's access reaches: `addr` with the lane's memory
@@ -2786,14 +2768,14 @@ impl Access {
             ctx,
             TraceEvent::MemAccess {
                 idx: l.idx,
-                space: if self.global { MemSpace::Global } else { MemSpace::Shared },
-                write: self.write,
+                space: if self.mem.global { MemSpace::Global } else { MemSpace::Shared },
+                write: self.mem.stores,
                 addr,
-                bytes: self.bytes,
+                bytes: self.mem.bytes,
             }
         );
-        if !addr.is_multiple_of(self.bytes) {
-            return Err(self.violation());
+        if !addr.is_multiple_of(self.mem.bytes) {
+            return Err(DueKind::violation(self.mem));
         }
         Ok(Some(addr))
     }
@@ -2802,17 +2784,18 @@ impl Access {
     /// the exit table under construction.
     #[inline(always)]
     fn read(self, ctx: &mut Ctx<'_>, shared: &mut SharedMemory, addr: u32) -> Result<u64, DueKind> {
-        let res = if self.global {
-            ctx.global.device_read(addr, self.bytes, ctx.opts.ecc)
+        let MemOp { global, bytes, .. } = self.mem;
+        let res = if global {
+            ctx.global.device_read(addr, bytes, ctx.opts.ecc)
         } else {
-            shared.device_read(addr, self.bytes, ctx.opts.ecc)
+            shared.device_read(addr, bytes, ctx.opts.ecc)
         };
         match res {
-            Err(_) => Err(self.violation()),
+            Err(_) => Err(DueKind::violation(self.mem)),
             Ok((_, true)) => Err(DueKind::EccDoubleBit),
             Ok((value, false)) => {
-                if self.global {
-                    note_global(ctx, addr, self.bytes, false);
+                if global {
+                    note_global(ctx, addr, bytes, false);
                 }
                 Ok(value)
             }
@@ -2829,13 +2812,14 @@ impl Access {
         addr: u32,
         value: u64,
     ) -> Result<(), DueKind> {
-        let res = if self.global {
-            note_global(ctx, addr, self.bytes, true);
-            ctx.global.device_write(addr, self.bytes, value)
+        let MemOp { global, bytes, .. } = self.mem;
+        let res = if global {
+            note_global(ctx, addr, bytes, true);
+            ctx.global.device_write(addr, bytes, value)
         } else {
-            shared.device_write(addr, self.bytes, value)
+            shared.device_write(addr, bytes, value)
         };
-        res.map_err(|_| self.violation())
+        res.map_err(|_| DueKind::violation(self.mem))
     }
 }
 
@@ -3080,7 +3064,7 @@ fn step<const BULK: bool>(
             lanes!(|th| Write::W32(params.get(a.u32(th) as usize).copied().unwrap_or(0)))
         }
         Op::Ldg(w) | Op::Lds(w) => {
-            let acc = Access::new::<BULK>(ctx, matches!(ins.op, Op::Ldg(_)), false, w.bytes());
+            let acc = Access::new::<BULK>(ctx, ins.op);
             mem_lanes!(acc, |ctx, shared, th, addr| {
                 let value = acc.read(ctx, shared, addr)?;
                 Ok(match w {
@@ -3090,7 +3074,7 @@ fn step<const BULK: bool>(
             })
         }
         Op::Stg(w) | Op::Sts(w) => {
-            let acc = Access::new::<BULK>(ctx, matches!(ins.op, Op::Stg(_)), true, w.bytes());
+            let acc = Access::new::<BULK>(ctx, ins.op);
             mem_lanes!(acc, |ctx, shared, th, addr| {
                 let value = match w {
                     MemWidth::W64 => c.u64(th),
@@ -3102,7 +3086,7 @@ fn step<const BULK: bool>(
             })
         }
         Op::AtomGAdd | Op::AtomSAdd => {
-            let acc = Access::new::<BULK>(ctx, ins.op == Op::AtomGAdd, true, 4);
+            let acc = Access::new::<BULK>(ctx, ins.op);
             mem_lanes!(acc, |ctx, shared, th, addr| {
                 let old = acc.read(ctx, shared, addr)? as u32;
                 acc.store(ctx, shared, addr, old.wrapping_add(c.u32(th)) as u64)?;

@@ -5,6 +5,7 @@
 //! assumption, Section IV-A). The injectors and the beam engine construct
 //! plans; the execution engine triggers them at the right dynamic instant.
 
+use gpu_arch::MemOp;
 use std::fmt;
 
 // The site-class taxonomy lives in the predecode layer (`gpu_arch::decode`)
@@ -358,6 +359,16 @@ pub enum DueKind {
 }
 
 impl DueKind {
+    /// The DUE an access of `m` outside its space, or a misaligned one,
+    /// raises.
+    pub fn violation(m: MemOp) -> DueKind {
+        if m.global {
+            DueKind::MemoryViolation
+        } else {
+            DueKind::SharedViolation
+        }
+    }
+
     /// Stable short identifier used in trace events and metric names.
     pub fn name(self) -> &'static str {
         match self {

@@ -302,18 +302,18 @@ pub struct Uniformity {
 }
 
 fn forced_varying(op: Op) -> bool {
-    matches!(
-        op,
-        // Loads and atomics: data-dependent values.
-        Op::Ldg(_) | Op::Lds(_) | Op::AtomGAdd | Op::AtomSAdd
-            // Warp ops produce per-lane results by construction.
-            | Op::Shfl(_) | Op::Hmma | Op::Fmma
-            // Thread-identity special registers.
-            | Op::S2r(SpecialReg::TidX)
-            | Op::S2r(SpecialReg::TidY)
-            | Op::S2r(SpecialReg::LaneId)
-            | Op::S2r(SpecialReg::WarpId)
-    )
+    // Loads and atomics: data-dependent values.
+    op.mem().is_some_and(|m| m.loads)
+        // Warp ops produce per-lane results by construction.
+        || op.is_warp_sync()
+        // Thread-identity special registers.
+        || matches!(
+            op,
+            Op::S2r(SpecialReg::TidX)
+                | Op::S2r(SpecialReg::TidY)
+                | Op::S2r(SpecialReg::LaneId)
+                | Op::S2r(SpecialReg::WarpId)
+        )
 }
 
 /// Uniformity state of a block: varying registers and predicates at its

@@ -52,7 +52,7 @@
 
 use crate::cfg::Cfg;
 use crate::dataflow;
-use gpu_arch::{Kernel, MemWidth, Op, Pred, Reg};
+use gpu_arch::{Kernel, MemOp, Op, Pred};
 
 /// Where a corrupted site's value can propagate — the verdict lattice.
 ///
@@ -114,6 +114,17 @@ struct Sinks {
 }
 
 impl Sinks {
+    /// A write to memory through `m`: it taints `m`'s space, the item
+    /// returned, and a global write is the store sink.
+    fn write_to(&mut self, m: MemOp) -> Item {
+        self.store |= m.global;
+        if m.global {
+            Item::GlobalSpace
+        } else {
+            Item::SharedSpace
+        }
+    }
+
     fn classify(self) -> SiteVerdict {
         if self.warp || (self.store && (self.addr || self.ctl)) {
             SiteVerdict::Unknown
@@ -161,13 +172,6 @@ pub struct ValueFlow<'k> {
     /// Per block: its instruction range, for control-dependence closure.
     block_ranges: Vec<(u32, u32)>,
     reachable_pc: Vec<bool>,
-    /// Per pc: the base-address register of a memory op (`srcs[0]`;
-    /// `None` for non-mem ops or an RZ base). The decoded reads cannot
-    /// recover this — they drop RZ, so the base is not reliably first.
-    mem_base: Vec<Option<Reg>>,
-    /// Per pc: the stored-value registers of a store/atomic (`srcs[2]`,
-    /// plus its pair-high word for 64-bit stores).
-    mem_value: Vec<[Option<Reg>; 2]>,
 }
 
 impl<'k> ValueFlow<'k> {
@@ -199,34 +203,14 @@ impl<'k> ValueFlow<'k> {
                     pred_users[p.0 as usize].push(pc as u32);
                 }
             }
-            match i.op {
-                Op::Ldg(_) | Op::AtomGAdd => global_loads.push(pc as u32),
-                Op::Lds(_) | Op::AtomSAdd => shared_loads.push(pc as u32),
-                Op::Bra => {
-                    influence[pc] = cfg.influence_region(cfg.block_of[pc]);
-                }
-                _ => {}
+            if let Some(m) = i.op.mem().filter(|m| m.loads) {
+                if m.global { &mut global_loads } else { &mut shared_loads }.push(pc as u32);
+            }
+            if i.op == Op::Bra {
+                influence[pc] = cfg.influence_region(cfg.block_of[pc]);
             }
         }
         let block_ranges = cfg.blocks.iter().map(|b| (b.start, b.end)).collect();
-        let mut mem_base = vec![None; n];
-        let mut mem_value = vec![[None, None]; n];
-        for (pc, i) in kernel.instrs().iter().enumerate() {
-            let live = |r: Option<Reg>| r.filter(|r| !r.is_rz());
-            match i.op {
-                Op::Ldg(_) | Op::Lds(_) => mem_base[pc] = live(i.srcs[0].reg()),
-                Op::Stg(w) | Op::Sts(w) => {
-                    mem_base[pc] = live(i.srcs[0].reg());
-                    let v = live(i.srcs[2].reg());
-                    mem_value[pc] = [v, v.filter(|_| w == MemWidth::W64).map(Reg::pair_hi)];
-                }
-                Op::AtomGAdd | Op::AtomSAdd => {
-                    mem_base[pc] = live(i.srcs[0].reg());
-                    mem_value[pc] = [live(i.srcs[2].reg()), None];
-                }
-                _ => {}
-            }
-        }
         ValueFlow {
             kernel,
             du,
@@ -237,8 +221,6 @@ impl<'k> ValueFlow<'k> {
             influence,
             block_ranges,
             reachable_pc,
-            mem_base,
-            mem_value,
         }
     }
 
@@ -274,25 +256,15 @@ impl<'k> ValueFlow<'k> {
         }
         let mut sinks = Sinks { addr: true, ..Sinks::default() };
         let mut seeds = Vec::new();
-        match self.kernel.decoded().meta(pc).op {
-            // A misdirected store clobbers one location and leaves the
-            // intended one stale: both the space and the output are
-            // suspect.
-            Op::Stg(_) | Op::AtomGAdd => {
-                sinks.store = true;
-                seeds.push(Item::GlobalSpace);
-                if self.kernel.decoded().meta(pc).op == Op::AtomGAdd {
-                    seeds.push(Item::Def(pc));
-                }
-            }
-            Op::Sts(_) | Op::AtomSAdd => {
-                seeds.push(Item::SharedSpace);
-                if self.kernel.decoded().meta(pc).op == Op::AtomSAdd {
-                    seeds.push(Item::Def(pc));
-                }
-            }
-            // A misdirected load produces a wrong (in-bounds) value.
-            _ => seeds.push(Item::Def(pc)),
+        let mem = self.kernel.decoded().meta(pc).op.mem();
+        // A misdirected store clobbers one location and leaves the
+        // intended one stale: both the space and the output are suspect.
+        if let Some(m) = mem.filter(|m| m.stores) {
+            seeds.push(sinks.write_to(m));
+        }
+        // A misdirected load produces a wrong (in-bounds) value.
+        if mem.is_none_or(|m| m.loads) {
+            seeds.push(Item::Def(pc));
         }
         self.propagate(&seeds, &mut sinks);
         sinks.classify()
@@ -342,39 +314,21 @@ impl<'k> ValueFlow<'k> {
                     continue;
                 }
                 // Memory ops: distinguish the address operand from the
-                // value operand (both captured from the raw encoding).
-                if meta.is_mem_op {
-                    let is_base = self.mem_base[u as usize] == Some(reg);
-                    let is_value = self.mem_value[u as usize].contains(&Some(reg));
-                    if is_base {
-                        sinks.addr = true;
-                        match meta.op {
-                            Op::Stg(_) | Op::AtomGAdd => {
-                                sinks.store = true;
-                                push(work, seen, Item::GlobalSpace);
-                            }
-                            Op::Sts(_) | Op::AtomSAdd => {
-                                push(work, seen, Item::SharedSpace);
-                            }
-                            // Loads: the misread value continues to flow.
-                            _ => push(work, seen, Item::Def(u)),
+                // value operand ([`MemOp`]'s operand roles).
+                if let Some(m) = meta.op.mem() {
+                    let i = &self.kernel.instrs()[u as usize];
+                    let is_base = i.srcs[0].reg() == Some(reg);
+                    if is_base || i.stored_regs().contains(&Some(reg)) {
+                        // A corrupted base misdirects the access.
+                        sinks.addr |= is_base;
+                        if m.stores {
+                            push(work, seen, sinks.write_to(m));
                         }
-                    }
-                    if is_value {
-                        match meta.op {
-                            Op::Stg(_) | Op::AtomGAdd => {
-                                sinks.store = true;
-                                push(work, seen, Item::GlobalSpace);
-                            }
-                            _ => push(work, seen, Item::SharedSpace),
+                        // A load's misread value, and an atomic's
+                        // (possibly perturbed) old contents, flow on.
+                        if m.loads {
+                            push(work, seen, Item::Def(u));
                         }
-                    }
-                    // Atomics also forward the (possibly perturbed)
-                    // memory contents into their destination.
-                    if matches!(meta.op, Op::AtomGAdd | Op::AtomSAdd) && (is_base || is_value) {
-                        push(work, seen, Item::Def(u));
-                    }
-                    if is_base || is_value {
                         continue;
                     }
                 }
@@ -413,17 +367,10 @@ impl<'k> ValueFlow<'k> {
                     // replayed access may be one the golden run's data
                     // would never have issued (address not provably
                     // valid).
-                    if meta.is_mem_op {
+                    if let Some(m) = meta.op.mem() {
                         sinks.addr = true;
-                        match meta.op {
-                            Op::Stg(_) | Op::AtomGAdd => {
-                                sinks.store = true;
-                                push(work, seen, Item::GlobalSpace);
-                            }
-                            Op::Sts(_) | Op::AtomSAdd => {
-                                push(work, seen, Item::SharedSpace);
-                            }
-                            _ => {}
+                        if m.stores {
+                            push(work, seen, sinks.write_to(m));
                         }
                     }
                     // Whether guarded-op or SEL: its outputs may differ.
@@ -446,16 +393,11 @@ impl<'k> ValueFlow<'k> {
             let (start, end) = self.block_ranges[b as usize];
             for u in start..end {
                 let meta = self.kernel.decoded().meta(u);
-                match meta.op {
-                    Op::Stg(_) | Op::AtomGAdd => {
-                        sinks.store = true;
-                        push(work, seen, Item::GlobalSpace);
-                    }
-                    Op::Sts(_) | Op::AtomSAdd => {
-                        push(work, seen, Item::SharedSpace);
-                    }
-                    Op::Bar | Op::Exit => sinks.ctl = true,
-                    _ => {}
+                if let Some(m) = meta.op.mem().filter(|m| m.stores) {
+                    push(work, seen, sinks.write_to(m));
+                }
+                if matches!(meta.op, Op::Bar | Op::Exit) {
+                    sinks.ctl = true;
                 }
                 if meta.writes_pred {
                     push(work, seen, Item::PredDef(u));

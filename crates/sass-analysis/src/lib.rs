@@ -22,8 +22,9 @@
 //!
 //! Layout:
 //!
-//! * [`mod@cfg`] — basic blocks, dominators/postdominators, natural loops,
-//!   and the one dataflow solver every pass runs on;
+//! * [`mod@cfg`] — basic blocks, reachability, postdominators and
+//!   immediate postdominators, and the one dataflow solver every pass
+//!   runs on;
 //! * [`dataflow`] — reaching definitions + def-use chains, bit-level
 //!   liveness, predicate liveness, register and predicate assignment,
 //!   uniformity (divergence) analysis;

@@ -282,27 +282,18 @@ struct SharedAccess {
     pc: u32,
     write: bool,
     base: Option<gpu_arch::Reg>,
-    offset: Option<u32>,
 }
 
 fn shared_access(pc: usize, i: &Instr) -> Option<SharedAccess> {
-    let write = match i.op {
-        Op::Sts(_) | Op::AtomSAdd => true,
-        Op::Lds(_) => false,
-        _ => return None,
-    };
-    let offset = match i.srcs[1] {
-        Operand::Imm(o) => Some(o),
-        _ => None,
-    };
-    Some(SharedAccess { pc: pc as u32, write, base: i.srcs[0].reg(), offset })
+    let m = i.op.mem().filter(|m| !m.global)?;
+    Some(SharedAccess { pc: pc as u32, write: m.stores, base: i.srcs[0].reg() })
 }
 
 /// Flag shared-memory access pairs reachable from each other without an
 /// intervening `BAR.SYNC`, where at least one access is a write.
 ///
 /// Heuristic suppression: two accesses through the *same base register*
-/// with immediate offsets address either the same per-thread location
+/// (offsets are immediates) address either the same per-thread location
 /// (same offset — a same-thread readback or overwrite, not a cross-thread
 /// race) or provably distinct locations (different offsets), so such
 /// pairs are skipped. The detector is therefore syntactic: rebinding the
@@ -312,29 +303,15 @@ fn shared_access(pc: usize, i: &Instr) -> Option<SharedAccess> {
 fn shared_races(kernel: &Kernel, cfg: &Cfg, out: &mut Vec<Diagnostic>) {
     let instrs = kernel.instrs();
     let n = instrs.len();
-    // Instruction-granularity successors, not expanding through barriers.
+    // Instruction-granularity successors, the CFG's edges: the next
+    // instruction inside a block, the successor blocks' first
+    // instructions at its end.
     let succs_of = |pc: usize| -> Vec<usize> {
-        let i = &instrs[pc];
-        let mut s = Vec::new();
-        match i.op {
-            Op::Bra => {
-                s.push(i.target.expect("BRA without target") as usize);
-                if i.guard.is_some() && pc + 1 < n {
-                    s.push(pc + 1);
-                }
-            }
-            Op::Exit => {
-                if i.guard.is_some() && pc + 1 < n {
-                    s.push(pc + 1);
-                }
-            }
-            _ => {
-                if pc + 1 < n {
-                    s.push(pc + 1);
-                }
-            }
+        let block = &cfg.blocks[cfg.block_of[pc] as usize];
+        if pc + 1 < block.end as usize {
+            return vec![pc + 1];
         }
-        s
+        block.succs.iter().map(|&s| cfg.blocks[s as usize].start as usize).collect()
     };
 
     let accesses: Vec<SharedAccess> = (0..n)
@@ -361,7 +338,7 @@ fn shared_races(kernel: &Kernel, cfg: &Cfg, out: &mut Vec<Diagnostic>) {
                 continue;
             }
             // Same-base heuristic (see doc comment).
-            if a.base.is_some() && a.base == b.base && a.offset.is_some() && b.offset.is_some() {
+            if a.base.is_some() && a.base == b.base {
                 continue;
             }
             let key = (a.pc.min(b.pc), a.pc.max(b.pc));

@@ -88,7 +88,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::cfg::Cfg;
 use crate::dataflow;
 use crate::flow::{SiteVerdict, ValueFlow};
-use gpu_arch::{Instr, Kernel, LaunchConfig, Op, Operand, Reg, SiteClass, SpecialReg};
+use gpu_arch::{Instr, Kernel, LaunchConfig, MemOp, Op, Operand, Reg, SiteClass, SpecialReg};
 use gpu_sim::DueKind;
 
 /// Launch-time facts the static analysis may assume.
@@ -413,25 +413,6 @@ impl DueBits {
     }
 }
 
-fn mem_geometry(op: Op) -> Option<(u64, bool)> {
-    // (access bytes, is_shared)
-    match op {
-        Op::Ldg(w) | Op::Stg(w) => Some((w.bytes() as u64, false)),
-        Op::Lds(w) | Op::Sts(w) => Some((w.bytes() as u64, true)),
-        Op::AtomGAdd => Some((4, false)),
-        Op::AtomSAdd => Some((4, true)),
-        _ => None,
-    }
-}
-
-fn space_kind(shared: bool) -> DueKind {
-    if shared {
-        DueKind::SharedViolation
-    } else {
-        DueKind::MemoryViolation
-    }
-}
-
 struct ProofEnv<'a> {
     kernel: &'a Kernel,
     cfg: &'a Cfg,
@@ -440,18 +421,18 @@ struct ProofEnv<'a> {
 }
 
 impl ProofEnv<'_> {
-    fn space_size(&self, shared: bool) -> Option<u64> {
-        if shared {
-            Some(self.kernel.shared_bytes as u64)
-        } else {
+    fn space_size(&self, m: MemOp) -> Option<u64> {
+        if m.global {
             self.ctx.global_bytes
+        } else {
+            Some(self.kernel.shared_bytes as u64)
         }
     }
 
-    /// Is an access at abstract address `addr + d` (displacement `d`,
-    /// golden address in `addr`) provably a DUE for a `bytes`-wide
-    /// access in the given space?
-    fn access_faults(&self, addr: AbsVal, d: u64, bytes: u64, shared: bool) -> bool {
+    /// Is access `m` at abstract address `addr + d` (displacement `d`,
+    /// golden address in `addr`) provably a DUE?
+    fn access_faults(&self, addr: AbsVal, d: u64, m: MemOp) -> bool {
+        let bytes = u64::from(m.bytes);
         // Misalignment: the engine checks `addr % bytes != 0` first.
         if bytes > 1
             && !d.is_multiple_of(bytes)
@@ -461,7 +442,7 @@ impl ProofEnv<'_> {
         }
         // Out of bounds: every golden address is in [lo, hi]; adding `d`
         // must not wrap u32 and must land past the end of the space.
-        if let Some(size) = self.space_size(shared) {
+        if let Some(size) = self.space_size(m) {
             if addr.lo >= 0
                 && (addr.hi as u64) + d <= u32::MAX as u64
                 && (addr.lo as u64) + d + bytes > size
@@ -511,18 +492,19 @@ impl ProofEnv<'_> {
                 }
                 continue;
             }
-            if meta.is_mem_op {
-                let base_d = operand_disp(&disp, ins.srcs[0]);
-                let value_d =
-                    matches!(ins.op, Op::Stg(_) | Op::Sts(_) | Op::AtomGAdd | Op::AtomSAdd)
-                        && reads.iter().any(|&(r, _)| Some(r) != ins.srcs[0].reg() && displaced(r));
+            if let Some(m) = ins.op.mem() {
+                let base = ins.srcs[0].reg();
+                let value_d = ins
+                    .stored_regs()
+                    .into_iter()
+                    .flatten()
+                    .any(|r| Some(r) != base && displaced(r));
                 if value_d {
                     return None; // displaced stored value: SDC path, not provable
                 }
-                if let Some(d) = base_d {
-                    let (bytes, shared) = mem_geometry(ins.op)?;
+                if let Some(d) = operand_disp(&disp, ins.srcs[0]) {
                     let addr = self.iv.ops[u as usize][0].add(self.iv.ops[u as usize][1]);
-                    return self.access_faults(addr, d, bytes, shared).then(|| space_kind(shared));
+                    return self.access_faults(addr, d, m).then(|| DueKind::violation(m));
                 }
                 // Golden-addressed access; a load may overwrite (clean) a
                 // displaced register below.
@@ -617,18 +599,18 @@ impl ProofEnv<'_> {
     /// fault hits the already-computed effective address, so a guard on
     /// the access itself is fine (the dynamic site implies it passed).
     fn mem_due_bits(&self, pc: u32) -> DueBits {
-        let Some((bytes, shared)) = mem_geometry(self.kernel.instrs()[pc as usize].op) else {
+        let Some(m) = self.kernel.instrs()[pc as usize].op.mem() else {
             return DueBits::default();
         };
         let addr = self.iv.ops[pc as usize][0].add(self.iv.ops[pc as usize][1]);
-        let kind = space_kind(shared);
+        let kind = DueKind::violation(m);
         let mut out = DueBits::default();
         for k in 0..32u32 {
             // Flipping a provably-zero bit adds 2^k: same proof shape as
             // the output walk, displacement applied directly to the
             // address of this access.
             let provably_zero = addr.zero_bits() & (1 << k) != 0;
-            if provably_zero && self.access_faults(addr, 1u64 << k, bytes, shared) {
+            if provably_zero && self.access_faults(addr, 1u64 << k, m) {
                 out.bits |= 1 << k;
                 out.kind = Some(kind);
             }
