@@ -82,3 +82,19 @@ fn bad_input_exits_with_status_two_without_panicking() {
         assert!(usage.contains(flag), "{usage}");
     }
 }
+
+#[test]
+fn a_validation_error_names_the_instructions_source_line() {
+    let kernel = kernel_file(
+        "reg_offset.sass",
+        ".kernel reg_offset\n    MOV R0, 7\n    MOV R1, 4\n    // a register offset\n    \
+         STG.32 R14, R1, R0\n    EXIT\n",
+    );
+    let out = sass_run(&kernel, &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("line 5: instruction 2: a memory offset must be an immediate"),
+        "{stderr}"
+    );
+}

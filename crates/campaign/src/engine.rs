@@ -1005,20 +1005,6 @@ struct Pending {
     plan: FaultPlan,
 }
 
-/// What executing one plan gave.
-struct Ran {
-    outcome: Outcome,
-    due: Option<DueKind>,
-    dyn_instrs: u64,
-    rounds: u64,
-    windows: u64,
-    window_rollbacks: u64,
-    repeat_skipped: u64,
-    exit: Option<BlockExit>,
-    handoff: Option<Arc<EngineSnapshot>>,
-    phases: PhaseNanos,
-}
-
 impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
     /// Execute `batches` concurrently, one thread each, and return their
     /// shard runs in shard order.
@@ -1166,18 +1152,17 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
         }
         rec.micros = rec.micros.saturating_add(micros(started.elapsed()));
         match result {
-            Ok(ran) => {
+            Ok((outcome, due, faulty)) => {
                 rec.executed = true;
-                rec.outcome = ran.outcome;
-                rec.due = ran.due;
-                rec.dyn_instrs = ran.dyn_instrs;
-                rec.rounds = ran.rounds;
-                (rec.windows, rec.window_rollbacks) = (ran.windows, ran.window_rollbacks);
-                rec.repeat_skipped = ran.repeat_skipped;
+                (rec.outcome, rec.due) = (outcome, due);
+                rec.dyn_instrs = faulty.counts.total;
+                rec.rounds = faulty.rounds;
+                (rec.windows, rec.window_rollbacks) = (faulty.windows, faulty.window_rollbacks);
+                rec.repeat_skipped = faulty.repeat_skipped;
                 rec.fast_forwarded = fast_forwarded;
-                rec.exit = ran.exit;
-                rec.phases = ran.phases;
-                ran.handoff
+                rec.exit = faulty.exit;
+                rec.phases = faulty.phases;
+                faulty.handoff
             }
             Err(payload) => {
                 rec.quarantine(Some(plan), payload.as_ref());
@@ -1186,10 +1171,16 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
         }
     }
 
-    /// Execute `plan` and classify the run against the golden run. Pure
-    /// with respect to the batch state, so a panic anywhere inside loses
-    /// nothing and the trial can be replayed.
-    fn execute(&self, plan: FaultPlan, resume: Option<Arc<EngineSnapshot>>, hand_off: bool) -> Ran {
+    /// Execute `plan` and classify the run against the golden run: its
+    /// outcome, its DUE kind and the run itself. Pure with respect to the
+    /// batch state, so a panic anywhere inside loses nothing and the
+    /// trial can be replayed.
+    fn execute(
+        &self,
+        plan: FaultPlan,
+        resume: Option<Arc<EngineSnapshot>>,
+        hand_off: bool,
+    ) -> (Outcome, Option<DueKind>, Executed) {
         // Fast-forward: resume from a golden snapshot or a relayed state
         // at or before the fault site, and end at the first snapshot
         // point or block boundary after which the run is provably golden.
@@ -1213,18 +1204,7 @@ impl<T: Target + Sync + ?Sized, S: Sampler> ShardCtx<'_, T, S> {
                 }
             }
         };
-        Ran {
-            outcome,
-            due,
-            dyn_instrs: faulty.counts.total,
-            rounds: faulty.rounds,
-            windows: faulty.windows,
-            window_rollbacks: faulty.window_rollbacks,
-            repeat_skipped: faulty.repeat_skipped,
-            exit: faulty.exit,
-            handoff: faulty.handoff,
-            phases: faulty.phases,
-        }
+        (outcome, due, faulty)
     }
 }
 

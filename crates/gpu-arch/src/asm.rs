@@ -36,7 +36,7 @@
 //! ```
 
 use crate::instr::{Guard, Instr};
-use crate::kernel::{Kernel, KernelError};
+use crate::kernel::Kernel;
 use crate::op::{CmpOp, MemWidth, Op, SpecialReg};
 use crate::operand::{Operand, Pred, Reg};
 use std::collections::HashMap;
@@ -45,7 +45,7 @@ use std::fmt;
 /// Assembly error with a 1-based line number.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AsmError {
-    /// 1-based source line.
+    /// 1-based source line; 0 for an error about the kernel as a whole.
     pub line: usize,
     /// Human-readable message.
     pub message: String,
@@ -59,12 +59,6 @@ impl fmt::Display for AsmError {
 
 impl std::error::Error for AsmError {}
 
-impl From<KernelError> for AsmError {
-    fn from(e: KernelError) -> Self {
-        AsmError { line: 0, message: e.to_string() }
-    }
-}
-
 fn err(line: usize, message: impl Into<String>) -> AsmError {
     AsmError { line, message: message.into() }
 }
@@ -76,6 +70,7 @@ pub fn assemble(source: &str) -> Result<Kernel, AsmError> {
     let mut shared = 0u32;
     let mut proprietary = false;
     let mut instrs: Vec<Instr> = Vec::new();
+    let mut instr_lines: Vec<usize> = Vec::new();
     let mut labels: HashMap<String, u32> = HashMap::new();
     let mut fixups: Vec<(usize, u32, String)> = Vec::new(); // (line, instr idx, label)
 
@@ -124,6 +119,7 @@ pub fn assemble(source: &str) -> Result<Kernel, AsmError> {
             fixups.push((line_num, instrs.len() as u32, label));
         }
         instrs.push(instr);
+        instr_lines.push(line_num);
     }
 
     let name = name.ok_or_else(|| err(0, "missing .kernel directive"))?;
@@ -134,7 +130,12 @@ pub fn assemble(source: &str) -> Result<Kernel, AsmError> {
         instrs[at as usize].target = Some(target);
     }
 
-    let mut kernel = Kernel::new(name, instrs, shared, proprietary)?;
+    // A validation error about one instruction is reported at its line;
+    // a kernel-wide one (no `EXIT`, no instructions) at line 0.
+    let mut kernel = Kernel::new(name, instrs, shared, proprietary).map_err(|e| {
+        let line = e.at().map_or(0, |at| instr_lines[at as usize]);
+        err(line, e.to_string())
+    })?;
     kernel.regs_per_thread = regs_override.unwrap_or(kernel.regs_per_thread);
     Ok(kernel)
 }

@@ -136,6 +136,22 @@ impl fmt::Display for KernelError {
 
 impl std::error::Error for KernelError {}
 
+impl KernelError {
+    /// The index of the instruction the error is about; `None` for the
+    /// errors about the kernel as a whole.
+    pub fn at(&self) -> Option<u32> {
+        match *self {
+            KernelError::BranchOutOfRange { at, .. }
+            | KernelError::MisalignedPair { at, .. }
+            | KernelError::MissingPredDst(at)
+            | KernelError::MissingPredSrc(at)
+            | KernelError::MalformedMma(at)
+            | KernelError::RegisterOffset(at) => Some(at),
+            KernelError::UndefinedLabel(_) | KernelError::NoExit | KernelError::Empty => None,
+        }
+    }
+}
+
 /// A validated kernel: straight-line SASS-like code with resolved branch
 /// targets, plus its static resource footprint and the [`DecodedKernel`]
 /// made when it was built, which every run and analysis reads. Equality,

@@ -89,7 +89,7 @@ fn kernels_carry_their_build_time_decode() {
 /// A memory address is a base register plus an immediate offset. A
 /// register in the offset slot is a build error: the simulator would add
 /// it into the address, while the static oracle and the lints read the
-/// base register alone.
+/// base register alone. The assembler reports it at the `STG`'s line.
 #[test]
 fn register_offsets_are_rejected() {
     let source = "
@@ -100,5 +100,6 @@ fn register_offsets_are_rejected() {
             EXIT
     ";
     let rejected = asm::assemble(source).err();
-    assert_eq!(rejected, Some(KernelError::RegisterOffset(2).into()));
+    let message = KernelError::RegisterOffset(2).to_string();
+    assert_eq!(rejected, Some(asm::AsmError { line: 5, message }));
 }

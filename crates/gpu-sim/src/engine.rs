@@ -42,11 +42,12 @@
 
 use crate::error::SimError;
 use crate::fault::{
-    BitFlip, DueKind, FaultPlan, FetchEffect, MemQueueEffect, Persistence, SiteClass,
+    BitFlip, DueKind, FaultPlan, FetchEffect, MemQueueEffect, Persistence, SiteClass, Stage,
+    Trigger,
 };
 use crate::memory::{GlobalMemory, SharedMemory};
 use crate::snapshot::{
-    trigger_counter, ClassTallies, EngineSnapshot, ExitRecorder, ExitTable, Geometry, SNAPSHOT_CAP,
+    ClassTallies, EngineSnapshot, ExitRecorder, ExitTable, Geometry, SNAPSHOT_CAP,
 };
 use crate::timing::{self, TimingReport};
 use gpu_arch::decode::{FP32_ARITH_UNITS, FP64_ARITH_UNITS, HALF_ARITH_UNITS, INT_ARITH_UNITS};
@@ -642,11 +643,11 @@ struct Ctx<'a> {
     /// its `nth` in; the memory and predicate hooks count theirs in
     /// `counts.sites`.
     tallies: ClassTallies,
+    /// The fault plan's trigger, decoded once per run.
+    trigger: Option<Trigger>,
+    /// Set when the plan first fires: transient plans then apply no
+    /// more, and a stuck-at plan reports no further fault event.
     fault_triggered: bool,
-    /// One-shot latch for hidden-resource faults: set when the plan's
-    /// corruption first fires, so transient plans apply exactly once and
-    /// stuck-at plans emit a single trace event.
-    hidden_fired: bool,
     current_block: u32,
     record: Option<SitesRecord>,
     cap: Option<Capture>,
@@ -748,6 +749,7 @@ pub fn try_run_with_sink<'a>(
         return Err(SimError::PartialWarpMma { block_threads });
     }
     let geometry = Geometry::of(kernel, launch, memory.len());
+    let trigger = opts.fault.trigger();
     if opts.hand_off && opts.snapshot_stride != 0 {
         return Err(SimError::ResumeConflict(
             "cannot hand off state during a capturing run".to_string(),
@@ -786,7 +788,7 @@ pub fn try_run_with_sink<'a>(
             let allowed = sink.is_none()
                 && !opts.record_sites
                 && opts.snapshot_stride == 0
-                && opts.fault.fires_once();
+                && trigger.is_some_and(|t| t.fires_once());
             allowed.then_some((golden, table))
         }
     };
@@ -822,8 +824,8 @@ pub fn try_run_with_sink<'a>(
         rounds: 0,
         repeat_skipped: 0,
         tallies: ClassTallies::default(),
+        trigger,
         fault_triggered: false,
-        hidden_fired: false,
         current_block: 0,
         record: opts.record_sites.then(SitesRecord::default),
         // A rejoin ends the run at the golden total, so it needs room.
@@ -1025,7 +1027,7 @@ fn rejoin_here(
         // The earliest count the plan can fire at. A hidden plan fires
         // at a round top, after this check, and a round may retire
         // nothing, so the next round top can sit at that very count.
-        return ControlFlow::Continue(now.saturating_add(trigger_gap(ctx).unwrap_or(0)));
+        return ControlFlow::Continue(now.saturating_add(ctx.trigger_gap().unwrap_or(0)));
     }
     let (golden, table) = (rj.golden, rj.table);
     let Some(snap) = rj.next_in_block((block, now)) else { return ControlFlow::Continue(u64::MAX) };
@@ -1127,7 +1129,7 @@ fn hand_off(
 ) -> u64 {
     let Some(from) = ctx.handoff_from else { return u64::MAX };
     // `None` when nothing is handed off.
-    let gap = trigger_gap(ctx);
+    let gap = ctx.trigger_gap();
     if let Some(wait) = gap.and_then(|gap| gap.checked_sub(running.lanes())) {
         return ctx.dyn_count.saturating_add(wait).saturating_add(1);
     }
@@ -1138,12 +1140,21 @@ fn hand_off(
     u64::MAX
 }
 
-/// How many more ticks the plan's trigger counter needs to reach its
-/// trigger; `None` when the plan has no trigger or the counter is past it.
-fn trigger_gap(ctx: &Ctx<'_>) -> Option<u64> {
-    let fault = &ctx.opts.fault;
-    trigger_counter(fault, |c| ctx.tallies.class_matches(c), &ctx.counts.sites, ctx.dyn_count)
-        .and_then(|(counter, trigger)| trigger.checked_sub(counter))
+impl Ctx<'_> {
+    /// How many more ticks the trigger counter needs to reach the
+    /// trigger; `None` when the plan has no trigger or the counter is
+    /// past it.
+    #[inline(always)]
+    fn trigger_gap(&self) -> Option<u64> {
+        let t = self.trigger?;
+        let count = t.count(|c| self.tallies.class_matches(c), &self.counts.sites, self.dyn_count);
+        t.value.checked_sub(count)
+    }
+
+    /// Whether the plan acts at the fetch (see [`turn`]).
+    fn lane_fetch(&self) -> bool {
+        self.trigger.is_some_and(|t| t.stage == Stage::Fetch)
+    }
 }
 
 /// Instructions from the round top a plan is first seen fired at to the
@@ -1171,9 +1182,7 @@ impl Repeat {
     /// fetch or stuck-at hidden plan), with a watchdog and with no sink,
     /// no sites record and no snapshot capture.
     fn armed(ctx: &Ctx<'_>) -> Option<Repeat> {
-        let fault = &ctx.opts.fault;
-        let armed = !fault.fires_once()
-            && !matches!(fault, FaultPlan::None)
+        let armed = ctx.trigger.is_some_and(|t| !t.fires_once())
             && ctx.sink.is_none()
             && ctx.record.is_none()
             && ctx.cap.is_none()
@@ -1214,8 +1223,8 @@ fn repeat_exit(
         return u64::MAX;
     };
     let now = ctx.dyn_count;
-    if !ctx.hidden_fired {
-        return now.saturating_add(trigger_gap(ctx).unwrap_or(0));
+    if !ctx.fault_triggered {
+        return now.saturating_add(ctx.trigger_gap().unwrap_or(0));
     }
     if let Some(saved) = rp.saved.take() {
         let (snap, rounds) = &*saved;
@@ -1290,8 +1299,8 @@ fn run_block(
     // A fetch fault rewrites the pc of the lanes about to fetch, so under
     // a fetch plan a turn's lanes go on their own until the plan fires
     // (see [`turn`]), and no window or lone-lane stretch runs.
-    let lane_fetch = matches!(ctx.opts.fault, FaultPlan::Fetch { .. });
-    let lone_lane = unobserved(ctx, lane_fetch);
+    let lane_fetch = ctx.lane_fetch();
+    let lone_lane = unobserved(ctx);
     let mut repeat = Repeat::armed(ctx);
     // The first dynamic count at which a round top may do more than start
     // the round: the least of the counts its five actions return when
@@ -1394,11 +1403,11 @@ fn run_block(
         // a transient fault perturbs the first barrier episode it
         // reaches, a stuck-at fault perturbs every one.
         let barrier_fault = match ctx.opts.fault {
-            FaultPlan::BarrierCounter { at, phantom, persist } if ctx.dyn_count >= at => {
-                match persist {
-                    Persistence::Transient if ctx.hidden_fired => None,
-                    _ => Some(phantom),
-                }
+            FaultPlan::BarrierCounter { at, phantom, persist }
+                if ctx.dyn_count >= at
+                    && !(persist == Persistence::Transient && ctx.fault_triggered) =>
+            {
+                Some(phantom)
             }
             _ => None,
         };
@@ -1509,7 +1518,7 @@ fn turn(
     let mut retired = false;
     let mut parked = false;
     while pending != 0 {
-        let alone = lane_fetch && (ctx.sink.is_some() || !ctx.hidden_fired);
+        let alone = lane_fetch && (ctx.sink.is_some() || !ctx.fault_triggered);
         let (mut pc, run) = take_run(threads, lo, &mut pending, alone);
         if lane_fetch {
             pc = hidden_fetch_fault(ctx, threads, lo, run, pc)?;
@@ -1594,8 +1603,8 @@ fn take_run(threads: &[Thread], lo: usize, pending: &mut u32, alone: bool) -> (u
 /// watches, no sites record is kept and no fetch plan rewrites pcs. A
 /// fetch plan moves the runs of a turn ([`turn`]), but a window or a lone
 /// lane's stretch has no fetch hook, so it keeps both off.
-fn unobserved(ctx: &Ctx<'_>, lane_fetch: bool) -> bool {
-    !lane_fetch && ctx.sink.is_none() && ctx.record.is_none()
+fn unobserved(ctx: &Ctx<'_>) -> bool {
+    !ctx.lane_fetch() && ctx.sink.is_none() && ctx.record.is_none()
 }
 
 /// Step the one running lane of lone warp `at` (`lane` is its bit in the
@@ -1661,8 +1670,7 @@ struct Windows {
 
 impl Windows {
     fn new(ctx: &Ctx<'_>) -> Windows {
-        let lane_fetch = matches!(ctx.opts.fault, FaultPlan::Fetch { .. });
-        let allowed = unobserved(ctx, lane_fetch)
+        let allowed = unobserved(ctx)
             && !ctx.kernel.decoded().warp_sync()
             && ctx.launch.block.count() <= Claim::LANES as u64;
         Windows { allowed, next_try: 0, opened: 0, rolled_back: 0, bufs: None }
@@ -2132,56 +2140,25 @@ struct WarpPos {
 #[inline]
 fn quiet_span(ctx: &Ctx<'_>, meta: Option<&InstrMeta>) -> u64 {
     let room = ctx.opts.watchdog_limit.saturating_sub(ctx.dyn_count);
-    // Ticks before the counter reaches the target; none ever do once the
-    // counter is past it.
-    let until = |target: u64, counter: u64| target.checked_sub(counter).unwrap_or(u64::MAX);
-    let hooked = match ctx.opts.fault {
-        // Hidden scheduler, mask and barrier faults fire between rounds,
-        // and a fetch fault at the fetch of a run before it issues (one
-        // lane until the plan has fired; see [`turn`]).
-        FaultPlan::None
-        | FaultPlan::SchedulerNextPc { .. }
-        | FaultPlan::SchedulerPriority { .. }
-        | FaultPlan::ActiveMask { .. }
-        | FaultPlan::BarrierCounter { .. }
-        | FaultPlan::Fetch { .. } => u64::MAX,
-        FaultPlan::InstructionOutput { site, .. }
-        | FaultPlan::InstructionOutputSet { site, .. }
-            if meta.is_some_and(|m| !m.in_class(site)) =>
-        {
-            u64::MAX
-        }
-        FaultPlan::InstructionOutput { nth, site, .. }
-        | FaultPlan::InstructionOutputSet { nth, site, .. } => {
-            until(nth, ctx.tallies.class_matches(site))
-        }
-        FaultPlan::MemAddress { .. } | FaultPlan::MemQueue { .. }
-            if meta.is_some_and(|m| !m.is_mem_op) =>
-        {
-            u64::MAX
-        }
-        FaultPlan::MemAddress { nth, .. }
-        | FaultPlan::MemQueue { nth, persist: Persistence::Transient, .. } => {
-            until(nth, ctx.counts.sites.mem_ops)
-        }
+    // Only a plan that acts in a step has a hook there, and only an
+    // instruction that ticks its counter can reach it. The others act
+    // between rounds, or at a run's fetch before it issues ([`turn`]).
+    let Some(t) =
+        ctx.trigger.filter(|t| t.stage == Stage::Step && meta.is_none_or(|m| t.ticked_by(m)))
+    else {
+        return room;
+    };
+    let gap = ctx.trigger_gap();
+    let hooked = match t.persist {
+        // Ticks before the counter reaches the trigger; none ever do
+        // once the counter is past it.
+        Persistence::Transient => gap.unwrap_or(u64::MAX),
         // A stuck-at queue corrupts every entry from `nth` on. Once it
         // has fired, a run applies the corruption to each of its memory
         // lanes itself ([`Access::new`]); any instructions (`None`, a
         // window or a lone lane's stretch) still stop here.
-        FaultPlan::MemQueue { persist: Persistence::StuckAt, .. }
-            if meta.is_some() && ctx.hidden_fired =>
-        {
-            u64::MAX
-        }
-        FaultPlan::MemQueue { nth, persist: Persistence::StuckAt, .. } => {
-            nth.saturating_sub(ctx.counts.sites.mem_ops)
-        }
-        FaultPlan::PredicateOutput { .. } if meta.is_some_and(|m| !m.writes_pred) => u64::MAX,
-        FaultPlan::PredicateOutput { nth } => until(nth, ctx.counts.sites.setp),
-        FaultPlan::Pc { at, .. }
-        | FaultPlan::RegisterBit { at, .. }
-        | FaultPlan::GlobalMemBit { at, .. }
-        | FaultPlan::SharedMemBit { at, .. } => until(at, ctx.dyn_count),
+        Persistence::StuckAt if meta.is_some() && ctx.fault_triggered => u64::MAX,
+        Persistence::StuckAt => gap.unwrap_or(0),
     };
     room.min(hooked)
 }
@@ -2196,15 +2173,14 @@ fn fault_fired(ctx: &mut Ctx<'_>, idx: u64, detail: u64) {
     emit!(ctx, TraceEvent::FaultInjected { idx, site: ctx.opts.fault.site_label(), detail });
 }
 
-/// [`fault_fired`] for hidden-resource plans, latched by
-/// `Ctx::hidden_fired`: only the first firing is reported, so a stuck-at
-/// plan that re-applies its corruption every round or barrier episode
-/// still emits one event. Returns whether this was the first firing.
+/// [`fault_fired`] for hidden-resource plans, the first time one fires:
+/// a stuck-at plan that re-applies its corruption every round, barrier
+/// episode, fetch or queue entry still emits one event. Returns whether
+/// this was the first firing.
 #[cold]
 fn hidden_fault_fired(ctx: &mut Ctx<'_>, idx: u64, detail: u64) -> bool {
-    let first = !ctx.hidden_fired;
+    let first = !ctx.fault_triggered;
     if first {
-        ctx.hidden_fired = true;
         fault_fired(ctx, idx, detail);
     }
     first
@@ -2249,24 +2225,15 @@ fn hidden_round_tick(
         FaultPlan::SchedulerNextPc { at, warp, flip, persist } if ctx.dyn_count >= at => {
             let first = hidden_fault_fired(ctx, ctx.dyn_count, flip.mask);
             let (_, lo, hi) = warp_span(warp);
-            match persist {
-                // The scheduler entry's next-pc field takes one upset.
-                Persistence::Transient if first => {
-                    for th in &mut threads[lo..hi] {
-                        if th.state == TState::Running {
-                            th.pc ^= flip.mask as u32;
-                        }
-                    }
+            let mask = flip.mask as u32;
+            for th in threads[lo..hi].iter_mut().filter(|th| th.state == TState::Running) {
+                match persist {
+                    // The scheduler entry's next-pc field takes one upset.
+                    Persistence::Transient if first => th.pc ^= mask,
+                    // Stuck-at-one bits: re-asserted every round.
+                    Persistence::StuckAt => th.pc |= mask,
+                    Persistence::Transient => {}
                 }
-                // Stuck-at-one bits: re-asserted every round.
-                Persistence::StuckAt => {
-                    for th in &mut threads[lo..hi] {
-                        if th.state == TState::Running {
-                            th.pc |= flip.mask as u32;
-                        }
-                    }
-                }
-                Persistence::Transient => {}
             }
             RoundHidden::default()
         }
@@ -2306,12 +2273,13 @@ fn hidden_round_tick(
         }
         _ => RoundHidden::default(),
     };
-    let next = match ctx.opts.fault {
-        _ if ctx.hidden_fired && ctx.opts.fault.fires_once() => u64::MAX,
-        FaultPlan::SchedulerNextPc { at, .. }
-        | FaultPlan::SchedulerPriority { at, .. }
-        | FaultPlan::ActiveMask { at, .. }
-        | FaultPlan::BarrierCounter { at, .. } => at,
+    let next = match ctx.trigger {
+        Some(t)
+            if matches!(t.stage, Stage::RoundTop | Stage::RoundEnd)
+                && !(ctx.fault_triggered && t.fires_once()) =>
+        {
+            t.value
+        }
         _ => u64::MAX,
     };
     (round, next)
@@ -2338,7 +2306,7 @@ fn hidden_fetch_fault(
         return Ok(pc);
     };
     let fire = match persist {
-        Persistence::Transient => ctx.dyn_count == at && !ctx.hidden_fired,
+        Persistence::Transient => ctx.dyn_count == at && !ctx.fault_triggered,
         Persistence::StuckAt => ctx.dyn_count >= at,
     };
     if !fire {
@@ -2723,7 +2691,7 @@ impl Access {
         let Some(mem) = op.mem() else { unreachable!("a memory op's arm") };
         let queue = match ctx.opts.fault {
             FaultPlan::MemQueue { effect, persist: Persistence::StuckAt, .. }
-                if BULK && ctx.hidden_fired =>
+                if BULK && ctx.fault_triggered =>
             {
                 Some(effect)
             }
@@ -3197,11 +3165,7 @@ fn exec_mma(ctx: &mut Ctx<'_>, meta: &InstrMeta, warp: &mut [Thread], ins: &Inst
 
     // Output fault: corrupt one D element, selected by the plan's nth.
     if let Some(c) = output_fault(ctx, meta) {
-        let nth = match ctx.opts.fault {
-            FaultPlan::InstructionOutput { nth, .. }
-            | FaultPlan::InstructionOutputSet { nth, .. } => nth,
-            _ => 0,
-        };
+        let nth = ctx.trigger.map_or(0, |t| t.value);
         let idx = (nth % 256) as usize;
         let (r, cc) = (idx / 16, idx % 16);
         if is_hmma {
@@ -3261,11 +3225,7 @@ fn exec_shfl(ctx: &mut Ctx<'_>, meta: &InstrMeta, warp: &mut [Thread], ins: &Ins
         .collect();
     // One output fault can land on one lane's result.
     if let Some(c) = output_fault(ctx, meta) {
-        let nth = match ctx.opts.fault {
-            FaultPlan::InstructionOutput { nth, .. }
-            | FaultPlan::InstructionOutputSet { nth, .. } => nth,
-            _ => 0,
-        };
+        let nth = ctx.trigger.map_or(0, |t| t.value);
         let lane = (nth as usize) % width.max(1);
         results[lane] = c.apply32(results[lane]);
     }

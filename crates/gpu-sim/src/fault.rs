@@ -5,7 +5,8 @@
 //! assumption, Section IV-A). The injectors and the beam engine construct
 //! plans; the execution engine triggers them at the right dynamic instant.
 
-use gpu_arch::MemOp;
+use crate::engine::SiteCounts;
+use gpu_arch::{InstrMeta, MemOp};
 use std::fmt;
 
 // The site-class taxonomy lives in the predecode layer (`gpu_arch::decode`)
@@ -290,27 +291,106 @@ impl FaultPlan {
         }
     }
 
-    /// True for plans whose corruption acts at most once, so the plan is
-    /// spent once it has fired: every plan but the golden one, fetch
-    /// plans and stuck-at plans. A spent plan no longer affects the run
-    /// after the block it fired in.
-    pub(crate) fn fires_once(&self) -> bool {
-        match self {
-            FaultPlan::None | FaultPlan::Fetch { .. } => false,
-            FaultPlan::SchedulerNextPc { persist, .. }
-            | FaultPlan::SchedulerPriority { persist, .. }
-            | FaultPlan::ActiveMask { persist, .. }
-            | FaultPlan::BarrierCounter { persist, .. }
-            | FaultPlan::MemQueue { persist, .. } => *persist == Persistence::Transient,
-            FaultPlan::InstructionOutput { .. }
-            | FaultPlan::InstructionOutputSet { .. }
-            | FaultPlan::MemAddress { .. }
-            | FaultPlan::PredicateOutput { .. }
-            | FaultPlan::Pc { .. }
-            | FaultPlan::RegisterBit { .. }
-            | FaultPlan::GlobalMemBit { .. }
-            | FaultPlan::SharedMemBit { .. } => true,
+    /// The plan's trigger, decoded here and nowhere else; `None` for
+    /// [`FaultPlan::None`], which has no trigger.
+    pub(crate) fn trigger(&self) -> Option<Trigger> {
+        use Counter::{Class, Dyn, MemOps, Setp};
+        use Stage::{RoundEnd, RoundTop, Step};
+        let once = Persistence::Transient;
+        let (counter, value, stage, persist) = match *self {
+            FaultPlan::None => return None,
+            FaultPlan::InstructionOutput { nth, site, .. }
+            | FaultPlan::InstructionOutputSet { nth, site, .. } => (Class(site), nth, Step, once),
+            FaultPlan::MemAddress { nth, .. } => (MemOps, nth, Step, once),
+            FaultPlan::MemQueue { nth, persist, .. } => (MemOps, nth, Step, persist),
+            FaultPlan::PredicateOutput { nth } => (Setp, nth, Step, once),
+            FaultPlan::Pc { at, .. }
+            | FaultPlan::RegisterBit { at, .. }
+            | FaultPlan::GlobalMemBit { at, .. }
+            | FaultPlan::SharedMemBit { at, .. } => (Dyn, at, Step, once),
+            FaultPlan::SchedulerNextPc { at, persist, .. }
+            | FaultPlan::SchedulerPriority { at, persist, .. }
+            | FaultPlan::ActiveMask { at, persist, .. } => (Dyn, at, RoundTop, persist),
+            FaultPlan::BarrierCounter { at, persist, .. } => (Dyn, at, RoundEnd, persist),
+            FaultPlan::Fetch { at, persist, .. } => (Dyn, at, Stage::Fetch, persist),
+        };
+        Some(Trigger { counter, value, stage, persist })
+    }
+}
+
+/// The counter a plan's trigger is numbered in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Counter {
+    /// Guard-passing matches of a site class (the run's `ClassTallies`).
+    Class(SiteClass),
+    /// Guard-passing memory ops ([`SiteCounts::mem_ops`]).
+    MemOps,
+    /// Guard-passing `SETP`s ([`SiteCounts::setp`]).
+    Setp,
+    /// The global dynamic-instruction counter.
+    Dyn,
+}
+
+/// Where in the engine a plan acts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Stage {
+    /// In a step, through a lane's fault hook.
+    Step,
+    /// At a scheduler round top (scheduler entries, active masks).
+    RoundTop,
+    /// At a round's end, where barriers release (barrier counters).
+    RoundEnd,
+    /// At a run's fetch, before it issues.
+    Fetch,
+}
+
+/// When and where a [`FaultPlan`] fires ([`FaultPlan::trigger`]). The
+/// plan touches no state before its counter reaches `value`, so a state
+/// whose counter is at or below it lies before the fault.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Trigger {
+    pub(crate) counter: Counter,
+    /// The `nth` or `at` the counter must reach.
+    pub(crate) value: u64,
+    pub(crate) stage: Stage,
+    pub(crate) persist: Persistence,
+}
+
+impl Trigger {
+    /// The counter read off a state with class matches `class_matches`,
+    /// site counts `sites` and dynamic count `dyn_count`.
+    #[inline(always)]
+    pub(crate) fn count(
+        &self,
+        class_matches: impl FnOnce(SiteClass) -> u64,
+        sites: &SiteCounts,
+        dyn_count: u64,
+    ) -> u64 {
+        match self.counter {
+            Counter::Class(site) => class_matches(site),
+            Counter::MemOps => sites.mem_ops,
+            Counter::Setp => sites.setp,
+            Counter::Dyn => dyn_count,
         }
+    }
+
+    /// Whether a guard-passing run of the instruction `meta` describes
+    /// ticks the counter; every instruction ticks the dynamic one.
+    #[inline(always)]
+    pub(crate) fn ticked_by(&self, meta: &InstrMeta) -> bool {
+        match self.counter {
+            Counter::Class(site) => meta.in_class(site),
+            Counter::MemOps => meta.is_mem_op,
+            Counter::Setp => meta.writes_pred,
+            Counter::Dyn => true,
+        }
+    }
+
+    /// True when the plan's corruption acts at most once, so the plan is
+    /// spent once it has fired: every transient plan but a fetch one. A
+    /// spent plan no longer affects the run after the block it fired in.
+    pub(crate) fn fires_once(&self) -> bool {
+        self.persist == Persistence::Transient && self.stage != Stage::Fetch
     }
 }
 

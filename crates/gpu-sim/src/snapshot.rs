@@ -27,8 +27,8 @@
 //! blocks after one it ends in, once they provably run as in golden, or
 //! the rest of the run from a snapshot whose state it rejoins.
 
-use crate::engine::{Counts, SiteCounts, ThreadState};
-use crate::fault::FaultPlan;
+use crate::engine::{Counts, ThreadState};
+use crate::fault::{FaultPlan, Trigger};
 use crate::memory::{GlobalMemory, SharedMemory};
 use gpu_arch::decode::RegLiveness;
 use gpu_arch::decode::{FP32_ARITH_UNITS, FP64_ARITH_UNITS, HALF_ARITH_UNITS, INT_ARITH_UNITS};
@@ -152,28 +152,21 @@ impl EngineSnapshot {
         self.tallies.class_matches(site)
     }
 
-    /// True when `plan`'s trigger point lies at or after this snapshot,
-    /// i.e. resuming from here cannot skip the fault site.
-    ///
-    /// Positional plans (`nth`-indexed) compare against the class match
-    /// tally; timed plans (`at`-indexed) compare against the dynamic
-    /// counter. [`FaultPlan::None`] has no site and never fast-forwards.
-    ///
-    /// Hidden-resource plans (scheduler, active mask, barrier, memory
-    /// queue, fetch) follow the same rule: their corruption — including
-    /// the stuck-at persistence mode, whose perturbation *begins* at the
-    /// trigger and never ends — touches no state before the trigger
-    /// point, so a snapshot at or before it is sound, and one past it
-    /// would fast-forward over state the fault should have perturbed
-    /// (the engine hard-errors that resume as a
-    /// [`crate::SimError::ResumeConflict`]).
+    /// True when `plan`'s trigger point lies at or after this snapshot:
+    /// the counter its trigger is numbered in (class matches, memory ops,
+    /// `SETP`s or the dynamic count) reads at most the trigger here, so
+    /// resuming from here cannot skip the fault site. Every family, the
+    /// stuck-at hidden plans included, touches no state before its
+    /// trigger. [`FaultPlan::None`] has no trigger and never
+    /// fast-forwards; a forced resume past a trigger is a
+    /// [`crate::SimError::ResumeConflict`].
     pub fn precedes(&self, plan: &FaultPlan) -> bool {
-        self.trigger_counter(plan).is_some_and(|(counter, trigger)| counter <= trigger)
+        plan.trigger().is_some_and(|t| self.count(&t) <= t.value)
     }
 
-    /// [`trigger_counter`] read off this snapshot.
-    fn trigger_counter(&self, plan: &FaultPlan) -> Option<(u64, u64)> {
-        trigger_counter(plan, |c| self.tallies.class_matches(c), &self.counts.sites, self.dyn_count)
+    /// `t`'s counter read off this snapshot.
+    fn count(&self, t: &Trigger) -> u64 {
+        t.count(|c| self.tallies.class_matches(c), &self.counts.sites, self.dyn_count)
     }
 
     /// Approximate in-memory footprint in bytes (dominated by the memory
@@ -194,36 +187,6 @@ impl EngineSnapshot {
     }
 }
 
-/// The counter `plan`'s trigger is numbered in, read off a state with
-/// class matches `class_matches`, site counts `sites` and dynamic count
-/// `dyn_count`, and the trigger's value in it: positional plans
-/// (`nth`-indexed) count class matches, memory ops or `SETP`s, timed
-/// plans (`at`-indexed) the dynamic counter. `None` for
-/// [`FaultPlan::None`], which has no trigger.
-pub(crate) fn trigger_counter(
-    plan: &FaultPlan,
-    class_matches: impl FnOnce(SiteClass) -> u64,
-    sites: &SiteCounts,
-    dyn_count: u64,
-) -> Option<(u64, u64)> {
-    Some(match *plan {
-        FaultPlan::None => return None,
-        FaultPlan::InstructionOutput { nth, site, .. }
-        | FaultPlan::InstructionOutputSet { nth, site, .. } => (class_matches(site), nth),
-        FaultPlan::MemAddress { nth, .. } | FaultPlan::MemQueue { nth, .. } => (sites.mem_ops, nth),
-        FaultPlan::PredicateOutput { nth } => (sites.setp, nth),
-        FaultPlan::Pc { at, .. }
-        | FaultPlan::RegisterBit { at, .. }
-        | FaultPlan::GlobalMemBit { at, .. }
-        | FaultPlan::SharedMemBit { at, .. }
-        | FaultPlan::SchedulerNextPc { at, .. }
-        | FaultPlan::SchedulerPriority { at, .. }
-        | FaultPlan::ActiveMask { at, .. }
-        | FaultPlan::BarrierCounter { at, .. }
-        | FaultPlan::Fetch { at, .. } => (dyn_count, at),
-    })
-}
-
 /// Where `plan`'s trigger falls in a golden run that captured
 /// `snapshots` and ended with counts `fin`: how many of the snapshots
 /// precede it (so `snapshots[k - 1]` is the latest one a trial of it can
@@ -239,21 +202,17 @@ pub fn trigger_position(
     fin: &Counts,
     plan: &FaultPlan,
 ) -> (usize, u64) {
-    let k = snapshots.iter().rposition(|s| s.precedes(plan)).map_or(0, |i| i + 1);
-    let start = match k {
-        0 => trigger_counter(plan, |_| 0, &SiteCounts::default(), 0).map(|c| (c, 0)),
-        _ => snapshots[k - 1].trigger_counter(plan).map(|c| (c, snapshots[k - 1].dyn_count)),
-    };
-    let end = match snapshots.get(k) {
-        Some(s) => s.trigger_counter(plan).map(|c| (c, s.dyn_count)),
-        None => trigger_counter(plan, |c| fin.population(c), &fin.sites, fin.total)
-            .map(|c| (c, fin.total)),
-    };
-    let (Some(((c0, trigger), d0)), Some(((c1, _), d1))) = (start, end) else { return (0, 0) };
+    let Some(t) = plan.trigger() else { return (0, 0) };
+    let k = snapshots.iter().rposition(|s| s.count(&t) <= t.value).map_or(0, |i| i + 1);
+    let at = |s: &EngineSnapshot| (s.count(&t), s.dyn_count);
+    // Every counter reads 0 at the run's start.
+    let (c0, d0) = k.checked_sub(1).map_or((0, 0), |i| at(&snapshots[i]));
+    let fin_count = || t.count(|c| fin.population(c), &fin.sites, fin.total);
+    let (c1, d1) = snapshots.get(k).map_or_else(|| (fin_count(), fin.total), |s| at(s));
     if c1 <= c0 || d1 <= d0 {
         return (k, d0);
     }
-    let frac = u128::from(trigger.clamp(c0, c1) - c0);
+    let frac = u128::from(t.value.clamp(c0, c1) - c0);
     (k, d0 + (frac * u128::from(d1 - d0) / u128::from(c1 - c0)) as u64)
 }
 

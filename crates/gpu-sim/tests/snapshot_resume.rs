@@ -5,12 +5,13 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 
 use gpu_arch::{
-    CmpOp, DeviceModel, KernelBuilder, LaunchConfig, MemWidth, Operand, Pred, Reg, SpecialReg,
+    CmpOp, DeviceModel, InstrMeta, KernelBuilder, LaunchConfig, MemWidth, Operand, Pred, Reg,
+    SpecialReg,
 };
 use gpu_sim::{
-    run, trigger_position, try_run_with_sink, BitFlip, EngineSnapshot, Executed, FaultPlan,
-    FetchEffect, GlobalMemory, MemQueueEffect, Persistence, RunOptions, SimError, SiteClass,
-    SNAPSHOT_CAP,
+    run, run_with_sink, trigger_position, try_run_with_sink, BitFlip, EngineSnapshot, Executed,
+    FaultPlan, FetchEffect, GlobalMemory, MemQueueEffect, Persistence, RunOptions, SimError,
+    SiteClass, SNAPSHOT_CAP,
 };
 use std::sync::Arc;
 
@@ -309,6 +310,72 @@ fn resume_conflicts_are_rejected() {
         ),
         Err(SimError::ResumeConflict(_))
     ));
+}
+
+/// The `<=` edge of [`EngineSnapshot::precedes`], for each counter a
+/// trigger is numbered in (class matches, memory ops, `SETP`s, the
+/// dynamic count): a plan whose trigger equals a snapshot's counter
+/// resumes from that snapshot, fires, and matches its run from zero bit
+/// for bit; one tick earlier is a conflict. The snapshot's memory-op and
+/// `SETP` counts are read off the golden run's trace: the fixture guards
+/// neither.
+#[test]
+fn a_trigger_at_a_snapshots_counter_resumes_and_one_tick_earlier_conflicts() {
+    let device = DeviceModel::named("v100");
+    let (kernel, launch, mem) = fixture();
+    let (snapshots, _) = golden_with_snapshots(150);
+    let snap = &snapshots[snapshots.len() / 2];
+    let mut sink = obs::RecordingSink::new();
+    run_with_sink(&device, &kernel, &launch, mem.clone(), &RunOptions::golden(), Some(&mut sink));
+    let metas = kernel.decoded().metas();
+    let retired_before_snap = |class: fn(&InstrMeta) -> bool| {
+        let retired = sink.events.iter().filter(|e| {
+            matches!(e, obs::TraceEvent::InstrRetired { idx, pc, .. }
+                if *idx < snap.dyn_count() && class(&metas[*pc as usize]))
+        });
+        retired.count() as u64
+    };
+    let mem_ops = retired_before_snap(|m| m.is_mem_op);
+    let setp = retired_before_snap(|m| m.writes_pred);
+    // A plan whose trigger is the counter value it is given.
+    type Plan = fn(u64) -> FaultPlan;
+    let cases: [(u64, Plan); 6] = [
+        (snap.class_matches(SiteClass::IntArith), |nth| FaultPlan::InstructionOutput {
+            nth,
+            site: SiteClass::IntArith,
+            flip: BitFlip::single(3),
+        }),
+        (mem_ops, |nth| FaultPlan::MemAddress { nth, flip: BitFlip::single(3) }),
+        (mem_ops, |nth| FaultPlan::MemQueue {
+            nth,
+            effect: MemQueueEffect::Drop,
+            persist: Persistence::StuckAt,
+        }),
+        (setp, |nth| FaultPlan::PredicateOutput { nth }),
+        (snap.dyn_count(), |at| FaultPlan::Pc { at, flip: BitFlip::single(1) }),
+        (snap.dyn_count(), |at| FaultPlan::SchedulerPriority {
+            at,
+            warp: 0,
+            persist: Persistence::Transient,
+        }),
+    ];
+    for (counter, plan) in cases {
+        assert!(counter > 0, "{:?}", plan(counter));
+        let opts = |n: u64| RunOptions::trial(plan(n)).watchdog(100_000);
+        let resumed = |n: u64| {
+            let opts = opts(n).resume(Some(Arc::clone(snap)));
+            try_run_with_sink(&device, &kernel, &launch, mem.clone(), &opts, None)
+        };
+        let from_zero = run(&device, &kernel, &launch, mem.clone(), &opts(counter));
+        assert!(from_zero.fault_triggered, "{:?}", plan(counter));
+        let at_edge = resumed(counter).expect("a trigger at the snapshot's counter resumes");
+        assert_bit_identical(&from_zero, &at_edge);
+        assert!(
+            matches!(resumed(counter - 1), Err(SimError::ResumeConflict(_))),
+            "{:?} resumed past its trigger",
+            plan(counter - 1)
+        );
+    }
 }
 
 #[test]
