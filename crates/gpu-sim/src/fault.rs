@@ -5,7 +5,7 @@
 //! assumption, Section IV-A). The injectors and the beam engine construct
 //! plans; the execution engine triggers them at the right dynamic instant.
 
-use crate::engine::SiteCounts;
+use crate::engine::Counts;
 use gpu_arch::{InstrMeta, MemOp};
 use std::fmt;
 
@@ -321,13 +321,13 @@ impl FaultPlan {
 /// The counter a plan's trigger is numbered in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Counter {
-    /// Guard-passing matches of a site class (the run's `ClassTallies`).
+    /// Guard-passing matches of a site class ([`Counts::class_matches`]).
     Class(SiteClass),
-    /// Guard-passing memory ops ([`SiteCounts::mem_ops`]).
+    /// Guard-passing memory ops ([`crate::SiteCounts::mem_ops`]).
     MemOps,
-    /// Guard-passing `SETP`s ([`SiteCounts::setp`]).
+    /// Guard-passing `SETP`s ([`crate::SiteCounts::setp`]).
     Setp,
-    /// The global dynamic-instruction counter.
+    /// The global dynamic-instruction counter ([`Counts::total`]).
     Dyn,
 }
 
@@ -357,20 +357,14 @@ pub(crate) struct Trigger {
 }
 
 impl Trigger {
-    /// The counter read off a state with class matches `class_matches`,
-    /// site counts `sites` and dynamic count `dyn_count`.
+    /// The counter read off a state's counts.
     #[inline(always)]
-    pub(crate) fn count(
-        &self,
-        class_matches: impl FnOnce(SiteClass) -> u64,
-        sites: &SiteCounts,
-        dyn_count: u64,
-    ) -> u64 {
+    pub(crate) fn count(&self, counts: &Counts) -> u64 {
         match self.counter {
-            Counter::Class(site) => class_matches(site),
-            Counter::MemOps => sites.mem_ops,
-            Counter::Setp => sites.setp,
-            Counter::Dyn => dyn_count,
+            Counter::Class(site) => counts.class_matches(site),
+            Counter::MemOps => counts.sites.mem_ops,
+            Counter::Setp => counts.sites.setp,
+            Counter::Dyn => counts.total,
         }
     }
 
