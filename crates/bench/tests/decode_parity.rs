@@ -569,10 +569,6 @@ fn assert_same_run(a: &Executed, b: &Executed, what: &str) {
     .into_iter()
     .chain(Op::ALL.iter().map(|op| SiteClass::Unit(op.functional_unit())))
     .collect();
-    let counts = |r: &Executed| {
-        let c = &r.counts;
-        (c.total, c.per_unit, c.per_mix, c.warp_latency.clone(), c.warp_instrs.clone(), c.sites)
-    };
     let snapshots = |r: &Executed| -> Vec<(u64, Vec<u64>)> {
         let snaps = r.snapshots.iter().chain(&r.handoff);
         snaps
@@ -581,7 +577,7 @@ fn assert_same_run(a: &Executed, b: &Executed, what: &str) {
     };
     assert_eq!(a.status, b.status, "{what}: status");
     assert!(a.memory == b.memory, "{what}: memory");
-    assert_eq!(counts(a), counts(b), "{what}: counts");
+    assert_eq!(a.counts, b.counts, "{what}: counts");
     assert_eq!(a.sites_record, b.sites_record, "{what}: sites record");
     assert_eq!(a.fault_triggered, b.fault_triggered, "{what}: fault_triggered");
     assert_eq!(snapshots(a), snapshots(b), "{what}: snapshots");

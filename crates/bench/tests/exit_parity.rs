@@ -79,17 +79,11 @@ impl Case {
 
 /// The first part of an `Executed` that differs between `a` and `b`.
 fn differs(a: &Executed, b: &Executed) -> Option<&'static str> {
-    let (x, y) = (&a.counts, &b.counts);
     [
         ("status", a.status != b.status),
         ("memory", a.memory.raw() != b.memory.raw()),
         ("fault_triggered", a.fault_triggered != b.fault_triggered),
-        ("total", x.total != y.total),
-        ("per_unit", x.per_unit != y.per_unit),
-        ("per_mix", x.per_mix != y.per_mix),
-        ("warp_latency", x.warp_latency != y.warp_latency),
-        ("warp_instrs", x.warp_instrs != y.warp_instrs),
-        ("sites", x.sites != y.sites),
+        ("counts", a.counts != b.counts),
     ]
     .into_iter()
     .find_map(|(name, bad)| bad.then_some(name))

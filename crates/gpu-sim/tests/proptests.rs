@@ -557,7 +557,7 @@ proptest! {
         prop_assert_eq!(plain.status, traced.status);
         prop_assert_eq!(plain.fault_triggered, traced.fault_triggered);
         prop_assert_eq!(plain.memory.raw(), traced.memory.raw());
-        prop_assert!(same_counts(&plain.counts, &traced.counts));
+        prop_assert_eq!(&plain.counts, &traced.counts);
         prop_assert_eq!(plain.rounds, traced.rounds);
         prop_assert!(plain.snapshots == traced.snapshots, "snapshot states differ");
         prop_assert!(plain.exit_table == traced.exit_table, "exit tables differ");
@@ -568,16 +568,6 @@ proptest! {
 /// count of a trigger's counter, a point in the lone tail.
 fn in_tail(n: u64, x: u64) -> u64 {
     n.saturating_sub(1 + x % (n / 4 + 1))
-}
-
-/// Every field of two runs' `Counts`.
-fn same_counts(a: &gpu_sim::Counts, b: &gpu_sim::Counts) -> bool {
-    a.total == b.total
-        && a.per_unit == b.per_unit
-        && a.per_mix == b.per_mix
-        && a.warp_latency == b.warp_latency
-        && a.warp_instrs == b.warp_instrs
-        && a.sites == b.sites
 }
 
 proptest! {
@@ -677,7 +667,7 @@ proptest! {
         prop_assert_eq!(plain.status, traced.status);
         prop_assert_eq!(plain.fault_triggered, traced.fault_triggered);
         prop_assert_eq!(plain.memory.raw(), traced.memory.raw());
-        prop_assert!(same_counts(&plain.counts, &traced.counts));
+        prop_assert_eq!(&plain.counts, &traced.counts);
         prop_assert_eq!(plain.rounds, traced.rounds);
         // A scheduler or mask plan fires at the first round top at or
         // past its `at`, and a round retires at most one instruction per
@@ -713,7 +703,7 @@ proptest! {
         prop_assert_eq!(plain.status, traced.status);
         prop_assert_eq!(plain.fault_triggered, traced.fault_triggered);
         prop_assert_eq!(plain.memory.raw(), traced.memory.raw());
-        prop_assert!(same_counts(&plain.counts, &traced.counts));
+        prop_assert_eq!(&plain.counts, &traced.counts);
         let handoff = |e: &gpu_sim::Executed| e.handoff.as_ref().map(|s| s.dyn_count());
         prop_assert_eq!(handoff(&plain), handoff(&traced));
         if plain.exit.is_none() {
@@ -738,7 +728,7 @@ proptest! {
                 prop_assert_eq!(plain.status, resumed.status);
                 prop_assert_eq!(plain.fault_triggered, resumed.fault_triggered);
                 prop_assert_eq!(plain.memory.raw(), resumed.memory.raw());
-                prop_assert!(same_counts(&plain.counts, &resumed.counts));
+                prop_assert_eq!(&plain.counts, &resumed.counts);
                 prop_assert_eq!(plain.exit, resumed.exit);
             }
         }
@@ -811,7 +801,7 @@ proptest! {
         prop_assert_eq!(plain.status, traced.status);
         prop_assert_eq!(plain.fault_triggered, traced.fault_triggered);
         prop_assert_eq!(plain.memory.raw(), traced.memory.raw());
-        prop_assert!(same_counts(&plain.counts, &traced.counts));
+        prop_assert_eq!(&plain.counts, &traced.counts);
         prop_assert_eq!(plain.rounds, traced.rounds);
     }
 }
@@ -905,7 +895,7 @@ proptest! {
         prop_assert_eq!(plain.status, traced.status);
         prop_assert_eq!(plain.fault_triggered, traced.fault_triggered);
         prop_assert_eq!(plain.memory.raw(), traced.memory.raw());
-        prop_assert!(same_counts(&plain.counts, &traced.counts));
+        prop_assert_eq!(&plain.counts, &traced.counts);
         prop_assert_eq!(plain.rounds, traced.rounds);
 
         let relay = opts.exit_through(Some(Arc::clone(&golden))).hand_off(true);
@@ -915,7 +905,7 @@ proptest! {
         prop_assert_eq!(plain.status, traced.status);
         prop_assert_eq!(plain.fault_triggered, traced.fault_triggered);
         prop_assert_eq!(plain.memory.raw(), traced.memory.raw());
-        prop_assert!(same_counts(&plain.counts, &traced.counts));
+        prop_assert_eq!(&plain.counts, &traced.counts);
         let handoff = |e: &gpu_sim::Executed| e.handoff.as_ref().map(|s| s.dyn_count());
         prop_assert_eq!(handoff(&plain), handoff(&traced));
         if plain.exit.is_none() {
@@ -950,7 +940,7 @@ fn windows_open_on_private_loops_and_roll_back_on_shared_words() {
             run_with_sink(&device, &kernel, &launch, memory.clone(), &opts, Some(&mut sink));
         assert_eq!(plain.status, ExecStatus::Completed, "{cross:?}");
         assert_eq!(plain.memory.raw(), traced.memory.raw(), "{cross:?}");
-        assert!(same_counts(&plain.counts, &traced.counts), "{cross:?}");
+        assert_eq!(plain.counts, traced.counts, "{cross:?}");
         assert_eq!(plain.rounds, traced.rounds, "{cross:?}");
         assert_eq!((traced.windows, traced.window_rollbacks), (0, 0), "{cross:?}");
         assert!(plain.windows > 0, "{cross:?}: no window opened");
@@ -988,7 +978,7 @@ fn windows_open_and_roll_back_in_capturing_runs() {
             run_with_sink(&device, &kernel, &launch, memory.clone(), &opts, Some(&mut sink));
         assert_eq!(plain.status, ExecStatus::Completed, "{cross:?}");
         assert_eq!(plain.memory.raw(), traced.memory.raw(), "{cross:?}");
-        assert!(same_counts(&plain.counts, &traced.counts), "{cross:?}");
+        assert_eq!(plain.counts, traced.counts, "{cross:?}");
         assert_eq!(plain.rounds, traced.rounds, "{cross:?}");
         assert!(plain.snapshots.len() > 2, "{cross:?}: {} snapshots", plain.snapshots.len());
         assert!(plain.snapshots == traced.snapshots, "{cross:?}: snapshot states differ");
