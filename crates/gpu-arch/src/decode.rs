@@ -681,12 +681,13 @@ mod tests {
 
     #[test]
     fn arith_unit_groups_agree_with_site_classes() {
-        // The injectors sum per-unit counts over these groups to size
-        // their sampling populations; the engine tallies site classes by
-        // op. The two agree iff unit membership implies class membership
-        // and vice versa — checked here over every op (this is the
-        // assertion that replaced the old "matches the injectors'
-        // sampling" comment-contract in the engine).
+        // The engine sums its per-unit counts over these groups, both
+        // for the populations the injectors sample from and for the
+        // class counts its output hook numbers sites in; a site's class
+        // is decided by op. The two agree iff unit membership implies
+        // class membership and vice versa — checked here over every op
+        // (this is the assertion that replaced the old "matches the
+        // injectors' sampling" comment-contract in the engine).
         for op in Op::ALL {
             let unit = op.functional_unit();
             assert_eq!(
